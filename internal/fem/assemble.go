@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/mesh"
@@ -84,12 +85,16 @@ type System struct {
 	Constrained []bool
 
 	// bcVal holds the currently prescribed value of each constrained DOF
-	// (zero elsewhere); bcCoupling holds, per constrained DOF, the
-	// stiffness coupling that ApplyDirichlet moved to the right-hand
-	// side. Together they let PatchDirichlet update F for changed
-	// boundary displacements without re-eliminating the matrix.
-	bcVal      []float64
-	bcCoupling map[int]dirichletCoupling
+	// (zero elsewhere). bcRows/bcCoef hold the stiffness coupling that
+	// ApplyDirichlet moved to the right-hand side, column by column: the
+	// original entries K0[i][j] of constrained DOF j against the
+	// unconstrained rows i are bcCoef[bcPtr[j]:bcPtr[j+1]], with i
+	// ascending in bcRows. Together they let PatchDirichlet update F for
+	// changed boundary displacements without re-eliminating the matrix.
+	bcVal  []float64
+	bcPtr  []int
+	bcRows []int32
+	bcCoef []float64
 	// nConstrained counts constrained DOFs, for the set-equality check
 	// of PatchDirichlet.
 	nConstrained int
@@ -144,14 +149,6 @@ func SystemFromParts(k *sparse.CSR, f []float64, pt par.Partition, counters *par
 	}
 	s.checkShape()
 	return s, nil
-}
-
-// dirichletCoupling records the original column entries K0[i][j] of one
-// constrained DOF j against the unconstrained rows i, in the order they
-// were eliminated.
-type dirichletCoupling struct {
-	rows []int32
-	coef []float64
 }
 
 // ErrBoundarySetChanged reports that an incremental patch named a
@@ -213,6 +210,11 @@ func AssembleContext(ctx context.Context, m *mesh.Mesh, mats Table, pt par.Parti
 	return sys, err
 }
 
+// assemble builds K in two phases, with no intermediate triplets: a
+// symbolic pass fixes the 3x3-block layout from the node adjacency, a
+// numeric pass has every rank sum its element blocks straight into the
+// rows it owns, and the layout is then compacted to CSR (see DESIGN.md,
+// "Two-phase assembly").
 func assemble(m *mesh.Mesh, mats Table, pt par.Partition) (*System, error) {
 	if err := mats.Validate(); err != nil {
 		return nil, err
@@ -220,92 +222,129 @@ func assemble(m *mesh.Mesh, mats Table, pt par.Partition) (*System, error) {
 	if pt.N != m.NumNodes() {
 		return nil, fmt.Errorf("fem: partition over %d nodes, mesh has %d", pt.N, m.NumNodes())
 	}
-	nDOF := 3 * m.NumNodes()
-	// Element lists per rank: an element belongs to every rank owning at
-	// least one of its nodes.
-	elems := make([][]int32, pt.P)
-	for e, t := range m.Tets {
-		var ranks [4]int
-		nr := 0
-		for _, node := range t {
-			r := pt.Owner(int(node))
-			dup := false
-			for i := 0; i < nr; i++ {
-				if ranks[i] == r {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				ranks[nr] = r
-				nr++
-			}
-		}
-		for i := 0; i < nr; i++ {
-			elems[ranks[i]] = append(elems[ranks[i]], int32(e))
-		}
+	blocks, err := sparse.NewBlockAssembler(nodeAdjacency(m, pt))
+	if err != nil {
+		return nil, fmt.Errorf("fem: node adjacency: %w", err)
 	}
-
 	counters := par.NewCounters(pt.P)
-	builders := make([]*sparse.Builder, pt.P)
-	rhs := make([]float64, nDOF)
 	errs := make([]error, pt.P)
 	pt.ForEachRank(func(r int) {
 		lo, hi := pt.Range(r)
-		b := sparse.NewBuilder(nDOF)
-		builders[r] = b
-		for _, e := range elems[r] {
-			t := m.Tets[e]
-			ke, err := elementStiffness(m.TetGeom(int(e)), mats.For(m.TetLabel[e]))
-			if err != nil {
-				errs[r] = fmt.Errorf("fem: element %d: %w", e, err)
-				return
-			}
-			counters.AddFlops(r, elementStiffnessFlops)
-			for a := 0; a < 4; a++ {
-				na := int(t[a])
-				if na < lo || na >= hi {
-					continue // row owned by another rank
-				}
-				for bn := 0; bn < 4; bn++ {
-					nb := int(t[bn])
-					for i := 0; i < 3; i++ {
-						for j := 0; j < 3; j++ {
-							v := ke[a][bn][i][j]
-							if numeric.NonZero(v) {
-								b.Add(3*na+i, 3*nb+j, v)
-							}
-						}
-					}
-					counters.AddFlops(r, 9)
-				}
-			}
-		}
+		var flops float64
+		flops, errs[r] = assembleRows(m, mats, blocks, int32(lo), int32(hi))
+		counters.AddFlops(r, flops)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	// Merge per-rank builders; in the distributed original this is free
-	// (each rank keeps its rows), here it is a serial concatenation.
-	global := builders[0]
-	for _, b := range builders[1:] {
-		if err := global.Merge(b); err != nil {
-			return nil, err
-		}
+	k, err := blocks.Compact(pt)
+	if err != nil {
+		return nil, err
 	}
-	k := global.Build()
+	nDOF := 3 * m.NumNodes()
 	sys := &System{
 		Mesh:        m,
 		K:           k,
-		F:           rhs,
+		F:           make([]float64, nDOF),
 		NumDOF:      nDOF,
 		NodePart:    pt,
 		Assembly:    counters,
 		Constrained: make([]bool, nDOF),
 	}
 	return sys, nil
+}
+
+// nodeAdjacency is the symbolic pass: for every node, the ascending list
+// of the nodes it shares an element with (itself included), as offsets
+// and one flat list. Each rank counts, buckets, sorts and dedupes the
+// lists of its own nodes.
+func nodeAdjacency(m *mesh.Mesh, pt par.Partition) (ptr []int, adj []int32) {
+	ptr = make([]int, m.NumNodes()+1)
+	local := make([][]int32, pt.P)
+	pt.ForEachRank(func(r int) {
+		lo, hi := pt.Range(r)
+		// start[n-lo] is where node n's bucket begins: four entries per
+		// incident element.
+		start := make([]int, hi-lo+1)
+		for _, t := range m.Tets {
+			for _, a := range t {
+				if n := int(a); n >= lo && n < hi {
+					start[n-lo+1] += 4
+				}
+			}
+		}
+		for i := 0; i < hi-lo; i++ {
+			start[i+1] += start[i]
+		}
+		buf := make([]int32, start[hi-lo])
+		fill := append([]int(nil), start[:hi-lo]...)
+		for _, t := range m.Tets {
+			for _, a := range t {
+				if n := int(a); n >= lo && n < hi {
+					copy(buf[fill[n-lo]:], t[:])
+					fill[n-lo] += 4
+				}
+			}
+		}
+		// Dedupe in place: the write cursor never passes a bucket start.
+		w := 0
+		for n := lo; n < hi; n++ {
+			bucket := buf[start[n-lo]:start[n-lo+1]]
+			slices.Sort(bucket)
+			deg := copy(buf[w:], slices.Compact(bucket))
+			ptr[n+1] = deg
+			w += deg
+		}
+		local[r] = buf[:w]
+	})
+	for n := 0; n < m.NumNodes(); n++ {
+		ptr[n+1] += ptr[n]
+	}
+	adj = make([]int32, 0, ptr[m.NumNodes()])
+	for _, l := range local {
+		adj = append(adj, l...)
+	}
+	return ptr, adj
+}
+
+// assembleRows is the numeric pass of one rank, which owns the nodes
+// [lo, hi): every element touching one of them is computed once and its
+// blocks are added to the owned rows. An element spanning several ranks
+// is computed by each (the paper's duplicated boundary work). Elements
+// are visited in ascending order, so each entry of K is summed in element
+// order whatever the partition. Returns the rank's flop count.
+//
+//lint:hotpath
+func assembleRows(m *mesh.Mesh, mats Table, blocks *sparse.BlockAssembler, lo, hi int32) (flops float64, err error) {
+	for e, t := range m.Tets {
+		owned := 0
+		for _, n := range t {
+			if n >= lo && n < hi {
+				owned++
+			}
+		}
+		if owned == 0 {
+			continue
+		}
+		ke, err := elementStiffness(m.TetGeom(e), mats.For(m.TetLabel[e]))
+		if err != nil {
+			return flops, fmt.Errorf("fem: element %d: %w", e, err)
+		}
+		// Counted locally and added once per rank: neighbouring ranks'
+		// counter slots share a cache line.
+		flops += elementStiffnessFlops + float64(36*owned)
+		for a, na := range t {
+			if na < lo || na >= hi {
+				continue // row owned by another rank
+			}
+			for b, nb := range t {
+				blocks.AddBlock(na, nb, &ke[a][b])
+			}
+		}
+	}
+	return flops, nil
 }
 
 // ApplyDirichlet constrains the three DOFs of each listed node to the
@@ -337,33 +376,69 @@ func (s *System) ApplyDirichlet(bc map[int32]geom.Vec3) error {
 		val[3*int(node)+1] = d.Y
 		val[3*int(node)+2] = d.Z
 	}
-	coupling := make(map[int]dirichletCoupling, 3*len(bc))
-	nc := 0
+	// Count-then-copy: the rows of K are already sorted, so elimination
+	// only filters them. First size the eliminated matrix and every
+	// constrained column's coupling list ...
 	k := s.K
-	nb := sparse.NewBuilder(s.NumDOF)
+	rowPtr := make([]int64, s.NumDOF+1)
+	bcPtr := make([]int, s.NumDOF+1)
+	nc := 0
 	for i := 0; i < s.NumDOF; i++ {
+		kept := int64(1)
 		if s.Constrained[i] {
-			nb.Add(i, i, 1)
-			s.F[i] = val[i]
 			nc++
+		} else {
+			kept = 0
+			for _, j := range k.Col[k.RowPtr[i]:k.RowPtr[i+1]] {
+				if s.Constrained[j] {
+					bcPtr[j+1]++
+				} else {
+					kept++
+				}
+			}
+		}
+		rowPtr[i+1] = rowPtr[i] + kept
+	}
+	for j := 0; j < s.NumDOF; j++ {
+		bcPtr[j+1] += bcPtr[j]
+	}
+	// ... then fill both in one pass in row order, which leaves each
+	// coupling list in ascending row order.
+	bcRows := make([]int32, bcPtr[s.NumDOF])
+	bcCoef := make([]float64, bcPtr[s.NumDOF])
+	fill := append([]int(nil), bcPtr[:s.NumDOF]...)
+	col := make([]int32, rowPtr[s.NumDOF])
+	kval := make([]float64, rowPtr[s.NumDOF])
+	for i := 0; i < s.NumDOF; i++ {
+		w := rowPtr[i]
+		if s.Constrained[i] {
+			col[w], kval[w] = int32(i), 1
+			s.F[i] = val[i]
 			continue
 		}
-		for p := k.RowPtr[i]; p < k.RowPtr[i+1]; p++ {
-			j := int(k.Col[p])
+		start, end := k.RowPtr[i], k.RowPtr[i+1]
+		vals := k.Val[start:end]
+		cols := k.Col[start:end][:len(vals)]
+		for p, v := range vals {
+			j := cols[p]
 			if s.Constrained[j] {
-				s.F[i] -= k.Val[p] * val[j]
-				c := coupling[j]
-				c.rows = append(c.rows, int32(i))
-				c.coef = append(c.coef, k.Val[p])
-				coupling[j] = c
+				s.F[i] -= v * val[j]
+				q := fill[j]
+				bcRows[q], bcCoef[q] = int32(i), v
+				fill[j] = q + 1
 			} else {
-				nb.Add(i, j, k.Val[p])
+				col[w], kval[w] = j, v
+				w++
 			}
 		}
 	}
-	s.K = nb.Build()
+	eliminated, err := sparse.CSRFromParts(s.NumDOF, rowPtr, col, kval)
+	if err != nil {
+		return fmt.Errorf("fem: eliminated matrix: %w", err)
+	}
+	s.K = eliminated
 	s.bcVal = val
-	s.bcCoupling = coupling
+	s.bcPtr, s.bcRows, s.bcCoef = bcPtr, bcRows, bcCoef
 	s.nConstrained = nc
 	// The eliminated matrix is a new CSR, so the identity-keyed cache
 	// would miss anyway; dropping the stale factors frees them now.
@@ -426,11 +501,10 @@ func (s *System) PatchDirichlet(ctx context.Context, bc map[int32]geom.Vec3) (ch
 		if numeric.Zero(delta) {
 			continue
 		}
-		c := s.bcCoupling[dof]
 		// Re-slicing coef to rows' length proves the two stride together,
 		// eliminating the coef[p] bounds check (cf. sparse.MulVec).
-		rows := c.rows
-		coef := c.coef[:len(rows)]
+		rows := s.bcRows[s.bcPtr[dof]:s.bcPtr[dof+1]]
+		coef := s.bcCoef[s.bcPtr[dof]:s.bcPtr[dof+1]][:len(rows)]
 		for p, row := range rows {
 			s.F[row] -= coef[p] * delta
 		}

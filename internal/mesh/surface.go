@@ -30,10 +30,19 @@ func (s *TriMesh) NumTris() int { return len(s.Tris) }
 // faceKey identifies a face independent of orientation.
 type faceKey [3]int32
 
+// makeFaceKey sorts the three nodes with three compare-exchanges: it
+// runs four times per element and must not allocate.
 func makeFaceKey(a, b, c int32) faceKey {
-	k := faceKey{a, b, c}
-	sort.Slice(k[:], func(i, j int) bool { return k[i] < k[j] })
-	return k
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b, c = c, b
+	}
+	if a > b {
+		a, b = b, a
+	}
+	return faceKey{a, b, c}
 }
 
 // tetFaces lists the four faces of a positively oriented tetrahedron

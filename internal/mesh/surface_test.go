@@ -1,6 +1,8 @@
 package mesh
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -152,6 +154,50 @@ func TestExtractBrainSurfaceFromPhantom(t *testing.T) {
 	// The brain surface centroid should be near the volume center.
 	if d := s.Centroid().Dist(g.Center()); d > 3 {
 		t.Errorf("brain surface centroid %v mm from grid center", d)
+	}
+}
+
+// TestExtractSurfaceOrderPinned: the surface's triangle order and
+// winding and its vertex numbering decide the boundary-condition map and
+// everything downstream of it, so the face-key change may not move them.
+// The digest is that of the sort.Slice-keyed extraction it replaced.
+func TestExtractSurfaceOrderPinned(t *testing.T) {
+	p := phantom.DefaultParams(24)
+	m, err := FromLabels(phantom.GenerateLabels(phantom.GridFor(p), p), Options{CellSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.ExtractSurface(func(lab volume.Label) bool { return lab >= volume.LabelBrain })
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, tri := range s.Tris {
+		for _, v := range tri {
+			h.Write(binary.LittleEndian.AppendUint32(nil, uint32(v)))
+		}
+	}
+	for _, n := range s.NodeID {
+		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(n)))
+	}
+	const want = 0x9fb239b03562a2d
+	if got := h.Sum64(); got != want {
+		t.Errorf("surface digest %#x over %d triangles and %d vertices, want %#x", got, s.NumTris(), s.NumVerts(), uint64(want))
+	}
+}
+
+func TestMakeFaceKeySorts(t *testing.T) {
+	want := faceKey{2, 5, 9}
+	for _, in := range [][3]int32{{2, 5, 9}, {2, 9, 5}, {5, 2, 9}, {5, 9, 2}, {9, 2, 5}, {9, 5, 2}} {
+		if got := makeFaceKey(in[0], in[1], in[2]); got != want {
+			t.Errorf("makeFaceKey%v = %v", in, got)
+		}
+	}
+	if got := makeFaceKey(4, 1, 4); got != (faceKey{1, 4, 4}) {
+		t.Errorf("makeFaceKey(4,1,4) = %v", got)
+	}
+	if n := testing.AllocsPerRun(10, func() { makeFaceKey(3, 2, 1) }); n != 0 {
+		t.Errorf("makeFaceKey allocates %v times", n)
 	}
 }
 

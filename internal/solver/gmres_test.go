@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/par"
@@ -335,6 +336,28 @@ func TestILU0ExactForTriangularPattern(t *testing.T) {
 	pc.Apply(b, x)
 	if r := residual(a, x, b); r > 1e-10 {
 		t.Errorf("ILU(0) on tridiagonal not exact: residual %v", r)
+	}
+}
+
+// TestBlockJacobiReportsLowestSingularBlock: two ranks fail at once (a
+// row without a diagonal entry each). Each must record its error
+// without touching the other's — under -race a shared variable fails
+// here — and the lowest rank's error is the one returned.
+func TestBlockJacobiReportsLowestSingularBlock(t *testing.T) {
+	b := sparse.NewBuilder(8)
+	for i := 0; i < 8; i++ {
+		if i == 3 || i == 6 {
+			b.Add(i, i-1, 1) // blocks 1 and 3 of four lose a diagonal
+		} else {
+			b.Add(i, i, 2)
+		}
+	}
+	a := b.Build()
+	for rep := 0; rep < 20; rep++ {
+		_, err := NewBlockJacobiILU0(a, par.Even(8, 4))
+		if err == nil || !strings.Contains(err.Error(), "block 1:") {
+			t.Fatalf("error %v, want the one of block 1", err)
+		}
 	}
 }
 

@@ -246,24 +246,25 @@ type BlockJacobiPC struct {
 // partition.
 func NewBlockJacobiILU0(a *sparse.CSR, pt par.Partition) (*BlockJacobiPC, error) {
 	pc := &BlockJacobiPC{part: pt, factors: make([]*iluFactor, pt.P)}
-	var firstErr error
+	// One error slot per rank, so the ranks share nothing; the
+	// lowest-rank error is reported.
+	errs := make([]error, pt.P)
 	pt.ForEachRank(func(r int) {
 		lo, hi := pt.Range(r)
 		if lo == hi {
 			return
 		}
-		blk := a.DiagonalBlock(lo, hi)
-		f, err := newILU0(blk)
+		f, err := newILU0(a.DiagonalBlock(lo, hi))
 		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("solver: block %d: %w", r, err)
-			}
+			errs[r] = fmt.Errorf("solver: block %d: %w", r, err)
 			return
 		}
 		pc.factors[r] = f
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return pc, nil
 }

@@ -81,3 +81,15 @@ func BenchmarkPartitionStats(b *testing.B) {
 		m.PartitionStats(pt)
 	}
 }
+
+// BenchmarkDiagonalBlock extracts the two diagonal blocks of a two-rank
+// block Jacobi set-up from a 110,592-row matrix (9 MB, beyond L2).
+func BenchmarkDiagonalBlock(b *testing.B) {
+	m := benchMatrix(48)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.DiagonalBlock(0, m.N/2)
+		m.DiagonalBlock(m.N/2, m.N)
+	}
+}

@@ -1,22 +1,26 @@
 // Package sparse implements the compressed sparse row (CSR) matrices
 // and parallel matrix-vector products underlying the FEM solver — the
-// role PETSc's Mat plays in the paper. Matrices are assembled from
-// coordinate (COO) triplets, stored in CSR, and partitioned by
-// contiguous row blocks across ranks, matching PETSc's default
-// row-block distribution.
+// role PETSc's Mat plays in the paper. Matrices are stored in CSR and
+// partitioned by contiguous row blocks across ranks, matching PETSc's
+// default row-block distribution; the stiffness matrix is assembled
+// through BlockAssembler, anything small from coordinate (COO) triplets
+// through Builder.
 package sparse
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/numeric"
 	"repro/internal/par"
 )
 
-// Builder accumulates COO triplets; duplicate entries are summed when
-// the matrix is finalized, which is exactly the accumulation pattern of
-// finite element assembly.
+// Builder accumulates COO triplets; duplicate entries are summed, in the
+// order they were added, when the matrix is finalized. It is the small
+// general COO-to-CSR constructor of tests and fuzzers, and the
+// reference BlockAssembler is tested against.
 type Builder struct {
 	n          int
 	rows, cols []int32
@@ -42,73 +46,53 @@ func (b *Builder) Add(i, j int, v float64) {
 // duplicate merging).
 func (b *Builder) NNZTriplets() int { return len(b.vals) }
 
-// Merge appends all triplets of other into b. Both must have the same
-// dimension. Used to combine per-worker builders after parallel
-// assembly.
-func (b *Builder) Merge(other *Builder) error {
-	if other.n != b.n {
-		return fmt.Errorf("sparse: merging builders of dim %d and %d", b.n, other.n)
-	}
-	b.rows = append(b.rows, other.rows...)
-	b.cols = append(b.cols, other.cols...)
-	b.vals = append(b.vals, other.vals...)
-	return nil
-}
-
 // Build finalizes the builder into a CSR matrix, summing duplicates.
 func (b *Builder) Build() *CSR {
 	n := b.n
-	nnzT := len(b.vals)
-	// Count entries per row, then bucket triplets by row.
-	rowCount := make([]int32, n+1)
+	// Bucket the triplets by row, keeping insertion order within a row.
+	rowStart := make([]int64, n+1)
 	for _, r := range b.rows {
-		rowCount[r+1]++
+		rowStart[r+1]++
 	}
-	rowStart := make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		rowStart[i+1] = rowStart[i] + rowCount[i+1]
+		rowStart[i+1] += rowStart[i]
 	}
-	bucketCol := make([]int32, nnzT)
-	bucketVal := make([]float64, nnzT)
-	cursor := make([]int32, n)
-	copy(cursor, rowStart[:n])
-	for t := 0; t < nnzT; t++ {
-		r := b.rows[t]
-		p := cursor[r]
-		bucketCol[p] = b.cols[t]
-		bucketVal[p] = b.vals[t]
-		cursor[r] = p + 1
-	}
-	// Sort each row by column and merge duplicates.
-	m := &CSR{N: n, RowPtr: make([]int64, n+1)}
-	colOut := make([]int32, 0, nnzT)
-	valOut := make([]float64, 0, nnzT)
 	type ent struct {
 		c int32
 		v float64
 	}
-	var scratch []ent
-	for r := 0; r < n; r++ {
-		lo, hi := rowStart[r], rowStart[r+1]
-		scratch = scratch[:0]
-		for p := lo; p < hi; p++ {
-			scratch = append(scratch, ent{bucketCol[p], bucketVal[p]})
-		}
-		sort.Slice(scratch, func(a, b int) bool { return scratch[a].c < scratch[b].c })
-		for i := 0; i < len(scratch); {
-			c := scratch[i].c
-			v := 0.0
-			for i < len(scratch) && scratch[i].c == c {
-				v += scratch[i].v
-				i++
-			}
-			colOut = append(colOut, c)
-			valOut = append(valOut, v)
-		}
-		m.RowPtr[r+1] = int64(len(colOut))
+	bucket := make([]ent, len(b.vals))
+	cursor := append([]int64(nil), rowStart[:n]...)
+	for t, r := range b.rows {
+		bucket[cursor[r]] = ent{b.cols[t], b.vals[t]}
+		cursor[r]++
 	}
-	m.Col = colOut
-	m.Val = valOut
+	// Sort each row by column (stably, so duplicates sum in insertion
+	// order) and merge duplicates in place: the write cursor w never
+	// passes the read position.
+	m := &CSR{N: n, RowPtr: make([]int64, n+1)}
+	w := 0
+	for r := 0; r < n; r++ {
+		row := bucket[rowStart[r]:rowStart[r+1]]
+		slices.SortStableFunc(row, func(a, b ent) int { return cmp.Compare(a.c, b.c) })
+		for i := 0; i < len(row); {
+			e := row[i]
+			for i++; i < len(row) && row[i].c == e.c; i++ {
+				e.v += row[i].v
+			}
+			bucket[w] = e
+			w++
+		}
+		m.RowPtr[r+1] = int64(w)
+	}
+	// Exactly sized output: the matrix must not pin the triplet-sized
+	// scratch for as long as it lives.
+	m.Col = make([]int32, w)
+	m.Val = make([]float64, w)
+	for i, e := range bucket[:w] {
+		m.Col[i] = e.c
+		m.Val[i] = e.v
+	}
 	m.checkShape()
 	return m
 }
@@ -314,17 +298,35 @@ func (m *CSR) PartitionStats(pt par.Partition) []RankWork {
 
 // DiagonalBlock extracts the square sub-matrix of rows and columns
 // [lo, hi) as a dense-indexable CSR over the local index space — the
-// per-rank block used by the block Jacobi preconditioner.
+// per-rank block used by the block Jacobi preconditioner. The rows are
+// already sorted, so it is a count-then-copy filter.
 func (m *CSR) DiagonalBlock(lo, hi int) *CSR {
 	n := hi - lo
-	b := NewBuilder(n)
+	blk := &CSR{N: n, RowPtr: make([]int64, n+1)}
 	for i := lo; i < hi; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			j := int(m.Col[p])
-			if j >= lo && j < hi {
-				b.Add(i-lo, j-lo, m.Val[p])
+		cnt := int64(0)
+		for _, c := range m.Col[m.RowPtr[i]:m.RowPtr[i+1]] {
+			if int(c) >= lo && int(c) < hi {
+				cnt++
+			}
+		}
+		blk.RowPtr[i-lo+1] = blk.RowPtr[i-lo] + cnt
+	}
+	blk.Col = make([]int32, blk.RowPtr[n])
+	blk.Val = make([]float64, blk.RowPtr[n])
+	w := 0
+	for i := lo; i < hi; i++ {
+		start, end := m.RowPtr[i], m.RowPtr[i+1]
+		row := m.Val[start:end]
+		cols := m.Col[start:end][:len(row)]
+		for k, v := range row {
+			if c := int(cols[k]); c >= lo && c < hi {
+				blk.Col[w] = int32(c - lo)
+				blk.Val[w] = v
+				w++
 			}
 		}
 	}
-	return b.Build()
+	blk.checkShape()
+	return blk
 }

@@ -49,25 +49,6 @@ func TestBuilderPanicsOutOfRange(t *testing.T) {
 	b.Add(2, 0, 1)
 }
 
-func TestBuilderMerge(t *testing.T) {
-	a := NewBuilder(3)
-	a.Add(0, 0, 1)
-	b := NewBuilder(3)
-	b.Add(0, 0, 2)
-	b.Add(1, 2, 5)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	m := a.Build()
-	if m.At(0, 0) != 3 || m.At(1, 2) != 5 {
-		t.Error("merge lost entries")
-	}
-	c := NewBuilder(4)
-	if err := a.Merge(c); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-}
-
 func randomCSR(rng *rand.Rand, n int, density float64) *CSR {
 	b := NewBuilder(n)
 	for i := 0; i < n; i++ {

@@ -2,7 +2,8 @@
 # Repository check: formatting, build + vet, the project-native simlint
 # static-analysis suite, the perfgate compiler-fact gate (escape and
 # bounds-check ratchet plus the //lint:noescape kernel contract), the
-# full test suite, fuzz smoke runs, and the whole module under the race
+# full test suite (and the benchmark ledger's own vet and tests, which
+# ./... skips), fuzz smoke runs, and the whole module under the race
 # detector (short mode).
 set -eu
 cd "$(dirname "$0")/.."
@@ -29,6 +30,10 @@ echo "== benchreport -check"
 go run ./cmd/benchreport -check > /dev/null
 echo "== go test ./..."
 go test ./...
+echo "== go vet ./_bench && go test ./_bench"
+# ./... skips the _-prefixed benchmark directory, so name it.
+go vet ./_bench
+go test ./_bench
 echo "== go test -fuzz (10s per target, list derived from sources)"
 ./scripts/fuzz_smoke.sh
 echo "== go test -race -short ./..."
