@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint perfgate check bench benchreport
+.PHONY: build test lint perfgate check bench
 
 build:
 	$(GO) build ./...
@@ -28,26 +28,10 @@ perfgate:
 check:
 	sh scripts/check.sh
 
-# Benchmarks: the Go micro-benchmarks, a pipeline-level run that writes
-# per-stage latency quantiles (from the obs histograms) to
-# BENCH_obs.json, the streaming update-vs-cold comparison that writes
-# BENCH_incremental.json (and fails if the incremental re-solve loses
-# its speedup), the mixed-precision storage comparison that writes
-# BENCH_precision.json (and fails if float32 storage loses its SpMV
-# speedup or its float64 equivalence), the cross-session artifact-cache
-# comparison that writes BENCH_cache.json (and fails if warm sessions
-# lose their speedup or their bit-identity to cold), then the
-# trajectory report comparing the fresh numbers against the previously
-# committed ones (BENCH_REPORT.md/.json).
+# Benchmarks: the Go micro-benchmarks, then the benchmark ledger — the
+# four paper-scale workloads of BENCHMARK.json, each scan checked for
+# correctness (see _bench/README.md; `go run ./_bench -trace 1` adds the
+# layer-by-layer replay).
 bench:
 	$(GO) test -bench=. -benchmem -short ./...
-	$(GO) run ./cmd/benchobs -runs 5 -size 32 -out BENCH_obs.json
-	$(GO) run ./cmd/benchincr -size 64 -updates 4 -out BENCH_incremental.json
-	$(GO) run ./cmd/benchprec -out BENCH_precision.json
-	$(GO) run ./cmd/benchcache -size 48 -rounds 3 -out BENCH_cache.json
-	$(GO) run ./cmd/benchreport -out BENCH_REPORT
-
-# Perf-trajectory gate alone: validate the committed BENCH artifacts'
-# invariants and compare them against the previous commit's values.
-benchreport:
-	$(GO) run ./cmd/benchreport -check
+	$(GO) run ./_bench

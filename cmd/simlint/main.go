@@ -180,7 +180,6 @@ func printList(analyzers []lint.Analyzer) {
 	fmt.Println("declare aliasing rules:   //lint:noalias <param>,<param> (call sites checked by slice provenance)")
 	fmt.Println("declare shape contracts:  //lint:shape len(A)==len(B) ... | //lint:shape validator")
 	fmt.Println("classify float precision: //lint:precision storage=... accum=... | //lint:precision convert (may cross classes)")
-	fmt.Println("declare stage contracts:  //lint:stage name=<stage> deps=<a,b> inputs=<x,y> outputs=<z> key=<Field,...> [pure]")
 }
 
 // matchesAny reports whether the module-relative package path matches

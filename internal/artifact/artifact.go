@@ -93,7 +93,7 @@ type memEntry struct {
 }
 
 // flight tracks one in-progress computation; followers wait on done
-// and share the leader's outcome.
+// and share the leader's data, or retry when the leader failed.
 type flight struct {
 	done chan struct{}
 	data []byte
@@ -137,7 +137,10 @@ func New(opts Options) (*Store, error) {
 // storing them on a miss. hit reports whether the value was served
 // from the store (memory, disk, or a concurrent computation of the
 // same key) rather than by this call's own compute. A compute error
-// is returned to every waiter and nothing is stored.
+// is returned to the caller whose compute failed and nothing is stored;
+// callers waiting on that computation do not inherit the error (it may
+// be scoped to the failed caller's context) — each retries with its own
+// compute.
 func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (data []byte, hit bool, err error) {
 	if key == "" {
 		return nil, false, ErrEmptyKey

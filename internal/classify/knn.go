@@ -52,6 +52,24 @@ type Classifier struct {
 	Workers int
 }
 
+// Clone returns a deep copy (nil for a nil receiver): refreshing the
+// copy's prototypes leaves the original untouched, so a caller can
+// adopt the refreshed model only once the scan it was refreshed for
+// has succeeded.
+func (c *Classifier) Clone() *Classifier {
+	if c == nil {
+		return nil
+	}
+	cp := *c
+	protos := append([]Prototype(nil), c.Prototypes...)
+	for i := range protos {
+		protos[i].Features = append([]float64(nil), protos[i].Features...)
+	}
+	cp.Prototypes = protos
+	cp.Weights = append([]float64(nil), c.Weights...)
+	return &cp
+}
+
 // channelsToFeatures reads the feature vector of voxel idx from the
 // channel volumes.
 func channelsToFeatures(channels []*volume.Scalar, idx int, out []float64) {

@@ -1,0 +1,289 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/artifact"
+	"repro/internal/fem"
+	"repro/internal/obs"
+	"repro/internal/phantom"
+	"repro/internal/volume"
+)
+
+// TestArtifactCacheHitIsBitIdentical is the cache's core correctness
+// claim: a registration served from the artifact store must produce
+// bit-identical displacements and warped volumes to one computed from
+// scratch, and the warm run must actually hit the pure stages.
+func TestArtifactCacheHitIsBitIdentical(t *testing.T) {
+	c := testCase(24)
+
+	cold := New(fastConfig())
+	coldRes, err := cold.Run(c.Preop, c.PreopLabels, c.Intraop)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := artifact.New(artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgWarm := fastConfig()
+	cfgWarm.ArtifactStore = store
+	if _, err := New(cfgWarm).Run(c.Preop, c.PreopLabels, c.Intraop); err != nil {
+		t.Fatalf("populate run: %v", err)
+	}
+	if st := store.Stats(); st.Misses == 0 {
+		t.Fatalf("populate run recorded no misses: %+v", st)
+	}
+
+	warmRes, err := New(cfgWarm).Run(c.Preop, c.PreopLabels, c.Intraop)
+	if err != nil {
+		t.Fatalf("warm run: %v", err)
+	}
+	st := store.Stats()
+	if st.Hits == 0 {
+		t.Fatalf("warm run recorded no cache hits: %+v", st)
+	}
+
+	if len(coldRes.NodeDisplacements) != len(warmRes.NodeDisplacements) {
+		t.Fatalf("node count differs: cold %d, warm %d",
+			len(coldRes.NodeDisplacements), len(warmRes.NodeDisplacements))
+	}
+	for i, u := range coldRes.NodeDisplacements {
+		if u != warmRes.NodeDisplacements[i] {
+			t.Fatalf("node %d displacement differs hit-vs-miss: %v vs %v",
+				i, u, warmRes.NodeDisplacements[i])
+		}
+	}
+	for i, v := range coldRes.Warped.Data {
+		if v != warmRes.Warped.Data[i] {
+			t.Fatalf("warped voxel %d differs hit-vs-miss: %v vs %v",
+				i, v, warmRes.Warped.Data[i])
+		}
+	}
+}
+
+// cacheHits runs one registration with tracing on and returns the
+// <stage>_cache_hit attributes its stage spans recorded.
+func cacheHits(t *testing.T, cfg Config, c *phantom.Case) map[string]bool {
+	t.Helper()
+	var buf bytes.Buffer
+	tracer := obs.NewTracer(&buf)
+	if _, err := New(cfg).RunContext(obs.WithTracer(context.Background(), tracer), c.Preop, c.PreopLabels, c.Intraop); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadSpans(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := map[string]bool{}
+	for _, r := range recs {
+		for k, v := range r.Attrs {
+			// fem.solve's pc_cache_hit is the preconditioner cache, not a stage.
+			if stage, ok := strings.CutSuffix(k, "_cache_hit"); ok && strings.HasPrefix(stage, "preop-") {
+				hits[stage] = v.(bool)
+			}
+		}
+	}
+	return hits
+}
+
+// TestCacheKeySensitivity is the runtime form of "a pure stage reads
+// only what its key hashes": against a store one run populated,
+// changing a Config field misses on exactly the stage that takes it in
+// its key struct plus the stages downstream of that one, and changing
+// anything else hits everywhere.
+func TestCacheKeySensitivity(t *testing.T) {
+	c := testCase(16)
+	store, err := artifact.New(artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := func() Config {
+		cfg := fastConfig()
+		cfg.ArtifactStore = store
+		cfg.Materials = fem.HeterogeneousBrain()
+		return cfg
+	}
+	all := []string{"preop-edt", "preop-mesh", "preop-relax", "preop-assemble", "preop-interp"}
+	for stage, hit := range cacheHits(t, base(), c) {
+		if hit {
+			t.Fatalf("populate run hit on %s", stage)
+		}
+	}
+	fromMesh := []string{"preop-mesh", "preop-relax", "preop-assemble", "preop-interp"}
+	fromAssemble := []string{"preop-assemble", "preop-interp"}
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		misses []string
+	}{
+		{"unchanged", func(*Config) {}, nil},
+		{"EDTSaturation", func(c *Config) { c.EDTSaturation = 12 }, []string{"preop-edt"}},
+		{"MeshCellSize", func(c *Config) { c.MeshCellSize = 3 }, fromMesh},
+		{"UseBCCMesh", func(c *Config) { c.UseBCCMesh = true }, fromMesh},
+		{"SnapMesh", func(c *Config) { c.SnapMesh = true }, fromMesh},
+		{"Surface.Smoothing", func(c *Config) { c.Surface.Smoothing = 0.25 }, []string{"preop-relax"}},
+		{"Materials value", func(c *Config) {
+			c.Materials = fem.HeterogeneousBrain()
+			m := c.Materials.PerTissue[volume.LabelTumor]
+			m.E *= 1.5
+			c.Materials.PerTissue[volume.LabelTumor] = m
+		}, fromAssemble},
+		{"Ranks", func(c *Config) { c.Ranks = 3 }, fromAssemble},
+		{"KNN", func(c *Config) { c.KNN = 3 }, nil},
+		{"Seed", func(c *Config) { c.Seed = 7 }, nil},
+		{"Solver.Tol", func(c *Config) { c.Solver.Tol = 1e-5 }, nil},
+		{"Observer", func(c *Config) { c.Observer = FuncObserver{} }, nil},
+		{"Materials insertion order", func(c *Config) {
+			// Equal content, entries inserted in the opposite order: map
+			// iteration order must not reach the key.
+			src := fem.HeterogeneousBrain()
+			labs := make([]int, 0, len(src.PerTissue))
+			for lab := range src.PerTissue {
+				labs = append(labs, int(lab))
+			}
+			sort.Sort(sort.Reverse(sort.IntSlice(labs)))
+			c.Materials = fem.Table{Default: src.Default, PerTissue: map[volume.Label]fem.Material{}}
+			for _, lab := range labs {
+				c.Materials.PerTissue[volume.Label(lab)] = src.PerTissue[volume.Label(lab)]
+			}
+		}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base()
+			tc.mutate(&cfg)
+			got := cacheHits(t, cfg, c)
+			want := map[string]bool{}
+			for _, s := range all {
+				want[s] = true
+			}
+			for _, s := range tc.misses {
+				want[s] = false
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("cache hits = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestPureStagesByteDeterministic populates two empty disk-backed
+// stores with the same registration: equal keys and equal blobs mean
+// equal file names and bytes.
+func TestPureStagesByteDeterministic(t *testing.T) {
+	c := testCase(16)
+	var dirs [2]string
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+		store, err := artifact.New(artifact.Options{Dir: dirs[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := fastConfig()
+		cfg.ArtifactStore = store
+		if _, err := New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := os.ReadDir(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := os.ReadDir(dirs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 5 || len(second) != 5 {
+		t.Fatalf("stores hold %d and %d entries, want the 5 pure stages", len(first), len(second))
+	}
+	for i, e := range first {
+		if second[i].Name() != e.Name() {
+			t.Fatalf("entry %d: %s vs %s", i, e.Name(), second[i].Name())
+		}
+		a, err := os.ReadFile(filepath.Join(dirs[0], e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dirs[1], e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("entry %s differs between the two populate runs", e.Name())
+		}
+	}
+}
+
+// resultDigest hashes the IEEE-754 bit patterns of a result's nodal
+// displacements and warped volume.
+func resultDigest(res *Result) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, u := range res.NodeDisplacements {
+		for _, v := range [3]float64{u.X, u.Y, u.Z} {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	for _, v := range res.Warped.Data {
+		binary.LittleEndian.PutUint32(b[:4], math.Float32bits(v))
+		h.Write(b[:4])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestResultDigestsPinned pins every path's output bits to the values
+// the string-wired DAG executor produced (commit 959ebf3): a cold Run,
+// a Session.Register and two streamed Updates at size 24.
+func TestResultDigestsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests are pinned for amd64 floating point (no fused multiply-add)")
+	}
+	var scans [3]*phantom.Case
+	for i, shift := range [3]float64{3, 5, 6} {
+		p := phantom.DefaultParams(24)
+		p.ShiftMagnitude = shift
+		scans[i] = phantom.Generate(p)
+	}
+	const (
+		registerDigest = "f816060db52f6d9ae0d7463a794d0222e9b409a0815689a41f756e7788ac8fdc"
+		update1Digest  = "05b7b91f5ee1b9b97ed1e4617df6107da6e1ca9f92c515f199f8b34bc0a5cd43"
+		update2Digest  = "4a3751d241a4dc97de5b61cf6e33164ad9e26b31ffc850cf5139a68e6beadde5"
+	)
+	check := func(path string, res *Result, err error, want string) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if got := resultDigest(res); got != want {
+			t.Errorf("%s digest %s, want %s", path, got, want)
+		}
+	}
+	ctx := context.Background()
+	res, err := New(fastConfig()).Run(scans[0].Preop, scans[0].PreopLabels, scans[0].Intraop)
+	check("Run", res, err, registerDigest)
+	sess, err := NewSession(fastConfig(), scans[0].Preop, scans[0].PreopLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = sess.Register(ctx, scans[0].Intraop)
+	check("Register", res, err, registerDigest)
+	res, err = sess.Update(ctx, scans[1].Intraop)
+	check("first Update", res, err, update1Digest)
+	res, err = sess.Update(ctx, scans[2].Intraop)
+	check("second Update", res, err, update2Digest)
+}

@@ -2,12 +2,18 @@ package core
 
 // Binary codecs for the content-addressed artifact store: deterministic
 // little-endian round-trips for the preop-pure stage outputs (scalar
-// volumes, label volumes, tetrahedral and triangle meshes). Floats are
-// stored by their IEEE-754 bit patterns, so decode(encode(x)) is
-// bit-identical to x — the property the cache's hit-vs-miss equivalence
-// rests on. The executor also decodes what it just encoded on a miss,
-// so a lossy codec would show up immediately as a test failure, not as
-// a drifted cache hit.
+// volumes, label volumes, tetrahedral and triangle meshes, the
+// assembled system, the interpolation table). Floats are stored by
+// their IEEE-754 bit patterns, so decode(encode(x)) is bit-identical to
+// x — the property the cache's hit-vs-miss equivalence rests on. cached
+// also decodes what it just encoded on a miss, so a lossy codec would
+// show up immediately as a test failure, not as a drifted cache hit.
+//
+// The decoders sit on the trust boundary of the disk tier: a blob whose
+// frame checksum passes may still be structurally wrong, so every
+// decoder checks the shape and index invariants the downstream stages
+// index by, and reports a violation as a decode error (cached then
+// recomputes) rather than letting a later stage panic.
 
 import (
 	"bytes"
@@ -23,13 +29,59 @@ import (
 	"repro/internal/volume"
 )
 
-// dagCodecVersion is folded into every content key (see nodeKey) and
+// codecVersion is folded into every content key (see cached) and
 // written at the head of every stage blob; bump it when any encoding
-// below changes so stale store entries can never decode.
+// below or the key derivation changes so stale store entries are plain
+// misses.
 //
 // v2: added the assembled-system and interpolation-table codecs (the
 // preop-assemble and preop-interp cache stages).
-const dagCodecVersion = 2
+// v3: keys derive from typed stage arguments (preop-interp keys on the
+// scan grid, not the scan), and a blob is one framed payload.
+const codecVersion = 3
+
+// codec is an artifact type's encoder/decoder pair, attached to the
+// type once (the vars below). A decoder reports damage through the
+// reader's sticky error.
+type codec[T any] struct {
+	enc func(*codecWriter, T)
+	dec func(*codecReader) T
+}
+
+var (
+	labelsCodec  = codec[*volume.Labels]{encodeLabels, decodeLabels}
+	edtCodec     = codec[edtChannels]{encodeEDT, decodeEDT}
+	meshedCodec  = codec[meshed]{encodeMeshed, decodeMeshed}
+	triMeshCodec = codec[*mesh.TriMesh]{encodeTriMesh, decodeTriMesh}
+	systemCodec  = codec[*fem.System]{encodeSystem, decodeSystem}
+	interpCodec  = codec[*fem.InterpTable]{encodeInterpTable, decodeInterpTable}
+)
+
+// marshal frames v as a store blob: the codec version, then the payload.
+func (c codec[T]) marshal(v T) []byte {
+	w := &codecWriter{}
+	w.u32(codecVersion)
+	c.enc(w, v)
+	return w.buf.Bytes()
+}
+
+// unmarshal decodes a store blob, rejecting a foreign version, anything
+// the decoder objects to, and trailing bytes.
+func (c codec[T]) unmarshal(blob []byte) (T, error) {
+	r := &codecReader{data: blob}
+	if v := r.u32("codec version"); v != codecVersion {
+		r.reject(fmt.Errorf("codec version %d, want %d", v, codecVersion))
+	}
+	v := c.dec(r)
+	if r.err == nil && r.off != len(r.data) {
+		r.reject(fmt.Errorf("%d trailing bytes", len(r.data)-r.off))
+	}
+	if r.err != nil {
+		var zero T
+		return zero, r.err
+	}
+	return v, nil
+}
 
 type codecWriter struct {
 	buf bytes.Buffer
@@ -98,8 +150,13 @@ type codecReader struct {
 }
 
 func (r *codecReader) fail(what string) {
+	r.reject(fmt.Errorf("truncated %s at offset %d", what, r.off))
+}
+
+// reject records a structural violation (the first one sticks).
+func (r *codecReader) reject(err error) {
 	if r.err == nil {
-		r.err = fmt.Errorf("core: artifact decode: truncated %s at offset %d", what, r.off)
+		r.err = fmt.Errorf("core: artifact decode: %w", err)
 	}
 }
 
@@ -227,14 +284,74 @@ func decodeGrid(r *codecReader) volume.Grid {
 	}
 }
 
+// gridLen returns the voxel count of a decoded grid; false when a
+// dimension is negative or the count overflows.
+func gridLen(g volume.Grid) (int, bool) {
+	n := 1
+	for _, d := range [3]int{g.NX, g.NY, g.NZ} {
+		if d < 0 || (d > 0 && n > math.MaxInt/d) {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
+}
+
+// checkVoxels rejects a volume whose data length is not its grid's
+// voxel count.
+func (r *codecReader) checkVoxels(what string, g volume.Grid, n int) {
+	if want, ok := gridLen(g); r.err == nil && (!ok || want != n) {
+		r.reject(fmt.Errorf("%s: %d values on a %dx%dx%d grid", what, n, g.NX, g.NY, g.NZ))
+	}
+}
+
+// checkIndices rejects an index array with an entry outside [0, n).
+func (r *codecReader) checkIndices(what string, ids []int32, n int) {
+	if r.err != nil {
+		return
+	}
+	for _, id := range ids {
+		if id < 0 || int(id) >= n {
+			r.reject(fmt.Errorf("%s index %d outside [0, %d)", what, id, n))
+			return
+		}
+	}
+}
+
 func encodeScalar(w *codecWriter, s *volume.Scalar) {
 	encodeGrid(w, s.Grid)
 	w.f32s(s.Data)
 }
 
 func decodeScalar(r *codecReader) *volume.Scalar {
-	g := decodeGrid(r)
-	return &volume.Scalar{Grid: g, Data: r.f32s("scalar data")}
+	s := &volume.Scalar{Grid: decodeGrid(r), Data: r.f32s("scalar data")}
+	r.checkVoxels("scalar volume", s.Grid, len(s.Data))
+	return s
+}
+
+// edtChannels are the classifier's three spatial localization channels
+// (brain, ventricle and CSF saturated distance maps).
+type edtChannels [3]*volume.Scalar
+
+func encodeEDT(w *codecWriter, ch edtChannels) {
+	w.u64(uint64(len(ch)))
+	for _, c := range ch {
+		encodeScalar(w, c)
+	}
+}
+
+func decodeEDT(r *codecReader) edtChannels {
+	var ch edtChannels
+	if n := r.u64("edt channels"); n != uint64(len(ch)) {
+		r.reject(fmt.Errorf("%d edt channels, want %d", n, len(ch)))
+	}
+	for i := range ch {
+		ch[i] = decodeScalar(r)
+		if r.err == nil && !ch[i].Grid.SameShape(ch[0].Grid) {
+			r.reject(fmt.Errorf("edt channel %d grid %v differs from %v", i, ch[i].Grid, ch[0].Grid))
+		}
+	}
+	return ch
 }
 
 func encodeLabels(w *codecWriter, l *volume.Labels) {
@@ -255,6 +372,7 @@ func decodeLabels(r *codecReader) *volume.Labels {
 		}
 		r.off += n
 	}
+	r.checkVoxels("label volume", g, n)
 	return &volume.Labels{Grid: g, Data: data}
 }
 
@@ -322,6 +440,12 @@ func decodeMesh(r *codecReader) *mesh.Mesh {
 			m.TetLabel[i] = volume.Label(lb[i])
 		}
 	}
+	for _, t := range m.Tets {
+		r.checkIndices("mesh tet node", t[:], len(m.Nodes))
+	}
+	if r.err == nil && len(m.TetLabel) != len(m.Tets) {
+		r.reject(fmt.Errorf("%d tet labels for %d tets", len(m.TetLabel), len(m.Tets)))
+	}
 	return m
 }
 
@@ -353,7 +477,35 @@ func decodeTriMesh(r *codecReader) *mesh.TriMesh {
 	for i := range t.NodeID {
 		t.NodeID[i] = int32(r.u32("trimesh node ids"))
 	}
+	for _, tri := range t.Tris {
+		r.checkIndices("trimesh vertex", tri[:], len(t.Verts))
+	}
+	// The owning mesh is a separate artifact, so only the lower bound of
+	// a node id is checkable here (decodeMeshed checks the upper one;
+	// fem.ApplyDirichlet rejects an out-of-range boundary node).
+	r.checkIndices("trimesh node id", t.NodeID, math.MaxInt)
+	if r.err == nil && len(t.NodeID) != len(t.Verts) {
+		r.reject(fmt.Errorf("%d node ids for %d surface vertices", len(t.NodeID), len(t.Verts)))
+	}
 	return t
+}
+
+// meshed is preop-mesh's output: the tetrahedral mesh and its brain
+// surface, one artifact because one stage produces both.
+type meshed struct {
+	Mesh *mesh.Mesh
+	Surf *mesh.TriMesh
+}
+
+func encodeMeshed(w *codecWriter, m meshed) {
+	encodeMesh(w, m.Mesh)
+	encodeTriMesh(w, m.Surf)
+}
+
+func decodeMeshed(r *codecReader) meshed {
+	m := meshed{Mesh: decodeMesh(r), Surf: decodeTriMesh(r)}
+	r.checkIndices("brain surface node id", m.Surf.NodeID, len(m.Mesh.Nodes))
+	return m
 }
 
 func encodeInts(w *codecWriter, vs []int) {
@@ -405,9 +557,8 @@ func encodeSystem(w *codecWriter, s *fem.System) {
 // Dirichlet state and no mesh reference (the caller links the mesh
 // artifact). The validating constructors (sparse.CSRFromParts,
 // fem.SystemFromParts) check the shape invariants with errors, not
-// panics, so a drifted blob fails the decode and the executor
-// recomputes.
-func decodeSystem(r *codecReader) (*fem.System, error) {
+// panics, so a drifted blob fails the decode and cached recomputes.
+func decodeSystem(r *codecReader) *fem.System {
 	n := r.i64("csr n")
 	np := r.sliceLen("csr rowptr", 8)
 	pb := r.take("csr rowptr", 8*np)
@@ -428,20 +579,23 @@ func decodeSystem(r *codecReader) (*fem.System, error) {
 	counters.BytesSent = r.f64s("counters bytes")
 	counters.Messages = r.f64s("counters messages")
 	if r.err != nil {
-		return nil, r.err
+		return nil
 	}
 	k, err := sparse.CSRFromParts(n, rowPtr, col, val)
 	if err != nil {
-		return nil, fmt.Errorf("core: artifact decode: %w", err)
+		r.reject(err)
+		return nil
 	}
 	if numDOF != k.N {
-		return nil, fmt.Errorf("core: artifact decode: system numDOF %d, matrix order %d", numDOF, k.N)
+		r.reject(fmt.Errorf("system numDOF %d, matrix order %d", numDOF, k.N))
+		return nil
 	}
 	sys, err := fem.SystemFromParts(k, f, pt, counters)
 	if err != nil {
-		return nil, fmt.Errorf("core: artifact decode: %w", err)
+		r.reject(err)
+		return nil
 	}
-	return sys, nil
+	return sys
 }
 
 func encodeInterpTable(w *codecWriter, t *fem.InterpTable) {
@@ -452,13 +606,25 @@ func encodeInterpTable(w *codecWriter, t *fem.InterpTable) {
 	w.f64s(weights)
 }
 
-func decodeInterpTable(r *codecReader) (*fem.InterpTable, error) {
+func decodeInterpTable(r *codecReader) *fem.InterpTable {
 	g := decodeGrid(r)
 	vox := r.i32s("interp vox")
 	nodes := r.i32s("interp nodes")
 	weights := r.f64s("interp weights")
-	if r.err != nil {
-		return nil, r.err
+	// The node count belongs to the mesh artifact; only the lower bound
+	// of a node index is checkable here.
+	r.checkIndices("interp node", nodes, math.MaxInt)
+	if n, ok := gridLen(g); ok {
+		r.checkIndices("interp voxel", vox, n)
+	} else {
+		r.reject(fmt.Errorf("interp grid %dx%dx%d", g.NX, g.NY, g.NZ))
 	}
-	return fem.InterpTableFromParts(g, vox, nodes, weights)
+	if r.err != nil {
+		return nil
+	}
+	t, err := fem.InterpTableFromParts(g, vox, nodes, weights)
+	if err != nil {
+		r.reject(err)
+	}
+	return t
 }

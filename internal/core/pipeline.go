@@ -24,7 +24,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mesh"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/register"
 	"repro/internal/solver"
 	"repro/internal/surface"
@@ -76,11 +75,11 @@ type Config struct {
 	Observer Observer
 	// ArtifactStore, when non-nil, caches the content-addressed outputs
 	// of the pure preoperative stages (EDT localization channels, mesh
-	// generation, surface relaxation) keyed on their declared inputs
-	// and Config fields, so sessions sharing a preop volume skip those
-	// stages. The store may be shared across sessions and processes;
-	// it is read by the DAG executor only, never by stage bodies, and
-	// is ignored by Validate.
+	// generation, surface relaxation, assembly, interpolation table)
+	// keyed on the input artifacts and Config fields each is called
+	// with, so sessions sharing a preop volume skip those stages. The
+	// store may be shared across sessions and processes; it is read by
+	// cached only, never by stage bodies, and is ignored by Validate.
 	ArtifactStore *artifact.Store
 }
 
@@ -246,17 +245,6 @@ func New(cfg Config) *Pipeline {
 	return &Pipeline{cfg: cfg, cfgErr: cfg.Validate()}
 }
 
-// brainSet reports whether a label belongs to the intracranial tissues
-// deformed by the biomechanical model.
-func brainSet(lab volume.Label) bool {
-	switch lab {
-	case volume.LabelBrain, volume.LabelVentricle, volume.LabelTumor,
-		volume.LabelFalx, volume.LabelResection:
-		return true
-	}
-	return false
-}
-
 // Run executes the full intraoperative pipeline with a background
 // context; see RunContext.
 func (p *Pipeline) Run(preop *volume.Scalar, preopLabels *volume.Labels, intraop *volume.Scalar) (*Result, error) {
@@ -274,51 +262,113 @@ func (p *Pipeline) Run(preop *volume.Scalar, preopLabels *volume.Labels, intraop
 // returned, marked Degraded, instead of an error — the surgeon still
 // gets the rigid alignment on time.
 func (p *Pipeline) RunContext(ctx context.Context, preop *volume.Scalar, preopLabels *volume.Labels, intraop *volume.Scalar) (*Result, error) {
-	res, _, err := p.runContext(ctx, preop, preopLabels, intraop, nil, nil)
-	return res, err
+	return p.run(ctx, &scan{preop: preop, preopLabels: preopLabels, intraop: intraop})
 }
 
-// runContext is the shared implementation: when cl is non-nil its
-// prototypes are refreshed from the new scan (the paper's automatic
-// statistical model update for successive intraoperative acquisitions)
-// instead of sampling fresh ones. When cache is non-nil the run fills
-// it with the baseline artifacts the incremental update path reuses.
-// With a tracer on the context (see package obs) the whole run becomes
-// a span hierarchy: pipeline.run → per-stage spans → the nested
+// baseline is what one scan leaves for the next: the statistical model,
+// the artifacts derived from the preoperative preparation alone (a full
+// registration computes them, an update pins them), the constrained FEM
+// system with its cached preconditioner, and the last displacement
+// solution. A Session keeps the baseline of its last good scan.
+type baseline struct {
+	// cl is nil until the first scan samples the model's prototypes;
+	// later scans refresh them from the new image.
+	cl           *classify.Classifier
+	rigid        transform.Rigid
+	alignedPreop *volume.Scalar
+	edt          edtChannels
+	mesh         *mesh.Mesh
+	// relaxedSurf is the discretization-relaxed preoperative brain
+	// surface; every scan evolves it onto the new intraoperative
+	// boundary, which keeps the vertex-to-node map — and therefore the
+	// Dirichlet row set — identical across updates.
+	relaxedSurf *mesh.TriMesh
+	// sys is assembled by preop-assemble and Dirichlet-eliminated in
+	// place by the first solve; updates patch its RHS in place.
+	sys *fem.System
+	// interp rasterizes a solution onto the session grid; interp32
+	// replaces it in mixed-precision sessions (same coverage,
+	// float32-stored weights).
+	interp   *fem.InterpTable
+	interp32 *fem.InterpTable32
+	// prevU seeds the next warm-started solve; non-nil marks a baseline
+	// an update can build on. coldIterations is the cold solve's
+	// iteration count, the reference for IterationsSaved.
+	prevU          []float64
+	coldIterations int
+}
+
+// scan is the state of one run of the stage sequence.
+type scan struct {
+	// preop and preopLabels are read by a full registration only.
+	preop       *volume.Scalar
+	preopLabels *volume.Labels
+	intraop     *volume.Scalar
+	// retain marks a Session's scan: its baseline outlives the run, so a
+	// mixed-precision configuration keeps only the compact table.
+	retain bool
+	res    *Result
+
+	// With prevU set on entry the preoperative artifacts are pinned and
+	// the sequence runs only the stages that depend on the new image.
+	baseline
+
+	alignedLabels *volume.Labels
+	intraLabels   *volume.Labels
+	surfRes       *surface.Result
+	solveRes      *fem.SolveResult
+}
+
+// run validates one scan's inputs and executes the stage sequence under
+// a pipeline.run (full registration) or pipeline.update (pinned
+// baseline) span. With a tracer on the context (see package obs) the
+// run becomes a span hierarchy: run → per-stage spans → the nested
 // solver/assembly/classification spans.
-func (p *Pipeline) runContext(ctx context.Context, preop *volume.Scalar, preopLabels *volume.Labels,
-	intraop *volume.Scalar, cl *classify.Classifier, cache *sessionCache) (*Result, *classify.Classifier, error) {
+func (p *Pipeline) run(ctx context.Context, sc *scan) (*Result, error) {
 	if p.cfgErr != nil {
-		return nil, nil, p.cfgErr
+		return nil, p.cfgErr
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if preop == nil || preopLabels == nil || intraop == nil {
-		return nil, nil, fmt.Errorf("core: nil input volume")
+	warm := sc.prevU != nil
+	switch {
+	case sc.intraop == nil || !warm && (sc.preop == nil || sc.preopLabels == nil):
+		return nil, fmt.Errorf("core: nil input volume")
+	case warm && !sc.intraop.Grid.SameShape(sc.alignedPreop.Grid):
+		return nil, fmt.Errorf("core: update scan grid %v differs from session grid %v",
+			sc.intraop.Grid, sc.alignedPreop.Grid)
+	case !warm && !sc.preop.Grid.SameShape(sc.preopLabels.Grid):
+		return nil, fmt.Errorf("core: preop scan %v and labels %v differ in shape",
+			sc.preop.Grid, sc.preopLabels.Grid)
 	}
-	if !preop.Grid.SameShape(preopLabels.Grid) {
-		return nil, nil, fmt.Errorf("core: preop scan %v and labels %v differ in shape",
-			preop.Grid, preopLabels.Grid)
+	spanName := obs.SpanPipelineRun
+	sc.res = &Result{Incremental: warm}
+	if warm {
+		spanName = obs.SpanPipelineUpdate
+		sc.res.Update = &IncrementalStats{}
 	}
-	ctx, runSpan := obs.StartSpan(ctx, obs.SpanPipelineRun)
+	ctx, runSpan := obs.StartSpan(ctx, spanName)
 	var runErr error
 	defer func() { runSpan.End(runErr) }()
-	res, cl, err := p.runStages(ctx, preop, preopLabels, intraop, cl, cache)
+	res, err := p.finish(ctx, p.runStages(ctx, sc, warm), sc)
 	if res != nil {
 		runSpan.SetAttr("degraded", res.Degraded)
+		if res.Update != nil {
+			runSpan.SetAttr("dofs_patched", res.Update.DOFsPatched)
+			runSpan.SetAttr("pc_cache_hit", res.Update.PCCacheHit)
+		}
 	}
 	runErr = err
-	return res, cl, err
+	return res, err
 }
 
-// newStageRunner returns the stage executor shared by the cold and
-// incremental paths: it times one pipeline stage, emits the observer
-// events and a trace span, and attributes any failure (including
-// context cancellation checked on entry) to the stage via *StageError.
-// The stage body receives a derived context so work it starts (solver
-// restart cycles, classification batches, assembly) nests under the
-// stage span.
+// newStageRunner returns the stage executor: it times one pipeline
+// stage, emits the observer events and a trace span, and attributes any
+// failure (including context cancellation checked on entry) to the
+// stage via *StageError. The stage body receives a derived context so
+// work it starts (solver restart cycles, classification batches,
+// assembly) nests under the stage span.
 func newStageRunner(ctx context.Context, ob Observer, res *Result) func(name string, fn func(ctx context.Context) error) error {
 	return func(name string, fn func(ctx context.Context) error) error {
 		if err := ctx.Err(); err != nil {
@@ -343,293 +393,212 @@ func newStageRunner(ctx context.Context, ob Observer, res *Result) func(name str
 	}
 }
 
-// registerDAG declares the full-registration DAG. The literal fields
-// must mirror the //lint:stage contract on each run method — the
-// stagedag analyzer cross-checks them — and the declared order groups
-// consecutive same-bucket nodes into the six classic timed stages.
-func (p *Pipeline) registerDAG() []stageNode {
-	return []stageNode{
-		{name: "rigid-align", bucket: StageRigid,
-			inputs:  []string{"preop", "preopLabels", "intraop"},
-			outputs: []string{"alignedPreop", "alignedLabels"},
-			run:     p.stageRigidAlign},
-		{name: "preop-edt", bucket: StageClassify,
-			deps:    []string{"rigid-align"},
-			inputs:  []string{"alignedLabels"},
-			outputs: []string{"edtChannels"},
-			keys:    []string{"EDTSaturation"},
-			pure:    true,
-			run:     p.stagePreopEDT},
-		{name: "classify", bucket: StageClassify,
-			deps:    []string{"rigid-align", "preop-edt"},
-			inputs:  []string{"intraop", "alignedPreop", "alignedLabels", "edtChannels"},
-			outputs: []string{"intraLabels"},
-			run:     p.stageClassify},
-		{name: "preop-mesh", bucket: StageMesh,
-			deps:    []string{"rigid-align"},
-			inputs:  []string{"alignedLabels"},
-			outputs: []string{"mesh", "brainSurf"},
-			keys:    []string{"MeshCellSize", "UseBCCMesh", "SnapMesh"},
-			pure:    true,
-			run:     p.stagePreopMesh},
-		{name: "preop-relax", bucket: StageSurface,
-			deps:    []string{"rigid-align", "preop-mesh"},
-			inputs:  []string{"alignedLabels", "brainSurf"},
-			outputs: []string{"relaxedSurf"},
-			keys:    []string{"Surface"},
-			pure:    true,
-			run:     p.stagePreopRelax},
-		{name: "surface-displace", bucket: StageSurface,
-			deps:    []string{"preop-relax", "classify"},
-			inputs:  []string{"relaxedSurf", "intraLabels"},
-			outputs: []string{"surfRes"},
-			run:     p.stageSurfaceDisplace},
-		{name: "preop-assemble", bucket: StageSolve,
-			deps:    []string{"preop-mesh"},
-			inputs:  []string{"mesh"},
-			outputs: []string{"sys"},
-			keys:    []string{"Materials", "Ranks"},
-			pure:    true,
-			run:     p.stagePreopAssemble},
-		{name: "solve", bucket: StageSolve,
-			deps:    []string{"preop-assemble", "surface-displace"},
-			inputs:  []string{"sys", "surfRes"},
-			outputs: []string{"solveRes"},
-			run:     p.stageSolve},
-		{name: "preop-interp", bucket: StageResample,
-			deps:    []string{"preop-assemble"},
-			inputs:  []string{"sys", "intraop"},
-			outputs: []string{"interp"},
-			pure:    true,
-			run:     p.stagePreopInterp},
-		{name: "resample", bucket: StageResample,
-			deps:   []string{"rigid-align", "preop-interp", "solve"},
-			inputs: []string{"alignedPreop", "interp", "solveRes"},
-			run:    p.stageResample},
+// runStages is the stage sequence of the paper's Figure 1, in the six
+// timed stages of its Figure 6. A full registration runs all of it; an
+// update (warm) runs the same sequence with the preoperative artifacts
+// pinned from the baseline, which leaves the four stages that depend on
+// the new image — rigid alignment is reused because the head is fixed
+// in the scanner frame for the duration of the case. Each preop-pure
+// stage goes through cached, keyed on exactly the handle and key struct
+// it is called with.
+func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
+	cfg, store := p.cfg, p.cfg.ArtifactStore
+	stage := newStageRunner(ctx, cfg.observer(), sc.res)
+	// Handles of the preoperative artifacts later pure stages key on.
+	var (
+		labels *handle[*volume.Labels]
+		meshA  *handle[meshed]
+		sysA   *handle[*fem.System]
+	)
+	if !warm {
+		if cfg.SkipRigid && !sc.preop.Grid.SameShape(sc.intraop.Grid) {
+			// Even without rigid alignment the downstream stages need the
+			// preop data on the intraop grid.
+			return fmt.Errorf("core: SkipRigid requires matching grids, got %v vs %v",
+				sc.preop.Grid, sc.intraop.Grid)
+		}
+		if err := stage(StageRigid, func(ctx context.Context) error {
+			return p.stageRigidAlign(ctx, sc)
+		}); err != nil {
+			return err
+		}
+		labels = source(labelsCodec, sc.alignedLabels)
 	}
-}
-
-// runStages executes the registration DAG (the six reporting stages of
-// the paper's Figure 6 timeline).
-func (p *Pipeline) runStages(ctx context.Context, preop *volume.Scalar, preopLabels *volume.Labels,
-	intraop *volume.Scalar, cl *classify.Classifier, cache *sessionCache) (*Result, *classify.Classifier, error) {
-	if p.cfg.SkipRigid && !preop.Grid.SameShape(intraop.Grid) {
-		// Even without rigid alignment the downstream stages need the
-		// preop data on the intraop grid.
-		return nil, nil, fmt.Errorf("core: SkipRigid requires matching grids, got %v vs %v",
-			preop.Grid, intraop.Grid)
+	if err := stage(StageClassify, func(ctx context.Context) error {
+		if !warm {
+			ch, err := cached(ctx, store, "preop-edt", preopEDT, labels,
+				edtKey{Saturation: cfg.EDTSaturation}, edtCodec)
+			if err != nil {
+				return err
+			}
+			sc.edt = ch.val
+		}
+		return p.stageClassify(ctx, sc)
+	}); err != nil {
+		return err
 	}
-	res := &Result{}
-	ps := &pipeState{
-		preop: preop, preopLabels: preopLabels, intraop: intraop,
-		cl: cl, cache: cache, res: res,
+	if !warm {
+		if err := stage(StageMesh, func(ctx context.Context) (err error) {
+			meshA, err = cached(ctx, store, "preop-mesh", preopMesh, labels,
+				meshKey{CellSize: cfg.MeshCellSize, BCC: cfg.UseBCCMesh, Snap: cfg.SnapMesh}, meshedCodec)
+			if err == nil {
+				sc.mesh = meshA.val.Mesh
+			}
+			return err
+		}); err != nil {
+			return err
+		}
 	}
-	err := p.runDAG(ctx, p.registerDAG(), ps, newStageRunner(ctx, p.cfg.observer(), res))
-	return p.finishDAG(ctx, err, ps)
+	if err := stage(StageSurface, func(ctx context.Context) error {
+		if !warm {
+			relaxed, err := cached(ctx, store, "preop-relax", preopRelax, join(labels, meshA),
+				cfg.Surface, triMeshCodec)
+			if err != nil {
+				return err
+			}
+			sc.relaxedSurf = relaxed.val
+		}
+		return p.stageSurfaceDisplace(ctx, sc)
+	}); err != nil {
+		return err
+	}
+	if err := stage(StageSolve, func(ctx context.Context) (err error) {
+		if !warm {
+			sysA, err = cached(ctx, store, "preop-assemble", preopAssemble, meshA,
+				assembleKey{Materials: cfg.Materials, Ranks: cfg.Ranks}, systemCodec)
+			if err != nil {
+				return err
+			}
+			// The codec stores everything but the mesh reference; the mesh
+			// is its own artifact.
+			sysA.val.Mesh = sc.mesh
+			sc.sys = sysA.val
+		}
+		return p.stageSolve(ctx, sc, warm)
+	}); err != nil {
+		return err
+	}
+	return stage(StageResample, func(ctx context.Context) error {
+		if !warm {
+			tab, err := cached(ctx, store, "preop-interp", preopInterp, sysA, sc.intraop.Grid, interpCodec)
+			if err != nil {
+				return err
+			}
+			if sc.retain && cfg.Solver.StoragePrecision == solver.PrecisionFloat32 {
+				sc.interp32 = tab.val.Compact()
+			} else {
+				sc.interp = tab.val
+			}
+		}
+		stageResample(sc)
+		return nil
+	})
 }
 
 // stageRigidAlign aligns the preoperative data to the intraoperative
 // frame by MI maximization (or passes it through under SkipRigid).
-//
-//lint:stage name=rigid-align inputs=preop,preopLabels,intraop outputs=alignedPreop,alignedLabels
-func (p *Pipeline) stageRigidAlign(ctx context.Context, ps *pipeState) error {
+func (p *Pipeline) stageRigidAlign(ctx context.Context, sc *scan) error {
 	if p.cfg.SkipRigid {
-		ps.res.Rigid = transform.Identity(ps.intraop.Grid.Center())
-		ps.alignedPreop = ps.preop
-		ps.alignedLabels = ps.preopLabels
+		sc.rigid = transform.Identity(sc.intraop.Grid.Center())
+		sc.alignedPreop = sc.preop
+		sc.alignedLabels = sc.preopLabels
 		return nil
 	}
-	init := register.CenterOfMassInit(ps.intraop, ps.preop, p.cfg.Register.Threshold)
-	diag, err := register.AlignContext(ctx, ps.intraop, ps.preop, init, p.cfg.Register)
+	init := register.CenterOfMassInit(sc.intraop, sc.preop, p.cfg.Register.Threshold)
+	diag, err := register.AlignContext(ctx, sc.intraop, sc.preop, init, p.cfg.Register)
 	if err != nil {
 		return err
 	}
-	ps.res.Rigid = diag.Transform
-	ps.res.RigidDiag = diag
-	ps.alignedPreop = transform.ResampleScalar(ps.preop, diag.Transform, ps.intraop.Grid)
-	ps.alignedLabels = transform.ResampleLabels(ps.preopLabels, diag.Transform, ps.intraop.Grid)
-	return nil
-}
-
-// stagePreopEDT computes the classifier's spatial localization
-// channels — saturated distance maps of the brain, ventricle and CSF
-// compartments — from the aligned preoperative segmentation alone, so
-// the node is preop-pure and content-addressable.
-//
-//lint:stage name=preop-edt deps=rigid-align inputs=alignedLabels outputs=edtChannels key=EDTSaturation pure
-func (p *Pipeline) stagePreopEDT(_ context.Context, ps *pipeState) error {
-	ps.edtChannels = []*volume.Scalar{
-		edt.Saturated(ps.alignedLabels, volume.LabelBrain, p.cfg.EDTSaturation),
-		edt.Saturated(ps.alignedLabels, volume.LabelVentricle, p.cfg.EDTSaturation),
-		edt.Saturated(ps.alignedLabels, volume.LabelCSF, p.cfg.EDTSaturation),
-	}
+	sc.rigid = diag.Transform
+	sc.res.RigidDiag = diag
+	sc.alignedPreop = transform.ResampleScalar(sc.preop, diag.Transform, sc.intraop.Grid)
+	sc.alignedLabels = transform.ResampleLabels(sc.preopLabels, diag.Transform, sc.intraop.Grid)
 	return nil
 }
 
 // stageClassify labels the intraoperative scan: k-NN over intensity
 // plus the localization channels. The first scan samples the
 // statistical model's prototypes; later scans refresh the recorded
-// prototypes from the new image (the paper's automatic model update).
-//
-//lint:stage name=classify deps=rigid-align,preop-edt inputs=intraop,alignedPreop,alignedLabels,edtChannels outputs=intraLabels
-func (p *Pipeline) stageClassify(ctx context.Context, ps *pipeState) error {
+// prototypes from the new image (the paper's automatic model update) —
+// never re-sampled, the first scan owns the prototype geometry.
+func (p *Pipeline) stageClassify(ctx context.Context, sc *scan) error {
 	cfg := p.cfg
-	channels := make([]*volume.Scalar, 0, 1+len(ps.edtChannels))
-	channels = append(channels, ps.intraop)
-	channels = append(channels, ps.edtChannels...)
-	if ps.cl == nil {
+	channels := append([]*volume.Scalar{sc.intraop}, sc.edt[:]...)
+	if sc.cl == nil {
 		// First scan: build the statistical model. Prototype features
 		// must come from the same modality as the scan being
 		// classified: read intensity from the aligned preop scan at the
 		// prototype voxels, localization channels as-is.
-		protoChannels := append([]*volume.Scalar{ps.alignedPreop}, ps.edtChannels...)
-		protos, err := classify.SamplePrototypesContext(ctx, ps.alignedLabels, protoChannels,
+		protoChannels := append([]*volume.Scalar{sc.alignedPreop}, sc.edt[:]...)
+		protos, err := classify.SamplePrototypesContext(ctx, sc.alignedLabels, protoChannels,
 			cfg.PrototypesPerClass, cfg.Seed)
 		if err != nil {
 			return err
 		}
-		ps.cl = &classify.Classifier{
+		sc.cl = &classify.Classifier{
 			K:          cfg.KNN,
 			Prototypes: protos,
 			Weights:    []float64{1, 8, 8, 8},
-			Workers:    cfg.Ranks,
 		}
-	} else {
-		// Subsequent scan: the recorded prototype locations update the
-		// statistical model automatically from the new image. Prototypes
-		// whose tissue changed between scans (resection, shift gap) are
-		// rejected as per-class outliers.
-		if err := ps.cl.RefreshFeaturesRobustContext(ctx, channels, 4, 5); err != nil {
-			return err
-		}
-		ps.cl.Workers = cfg.Ranks
+	} else if err := sc.cl.RefreshFeaturesRobustContext(ctx, channels, 4, 5); err != nil {
+		// Prototypes whose tissue changed between scans (resection, shift
+		// gap) are rejected as per-class outliers.
+		return err
 	}
+	sc.cl.Workers = cfg.Ranks
 	var err error
 	// The k-d tree wins once the prototype set is large; below that the
 	// brute-force scan's cache behaviour is better.
-	if len(ps.cl.Prototypes) >= 128 {
-		ps.intraLabels, err = ps.cl.ClassifyKDContext(ctx, channels)
+	if len(sc.cl.Prototypes) >= 128 {
+		sc.intraLabels, err = sc.cl.ClassifyKDContext(ctx, channels)
 	} else {
-		ps.intraLabels, err = ps.cl.ClassifyContext(ctx, channels)
+		sc.intraLabels, err = sc.cl.ClassifyContext(ctx, channels)
 	}
 	return err
-}
-
-// stagePreopMesh meshes the aligned preoperative anatomy and extracts
-// its brain surface; under SnapMesh the surface nodes conform to the
-// smooth segmentation boundary first. Preop-pure: the mesh depends on
-// the aligned segmentation and the meshing config only.
-//
-//lint:stage name=preop-mesh deps=rigid-align inputs=alignedLabels outputs=mesh,brainSurf key=MeshCellSize,UseBCCMesh,SnapMesh pure
-func (p *Pipeline) stagePreopMesh(_ context.Context, ps *pipeState) error {
-	mesher := mesh.FromLabels
-	if p.cfg.UseBCCMesh {
-		mesher = mesh.FromLabelsBCC
-	}
-	m, err := mesher(ps.alignedLabels, mesh.Options{
-		CellSize: p.cfg.MeshCellSize,
-		Include:  brainSet,
-	})
-	if err != nil {
-		return err
-	}
-	surf, err := m.ExtractSurface(brainSet)
-	if err != nil {
-		return err
-	}
-	if p.cfg.SnapMesh {
-		// Conform the FEM geometry to the smooth preoperative brain
-		// boundary, then relax the interior lattice.
-		phiPre := edt.SignedOfSet(ps.alignedLabels, brainSet, 0)
-		m.SnapToLevelSet(surf.NodeID, phiPre, float64(p.cfg.MeshCellSize))
-		m.Smooth(3, 0.5)
-		// Re-extract so the surface carries the snapped positions.
-		if surf, err = m.ExtractSurface(brainSet); err != nil {
-			return err
-		}
-	}
-	ps.mesh = m
-	ps.brainSurf = surf
-	return nil
-}
-
-// stagePreopRelax relaxes the marching-tetrahedra brain surface onto
-// the smooth preoperative boundary, so the sub-voxel discretization
-// correction does not contaminate the measured intraoperative motion.
-// Preop-pure: updates re-evolve this relaxed surface onto each new
-// intraoperative boundary, keeping the Dirichlet row set stable.
-//
-//lint:stage name=preop-relax deps=rigid-align,preop-mesh inputs=alignedLabels,brainSurf outputs=relaxedSurf key=Surface pure
-func (p *Pipeline) stagePreopRelax(ctx context.Context, ps *pipeState) error {
-	// The distance field is lightly smoothed so its level set does not
-	// inherit the voxel (or thick-slice) staircase of the label map,
-	// which would otherwise make the evolution oscillate.
-	phiPre := edt.SignedOfSet(ps.alignedLabels, brainSet, 0).SmoothGaussian(1.0)
-	relaxed, err := surface.EvolveContext(ctx, ps.brainSurf, surface.SignedDistanceForce{Phi: phiPre}, p.cfg.Surface)
-	if err != nil {
-		return err
-	}
-	ps.relaxedSurf = relaxed.Final
-	return nil
 }
 
 // stageSurfaceDisplace deforms the relaxed preoperative brain surface
 // onto the classified intraoperative brain: these displacements are
 // the physical surface correspondences driving the FEM solve.
-//
-//lint:stage name=surface-displace deps=preop-relax,classify inputs=relaxedSurf,intraLabels outputs=surfRes
-func (p *Pipeline) stageSurfaceDisplace(ctx context.Context, ps *pipeState) error {
-	phiIntra := edt.SignedOfSet(ps.intraLabels, brainSet, 0).SmoothGaussian(1.0)
-	sr, err := surface.EvolveContext(ctx, ps.relaxedSurf, surface.SignedDistanceForce{Phi: phiIntra}, p.cfg.Surface)
+func (p *Pipeline) stageSurfaceDisplace(ctx context.Context, sc *scan) error {
+	phiIntra := edt.SignedOfSet(sc.intraLabels, brainSet, 0).SmoothGaussian(1.0)
+	sr, err := surface.EvolveContext(ctx, sc.relaxedSurf, surface.SignedDistanceForce{Phi: phiIntra}, p.cfg.Surface)
 	if err != nil {
 		return err
 	}
-	ps.surfRes = sr
+	sc.surfRes = sr
 	return nil
 }
 
-// stagePreopAssemble assembles the FEM stiffness system on the
-// preoperative mesh. Preop-pure — and by far the most expensive pure
-// stage: the matrix is a deterministic function of the mesh geometry
-// and the constitutive model alone. The intraoperative boundary
-// conditions are eliminated later (stageSolve applies Dirichlet rows in
-// place on this run's private System, which on a cache hit is a freshly
-// decoded copy), so the assembled pre-Dirichlet system is
-// content-addressable.
-//
-//lint:stage name=preop-assemble deps=preop-mesh inputs=mesh outputs=sys key=Materials,Ranks pure
-func (p *Pipeline) stagePreopAssemble(ctx context.Context, ps *pipeState) error {
-	sys, err := fem.AssembleContext(ctx, ps.mesh, p.cfg.Materials, par.Even(ps.mesh.NumNodes(), p.cfg.Ranks))
-	if err != nil {
-		return err
-	}
-	ps.sys = sys
-	return nil
-}
-
-// stageSolve eliminates the surface-displacement boundary conditions
-// into the assembled system and solves for the volumetric deformation.
-// The assembly work counters travel with the cached System, so the
-// observer and trace attributes report them identically on hit and miss
-// runs.
-//
-//lint:stage name=solve deps=preop-assemble,surface-displace inputs=sys,surfRes outputs=solveRes
-func (p *Pipeline) stageSolve(ctx context.Context, ps *pipeState) error {
-	cfg := p.cfg
-	sys := ps.sys
-	snap := sys.Assembly.Snapshot()
-	cfg.observer().StageCounters(StageSolve, snap)
+// stageSolve runs the biomechanical simulation. Cold, it eliminates the
+// surface-displacement boundary conditions into the assembled system
+// and solves from zero; the assembly work counters travel with the
+// cached System, so the observer and trace attributes report them
+// identically on hit and miss runs. Warm, it patches the right-hand
+// side for the boundary displacements that changed, keeps the stiffness
+// matrix and its preconditioner factors, and starts GMRES from the
+// previous displacement field.
+func (p *Pipeline) stageSolve(ctx context.Context, sc *scan, warm bool) error {
+	cfg, sys, upd := p.cfg, sc.sys, sc.res.Update
 	sp := obs.SpanFromContext(ctx)
-	sp.SetAttr("assembly_flops", snap.TotalFlops)
-	sp.SetAttr("assembly_imbalance", snap.Imbalance)
-	if err := sys.ApplyDirichlet(ps.surfRes.BoundaryConditions()); err != nil {
-		return err
-	}
+	bc := sc.surfRes.BoundaryConditions()
 	sopts := cfg.Solver
 	if cfg.RecordSolveHistory {
 		sopts.RecordHistory = true
 	}
-	sr, err := sys.SolveContext(ctx, sopts)
+	var (
+		sr  *fem.SolveResult
+		err error
+	)
+	if warm {
+		sr, err = warmSolve(ctx, sys, bc, sc.prevU, sopts, upd)
+	} else {
+		snap := sys.Assembly.Snapshot()
+		cfg.observer().StageCounters(StageSolve, snap)
+		sp.SetAttr("assembly_flops", snap.TotalFlops)
+		sp.SetAttr("assembly_imbalance", snap.Imbalance)
+		sr, err = coldSolve(ctx, sys, bc, sopts)
+	}
 	if sr != nil {
 		sp.SetAttr("solver_iterations", sr.Stats.Iterations)
 		sp.SetAttr("solver_converged", sr.Stats.Converged)
@@ -638,47 +607,85 @@ func (p *Pipeline) stageSolve(ctx context.Context, ps *pipeState) error {
 	if err != nil {
 		return err
 	}
-	ps.solveRes = sr
+	sc.solveRes = sr
+	sc.prevU = sr.U
+	if !warm {
+		sc.coldIterations = sr.Stats.Iterations
+		return nil
+	}
+	upd.PCCacheHit = sr.PCCacheHit
+	upd.WarmStarted = sr.Stats.WarmStarted
+	upd.EntryResRel = sr.Stats.EntryResRel
+	if sc.coldIterations > sr.Stats.Iterations {
+		upd.IterationsSaved = sc.coldIterations - sr.Stats.Iterations
+	}
 	return nil
 }
 
-// stagePreopInterp builds the voxel→element interpolation table of the
-// assembled mesh on the intraoperative grid. Preop-pure: the table
-// depends on the mesh geometry (via the assembled system) and the grid
-// alone — applying it reproduces System.DisplacementField bit-exactly —
-// so the rasterization cost is content-addressable alongside the other
-// preoperative stages.
-//
-//lint:stage name=preop-interp deps=preop-assemble inputs=sys,intraop outputs=interp pure
-func (p *Pipeline) stagePreopInterp(_ context.Context, ps *pipeState) error {
-	ps.interp = ps.sys.BuildInterpTable(ps.intraop.Grid)
-	return nil
+// coldSolve eliminates the boundary conditions into the as-assembled
+// system and solves from zero. It and warmSolve are separate functions
+// because the fem phase contracts (//lint:phase bc-applied) are checked
+// per function: here the elimination is established, there an earlier
+// scan established it.
+func coldSolve(ctx context.Context, sys *fem.System, bc map[int32]geom.Vec3, opts solver.Options) (*fem.SolveResult, error) {
+	if err := sys.ApplyDirichlet(bc); err != nil {
+		return nil, err
+	}
+	return sys.SolveContext(ctx, opts)
+}
+
+// warmSolve re-prescribes the boundary conditions of a system an
+// earlier scan constrained and solves from that scan's solution.
+func warmSolve(ctx context.Context, sys *fem.System, bc map[int32]geom.Vec3, prevU []float64,
+	opts solver.Options, upd *IncrementalStats) (*fem.SolveResult, error) {
+	var err error
+	if upd.DOFsPatched, err = sys.PatchDirichlet(ctx, bc); err != nil {
+		return nil, err
+	}
+	return sys.SolveWarmContext(ctx, prevU, opts)
 }
 
 // stageResample resamples the preoperative data through the computed
-// volumetric deformation (the paper's ~0.5 s display step). Sessions
-// keep the voxel→element interpolation table built by preop-interp, so
-// every incremental update rasterizes its solution through it as a
-// dense gather.
-//
-//lint:stage name=resample deps=rigid-align,preop-interp,solve inputs=alignedPreop,interp,solveRes
-func (p *Pipeline) stageResample(_ context.Context, ps *pipeState) error {
-	res, cache := ps.res, ps.cache
-	nodeU := ps.solveRes.NodeU
-	if cache != nil && p.cfg.Solver.StoragePrecision == solver.PrecisionFloat32 {
-		// Mixed-precision sessions keep only the float32-weight table
-		// (same coverage, float64 gather accumulation).
-		cache.interp32 = ps.interp.Compact()
-		res.Forward = cache.interp32.Apply(nodeU)
+// volumetric deformation (the paper's ~0.5 s display step),
+// rasterizing the solution through the interpolation table as a dense
+// gather.
+func stageResample(sc *scan) {
+	res, nodeU := sc.res, sc.solveRes.NodeU
+	if sc.interp32 != nil {
+		res.Forward = sc.interp32.Apply(nodeU)
 	} else {
-		if cache != nil {
-			cache.interp = ps.interp
-		}
-		res.Forward = ps.interp.Apply(nodeU)
+		res.Forward = sc.interp.Apply(nodeU)
 	}
 	res.Backward = res.Forward.Invert(4)
-	res.Warped = res.Backward.WarpScalar(ps.alignedPreop)
-	return nil
+	res.Warped = res.Backward.WarpScalar(sc.alignedPreop)
+}
+
+// finish is the tail shared by the success, degraded and error paths:
+// copy the run's artifacts into the Result, apply the clinical degraded
+// fallback when the deadline expired during the solve or resample
+// stage, and compute the match metrics on success.
+func (p *Pipeline) finish(ctx context.Context, err error, sc *scan) (*Result, error) {
+	res := sc.res
+	res.Rigid = sc.rigid
+	res.AlignedPreop = sc.alignedPreop
+	res.IntraopLabels = sc.intraLabels
+	res.Mesh = sc.mesh
+	res.Surface = sc.surfRes
+	if sc.solveRes != nil {
+		res.SolveStats = sc.solveRes.Stats
+		res.NodeDisplacements = sc.solveRes.NodeU
+		stressSummary(sc.sys, sc.solveRes.NodeU, p.cfg.Materials, res)
+	}
+	if err != nil {
+		var se *StageError
+		if errors.As(err, &se) && (se.Stage == StageSolve || se.Stage == StageResample) &&
+			degrade(ctx, err, res, sc.intraop, sc.alignedPreop, sc.intraLabels) {
+			return res, nil
+		}
+		return nil, err
+	}
+	matchMetrics(res, sc.intraop, sc.alignedPreop, sc.intraLabels)
+	return res, nil
 }
 
 // stressSummary fills the Von Mises stress summary of res from the
@@ -742,7 +749,7 @@ func brainBoundaryBand(intraLabels *volume.Labels) []bool {
 // failed; the rigid-only alignment is delivered instead, marked as
 // Degraded. It reports whether the fallback applied, filling res in
 // place when it did.
-func (p *Pipeline) degrade(ctx context.Context, err error, res *Result, intraop, alignedPreop *volume.Scalar, intraLabels *volume.Labels) bool {
+func degrade(ctx context.Context, err error, res *Result, intraop, alignedPreop *volume.Scalar, intraLabels *volume.Labels) bool {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}

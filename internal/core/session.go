@@ -2,11 +2,36 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
-	"repro/internal/classify"
 	"repro/internal/volume"
 )
+
+// ErrNoBaseline reports an Update against a session that has no
+// completed full registration to build on.
+var ErrNoBaseline = errors.New("core: no baseline registration; run Register before Update")
+
+// IncrementalStats reports what the incremental update path reused and
+// saved relative to a cold registration.
+type IncrementalStats struct {
+	// DOFsPatched is the number of Dirichlet DOFs whose prescribed
+	// displacement actually changed since the previous solve.
+	DOFsPatched int
+	// PCCacheHit reports that the factorized preconditioner was reused
+	// (true whenever the stiffness matrix was unchanged).
+	PCCacheHit bool
+	// WarmStarted reports that the solve was seeded with the previous
+	// displacement field.
+	WarmStarted bool
+	// EntryResRel is the relative preconditioned residual of the seeded
+	// iterate: 1.0 would mean the seed was worthless, values ≪ 1 mean
+	// most of the solve was inherited.
+	EntryResRel float64
+	// IterationsSaved is the iteration count saved relative to the
+	// session's baseline cold solve (0 when the update needed as many).
+	IterationsSaved int
+}
 
 // Session manages the succession of intraoperative scans acquired over
 // the course of one surgery ("several volumetric MRI scans were carried
@@ -15,20 +40,21 @@ import (
 // model is built on the first scan; for every later scan the recorded
 // prototype voxel locations update it automatically, exactly as the
 // paper describes.
-// Incremental updates: Register runs the full pipeline and retains the
-// baseline artifacts (rigid alignment, localization channels, mesh,
-// relaxed surface, assembled FEM system, displacement field); Update
-// then re-solves a newly streamed scan incrementally against that
-// baseline — model refresh, one surface evolution, a Dirichlet
-// right-hand-side patch and a warm-started solve — at a fraction of the
-// cold cost.
+// Incremental updates: Register runs the full stage sequence and the
+// session keeps its baseline (statistical model, rigid alignment,
+// localization channels, mesh, relaxed surface, constrained FEM system,
+// displacement field); Update then runs the same sequence for a newly
+// streamed scan with that baseline pinned — model refresh, one surface
+// evolution, a Dirichlet right-hand-side patch and a warm-started
+// solve — at a fraction of the cold cost.
 type Session struct {
 	pipeline    *Pipeline
 	preop       *volume.Scalar
 	preopLabels *volume.Labels
-	classifier  *classify.Classifier
-	cache       *sessionCache
-	results     []*Result
+	// base is the baseline of the last good (neither failed nor
+	// degraded) scan; nil before the first.
+	base    *baseline
+	results []*Result
 }
 
 // NewSession prepares a surgical session from the preoperative data.
@@ -64,19 +90,12 @@ func NewSession(cfg Config, preop *volume.Scalar, preopLabels *volume.Labels) (*
 // not safe for concurrent use; the service layer serializes scans per
 // session.
 func (s *Session) Register(ctx context.Context, intraop *volume.Scalar) (*Result, error) {
-	cache := &sessionCache{}
-	res, cl, err := s.pipeline.runContext(ctx, s.preop, s.preopLabels, intraop, s.classifier, cache)
-	if err != nil {
-		return nil, err
+	var from baseline
+	if s.base != nil {
+		// Only the statistical model carries into a full registration.
+		from.cl = s.base.cl
 	}
-	if !res.Degraded {
-		s.classifier = cl
-		if cache.complete() {
-			s.cache = cache
-		}
-	}
-	s.results = append(s.results, res)
-	return res, nil
+	return s.run(ctx, intraop, from)
 }
 
 // Update incrementally re-registers a newly streamed intraoperative
@@ -91,15 +110,26 @@ func (s *Session) Register(ctx context.Context, intraop *volume.Scalar) (*Result
 // carries the reuse diagnostics in Result.Update. Context semantics
 // match Register.
 func (s *Session) Update(ctx context.Context, intraop *volume.Scalar) (*Result, error) {
-	if !s.cache.complete() {
+	if s.base == nil {
 		return nil, ErrNoBaseline
 	}
-	res, cl, err := s.pipeline.updateContext(ctx, s.cache, intraop, s.classifier)
+	return s.run(ctx, intraop, *s.base)
+}
+
+// run runs one scan from the given baseline and adopts the baseline it
+// leaves only on a non-degraded success. The statistical model is
+// refreshed on a deep copy, so a scan that fails or degrades after the
+// classification stage leaves the session's model untouched.
+func (s *Session) run(ctx context.Context, intraop *volume.Scalar, from baseline) (*Result, error) {
+	from.cl = from.cl.Clone()
+	sc := &scan{preop: s.preop, preopLabels: s.preopLabels, intraop: intraop, retain: true, baseline: from}
+	res, err := s.pipeline.run(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
 	if !res.Degraded {
-		s.classifier = cl
+		base := sc.baseline
+		s.base = &base
 	}
 	s.results = append(s.results, res)
 	return res, nil
@@ -107,7 +137,7 @@ func (s *Session) Update(ctx context.Context, intraop *volume.Scalar) (*Result, 
 
 // HasBaseline reports whether a completed full registration is
 // available for Update to build on.
-func (s *Session) HasBaseline() bool { return s.cache.complete() }
+func (s *Session) HasBaseline() bool { return s.base != nil }
 
 // SetObserver installs (or clears, with nil) the observer receiving
 // per-stage events of subsequent Register/Update calls. It must not be
@@ -125,8 +155,8 @@ func (s *Session) Results() []*Result { return s.results }
 // PrototypeCount returns the size of the shared statistical model (0
 // before the first scan).
 func (s *Session) PrototypeCount() int {
-	if s.classifier == nil {
+	if s.base == nil {
 		return 0
 	}
-	return len(s.classifier.Prototypes)
+	return len(s.base.cl.Prototypes)
 }

@@ -3,10 +3,17 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
+	"repro/internal/classify"
 	"repro/internal/phantom"
 )
+
+// modelOf deep-copies the session's statistical model.
+func modelOf(s *Session) []classify.Prototype {
+	return s.base.cl.Clone().Prototypes
+}
 
 // streamPair generates a baseline scan and a later scan of the same
 // case with a grown brain shift — the streaming acquisition pattern.
@@ -190,6 +197,7 @@ func TestUpdateDeadlineDegradesClinically(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	model := modelOf(sess)
 	ctx := newExpirableCtx()
 	sess.SetObserver(FuncObserver{OnStart: func(stage string) {
 		if stage == StageSolve {
@@ -203,6 +211,12 @@ func TestUpdateDeadlineDegradesClinically(t *testing.T) {
 	}
 	if !res.Degraded {
 		t.Fatal("update result not marked Degraded")
+	}
+	// The classification stage refreshed the prototypes before the
+	// deadline hit; the session's model must not have moved.
+	if got := modelOf(sess); !reflect.DeepEqual(got, model) {
+		t.Errorf("degraded update advanced the statistical model: %d prototypes, had %d",
+			len(got), len(model))
 	}
 	if !res.Incremental {
 		t.Error("degraded update lost the Incremental mark")
@@ -221,5 +235,69 @@ func TestUpdateDeadlineDegradesClinically(t *testing.T) {
 	}
 	if !ru.SolveStats.Converged || !ru.Update.PCCacheHit {
 		t.Fatalf("update after degraded scan did not reuse the baseline: %+v", ru.Update)
+	}
+}
+
+// TestFailedScanLeavesModelUntouched covers the other ways a scan can
+// end after its classification stage refreshed the prototypes — a
+// Register against an existing model degrading at the solve, and either
+// call cancelled mid-solve: none may advance the session's statistical
+// model, and the next update still builds on the last good baseline.
+func TestFailedScanLeavesModelUntouched(t *testing.T) {
+	c1, c2 := streamPair(t)
+	for _, tc := range []struct {
+		name   string
+		scan   func(*Session, context.Context) (*Result, error)
+		cancel bool
+	}{
+		{"Register degraded", func(s *Session, ctx context.Context) (*Result, error) { return s.Register(ctx, c2.Intraop) }, false},
+		{"Register cancelled", func(s *Session, ctx context.Context) (*Result, error) { return s.Register(ctx, c2.Intraop) }, true},
+		{"Update cancelled", func(s *Session, ctx context.Context) (*Result, error) { return s.Update(ctx, c2.Intraop) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := NewSession(fastConfig(), c1.Preop, c1.PreopLabels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Register(context.Background(), c1.Intraop); err != nil {
+				t.Fatal(err)
+			}
+			model := modelOf(sess)
+
+			var ctx context.Context
+			var stop func()
+			if tc.cancel {
+				ctx, stop = context.WithCancel(context.Background())
+			} else {
+				ectx := newExpirableCtx()
+				ctx, stop = ectx, ectx.expire
+			}
+			defer stop()
+			sess.SetObserver(FuncObserver{OnStart: func(stage string) {
+				if stage == StageSolve {
+					stop()
+				}
+			}})
+			res, err := tc.scan(sess, ctx)
+			sess.SetObserver(nil)
+			if tc.cancel {
+				var se *StageError
+				if !errors.Is(err, context.Canceled) || !errors.As(err, &se) || se.Stage != StageSolve {
+					t.Fatalf("err = %v, want context.Canceled at the solve stage", err)
+				}
+			} else if err != nil || !res.Degraded {
+				t.Fatalf("res = %+v, err = %v, want a degraded result", res, err)
+			}
+			if got := modelOf(sess); !reflect.DeepEqual(got, model) {
+				t.Errorf("scan advanced the statistical model: %d prototypes, had %d", len(got), len(model))
+			}
+			ru, err := sess.Update(context.Background(), c2.Intraop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ru.SolveStats.Converged || !ru.Update.PCCacheHit {
+				t.Fatalf("update after the failed scan did not reuse the baseline: %+v", ru.Update)
+			}
+		})
 	}
 }

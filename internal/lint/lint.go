@@ -83,7 +83,6 @@ func Analyzers() []Analyzer {
 		detguard{},
 		shapecheck{},
 		precguard{},
-		stagedag{},
 		deprecated{},
 	}
 }

@@ -99,7 +99,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"detguard", "repro/internal/fem/detfixture"},
 		{"shapecheck", "repro/internal/shapefixture"},
 		{"precguard", "repro/internal/solver/precfixture"},
-		{"stagedag", "repro/internal/dagfixture"},
 		{"deprecated", "repro/internal/deprfixture"},
 	} {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -219,6 +218,7 @@ func TestMalformedDirectives(t *testing.T) {
 		{19, 6, "errwrap", "error discarded with _ ="},
 		{24, 2, "lint", "unknown directive //lint:ignroe"},
 		{25, 6, "errwrap", "error discarded with _ ="},
+		{32, 1, "lint", "unknown directive //lint:stage"},
 	}
 	if len(findings) != len(want) {
 		t.Fatalf("got %d findings, want %d:\n%s", len(findings), len(want), findingList(findings))
@@ -293,71 +293,6 @@ func Empty(a []float64) {}
 	}
 }
 
-// TestStageDirectiveSyntax checks the lint pseudo-analyzer's
-// validation of //lint:stage arguments. Like TestDirectiveSyntax, the
-// cases live inline because a want comment appended to a directive
-// line would become part of the directive's own argument.
-func TestStageDirectiveSyntax(t *testing.T) {
-	const src = `package stagesyntax
-
-type st struct{ a int }
-
-// Bare carries an empty directive.
-//
-//lint:stage
-func Bare(s *st) error { return nil }
-
-// Nameless omits the mandatory name field.
-//
-//lint:stage inputs=a pure
-func Nameless(s *st) error {
-	_ = s.a
-	return nil
-}
-
-// Unknown uses a field outside the grammar.
-//
-//lint:stage name=unknown-field wibble=x
-func Unknown(s *st) error { return nil }
-
-// BadName is not lowercase kebab-case.
-//
-//lint:stage name=BadName
-func BadName(s *st) error { return nil }
-
-// EmptyList declares inputs with no names.
-//
-//lint:stage name=empty-list inputs=
-func EmptyList(s *st) error { return nil }
-`
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "stagesyntax.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg := loadFixture(t, dir, "repro/internal/stagesyntax")
-	findings := Run([]*Package{pkg}, Analyzers())
-	want := []struct {
-		line     int
-		analyzer string
-		substr   string
-	}{
-		{7, "lint", "malformed directive: want //lint:stage name=<stage>"},
-		{12, "lint", "//lint:stage requires name=<stage>"},
-		{20, "lint", `field "wibble=x": want name=, deps=, inputs=, outputs=, key=, or pure`},
-		{25, "lint", `name "BadName" is not one lowercase kebab-case name`},
-		{30, "lint", "//lint:stage inputs= lists no names"},
-	}
-	if len(findings) != len(want) {
-		t.Fatalf("got %d findings, want %d:\n%s", len(findings), len(want), findingList(findings))
-	}
-	for i, w := range want {
-		f := findings[i]
-		if f.Analyzer != w.analyzer || f.Pos.Line != w.line || !strings.Contains(f.Msg, w.substr) {
-			t.Errorf("finding %d = %s, want %s at line %d matching %q", i, f, w.analyzer, w.line, w.substr)
-		}
-	}
-}
-
 // TestAnalyzerNamesStable pins the suite roster: the names appear in
 // //lint:ignore directives across the tree, so removals or renames must
 // be deliberate.
@@ -371,7 +306,7 @@ func TestAnalyzerNamesStable(t *testing.T) {
 	}
 	if got, want := strings.Join(names, " "),
 		"ctxprop spanend metricname errwrap floateq hotalloc hotreach concsafe lockscope phaseorder coordspace"+
-			" aliasguard nanguard detguard shapecheck precguard stagedag deprecated"; got != want {
+			" aliasguard nanguard detguard shapecheck precguard deprecated"; got != want {
 		t.Errorf("Analyzers() = %q, want %q", got, want)
 	}
 }

@@ -36,7 +36,6 @@ var knownDirectives = map[string]bool{
 	"noalias":    true, // slice-parameter aliasing contract; see aliasguard.go
 	"shape":      true, // length-relation contract; see shapecheck.go
 	"precision":  true, // storage/accumulation precision contract; see precguard.go
-	"stage":      true, // pipeline stage contract; see stagedag.go
 }
 
 // WaiverUse records one //lint:ignore occurrence, so the baseline can
@@ -105,8 +104,6 @@ func suppressions(pkg *Package, known map[string]bool) (suppressionIndex, []Waiv
 					diags = append(diags, checkShapeSyntax(pos, arg)...)
 				case "precision":
 					diags = append(diags, checkPrecisionSyntax(pos, arg)...)
-				case "stage":
-					diags = append(diags, checkStageSyntax(pos, arg)...)
 				default:
 					if !knownDirectives[verb] {
 						diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
@@ -241,66 +238,6 @@ func checkPrecisionSyntax(pos token.Position, arg string) []Finding {
 			diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
 				Msg: "//lint:precision " + key + "= lists no names"})
 		}
-	}
-	return diags
-}
-
-// checkStageSyntax validates a //lint:stage argument list: a mandatory
-// name=<kebab> field, optional deps=/inputs=/outputs=/key= comma lists
-// and an optional bare "pure" marker. (Whether the names match state
-// fields, earlier stages, or Config fields is stagedag's semantic
-// check.)
-func checkStageSyntax(pos token.Position, arg string) []Finding {
-	fields := strings.Fields(arg)
-	if len(fields) == 0 {
-		return []Finding{{Pos: pos, Analyzer: "lint",
-			Msg: "malformed directive: want //lint:stage name=<stage> [deps=...] [inputs=...] [outputs=...] [key=...] [pure]"}}
-	}
-	var diags []Finding
-	hasName := false
-	for _, field := range fields {
-		if field == "pure" {
-			continue
-		}
-		key, val, hasEq := strings.Cut(field, "=")
-		if !hasEq || (key != "name" && key != "deps" && key != "inputs" && key != "outputs" && key != "key") {
-			diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-				Msg: "//lint:stage field " + strconvQuote(field) +
-					": want name=, deps=, inputs=, outputs=, key=, or pure"})
-			continue
-		}
-		list := splitPhases(val)
-		if len(list) == 0 {
-			diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-				Msg: "//lint:stage " + key + "= lists no names"})
-			continue
-		}
-		switch key {
-		case "name":
-			hasName = true
-			if len(list) != 1 || !phaseNameRe.MatchString(list[0]) {
-				diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-					Msg: "//lint:stage name " + strconvQuote(val) + " is not one lowercase kebab-case name"})
-			}
-		case "deps":
-			for _, d := range list {
-				if !phaseNameRe.MatchString(d) {
-					diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-						Msg: "//lint:stage dep " + strconvQuote(d) + " is not lowercase kebab-case"})
-				}
-			}
-		default: // inputs, outputs, key
-			for _, nm := range list {
-				if !identLike(nm) {
-					diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-						Msg: "//lint:stage " + key + " name " + strconvQuote(nm) + " is not an identifier"})
-				}
-			}
-		}
-	}
-	if !hasName {
-		diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-			Msg: "malformed directive: //lint:stage requires name=<stage>"})
 	}
 	return diags
 }

@@ -24,3 +24,10 @@ func Typo() {
 	//lint:ignroe errwrap the verb is a typo
 	_ = fail()
 }
+
+// Retired directive verbs are rejected too: the stage contract moved
+// into Go function signatures, so a leftover comment must not pass as
+// if something still checked it.
+//
+//lint:stage name=leftover inputs=a outputs=b pure
+func Retired() {}

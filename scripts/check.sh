@@ -26,8 +26,6 @@ echo "== simlint ./..."
 go run ./cmd/simlint ./...
 echo "== perfgate"
 go run ./cmd/perfgate
-echo "== benchreport -check"
-go run ./cmd/benchreport -check > /dev/null
 echo "== go test ./..."
 go test ./...
 echo "== go vet ./_bench && go test ./_bench"
