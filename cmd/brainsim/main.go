@@ -179,9 +179,8 @@ func run(o cliOptions) error {
 		cfg.Materials = fem.HeterogeneousBrain()
 	}
 
-	ctx := context.Background()
 	reg := obs.NewRegistry()
-	cfg.Observer = obs.NewStageCollector(reg)
+	ctx := obs.WithSink(context.Background(), obs.NewStageSink(reg))
 
 	if o.adminAddr != "" {
 		mux := http.NewServeMux()

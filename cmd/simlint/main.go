@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/simlint [-list] [-format text|json|sarif] [-baseline file] [pattern ...]
+//	go run ./cmd/simlint [-list] [-format text|json|sarif] [pattern ...]
 //
 // Patterns are module-relative package paths; "./..." (the default)
 // covers the whole module, "./internal/..." a subtree, "./cmd/simlint"
@@ -13,20 +13,6 @@
 // as JSON / SARIF 2.1.0 with -format) and any unsuppressed finding
 // makes the exit status non-zero, so the command slots directly into
 // scripts/check.sh and CI.
-//
-// The committed baseline (.simlint-baseline.json at the module root,
-// overridable with -baseline) carries accepted findings and registers
-// every //lint:ignore the tree is allowed to contain; see internal/lint
-// for the matching rules. -baseline none disables it, reporting the raw
-// suite output.
-//
-// Results are cached per package under .simlint-cache (overridable with
-// -cache; "none" disables), keyed on the package's sources, its
-// module-internal import closure, the analyzer roster, and the linter's
-// own sources — so a warm run over an unchanged tree replays stored
-// findings instead of re-analyzing, byte-identical to a cold run. The
-// cache directory is disposable and gitignored; delete it to force a
-// cold run.
 package main
 
 import (
@@ -42,14 +28,10 @@ import (
 )
 
 func main() {
-	list := flag.Bool("list", false, "list the analyzers and the span/metric/event vocabularies they enforce, then exit")
+	list := flag.Bool("list", false, "list the analyzers and the span vocabulary spanend enforces, then exit")
 	format := flag.String("format", "text", "report format: text, json, or sarif")
-	baselinePath := flag.String("baseline", ".simlint-baseline.json",
-		"baseline file relative to the module root (\"none\" disables baseline filtering)")
-	cachePath := flag.String("cache", ".simlint-cache",
-		"result cache directory relative to the module root (\"none\" disables caching)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: simlint [-list] [-format text|json|sarif] [-baseline file] [-cache dir] [pattern ...]\n\npatterns default to ./... (the whole module)\n")
+		fmt.Fprintf(os.Stderr, "usage: simlint [-list] [-format text|json|sarif] [pattern ...]\n\npatterns default to ./... (the whole module)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -95,42 +77,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var cache *lint.Cache
-	if *cachePath != "none" {
-		dir := *cachePath
-		if !filepath.IsAbs(dir) {
-			dir = filepath.Join(root, dir)
-		}
-		cache, err = lint.NewCache(dir, root, analyzers)
-		if err != nil {
-			// The cache is an accelerator; a broken one must not fail
-			// the lint run.
-			fmt.Fprintln(os.Stderr, "simlint: cache disabled:", err)
-			cache = nil
-		}
-	}
-
-	res, stats := lint.RunAllCached(selected, analyzers, cache)
-	if cache != nil {
-		fmt.Fprintf(os.Stderr, "simlint: cache: %d hit(s), %d miss(es)\n", stats.Hits, stats.Misses)
-	}
-	findings := res.Findings
-	if *baselinePath != "none" {
-		path := *baselinePath
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(root, path)
-		}
-		base, err := lint.LoadBaseline(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			os.Exit(2)
-		}
-		analyzed := make([]string, 0, len(selected))
-		for _, pkg := range selected {
-			analyzed = append(analyzed, pkg.RelPath)
-		}
-		findings = base.Apply(root, res, analyzed)
-	}
+	findings := lint.Run(selected, analyzers)
 
 	switch *format {
 	case "text":
@@ -150,29 +97,24 @@ func main() {
 	}
 }
 
-// printList writes the analyzer inventory plus the telemetry
-// vocabularies the spanend and metricname analyzers check literals
-// against.
+// printList writes the analyzer inventory plus the span vocabulary the
+// spanend analyzer checks literals against. (Metrics and events need no
+// listing: they are typed descriptors in internal/obs/names.go.)
 func printList(analyzers []lint.Analyzer) {
 	fmt.Println("simlint analyzers:")
 	for _, a := range analyzers {
 		fmt.Printf("  %-10s %s\n", a.Name(), a.Doc())
 	}
-	vocab := func(title string, m map[string]string, width int) {
-		fmt.Printf("\n%s:\n", title)
-		names := make([]string, 0, len(m))
-		for n := range m {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Printf("  %-*s %s\n", width, n, m[n])
-		}
+	fmt.Println("\nbrainsim span vocabulary (obs.SpanNames):")
+	names := make([]string, 0, len(obs.SpanNames))
+	for n := range obs.SpanNames {
+		names = append(names, n)
 	}
-	vocab("brainsim span vocabulary (obs.SpanNames)", obs.SpanNames, 16)
-	vocab("brainsim metric vocabulary (obs.MetricNames)", obs.MetricNames, 40)
-	vocab("brainsim event vocabulary (obs.EventNames)", obs.EventNames, 16)
-	fmt.Println("\nsuppress a finding with:  //lint:ignore <analyzer> <reason> (must be registered in the baseline)")
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Printf("  %-16s %s\n", n, obs.SpanNames[n])
+	}
+	fmt.Println("\nsuppress a finding with:  //lint:ignore <analyzer> <reason> (the module itself carries none; TestModuleIsSimlintClean pins that)")
 	fmt.Println("annotate a kernel with:   //lint:hotpath (enables hotalloc + hotreach checks)")
 	fmt.Println("pin a kernel's escapes:   //lint:noescape (enforced by cmd/perfgate against compiler facts)")
 	fmt.Println("declare phase contracts:  //lint:phase requires=... provides=... forbids=...")

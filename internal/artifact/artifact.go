@@ -121,14 +121,10 @@ func New(opts Options) (*Store, error) {
 		inflight: make(map[string]*flight),
 	}
 	if opts.Registry != nil {
-		s.hits = opts.Registry.Counter(obs.MetricArtifactHits,
-			"artifact-cache lookups served from the store")
-		s.misses = opts.Registry.Counter(obs.MetricArtifactMisses,
-			"artifact-cache lookups that recomputed the stage")
-		s.evictions = opts.Registry.Counter(obs.MetricArtifactEvictions,
-			"in-memory artifact entries evicted by the LRU bound")
-		s.resident = opts.Registry.Gauge(obs.MetricArtifactBytes,
-			"bytes resident in the in-memory artifact tier")
+		s.hits = opts.Registry.Counter(obs.MetricArtifactHits)
+		s.misses = opts.Registry.Counter(obs.MetricArtifactMisses)
+		s.evictions = opts.Registry.Counter(obs.MetricArtifactEvictions)
+		s.resident = opts.Registry.Gauge(obs.MetricArtifactBytes)
 	}
 	return s, nil
 }

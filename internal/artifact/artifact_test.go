@@ -300,9 +300,9 @@ func TestLRUEvictionUpdatesMetrics(t *testing.T) {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	for _, want := range []string{
-		obs.MetricArtifactEvictions + " 2", // k0 evicted, then k1 evicted by k0's re-admit
-		obs.MetricArtifactBytes + " 80",
-		obs.MetricArtifactMisses + " 4",
+		obs.MetricArtifactEvictions.String() + " 2", // k0 evicted, then k1 evicted by k0's re-admit
+		obs.MetricArtifactBytes.String() + " 80",
+		obs.MetricArtifactMisses.String() + " 4",
 	} {
 		if !bytes.Contains(exp.Bytes(), []byte(want)) {
 			t.Errorf("exposition missing %q:\n%s", want, exp.String())

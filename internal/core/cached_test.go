@@ -146,7 +146,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 		{"KNN", func(c *Config) { c.KNN = 3 }, nil},
 		{"Seed", func(c *Config) { c.Seed = 7 }, nil},
 		{"Solver.Tol", func(c *Config) { c.Solver.Tol = 1e-5 }, nil},
-		{"Observer", func(c *Config) { c.Observer = FuncObserver{} }, nil},
 		{"Materials insertion order", func(c *Config) {
 			// Equal content, entries inserted in the opposite order: map
 			// iteration order must not reach the key.

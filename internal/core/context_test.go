@@ -8,8 +8,28 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/par"
+	"repro/internal/obs"
 )
+
+// stageHook is a sink on the obs span seam that calls fn when the named
+// pipeline stage starts — how these tests pin a cancellation or a
+// deadline to an exact stage boundary.
+type stageHook struct {
+	stage string
+	fn    func()
+}
+
+func (h stageHook) SpanStarted(i obs.SpanInfo) {
+	if i.Stage && i.Name == h.stage {
+		h.fn()
+	}
+}
+func (stageHook) SpanEnded(obs.FinishedSpan) {}
+
+// atStage returns ctx carrying a stageHook.
+func atStage(ctx context.Context, stage string, fn func()) context.Context {
+	return obs.WithSink(ctx, stageHook{stage: stage, fn: fn})
+}
 
 // expirableCtx is a context whose deadline can be made to "expire" at a
 // precise pipeline event, so the degradation policy can be tested
@@ -50,16 +70,10 @@ func TestRunContextCancelDuringSolve(t *testing.T) {
 	c := testCase(24)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := fastConfig()
 	// Cancel exactly when the FEM solve begins: the GMRES loop must
 	// notice within one restart cycle and attribute the abort to the
 	// solve stage.
-	cfg.Observer = FuncObserver{OnStart: func(stage string) {
-		if stage == StageSolve {
-			cancel()
-		}
-	}}
-	_, err := New(cfg).RunContext(ctx, c.Preop, c.PreopLabels, c.Intraop)
+	_, err := New(fastConfig()).RunContext(atStage(ctx, StageSolve, cancel), c.Preop, c.PreopLabels, c.Intraop)
 	if err == nil {
 		t.Fatal("cancelled solve returned no error")
 	}
@@ -92,16 +106,10 @@ func TestRunContextPreCancelled(t *testing.T) {
 func TestRunContextDeadlineAfterSurfaceDegradesToRigid(t *testing.T) {
 	c := testCase(24)
 	ctx := newExpirableCtx()
-	cfg := fastConfig()
 	// The deadline expires the moment the solve starts — i.e. after the
 	// surface stage completed. The clinical fallback applies: no error,
 	// rigid-only result marked degraded.
-	cfg.Observer = FuncObserver{OnStart: func(stage string) {
-		if stage == StageSolve {
-			ctx.expire()
-		}
-	}}
-	res, err := New(cfg).RunContext(ctx, c.Preop, c.PreopLabels, c.Intraop)
+	res, err := New(fastConfig()).RunContext(atStage(ctx, StageSolve, ctx.expire), c.Preop, c.PreopLabels, c.Intraop)
 	if err != nil {
 		t.Fatalf("deadline after surface must degrade, not fail: %v", err)
 	}
@@ -130,15 +138,9 @@ func TestRunContextDeadlineAfterSurfaceDegradesToRigid(t *testing.T) {
 func TestRunContextDeadlineBeforeSurfaceFails(t *testing.T) {
 	c := testCase(24)
 	ctx := newExpirableCtx()
-	cfg := fastConfig()
 	// Expiring during classification is before the fallback point: the
 	// scan must fail with a stage-attributed deadline error.
-	cfg.Observer = FuncObserver{OnStart: func(stage string) {
-		if stage == StageClassify {
-			ctx.expire()
-		}
-	}}
-	_, err := New(cfg).RunContext(ctx, c.Preop, c.PreopLabels, c.Intraop)
+	_, err := New(fastConfig()).RunContext(atStage(ctx, StageClassify, ctx.expire), c.Preop, c.PreopLabels, c.Intraop)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -150,43 +152,30 @@ func TestRunContextDeadlineBeforeSurfaceFails(t *testing.T) {
 
 func TestObserverSeesAllStagesInOrder(t *testing.T) {
 	c := testCase(24)
-	var mu sync.Mutex
-	var started, done []string
-	countersSeen := false
-	cfg := fastConfig()
-	cfg.Observer = FuncObserver{
-		OnStart: func(stage string) {
-			mu.Lock()
-			started = append(started, stage)
-			mu.Unlock()
-		},
-		OnDone: func(stage string, elapsed time.Duration, err error) {
-			mu.Lock()
-			done = append(done, stage)
-			mu.Unlock()
-			if err != nil {
-				t.Errorf("stage %s reported error: %v", stage, err)
-			}
-		},
-		OnCounters: func(stage string, snap par.Snapshot) {
-			if stage == StageSolve && snap.TotalFlops > 0 {
-				countersSeen = true
-			}
-		},
-	}
-	if _, err := New(cfg).RunContext(context.Background(), c.Preop, c.PreopLabels, c.Intraop); err != nil {
+	sink := obs.NewStageSink(obs.NewRegistry())
+	ctx := obs.WithSink(context.Background(), sink)
+	res, err := New(fastConfig()).RunContext(ctx, c.Preop, c.PreopLabels, c.Intraop)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(started) != len(Stages) || len(done) != len(Stages) {
-		t.Fatalf("observer saw %d starts / %d dones, want %d", len(started), len(done), len(Stages))
+	events := sink.Events()
+	if len(events) != len(Stages) || len(res.Timings) != len(Stages) {
+		t.Fatalf("sink saw %d stages, Timings has %d, want %d", len(events), len(res.Timings), len(Stages))
 	}
 	for i, want := range Stages {
-		if started[i] != want || done[i] != want {
-			t.Errorf("stage %d: start=%q done=%q want %q", i, started[i], done[i], want)
+		e := events[i]
+		if e.Stage != want || !e.Done || res.Timings[i].Name != want {
+			t.Errorf("stage %d: %q (done=%v), Timings %q, want %q", i, e.Stage, e.Done, res.Timings[i].Name, want)
 		}
-	}
-	if !countersSeen {
-		t.Error("no assembly counters snapshot delivered for the solve stage")
+		if e.Err != nil {
+			t.Errorf("stage %s reported error: %v", e.Stage, e.Err)
+		}
+		if e.Elapsed != res.Timings[i].Elapsed {
+			t.Errorf("stage %s: sink says %v, Timings %v", e.Stage, e.Elapsed, res.Timings[i].Elapsed)
+		}
+		if (e.Flops > 0) != (want == StageSolve) {
+			t.Errorf("stage %s: assembly flops %v; only the solve stage carries them", e.Stage, e.Flops)
+		}
 	}
 }
 

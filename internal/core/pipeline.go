@@ -69,10 +69,6 @@ type Config struct {
 	// Solver.RecordHistory for the biomechanical solve. Trace spans
 	// attach the history per restart cycle when a tracer is active.
 	RecordSolveHistory bool
-	// Observer, when non-nil, receives per-stage progress events and
-	// counters snapshots while a registration runs (see Observer). It is
-	// ignored by Validate.
-	Observer Observer
 	// ArtifactStore, when non-nil, caches the content-addressed outputs
 	// of the pure preoperative stages (EDT localization channels, mesh
 	// generation, surface relaxation, assembly, interpolation table)
@@ -109,14 +105,6 @@ func (c Config) Validate() error {
 		return nil
 	}
 	return fmt.Errorf("core: invalid config: %w", errors.Join(errs...))
-}
-
-// observer returns the configured observer or a no-op stand-in.
-func (c Config) observer() Observer {
-	if c.Observer != nil {
-		return c.Observer
-	}
-	return nopObserver{}
 }
 
 // DefaultConfig returns the configuration used throughout the
@@ -363,31 +351,25 @@ func (p *Pipeline) run(ctx context.Context, sc *scan) (*Result, error) {
 	return res, err
 }
 
-// newStageRunner returns the stage executor: it times one pipeline
-// stage, emits the observer events and a trace span, and attributes any
-// failure (including context cancellation checked on entry) to the
-// stage via *StageError. The stage body receives a derived context so
-// work it starts (solver restart cycles, classification batches,
-// assembly) nests under the stage span.
-func newStageRunner(ctx context.Context, ob Observer, res *Result) func(name string, fn func(ctx context.Context) error) error {
+// newStageRunner returns the stage executor: it runs one pipeline stage
+// through obs.Stage — which times it once, for Result.Timings and for
+// whatever sinks the context carries (trace, flight recorder, the
+// service's job timeline and histograms) — and attributes any failure
+// (including context cancellation checked on entry) to the stage via
+// *StageError. The stage body receives a derived context so work it
+// starts (solver restart cycles, classification batches, assembly)
+// nests under the stage span.
+func newStageRunner(ctx context.Context, res *Result) func(name string, fn func(ctx context.Context) error) error {
 	return func(name string, fn func(ctx context.Context) error) error {
 		if err := ctx.Err(); err != nil {
 			return &StageError{Stage: name, Err: err}
 		}
-		sctx, span := obs.StartSpan(ctx, name)
-		// The span carries the raw stage error (the StageError wrap is
-		// for callers); the deferred End survives a panicking stage body.
-		var ferr error
-		defer func() { span.End(ferr) }()
-		span.SetAttr("kind", "stage")
-		ob.StageStart(name)
-		t0 := time.Now()
-		ferr = fn(sctx)
-		elapsed := time.Since(t0)
+		// The span carries the raw stage error; the StageError wrap is
+		// for callers.
+		elapsed, err := obs.Stage(ctx, name, fn)
 		res.Timings = append(res.Timings, StageTiming{Name: name, Elapsed: elapsed})
-		ob.StageDone(name, elapsed, ferr)
-		if ferr != nil {
-			return &StageError{Stage: name, Err: ferr}
+		if err != nil {
+			return &StageError{Stage: name, Err: err}
 		}
 		return nil
 	}
@@ -403,7 +385,7 @@ func newStageRunner(ctx context.Context, ob Observer, res *Result) func(name str
 // it is called with.
 func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
 	cfg, store := p.cfg, p.cfg.ArtifactStore
-	stage := newStageRunner(ctx, cfg.observer(), sc.res)
+	stage := newStageRunner(ctx, sc.res)
 	// Handles of the preoperative artifacts later pure stages key on.
 	var (
 		labels *handle[*volume.Labels]
@@ -573,8 +555,8 @@ func (p *Pipeline) stageSurfaceDisplace(ctx context.Context, sc *scan) error {
 // stageSolve runs the biomechanical simulation. Cold, it eliminates the
 // surface-displacement boundary conditions into the assembled system
 // and solves from zero; the assembly work counters travel with the
-// cached System, so the observer and trace attributes report them
-// identically on hit and miss runs. Warm, it patches the right-hand
+// cached System, so the stage span reports them identically on hit and
+// miss runs. Warm, it patches the right-hand
 // side for the boundary displacements that changed, keeps the stiffness
 // matrix and its preconditioner factors, and starts GMRES from the
 // previous displacement field.
@@ -594,9 +576,8 @@ func (p *Pipeline) stageSolve(ctx context.Context, sc *scan, warm bool) error {
 		sr, err = warmSolve(ctx, sys, bc, sc.prevU, sopts, upd)
 	} else {
 		snap := sys.Assembly.Snapshot()
-		cfg.observer().StageCounters(StageSolve, snap)
-		sp.SetAttr("assembly_flops", snap.TotalFlops)
-		sp.SetAttr("assembly_imbalance", snap.Imbalance)
+		sp.SetAttr(obs.AttrAssemblyFlops, snap.TotalFlops)
+		sp.SetAttr(obs.AttrAssemblyImbalance, snap.Imbalance)
 		sr, err = coldSolve(ctx, sys, bc, sopts)
 	}
 	if sr != nil {

@@ -53,8 +53,8 @@ type Session struct {
 	preopLabels *volume.Labels
 	// base is the baseline of the last good (neither failed nor
 	// degraded) scan; nil before the first.
-	base    *baseline
-	results []*Result
+	base  *baseline
+	scans int
 }
 
 // NewSession prepares a surgical session from the preoperative data.
@@ -131,7 +131,7 @@ func (s *Session) run(ctx context.Context, intraop *volume.Scalar, from baseline
 		base := sc.baseline
 		s.base = &base
 	}
-	s.results = append(s.results, res)
+	s.scans++
 	return res, nil
 }
 
@@ -139,18 +139,9 @@ func (s *Session) run(ctx context.Context, intraop *volume.Scalar, from baseline
 // available for Update to build on.
 func (s *Session) HasBaseline() bool { return s.base != nil }
 
-// SetObserver installs (or clears, with nil) the observer receiving
-// per-stage events of subsequent Register/Update calls. It must not be
-// called while a scan is in flight.
-func (s *Session) SetObserver(obs Observer) {
-	s.pipeline.cfg.Observer = obs
-}
-
-// ScanCount returns the number of scans registered so far.
-func (s *Session) ScanCount() int { return len(s.results) }
-
-// Results returns all registration results in acquisition order.
-func (s *Session) Results() []*Result { return s.results }
+// ScanCount returns the number of scans delivered so far (degraded ones
+// included). The session keeps no Result: each belongs to its caller.
+func (s *Session) ScanCount() int { return s.scans }
 
 // PrototypeCount returns the size of the shared statistical model (0
 // before the first scan).

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/phantom"
 	"repro/internal/volume"
@@ -43,7 +45,7 @@ func TestSessionMultipleScans(t *testing.T) {
 	if got := sess.PrototypeCount(); got > nProto || got < nProto/2 {
 		t.Errorf("prototype count %d after refresh, had %d", got, nProto)
 	}
-	if sess.ScanCount() != 2 || len(sess.Results()) != 2 {
+	if sess.ScanCount() != 2 {
 		t.Errorf("scan count = %d", sess.ScanCount())
 	}
 	// Both registrations must beat rigid-only at the boundary.
@@ -116,5 +118,38 @@ func TestSessionValidation(t *testing.T) {
 	}
 	if sess.ScanCount() != 0 {
 		t.Error("failed scan was recorded")
+	}
+}
+
+// TestSessionHoldsNoResult: a Result belongs to its caller. Once the
+// caller drops it the collector may take it — five dense volumes per
+// scan — while the session, which only counts its scans, lives on.
+func TestSessionHoldsNoResult(t *testing.T) {
+	c := testCase(24)
+	sess, err := NewSession(fastConfig(), c.Preop, c.PreopLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	func() {
+		res, err := sess.Register(context.Background(), c.Intraop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(res, func(*Result) { close(freed) })
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-freed:
+			if sess.ScanCount() != 1 || !sess.HasBaseline() {
+				t.Errorf("session lost its state: %d scans, baseline %v", sess.ScanCount(), sess.HasBaseline())
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the session still pins a Result its caller dropped")
+		}
 	}
 }

@@ -152,13 +152,7 @@ func TestUpdateCancellationMidUpdate(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sess.SetObserver(FuncObserver{OnStart: func(stage string) {
-		if stage == StageSurface {
-			cancel()
-		}
-	}})
-	_, uerr := sess.Update(ctx, c2.Intraop)
-	sess.SetObserver(nil)
+	_, uerr := sess.Update(atStage(ctx, StageSurface, cancel), c2.Intraop)
 	if !errors.Is(uerr, context.Canceled) {
 		t.Fatalf("mid-update cancellation: err = %v, want context.Canceled", uerr)
 	}
@@ -199,13 +193,7 @@ func TestUpdateDeadlineDegradesClinically(t *testing.T) {
 
 	model := modelOf(sess)
 	ctx := newExpirableCtx()
-	sess.SetObserver(FuncObserver{OnStart: func(stage string) {
-		if stage == StageSolve {
-			ctx.expire()
-		}
-	}})
-	res, err := sess.Update(ctx, c2.Intraop)
-	sess.SetObserver(nil)
+	res, err := sess.Update(atStage(ctx, StageSolve, ctx.expire), c2.Intraop)
 	if err != nil {
 		t.Fatalf("deadline after surface must degrade, not fail: %v", err)
 	}
@@ -273,13 +261,7 @@ func TestFailedScanLeavesModelUntouched(t *testing.T) {
 				ctx, stop = ectx, ectx.expire
 			}
 			defer stop()
-			sess.SetObserver(FuncObserver{OnStart: func(stage string) {
-				if stage == StageSolve {
-					stop()
-				}
-			}})
-			res, err := tc.scan(sess, ctx)
-			sess.SetObserver(nil)
+			res, err := tc.scan(sess, atStage(ctx, StageSolve, stop))
 			if tc.cancel {
 				var se *StageError
 				if !errors.Is(err, context.Canceled) || !errors.As(err, &se) || se.Stage != StageSolve {

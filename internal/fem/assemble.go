@@ -199,13 +199,6 @@ func AssembleContext(ctx context.Context, m *mesh.Mesh, mats Table, pt par.Parti
 		span.SetAttr("imbalance", snap.Imbalance)
 		span.SetAttr("elements", m.NumTets())
 		span.SetAttr("nodes", m.NumNodes())
-		obs.Emit(ctx, obs.EventFEMAssembly, map[string]any{
-			"ranks":     snap.Ranks,
-			"flops":     snap.TotalFlops,
-			"imbalance": snap.Imbalance,
-			"elements":  m.NumTets(),
-			"nodes":     m.NumNodes(),
-		})
 	}
 	return sys, err
 }

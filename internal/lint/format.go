@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"path/filepath"
+	"strings"
 )
 
 // This file renders a finding list in the three report formats
@@ -112,16 +114,14 @@ type sarifRegion struct {
 }
 
 // pseudoRules are finding sources that are not Analyzers: the directive
-// scanner and the baseline cross-check.
+// scanner.
 var pseudoRules = []sarifRule{
 	{ID: "lint", ShortDescription: sarifMessage{
 		Text: "//lint: directive syntax: ignore needs an analyzer and a reason; phase and coordspace arguments must parse"}},
-	{ID: "baseline", ShortDescription: sarifMessage{
-		Text: "the committed baseline must match the tree: no unregistered waivers, no stale entries"}},
 }
 
 // WriteSARIF renders findings as a SARIF 2.1.0 log with one run whose
-// rules are the analyzer roster (plus the lint/baseline pseudo-rules),
+// rules are the analyzer roster (plus the lint pseudo-rule),
 // suitable for GitHub code scanning upload. File URIs are relativized
 // to root under the %SRCROOT% base id.
 func WriteSARIF(w io.Writer, root string, findings []Finding, analyzers []Analyzer) error {
@@ -136,8 +136,7 @@ func WriteSARIF(w io.Writer, root string, findings []Finding, analyzers []Analyz
 
 	results := make([]sarifResult, 0, len(findings))
 	for _, f := range findings {
-		// Findings carry positions in real source; baseline staleness
-		// diagnostics point at the baseline file itself with no line.
+		// SARIF regions are 1-based; clamp a position-less finding.
 		region := sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column}
 		if region.StartLine < 1 {
 			region.StartLine = 1
@@ -176,4 +175,13 @@ func WriteSARIF(w io.Writer, root string, findings []Finding, analyzers []Analyz
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
+}
+
+// relPath maps an absolute source position to the module-relative
+// forward-slash form reports are keyed by.
+func relPath(root, filename string) string {
+	if rel, err := filepath.Rel(root, filename); err == nil && !strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(rel)
+	}
+	return filepath.ToSlash(filename)
 }

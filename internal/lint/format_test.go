@@ -13,8 +13,8 @@ func sampleFindings() []Finding {
 			Analyzer: "phaseorder", Msg: `Solve requires phase "bc-applied" which is not established on every path to this call`},
 		{Pos: token.Position{Filename: "/mod/internal/par/pool.go", Line: 40, Column: 2},
 			Analyzer: "concsafe", Msg: "go statement spawns a goroutine with no deferred WaitGroup.Done, completion send, or recover"},
-		{Pos: token.Position{Filename: ".simlint-baseline.json"},
-			Analyzer: "baseline", Msg: "stale baseline finding: internal/x.go: ctxflow: gone; delete its entry"},
+		{Pos: token.Position{Filename: "/mod/internal/x.go"},
+			Analyzer: "lint", Msg: "//lint:ignore needs an analyzer name and a reason"},
 	}
 }
 

@@ -69,7 +69,6 @@ func Analyzers() []Analyzer {
 	return []Analyzer{
 		ctxprop{},
 		spanend{},
-		metricname{},
 		errwrap{},
 		floateq{},
 		hotalloc{},
@@ -83,13 +82,12 @@ func Analyzers() []Analyzer {
 		detguard{},
 		shapecheck{},
 		precguard{},
-		deprecated{},
 	}
 }
 
 // Result is the complete outcome of one suite run: the surviving
-// findings, plus every //lint:ignore waiver encountered so the caller
-// can check them against the committed baseline's waiver registry.
+// findings, plus every //lint:ignore waiver encountered — the module
+// carries none, which TestModuleIsSimlintClean pins.
 type Result struct {
 	Findings []Finding
 	Waivers  []WaiverUse
@@ -127,50 +125,8 @@ func RunAll(pkgs []*Package, analyzers []Analyzer) Result {
 	return mergeResults(results)
 }
 
-// RunAllCached is RunAll with a package-level result cache: packages
-// whose key (own sources + module-internal import closure + analyzer
-// roster + linter sources) is already stored skip analysis entirely and
-// replay the stored findings and waivers. The merged report is
-// byte-identical to an uncached run — the cache only changes where the
-// per-package results come from, not what they contain. A nil cache
-// degrades to RunAll.
-func RunAllCached(pkgs []*Package, analyzers []Analyzer, c *Cache) (Result, CacheStats) {
-	if c == nil {
-		return RunAll(pkgs, analyzers), CacheStats{}
-	}
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name()] = true
-	}
-	results := make([]Result, len(pkgs))
-	hits := make([]bool, len(pkgs))
-	var wg sync.WaitGroup
-	wg.Add(len(pkgs))
-	for i, pkg := range pkgs {
-		go func(i int, pkg *Package) {
-			defer wg.Done()
-			if r, ok := c.get(pkg); ok {
-				results[i], hits[i] = r, true
-				return
-			}
-			results[i] = runPackage(pkg, analyzers, known)
-			c.put(pkg, results[i])
-		}(i, pkg)
-	}
-	wg.Wait()
-	var stats CacheStats
-	for _, h := range hits {
-		if h {
-			stats.Hits++
-		} else {
-			stats.Misses++
-		}
-	}
-	return mergeResults(results), stats
-}
-
 // runPackage executes the suite over one package and applies its
-// //lint:ignore suppressions: the unit of work the cache stores.
+// //lint:ignore suppressions.
 func runPackage(pkg *Package, analyzers []Analyzer, known map[string]bool) Result {
 	sup, waivers, diags := suppressions(pkg, known)
 	r := Result{Findings: diags, Waivers: waivers}

@@ -38,8 +38,8 @@ var knownDirectives = map[string]bool{
 	"precision":  true, // storage/accumulation precision contract; see precguard.go
 }
 
-// WaiverUse records one //lint:ignore occurrence, so the baseline can
-// check that every in-source waiver is registered with a reason.
+// WaiverUse records one //lint:ignore occurrence, so a run can report
+// every waiver the tree carries alongside its findings.
 type WaiverUse struct {
 	Pos      token.Position
 	Analyzer string
@@ -51,7 +51,7 @@ type WaiverUse struct {
 var phaseNameRe = regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
 
 // suppressions scans a package's comments for //lint: directives. It
-// returns the ignore index, the waiver uses for the baseline check, and
+// returns the ignore index, the waiver uses, and
 // diagnostics (under the "lint" pseudo-analyzer) for malformed
 // directives: a missing reason, an unknown analyzer name, an unknown
 // directive verb, or bad //lint:phase / //lint:coordspace syntax.

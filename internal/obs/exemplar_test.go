@@ -8,7 +8,7 @@ import (
 
 func TestHistogramExemplarRenderingOpenMetrics(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("brainsim_scan_seconds", "scan latency", []float64{1, 10})
+	h := reg.Histogram(histogram("brainsim_scan_seconds", "scan latency", []float64{1, 10}))
 	h.Observe(0.5)
 	h.ObserveExemplar(5, "trace_id", "j000042")
 	h.ObserveExemplar(100, "trace_id", "j000043")
@@ -38,7 +38,7 @@ func TestHistogramExemplarRenderingOpenMetrics(t *testing.T) {
 
 func TestHistogramExemplarNewestWins(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("brainsim_scan_seconds", "", []float64{10})
+	h := reg.Histogram(histogram("brainsim_scan_seconds", "", []float64{10}))
 	h.ObserveExemplar(3, "trace_id", "j000001")
 	h.ObserveExemplar(4, "trace_id", "j000002")
 	var b strings.Builder
@@ -59,7 +59,7 @@ func TestPrometheusTextFormatHasNoExemplars(t *testing.T) {
 	// scraper fails the whole scrape on a '#' after the value — so
 	// WritePrometheus must render exemplar-annotated histograms plain.
 	reg := NewRegistry()
-	h := reg.Histogram("brainsim_scan_seconds", "scan latency", []float64{1, 10})
+	h := reg.Histogram(histogram("brainsim_scan_seconds", "scan latency", []float64{1, 10}))
 	h.ObserveExemplar(5, "trace_id", "j000042")
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -82,7 +82,7 @@ func TestHistogramWithoutExemplarsUnchanged(t *testing.T) {
 	// Plain Observe must keep the exposition byte-identical to the
 	// pre-exemplar format: no stray " #" anywhere.
 	reg := NewRegistry()
-	h := reg.Histogram("brainsim_scan_seconds", "", []float64{1, 10})
+	h := reg.Histogram(histogram("brainsim_scan_seconds", "", []float64{1, 10}))
 	for _, v := range []float64{0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -104,7 +104,7 @@ func TestOpenMetricsCounterMetadataName(t *testing.T) {
 	// OpenMetrics announces a counter under its metadata name — the
 	// sample name without the mandatory _total suffix.
 	reg := NewRegistry()
-	reg.Counter(MetricScans, "finished scans").Inc()
+	reg.Counter(MetricScans).Inc()
 	var b strings.Builder
 	if err := reg.WriteOpenMetrics(&b); err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestOpenMetricsCounterMetadataName(t *testing.T) {
 
 func TestMetricsHandlerContentNegotiation(t *testing.T) {
 	reg := NewRegistry()
-	reg.Histogram("brainsim_scan_seconds", "scan latency", []float64{1, 10}).
+	reg.Histogram(histogram("brainsim_scan_seconds", "scan latency", []float64{1, 10})).
 		ObserveExemplar(5, "trace_id", "j000042")
 	h := reg.Handler()
 

@@ -88,6 +88,21 @@ func (r *FlightRecorder) Record(rec FlightRecord) {
 	r.mu.Unlock()
 }
 
+// SpanStarted implements Sink; the ring records finished spans only.
+func (r *FlightRecorder) SpanStarted(SpanInfo) {}
+
+// SpanEnded implements Sink. Records land in the ring in End order, so
+// the record is stamped with the end time — dumps stay monotonically
+// timestamped (the start is recoverable as Time - DurMS; the trace
+// stream's SpanRecord keeps Start).
+func (r *FlightRecorder) SpanEnded(f FinishedSpan) {
+	r.Record(FlightRecord{
+		Time: f.Start.Add(f.Dur), Kind: "span", Session: f.Session, Job: f.Job,
+		Span: f.Name, SpanID: f.ID, Trace: f.Trace, Name: f.Name,
+		DurMS: f.durMS(), Err: f.errString(), Attrs: f.Attrs,
+	})
+}
+
 // Len reports how many records are currently retained.
 func (r *FlightRecorder) Len() int {
 	if r == nil {
@@ -172,7 +187,7 @@ func ReadFlightRecords(r io.Reader) ([]FlightRecord, error) {
 }
 
 const (
-	sessionIDKey ctxKey = iota + 16 // offset clear of the tracer/span keys
+	sessionIDKey ctxKey = iota + 16 // offset clear of the sink/span keys
 	jobIDKey
 	recorderKey
 )
@@ -201,11 +216,14 @@ func JobIDFromContext(ctx context.Context) string {
 	return id
 }
 
-// WithFlightRecorder returns a context carrying the flight recorder;
-// spans ended, events emitted and log records handled under it are
-// recorded there.
+// WithFlightRecorder returns a context carrying the flight recorder:
+// it is a Sink for the spans ended under the context, and events
+// emitted and log records handled under it are recorded there too.
 func WithFlightRecorder(ctx context.Context, r *FlightRecorder) context.Context {
-	return context.WithValue(ctx, recorderKey, r)
+	if r == nil {
+		return ctx
+	}
+	return context.WithValue(WithSink(ctx, r), recorderKey, r)
 }
 
 // FlightRecorderFromContext returns the context's flight recorder, or
@@ -216,14 +234,14 @@ func FlightRecorderFromContext(ctx context.Context) *FlightRecorder {
 }
 
 // Emit records one structured event into the context's flight recorder,
-// stamped with the session/job identity and the innermost span. Event
-// names come from the EventNames vocabulary; attrs must be
+// stamped with the session/job identity and the innermost span. Events
+// are the descriptors declared in names.go; attrs must be
 // JSON-serializable (non-finite floats are stringified, as in
 // Span.SetAttr; the caller's map is never modified and may be reused).
 // Without a recorder on the context Emit is a no-op, so
 // instrumented code needs no guards; the per-call cost is two context
 // lookups.
-func Emit(ctx context.Context, name string, attrs map[string]any) {
+func Emit(ctx context.Context, ev Event, attrs map[string]any) {
 	r := FlightRecorderFromContext(ctx)
 	if r == nil {
 		return
@@ -248,7 +266,7 @@ func Emit(ctx context.Context, name string, attrs map[string]any) {
 		Kind:    "event",
 		Session: SessionIDFromContext(ctx),
 		Job:     JobIDFromContext(ctx),
-		Name:    name,
+		Name:    ev.name,
 		Attrs:   copied,
 	}
 	if sp := SpanFromContext(ctx); sp != nil {

@@ -57,7 +57,7 @@ func TestFlightRecordJSONLRoundTrip(t *testing.T) {
 			SpanID: 3, Trace: 1, Name: "fem.solve", DurMS: 12.5,
 			Attrs: map[string]any{"iterations": 17.0}},
 		{Kind: "log", Session: "or-1", Level: "WARN", Name: "solver did not converge"},
-		{Kind: "event", Name: EventJobShed, Attrs: map[string]any{"reason": "queue full"}},
+		{Kind: "event", Name: EventJobShed.String(), Attrs: map[string]any{"reason": "queue full"}},
 	}
 	var buf bytes.Buffer
 	if err := WriteFlightRecords(&buf, recs); err != nil {
@@ -82,7 +82,7 @@ func TestFlightRecordJSONLRoundTrip(t *testing.T) {
 	if back[1].Level != "WARN" {
 		t.Errorf("log level mangled: %+v", back[1])
 	}
-	if back[2].Name != EventJobShed {
+	if back[2].Name != EventJobShed.String() {
 		t.Errorf("event name mangled: %+v", back[2])
 	}
 }
@@ -106,7 +106,7 @@ func TestEmitStampsContextIdentity(t *testing.T) {
 		t.Fatalf("records = %d, want 2 (event + span end)", len(snap))
 	}
 	ev := snap[0]
-	if ev.Kind != "event" || ev.Name != EventSolverSolve {
+	if ev.Kind != "event" || ev.Name != EventSolverSolve.String() {
 		t.Fatalf("first record = %+v, want the solver.solve event", ev)
 	}
 	if ev.Session != "or-7" || ev.Job != "j000042" {

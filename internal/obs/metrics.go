@@ -8,15 +8,17 @@
 //
 //   - a metrics Registry of counters, gauges and fixed-bucket latency
 //     histograms (with p50/p90/p99 summaries), rendered in the
-//     Prometheus text exposition format;
-//   - hierarchical span tracing carried on context.Context and emitted
-//     as JSONL structured events (see Tracer/Span in trace.go);
-//   - a StageCollector adapter that feeds pipeline Observer events into
-//     a Registry under one shared metric-name vocabulary.
+//     Prometheus text exposition format, keyed by the Metric
+//     descriptors declared once in names.go;
+//   - hierarchical span tracing carried on context.Context; a finished
+//     span is built once and handed to every Sink on the context (the
+//     JSONL Tracer, the FlightRecorder, the StageSink — see trace.go);
+//   - the StageSink, the one consumer of stage spans: a run's live
+//     stage timeline plus the per-stage registry metrics.
 //
-// Everything here uses only the standard library (plus the par counter
-// types); it must stay importable from the innermost numerical packages
-// without creating dependency cycles.
+// Everything here uses only the standard library; it must stay
+// importable from the innermost numerical packages without creating
+// dependency cycles.
 package obs
 
 import (
@@ -129,8 +131,8 @@ type family struct {
 // Registry holds named metric instruments and renders them in the
 // Prometheus text exposition format. All methods are safe for
 // concurrent use; instrument getters are get-or-create and idempotent,
-// so call sites can re-resolve instruments by name instead of threading
-// handles around.
+// so call sites can re-resolve instruments by descriptor instead of
+// threading handles around.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -141,20 +143,21 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// lookup returns (creating if needed) the instrument for name+labels,
-// constructing new instances with mk. Registering one name under two
-// metric types is a programming error and panics.
-func (r *Registry) lookup(name, typ, help string, labels []Label, mk func() instrument) instrument {
+// lookup returns (creating if needed) the instrument of family m with
+// the given labels, constructing new instances with mk. Asking for a
+// family under a kind it was not declared with is a programming error
+// and panics, as does the zero Metric.
+func (r *Registry) lookup(m Metric, kind string, labels []Label, mk func() instrument) instrument {
+	if m.kind != kind {
+		panic(fmt.Sprintf("obs: metric %q declared as %q, used as %s", m.name, m.kind, kind))
+	}
 	key := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, ok := r.families[name]
+	f, ok := r.families[m.name]
 	if !ok {
-		f = &family{typ: typ, help: help, inst: make(map[string]instrument)}
-		r.families[name] = f
-	}
-	if f.typ != typ {
-		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.typ, typ))
+		f = &family{typ: kind, help: m.help, inst: make(map[string]instrument)}
+		r.families[m.name] = f
 	}
 	in, ok := f.inst[key]
 	if !ok {
@@ -165,21 +168,20 @@ func (r *Registry) lookup(name, typ, help string, labels []Label, mk func() inst
 	return in
 }
 
-// Counter returns the counter for name+labels, creating it on first use.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.lookup(name, "counter", help, labels, func() instrument { return &Counter{} }).(*Counter)
+// Counter returns the counter of m with labels, creating it on first use.
+func (r *Registry) Counter(m Metric, labels ...Label) *Counter {
+	return r.lookup(m, "counter", labels, func() instrument { return &Counter{} }).(*Counter)
 }
 
-// Gauge returns the gauge for name+labels, creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.lookup(name, "gauge", help, labels, func() instrument { return &Gauge{} }).(*Gauge)
+// Gauge returns the gauge of m with labels, creating it on first use.
+func (r *Registry) Gauge(m Metric, labels ...Label) *Gauge {
+	return r.lookup(m, "gauge", labels, func() instrument { return &Gauge{} }).(*Gauge)
 }
 
-// Histogram returns the histogram for name+labels, creating it with the
-// given bucket upper bounds on first use (later calls may pass nil
-// buckets to re-resolve an existing instrument).
-func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	return r.lookup(name, "histogram", help, labels, func() instrument { return newHistogram(buckets) }).(*Histogram)
+// Histogram returns the histogram of m with labels, creating it over
+// the descriptor's bucket bounds on first use.
+func (r *Registry) Histogram(m Metric, labels ...Label) *Histogram {
+	return r.lookup(m, "histogram", labels, func() instrument { return newHistogram(m.buckets) }).(*Histogram)
 }
 
 // WritePrometheus renders every registered instrument in the Prometheus

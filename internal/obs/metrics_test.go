@@ -10,17 +10,17 @@ import (
 
 func TestCounterAndGauge(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c_total", "help")
+	c := r.Counter(counter("c_total", "help"))
 	c.Inc()
 	c.Add(2.5)
 	c.Add(-7) // counters only rise
 	if v := c.Value(); v != 3.5 {
 		t.Errorf("counter = %v, want 3.5", v)
 	}
-	if again := r.Counter("c_total", ""); again != c {
+	if again := r.Counter(counter("c_total", "help")); again != c {
 		t.Error("counter lookup not idempotent")
 	}
-	g := r.Gauge("g", "help")
+	g := r.Gauge(gauge("g", "help"))
 	g.Set(4)
 	g.Add(-1)
 	g.SetMax(2) // below current: ignored
@@ -32,13 +32,12 @@ func TestCounterAndGauge(t *testing.T) {
 
 func TestRegistryTypeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("m", "")
 	defer func() {
 		if recover() == nil {
-			t.Error("re-registering a counter as a gauge did not panic")
+			t.Error("asking for a counter descriptor as a gauge did not panic")
 		}
 	}()
-	r.Gauge("m", "")
+	r.Gauge(counter("m", ""))
 }
 
 func TestHistogramQuantilesUniform(t *testing.T) {
@@ -128,10 +127,10 @@ func TestHistogramBucketEdges(t *testing.T) {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zz_total", "last alphabetically").Inc()
-	r.Counter("aa_total", "first alphabetically",
+	r.Counter(counter("zz_total", "last alphabetically")).Inc()
+	r.Counter(counter("aa_total", "first alphabetically"),
 		Label{Key: "stage", Value: `tricky "quoted"` + "\nnewline"}).Add(2)
-	r.Histogram("hist_seconds", "a histogram", []float64{1}).Observe(0.5)
+	r.Histogram(histogram("hist_seconds", "a histogram", []float64{1})).Observe(0.5)
 	var b strings.Builder
 	r.WritePrometheus(&b)
 	out := b.String()
@@ -160,9 +159,9 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Counter("ops_total", "").Inc()
-				r.Gauge("depth", "").Set(float64(i))
-				r.Histogram("lat_seconds", "", nil,
+				r.Counter(counter("ops_total", "")).Inc()
+				r.Gauge(gauge("depth", "")).Set(float64(i))
+				r.Histogram(histogram("lat_seconds", "", nil),
 					Label{Key: "w", Value: string(rune('a' + w%4))}).Observe(float64(i) / 100)
 			}
 		}(w)
@@ -172,7 +171,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		r.WritePrometheus(&b)
 	}
 	wg.Wait()
-	if v := r.Counter("ops_total", "").Value(); v != 8*200 {
+	if v := r.Counter(counter("ops_total", "")).Value(); v != 8*200 {
 		t.Errorf("ops_total = %v, want %d", v, 8*200)
 	}
 }

@@ -1,15 +1,13 @@
 package obs
 
-// The brainsim telemetry vocabulary: every span name, metric name and
-// structured-event name the simulator's instrumentation emits, in one
-// place. Pipeline stage spans use the core.Stage* constants (the stage
+// The brainsim telemetry vocabulary: every span name, metric and
+// structured event the simulator's instrumentation emits, in one place.
+// Pipeline stage spans use the core.Stage* constants (the stage
 // vocabulary of internal/core); everything below a stage uses the span
-// names here. Tooling that consumes the telemetry — dashboards over the
-// /metrics exposition, the JSONL trace stream, flight-recorder dumps —
-// and the simlint `spanend` and `metricname` analyzers, which reject
-// span- or metric-name literals outside this vocabulary, all key off
-// these lists; adding a span, metric or event means adding its name
-// here first.
+// names here, which the simlint `spanend` analyzer checks literals
+// against. Metrics and events are sealed descriptor values: the
+// registry and Emit accept nothing else and only this package can mint
+// one, so adding a metric or event means declaring it here.
 const (
 	// SpanPipelineRun is the root span of one intraoperative
 	// registration (parents the six stage spans).
@@ -58,200 +56,151 @@ func KnownSpanName(name string) bool {
 	return ok
 }
 
-// Metric names. The service layer, cmd/brainsim, cmd/benchobs and the
-// runtime collector all publish under this vocabulary, so dashboards
-// built against one surface work against the others. The simlint
-// `metricname` analyzer rejects Registry.Counter/Gauge/Histogram calls
-// whose name literal is not registered here.
-const (
-	// MetricStageSeconds is the per-stage latency histogram family,
-	// labeled {stage="..."} with the core.Stage* names.
-	MetricStageSeconds = "brainsim_stage_seconds"
-	// MetricStageErrors counts stage executions that failed (including
-	// context cancellations), labeled {stage="..."}.
-	MetricStageErrors = "brainsim_stage_errors_total"
-	// MetricAssemblyFlops totals the per-rank FEM assembly work.
-	MetricAssemblyFlops = "brainsim_assembly_flops_total"
-	// MetricAssemblyImbalance is the most recent max/mean per-rank
-	// assembly work ratio (1.0 = perfectly balanced).
-	MetricAssemblyImbalance = "brainsim_assembly_imbalance"
-	// MetricAssemblyImbalanceMax is the worst imbalance seen — the
-	// quantity the paper's load-balancing discussion revolves around.
-	MetricAssemblyImbalanceMax = "brainsim_assembly_imbalance_max"
+// Metric describes one metric family: its name, help text, kind and
+// (for histograms) bucket bounds, each stated once in the declarations
+// below. Registry.Counter/Gauge/Histogram take a Metric, never a
+// string, and the fields are unexported, so a name that is not
+// declared in this file cannot reach a registry.
+type Metric struct {
+	name, help, kind string
+	buckets          []float64
+}
 
-	// MetricSubmissions counts scan submissions accepted into the queue.
-	MetricSubmissions = "brainsim_submissions_total"
-	// MetricShed counts submissions rejected with a full queue (load
-	// shedding, including early elective-QoS shedding).
-	MetricShed = "brainsim_shed_total"
-	// MetricScans counts finished scans, labeled {outcome="..."}.
-	MetricScans = "brainsim_scans_total"
-	// MetricScanSeconds is the per-scan worker wall-clock histogram,
-	// labeled {kind="register"|"update"}; its buckets carry job-ID
-	// exemplars linking a latency bucket to a concrete trace.
-	MetricScanSeconds = "brainsim_scan_seconds"
-	// MetricQueueDepth gauges accepted scans waiting for a worker.
-	MetricQueueDepth = "brainsim_queue_depth"
-	// MetricQueueCapacity gauges the configured queue bound.
-	MetricQueueCapacity = "brainsim_queue_capacity"
-	// MetricWorkersAlive gauges live worker-pool goroutines.
-	MetricWorkersAlive = "brainsim_workers_alive"
-	// MetricJobsEvicted counts finished jobs evicted from the bounded
-	// admin retention window.
-	MetricJobsEvicted = "brainsim_jobs_evicted_total"
-	// MetricStageEventsDropped counts per-job stage events dropped
-	// because a job exceeded its bounded event history.
-	MetricStageEventsDropped = "brainsim_stage_events_dropped_total"
+// String returns the family name as it appears on /metrics.
+func (m Metric) String() string { return m.name }
 
-	// MetricUpdateFallbacks counts update submissions that ran as full
-	// registrations because the session had no baseline.
-	MetricUpdateFallbacks = "brainsim_update_fallbacks_total"
-	// MetricWarmItersSaved totals GMRES iterations saved by warm starts.
-	MetricWarmItersSaved = "brainsim_warmstart_iterations_saved_total"
-	// MetricPCCache counts preconditioner-cache outcomes,
-	// labeled {result="hit"|"miss"}.
-	MetricPCCache = "brainsim_pc_cache_total"
+func counter(name, help string) Metric { return Metric{name: name, help: help, kind: "counter"} }
+func gauge(name, help string) Metric   { return Metric{name: name, help: help, kind: "gauge"} }
+func histogram(name, help string, buckets []float64) Metric {
+	return Metric{name: name, help: help, kind: "histogram", buckets: buckets}
+}
 
-	// MetricSolverIterationsTotal totals GMRES iterations across scans.
-	MetricSolverIterationsTotal = "brainsim_solver_iterations_total"
-	// MetricSolverIterations is the per-solve iteration-count histogram —
-	// the "why did this session take 40 iterations" distribution.
-	MetricSolverIterations = "brainsim_solver_iterations"
-	// MetricSolverEntryResidual is the per-solve entry relative residual
-	// histogram (1.0 = cold start; ≪ 1 = effective warm start).
-	MetricSolverEntryResidual = "brainsim_solver_entry_residual"
-	// MetricSolverSolves counts completed biomechanical solves, labeled
-	// {converged="true"|"false"}.
-	MetricSolverSolves = "brainsim_solver_solves_total"
-	// MetricSolverNonConverged counts delivered scans whose solve hit
-	// MaxIter without reaching tolerance.
-	MetricSolverNonConverged = "brainsim_solver_nonconverged_total"
-	// MetricSolverRestarts totals GMRES restart cycles beyond the first.
-	MetricSolverRestarts = "brainsim_solver_restarts_total"
-	// MetricSolverStagnated totals restart cycles that reduced the
-	// residual by less than 1% — the stagnation-detection signal.
-	MetricSolverStagnated = "brainsim_solver_stagnated_cycles_total"
-	// MetricSolverDiverged counts solves in which some restart cycle
-	// ended with a larger residual than it entered with.
-	MetricSolverDiverged = "brainsim_solver_diverged_total"
+// The service layer, cmd/brainsim, the artifact store and the runtime
+// collector all publish under these descriptors, so dashboards built
+// against one surface work against the others.
+var (
+	// MetricStageSeconds is labeled {stage} with the core.Stage* names;
+	// MetricStageErrors includes context cancellations.
+	MetricStageSeconds = histogram("brainsim_stage_seconds",
+		"Pipeline stage wall-clock time in seconds.", DefaultLatencyBuckets)
+	MetricStageErrors = counter("brainsim_stage_errors_total",
+		"Pipeline stage executions that failed (including cancellations).")
+	MetricAssemblyFlops = counter("brainsim_assembly_flops_total",
+		"Total FEM assembly floating-point work across ranks.")
+	// MetricAssemblyImbalanceMax is the quantity the paper's
+	// load-balancing discussion revolves around (1.0 = balanced).
+	MetricAssemblyImbalanceMax = gauge("brainsim_assembly_imbalance_max",
+		"Worst max/mean per-rank FEM assembly work ratio observed.")
 
-	// MetricFlightDumps counts flight-recorder dumps by trigger,
-	// labeled {trigger="degraded"|"fallback"|"shed"|"nonconverged"|"failed"}.
-	MetricFlightDumps = "brainsim_flightrecorder_dumps_total"
+	MetricSubmissions = counter("brainsim_submissions_total",
+		"Scan submissions accepted into the queue.")
+	// MetricShed includes early elective-QoS shedding.
+	MetricShed = counter("brainsim_shed_total",
+		"Scan submissions rejected because the queue was full.")
+	// MetricScans is labeled {outcome="completed"|"degraded"|"canceled"|"failed"}.
+	MetricScans = counter("brainsim_scans_total", "Finished scans by outcome.")
+	// MetricScanSeconds is labeled {kind="register"|"update"}; its
+	// buckets carry job-ID exemplars linking a latency bucket to a
+	// concrete trace, and its update count is Metrics.Updates.
+	MetricScanSeconds = histogram("brainsim_scan_seconds",
+		"Worker wall-clock time per delivered scan by processing path.", DefaultLatencyBuckets)
+	MetricQueueDepth = gauge("brainsim_queue_depth",
+		"Accepted scans waiting for a worker.")
+	MetricQueueCapacity = gauge("brainsim_queue_capacity",
+		"Configured scan queue bound.")
+	MetricWorkersAlive = gauge("brainsim_workers_alive",
+		"Worker-pool goroutines currently running.")
+	MetricJobsEvicted = counter("brainsim_jobs_evicted_total",
+		"Finished jobs evicted from the bounded admin retention window.")
 
-	// MetricRuntimeHeapBytes gauges the live heap allocation.
-	MetricRuntimeHeapBytes = "brainsim_runtime_heap_alloc_bytes"
-	// MetricRuntimeGoroutines gauges the goroutine count.
-	MetricRuntimeGoroutines = "brainsim_runtime_goroutines"
-	// MetricRuntimeGCPauseSeconds is the histogram of individual GC
-	// stop-the-world pauses observed since the collector started.
-	MetricRuntimeGCPauseSeconds = "brainsim_runtime_gc_pause_seconds"
-	// MetricRuntimeGCCycles counts completed GC cycles.
-	MetricRuntimeGCCycles = "brainsim_runtime_gc_cycles_total"
+	MetricUpdateFallbacks = counter("brainsim_update_fallbacks_total",
+		"Update submissions that ran as full registrations (no baseline).")
+	MetricWarmItersSaved = counter("brainsim_warmstart_iterations_saved_total",
+		"GMRES iterations saved by warm-started incremental updates.")
+	// MetricPCCache is labeled {result="hit"|"miss"}.
+	MetricPCCache = counter("brainsim_pc_cache_total",
+		"Preconditioner cache outcomes of incremental solves.")
 
-	// MetricArtifactHits counts artifact-cache lookups served from the
-	// store (memory or disk), i.e. pipeline stages skipped entirely.
-	MetricArtifactHits = "brainsim_artifact_cache_hits_total"
-	// MetricArtifactMisses counts artifact-cache lookups that had to
-	// compute the stage and populate the store.
-	MetricArtifactMisses = "brainsim_artifact_cache_misses_total"
-	// MetricArtifactBytes gauges the bytes currently resident in the
-	// in-memory tier of the artifact cache.
-	MetricArtifactBytes = "brainsim_artifact_cache_bytes"
-	// MetricArtifactEvictions counts in-memory entries evicted by the
-	// LRU byte bound.
-	MetricArtifactEvictions = "brainsim_artifact_cache_evictions_total"
+	// MetricSolverIterations is the "why did this session take 40
+	// iterations" distribution, from warm-started few-iteration updates
+	// up to a MaxIter-bound cold solve; its _sum is the iteration total.
+	MetricSolverIterations = histogram("brainsim_solver_iterations",
+		"GMRES iterations per delivered solve.",
+		[]float64{1, 2, 5, 10, 20, 30, 50, 75, 100, 150, 200, 300, 500, 1000})
+	// MetricSolverEntryResidual: 1.0 is a cold start, anything well
+	// below it is a warm start paying off.
+	MetricSolverEntryResidual = histogram("brainsim_solver_entry_residual",
+		"Relative preconditioned residual of the initial iterate per solve.",
+		[]float64{1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1})
+	// MetricSolverSolves is labeled {converged="true"|"false"}; false
+	// counts delivered scans whose solve hit MaxIter short of tolerance.
+	MetricSolverSolves = counter("brainsim_solver_solves_total",
+		"Completed biomechanical solves by convergence.")
+	MetricSolverRestarts = counter("brainsim_solver_restarts_total",
+		"GMRES restart cycles beyond the first across delivered solves.")
+	// MetricSolverStagnated is the stagnation-detection signal.
+	MetricSolverStagnated = counter("brainsim_solver_stagnated_cycles_total",
+		"GMRES restart cycles that reduced the residual by less than 1%.")
+	MetricSolverDiverged = counter("brainsim_solver_diverged_total",
+		"Delivered solves in which a restart cycle increased the residual.")
+
+	// MetricFlightDumps is labeled
+	// {trigger="degraded"|"fallback"|"shed"|"nonconverged"|"failed"}.
+	MetricFlightDumps = counter("brainsim_flightrecorder_dumps_total",
+		"Automatic flight-recorder dumps by trigger.")
+
+	MetricRuntimeHeapBytes = gauge("brainsim_runtime_heap_alloc_bytes",
+		"Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).")
+	MetricRuntimeGoroutines = gauge("brainsim_runtime_goroutines",
+		"Live goroutine count.")
+	// MetricRuntimeGCPauseSeconds spans tens of microseconds in steady
+	// state up to tens of milliseconds when the heap is churning
+	// through a full re-register.
+	MetricRuntimeGCPauseSeconds = histogram("brainsim_runtime_gc_pause_seconds",
+		"Stop-the-world GC pause durations in seconds.", []float64{
+			25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
+			1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3,
+		})
+	MetricRuntimeGCCycles = counter("brainsim_runtime_gc_cycles_total",
+		"Completed GC cycles.")
+
+	// Hits are pipeline stages skipped entirely (memory or disk).
+	MetricArtifactHits = counter("brainsim_artifact_cache_hits_total",
+		"Artifact-cache lookups served from the store.")
+	MetricArtifactMisses = counter("brainsim_artifact_cache_misses_total",
+		"Artifact-cache lookups that recomputed the stage.")
+	MetricArtifactBytes = gauge("brainsim_artifact_cache_bytes",
+		"Bytes resident in the in-memory artifact tier.")
+	MetricArtifactEvictions = counter("brainsim_artifact_cache_evictions_total",
+		"In-memory artifact entries evicted by the LRU bound.")
 )
 
-// MetricNames maps each vocabulary metric name to a one-line
-// description (simlint -list, dashboards, docs).
-var MetricNames = map[string]string{
-	MetricStageSeconds:          "per-stage latency histogram {stage}",
-	MetricStageErrors:           "failed stage executions {stage}",
-	MetricAssemblyFlops:         "total FEM assembly floating-point work",
-	MetricAssemblyImbalance:     "most recent per-rank assembly imbalance",
-	MetricAssemblyImbalanceMax:  "worst per-rank assembly imbalance seen",
-	MetricSubmissions:           "scan submissions accepted into the queue",
-	MetricShed:                  "submissions rejected by load shedding",
-	MetricScans:                 "finished scans {outcome}",
-	MetricScanSeconds:           "per-scan wall-clock histogram {kind}, job-ID exemplars",
-	MetricQueueDepth:            "accepted scans waiting for a worker",
-	MetricQueueCapacity:         "configured scan queue bound",
-	MetricWorkersAlive:          "live worker-pool goroutines",
-	MetricJobsEvicted:           "jobs evicted from the admin retention window",
-	MetricStageEventsDropped:    "per-job stage events dropped at the history bound",
-	MetricUpdateFallbacks:       "updates that ran as full registrations",
-	MetricWarmItersSaved:        "GMRES iterations saved by warm starts",
-	MetricPCCache:               "preconditioner cache outcomes {result}",
-	MetricSolverIterationsTotal: "GMRES iterations across all delivered scans",
-	MetricSolverIterations:      "per-solve GMRES iteration-count histogram",
-	MetricSolverEntryResidual:   "per-solve entry relative residual histogram",
-	MetricSolverSolves:          "completed solves {converged}",
-	MetricSolverNonConverged:    "delivered scans whose solve hit MaxIter",
-	MetricSolverRestarts:        "GMRES restart cycles beyond the first",
-	MetricSolverStagnated:       "restart cycles with <1% residual reduction",
-	MetricSolverDiverged:        "solves with a residual-increasing cycle",
-	MetricFlightDumps:           "flight-recorder dumps {trigger}",
-	MetricRuntimeHeapBytes:      "live heap allocation bytes",
-	MetricRuntimeGoroutines:     "goroutine count",
-	MetricRuntimeGCPauseSeconds: "individual GC stop-the-world pauses",
-	MetricRuntimeGCCycles:       "completed GC cycles",
-	MetricArtifactHits:          "artifact-cache lookups served from the store",
-	MetricArtifactMisses:        "artifact-cache lookups that recomputed the stage",
-	MetricArtifactBytes:         "bytes resident in the in-memory artifact tier",
-	MetricArtifactEvictions:     "in-memory artifact entries evicted by the LRU bound",
-}
+// Event names one kind of structured event (see Emit and the flight
+// recorder). Events are point-in-time records — no duration, unlike
+// spans — describing a health-relevant state change; the taxonomy is
+// documented in DESIGN.md. Like Metric, only this file can mint one.
+type Event struct{ name string }
 
-// KnownMetricName reports whether name belongs to the metric
-// vocabulary.
-func KnownMetricName(name string) bool {
-	_, ok := MetricNames[name]
-	return ok
-}
+// String returns the event name as flight records carry it.
+func (e Event) String() string { return e.name }
 
-// Structured-event names (see Emit and the flight recorder). Events are
-// point-in-time records — no duration, unlike spans — describing a
-// health-relevant state change; the taxonomy is documented in DESIGN.md.
-const (
+var (
 	// EventSolverSolve is emitted once per GMRES solve with the
 	// convergence diagnosis: iterations, restarts, entry/final relative
 	// residuals, stagnated cycle count, divergence and convergence flags.
-	EventSolverSolve = "solver.solve"
-	// EventFEMAssembly is emitted per assembly with element/node counts
-	// and the per-rank work balance.
-	EventFEMAssembly = "fem.assembly"
+	EventSolverSolve = Event{"solver.solve"}
 	// EventFEMPatch is emitted per incremental Dirichlet patch with the
 	// number of DOFs whose prescribed displacement changed.
-	EventFEMPatch = "fem.patch"
+	EventFEMPatch = Event{"fem.patch"}
 	// EventJobFallback marks an update job that ran as a full
 	// registration because its session had no baseline.
-	EventJobFallback = "job.fallback"
+	EventJobFallback = Event{"job.fallback"}
 	// EventJobShed marks a submission rejected by load shedding.
-	EventJobShed = "job.shed"
-	// EventJobDegraded marks a job delivered as the rigid-only fallback.
-	EventJobDegraded = "job.degraded"
+	EventJobShed = Event{"job.shed"}
 	// EventJobFailed marks a job that finished with an error.
-	EventJobFailed = "job.failed"
+	EventJobFailed = Event{"job.failed"}
 	// EventPipelineDegraded is emitted by the core pipeline at the
-	// moment the deadline fallback fires, naming the interrupted stage —
-	// the in-flight counterpart of the service's job.degraded.
-	EventPipelineDegraded = "pipeline.degraded"
+	// moment the deadline fallback fires, naming the interrupted stage;
+	// under the service it carries the job id of the degraded job.
+	EventPipelineDegraded = Event{"pipeline.degraded"}
 )
-
-// EventNames maps each vocabulary event name to a one-line description.
-var EventNames = map[string]string{
-	EventSolverSolve:      "per-solve GMRES convergence diagnosis",
-	EventFEMAssembly:      "FEM assembly work and balance summary",
-	EventFEMPatch:         "incremental Dirichlet patch summary",
-	EventJobFallback:      "update ran as full registration (no baseline)",
-	EventJobShed:          "submission rejected by load shedding",
-	EventJobDegraded:      "job delivered as rigid-only fallback",
-	EventJobFailed:        "job finished with an error",
-	EventPipelineDegraded: "deadline fallback fired mid-pipeline",
-}
-
-// KnownEventName reports whether name belongs to the event vocabulary.
-func KnownEventName(name string) bool {
-	_, ok := EventNames[name]
-	return ok
-}

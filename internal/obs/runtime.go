@@ -5,14 +5,6 @@ import (
 	"sync"
 )
 
-// DefaultGCPauseBuckets spans stop-the-world GC pauses (seconds): tens
-// of microseconds in steady state, up to tens of milliseconds when the
-// heap is churning through a full re-register.
-var DefaultGCPauseBuckets = []float64{
-	25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
-	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3,
-}
-
 // RuntimeCollector samples Go runtime health — heap, goroutines, GC
 // cycles and pause times — into a Registry. A real-time solve that
 // suddenly misses its budget with healthy solver telemetry usually
@@ -70,15 +62,11 @@ func (c *RuntimeCollector) Sample() {
 
 	// Publish after releasing our own mutex — instrument locks and the
 	// collector lock never nest.
-	c.reg.Gauge(MetricRuntimeHeapBytes,
-		"Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).").Set(float64(ms.HeapAlloc))
-	c.reg.Gauge(MetricRuntimeGoroutines,
-		"Live goroutine count.").Set(float64(goroutines))
-	c.reg.Counter(MetricRuntimeGCCycles,
-		"Completed GC cycles.").Add(float64(newGC))
+	c.reg.Gauge(MetricRuntimeHeapBytes).Set(float64(ms.HeapAlloc))
+	c.reg.Gauge(MetricRuntimeGoroutines).Set(float64(goroutines))
+	c.reg.Counter(MetricRuntimeGCCycles).Add(float64(newGC))
 	if newGC > 0 {
-		h := c.reg.Histogram(MetricRuntimeGCPauseSeconds,
-			"Stop-the-world GC pause durations in seconds.", DefaultGCPauseBuckets)
+		h := c.reg.Histogram(MetricRuntimeGCPauseSeconds)
 		for i := uint32(0); i < newGC; i++ {
 			// PauseNs is a circular buffer indexed by cycle number.
 			pause := ms.PauseNs[(ms.NumGC-1-i)%uint32(len(ms.PauseNs))]

@@ -12,13 +12,13 @@ func TestRuntimeCollectorSample(t *testing.T) {
 	runtime.GC() // guarantee at least one GC cycle since the baseline
 	c.Sample()
 
-	if v := reg.Gauge(MetricRuntimeHeapBytes, "").Value(); v <= 0 {
+	if v := reg.Gauge(MetricRuntimeHeapBytes).Value(); v <= 0 {
 		t.Errorf("%s = %v, want > 0", MetricRuntimeHeapBytes, v)
 	}
-	if v := reg.Gauge(MetricRuntimeGoroutines, "").Value(); v < 1 {
+	if v := reg.Gauge(MetricRuntimeGoroutines).Value(); v < 1 {
 		t.Errorf("%s = %v, want >= 1", MetricRuntimeGoroutines, v)
 	}
-	if v := reg.Counter(MetricRuntimeGCCycles, "").Value(); v < 1 {
+	if v := reg.Counter(MetricRuntimeGCCycles).Value(); v < 1 {
 		t.Errorf("%s = %v, want >= 1 after an explicit runtime.GC", MetricRuntimeGCCycles, v)
 	}
 
@@ -27,14 +27,14 @@ func TestRuntimeCollectorSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, series := range []string{
+	for _, m := range []Metric{
 		MetricRuntimeHeapBytes,
 		MetricRuntimeGoroutines,
 		MetricRuntimeGCCycles,
 		MetricRuntimeGCPauseSeconds,
 	} {
-		if !strings.Contains(out, series) {
-			t.Errorf("exposition missing %s", series)
+		if !strings.Contains(out, m.String()) {
+			t.Errorf("exposition missing %s", m.String())
 		}
 	}
 }
@@ -46,15 +46,15 @@ func TestRuntimeCollectorSampleIdempotentDelta(t *testing.T) {
 	c := NewRuntimeCollector(reg)
 	runtime.GC()
 	c.Sample()
-	v1 := reg.Counter(MetricRuntimeGCCycles, "").Value()
+	v1 := reg.Counter(MetricRuntimeGCCycles).Value()
 	c.Sample() // no GC since the last sample (none forced, at least)
-	v2 := reg.Counter(MetricRuntimeGCCycles, "").Value()
+	v2 := reg.Counter(MetricRuntimeGCCycles).Value()
 	if v2-v1 > 2 {
 		t.Errorf("GC cycles jumped %v -> %v without forced GCs; delta accounting broken", v1, v2)
 	}
 	runtime.GC()
 	c.Sample()
-	if v3 := reg.Counter(MetricRuntimeGCCycles, "").Value(); v3 <= v1 {
+	if v3 := reg.Counter(MetricRuntimeGCCycles).Value(); v3 <= v1 {
 		t.Errorf("GC cycles = %v after another runtime.GC, want > %v", v3, v1)
 	}
 }
@@ -74,9 +74,9 @@ func TestRuntimeCollectorStaleSampleNoUnderflow(t *testing.T) {
 	c.lastNumGC = ms.NumGC + 5 // as if a newer sample won the race
 	c.mu.Unlock()
 
-	before := reg.Counter(MetricRuntimeGCCycles, "").Value()
+	before := reg.Counter(MetricRuntimeGCCycles).Value()
 	c.Sample() // stale relative to the advanced baseline
-	after := reg.Counter(MetricRuntimeGCCycles, "").Value()
+	after := reg.Counter(MetricRuntimeGCCycles).Value()
 	if after != before {
 		t.Errorf("stale sample added %v GC cycles, want 0", after-before)
 	}
@@ -86,7 +86,7 @@ func TestRuntimeCollectorStaleSampleNoUnderflow(t *testing.T) {
 	if last < ms.NumGC+5 {
 		t.Errorf("stale sample regressed lastNumGC to %v, want >= %v", last, ms.NumGC+5)
 	}
-	if h := reg.Histogram(MetricRuntimeGCPauseSeconds, "", DefaultGCPauseBuckets); h.Summary().Count > 0 {
+	if h := reg.Histogram(MetricRuntimeGCPauseSeconds); h.Summary().Count > 0 {
 		t.Errorf("stale sample observed %d pauses, want 0", h.Summary().Count)
 	}
 }

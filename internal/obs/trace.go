@@ -12,15 +12,58 @@ import (
 	"time"
 )
 
-// Tracer emits hierarchical spans as JSONL structured events: one JSON
-// object per line, written when the span ends. Span hierarchy is
+// Sink is the one seam finished spans travel through. Every sink on a
+// context (see WithSink) is told when a span opens under it and is
+// handed the finished span when it ends, in the order the sinks were
+// attached. Calls arrive on the goroutine that started or ended the
+// span; implementations must be quick and safe for concurrent use.
+type Sink interface {
+	SpanStarted(SpanInfo)
+	SpanEnded(FinishedSpan)
+}
+
+// SpanInfo identifies a span: its place in the tree, the session/job
+// identity stamped on its context (see WithSessionID/WithJobID), and
+// when it began. Stage marks a pipeline-stage span (see Stage).
+type SpanInfo struct {
+	Name    string
+	ID      uint64
+	Parent  uint64 // 0 for a root span
+	Trace   uint64 // the root span's id, shared by the whole tree
+	Session string
+	Job     string
+	Start   time.Time
+	Stage   bool
+}
+
+// FinishedSpan is a span that has ended. Span.End builds it once and
+// every sink renders that one value: the JSONL trace, the flight
+// recorder and the stage sink cannot disagree about a duration.
+type FinishedSpan struct {
+	SpanInfo
+	Dur   time.Duration
+	Err   error
+	Attrs map[string]any // shared between sinks; read-only
+}
+
+// durMS is the duration as the JSONL records state it.
+func (f FinishedSpan) durMS() float64 { return float64(f.Dur) / float64(time.Millisecond) }
+
+// errString is the error as the JSONL records state it ("" for nil).
+func (f FinishedSpan) errString() string {
+	if f.Err == nil {
+		return ""
+	}
+	return f.Err.Error()
+}
+
+// Tracer is the Sink that writes spans as JSONL structured events: one
+// JSON object per line, written when the span ends. Span hierarchy is
 // carried on context.Context (WithTracer / StartSpan), so the pipeline,
 // the solver's restart cycles, the classifier's worker batches and the
 // FEM assembly all nest without explicit plumbing. A Tracer is safe for
 // concurrent use; spans may end in any order and from any goroutine.
 type Tracer struct {
-	next atomic.Uint64
-
 	mu  sync.Mutex
 	enc *json.Encoder
 	err error
@@ -38,7 +81,16 @@ func (t *Tracer) Err() error {
 	return t.err
 }
 
-func (t *Tracer) emit(rec SpanRecord) {
+// SpanStarted implements Sink; the trace records finished spans only.
+func (t *Tracer) SpanStarted(SpanInfo) {}
+
+// SpanEnded implements Sink: one SpanRecord line.
+func (t *Tracer) SpanEnded(f FinishedSpan) {
+	rec := SpanRecord{
+		Name: f.Name, ID: f.ID, Parent: f.Parent, Trace: f.Trace,
+		Session: f.Session, Job: f.Job, Start: f.Start,
+		DurMS: f.durMS(), Err: f.errString(), Attrs: f.Attrs,
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.enc.Encode(rec); err != nil && t.err == nil {
@@ -46,8 +98,8 @@ func (t *Tracer) emit(rec SpanRecord) {
 	}
 }
 
-// spanSeq issues span ids for spans created without a tracer (a flight
-// recorder alone on the context still needs distinct ids).
+// spanSeq issues span ids, unique across every sink in the process so
+// a trace line and a flight record of one span carry the same id.
 var spanSeq atomic.Uint64
 
 // SpanRecord is the JSONL schema of one emitted span. Parent is 0 for
@@ -87,19 +139,12 @@ func ReadSpans(r io.Reader) ([]SpanRecord, error) {
 }
 
 // Span is one timed, attributed region of work. The zero of *Span is
-// nil, and every method is nil-safe, so call sites need no tracer
-// guards: without a tracer or flight recorder on the context, StartSpan
-// returns a nil span and the instrumentation costs two context lookups.
+// nil, and every method is nil-safe, so call sites need no guards:
+// without a sink on the context, StartSpan returns a nil span and the
+// instrumentation costs one context lookup and a clock reading.
 type Span struct {
-	t       *Tracer
-	rec     *FlightRecorder
-	name    string
-	id      uint64
-	parent  uint64
-	trace   uint64
-	session string
-	job     string
-	start   time.Time
+	info  SpanInfo
+	sinks []Sink
 
 	mu    sync.Mutex
 	attrs map[string]any
@@ -111,7 +156,7 @@ func (s *Span) Name() string {
 	if s == nil {
 		return ""
 	}
-	return s.name
+	return s.info.Name
 }
 
 // ID returns the span's id (0 for a nil span).
@@ -119,7 +164,7 @@ func (s *Span) ID() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.id
+	return s.info.ID
 }
 
 // TraceID returns the id of the span tree's root span (0 for a nil
@@ -129,7 +174,7 @@ func (s *Span) TraceID() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.trace
+	return s.info.Trace
 }
 
 // SetAttr attaches a key/value attribute to the span. Values must be
@@ -151,10 +196,17 @@ func (s *Span) SetAttr(key string, v any) {
 	s.mu.Unlock()
 }
 
-// End closes the span and emits its record to the tracer and the flight
-// recorder (whichever the span's context carried); err, when non-nil,
+// End closes the span, timing it from its start to now, and hands the
+// finished span to every sink its context carried; err, when non-nil,
 // is recorded on the span. End is idempotent — later calls are ignored.
 func (s *Span) End(err error) {
+	if s != nil {
+		s.end(time.Since(s.info.Start), err)
+	}
+}
+
+// end closes the span with a duration the caller measured.
+func (s *Span) end(dur time.Duration, err error) {
 	if s == nil {
 		return
 	}
@@ -164,65 +216,38 @@ func (s *Span) End(err error) {
 		return
 	}
 	s.ended = true
-	attrs := s.attrs
+	f := FinishedSpan{SpanInfo: s.info, Dur: dur, Err: err, Attrs: s.attrs}
 	s.mu.Unlock()
-	end := time.Now()
-	durMS := float64(end.Sub(s.start)) / float64(time.Millisecond)
-	errStr := ""
-	if err != nil {
-		errStr = err.Error()
-	}
-	if s.t != nil {
-		s.t.emit(SpanRecord{
-			Name:    s.name,
-			ID:      s.id,
-			Parent:  s.parent,
-			Trace:   s.trace,
-			Session: s.session,
-			Job:     s.job,
-			Start:   s.start,
-			DurMS:   durMS,
-			Err:     errStr,
-			Attrs:   attrs,
-		})
-	}
-	if s.rec != nil {
-		// Records land in the ring in End order, so stamp the end time —
-		// dumps stay monotonically timestamped (the start is recoverable
-		// as Time - DurMS; the trace stream's SpanRecord keeps Start).
-		s.rec.Record(FlightRecord{
-			Time:    end,
-			Kind:    "span",
-			Session: s.session,
-			Job:     s.job,
-			Span:    s.name,
-			SpanID:  s.id,
-			Trace:   s.trace,
-			Name:    s.name,
-			DurMS:   durMS,
-			Err:     errStr,
-			Attrs:   attrs,
-		})
+	for _, sink := range s.sinks {
+		sink.SpanEnded(f)
 	}
 }
 
 type ctxKey int
 
 const (
-	tracerKey ctxKey = iota
+	sinksKey ctxKey = iota
 	spanKey
 )
+
+// WithSink returns a context whose spans (started from it and its
+// descendants) are also delivered to sink, after the sinks already on
+// ctx. A nil sink is ignored.
+func WithSink(ctx context.Context, sink Sink) context.Context {
+	if sink == nil {
+		return ctx
+	}
+	sinks, _ := ctx.Value(sinksKey).([]Sink)
+	return context.WithValue(ctx, sinksKey, append(sinks[:len(sinks):len(sinks)], sink))
+}
 
 // WithTracer returns a context carrying the tracer; spans started from
 // it (and its descendants) are emitted there.
 func WithTracer(ctx context.Context, t *Tracer) context.Context {
-	return context.WithValue(ctx, tracerKey, t)
-}
-
-// TracerFromContext returns the context's tracer, or nil.
-func TracerFromContext(ctx context.Context) *Tracer {
-	t, _ := ctx.Value(tracerKey).(*Tracer)
-	return t
+	if t == nil {
+		return ctx
+	}
+	return WithSink(ctx, t)
 }
 
 // SpanFromContext returns the innermost span on the context, or nil.
@@ -234,34 +259,46 @@ func SpanFromContext(ctx context.Context) *Span {
 }
 
 // StartSpan opens a span named name under the context's current span
-// and returns a derived context carrying it. Without a tracer or flight
-// recorder on the context it returns (ctx, nil); the nil span's methods
-// are no-ops, so instrumented code needs no guards. Every span must be
-// closed with End.
+// and returns a derived context carrying it. Without a sink on the
+// context it returns (ctx, nil); the nil span's methods are no-ops, so
+// instrumented code needs no guards. Every span must be closed with
+// End.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	t := TracerFromContext(ctx)
-	rec := FlightRecorderFromContext(ctx)
-	if t == nil && rec == nil {
+	return startSpan(ctx, SpanInfo{Name: name, Start: time.Now()})
+}
+
+// Stage runs fn as the pipeline stage named name, under a stage span
+// when the context carries a sink, and reports how long it took. The
+// clock is read once on each side of fn and that one duration is both
+// returned and stated on the span, so the caller's timeline and every
+// sink agree to the nanosecond. The span is closed even if fn panics.
+func Stage(ctx context.Context, name string, fn func(context.Context) error) (elapsed time.Duration, err error) {
+	start := time.Now()
+	sctx, span := startSpan(ctx, SpanInfo{Name: name, Start: start, Stage: true})
+	span.SetAttr("kind", "stage")
+	defer func() {
+		elapsed = time.Since(start)
+		span.end(elapsed, err)
+	}()
+	err = fn(sctx)
+	return
+}
+
+// startSpan completes info from the context and announces the span.
+func startSpan(ctx context.Context, info SpanInfo) (context.Context, *Span) {
+	sinks, _ := ctx.Value(sinksKey).([]Sink)
+	if len(sinks) == 0 {
 		return ctx, nil
 	}
-	s := &Span{
-		t:       t,
-		rec:     rec,
-		name:    name,
-		session: SessionIDFromContext(ctx),
-		job:     JobIDFromContext(ctx),
-		start:   time.Now(),
-	}
-	if t != nil {
-		s.id = t.next.Add(1)
-	} else {
-		s.id = spanSeq.Add(1)
-	}
+	info.ID = spanSeq.Add(1)
+	info.Trace = info.ID
 	if parent := SpanFromContext(ctx); parent != nil {
-		s.parent = parent.id
-		s.trace = parent.trace
-	} else {
-		s.trace = s.id
+		info.Parent, info.Trace = parent.info.ID, parent.info.Trace
 	}
+	info.Session, info.Job = SessionIDFromContext(ctx), JobIDFromContext(ctx)
+	for _, sink := range sinks {
+		sink.SpanStarted(info)
+	}
+	s := &Span{info: info, sinks: sinks}
 	return context.WithValue(ctx, spanKey, s), s
 }

@@ -34,12 +34,9 @@ func AdminHandler(s *Service) http.Handler {
 		// now, not as it was at the last state change.
 		s.SampleRuntime()
 		reg := s.Registry()
-		reg.Gauge(obs.MetricQueueDepth,
-			"Accepted scans waiting for a worker.").Set(float64(s.QueueDepth()))
-		reg.Gauge(obs.MetricQueueCapacity,
-			"Configured scan queue bound.").Set(float64(s.QueueCapacity()))
-		reg.Gauge(obs.MetricWorkersAlive,
-			"Worker-pool goroutines currently running.").Set(float64(s.WorkersAlive()))
+		reg.Gauge(obs.MetricQueueDepth).Set(float64(s.QueueDepth()))
+		reg.Gauge(obs.MetricQueueCapacity).Set(float64(s.QueueCapacity()))
+		reg.Gauge(obs.MetricWorkersAlive).Set(float64(s.WorkersAlive()))
 		reg.Handler().ServeHTTP(w, r)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -120,8 +120,8 @@ func TestSharedArtifactStoreAcrossSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		obs.MetricArtifactHits,
-		obs.MetricArtifactMisses,
+		obs.MetricArtifactHits.String(),
+		obs.MetricArtifactMisses.String(),
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("registry exposition missing %q", want)

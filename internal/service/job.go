@@ -8,29 +8,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/par"
-	"repro/internal/volume"
+	"repro/internal/obs"
 )
 
 // StageEvent is one per-stage progress record of a job — the live
-// feed behind the paper's Figure 6 timeline.
-type StageEvent struct {
-	// Stage is the core.Stage* name.
-	Stage string
-	// Start is when the stage began.
-	Start time.Time
-	// Elapsed is the stage duration; zero while the stage is running.
-	Elapsed time.Duration
-	// Done reports whether the stage has finished.
-	Done bool
-	// Err holds the stage failure, if any.
-	Err error
-	// Counters carries the per-rank work snapshot for stages that
-	// record one (the FEM assembly of the solve stage).
-	Counters par.Snapshot
-	// HasCounters reports whether Counters was populated.
-	HasCounters bool
-}
+// feed behind the paper's Figure 6 timeline, as the job's stage sink
+// recorded it from the pipeline's stage spans.
+type StageEvent = obs.StageEvent
 
 // JobKind distinguishes the two scan-processing paths of the service.
 type JobKind string
@@ -57,13 +41,14 @@ type Job struct {
 	// run time (see FellBack in the job status).
 	Kind JobKind
 
-	ctx     context.Context
-	ms      *managedSession
-	intraop *volume.Scalar
-
 	enqueued time.Time
 
 	done chan struct{}
+
+	// stages is the job's sink on the pipeline's span seam: the live
+	// stage timeline, also feeding the service registry. It locks
+	// itself; never call it with mu held.
+	stages *obs.StageSink
 
 	// mu guards everything below: the admin server reads jobs while
 	// workers mutate them.
@@ -72,7 +57,6 @@ type Job struct {
 	fellBack bool
 	result   *core.Result
 	err      error
-	events   []StageEvent
 }
 
 // Done returns a channel closed when the job has finished.
@@ -97,11 +81,7 @@ func (j *Job) Wait(ctx context.Context) (*core.Result, error) {
 
 // Events returns a copy of the per-stage progress events recorded so
 // far. It is safe to call while the job is running.
-func (j *Job) Events() []StageEvent {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]StageEvent(nil), j.events...)
-}
+func (j *Job) Events() []StageEvent { return j.stages.Events() }
 
 // QueueWait returns how long the job sat in the queue before a worker
 // picked it up (zero while still queued).
@@ -207,9 +187,8 @@ func (j *Job) Status() JobStatus {
 			st.Degraded = j.result.Degraded
 		}
 	}
-	events := append([]StageEvent(nil), j.events...)
 	j.mu.Unlock()
-	for _, e := range events {
+	for _, e := range j.Events() {
 		ss := JobStageStatus{
 			Stage:     e.Stage,
 			ElapsedMS: float64(e.Elapsed) / float64(time.Millisecond),
@@ -223,10 +202,7 @@ func (j *Job) Status() JobStatus {
 		if e.Err != nil {
 			ss.Error = e.Err.Error()
 		}
-		if e.HasCounters {
-			ss.Flops = e.Counters.TotalFlops
-			ss.Imbalance = e.Counters.Imbalance
-		}
+		ss.Flops, ss.Imbalance = e.Flops, e.Imbalance
 		st.Stages = append(st.Stages, ss)
 	}
 	return st
@@ -237,7 +213,7 @@ func (j *Job) Status() JobStatus {
 // works for failed or still-running jobs.
 func (j *Job) Timeline() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "job %s: stage timeline\n", j.SessionID)
+	fmt.Fprintf(&b, "job %s: stage timeline\n", j.ID)
 	for _, e := range j.Events() {
 		switch {
 		case !e.Done:
@@ -249,62 +225,4 @@ func (j *Job) Timeline() string {
 		}
 	}
 	return b.String()
-}
-
-// maxJobStageEvents bounds one job's retained stage-event history; a
-// pathological pipeline cannot grow a job's memory without bound. The
-// six-stage pipeline stays far below it, so drops only ever happen on
-// runaway instrumentation — and are counted when they do.
-const maxJobStageEvents = 64
-
-// jobRecorder is the per-job core.Observer: it turns the pipeline's
-// callbacks into the job's StageEvent log. Stages of one job are
-// sequential, so StageDone always completes the most recent event.
-type jobRecorder struct {
-	j   *Job
-	agg *aggregator
-}
-
-// StageStart implements core.Observer.
-func (r *jobRecorder) StageStart(stage string) {
-	r.j.mu.Lock()
-	r.j.events = append(r.j.events, StageEvent{Stage: stage, Start: time.Now()})
-	dropped := 0
-	if len(r.j.events) > maxJobStageEvents {
-		dropped = len(r.j.events) - maxJobStageEvents
-		r.j.events = append(r.j.events[:0], r.j.events[dropped:]...)
-	}
-	r.j.mu.Unlock()
-	// The drop metric is fed outside j.mu: instrument locks never nest
-	// inside job locks.
-	if r.agg != nil {
-		r.agg.stageEventsDropped(dropped)
-	}
-}
-
-// StageDone implements core.Observer.
-func (r *jobRecorder) StageDone(stage string, elapsed time.Duration, err error) {
-	r.j.mu.Lock()
-	defer r.j.mu.Unlock()
-	for i := len(r.j.events) - 1; i >= 0; i-- {
-		if r.j.events[i].Stage == stage && !r.j.events[i].Done {
-			r.j.events[i].Elapsed = elapsed
-			r.j.events[i].Done = true
-			r.j.events[i].Err = err
-			return
-		}
-	}
-}
-
-// StageCounters implements core.Observer.
-func (r *jobRecorder) StageCounters(stage string, snap par.Snapshot) {
-	r.j.mu.Lock()
-	defer r.j.mu.Unlock()
-	for i := len(r.j.events) - 1; i >= 0; i-- {
-		if r.j.events[i].Stage == stage {
-			r.j.events[i].Counters = snap
-			r.j.events[i].HasCounters = true
-			return
-		}
-	}
 }

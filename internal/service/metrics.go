@@ -5,13 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // StageMetrics aggregates one pipeline stage over every scan the
@@ -39,7 +38,11 @@ func (m StageMetrics) Mean() time.Duration {
 	return m.Total / time.Duration(m.Count)
 }
 
-// Metrics is an aggregate snapshot across all scans and sessions.
+// Metrics is an aggregate snapshot across all scans and sessions: a
+// read-only view of the service's obs registry, each field computed
+// from the instrument /metrics exports (named on the field), so the Go
+// snapshot and the scrape cannot disagree. Fields are read one
+// instrument at a time — each is exact, the set is not one atomic cut.
 type Metrics struct {
 	// Scans counts finished scans. Every finished scan lands in exactly
 	// one of the three outcome buckets below or completed cleanly:
@@ -48,7 +51,7 @@ type Metrics struct {
 	// error mid-degradation), Canceled (context cancellation or deadline
 	// expiry before the degradation point), or Failed (any other error).
 	// Failed includes Canceled for backward compatibility; Degraded and
-	// Canceled never overlap.
+	// Canceled never overlap. (brainsim_scans_total by outcome.)
 	Scans    int
 	Failed   int
 	Degraded int
@@ -56,12 +59,13 @@ type Metrics struct {
 	// Shed counts submissions rejected with ErrQueueFull — both queue
 	// overflow and early elective-QoS shedding. Shed submissions never
 	// become scans, so they are tracked separately instead of silently
-	// vanishing from the aggregates.
+	// vanishing from the aggregates. (brainsim_shed_total.)
 	Shed int
-	// Updates counts finished scans that ran the incremental re-solve
-	// path (a subset of Scans); UpdateFallbacks counts update
-	// submissions that ran as full registrations because the session had
-	// no baseline yet.
+	// Updates counts delivered scans that ran the incremental re-solve
+	// path (a subset of Scans; the count of
+	// brainsim_scan_seconds{kind="update"}); UpdateFallbacks counts
+	// update submissions that ran as full registrations because the
+	// session had no baseline yet (brainsim_update_fallbacks_total).
 	Updates         int
 	UpdateFallbacks int
 	// WarmIterationsSaved totals the GMRES iterations the warm-started
@@ -72,8 +76,8 @@ type Metrics struct {
 	PCCacheHits   int
 	PCCacheMisses int
 	// SolveNotConverged counts successfully delivered scans whose GMRES
-	// solve stopped at MaxIter without reaching tolerance — previously
-	// indistinguishable from a converged solve in service metrics.
+	// solve stopped at MaxIter without reaching tolerance
+	// (brainsim_solver_solves_total{converged="false"}).
 	SolveNotConverged int
 	// AssemblyFlops totals the per-rank FEM assembly work reported by
 	// the par counters, and AssemblyImbalanceMax tracks the worst
@@ -107,128 +111,9 @@ func (m Metrics) String() string {
 	return b.String()
 }
 
-// aggregator accumulates service-wide aggregates. It doubles as the
-// service-wide core.Observer, so every pipeline stage of every job
-// feeds it directly; the latency distributions live in the obs registry
-// (shared with the /metrics endpoint) while scan-outcome counts are
-// kept under the mutex for the typed Metrics snapshot.
-type aggregator struct {
-	reg  *obs.Registry
-	coll *obs.StageCollector
-
-	mu              sync.Mutex
-	scans           int
-	failed          int
-	degraded        int
-	canceled        int
-	shed            int
-	notConverged    int
-	submitted       int
-	updates         int
-	updateFallbacks int
-	warmItersSaved  int
-	pcCacheHits     int
-	pcCacheMisses   int
-	assemblyFlops   float64
-	imbalanceMax    float64
-	stageErrs       map[string]int
-	stageSeen       map[string]bool
-}
-
-func (a *aggregator) init(reg *obs.Registry) {
-	a.reg = reg
-	a.coll = obs.NewStageCollector(reg)
-	a.stageErrs = make(map[string]int)
-	a.stageSeen = make(map[string]bool)
-}
-
-// StageStart implements core.Observer.
-func (a *aggregator) StageStart(string) {}
-
-// StageDone implements core.Observer.
-func (a *aggregator) StageDone(stage string, elapsed time.Duration, err error) {
-	a.mu.Lock()
-	a.stageSeen[stage] = true
-	if err != nil {
-		a.stageErrs[stage]++
-	}
-	a.mu.Unlock()
-	a.coll.StageDone(stage, elapsed, err)
-}
-
-// StageCounters implements core.Observer.
-func (a *aggregator) StageCounters(stage string, snap par.Snapshot) {
-	a.mu.Lock()
-	a.assemblyFlops += snap.TotalFlops
-	if snap.Imbalance > a.imbalanceMax {
-		a.imbalanceMax = snap.Imbalance
-	}
-	a.mu.Unlock()
-	a.coll.StageCounters(stage, snap)
-}
-
-// submittedScan records one accepted submission (for the shed rate).
-func (a *aggregator) submittedScan() {
-	a.mu.Lock()
-	a.submitted++
-	a.mu.Unlock()
-	a.reg.Counter(obs.MetricSubmissions,
-		"Scan submissions accepted into the queue.").Inc()
-}
-
-// shedScan records one load-shed submission (queue full).
-func (a *aggregator) shedScan() {
-	a.mu.Lock()
-	a.shed++
-	a.mu.Unlock()
-	a.reg.Counter(obs.MetricShed,
-		"Scan submissions rejected because the queue was full.").Inc()
-}
-
-// updateFellBack records an update job that ran as a full registration
-// because its session had no baseline yet.
-func (a *aggregator) updateFellBack() {
-	a.mu.Lock()
-	a.updateFallbacks++
-	a.mu.Unlock()
-	a.reg.Counter(obs.MetricUpdateFallbacks,
-		"Update submissions that ran as full registrations (no baseline).").Inc()
-}
-
-// jobsEvicted records finished jobs dropped from the bounded admin
-// retention window.
-func (a *aggregator) jobsEvicted(n int) {
-	if n <= 0 {
-		return
-	}
-	a.reg.Counter(obs.MetricJobsEvicted,
-		"Finished jobs evicted from the bounded admin retention window.").Add(float64(n))
-}
-
-// stageEventsDropped records per-job stage events discarded at the
-// bounded event-history limit.
-func (a *aggregator) stageEventsDropped(n int) {
-	if n <= 0 {
-		return
-	}
-	a.reg.Counter(obs.MetricStageEventsDropped,
-		"Per-job stage events dropped at the bounded history limit.").Add(float64(n))
-}
-
-// flightDumped records one automatic flight-recorder dump by trigger.
-func (a *aggregator) flightDumped(trigger string) {
-	a.reg.Counter(obs.MetricFlightDumps,
-		"Automatic flight-recorder dumps by trigger.",
-		obs.Label{Key: "trigger", Value: trigger}).Inc()
-}
-
-// solverIterationBuckets spans per-solve GMRES iteration counts, from
-// warm-started few-iteration updates up to a MaxIter-bound cold solve.
-var solverIterationBuckets = []float64{1, 2, 5, 10, 20, 30, 50, 75, 100, 150, 200, 300, 500, 1000}
-
-// entryResidualBuckets spans the entry relative residual: 1.0 is a
-// cold start, anything well below it is a warm start paying off.
-var entryResidualBuckets = []float64{1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1}
+// The service keeps no count of its own: scanDone files a finished job
+// under the registry's instruments, the per-job stage sinks feed the
+// stage histograms, and snapshot reads both back as the typed Metrics.
 
 // scanDone records the outcome of one finished job in exactly one
 // bucket. Degraded takes priority: a deadline observed mid-degradation
@@ -240,129 +125,86 @@ var entryResidualBuckets = []float64{1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0
 // flight-recorder trail; elapsed is the worker wall-clock time of the
 // job, fed to the update-vs-cold latency histograms when the scan was
 // delivered.
-func (a *aggregator) scanDone(kind JobKind, jobID string, elapsed time.Duration, res *core.Result, err error) {
+func scanDone(reg *obs.Registry, kind JobKind, jobID string, elapsed time.Duration, res *core.Result, err error) {
 	outcome := "completed"
-	incr := res != nil && res.Incremental
-	a.mu.Lock()
-	a.scans++
-	if incr {
-		a.updates++
-	}
 	switch {
 	case res != nil && res.Degraded:
-		a.degraded++
 		outcome = "degraded"
 	case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
-		a.failed++
-		a.canceled++
 		outcome = "canceled"
 	case err != nil:
-		a.failed++
 		outcome = "failed"
-	default:
-		if res != nil && !res.SolveStats.Converged {
-			a.notConverged++
-		}
-		if incr && res.Update != nil {
-			a.warmItersSaved += res.Update.IterationsSaved
-			if res.Update.PCCacheHit {
-				a.pcCacheHits++
-			} else {
-				a.pcCacheMisses++
-			}
-		}
 	}
-	a.mu.Unlock()
-	a.reg.Counter(obs.MetricScans,
-		"Finished scans by outcome.", obs.Label{Key: "outcome", Value: outcome}).Inc()
-	if err == nil && res != nil {
-		// Delivered (completed or degraded): the update-vs-cold latency
-		// split of the scan wall-clock, one histogram per job kind, with
-		// the job id as a trace exemplar on the bucket it lands in.
-		a.reg.Histogram(obs.MetricScanSeconds,
-			"Worker wall-clock time per delivered scan by processing path.",
-			obs.DefaultLatencyBuckets, obs.Label{Key: "kind", Value: string(kind)}).
-			ObserveExemplar(elapsed.Seconds(), "trace_id", jobID)
+	reg.Counter(obs.MetricScans, obs.Label{Key: "outcome", Value: outcome}).Inc()
+	if err != nil || res == nil {
+		return
 	}
-	if outcome == "completed" && res != nil {
-		st := res.SolveStats
-		a.reg.Counter(obs.MetricSolverIterationsTotal,
-			"GMRES iterations across all delivered scans.").Add(float64(st.Iterations))
-		a.reg.Histogram(obs.MetricSolverIterations,
-			"GMRES iterations per delivered solve.",
-			solverIterationBuckets).ObserveExemplar(float64(st.Iterations), "trace_id", jobID)
-		a.reg.Histogram(obs.MetricSolverEntryResidual,
-			"Relative preconditioned residual of the initial iterate per solve.",
-			entryResidualBuckets).Observe(st.EntryResRel)
-		a.reg.Counter(obs.MetricSolverRestarts,
-			"GMRES restart cycles beyond the first across delivered solves.").Add(float64(st.Restarts))
-		a.reg.Counter(obs.MetricSolverStagnated,
-			"GMRES restart cycles that reduced the residual by less than 1%.").Add(float64(st.StagnatedCycles))
-		if st.Diverged {
-			a.reg.Counter(obs.MetricSolverDiverged,
-				"Delivered solves in which a restart cycle increased the residual.").Inc()
+	// Delivered (completed or degraded): the update-vs-cold latency
+	// split of the scan wall-clock, one histogram per job kind, with
+	// the job id as a trace exemplar on the bucket it lands in.
+	reg.Histogram(obs.MetricScanSeconds, obs.Label{Key: "kind", Value: string(kind)}).
+		ObserveExemplar(elapsed.Seconds(), "trace_id", jobID)
+	if outcome != "completed" {
+		return
+	}
+	st := res.SolveStats
+	reg.Histogram(obs.MetricSolverIterations).ObserveExemplar(float64(st.Iterations), "trace_id", jobID)
+	reg.Histogram(obs.MetricSolverEntryResidual).Observe(st.EntryResRel)
+	reg.Counter(obs.MetricSolverRestarts).Add(float64(st.Restarts))
+	reg.Counter(obs.MetricSolverStagnated).Add(float64(st.StagnatedCycles))
+	if st.Diverged {
+		reg.Counter(obs.MetricSolverDiverged).Inc()
+	}
+	reg.Counter(obs.MetricSolverSolves,
+		obs.Label{Key: "converged", Value: strconv.FormatBool(st.Converged)}).Inc()
+	if res.Update != nil {
+		reg.Counter(obs.MetricWarmItersSaved).Add(float64(res.Update.IterationsSaved))
+		hit := "hit"
+		if !res.Update.PCCacheHit {
+			hit = "miss"
 		}
-		conv := "true"
-		if !st.Converged {
-			conv = "false"
-			a.reg.Counter(obs.MetricSolverNonConverged,
-				"Delivered scans whose GMRES solve hit MaxIter without converging.").Inc()
-		}
-		a.reg.Counter(obs.MetricSolverSolves,
-			"Completed biomechanical solves by convergence.",
-			obs.Label{Key: "converged", Value: conv}).Inc()
-		if incr && res.Update != nil {
-			a.reg.Counter(obs.MetricWarmItersSaved,
-				"GMRES iterations saved by warm-started incremental updates.").
-				Add(float64(res.Update.IterationsSaved))
-			hit := "hit"
-			if !res.Update.PCCacheHit {
-				hit = "miss"
-			}
-			a.reg.Counter(obs.MetricPCCache,
-				"Preconditioner cache outcomes of incremental solves.",
-				obs.Label{Key: "result", Value: hit}).Inc()
-		}
+		reg.Counter(obs.MetricPCCache, obs.Label{Key: "result", Value: hit}).Inc()
 	}
 }
 
-// snapshot deep-copies the current aggregates: the returned Metrics
-// shares no mutable state with the aggregator, so callers may hold or
-// mutate it while scans keep completing.
-func (a *aggregator) snapshot() Metrics {
-	a.mu.Lock()
+// snapshot computes the Metrics view of reg. The returned value shares
+// no mutable state with the registry, so callers may hold or mutate it
+// while scans keep completing. Instruments are get-or-create, so a
+// family nothing has fed yet is read — and from then on exported — as
+// zero, the way Prometheus clients pre-declare their series.
+func snapshot(reg *obs.Registry) Metrics {
+	count := func(m obs.Metric, labels ...obs.Label) int {
+		return int(reg.Counter(m, labels...).Value())
+	}
+	outcome := func(o string) int { return count(obs.MetricScans, obs.Label{Key: "outcome", Value: o}) }
+	pcCache := func(r string) int { return count(obs.MetricPCCache, obs.Label{Key: "result", Value: r}) }
+	degraded, canceled, failed := outcome("degraded"), outcome("canceled"), outcome("failed")
 	out := Metrics{
-		Scans:                a.scans,
-		Failed:               a.failed,
-		Degraded:             a.degraded,
-		Canceled:             a.canceled,
-		Shed:                 a.shed,
-		Updates:              a.updates,
-		UpdateFallbacks:      a.updateFallbacks,
-		WarmIterationsSaved:  a.warmItersSaved,
-		PCCacheHits:          a.pcCacheHits,
-		PCCacheMisses:        a.pcCacheMisses,
-		SolveNotConverged:    a.notConverged,
-		AssemblyFlops:        a.assemblyFlops,
-		AssemblyImbalanceMax: a.imbalanceMax,
+		Scans:    outcome("completed") + degraded + canceled + failed,
+		Failed:   canceled + failed,
+		Degraded: degraded,
+		Canceled: canceled,
+		Shed:     count(obs.MetricShed),
+		Updates: int(reg.Histogram(obs.MetricScanSeconds,
+			obs.Label{Key: "kind", Value: string(JobUpdate)}).Summary().Count),
+		UpdateFallbacks:      count(obs.MetricUpdateFallbacks),
+		WarmIterationsSaved:  count(obs.MetricWarmItersSaved),
+		PCCacheHits:          pcCache("hit"),
+		PCCacheMisses:        pcCache("miss"),
+		SolveNotConverged:    count(obs.MetricSolverSolves, obs.Label{Key: "converged", Value: "false"}),
+		AssemblyFlops:        reg.Counter(obs.MetricAssemblyFlops).Value(),
+		AssemblyImbalanceMax: reg.Gauge(obs.MetricAssemblyImbalanceMax).Value(),
+		Stages:               make(map[string]StageMetrics),
 	}
-	stages := make([]string, 0, len(a.stageSeen))
-	for s := range a.stageSeen {
-		stages = append(stages, s)
-	}
-	errs := make(map[string]int, len(a.stageErrs))
-	for s, n := range a.stageErrs {
-		errs[s] = n
-	}
-	a.mu.Unlock()
-	// Histogram reads take each instrument's own lock; doing them
-	// outside the aggregator lock keeps snapshots off the hot path.
-	out.Stages = make(map[string]StageMetrics, len(stages))
-	for _, s := range stages {
-		h := a.coll.StageHistogram(s).Summary()
+	for _, s := range core.Stages {
+		stage := obs.Label{Key: "stage", Value: s}
+		h := reg.Histogram(obs.MetricStageSeconds, stage).Summary()
+		if h.Count == 0 {
+			continue // never ran (an update-only service skips rigid and mesh)
+		}
 		out.Stages[s] = StageMetrics{
 			Count:  int(h.Count),
-			Errors: errs[s],
+			Errors: count(obs.MetricStageErrors, stage),
 			Total:  secondsToDuration(h.Sum),
 			Max:    secondsToDuration(h.Max),
 			P50:    secondsToDuration(h.P50),

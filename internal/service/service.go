@@ -110,9 +110,8 @@ type Options struct {
 // methods are safe for concurrent use.
 type Service struct {
 	opts  Options
-	queue chan *Job
+	queue chan scanRequest
 	wg    sync.WaitGroup
-	agg   aggregator
 	rt    *obs.RuntimeCollector
 	log   *slog.Logger
 
@@ -129,6 +128,18 @@ type Service struct {
 	jobSeq   int
 	jobs     map[string]*Job
 	jobOrder []string
+}
+
+// scanRequest is one accepted submission on its way to a worker: the
+// job handle plus everything the scan needs and the handle must not
+// keep. A finished Job stays addressable for the retention window, so
+// it holds no session, scan volume or caller context — closing a
+// session frees its baseline even while its jobs are retained.
+type scanRequest struct {
+	j       *Job
+	ctx     context.Context
+	ms      *managedSession
+	intraop *volume.Scalar
 }
 
 // managedSession pairs a core.Session with the gate that serializes
@@ -223,13 +234,12 @@ func New(opts Options) *Service {
 	}
 	s := &Service{
 		opts:     opts,
-		queue:    make(chan *Job, opts.QueueDepth),
+		queue:    make(chan scanRequest, opts.QueueDepth),
 		sessions: make(map[string]*managedSession),
 		jobs:     make(map[string]*Job),
 		rt:       obs.NewRuntimeCollector(opts.Registry),
 		log:      opts.Logger,
 	}
-	s.agg.init(opts.Registry)
 	s.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		s.workersAlive.Add(1)
@@ -379,7 +389,7 @@ func (s *Service) CloseSession(id string) error {
 }
 
 // Session returns the underlying core.Session (e.g. to inspect
-// ScanCount or Results between scans). Do not call its Register or
+// ScanCount or PrototypeCount between scans). Do not call its Register or
 // Update methods directly while the service is running jobs for it.
 func (s *Service) Session(id string) (*core.Session, error) {
 	s.mu.Lock()
@@ -512,8 +522,8 @@ func (s *Service) submit(ctx context.Context, sessionID string, intraop *volume.
 		return nil, fmt.Errorf("service: nil intraoperative scan")
 	}
 	// Explicit unlocks rather than a deferred one: the metric updates
-	// at the end take the aggregator's own lock, which must not nest
-	// inside s.mu (lockscope).
+	// at the end take instrument locks, which must not nest inside s.mu
+	// (lockscope).
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -536,18 +546,16 @@ func (s *Service) submit(ctx context.Context, sessionID string, intraop *volume.
 		ID:        fmt.Sprintf("j%06d", s.jobSeq),
 		SessionID: sessionID,
 		Kind:      kind,
-		ctx:       ctx,
-		ms:        ms,
-		intraop:   intraop,
 		enqueued:  time.Now(),
 		done:      make(chan struct{}),
+		stages:    obs.NewStageSink(s.opts.Registry),
 	}
 	select {
-	case s.queue <- j:
+	case s.queue <- scanRequest{j: j, ctx: ctx, ms: ms, intraop: intraop}:
 		evicted := s.retainJobLocked(j)
 		s.mu.Unlock()
-		s.agg.submittedScan()
-		s.agg.jobsEvicted(evicted)
+		s.opts.Registry.Counter(obs.MetricSubmissions).Inc()
+		s.opts.Registry.Counter(obs.MetricJobsEvicted).Add(float64(evicted))
 		return j, nil
 	default:
 		s.jobSeq-- // the id was never issued
@@ -562,12 +570,12 @@ func (s *Service) submit(ctx context.Context, sessionID string, intraop *volume.
 // dump — a shed scan is an anomaly the surgeon will ask about. Called
 // WITHOUT s.mu held.
 func (s *Service) shedJob(ms *managedSession, kind JobKind, why string) {
-	s.agg.shedScan()
+	s.opts.Registry.Counter(obs.MetricShed).Inc()
 	ms.fr.Record(obs.FlightRecord{
 		Time:    time.Now(),
 		Kind:    "event",
 		Session: ms.id,
-		Name:    obs.EventJobShed,
+		Name:    obs.EventJobShed.String(),
 		Attrs:   map[string]any{"kind": string(kind), "reason": why},
 	})
 	s.dumpFlight(ms, "", "shed")
@@ -652,7 +660,7 @@ func (s *Service) Update(ctx context.Context, sessionID string, intraop *volume.
 // Metrics returns a snapshot of the aggregate per-stage metrics
 // accumulated over every scan processed so far.
 func (s *Service) Metrics() Metrics {
-	return s.agg.snapshot()
+	return snapshot(s.opts.Registry)
 }
 
 // Close stops the service: no new sessions or scans are accepted,
@@ -678,67 +686,64 @@ func (s *Service) Close() error {
 func (s *Service) worker() {
 	defer s.wg.Done()
 	defer s.workersAlive.Add(-1)
-	for j := range s.queue {
-		s.runJob(j)
+	for q := range s.queue {
+		s.runJob(q)
 	}
 }
 
-// runJob executes one queued scan, recording per-stage events on the
-// job and feeding the aggregate metrics. The scan runs under a context
-// stamped with the session/job identity and the session's flight
-// recorder, so every span the pipeline opens, every event the solver
-// emits, and every log record written below lands in the session's
-// black box with matching ids.
-func (s *Service) runJob(j *Job) {
+// runJob executes one queued scan. The scan runs under a context
+// stamped with the session/job identity and carrying two span sinks —
+// the session's flight recorder and the job's stage sink — so every
+// span the pipeline opens, every event the solver emits, and every log
+// record written below lands in the session's black box with matching
+// ids, and each stage span becomes one entry of the job's timeline and
+// one observation of the stage histograms.
+func (s *Service) runJob(q scanRequest) {
+	j, ms := q.j, q.ms
 	defer close(j.done)
 	start := time.Now()
 	j.setStarted(start)
-	ctx := obs.WithFlightRecorder(
-		obs.WithJobID(obs.WithSessionID(j.ctx, j.SessionID), j.ID), j.ms.fr)
+	ctx := obs.WithSink(obs.WithFlightRecorder(
+		obs.WithJobID(obs.WithSessionID(q.ctx, j.SessionID), j.ID), ms.fr), j.stages)
 	if s.opts.ScanTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opts.ScanTimeout)
 		defer cancel()
 	}
-	if err := ctx.Err(); err != nil {
-		// Abandoned while queued (caller gave up or deadline passed):
-		// don't waste a worker on it.
-		j.finish(nil, err)
-		s.agg.scanDone(j.Kind, j.ID, 0, nil, err)
-		return
+	// Abandoned while queued (caller gave up or deadline passed): don't
+	// waste a worker on it. Otherwise scans of one session are
+	// serialized by the session gate.
+	err := ctx.Err()
+	if err == nil {
+		err = ms.acquire(ctx)
 	}
-	// Scans of one session are serialized by the session gate; the
-	// observer swap below is protected by the same slot.
-	if err := j.ms.acquire(ctx); err != nil {
+	if err != nil {
 		j.finish(nil, err)
-		s.agg.scanDone(j.Kind, j.ID, 0, nil, err)
+		scanDone(s.opts.Registry, j.Kind, j.ID, 0, nil, err)
 		return
 	}
 	// The effective kind is resolved under the gate: HasBaseline is
 	// written by the previous scan of this session, which the gate
 	// serializes against.
 	kind := j.Kind
-	if kind == JobUpdate && !j.ms.sess.HasBaseline() {
+	if kind == JobUpdate && !ms.sess.HasBaseline() {
 		kind = JobRegister
 		j.markFellBack()
-		s.agg.updateFellBack()
+		s.opts.Registry.Counter(obs.MetricUpdateFallbacks).Inc()
 		obs.Emit(ctx, obs.EventJobFallback, map[string]any{"requested": string(JobUpdate)})
 		s.logger().WarnContext(ctx, "update fell back to full registration: no baseline")
 	}
 	s.logger().InfoContext(ctx, "scan started", "kind", string(kind),
 		"queue_wait_ms", float64(start.Sub(j.enqueued))/float64(time.Millisecond))
-	j.ms.sess.SetObserver(core.MultiObserver(&jobRecorder{j: j, agg: &s.agg}, &s.agg))
 	var res *core.Result
-	var err error
 	if kind == JobUpdate {
-		res, err = j.ms.sess.Update(ctx, j.intraop)
+		res, err = ms.sess.Update(ctx, q.intraop)
 	} else {
-		res, err = j.ms.sess.Register(ctx, j.intraop)
+		res, err = ms.sess.Register(ctx, q.intraop)
 	}
-	j.ms.sess.SetObserver(nil)
-	j.ms.release()
+	ms.release()
 	j.finish(res, err)
-	s.agg.scanDone(kind, j.ID, time.Since(start), res, err)
+	scanDone(s.opts.Registry, kind, j.ID, time.Since(start), res, err)
 
 	// Anomaly triage: any of these outcomes freezes the flight recorder
 	// into a retrievable dump. One dump per job, worst trigger wins.
@@ -746,18 +751,19 @@ func (s *Service) runJob(j *Job) {
 	case err != nil:
 		obs.Emit(ctx, obs.EventJobFailed, map[string]any{"error": err.Error()})
 		s.logger().ErrorContext(ctx, "scan failed", "error", err.Error())
-		s.dumpFlight(j.ms, j.ID, "failed")
+		s.dumpFlight(ms, j.ID, "failed")
 	case res != nil && res.Degraded:
-		obs.Emit(ctx, obs.EventJobDegraded, nil)
+		// The pipeline.degraded event naming the interrupted stage is
+		// already in the ring under this job's id.
 		s.logger().WarnContext(ctx, "scan degraded to rigid-only result")
-		s.dumpFlight(j.ms, j.ID, "degraded")
+		s.dumpFlight(ms, j.ID, "degraded")
 	case res != nil && !res.SolveStats.Converged:
 		s.logger().WarnContext(ctx, "solve did not converge",
 			"iterations", res.SolveStats.Iterations,
 			"final_rel_residual", res.SolveStats.FinalResRel)
-		s.dumpFlight(j.ms, j.ID, "nonconverged")
+		s.dumpFlight(ms, j.ID, "nonconverged")
 	case j.FellBack():
-		s.dumpFlight(j.ms, j.ID, "fallback")
+		s.dumpFlight(ms, j.ID, "fallback")
 	default:
 		s.logger().InfoContext(ctx, "scan completed", "kind", string(kind),
 			"elapsed_ms", float64(time.Since(start))/float64(time.Millisecond))
@@ -777,7 +783,7 @@ func (s *Service) dumpFlight(ms *managedSession, jobID, trigger string) {
 		Records:   ms.fr.Snapshot(),
 	}
 	ms.setDump(d)
-	s.agg.flightDumped(trigger)
+	s.opts.Registry.Counter(obs.MetricFlightDumps, obs.Label{Key: "trigger", Value: trigger}).Inc()
 	if dir := s.opts.FlightDumpDir; dir != "" {
 		name := ms.id
 		if jobID != "" {

@@ -87,7 +87,7 @@ func TestServiceShedCounter(t *testing.T) {
 	if m.Scans != 2 {
 		t.Errorf("Scans = %d, want 2 (shed submissions are not scans)", m.Scans)
 	}
-	if v := svc.Registry().Counter("brainsim_shed_total", "").Value(); v != 1 {
+	if v := svc.Registry().Counter(obs.MetricShed).Value(); v != 1 {
 		t.Errorf("brainsim_shed_total = %v, want 1", v)
 	}
 	// A shed submission never got a job id: the next accepted job must
@@ -140,7 +140,7 @@ func TestServiceMidDegradationCountsDegradedOnly(t *testing.T) {
 	if m.Degraded != 1 || m.Canceled != 0 || m.Failed != 0 {
 		t.Errorf("metrics = %+v, want Degraded=1 Canceled=0 Failed=0", m)
 	}
-	if v := svc.Registry().Counter("brainsim_scans_total", "",
+	if v := svc.Registry().Counter(obs.MetricScans,
 		obs.Label{Key: "outcome", Value: "degraded"}).Value(); v != 1 {
 		t.Errorf(`brainsim_scans_total{outcome="degraded"} = %v, want 1`, v)
 	}
@@ -170,17 +170,18 @@ func TestServiceSolveNotConverged(t *testing.T) {
 	if m.SolveNotConverged != 1 {
 		t.Errorf("SolveNotConverged = %d, want 1", m.SolveNotConverged)
 	}
-	if v := svc.Registry().Counter("brainsim_solver_nonconverged_total", "").Value(); v != 1 {
-		t.Errorf("brainsim_solver_nonconverged_total = %v, want 1", v)
+	if v := svc.Registry().Counter(obs.MetricSolverSolves,
+		obs.Label{Key: "converged", Value: "false"}).Value(); v != 1 {
+		t.Errorf(`brainsim_solver_solves_total{converged="false"} = %v, want 1`, v)
 	}
 }
 
 func TestAggregatorSnapshotIndependence(t *testing.T) {
-	// snapshot() must deep-copy: a held snapshot may not change as more
-	// stages complete, and mutating it must not corrupt the aggregator.
-	// Run with -race to also exercise the locking.
-	var a aggregator
-	a.init(obs.NewRegistry())
+	// snapshot() must share nothing with the registry: a held snapshot
+	// may not change as more stages complete, and mutating it must not
+	// leak back. Run with -race to also exercise the locking.
+	reg := obs.NewRegistry()
+	sink := obs.NewStageSink(reg)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -193,20 +194,23 @@ func TestAggregatorSnapshotIndependence(t *testing.T) {
 					return
 				default:
 				}
-				a.StageDone(core.StageSolve, time.Duration(i+1)*time.Millisecond, nil)
+				sink.SpanEnded(obs.FinishedSpan{
+					SpanInfo: obs.SpanInfo{Name: core.StageSolve, Stage: true},
+					Dur:      time.Duration(i+1) * time.Millisecond,
+				})
 			}
 		}()
 	}
 	var snaps []Metrics
 	for i := 0; i < 50; i++ {
-		snaps = append(snaps, a.snapshot())
+		snaps = append(snaps, snapshot(reg))
 		if i%10 == 9 {
 			// Yield so the writers make progress even on GOMAXPROCS=1.
 			time.Sleep(time.Millisecond)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for a.snapshot().Stages[core.StageSolve].Count == 0 && time.Now().Before(deadline) {
+	for snapshot(reg).Stages[core.StageSolve].Count == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
@@ -220,7 +224,7 @@ func TestAggregatorSnapshotIndependence(t *testing.T) {
 			t.Fatalf("snapshot %d went backwards", i)
 		}
 	}
-	final := a.snapshot()
+	final := snapshot(reg)
 	sm := final.Stages[core.StageSolve]
 	if sm.Count <= 0 {
 		t.Errorf("final count = %d, want > 0 (snapshot mutation leaked in?)", sm.Count)

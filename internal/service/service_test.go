@@ -61,7 +61,7 @@ func TestServiceConcurrentSessions(t *testing.T) {
 		if res.Degraded {
 			t.Errorf("session %s: unexpected degraded result", ids[i])
 		}
-		// Per-stage observer events: every stage started, finished, no
+		// Per-stage timeline events: every stage started, finished, no
 		// errors, and the solve stage carries an assembly counters
 		// snapshot.
 		events := j.Events()
@@ -77,7 +77,7 @@ func TestServiceConcurrentSessions(t *testing.T) {
 			if !e.Done || e.Err != nil {
 				t.Errorf("session %s event %d (%s): done=%v err=%v", ids[i], k, e.Stage, e.Done, e.Err)
 			}
-			if e.HasCounters && e.Counters.TotalFlops > 0 {
+			if e.Flops > 0 {
 				countersSeen = true
 			}
 		}

@@ -125,11 +125,10 @@ func TestServiceUpdateFallsBackWithoutBaseline(t *testing.T) {
 func TestServiceElectiveQoSShedding(t *testing.T) {
 	svc := &Service{
 		opts:     Options{QueueDepth: 4, Registry: obs.NewRegistry()},
-		queue:    make(chan *Job, 4),
+		queue:    make(chan scanRequest, 4),
 		sessions: make(map[string]*managedSession),
 		jobs:     make(map[string]*Job),
 	}
-	svc.agg.init(svc.opts.Registry)
 	defer svc.Close() // no workers: close only drains bookkeeping
 
 	c, _ := streamCase(24, 13)

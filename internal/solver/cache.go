@@ -16,8 +16,8 @@ import (
 // The cache is keyed on the identity of the CSR matrix plus the row
 // partition. That key is sound because the assembly layer never mutates
 // a built CSR in place: any change to the stiffness matrix (re-assembly,
-// Dirichlet elimination) constructs a new CSR through sparse.Builder,
-// which misses the cache automatically. Callers that mutate matrix
+// Dirichlet elimination) allocates a new CSR and stores it on the
+// System, which misses the cache automatically. Callers that mutate matrix
 // values in place (none in this module) must call Invalidate first.
 //
 // The zero value is ready to use. Methods are safe for concurrent use,

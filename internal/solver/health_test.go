@@ -89,7 +89,7 @@ func TestGMRESSolveEventEmitted(t *testing.T) {
 	}
 	var ev *obs.FlightRecord
 	for _, r := range rec.Snapshot() {
-		if r.Kind == "event" && r.Name == obs.EventSolverSolve {
+		if r.Kind == "event" && r.Name == obs.EventSolverSolve.String() {
 			cp := r
 			ev = &cp
 		}
@@ -138,7 +138,7 @@ func TestGMRESWarmEventMarksWarmStart(t *testing.T) {
 	}
 	found := false
 	for _, r := range rec.Snapshot() {
-		if r.Kind == "event" && r.Name == obs.EventSolverSolve && r.Attrs["warm_started"] == true {
+		if r.Kind == "event" && r.Name == obs.EventSolverSolve.String() && r.Attrs["warm_started"] == true {
 			found = true
 		}
 	}
