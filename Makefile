@@ -10,16 +10,13 @@ test:
 
 # Project-native static analysis: the simlint suite (see internal/lint)
 # enforcing the pipeline's context-plumbing, span-pairing,
-# error-wrapping, float-comparison, phase-order, coordinate-frame, and
+# error-wrapping, float-comparison, coordinate-frame, precision, and
 # interprocedural hot-path/lock-scope invariants.
 lint:
 	$(GO) run ./cmd/simlint ./...
 
-# Compiler-fact performance gate: escape-analysis and bounds-check
-# counts ratcheted per package against .perfgate-baseline.json, plus
-# the //lint:noescape zero-escape contract on the hot kernels. After a
-# deliberate improvement, tighten the register with
-# `go run ./cmd/perfgate -update`.
+# Compiler-fact performance gate: the //lint:noescape zero-escape
+# contract on the hot kernels, checked against escape-analysis output.
 perfgate:
 	$(GO) run ./cmd/perfgate
 

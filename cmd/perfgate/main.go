@@ -1,26 +1,19 @@
-// Command perfgate enforces the compiler-fact performance gate: it
-// compiles the module with escape-analysis and bounds-check-elimination
-// diagnostics enabled and checks two contracts against the output.
+// Command perfgate enforces the kernel allocation contract: it compiles
+// the module with escape-analysis diagnostics enabled (-gcflags=-m=1)
+// and requires every function annotated //lint:noescape (the hot
+// numerical kernels: SpMV, element stiffness, the GMRES cycle, assembly
+// compaction, the EDT scans) to compile with zero heap escapes inside
+// its declaration.
 //
 // Usage:
 //
-//	go run ./cmd/perfgate [-update] [-baseline file] [-md file]
+//	go run ./cmd/perfgate
 //
-// First, every function annotated //lint:noescape (the hot numerical
-// kernels: SpMV, element stiffness, the GMRES cycle, the EDT scans)
-// must compile with zero heap escapes inside its declaration; such
-// findings are hard failures that no baseline can absorb. Second,
-// per-package escape and bounds-check counts are ratcheted against
-// .perfgate-baseline.json: counts may only fall, a count below its
-// entry is a staleness finding, and packages without an entry are
-// allowed nothing. -update rewrites the register to the observed
-// counts (kernel contract violations still fail). -md writes a
-// GitHub-flavored summary table ("-" for stdout), which CI appends to
-// the job summary.
+// It takes no flags and keeps no baseline: each escape inside a kernel
+// prints as file:line: message and makes the exit status non-zero.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -29,15 +22,10 @@ import (
 )
 
 func main() {
-	update := flag.Bool("update", false, "rewrite the baseline to the observed counts instead of failing on drift")
-	baselinePath := flag.String("baseline", ".perfgate-baseline.json", "baseline file relative to the module root")
-	mdPath := flag.String("md", "", "write a markdown summary to this file (\"-\" for stdout)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: perfgate [-update] [-baseline file] [-md file]\n")
-		flag.PrintDefaults()
+	if len(os.Args) > 1 {
+		fmt.Fprintln(os.Stderr, "usage: perfgate (takes no arguments)")
+		os.Exit(2)
 	}
-	flag.Parse()
-
 	root, err := findModuleRoot()
 	if err != nil {
 		fatal(err)
@@ -46,53 +34,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	path := *baselinePath
-	if !filepath.IsAbs(path) {
-		path = filepath.Join(root, path)
-	}
-
-	if *update {
-		if err := perfgate.FromReport(rep).Save(path); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("perfgate: baseline %s updated (%d kernels checked)\n", *baselinePath, len(rep.Kernels))
-		// The kernel contract still gates an -update run: annotated
-		// escapes are never recordable debt.
-		report(rep, perfgate.FromReport(rep), rep.Contract, *mdPath)
-		return
-	}
-
-	base, err := perfgate.LoadBaseline(path)
-	if err != nil {
-		fatal(err)
-	}
-	report(rep, base, perfgate.Gate(rep, base), *mdPath)
-}
-
-// report prints findings, writes the optional markdown summary, and
-// exits non-zero when the gate fails.
-func report(rep *perfgate.Report, base *perfgate.Baseline, findings []perfgate.Finding, mdPath string) {
-	for _, f := range findings {
+	for _, f := range rep.Contract {
 		fmt.Println(f)
 	}
-	if mdPath != "" {
-		w := os.Stdout
-		if mdPath != "-" {
-			f, err := os.Create(mdPath)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := perfgate.WriteMarkdown(w, rep, base, findings); err != nil {
-			fatal(err)
-		}
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "perfgate: %d finding(s)\n", len(findings))
+	if len(rep.Contract) > 0 {
+		fmt.Fprintf(os.Stderr, "perfgate: %d finding(s)\n", len(rep.Contract))
 		os.Exit(1)
 	}
+	fmt.Printf("perfgate: %d //lint:noescape kernels, 0 heap escapes\n", len(rep.Kernels))
 }
 
 func fatal(err error) {

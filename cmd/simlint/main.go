@@ -1,7 +1,7 @@
 // Command simlint runs the project-native static-analysis suite over
 // the module: the analyzers in internal/lint that mechanically enforce
 // the pipeline's concurrency, telemetry, error-handling, numerical-
-// kernel, solver phase-order, and coordinate-frame invariants.
+// kernel, and coordinate-frame invariants.
 //
 // Usage:
 //
@@ -117,10 +117,7 @@ func printList(analyzers []lint.Analyzer) {
 	fmt.Println("\nsuppress a finding with:  //lint:ignore <analyzer> <reason> (the module itself carries none; TestModuleIsSimlintClean pins that)")
 	fmt.Println("annotate a kernel with:   //lint:hotpath (enables hotalloc + hotreach checks)")
 	fmt.Println("pin a kernel's escapes:   //lint:noescape (enforced by cmd/perfgate against compiler facts)")
-	fmt.Println("declare phase contracts:  //lint:phase requires=... provides=... forbids=...")
 	fmt.Println("mark frame conversions:   //lint:coordspace conversion")
-	fmt.Println("declare aliasing rules:   //lint:noalias <param>,<param> (call sites checked by slice provenance)")
-	fmt.Println("declare shape contracts:  //lint:shape len(A)==len(B) ... | //lint:shape validator")
 	fmt.Println("classify float precision: //lint:precision storage=... accum=... | //lint:precision convert (may cross classes)")
 }
 

@@ -573,12 +573,16 @@ func (p *Pipeline) stageSolve(ctx context.Context, sc *scan, warm bool) error {
 		err error
 	)
 	if warm {
-		sr, err = warmSolve(ctx, sys, bc, sc.prevU, sopts, upd)
+		if upd.DOFsPatched, err = sys.PatchDirichlet(ctx, bc); err == nil {
+			sr, err = sys.SolveWarmContext(ctx, sc.prevU, sopts)
+		}
 	} else {
 		snap := sys.Assembly.Snapshot()
 		sp.SetAttr(obs.AttrAssemblyFlops, snap.TotalFlops)
 		sp.SetAttr(obs.AttrAssemblyImbalance, snap.Imbalance)
-		sr, err = coldSolve(ctx, sys, bc, sopts)
+		if err = sys.ApplyDirichlet(bc); err == nil {
+			sr, err = sys.SolveContext(ctx, sopts)
+		}
 	}
 	if sr != nil {
 		sp.SetAttr("solver_iterations", sr.Stats.Iterations)
@@ -601,29 +605,6 @@ func (p *Pipeline) stageSolve(ctx context.Context, sc *scan, warm bool) error {
 		upd.IterationsSaved = sc.coldIterations - sr.Stats.Iterations
 	}
 	return nil
-}
-
-// coldSolve eliminates the boundary conditions into the as-assembled
-// system and solves from zero. It and warmSolve are separate functions
-// because the fem phase contracts (//lint:phase bc-applied) are checked
-// per function: here the elimination is established, there an earlier
-// scan established it.
-func coldSolve(ctx context.Context, sys *fem.System, bc map[int32]geom.Vec3, opts solver.Options) (*fem.SolveResult, error) {
-	if err := sys.ApplyDirichlet(bc); err != nil {
-		return nil, err
-	}
-	return sys.SolveContext(ctx, opts)
-}
-
-// warmSolve re-prescribes the boundary conditions of a system an
-// earlier scan constrained and solves from that scan's solution.
-func warmSolve(ctx context.Context, sys *fem.System, bc map[int32]geom.Vec3, prevU []float64,
-	opts solver.Options, upd *IncrementalStats) (*fem.SolveResult, error) {
-	var err error
-	if upd.DOFsPatched, err = sys.PatchDirichlet(ctx, bc); err != nil {
-		return nil, err
-	}
-	return sys.SolveWarmContext(ctx, prevU, opts)
 }
 
 // stageResample resamples the preoperative data through the computed

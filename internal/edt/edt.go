@@ -31,11 +31,8 @@ const inf = 1e20
 // lower envelope of parabolas. The result is written into d, which must
 // have the same length as f and may not alias it (d is written while
 // the envelope still reads f). v and z are scratch slices of length n
-// and n+1 respectively; the contracts are checked at every call site by
-// simlint's aliasguard and shapecheck.
+// and n+1 respectively.
 //
-//lint:noalias f,d
-//lint:shape len(d)==len(f) len(z)==len(v)+1
 //lint:hotpath
 //lint:noescape
 func distanceTransform1D(f, d []float64, v []int, z []float64, spacing float64) {

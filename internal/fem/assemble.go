@@ -63,10 +63,8 @@ const elementStiffnessFlops = 600
 
 // System is an assembled linear elastic system K u = f over the mesh
 // DOFs (3 per node: node n owns DOFs 3n..3n+2).
-// The solver indexes F and Constrained by DOF without bounds slack,
-// per the declared shape contract.
-//
-//lint:shape len(F)==NumDOF len(Constrained)==NumDOF
+// The solver indexes F and Constrained by DOF without bounds slack
+// (see checkShape).
 type System struct {
 	Mesh   *mesh.Mesh
 	K      *sparse.CSR
@@ -104,12 +102,7 @@ type System struct {
 	pcCache solver.PCCache
 }
 
-// checkShape validates the DOF-indexed array invariants; simlint's
-// shapecheck analyzer requires it after any construction it cannot
-// prove statically (SystemFromParts below; assemble's own construction
-// is provable).
-//
-//lint:shape validator
+// checkShape validates the DOF-indexed array invariants.
 func (s *System) checkShape() {
 	if len(s.F) != s.NumDOF || len(s.Constrained) != s.NumDOF {
 		panic(fmt.Sprintf("fem: inconsistent System shape: numDOF=%d len(F)=%d len(Constrained)=%d",
@@ -173,8 +166,6 @@ func (s *System) DOFPartition() par.Partition {
 // visited by each of them (this duplicated element work, plus the
 // varying node connectivity, is the paper's assembly load imbalance —
 // it emerges from the data rather than being injected).
-//
-//lint:phase provides=assembled
 func Assemble(m *mesh.Mesh, mats Table, pt par.Partition) (*System, error) {
 	return AssembleContext(context.Background(), m, mats, pt)
 }
@@ -185,8 +176,6 @@ func Assemble(m *mesh.Mesh, mats Table, pt par.Partition) (*System, error) {
 // quantities the paper's load-balance discussion revolves around. The
 // assembly itself is not cancellable (it is one bounded bulk-synchronous
 // phase; the surrounding stage checks the context).
-//
-//lint:phase provides=assembled
 func AssembleContext(ctx context.Context, m *mesh.Mesh, mats Table, pt par.Partition) (sys *System, err error) {
 	_, span := obs.StartSpan(ctx, obs.SpanFEMAssemble)
 	defer func() { span.End(err) }()
@@ -345,14 +334,15 @@ func assembleRows(m *mesh.Mesh, mats Table, blocks *sparse.BlockAssembler, lo, h
 // equations, and their coupling is moved to the right-hand side of the
 // remaining equations ("substituting known values for equations in the
 // original system", as the paper puts it). The stiffness matrix is
-// rebuilt; call once with all conditions.
+// rebuilt; call once with all conditions (a second call is an error).
 //
 // The eliminated coupling is retained on the System so that a later
 // PatchDirichlet can re-prescribe displacements for the same node set
 // without touching the matrix.
-//
-//lint:phase requires=assembled provides=bc-applied forbids=bc-applied
 func (s *System) ApplyDirichlet(bc map[int32]geom.Vec3) error {
+	if s.bcVal != nil {
+		return fmt.Errorf("fem: ApplyDirichlet called twice; re-prescribe values with PatchDirichlet")
+	}
 	if len(bc) == 0 {
 		return fmt.Errorf("fem: no boundary conditions given; system would be singular")
 	}
@@ -451,8 +441,6 @@ func (s *System) ApplyDirichlet(bc map[int32]geom.Vec3) error {
 // new value. The stiffness matrix — and with it the cached
 // preconditioner factors — stays valid. Returns the number of DOFs
 // whose value actually changed.
-//
-//lint:phase requires=assembled,bc-applied
 func (s *System) PatchDirichlet(ctx context.Context, bc map[int32]geom.Vec3) (changed int, err error) {
 	_, span := obs.StartSpan(ctx, obs.SpanFEMPatchBC)
 	defer func() { span.End(err) }()

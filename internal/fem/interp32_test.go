@@ -3,6 +3,7 @@ package fem
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -13,7 +14,8 @@ import (
 // TestInterpTable32TracksFloat64Table pins the compact resampling
 // path: Compact shares the coverage arrays with the source table,
 // and its float64-accumulated gather over float32 weights stays within
-// float32-rounding distance of the float64 table on every voxel.
+// float32-rounding distance of the float64 table on every voxel and
+// equals the float64 gather over the rounded weights exactly.
 func TestInterpTable32TracksFloat64Table(t *testing.T) {
 	const n = 6
 	sys, m := cubeSystem(t, n, 2, 2)
@@ -43,6 +45,19 @@ func TestInterpTable32TracksFloat64Table(t *testing.T) {
 
 	want := tab.Apply(res.NodeU)
 	got := c.Apply(res.NodeU)
+
+	// Against a float64 table holding the rounded weights the gather is
+	// the same products in the same order: bit-identical, so a float32
+	// accumulator in InterpTable32.Apply fails here.
+	w := make([]float64, len(c.w32))
+	for i, w32 := range c.w32 {
+		w[i] = float64(w32)
+	}
+	rounded := (&InterpTable{grid: tab.grid, vox: tab.vox, nodes: tab.nodes, w: w}).Apply(res.NodeU)
+	if !slices.Equal(got.DX, rounded.DX) || !slices.Equal(got.DY, rounded.DY) || !slices.Equal(got.DZ, rounded.DZ) {
+		t.Fatal("compact Apply differs from the float64 table with rounded weights")
+	}
+
 	// Largest displacement magnitude bounds the weight-rounding error:
 	// |Δ| ≤ 4 · eps32 · max|u| per component.
 	maxU := 0.0

@@ -15,8 +15,6 @@ import (
 // the volume-force term of the paper's equation 1.
 //
 // Call before ApplyDirichlet, like all load assembly.
-//
-//lint:phase forbids=bc-applied
 func (s *System) AddBodyForce(f geom.Vec3, filter func(e int) bool) error {
 	for _, c := range s.Constrained {
 		if c {
@@ -42,8 +40,6 @@ func (s *System) AddBodyForce(f geom.Vec3, filter func(e int) bool) error {
 // AddNodalForce accumulates a concentrated force at a mesh node — the
 // "forces concentrated at the nodes of the mesh" term of the paper's
 // equation 1.
-//
-//lint:phase forbids=bc-applied
 func (s *System) AddNodalForce(node int32, f geom.Vec3) error {
 	if node < 0 || int(node) >= s.Mesh.NumNodes() {
 		return fmt.Errorf("fem: node %d out of range", node)

@@ -1,0 +1,39 @@
+package fem
+
+import (
+	"testing"
+
+	"repro/internal/volume"
+)
+
+// TestConstructorsSatisfyCheckShape calls every constructor of System,
+// InterpTable and InterpTable32 and runs the type's validator on the
+// result, so the shape invariant the solver and the resampling gather
+// index by is pinned from the test side as well as by the checkShape
+// call inside each constructor (sparse has the same test for CSR).
+func TestConstructorsSatisfyCheckShape(t *testing.T) {
+	type shaped interface{ checkShape() }
+	const n = 5
+	sys, _ := cubeSystem(t, n, 2, 2)
+	tab := sys.BuildInterpTable(volume.NewGrid(n, n, n, 1))
+	for _, tc := range []struct {
+		name  string
+		build func() (shaped, error)
+	}{
+		{"Assemble", func() (shaped, error) { return sys, nil }},
+		{"SystemFromParts", func() (shaped, error) {
+			return SystemFromParts(sys.K, sys.F, sys.NodePart, sys.Assembly)
+		}},
+		{"BuildInterpTable", func() (shaped, error) { return tab, nil }},
+		{"InterpTableFromParts", func() (shaped, error) { return InterpTableFromParts(tab.TableParts()) }},
+		{"InterpTable.Compact", func() (shaped, error) { return tab.Compact(), nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.checkShape() // panics on a violated invariant
+		})
+	}
+}

@@ -31,8 +31,6 @@ type SolveResult struct {
 }
 
 // Solve runs the solver with a background context; see SolveContext.
-//
-//lint:phase requires=assembled,bc-applied
 func (s *System) Solve(opts solver.Options) (*SolveResult, error) {
 	return s.SolveContext(context.Background(), opts)
 }
@@ -42,8 +40,6 @@ func (s *System) Solve(opts solver.Options) (*SolveResult, error) {
 // constrained system. A cancelled or deadline-expired context aborts
 // the Krylov iteration within one GMRES restart cycle and returns the
 // context error.
-//
-//lint:phase requires=assembled,bc-applied
 func (s *System) SolveContext(ctx context.Context, opts solver.Options) (*SolveResult, error) {
 	return s.solve(ctx, opts, nil)
 }
@@ -55,8 +51,6 @@ func (s *System) SolveContext(ctx context.Context, opts solver.Options) (*SolveR
 // GMRES converges in a fraction of the cold iteration count; the
 // preconditioner factors are reused from the solve that produced x0
 // whenever the stiffness matrix is unchanged.
-//
-//lint:phase requires=assembled,bc-applied
 func (s *System) SolveWarmContext(ctx context.Context, x0 []float64, opts solver.Options) (*SolveResult, error) {
 	if len(x0) != s.NumDOF {
 		return nil, fmt.Errorf("fem: warm-start seed length %d != %d DOFs", len(x0), s.NumDOF)

@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the control-flow layer under the path-aware analyzers
-// (spanend, concsafe, phaseorder): an intra-procedural CFG of basic
+// (spanend, concsafe): an intra-procedural CFG of basic
 // blocks over one function body, with blocks ordered in reverse
 // postorder so the forward dataflow framework in dataflow.go converges
 // in few passes.

@@ -216,8 +216,7 @@ func TestForwardMustReach(t *testing.T) {
 	}
 }
 
-// TestForwardMayReach checks the dual may-analysis (meet = OR) used by
-// phaseorder's forbids checks.
+// TestForwardMayReach checks the dual may-analysis (meet = OR).
 func TestForwardMayReach(t *testing.T) {
 	c := BuildCFG(parseBody(t, "if cond() {\n mark()\n}\nreturn nil"))
 	marks := func(bl *Block) bool {

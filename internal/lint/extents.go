@@ -14,7 +14,7 @@ import (
 // FuncExtent is the syntax-only footprint of one function declaration:
 // file, line range, and the perfgate-relevant directives from its doc
 // comment. ScanFuncExtents produces these for cmd/perfgate, which
-// attributes compiler escape/bounds-check diagnostics to functions —
+// attributes compiler escape diagnostics to functions —
 // a job that needs declaration geometry and directives, but none of
 // the type information the analyzers require.
 type FuncExtent struct {

@@ -10,7 +10,7 @@ import (
 func sampleFindings() []Finding {
 	return []Finding{
 		{Pos: token.Position{Filename: "/mod/internal/fem/solve.go", Line: 12, Column: 3},
-			Analyzer: "phaseorder", Msg: `Solve requires phase "bc-applied" which is not established on every path to this call`},
+			Analyzer: "nanguard", Msg: "comparison consumes a possibly non-finite value (division by unproven denominator); guard with math.IsNaN/math.IsInf or numeric.Finite first"},
 		{Pos: token.Position{Filename: "/mod/internal/par/pool.go", Line: 40, Column: 2},
 			Analyzer: "concsafe", Msg: "go statement spawns a goroutine with no deferred WaitGroup.Done, completion send, or recover"},
 		{Pos: token.Position{Filename: "/mod/internal/x.go"},
@@ -33,7 +33,7 @@ func TestWriteJSON(t *testing.T) {
 		t.Fatalf("got %d elements, want 3", len(got))
 	}
 	if got[0]["file"] != "internal/fem/solve.go" || got[0]["line"] != float64(12) ||
-		got[0]["analyzer"] != "phaseorder" {
+		got[0]["analyzer"] != "nanguard" {
 		t.Errorf("first element = %v", got[0])
 	}
 

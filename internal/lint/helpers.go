@@ -171,3 +171,34 @@ func hasDirective(doc *ast.CommentGroup, verb string) bool {
 	}
 	return false
 }
+
+// flatParamNames lists a function's parameter names in declaration
+// order (unnamed parameters contribute nothing).
+func flatParamNames(decl *ast.FuncDecl) []string {
+	var out []string
+	if decl.Type.Params == nil {
+		return out
+	}
+	for _, field := range decl.Type.Params.List {
+		for _, name := range field.Names {
+			out = append(out, name.Name)
+		}
+	}
+	return out
+}
+
+// namedStructOf unwraps a (possibly pointer-to) named struct type.
+func namedStructOf(t types.Type) (*types.Named, *types.Struct) {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return nil, nil
+	}
+	st, ok := named.Underlying().(*types.Struct)
+	if !ok {
+		return nil, nil
+	}
+	return named, st
+}

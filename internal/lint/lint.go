@@ -75,12 +75,9 @@ func Analyzers() []Analyzer {
 		hotreach{},
 		concsafe{},
 		lockscope{},
-		phaseorder{},
 		coordspace{},
-		aliasguard{},
 		nanguard{},
 		detguard{},
-		shapecheck{},
 		precguard{},
 	}
 }

@@ -91,12 +91,9 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"hotreach", "repro/internal/hotreachfix"},
 		{"concsafe", "repro/internal/par/concfixture"},
 		{"lockscope", "repro/internal/par/lockfixture"},
-		{"phaseorder", "repro/internal/phasefixture"},
 		{"coordspace", "repro/internal/mesh/coordfixture"},
-		{"aliasguard", "repro/internal/aliasfixture"},
 		{"nanguard", "repro/internal/solver/nanfixture"},
 		{"detguard", "repro/internal/fem/detfixture"},
-		{"shapecheck", "repro/internal/shapefixture"},
 		{"precguard", "repro/internal/solver/precfixture"},
 	} {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -216,7 +213,10 @@ func TestMalformedDirectives(t *testing.T) {
 		{19, 6, "errwrap", "error discarded with _ ="},
 		{24, 2, "lint", "unknown directive //lint:ignroe"},
 		{25, 6, "errwrap", "error discarded with _ ="},
-		{32, 1, "lint", "unknown directive //lint:stage"},
+		{33, 1, "lint", "unknown directive //lint:stage"},
+		{34, 1, "lint", "unknown directive //lint:phase"},
+		{35, 1, "lint", "unknown directive //lint:noalias"},
+		{36, 1, "lint", "unknown directive //lint:shape"},
 	}
 	if len(findings) != len(want) {
 		t.Fatalf("got %d findings, want %d:\n%s", len(findings), len(want), findingList(findings))
@@ -231,34 +231,33 @@ func TestMalformedDirectives(t *testing.T) {
 }
 
 // TestDirectiveSyntax checks the lint pseudo-analyzer's validation of
-// the contract directives: malformed //lint:noalias and //lint:shape
-// arguments are reported at the directive itself, alongside the
-// semantic diagnostics the analyzers anchor on the declaration. The
+// the argument-carrying directives: malformed //lint:precision and
+// //lint:coordspace arguments are reported at the directive itself. The
 // cases live inline rather than in a fixture because a want comment
 // appended to a directive line would become part of the directive's
 // own argument.
 func TestDirectiveSyntax(t *testing.T) {
 	const src = `package dirsyntax
 
-// One names a single parameter.
-//
-//lint:noalias x
-func One(x []float64) {}
-
-// Bad names a non-identifier.
-//
-//lint:noalias x,2y
-func Bad(x, y []float64) {}
-
-// Shapes has two unparseable relations.
-//
-//lint:shape len(a)=len(b) bogus
-func Shapes(a, b []float64) {}
-
 // Empty has no argument at all.
 //
-//lint:shape
-func Empty(a []float64) {}
+//lint:precision
+func Empty(x []float64) {}
+
+// Bad has an unknown field, a non-identifier and an empty list.
+//
+//lint:precision width=x storage=2y accum=
+func Bad(x, y []float64) {}
+
+// Frame names something other than a conversion.
+//
+//lint:coordspace voxel
+func Frame() {}
+
+// Good parses.
+//
+//lint:precision convert storage=dst accum=src
+func Good(dst []float32, src []float64) {}
 `
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "dirsyntax.go"), []byte(src), 0o644); err != nil {
@@ -267,26 +266,23 @@ func Empty(a []float64) {}
 	pkg := loadFixture(t, dir, "repro/internal/dirsyntax")
 	findings := Run([]*Package{pkg}, Analyzers())
 	want := []struct {
-		line     int
-		analyzer string
-		substr   string
+		line   int
+		substr string
 	}{
-		{5, "lint", "malformed directive: want //lint:noalias <param>,<param>"},
-		{6, "aliasguard", "needs at least two parameter names"},
-		{10, "lint", `"2y" is not an identifier`},
-		{11, "aliasguard", `"2y" which is not a parameter of Bad`},
-		// Same position: ties sort by message, "bogus" before "len(".
-		{15, "lint", `"bogus" does not parse`},
-		{15, "lint", `"len(a)=len(b)" does not parse`},
-		{20, "lint", "malformed directive: want //lint:shape validator | <relation>"},
+		{5, "malformed directive: want //lint:precision [convert]"},
+		// Same position: ties sort by message.
+		{10, `//lint:precision accum= lists no names`},
+		{10, `//lint:precision field "width=x": want convert, storage=, or accum=`},
+		{10, `//lint:precision name "2y" is not an identifier`},
+		{15, "malformed directive: want //lint:coordspace conversion"},
 	}
 	if len(findings) != len(want) {
 		t.Fatalf("got %d findings, want %d:\n%s", len(findings), len(want), findingList(findings))
 	}
 	for i, w := range want {
 		f := findings[i]
-		if f.Analyzer != w.analyzer || f.Pos.Line != w.line || !strings.Contains(f.Msg, w.substr) {
-			t.Errorf("finding %d = %s, want %s at line %d matching %q", i, f, w.analyzer, w.line, w.substr)
+		if f.Analyzer != "lint" || f.Pos.Line != w.line || !strings.Contains(f.Msg, w.substr) {
+			t.Errorf("finding %d = %s, want lint at line %d matching %q", i, f, w.line, w.substr)
 		}
 	}
 }
@@ -303,8 +299,8 @@ func TestAnalyzerNamesStable(t *testing.T) {
 		}
 	}
 	if got, want := strings.Join(names, " "),
-		"ctxprop spanend errwrap floateq hotalloc hotreach concsafe lockscope phaseorder coordspace"+
-			" aliasguard nanguard detguard shapecheck precguard"; got != want {
+		"ctxprop spanend errwrap floateq hotalloc hotreach concsafe lockscope coordspace"+
+			" nanguard detguard precguard"; got != want {
 		t.Errorf("Analyzers() = %q, want %q", got, want)
 	}
 }

@@ -71,11 +71,6 @@ type Module struct {
 	// the doc comment resolved per the usual Go rule: the spec's own doc
 	// when present, else the enclosing GenDecl's.
 	typeSpecs map[token.Pos]*TypeDecl
-	// provMu serializes the slice-provenance summary cache in
-	// provenance.go across the analyzer goroutines RunAll spawns.
-	provMu   sync.Mutex
-	provSums map[*types.Func]*provSummary
-	provWork map[*types.Func]bool
 }
 
 // TypeDecl pairs a type spec with its effective doc comment.
@@ -125,8 +120,6 @@ func NewModule(root string) (*Module, error) {
 		loadWG:    make(map[string]bool),
 		decls:     make(map[token.Pos]*ast.FuncDecl),
 		typeSpecs: make(map[token.Pos]*TypeDecl),
-		provSums:  make(map[*types.Func]*provSummary),
-		provWork:  make(map[*types.Func]bool),
 	}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -226,7 +227,7 @@ func checkPrecDecls(pkg *Package, file *ast.File) []Finding {
 					}
 					continue
 				}
-				if !containsStr(params, name) {
+				if !slices.Contains(params, name) {
 					out = append(out, Finding{Pos: pos, Analyzer: "precguard",
 						Msg: "//lint:precision names " + strconvQuote(name) + " which is not a parameter of " + d.Name.Name})
 					continue

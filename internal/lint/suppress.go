@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/token"
-	"regexp"
 	"strings"
 )
 
@@ -31,10 +30,7 @@ func (s suppressionIndex) covers(analyzer string, pos token.Position) bool {
 var knownDirectives = map[string]bool{
 	"hotpath":    true,
 	"noescape":   true, // perfgate escape-analysis contract; see cmd/perfgate
-	"phase":      true, // solver phase contracts; see phaseorder.go
 	"coordspace": true, // frame-conversion marker; see coordspace.go
-	"noalias":    true, // slice-parameter aliasing contract; see aliasguard.go
-	"shape":      true, // length-relation contract; see shapecheck.go
 	"precision":  true, // storage/accumulation precision contract; see precguard.go
 }
 
@@ -46,15 +42,11 @@ type WaiverUse struct {
 	Reason   string
 }
 
-// phaseNameRe constrains phase names in //lint:phase directives: short
-// lowercase kebab-case identifiers ("assembled", "bc-applied").
-var phaseNameRe = regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
-
 // suppressions scans a package's comments for //lint: directives. It
 // returns the ignore index, the waiver uses, and
 // diagnostics (under the "lint" pseudo-analyzer) for malformed
 // directives: a missing reason, an unknown analyzer name, an unknown
-// directive verb, or bad //lint:phase / //lint:coordspace syntax.
+// directive verb, or bad //lint:coordspace / //lint:precision syntax.
 func suppressions(pkg *Package, known map[string]bool) (suppressionIndex, []WaiverUse, []Finding) {
 	idx := make(suppressionIndex)
 	var waivers []WaiverUse
@@ -91,17 +83,11 @@ func suppressions(pkg *Package, known map[string]bool) (suppressionIndex, []Waiv
 						idx[pos.Filename][pos.Line] = make(map[string]bool)
 					}
 					idx[pos.Filename][pos.Line][name] = true
-				case "phase":
-					diags = append(diags, checkPhaseSyntax(pos, arg)...)
 				case "coordspace":
 					if strings.TrimSpace(arg) != "conversion" {
 						diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
 							Msg: "malformed directive: want //lint:coordspace conversion"})
 					}
-				case "noalias":
-					diags = append(diags, checkNoaliasSyntax(pos, arg)...)
-				case "shape":
-					diags = append(diags, checkShapeSyntax(pos, arg)...)
 				case "precision":
 					diags = append(diags, checkPrecisionSyntax(pos, arg)...)
 				default:
@@ -114,89 +100,6 @@ func suppressions(pkg *Package, known map[string]bool) (suppressionIndex, []Waiv
 		}
 	}
 	return idx, waivers, diags
-}
-
-// checkPhaseSyntax validates the argument list of a //lint:phase
-// directive: space-separated key=value fields with keys from
-// requires/provides/forbids and comma-separated kebab-case phase names.
-func checkPhaseSyntax(pos token.Position, arg string) []Finding {
-	fields := strings.Fields(arg)
-	if len(fields) == 0 {
-		return []Finding{{Pos: pos, Analyzer: "lint",
-			Msg: "malformed directive: want //lint:phase requires=...|provides=...|forbids=..."}}
-	}
-	var diags []Finding
-	for _, field := range fields {
-		key, val, hasEq := strings.Cut(field, "=")
-		switch {
-		case !hasEq || (key != "requires" && key != "provides" && key != "forbids"):
-			diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-				Msg: "//lint:phase field " + strconvQuote(field) +
-					": want requires=, provides=, or forbids="})
-			continue
-		case splitPhases(val) == nil:
-			diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-				Msg: "//lint:phase " + key + "= lists no phases"})
-			continue
-		}
-		for _, p := range splitPhases(val) {
-			if !phaseNameRe.MatchString(p) {
-				diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-					Msg: "//lint:phase name " + strconvQuote(p) + " is not lowercase kebab-case"})
-			}
-		}
-	}
-	return diags
-}
-
-// checkNoaliasSyntax validates a //lint:noalias argument list:
-// comma-separated identifiers, at least two. (Whether the names match
-// slice parameters is aliasguard's semantic check.)
-func checkNoaliasSyntax(pos token.Position, arg string) []Finding {
-	var diags []Finding
-	names := strings.Split(strings.TrimSpace(arg), ",")
-	count := 0
-	for _, n := range names {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		count++
-		if !identLike(n) {
-			diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-				Msg: "//lint:noalias name " + strconvQuote(n) + " is not an identifier"})
-		}
-	}
-	if count < 2 {
-		diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-			Msg: "malformed directive: want //lint:noalias <param>,<param>[,...]"})
-	}
-	return diags
-}
-
-// checkShapeSyntax validates a //lint:shape argument: either the single
-// word "validator" or space-separated len/value relations joined by ==.
-// (Whether the names match fields or parameters is shapecheck's
-// semantic check.)
-func checkShapeSyntax(pos token.Position, arg string) []Finding {
-	arg = strings.TrimSpace(arg)
-	if arg == "validator" {
-		return nil
-	}
-	fields := strings.Fields(arg)
-	if len(fields) == 0 {
-		return []Finding{{Pos: pos, Analyzer: "lint",
-			Msg: "malformed directive: want //lint:shape validator | <relation>..."}}
-	}
-	var diags []Finding
-	for _, field := range fields {
-		if _, ok := parseShapeRel(field); !ok {
-			diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-				Msg: "//lint:shape relation " + strconvQuote(field) +
-					" does not parse: want len(A)==len(B), len(A)==N+1, or len(A)==A[N] forms"})
-		}
-	}
-	return diags
 }
 
 // checkPrecisionSyntax validates a //lint:precision argument list:
@@ -240,6 +143,27 @@ func checkPrecisionSyntax(pos token.Position, arg string) []Finding {
 		}
 	}
 	return diags
+}
+
+// identLike reports whether s is spelled like a Go identifier (ASCII
+// letters, digits and underscore, not starting with a digit), the
+// form every name in a directive argument must have.
+func identLike(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i, r := range s {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_':
+		case r >= '0' && r <= '9':
+			if i == 0 {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 func strconvQuote(s string) string { return `"` + s + `"` }

@@ -26,8 +26,12 @@ func Typo() {
 }
 
 // Retired directive verbs are rejected too: the stage contract moved
-// into Go function signatures, so a leftover comment must not pass as
-// if something still checked it.
+// into Go function signatures, and the phase, aliasing and shape
+// contracts are stated by error returns, tests and runtime validators,
+// so a leftover comment must not pass as if something still checked it.
 //
 //lint:stage name=leftover inputs=a outputs=b pure
-func Retired() {}
+//lint:phase requires=assembled provides=bc-applied
+//lint:noalias x,y
+//lint:shape len(x)==len(y)
+func Retired(x, y []float64) {}

