@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint perfgate check bench
+.PHONY: build test lint perfgate check bench bench-pairs
 
 build:
 	$(GO) build ./...
@@ -32,3 +32,11 @@ check:
 bench:
 	$(GO) test -bench=. -benchmem -short ./...
 	$(GO) run ./_bench
+
+# Alternating parent/change pairs of one workload, e.g.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=stream-77k PAIRS=10
+PARENT ?= HEAD
+WORKLOAD ?= stream-77k
+PAIRS ?= 10
+bench-pairs:
+	sh scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)

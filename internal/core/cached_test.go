@@ -245,9 +245,15 @@ func resultDigest(res *Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestResultDigestsPinned pins every path's output bits to the values
-// the string-wired DAG executor produced (commit 959ebf3): a cold Run,
-// a Session.Register and two streamed Updates at size 24.
+// TestResultDigestsPinned pins every path's output bits: a cold Run, a
+// Session.Register and two streamed Updates at size 24. The constants
+// were re-pinned once, in PR 18, for the solver's reduction-order change
+// (inner products summed as fixed 2,048-element chunks of four lanes
+// instead of one accumulator), which moved the nodal displacements by at
+// most 8.2e-15 mm here; the split-storage ILU(0), the fanned-out
+// element-wise sweeps, the one-pass stress summary and the
+// one-entry-per-voxel interpolation table of the same PR passed the
+// previous constants (those of commit 959ebf3) unchanged.
 func TestResultDigestsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests are pinned for amd64 floating point (no fused multiply-add)")
@@ -259,9 +265,9 @@ func TestResultDigestsPinned(t *testing.T) {
 		scans[i] = phantom.Generate(p)
 	}
 	const (
-		registerDigest = "f816060db52f6d9ae0d7463a794d0222e9b409a0815689a41f756e7788ac8fdc"
-		update1Digest  = "05b7b91f5ee1b9b97ed1e4617df6107da6e1ca9f92c515f199f8b34bc0a5cd43"
-		update2Digest  = "4a3751d241a4dc97de5b61cf6e33164ad9e26b31ffc850cf5139a68e6beadde5"
+		registerDigest = "74763507aff41edadd5ffb0a2201a31041a23f9b46cef4f473b24030bfeb2d15"
+		update1Digest  = "fcad0e202747f2dfad3e89b2c685cd120ce04c10a1ae5ddff48296db59e29539"
+		update2Digest  = "c920fe2ac4453a27ca51451115809590ac34ac02b29c8389f63657e5b9a14667"
 	)
 	check := func(path string, res *Result, err error, want string) {
 		t.Helper()

@@ -636,7 +636,7 @@ func (p *Pipeline) finish(ctx context.Context, err error, sc *scan) (*Result, er
 	if sc.solveRes != nil {
 		res.SolveStats = sc.solveRes.Stats
 		res.NodeDisplacements = sc.solveRes.NodeU
-		stressSummary(sc.sys, sc.solveRes.NodeU, p.cfg.Materials, res)
+		stressSummary(sc.sys, sc.solveRes.NodeU, p.cfg.Materials, p.cfg.Ranks, res)
 	}
 	if err != nil {
 		var se *StageError
@@ -651,26 +651,23 @@ func (p *Pipeline) finish(ctx context.Context, err error, sc *scan) (*Result, er
 }
 
 // stressSummary fills the Von Mises stress summary of res from the
-// solved deformation (best effort: degenerate elements skip it).
-func stressSummary(sys *fem.System, nodeU []geom.Vec3, mats fem.Table, res *Result) {
-	strains, err := sys.Strains(nodeU)
-	if err != nil {
-		return
-	}
-	stresses, err := sys.Stresses(strains, mats)
+// solved deformation (best effort: degenerate elements skip it). The
+// per-element values are computed concurrently; peak and mean are then
+// reduced in element order, so they do not depend on the rank count.
+func stressSummary(sys *fem.System, nodeU []geom.Vec3, mats fem.Table, ranks int, res *Result) {
+	vonMises, err := sys.VonMisesStresses(nodeU, mats, ranks)
 	if err != nil {
 		return
 	}
 	sum := 0.0
-	for _, st := range stresses {
-		vm := st.VonMises()
+	for _, vm := range vonMises {
 		sum += vm
 		if vm > res.PeakVonMises {
 			res.PeakVonMises = vm
 		}
 	}
-	if len(stresses) > 0 {
-		res.MeanVonMises = sum / float64(len(stresses))
+	if len(vonMises) > 0 {
+		res.MeanVonMises = sum / float64(len(vonMises))
 	}
 }
 

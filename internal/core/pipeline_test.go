@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/fem"
 	"repro/internal/phantom"
 	"repro/internal/volume"
 )
@@ -113,6 +115,26 @@ func TestPipelineStressMonitoring(t *testing.T) {
 	// produce stresses in the tens-to-thousands of Pa, not megapascals.
 	if res.PeakVonMises > 1e6 {
 		t.Errorf("peak stress %v Pa implausibly high", res.PeakVonMises)
+	}
+	// The summary keeps the bits of the serial Strains, Stresses,
+	// VonMises path reduced in element order, whatever cfg.Ranks is.
+	sys := &fem.System{Mesh: res.Mesh}
+	strains, err := sys.Strains(res.NodeDisplacements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stresses, err := sys.Stresses(strains, fastConfig().Materials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak, sum := 0.0, 0.0
+	for _, st := range stresses {
+		vm := st.VonMises()
+		sum += vm
+		peak = math.Max(peak, vm)
+	}
+	if mean := sum / float64(len(stresses)); res.PeakVonMises != peak || res.MeanVonMises != mean {
+		t.Errorf("stress summary peak %v mean %v, three-step path %v %v", res.PeakVonMises, res.MeanVonMises, peak, mean)
 	}
 }
 

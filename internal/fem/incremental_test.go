@@ -222,6 +222,14 @@ func TestInterpTableMatchesDisplacementField(t *testing.T) {
 	if tab.Covered() == 0 {
 		t.Fatal("interpolation table covers no voxels")
 	}
+	// One entry per covered voxel, however many elements share it.
+	seen := make(map[int32]bool)
+	for _, v := range tab.vox {
+		if seen[v] {
+			t.Fatalf("voxel %d has more than one table entry", v)
+		}
+		seen[v] = true
+	}
 	if !tab.Grid().SameShape(g) {
 		t.Fatalf("table grid = %v, want %v", tab.Grid(), g)
 	}

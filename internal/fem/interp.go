@@ -20,11 +20,12 @@ import (
 //lint:precision storage=w
 type InterpTable struct {
 	grid volume.Grid
-	// vox is the linear voxel index of each covered voxel, in element
-	// rasterization order (so overlapping coverage overwrites exactly
-	// like DisplacementField does).
+	// vox is the linear voxel index of each covered voxel, once, in the
+	// order element rasterization first reaches it.
 	vox []int32
-	// nodes and w hold four node indices and four weights per entry.
+	// nodes and w hold four node indices and four weights per entry:
+	// those of the last element that covers the voxel, the one whose
+	// value DisplacementField leaves there.
 	nodes []int32
 	w     []float64
 }
@@ -111,8 +112,24 @@ func (s *System) rasterize(g volume.Grid, fn func(i, j, k int, nodes [4]int32, w
 // DisplacementField spends per call.
 func (s *System) BuildInterpTable(g volume.Grid) *InterpTable {
 	t := &InterpTable{grid: g}
+	// A voxel centre on a shared face, edge or node lies inside every
+	// element around it — at one node per voxel, two dozen of them. Only
+	// the last element to cover a voxel shows in DisplacementField, so
+	// the table keeps one entry per voxel and lets later elements
+	// overwrite it: entry[voxel] is the voxel's entry, -1 before it has one.
+	entry := make([]int32, g.NX*g.NY*g.NZ)
+	for i := range entry {
+		entry[i] = -1
+	}
 	s.rasterize(g, func(i, j, k int, nodes [4]int32, w [4]float64) {
-		t.vox = append(t.vox, int32(g.Index(i, j, k)))
+		idx := g.Index(i, j, k)
+		if n := entry[idx]; n >= 0 {
+			copy(t.nodes[4*n:], nodes[:])
+			copy(t.w[4*n:], w[:])
+			return
+		}
+		entry[idx] = int32(len(t.vox))
+		t.vox = append(t.vox, int32(idx))
 		t.nodes = append(t.nodes, nodes[0], nodes[1], nodes[2], nodes[3])
 		t.w = append(t.w, w[0], w[1], w[2], w[3])
 	})

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/par"
 )
 
 // AddBodyForce accumulates a constant body force density (N per unit
@@ -66,27 +67,36 @@ func (s *System) Strains(nodeU []geom.Vec3) ([]ElementStrain, error) {
 	if len(nodeU) != s.Mesh.NumNodes() {
 		return nil, fmt.Errorf("fem: %d displacements for %d nodes", len(nodeU), s.Mesh.NumNodes())
 	}
-	m := s.Mesh
-	out := make([]ElementStrain, m.NumTets())
-	for e := range m.Tets {
-		sc, err := m.TetGeom(e).Shape()
+	out := make([]ElementStrain, s.Mesh.NumTets())
+	for e := range out {
+		st, err := s.elementStrain(e, nodeU)
 		if err != nil {
-			return nil, fmt.Errorf("fem: element %d: %w", e, err)
-		}
-		var st ElementStrain
-		for a := 0; a < 4; a++ {
-			u := nodeU[m.Tets[e][a]]
-			bx, by, bz := sc.B[a], sc.C[a], sc.D[a]
-			st[0] += bx * u.X
-			st[1] += by * u.Y
-			st[2] += bz * u.Z
-			st[3] += by*u.X + bx*u.Y
-			st[4] += bz*u.Y + by*u.Z
-			st[5] += bz*u.X + bx*u.Z
+			return nil, err
 		}
 		out[e] = st
 	}
 	return out, nil
+}
+
+// elementStrain is the strain of element e.
+func (s *System) elementStrain(e int, nodeU []geom.Vec3) (ElementStrain, error) {
+	m := s.Mesh
+	sc, err := m.TetGeom(e).Shape()
+	if err != nil {
+		return ElementStrain{}, fmt.Errorf("fem: element %d: %w", e, err)
+	}
+	var st ElementStrain
+	for a := 0; a < 4; a++ {
+		u := nodeU[m.Tets[e][a]]
+		bx, by, bz := sc.B[a], sc.C[a], sc.D[a]
+		st[0] += bx * u.X
+		st[1] += by * u.Y
+		st[2] += bz * u.Z
+		st[3] += by*u.X + bx*u.Y
+		st[4] += bz*u.Y + by*u.Z
+		st[5] += bz*u.X + bx*u.Z
+	}
+	return st, nil
 }
 
 // Stresses converts element strains to stresses through each element's
@@ -98,15 +108,50 @@ func (s *System) Stresses(strains []ElementStrain, mats Table) ([]ElementStress,
 	}
 	out := make([]ElementStress, len(strains))
 	for e, st := range strains {
-		lambda, mu := mats.For(s.Mesh.TetLabel[e]).Lame()
-		trace := st[0] + st[1] + st[2]
-		out[e] = ElementStress{
-			lambda*trace + 2*mu*st[0],
-			lambda*trace + 2*mu*st[1],
-			lambda*trace + 2*mu*st[2],
-			mu * st[3],
-			mu * st[4],
-			mu * st[5],
+		out[e] = st.stress(mats.For(s.Mesh.TetLabel[e]).Lame())
+	}
+	return out, nil
+}
+
+// stress is sigma = D epsilon for the Lamé parameters lambda and mu.
+func (st ElementStrain) stress(lambda, mu float64) ElementStress {
+	trace := st[0] + st[1] + st[2]
+	return ElementStress{
+		lambda*trace + 2*mu*st[0],
+		lambda*trace + 2*mu*st[1],
+		lambda*trace + 2*mu*st[2],
+		mu * st[3],
+		mu * st[4],
+		mu * st[5],
+	}
+}
+
+// VonMisesStresses computes every element's von Mises stress from the
+// nodal displacement field in one pass over the elements, split into
+// ranks contiguous ranges that run concurrently: element by element
+// the Strains, Stresses, ElementStress.VonMises chain, and its bits,
+// without the two intermediate slices.
+func (s *System) VonMisesStresses(nodeU []geom.Vec3, mats Table, ranks int) ([]float64, error) {
+	if len(nodeU) != s.Mesh.NumNodes() {
+		return nil, fmt.Errorf("fem: %d displacements for %d nodes", len(nodeU), s.Mesh.NumNodes())
+	}
+	out := make([]float64, s.Mesh.NumTets())
+	pt := par.Even(len(out), ranks)
+	errs := make([]error, pt.P) // one slot per rank; the lowest rank's error is reported
+	pt.ForEachRank(func(r int) {
+		lo, hi := pt.Range(r)
+		for e := lo; e < hi; e++ {
+			st, err := s.elementStrain(e, nodeU)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			out[e] = st.stress(mats.For(s.Mesh.TetLabel[e]).Lame()).VonMises()
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

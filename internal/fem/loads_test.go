@@ -2,6 +2,7 @@ package fem
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -225,5 +226,49 @@ func TestStrainsErrors(t *testing.T) {
 	}
 	if _, err := sys.Stresses(make([]ElementStrain, 1), HomogeneousBrain()); err == nil {
 		t.Error("wrong strain count accepted")
+	}
+}
+
+// TestVonMisesStressesMatchesThreeStepPath: the one-pass computation
+// gives, bit for bit and for any rank count, what Strains, Stresses
+// and ElementStress.VonMises give element by element — on a
+// heterogeneous table, so the per-element material lookup is covered.
+func TestVonMisesStressesMatchesThreeStepPath(t *testing.T) {
+	sys, m := cubeSystem(t, 6, 2, 1)
+	for e := range m.TetLabel {
+		if e%3 == 0 {
+			m.TetLabel[e] = volume.LabelFalx
+		}
+	}
+	mats := HeterogeneousBrain()
+	rng := rand.New(rand.NewSource(3))
+	nodeU := make([]geom.Vec3, m.NumNodes())
+	for n := range nodeU {
+		nodeU[n] = geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+	}
+	strains, err := sys.Strains(nodeU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stresses, err := sys.Stresses(strains, mats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ranks := range []int{1, 2, 3, 7} {
+		got, err := sys.VonMisesStresses(nodeU, mats, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(stresses) {
+			t.Fatalf("ranks=%d: %d values for %d elements", ranks, len(got), len(stresses))
+		}
+		for e, st := range stresses {
+			if want := st.VonMises(); math.Float64bits(got[e]) != math.Float64bits(want) {
+				t.Fatalf("ranks=%d element %d: von Mises %v, three-step path %v", ranks, e, got[e], want)
+			}
+		}
+	}
+	if _, err := sys.VonMisesStresses(make([]geom.Vec3, 3), mats, 2); err == nil {
+		t.Error("wrong displacement count accepted")
 	}
 }

@@ -32,6 +32,8 @@ func TestModulePassesPerfgate(t *testing.T) {
 		"elementStiffness":           false,
 		"gmresCycle":                 false,
 		"gmresCycle32":               false,
+		"axpyDot":                    false,
+		"iluFactor.solve":            false,
 		"distanceTransform1D":        false,
 	}
 	for _, k := range rep.Kernels {

@@ -363,3 +363,23 @@ func TestJobRetentionEviction(t *testing.T) {
 		t.Errorf("%s = %v, want 1", obs.MetricJobsEvicted, v)
 	}
 }
+
+// TestDefaultJobRetentionIsCapacity: left unset, the index holds as many
+// jobs as the service can have accepted at once — workers plus queue
+// slots — so the results it pins do not grow with the scans it has run.
+func TestDefaultJobRetentionIsCapacity(t *testing.T) {
+	svc := New(Options{Workers: 1, QueueDepth: 1})
+	defer svc.Close()
+	c := testCase(24, 6)
+	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := svc.Register(context.Background(), "or", c.Intraop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if jobs := svc.Jobs(); len(jobs) != 2 {
+		t.Errorf("retained %d jobs, want Workers+QueueDepth = 2", len(jobs))
+	}
+}

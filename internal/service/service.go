@@ -53,10 +53,6 @@ var (
 	ErrUnknownJob = errors.New("service: unknown job")
 )
 
-// defaultJobRetention bounds how many finished jobs are kept
-// addressable on the admin surface before the oldest are evicted.
-const defaultJobRetention = 1024
-
 // Options configures the service.
 type Options struct {
 	// Workers is the worker-pool size: the number of scans registered
@@ -75,7 +71,10 @@ type Options struct {
 	Registry *obs.Registry
 	// JobRetention bounds how many jobs stay addressable on the admin
 	// surface; the oldest beyond it are evicted (counted in
-	// brainsim_jobs_evicted_total). Default 1024.
+	// brainsim_jobs_evicted_total). A retained job keeps its Result, so
+	// this is also the number of results the service itself holds on to.
+	// Default Workers + QueueDepth: as many jobs as it can have accepted
+	// at one time.
 	JobRetention int
 	// FlightRecorderSize bounds each session's flight-recorder ring (the
 	// per-session black box of recent spans, events and log records).
@@ -225,9 +224,6 @@ func New(opts Options) *Service {
 	}
 	if opts.Registry == nil {
 		opts.Registry = obs.NewRegistry()
-	}
-	if opts.JobRetention <= 0 {
-		opts.JobRetention = defaultJobRetention
 	}
 	if opts.Logger == nil {
 		opts.Logger = obs.NopLogger()
@@ -589,7 +585,7 @@ func (s *Service) shedJob(ms *managedSession, kind JobKind, why string) {
 func (s *Service) retainJobLocked(j *Job) (evicted int) {
 	retention := s.opts.JobRetention
 	if retention <= 0 {
-		retention = defaultJobRetention
+		retention = s.opts.Workers + cap(s.queue)
 	}
 	s.jobs[j.ID] = j
 	s.jobOrder = append(s.jobOrder, j.ID)

@@ -49,6 +49,61 @@ func denseSolve(n int, a []float64, b []float64) []float64 {
 	return x
 }
 
+// fuzzSeeds is FuzzGMRESAgainstDense's seed corpus; the ILU(0) oracle
+// test factorizes the same matrices.
+var fuzzSeeds = []struct {
+	n            uint8
+	offdiag, rhs []byte
+}{
+	{3, []byte{10, 200, 30, 90, 250, 1}, []byte{1, 2, 3}},
+	{1, []byte{}, []byte{128}},
+	{6, []byte{0, 0, 0, 0, 255, 255, 255, 255}, []byte{}},
+	{5, []byte{7, 77, 177, 27, 127, 227, 3, 93, 183}, []byte{255, 0, 255, 0}},
+}
+
+// fuzzSystem builds the fuzz target's system from its raw inputs: the
+// sparse matrix, its dense copy and the right-hand side.
+func fuzzSystem(nRaw uint8, offdiag, rhs []byte) (n int, a *sparse.CSR, dense, b []float64) {
+	n = int(nRaw%8) + 1
+
+	// Off-diagonal entries in [-1, 1] from the fuzzed bytes; the
+	// diagonal is the row's absolute sum plus one, making the matrix
+	// strictly diagonally dominant whatever the bytes say.
+	dense = make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j || len(offdiag) == 0 {
+				continue
+			}
+			raw := offdiag[(i*n+j)%len(offdiag)]
+			dense[i*n+j] = (float64(raw) - 127.5) / 127.5
+		}
+	}
+	bld := sparse.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		rowAbs := 0.0
+		for j := 0; j < n; j++ {
+			if j != i {
+				rowAbs += math.Abs(dense[i*n+j])
+				if numeric.NonZero(dense[i*n+j]) {
+					bld.Add(i, j, dense[i*n+j])
+				}
+			}
+		}
+		dense[i*n+i] = rowAbs + 1
+		bld.Add(i, i, dense[i*n+i])
+	}
+	a = bld.Build()
+
+	b = make([]float64, n)
+	for i := range b {
+		if len(rhs) > 0 {
+			b[i] = (float64(rhs[i%len(rhs)]) - 127.5) / 32
+		}
+	}
+	return n, a, dense, b
+}
+
 // FuzzGMRESAgainstDense builds small strictly diagonally dominant
 // (hence nonsingular and well-conditioned) systems from fuzzer bytes —
 // nonsymmetric in general, so this exercises the full Arnoldi path
@@ -57,48 +112,11 @@ func denseSolve(n int, a []float64, b []float64) []float64 {
 // Diagonal dominance bounds the condition number, which is what makes
 // a universal comparison tolerance sound.
 func FuzzGMRESAgainstDense(f *testing.F) {
-	f.Add(uint8(3), []byte{10, 200, 30, 90, 250, 1}, []byte{1, 2, 3})
-	f.Add(uint8(1), []byte{}, []byte{128})
-	f.Add(uint8(6), []byte{0, 0, 0, 0, 255, 255, 255, 255}, []byte{})
-	f.Add(uint8(5), []byte{7, 77, 177, 27, 127, 227, 3, 93, 183}, []byte{255, 0, 255, 0})
+	for _, s := range fuzzSeeds {
+		f.Add(s.n, s.offdiag, s.rhs)
+	}
 	f.Fuzz(func(t *testing.T, nRaw uint8, offdiag, rhs []byte) {
-		n := int(nRaw%8) + 1
-
-		// Off-diagonal entries in [-1, 1] from the fuzzed bytes; the
-		// diagonal is the row's absolute sum plus one, making the matrix
-		// strictly diagonally dominant whatever the bytes say.
-		dense := make([]float64, n*n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j || len(offdiag) == 0 {
-					continue
-				}
-				raw := offdiag[(i*n+j)%len(offdiag)]
-				dense[i*n+j] = (float64(raw) - 127.5) / 127.5
-			}
-		}
-		bld := sparse.NewBuilder(n)
-		for i := 0; i < n; i++ {
-			rowAbs := 0.0
-			for j := 0; j < n; j++ {
-				if j != i {
-					rowAbs += math.Abs(dense[i*n+j])
-					if numeric.NonZero(dense[i*n+j]) {
-						bld.Add(i, j, dense[i*n+j])
-					}
-				}
-			}
-			dense[i*n+i] = rowAbs + 1
-			bld.Add(i, i, dense[i*n+i])
-		}
-		a := bld.Build()
-
-		b := make([]float64, n)
-		for i := range b {
-			if len(rhs) > 0 {
-				b[i] = (float64(rhs[i%len(rhs)]) - 127.5) / 32
-			}
-		}
+		n, a, dense, b := fuzzSystem(nRaw, offdiag, rhs)
 
 		got, stats, err := GMRES(a, b, nil, nil, Options{Tol: 1e-12, Restart: n + 1, MaxIter: 50 * n})
 		if err != nil {

@@ -79,28 +79,78 @@ func (s Stats) String() string {
 		s.Iterations, s.MatVecs, s.Converged, s.FinalResRel)
 }
 
-// norm2 returns the Euclidean norm; the sum is accumulation-class and
-// must never be demoted to float32.
+// reduceChunk is the element count of one partial sum. Every float64
+// inner product of the package — dot, norm2, the Gram-Schmidt of
+// gmresCycle — is the sum, in index order, of per-chunk partials that
+// axpyDot accumulates in four fixed lanes: chunk length and lane count
+// are constants and the worker count never enters a sum, so a reduction
+// has the same bits however many goroutines computed its partials.
+// (dot32, the float32-basis product of gmresCycle32, keeps its one
+// accumulator.)
+const reduceChunk = 2048
+
+// axpyDot is the fused Gram-Schmidt kernel on the element range
+// [lo, hi): it subtracts h·vi from zw (skipped when vi is nil) and
+// returns that range's share of zw·vn. vn may be zw itself, which gives
+// the squared norm of the updated range.
 //
-//lint:precision accum=result
-func norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
+//lint:hotpath
+//lint:noescape
+//lint:precision accum=h,vi,zw,vn,result
+func axpyDot(h float64, vi, zw, vn []float64, lo, hi int) float64 {
+	zw = zw[lo:hi]
+	vn = vn[lo:hi][:len(zw)]
+	var s0, s1, s2, s3 float64
+	j := 0
+	if vi == nil {
+		for ; j+4 <= len(zw); j += 4 {
+			z, n := zw[j:j+4:j+4], vn[j:j+4:j+4]
+			s0 += z[0] * n[0]
+			s1 += z[1] * n[1]
+			s2 += z[2] * n[2]
+			s3 += z[3] * n[3]
+		}
+	} else {
+		vi = vi[lo:hi][:len(zw)]
+		// Each element is stored before vn is read, so vn == zw sees the
+		// updated value.
+		for ; j+4 <= len(zw); j += 4 {
+			z, n, v := zw[j:j+4:j+4], vn[j:j+4:j+4], vi[j:j+4:j+4]
+			z[0] -= h * v[0]
+			s0 += z[0] * n[0]
+			z[1] -= h * v[1]
+			s1 += z[1] * n[1]
+			z[2] -= h * v[2]
+			s2 += z[2] * n[2]
+			z[3] -= h * v[3]
+			s3 += z[3] * n[3]
+		}
+		for k := j; k < len(zw); k++ {
+			zw[k] -= h * vi[k]
+		}
 	}
-	return math.Sqrt(s)
+	for ; j < len(zw); j++ {
+		s0 += zw[j] * vn[j]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
-// dot returns the inner product; accumulation-class like norm2.
+// dot returns the inner product in the package's one reduction order
+// (see reduceChunk); accumulation-class, never demoted to float32.
 //
-//lint:precision accum=result
+//lint:precision accum=a,b,result
 func dot(a, b []float64) float64 {
 	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
+	for lo := 0; lo < len(a); lo += reduceChunk {
+		s += axpyDot(0, nil, a, b, lo, min(lo+reduceChunk, len(a)))
 	}
 	return s
 }
+
+// norm2 returns the Euclidean norm, in dot's order.
+//
+//lint:precision accum=v,result
+func norm2(v []float64) float64 { return math.Sqrt(dot(v, v)) }
 
 // GMRES solves A x = b with a background context; see GMRESContext.
 func GMRES(a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) ([]float64, Stats, error) {
@@ -114,6 +164,12 @@ func GMRES(a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) ([]fl
 // indexes the rotation and basis buffers in lockstep up to the Krylov
 // dimension.
 //
+// The four func values are the cycle's O(n) sweeps. newGMRESWorkspace
+// builds them once per solve over one fan-out that hands every rank a
+// contiguous range of reduceChunk-long chunks, so the cycle kernel calls
+// them without allocating and a one-rank solve runs the same chunks in
+// the same order on the calling goroutine.
+//
 //lint:precision accum=r,z,w,zw,h,cs,sn,g,y
 type gmresWorkspace struct {
 	r, z, w, zw []float64
@@ -123,11 +179,22 @@ type gmresWorkspace struct {
 	// hist collects this cycle's per-iteration relative residuals; the
 	// caller copies them into Stats.History between cycles.
 	hist []float64
+
+	// step is the fused Gram-Schmidt pass: zw -= h·vi (skipped when vi
+	// is nil), returning zw·vn as the index-ordered sum of the chunk
+	// partials axpyDot computed — dot's bits for any rank count.
+	step func(h float64, vi, zw, vn []float64) float64
+	// residual sets r = b - r; scale sets dst = a·src; update adds
+	// y[i]·v[i] to x for every i, one chunk of x at a time.
+	residual func(b, r []float64)
+	scale    func(dst, src []float64, a float64)
+	update   func(x, y []float64, v [][]float64)
 }
 
 // newGMRESWorkspace allocates the buffers for an n-dimensional solve
-// with the given restart length.
-func newGMRESWorkspace(n, restart int) *gmresWorkspace {
+// with the given restart length, its sweeps fanned out over ranks
+// goroutines.
+func newGMRESWorkspace(n, restart, ranks int) *gmresWorkspace {
 	ws := &gmresWorkspace{
 		r:    make([]float64, n),
 		z:    make([]float64, n),
@@ -149,19 +216,70 @@ func newGMRESWorkspace(n, restart int) *gmresWorkspace {
 	for i := range ws.h {
 		ws.h[i] = hBack[i*restart : (i+1)*restart]
 	}
+
+	// No more ranks than chunks: a system of one chunk runs serially.
+	partials := make([]float64, (n+reduceChunk-1)/reduceChunk)
+	chunks := par.Even(len(partials), max(1, min(ranks, len(partials))))
+	fan := func(body func(c, lo, hi int)) {
+		rank := func(r int) {
+			first, last := chunks.Range(r)
+			for c := first; c < last; c++ {
+				body(c, c*reduceChunk, min((c+1)*reduceChunk, n))
+			}
+		}
+		if chunks.P == 1 {
+			rank(0)
+			return
+		}
+		chunks.ForEachRank(rank)
+	}
+	ws.step = func(h float64, vi, zw, vn []float64) float64 {
+		fan(func(c, lo, hi int) { partials[c] = axpyDot(h, vi, zw, vn, lo, hi) })
+		s := 0.0
+		for _, p := range partials {
+			s += p
+		}
+		return s
+	}
+	ws.residual = func(b, r []float64) {
+		fan(func(_, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				r[j] = b[j] - r[j]
+			}
+		})
+	}
+	ws.scale = func(dst, src []float64, a float64) {
+		fan(func(_, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				dst[j] = src[j] * a
+			}
+		})
+	}
+	ws.update = func(x, y []float64, v [][]float64) {
+		fan(func(_, lo, hi int) {
+			xs := x[lo:hi]
+			for i, yi := range y {
+				vi := v[i][lo:hi][:len(xs)]
+				for j := range xs {
+					xs[j] += yi * vi[j]
+				}
+			}
+		})
+	}
 	return ws
 }
 
 // gmresCycle runs one restart cycle of left-preconditioned GMRES(m):
 // residual, Arnoldi with modified Gram-Schmidt, Givens rotations, and
 // the triangular solve updating x in place. It is the allocation-free
-// inner kernel of the solver — all state lives in ws, counters go to
-// stats, and the caller owns the per-cycle span instrumentation and
-// context checks.
+// inner kernel of the solver — all state lives in ws, the O(n) sweeps
+// over it are ws's func values, counters go to stats, and the caller
+// owns the per-cycle span instrumentation and context checks.
 //
-// matvec is passed as a func value rather than (matrix, partition)
-// so the parallel path's fan-out closure is allocated once by the
-// caller instead of being inlined — and re-allocated — here.
+// matvec, like ws's sweeps, is passed as a func value rather than
+// (matrix, partition) so the parallel path's fan-out closure is
+// allocated once by the caller instead of being inlined — and
+// re-allocated — here.
 //
 // b and x may not alias: the triangular-solve epilogue updates x in
 // place while the next cycle re-reads b to form the residual.
@@ -186,9 +304,7 @@ func gmresCycle(matvec func(in, out []float64), b, x []float64, m Preconditioner
 	// r = M^{-1} (b - A x)
 	matvec(x, r)
 	stats.MatVecs++
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
+	ws.residual(b, r)
 	stats.AXPYs++
 	m.Apply(r, z)
 	stats.PCApplies++
@@ -204,10 +320,7 @@ func gmresCycle(matvec func(in, out []float64), b, x []float64, m Preconditioner
 		stats.FinalResRel = entryRel
 		return true, entryRel, entryRel
 	}
-	inv := 1 / beta
-	for i := range z {
-		v[0][i] = z[i] * inv
-	}
+	ws.scale(v[0], z, 1/beta)
 	for i := range g {
 		g[i] = 0
 	}
@@ -221,22 +334,18 @@ func gmresCycle(matvec func(in, out []float64), b, x []float64, m Preconditioner
 		stats.MatVecs++
 		m.Apply(w, zw)
 		stats.PCApplies++
-		// Modified Gram-Schmidt.
-		for i := 0; i <= k; i++ {
-			h[i][k] = dot(zw, v[i])
-			stats.DotProducts++
-			for j := range zw {
-				zw[j] -= h[i][k] * v[i][j]
-			}
-			stats.AXPYs++
+		// Modified Gram-Schmidt, one fused pass per basis vector: pass i
+		// subtracts the projection on v[i-1] and returns the coefficient
+		// on v[i]; the last returns the squared norm of what is left.
+		h[0][k] = ws.step(0, nil, zw, v[0])
+		for i := 0; i < k; i++ {
+			h[i+1][k] = ws.step(h[i][k], v[i], zw, v[i+1])
 		}
-		h[k+1][k] = norm2(zw)
-		stats.DotProducts++
+		h[k+1][k] = math.Sqrt(ws.step(h[k][k], v[k], zw, zw))
+		stats.DotProducts += k + 2
+		stats.AXPYs += k + 1
 		if h[k+1][k] > 1e-300 {
-			inv := 1 / h[k+1][k]
-			for j := range zw {
-				v[k+1][j] = zw[j] * inv
-			}
+			ws.scale(v[k+1], zw, 1/h[k+1][k])
 		} else {
 			// Happy breakdown: exact solution in current subspace.
 			for j := range v[k+1] {
@@ -281,12 +390,8 @@ func gmresCycle(matvec func(in, out []float64), b, x []float64, m Preconditioner
 			y[i] /= h[i][i]
 		}
 	}
-	for i := 0; i < k; i++ {
-		for j := range x {
-			x[j] += y[i] * v[i][j]
-		}
-		stats.AXPYs++
-	}
+	ws.update(x, y[:k], v)
+	stats.AXPYs += k
 	return false, entryRel, math.Abs(g[k]) / beta0
 }
 
@@ -366,7 +471,11 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 		ws32 = newGMRESWorkspace32(n, restart)
 		a32 = sparse.NewCSR32(a)
 	} else {
-		ws = newGMRESWorkspace(n, restart)
+		ranks := 1
+		if parallel {
+			ranks = opts.Partition.P
+		}
+		ws = newGMRESWorkspace(n, restart, ranks)
 	}
 	matvec := func(in, out []float64) {
 		switch {
@@ -560,6 +669,9 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 	var stats Stats
 	x := make([]float64, n)
 	if x0 != nil {
+		if len(x0) != n {
+			return nil, Stats{}, fmt.Errorf("solver: x0 length %d != n %d", len(x0), n)
+		}
 		copy(x, x0)
 	}
 	r := make([]float64, n)
@@ -626,6 +738,7 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 		stats.AXPYs++
 	}
 	matvec(x, r)
+	stats.MatVecs++
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}

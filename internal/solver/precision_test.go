@@ -6,7 +6,8 @@ import (
 )
 
 // TestDot32MatchesWidenedDot pins dot32's accumulation: widening the
-// float32 operand first and taking the float64 dot gives the same bits
+// float32 operand first and taking the one-accumulator float64 dot
+// (oracleDot; dot itself sums in chunked lanes) gives the same bits
 // (same products, same order), so a float32 accumulator or a reordered
 // sum in dot32 fails here rather than only as a drifting residual.
 func TestDot32MatchesWidenedDot(t *testing.T) {
@@ -20,7 +21,7 @@ func TestDot32MatchesWidenedDot(t *testing.T) {
 		}
 		wide := make([]float64, n)
 		widenInto(wide, b)
-		if got, want := dot32(a, b), dot(a, wide); got != want {
+		if got, want := dot32(a, b), oracleDot(a, wide); got != want {
 			t.Errorf("n=%d: dot32 = %v, dot over the widened operand = %v", n, got, want)
 		}
 	}
