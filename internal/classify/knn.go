@@ -424,34 +424,34 @@ func (c *Classifier) nearest(feat, weights []float64, k int, bestD []float64, be
 	}
 }
 
-// vote returns the majority label among the neighbors; ties go to the
-// label whose nearest representative is closest.
+// vote returns the majority label among the neighbors whose distance is
+// below the 1e300 "no neighbor" sentinel; ties go to the label whose
+// nearest representative is closest, then to the lower label, and no
+// neighbor at all gives label 0. Each label is tallied once, at its
+// first occurrence, over the k entries — k is a handful.
 func vote(labels []volume.Label, dists []float64) volume.Label {
-	var count [256]int
-	var nearestDist [256]float64
-	for i := range nearestDist {
-		nearestDist[i] = 1e300
-	}
+	best, bestCount, bestDist := volume.Label(0), 0, 1e300
+tally:
 	for i, l := range labels {
 		if dists[i] >= 1e300 {
 			continue
 		}
-		count[l]++
-		if dists[i] < nearestDist[l] {
-			nearestDist[l] = dists[i]
+		count, nearest := 0, 1e300
+		for j, lj := range labels {
+			if lj != l || dists[j] >= 1e300 {
+				continue
+			}
+			if j < i {
+				continue tally // counted at j
+			}
+			count++
+			if dists[j] < nearest {
+				nearest = dists[j]
+			}
 		}
-	}
-	best := volume.Label(0)
-	bestCount := -1
-	bestDist := 1e300
-	for l := 0; l < 256; l++ {
-		if count[l] == 0 {
-			continue
-		}
-		if count[l] > bestCount || (count[l] == bestCount && nearestDist[l] < bestDist) {
-			best = volume.Label(l)
-			bestCount = count[l]
-			bestDist = nearestDist[l]
+		if count > bestCount || count == bestCount &&
+			(nearest < bestDist || nearest == bestDist && l < best) {
+			best, bestCount, bestDist = l, count, nearest
 		}
 	}
 	return best

@@ -38,7 +38,11 @@ import (
 // preop-assemble and preop-interp cache stages).
 // v3: keys derive from typed stage arguments (preop-interp keys on the
 // scan grid, not the scan), and a blob is one framed payload.
-const codecVersion = 3
+// v4: no encoding changed; geom.Tet.Shape went from elimination to a
+// closed form, which on a snapped mesh rounds the assembled system and
+// the interpolation weights differently in the last bit, so an older
+// build's blobs must miss rather than mix with this one's.
+const codecVersion = 4
 
 // codec is an artifact type's encoder/decoder pair, attached to the
 // type once (the vars below). A decoder reports damage through the

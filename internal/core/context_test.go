@@ -12,23 +12,35 @@ import (
 )
 
 // stageHook is a sink on the obs span seam that calls fn when the named
-// pipeline stage starts — how these tests pin a cancellation or a
-// deadline to an exact stage boundary.
+// pipeline stage starts — or, with atEnd, when it ends — which is how
+// these tests pin a cancellation or a deadline to an exact stage
+// boundary.
 type stageHook struct {
 	stage string
+	atEnd bool
 	fn    func()
 }
 
 func (h stageHook) SpanStarted(i obs.SpanInfo) {
-	if i.Stage && i.Name == h.stage {
+	if !h.atEnd && i.Stage && i.Name == h.stage {
 		h.fn()
 	}
 }
-func (stageHook) SpanEnded(obs.FinishedSpan) {}
 
-// atStage returns ctx carrying a stageHook.
+func (h stageHook) SpanEnded(f obs.FinishedSpan) {
+	if h.atEnd && f.Stage && f.Name == h.stage {
+		h.fn()
+	}
+}
+
+// atStage returns ctx carrying a stageHook that fires when stage starts.
 func atStage(ctx context.Context, stage string, fn func()) context.Context {
 	return obs.WithSink(ctx, stageHook{stage: stage, fn: fn})
+}
+
+// afterStage returns ctx carrying a stageHook that fires when stage ends.
+func afterStage(ctx context.Context, stage string, fn func()) context.Context {
+	return obs.WithSink(ctx, stageHook{stage: stage, atEnd: true, fn: fn})
 }
 
 // expirableCtx is a context whose deadline can be made to "expire" at a
@@ -133,6 +145,41 @@ func TestRunContextDeadlineAfterSurfaceDegradesToRigid(t *testing.T) {
 	if !strings.Contains(tl, "DEGRADED") {
 		t.Errorf("timeline does not flag degradation:\n%s", tl)
 	}
+}
+
+// checkDegradedWithSolutionInHand: the deadline expired between the
+// solve and resample stages, so the run holds a converged solution it
+// will not deliver. The fallback is the rigid-only result and nothing of
+// the discarded solve — no displacements, and no stress summary, whose
+// 134,016-element pass at paper scale would also delay the fallback.
+func checkDegradedWithSolutionInHand(t *testing.T, res *Result, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("deadline after the solve must degrade, not fail: %v", err)
+	}
+	if !res.Degraded || !strings.Contains(res.DegradedReason, StageResample) {
+		t.Fatalf("Degraded=%v, reason %q; want a deadline in %s", res.Degraded, res.DegradedReason, StageResample)
+	}
+	if !res.SolveStats.Converged || res.SolveStats.Iterations == 0 {
+		t.Fatalf("the solve did not run to completion before the deadline: %+v", res.SolveStats)
+	}
+	if res.NodeDisplacements != nil || res.Forward != nil || res.Backward != nil {
+		t.Error("degraded result carries the discarded deformation")
+	}
+	if res.PeakVonMises != 0 || res.MeanVonMises != 0 {
+		t.Errorf("degraded result reports the discarded solve's stresses: peak %v, mean %v",
+			res.PeakVonMises, res.MeanVonMises)
+	}
+	if res.Warped != res.AlignedPreop {
+		t.Error("degraded Warped is not the rigid-only aligned preop")
+	}
+}
+
+func TestRunContextDeadlineAfterSolveDeliversNoStresses(t *testing.T) {
+	c := testCase(24)
+	ctx := newExpirableCtx()
+	res, err := New(fastConfig()).RunContext(afterStage(ctx, StageSolve, ctx.expire), c.Preop, c.PreopLabels, c.Intraop)
+	checkDegradedWithSolutionInHand(t, res, err)
 }
 
 func TestRunContextDeadlineBeforeSurfaceFails(t *testing.T) {

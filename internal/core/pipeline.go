@@ -303,8 +303,12 @@ type scan struct {
 
 	alignedLabels *volume.Labels
 	intraLabels   *volume.Labels
-	surfRes       *surface.Result
-	solveRes      *fem.SolveResult
+	// phiBrain is the unsmoothed signed distance to the classified
+	// intraoperative brain boundary: the surface stage computes it, the
+	// match metrics' boundary band reads it again.
+	phiBrain *volume.Scalar
+	surfRes  *surface.Result
+	solveRes *fem.SolveResult
 }
 
 // run validates one scan's inputs and executes the stage sequence under
@@ -543,7 +547,8 @@ func (p *Pipeline) stageClassify(ctx context.Context, sc *scan) error {
 // onto the classified intraoperative brain: these displacements are
 // the physical surface correspondences driving the FEM solve.
 func (p *Pipeline) stageSurfaceDisplace(ctx context.Context, sc *scan) error {
-	phiIntra := edt.SignedOfSet(sc.intraLabels, brainSet, 0).SmoothGaussian(1.0)
+	sc.phiBrain = edt.SignedOfSet(sc.intraLabels, brainSet, 0)
+	phiIntra := sc.phiBrain.SmoothGaussian(1.0)
 	sr, err := surface.EvolveContext(ctx, sc.relaxedSurf, surface.SignedDistanceForce{Phi: phiIntra}, p.cfg.Surface)
 	if err != nil {
 		return err
@@ -636,17 +641,19 @@ func (p *Pipeline) finish(ctx context.Context, err error, sc *scan) (*Result, er
 	if sc.solveRes != nil {
 		res.SolveStats = sc.solveRes.Stats
 		res.NodeDisplacements = sc.solveRes.NodeU
-		stressSummary(sc.sys, sc.solveRes.NodeU, p.cfg.Materials, p.cfg.Ranks, res)
 	}
 	if err != nil {
 		var se *StageError
 		if errors.As(err, &se) && (se.Stage == StageSolve || se.Stage == StageResample) &&
-			degrade(ctx, err, res, sc.intraop, sc.alignedPreop, sc.intraLabels) {
+			degrade(ctx, err, res, sc.intraop, sc.alignedPreop, sc.phiBrain) {
 			return res, nil
 		}
 		return nil, err
 	}
-	matchMetrics(res, sc.intraop, sc.alignedPreop, sc.intraLabels)
+	// Success only: a degraded result delivers the rigid alignment, not
+	// the stresses of a solve it discards.
+	stressSummary(sc.sys, sc.solveRes.NodeU, p.cfg.Materials, p.cfg.Ranks, res)
+	matchMetrics(res, sc.intraop, sc.alignedPreop, sc.phiBrain)
 	return res, nil
 }
 
@@ -678,8 +685,8 @@ func stressSummary(sys *fem.System, nodeU []geom.Vec3, mats fem.Table, ranks int
 // around the intraoperative brain boundary, where residual differences
 // are attributable to misregistration rather than to resected tissue
 // (whose intensity no deformation can reproduce).
-func matchMetrics(res *Result, intraop, alignedPreop *volume.Scalar, intraLabels *volume.Labels) {
-	band := brainBoundaryBand(intraLabels)
+func matchMetrics(res *Result, intraop, alignedPreop, phiBrain *volume.Scalar) {
+	band := brainBoundaryBand(phiBrain)
 	if d, err := alignedPreop.AbsDiff(intraop); err == nil {
 		res.RigidMeanAbsDiff = d.ComputeStats(band).Mean
 	}
@@ -689,9 +696,9 @@ func matchMetrics(res *Result, intraop, alignedPreop *volume.Scalar, intraLabels
 }
 
 // brainBoundaryBand masks the voxels within a few millimetres of the
-// intraoperative brain boundary, where the paper judges match quality.
-func brainBoundaryBand(intraLabels *volume.Labels) []bool {
-	phi := edt.SignedOfSet(intraLabels, brainSet, 0)
+// intraoperative brain boundary, where the paper judges match quality;
+// phi is the scan's signed distance to that boundary.
+func brainBoundaryBand(phi *volume.Scalar) []bool {
 	band := make([]bool, len(phi.Data))
 	const bandWidth = 3.0 // mm
 	for i, v := range phi.Data {
@@ -708,7 +715,7 @@ func brainBoundaryBand(intraLabels *volume.Labels) []bool {
 // failed; the rigid-only alignment is delivered instead, marked as
 // Degraded. It reports whether the fallback applied, filling res in
 // place when it did.
-func degrade(ctx context.Context, err error, res *Result, intraop, alignedPreop *volume.Scalar, intraLabels *volume.Labels) bool {
+func degrade(ctx context.Context, err error, res *Result, intraop, alignedPreop, phiBrain *volume.Scalar) bool {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
@@ -729,7 +736,7 @@ func degrade(ctx context.Context, err error, res *Result, intraop, alignedPreop 
 	res.Warped = alignedPreop
 	res.NodeDisplacements = nil
 	res.Forward, res.Backward = nil, nil
-	band := brainBoundaryBand(intraLabels)
+	band := brainBoundaryBand(phiBrain)
 	if d, derr := alignedPreop.AbsDiff(intraop); derr == nil {
 		res.RigidMeanAbsDiff = d.ComputeStats(band).Mean
 		res.MatchMeanAbsDiff = res.RigidMeanAbsDiff

@@ -226,6 +226,25 @@ func TestUpdateDeadlineDegradesClinically(t *testing.T) {
 	}
 }
 
+// TestUpdateDeadlineAfterSolveDeliversNoStresses is the update-path twin
+// of TestRunContextDeadlineAfterSolveDeliversNoStresses.
+func TestUpdateDeadlineAfterSolveDeliversNoStresses(t *testing.T) {
+	c1, c2 := streamPair(t)
+	sess, err := NewSession(fastConfig(), c1.Preop, c1.PreopLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Register(context.Background(), c1.Intraop); err != nil {
+		t.Fatal(err)
+	}
+	ctx := newExpirableCtx()
+	res, err := sess.Update(afterStage(ctx, StageSolve, ctx.expire), c2.Intraop)
+	checkDegradedWithSolutionInHand(t, res, err)
+	if !res.Incremental {
+		t.Error("degraded update lost the Incremental mark")
+	}
+}
+
 // TestFailedScanLeavesModelUntouched covers the other ways a scan can
 // end after its classification stage refreshed the prototypes — a
 // Register against an existing model degrading at the solve, and either

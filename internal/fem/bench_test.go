@@ -89,6 +89,21 @@ func BenchmarkAssemble77k(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildInterpTable77k rasterizes the paper-scale mesh onto its
+// own 44^3 grid, one cell per voxel: what the first resample of a
+// session pays.
+func BenchmarkBuildInterpTable77k(b *testing.B) {
+	sys := &System{Mesh: paperScaleMesh(b)}
+	g := volume.NewGrid(44, 44, 44, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sys.BuildInterpTable(g).Covered() == 0 {
+			b.Fatal("empty table")
+		}
+	}
+}
+
 func BenchmarkApplyDirichlet77k(b *testing.B) {
 	m := paperScaleMesh(b)
 	surf, err := m.ExtractSurface(func(volume.Label) bool { return true })

@@ -2,6 +2,7 @@ package fem
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/volume"
@@ -75,10 +76,15 @@ func (s *System) rasterize(g volume.Grid, fn func(i, j, k int, nodes [4]int32, w
 				hi.Z = p.Z
 			}
 		}
-		vlo := g.Voxel(lo).Floor()
-		vhi := g.Voxel(hi).Floor()
-		i0, j0, k0 := vlo.I, vlo.J, vlo.K
-		i1, j1, k1 := vhi.I+1, vhi.J+1, vhi.K+1
+		// Candidates: the voxels whose centre lies in the padded box. None
+		// that the test below accepts is left out: a centre with all four
+		// weights >= -1e-9 is a near-convex combination of the corners, so
+		// it leaves the box by at most 3e-9 of its extent per axis plus
+		// rounding, and the pad is three hundred times that.
+		vlo, vhi := g.Voxel(lo), g.Voxel(hi)
+		i0, i1 := tightRange(vlo.X, vhi.X)
+		j0, j1 := tightRange(vlo.Y, vhi.Y)
+		k0, k1 := tightRange(vlo.Z, vhi.Z)
 		nodes := m.Tets[e]
 		for k := maxInt(k0, 0); k <= minInt(k1, g.NZ-1); k++ {
 			for j := maxInt(j0, 0); j <= minInt(j1, g.NY-1); j++ {
@@ -105,11 +111,20 @@ func (s *System) rasterize(g volume.Grid, fn func(i, j, k int, nodes [4]int32, w
 	}
 }
 
+// tightRange returns the integer range [ceil(lo-pad), floor(hi+pad)] of
+// one axis of an element's voxel-space bounding box.
+func tightRange(lo, hi float64) (int, int) {
+	pad := 1e-6 * (1 + hi - lo)
+	return int(math.Ceil(lo - pad)), int(math.Floor(hi + pad))
+}
+
 // BuildInterpTable computes the voxel→element interpolation table of
 // this system's mesh on grid g. Applying the table reproduces
 // DisplacementField exactly (same coverage, same weights, same
-// overwrite order); building it costs one rasterization, the same work
-// DisplacementField spends per call.
+// overwrite order). Building it is one rasterization — per element one
+// Shape and a barycentric test of the voxel centres in its bounding box,
+// eight at one cell per voxel — which DisplacementField repeats on
+// every call and Apply never does.
 func (s *System) BuildInterpTable(g volume.Grid) *InterpTable {
 	t := &InterpTable{grid: g}
 	// A voxel centre on a shared face, edge or node lies inside every

@@ -42,37 +42,45 @@ type ShapeCoeffs struct {
 	Vol6       float64 // 6 * signed volume
 }
 
+// oppositeFace lists, for each vertex, the three vertices of the face
+// opposite it (the outward winding of a positively oriented element).
+var oppositeFace = [4][3]int{{1, 2, 3}, {0, 3, 2}, {0, 1, 3}, {0, 2, 1}}
+
 // Shape computes the linear shape function coefficients of t. It returns
 // an error for degenerate (near zero volume) tetrahedra.
 //
-// The coefficients of node i are the i-th column of M^{-1}, where M has
-// rows [1, x_j, y_j, z_j]: by construction N_i(P_j) = delta_ij and the
-// four functions sum to one everywhere.
+// N_i vanishes on the face (j, k, l) opposite node i, so its gradient is
+// that face's normal n = (P_k-P_j) x (P_l-P_j) scaled to N_i(P_i) = 1:
+// grad N_i = n / (n . (P_i-P_j)), the divisor being +-6V whatever the
+// vertex order, and A[i] = -grad N_i . P_j puts the zero on the face.
+//
+//lint:hotpath
+//lint:noescape
 func (t Tet) Shape() (ShapeCoeffs, error) {
-	var sc ShapeCoeffs
-	v6 := t.SignedVolume() * 6
-	if math.Abs(v6) < 1e-300 {
-		return sc, fmt.Errorf("geom: degenerate tetrahedron (6V=%g)", v6)
+	sc := ShapeCoeffs{Vol6: t.SignedVolume() * 6}
+	minDiv := math.Abs(sc.Vol6)
+	for i, f := range oppositeFace {
+		pj := t.P[f[0]]
+		n := t.P[f[1]].Sub(pj).Cross(t.P[f[2]].Sub(pj))
+		d := n.Dot(t.P[i].Sub(pj))
+		if a := math.Abs(d); a < minDiv {
+			minDiv = a
+		}
+		b, c, dz := n.X/d, n.Y/d, n.Z/d
+		sc.A[i], sc.B[i], sc.C[i], sc.D[i] = -(b*pj.X + c*pj.Y + dz*pj.Z), b, c, dz
 	}
-	sc.Vol6 = v6
-	var m Mat4
-	for j := 0; j < 4; j++ {
-		m[4*j+0] = 1
-		m[4*j+1] = t.P[j].X
-		m[4*j+2] = t.P[j].Y
-		m[4*j+3] = t.P[j].Z
-	}
-	inv, err := m.Inverse()
-	if err != nil {
-		return sc, fmt.Errorf("geom: degenerate tetrahedron: %w", err)
-	}
-	for i := 0; i < 4; i++ {
-		sc.A[i] = inv.At(0, i)
-		sc.B[i] = inv.At(1, i)
-		sc.C[i] = inv.At(2, i)
-		sc.D[i] = inv.At(3, i)
+	if minDiv < 1e-300 {
+		return ShapeCoeffs{}, degenerateTet(sc.Vol6)
 	}
 	return sc, nil
+}
+
+// degenerateTet builds Shape's error. Not inlined: the formatted operand
+// is boxed, and the kernel's contract allows no heap escape inside it.
+//
+//go:noinline
+func degenerateTet(v6 float64) error {
+	return fmt.Errorf("geom: degenerate tetrahedron (6V=%g)", v6)
 }
 
 // Eval returns the value of shape function i at point p.
@@ -119,8 +127,7 @@ func (t Tet) AspectQuality() float64 {
 	}
 	// Surface area of the four faces.
 	area := 0.0
-	faces := [4][3]int{{1, 2, 3}, {0, 3, 2}, {0, 1, 3}, {0, 2, 1}}
-	for _, f := range faces {
+	for _, f := range oppositeFace {
 		a := t.P[f[1]].Sub(t.P[f[0]])
 		b := t.P[f[2]].Sub(t.P[f[0]])
 		area += a.Cross(b).Norm() / 2

@@ -38,26 +38,11 @@ func FromLabelsBCC(l *volume.Labels, opts Options) (*Mesh, error) {
 	cellLab := make([]volume.Label, cx*cy*cz)
 	cellIn := make([]bool, cx*cy*cz)
 	cellIndex := func(i, j, k int) int { return (k*cy+j)*cx + i }
+	var tally [256]int
 	for ck := 0; ck < cz; ck++ {
 		for cj := 0; cj < cy; cj++ {
 			for ci := 0; ci < cx; ci++ {
-				var count [256]int
-				for dk := 0; dk < cs; dk++ {
-					for dj := 0; dj < cs; dj++ {
-						for di := 0; di < cs; di++ {
-							vi, vj, vk := ci*cs+di, cj*cs+dj, ck*cs+dk
-							if g.InBounds(vi, vj, vk) {
-								count[l.Data[g.Index(vi, vj, vk)]]++
-							}
-						}
-					}
-				}
-				best, bestN := volume.LabelBackground, -1
-				for lab := 0; lab < 256; lab++ {
-					if count[lab] > bestN {
-						best, bestN = volume.Label(lab), count[lab]
-					}
-				}
+				best := cellLabel(l, cs, ci, cj, ck, &tally)
 				idx := cellIndex(ci, cj, ck)
 				cellLab[idx] = best
 				cellIn[idx] = include(best)

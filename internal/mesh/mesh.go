@@ -118,28 +118,7 @@ func FromLabels(l *volume.Labels, opts Options) (*Mesh, error) {
 		return id
 	}
 
-	// cellLabel returns the majority label of the voxels in a cell.
-	cellLabel := func(ci, cj, ck int) volume.Label {
-		var count [256]int
-		for dk := 0; dk < cs; dk++ {
-			for dj := 0; dj < cs; dj++ {
-				for di := 0; di < cs; di++ {
-					vi, vj, vk := ci*cs+di, cj*cs+dj, ck*cs+dk
-					if g.InBounds(vi, vj, vk) {
-						count[l.Data[g.Index(vi, vj, vk)]]++
-					}
-				}
-			}
-		}
-		best, bestN := volume.LabelBackground, -1
-		for lab := 0; lab < 256; lab++ {
-			if count[lab] > bestN {
-				best, bestN = volume.Label(lab), count[lab]
-			}
-		}
-		return best
-	}
-
+	var tally [256]int
 	// Kuhn subdivision: the six permutations of the axis order walk from
 	// corner (0,0,0) to (1,1,1); all cells share the same diagonal so
 	// neighbor faces match exactly.
@@ -155,7 +134,7 @@ func FromLabels(l *volume.Labels, opts Options) (*Mesh, error) {
 	for ck := 0; ck < cz; ck++ {
 		for cj := 0; cj < cy; cj++ {
 			for ci := 0; ci < cx; ci++ {
-				lab := cellLabel(ci, cj, ck)
+				lab := cellLabel(l, cs, ci, cj, ck, &tally)
 				if !include(lab) {
 					continue
 				}
@@ -199,6 +178,38 @@ func FromLabels(l *volume.Labels, opts Options) (*Mesh, error) {
 		return nil, fmt.Errorf("mesh: no cells matched the include predicate")
 	}
 	return m, nil
+}
+
+// cellLabel returns the majority label of the in-bounds voxels of cell
+// (ci, cj, ck) of cs^3 voxels: the lowest label among the most frequent,
+// background for a cell wholly outside the grid. tally is scratch, all
+// zero on entry and on return; only the cell's own labels are touched.
+func cellLabel(l *volume.Labels, cs, ci, cj, ck int, tally *[256]int) volume.Label {
+	g := l.Grid
+	best, bestN := volume.LabelBackground, 0
+	for pass := 0; pass < 2; pass++ {
+		for vk := ck * cs; vk < (ck+1)*cs; vk++ {
+			for vj := cj * cs; vj < (cj+1)*cs; vj++ {
+				for vi := ci * cs; vi < (ci+1)*cs; vi++ {
+					if !g.InBounds(vi, vj, vk) {
+						continue
+					}
+					lab := l.Data[g.Index(vi, vj, vk)]
+					if pass == 1 {
+						tally[lab] = 0
+						continue
+					}
+					tally[lab]++
+					// Counts only grow, so the last label to reach the final
+					// maximum is compared with every other that did.
+					if n := tally[lab]; n > bestN || n == bestN && lab < best {
+						best, bestN = lab, n
+					}
+				}
+			}
+		}
+	}
+	return best
 }
 
 // NodeAdjacency returns, for each node, the sorted list of distinct

@@ -2,7 +2,7 @@ package mesh
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/numeric"
@@ -49,74 +49,105 @@ func makeFaceKey(a, b, c int32) faceKey {
 // with outward-pointing winding.
 var tetFaces = [4][3]int{{1, 2, 3}, {0, 3, 2}, {0, 1, 3}, {0, 2, 1}}
 
+// faceRec is one in-set element face in ExtractSurface's bucket table:
+// the two larger nodes of its key (the smallest names the bucket) and
+// element*4+face, from which the outward winding is read back.
+type faceRec struct {
+	b, c, ef int32
+}
+
 // ExtractSurface returns the boundary surface of the sub-mesh whose
 // element labels satisfy inSet: the faces belonging to exactly one
 // in-set element. This yields the brain surface when inSet selects the
 // intracranial tissues, exactly what the active surface algorithm
 // needs.
+//
+// The in-set faces are counting-sorted into one bucket per smallest
+// node and each bucket is ordered by the other two nodes; a key that
+// occurs once is a boundary face, and buckets ascend, so the surface
+// comes out in ascending key order.
 func (m *Mesh) ExtractSurface(inSet func(volume.Label) bool) (*TriMesh, error) {
 	if inSet == nil {
 		return nil, fmt.Errorf("mesh: nil label predicate")
 	}
-	type faceRec struct {
-		tri   [3]int32
-		count int
-	}
-	faces := make(map[faceKey]*faceRec)
+	// start[n+1] first counts bucket n, then (prefix-summed) is where it
+	// begins, then — advanced by the scatter — where it ends, which leaves
+	// bucket n at recs[start[n]:start[n+1]].
+	start := make([]int32, len(m.Nodes)+2)
+	nFaces := 0
 	for e, t := range m.Tets {
 		if !inSet(m.TetLabel[e]) {
 			continue
 		}
+		nFaces += len(tetFaces)
 		for _, f := range tetFaces {
-			a, b, c := t[f[0]], t[f[1]], t[f[2]]
-			key := makeFaceKey(a, b, c)
-			if r, ok := faces[key]; ok {
-				r.count++
-			} else {
-				faces[key] = &faceRec{tri: [3]int32{a, b, c}, count: 1}
-			}
+			start[min(t[f[0]], t[f[1]], t[f[2]])+2]++
 		}
 	}
-	// Deterministic output order: sort boundary faces by key.
-	keys := make([]faceKey, 0, len(faces))
-	for k, r := range faces {
-		if r.count == 1 {
-			keys = append(keys, k)
+	for n := 2; n < len(start); n++ {
+		start[n] += start[n-1]
+	}
+	recs := make([]faceRec, nFaces)
+	for e, t := range m.Tets {
+		if !inSet(m.TetLabel[e]) {
+			continue
+		}
+		for fi, f := range tetFaces {
+			key := makeFaceKey(t[f[0]], t[f[1]], t[f[2]])
+			recs[start[key[0]+1]] = faceRec{key[1], key[2], int32(4*e + fi)}
+			start[key[0]+1]++
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return a[2] < b[2]
-	})
+	sortFaceBuckets(recs, start[:len(m.Nodes)+1])
 
 	s := &TriMesh{}
-	vertOf := map[int32]int32{}
+	vertOf := make([]int32, len(m.Nodes)) // surface vertex of a node, +1; 0 = none yet
 	getVert := func(node int32) int32 {
-		if v, ok := vertOf[node]; ok {
-			return v
+		if vertOf[node] == 0 {
+			s.Verts = append(s.Verts, m.Nodes[node])
+			s.NodeID = append(s.NodeID, node)
+			vertOf[node] = int32(len(s.Verts))
 		}
-		v := int32(len(s.Verts))
-		s.Verts = append(s.Verts, m.Nodes[node])
-		s.NodeID = append(s.NodeID, node)
-		vertOf[node] = v
-		return v
+		return vertOf[node] - 1
 	}
-	for _, k := range keys {
-		r := faces[k]
-		s.Tris = append(s.Tris, [3]int32{
-			getVert(r.tri[0]), getVert(r.tri[1]), getVert(r.tri[2]),
-		})
+	for n := range m.Nodes {
+		bucket := recs[start[n]:start[n+1]]
+		for i := 0; i < len(bucket); {
+			j := i + 1
+			for j < len(bucket) && bucket[j].b == bucket[i].b && bucket[j].c == bucket[i].c {
+				j++
+			}
+			if j == i+1 {
+				t, f := m.Tets[bucket[i].ef/4], tetFaces[bucket[i].ef%4]
+				s.Tris = append(s.Tris, [3]int32{getVert(t[f[0]]), getVert(t[f[1]]), getVert(t[f[2]])})
+			}
+			i = j
+		}
 	}
 	if len(s.Tris) == 0 {
 		return nil, fmt.Errorf("mesh: label set has no boundary faces")
 	}
 	return s, nil
+}
+
+// sortFaceBuckets orders each bucket recs[start[n]:start[n+1]] by its
+// records' (b, c). Insertion sort: a bucket holds the faces around one
+// node that have it as their smallest — about twenty on the lattice
+// meshes, bounded by the node's valence on any mesh.
+//
+//lint:hotpath
+func sortFaceBuckets(recs []faceRec, start []int32) {
+	for n := 0; n+1 < len(start); n++ {
+		bucket := recs[start[n]:start[n+1]]
+		for i := 1; i < len(bucket); i++ {
+			r, j := bucket[i], i
+			for j > 0 && (bucket[j-1].b > r.b || bucket[j-1].b == r.b && bucket[j-1].c > r.c) {
+				bucket[j] = bucket[j-1]
+				j--
+			}
+			bucket[j] = r
+		}
+	}
 }
 
 // CheckConsistency verifies the structural invariants the paper's mesh
@@ -183,29 +214,31 @@ func (s *TriMesh) VertexNormals() []geom.Vec3 {
 // neighbor vertices connected by a triangle edge — the stencil of the
 // active surface's elastic membrane forces.
 func (s *TriMesh) VertexNeighbors() [][]int32 {
-	sets := make([]map[int32]bool, len(s.Verts))
-	addEdge := func(a, b int32) {
-		if sets[a] == nil {
-			sets[a] = map[int32]bool{}
-		}
-		sets[a][b] = true
-	}
+	// Every triangle edge in both directions, counting-sorted by source
+	// vertex into one flat array (start as in ExtractSurface), then each
+	// vertex's dozen targets sorted and deduplicated in place.
+	start := make([]int32, len(s.Verts)+2)
 	for _, t := range s.Tris {
-		addEdge(t[0], t[1])
-		addEdge(t[1], t[0])
-		addEdge(t[1], t[2])
-		addEdge(t[2], t[1])
-		addEdge(t[2], t[0])
-		addEdge(t[0], t[2])
+		for _, v := range t {
+			start[v+2] += 2
+		}
+	}
+	for v := 2; v < len(start); v++ {
+		start[v] += start[v-1]
+	}
+	flat := make([]int32, 6*len(s.Tris))
+	for _, t := range s.Tris {
+		for a, v := range t {
+			at := start[v+1]
+			flat[at], flat[at+1] = t[(a+1)%3], t[(a+2)%3]
+			start[v+1] = at + 2
+		}
 	}
 	out := make([][]int32, len(s.Verts))
-	for v, set := range sets {
-		lst := make([]int32, 0, len(set))
-		for u := range set {
-			lst = append(lst, u)
-		}
-		sort.Slice(lst, func(a, b int) bool { return lst[a] < lst[b] })
-		out[v] = lst
+	for v := range out {
+		lst := flat[start[v]:start[v+1]:start[v+1]]
+		slices.Sort(lst)
+		out[v] = slices.Compact(lst)
 	}
 	return out
 }

@@ -49,20 +49,30 @@ func (f *Field) Set(i, j, k int, d geom.Vec3) {
 }
 
 // SampleWorld trilinearly interpolates the displacement at world point
-// p. Outside the grid the displacement decays to zero (consistent with a
-// deformation localized to the head).
+// p. Outside the grid the displacement is cut to zero (the deformation
+// is localized to the head, well inside the field of view). The cell is
+// located once and each component interpolated in it by the expression
+// Scalar.SampleVoxel uses, so the result is bit for bit that of three
+// scalar samples.
+//
+//lint:hotpath
+//lint:noescape
 func (f *Field) SampleWorld(p geom.Vec3) geom.Vec3 {
-	v := f.Grid.Voxel(p)
-	return geom.V(
-		sampleComponent(f.Grid, f.DX, v),
-		sampleComponent(f.Grid, f.DY, v),
-		sampleComponent(f.Grid, f.DZ, v),
-	)
-}
-
-func sampleComponent(g Grid, data []float32, v geom.VoxelPoint) float64 {
-	s := Scalar{Grid: g, Data: data}
-	return s.SampleVoxelPoint(v)
+	g := &f.Grid
+	v := g.Voxel(p)
+	i, fx, okx := cellAxis(g.NX, v.X)
+	j, fy, oky := cellAxis(g.NY, v.Y)
+	k, fz, okz := cellAxis(g.NZ, v.Z)
+	if !(okx && oky && okz) {
+		return geom.Vec3{}
+	}
+	idx, nx, nxy := g.Index(i, j, k), g.NX, g.NX*g.NY
+	var out [3]float64
+	for c, d := range [3][]float32{f.DX, f.DY, f.DZ} {
+		c0 := bilinear(d, idx, nx, fx, fy)
+		out[c] = c0 + fz*(bilinear(d, idx+nxy, nx, fx, fy)-c0)
+	}
+	return geom.V(out[0], out[1], out[2])
 }
 
 // MaxMagnitude returns the largest displacement magnitude in the field.
@@ -162,7 +172,9 @@ func (f *Field) WarpLabels(src *Labels) *Labels {
 // the returned field v satisfies v(q) ~= -u(q + v(q)), so that warping
 // with v undoes the motion of u. For the small, smooth deformations of
 // intraoperative brain shift a handful of iterations converge to
-// sub-voxel accuracy.
+// sub-voxel accuracy. A voxel stops iterating once an iterate repeats
+// (the rest would repeat it too), which where the field is zero — most
+// of the volume — is at once; the result is that of running them all.
 func (f *Field) Invert(iterations int) *Field {
 	if iterations <= 0 {
 		iterations = 5
@@ -175,7 +187,14 @@ func (f *Field) Invert(iterations int) *Field {
 				q := g.World(i, j, k)
 				var v geom.Vec3
 				for it := 0; it < iterations; it++ {
-					v = f.SampleWorld(q.Add(v)).Scale(-1)
+					next := f.SampleWorld(q.Add(v)).Scale(-1)
+					// == takes -0 for +0, but no component of q is -0, so q+v
+					// is the same point either way and so is every later iterate.
+					fixed := next == v
+					v = next
+					if fixed {
+						break
+					}
 				}
 				out.Set(i, j, k, v)
 			}

@@ -56,54 +56,39 @@ func (s *Scalar) Clone() *Scalar {
 // SampleVoxel trilinearly interpolates the volume at continuous voxel
 // coordinates (x, y, z). Samples outside the grid return 0.
 func (s *Scalar) SampleVoxel(x, y, z float64) float64 {
-	if x < 0 || y < 0 || z < 0 ||
-		x > float64(s.Grid.NX-1) || y > float64(s.Grid.NY-1) || z > float64(s.Grid.NZ-1) {
+	g := &s.Grid
+	i, fx, okx := cellAxis(g.NX, x)
+	j, fy, oky := cellAxis(g.NY, y)
+	k, fz, okz := cellAxis(g.NZ, z)
+	if !(okx && oky && okz) {
 		return 0
 	}
-	i0 := int(x)
-	j0 := int(y)
-	k0 := int(z)
-	// Clamp the upper corner so that samples exactly on the last plane
-	// interpolate within bounds.
-	if i0 > s.Grid.NX-2 {
-		i0 = s.Grid.NX - 2
+	idx := g.Index(i, j, k)
+	c0 := bilinear(s.Data, idx, g.NX, fx, fy)
+	return c0 + fz*(bilinear(s.Data, idx+g.NX*g.NY, g.NX, fx, fy)-c0)
+}
+
+// cellAxis locates coordinate x on an axis of n samples for linear
+// interpolation: the lower sample i and the weight f of sample i+1;
+// ok is false outside [0, n-1]. The lower sample is clamped so that a
+// coordinate exactly on the last plane interpolates within bounds.
+func cellAxis(n int, x float64) (i int, f float64, ok bool) {
+	if x < 0 || x > float64(n-1) {
+		return 0, 0, false
 	}
-	if j0 > s.Grid.NY-2 {
-		j0 = s.Grid.NY - 2
-	}
-	if k0 > s.Grid.NZ-2 {
-		k0 = s.Grid.NZ - 2
-	}
-	if i0 < 0 {
-		i0 = 0
-	}
-	if j0 < 0 {
-		j0 = 0
-	}
-	if k0 < 0 {
-		k0 = 0
-	}
-	fx := x - float64(i0)
-	fy := y - float64(j0)
-	fz := z - float64(k0)
-	idx := s.Grid.Index(i0, j0, k0)
-	nx, nxy := s.Grid.NX, s.Grid.NX*s.Grid.NY
-	d := s.Data
-	c000 := float64(d[idx])
-	c100 := float64(d[idx+1])
-	c010 := float64(d[idx+nx])
-	c110 := float64(d[idx+nx+1])
-	c001 := float64(d[idx+nxy])
-	c101 := float64(d[idx+nxy+1])
-	c011 := float64(d[idx+nxy+nx])
-	c111 := float64(d[idx+nxy+nx+1])
-	c00 := c000 + fx*(c100-c000)
-	c10 := c010 + fx*(c110-c010)
-	c01 := c001 + fx*(c101-c001)
-	c11 := c011 + fx*(c111-c011)
-	c0 := c00 + fy*(c10-c00)
-	c1 := c01 + fy*(c11-c01)
-	return c0 + fz*(c1-c0)
+	i = max(min(int(x), n-2), 0)
+	return i, x - float64(i), true
+}
+
+// bilinear interpolates in the 2x2 face of one z-plane whose low corner
+// is d[o], nx being the row stride: along x on the two x-edges, then
+// along y. Trilinear sampling is two faces and a blend along z; scalar
+// volumes and displacement fields both inline this, so they round
+// identically.
+func bilinear(d []float32, o, nx int, fx, fy float64) float64 {
+	c0 := float64(d[o]) + fx*(float64(d[o+1])-float64(d[o]))
+	c1 := float64(d[o+nx]) + fx*(float64(d[o+nx+1])-float64(d[o+nx]))
+	return c0 + fy*(c1-c0)
 }
 
 // SampleVoxelPoint trilinearly interpolates the volume at a continuous

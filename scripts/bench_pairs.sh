@@ -7,7 +7,9 @@
 # temporary directory) and at the working tree, runs the two binaries
 # alternately on the workload — pair i on seed i, the side that goes
 # first alternating — and prints every end-to-end metric of each pair,
-# then both medians, their ratio and how often the change read lower.
+# then per metric each side's quartiles, the parent's interquartile
+# distance, the pairs won / tied / lost and the choosing-metrics verdict
+# (resolved or unresolved).
 # Defaults: 10 pairs of BENCHMARK.json's 12 seconds. Nothing is written
 # outside the temporary directory; no network.
 set -eu
@@ -54,18 +56,43 @@ while [ "$i" -le "$pairs" ]; do
 	i=$((i + 1))
 done
 
-# median <file of sorted numbers>
-median() { awk '{ v[NR] = $1 } END { print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }' "$1"; }
+# Which way each metric improves, from BENCHMARK.json ("name direction").
+awk -F'"' '/"name":/ { n = $4 } /"better":/ { print n, $4 }' "$root/BENCHMARK.json" >"$tmp/better"
 
-echo "medians over $pairs pairs of $workload ($seconds s runs), parent $ref -> working tree:"
+# Per metric: each side's quartiles (linear interpolation between order
+# statistics), the parent's interquartile distance, the pairs the change
+# won, tied and lost in the metric's own direction, and the verdict of
+# the choosing-metrics rule: resolved when the change won at least nine
+# tenths of all pairs run and the medians differ, the right way, by more
+# than the parent's interquartile distance; unresolved otherwise.
+echo "$pairs pairs of $workload ($seconds s runs), parent $ref -> working tree; q1 / median / q3:"
 for metric in $(awk '{ print $3 }' "$tmp/results" | sort -u); do
 	for side in parent change; do
 		awk -v m="$metric" -v s="$side" '$3 == m && $2 == s { print $4 }' "$tmp/results" | sort -g >"$tmp/$side.sorted"
 	done
-	lower=$(awk -v m="$metric" '$3 == m { v[$1, $2] = $4; pair[$1] }
-		END { for (p in pair) if (v[p, "change"] < v[p, "parent"]) n++; print n + 0 }' "$tmp/results")
-	mp=$(median "$tmp/parent.sorted")
-	mc=$(median "$tmp/change.sorted")
-	awk -v m="$metric" -v a="$mp" -v b="$mc" -v l="$lower" -v n="$pairs" \
-		'BEGIN { printf "  %-16s %10.7g -> %10.7g  (x%.3f)  change lower in %d/%d pairs\n", m, a, b, (a != 0) ? b / a : 0, l, n }'
+	awk -v m="$metric" -v n="$pairs" -v pf="$tmp/parent.sorted" -v cf="$tmp/change.sorted" -v bf="$tmp/better" '
+		function quantile(v, cnt, q,    pos, lo) {
+			pos = 1 + (cnt - 1) * q; lo = int(pos)
+			return (lo >= cnt) ? v[cnt] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+		}
+		BEGIN {
+			sign = 1 # +1: lower is better
+			while ((getline line < bf) > 0) { split(line, f, " "); if (f[1] == m && f[2] == "higher") sign = -1 }
+			while ((getline x < pf) > 0) p[++np] = x
+			while ((getline x < cf) > 0) c[++nc] = x
+		}
+		$3 == m { v[$1, $2] = $4; pair[$1] }
+		END {
+			for (i in pair) {
+				d = sign * (v[i, "change"] - v[i, "parent"])
+				if (d < 0) wins++; else if (d > 0) losses++; else ties++
+			}
+			pm = quantile(p, np, 0.5); cm = quantile(c, nc, 0.5)
+			iqr = quantile(p, np, 0.75) - quantile(p, np, 0.25)
+			verdict = (wins >= 0.9 * n && sign * (pm - cm) > iqr) ? "resolved" : "unresolved"
+			printf "  %-16s parent %.7g / %.7g / %.7g (IQR %.4g)  change %.7g / %.7g / %.7g  x%.3f  %s is better: won %d, tied %d, lost %d  %s\n",
+				m, quantile(p, np, 0.25), pm, quantile(p, np, 0.75), iqr,
+				quantile(c, nc, 0.25), cm, quantile(c, nc, 0.75), (pm != 0) ? cm / pm : 0,
+				(sign > 0) ? "lower" : "higher", wins, ties, losses, verdict
+		}' "$tmp/results"
 done
