@@ -8,9 +8,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Project-native static analysis: the simlint suite (see internal/lint)
-# enforcing the pipeline's context-plumbing, span-pairing,
-# error-wrapping, float-comparison, coordinate-frame, precision, and
+# Project-native static analysis: the simlint suite (see internal/lint),
+# nine analyzers enforcing the pipeline's context-plumbing, span-pairing,
+# error-wrapping, float-comparison, NaN-guard, determinism and
 # interprocedural hot-path/lock-scope invariants.
 lint:
 	$(GO) run ./cmd/simlint ./...

@@ -117,8 +117,6 @@ func printList(analyzers []lint.Analyzer) {
 	fmt.Println("\nsuppress a finding with:  //lint:ignore <analyzer> <reason> (the module itself carries none; TestModuleIsSimlintClean pins that)")
 	fmt.Println("annotate a kernel with:   //lint:hotpath (enables hotalloc + hotreach checks)")
 	fmt.Println("pin a kernel's escapes:   //lint:noescape (enforced by cmd/perfgate against compiler facts)")
-	fmt.Println("mark frame conversions:   //lint:coordspace conversion")
-	fmt.Println("classify float precision: //lint:precision storage=... accum=... | //lint:precision convert (may cross classes)")
 }
 
 // matchesAny reports whether the module-relative package path matches

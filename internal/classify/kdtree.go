@@ -2,10 +2,8 @@ package classify
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
-	"repro/internal/obs"
 	"repro/internal/volume"
 )
 
@@ -146,77 +144,8 @@ func (c *Classifier) ClassifyKD(channels []*volume.Scalar) (*volume.Labels, erro
 
 // ClassifyKDContext labels every voxel like ClassifyContext but answers
 // neighbor queries through a k-d tree. Results are identical to
-// Classify up to ties at exactly equal distances. Worker goroutines
-// poll the context periodically; a cancelled or deadline-expired
-// context aborts the classification and returns ctx.Err().
+// Classify up to ties at exactly equal distances; validation, worker
+// fan-out and context semantics are ClassifyContext's.
 func (c *Classifier) ClassifyKDContext(ctx context.Context, channels []*volume.Scalar) (*volume.Labels, error) {
-	if err := validateChannels(channels); err != nil {
-		return nil, err
-	}
-	if len(c.Prototypes) == 0 {
-		return nil, fmt.Errorf("classify: classifier has no prototypes")
-	}
-	k := c.K
-	if k <= 0 {
-		k = 1
-	}
-	if k > len(c.Prototypes) {
-		k = len(c.Prototypes)
-	}
-	nc := len(channels)
-	weights := c.Weights
-	if weights != nil && len(weights) != nc {
-		return nil, fmt.Errorf("classify: %d weights for %d channels", len(weights), nc)
-	}
-	tree := NewKDTree(c.Prototypes, weights)
-	g := channels[0].Grid
-	out := volume.NewLabels(g)
-	workers := c.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	nvox := g.Len()
-	chunk := (nvox + workers - 1) / workers
-	done := make(chan error, workers)
-	launched := 0
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nvox {
-			hi = nvox
-		}
-		if lo >= hi {
-			break
-		}
-		launched++
-		go func(w, lo, hi int) {
-			defer func() { done <- nil }()
-			// Batch spans mirror ClassifyContext's (see knn.go). LIFO
-			// defers end the span before the done send unblocks the
-			// caller.
-			_, span := obs.StartSpan(ctx, obs.SpanKNNBatch)
-			defer func() { span.End(ctx.Err()) }()
-			span.SetAttr("worker", w)
-			span.SetAttr("voxels", hi-lo)
-			span.SetAttr("kdtree", true)
-			feat := make([]float64, nc)
-			bestD := make([]float64, k)
-			bestL := make([]volume.Label, k)
-			for idx := lo; idx < hi; idx++ {
-				if idx&ctxCheckMask == 0 && ctx.Err() != nil {
-					break
-				}
-				channelsToFeatures(channels, idx, feat)
-				tree.Nearest(feat, bestD, bestL)
-				out.Data[idx] = vote(bestL, bestD)
-			}
-		}(w, lo, hi)
-	}
-	for i := 0; i < launched; i++ {
-		<-done
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return c.classify(ctx, channels, true)
 }

@@ -1,9 +1,13 @@
 package classify
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/volume"
 )
 
@@ -136,6 +140,42 @@ func TestClassifyKDErrors(t *testing.T) {
 	c.Weights = []float64{1, 2}
 	if _, err := c.ClassifyKD([]*volume.Scalar{ch}); err == nil {
 		t.Error("weight arity mismatch accepted")
+	}
+	// A prototype with too few features is an error, as in Classify —
+	// not an index past its Features inside a worker.
+	c.Weights = nil
+	c.Prototypes = append(c.Prototypes, Prototype{Label: 2})
+	if _, err := c.ClassifyKD([]*volume.Scalar{ch}); err == nil {
+		t.Error("feature arity mismatch accepted")
+	}
+}
+
+// batchCounter counts finished knn.batch spans.
+type batchCounter struct{ n atomic.Int64 }
+
+func (*batchCounter) SpanStarted(obs.SpanInfo) {}
+func (b *batchCounter) SpanEnded(f obs.FinishedSpan) {
+	if f.Name == obs.SpanKNNBatch {
+		b.n.Add(1)
+	}
+}
+
+// TestClassifyWorkersDefault: Workers == 0 means GOMAXPROCS for the
+// brute-force and the k-d search alike (the k-d copy used to run one).
+func TestClassifyWorkersDefault(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	cl, channels := twoClassSetup()
+	cl.Workers = 0
+	for name, run := range map[string]func(context.Context, []*volume.Scalar) (*volume.Labels, error){
+		"brute": cl.ClassifyContext, "kdtree": cl.ClassifyKDContext,
+	} {
+		var batches batchCounter
+		if _, err := run(obs.WithSink(context.Background(), &batches), channels); err != nil {
+			t.Fatal(err)
+		}
+		if got := batches.n.Load(); got != 3 {
+			t.Errorf("%s: %d worker batches with Workers == 0 and GOMAXPROCS 3, want 3", name, got)
+		}
 	}
 }
 

@@ -78,16 +78,19 @@ func channelsToFeatures(channels []*volume.Scalar, idx int, out []float64) {
 	}
 }
 
-// validateChannels checks all channels share one grid shape.
+// validateChannels checks all channels share one grid shape and hold
+// one value per voxel of it.
 func validateChannels(channels []*volume.Scalar) error {
 	if len(channels) == 0 {
 		return fmt.Errorf("classify: no feature channels")
 	}
 	g := channels[0].Grid
-	for i, ch := range channels[1:] {
+	for i, ch := range channels {
 		if !ch.Grid.SameShape(g) {
-			return fmt.Errorf("classify: channel %d shape %v != channel 0 shape %v",
-				i+1, ch.Grid, g)
+			return fmt.Errorf("classify: channel %d shape %v != channel 0 shape %v", i, ch.Grid, g)
+		}
+		if len(ch.Data) != g.Len() {
+			return fmt.Errorf("classify: channel %d holds %d values on a %v grid", i, len(ch.Data), g)
 		}
 	}
 	return nil
@@ -311,6 +314,14 @@ func (c *Classifier) Classify(channels []*volume.Scalar) (*volume.Labels, error)
 // periodically; a cancelled or deadline-expired context aborts the
 // classification and returns ctx.Err().
 func (c *Classifier) ClassifyContext(ctx context.Context, channels []*volume.Scalar) (*volume.Labels, error) {
+	return c.classify(ctx, channels, false)
+}
+
+// classify is the one validate → partition → worker loop behind
+// ClassifyContext and ClassifyKDContext; the two differ only in the
+// neighbour search each worker queries — a linear scan of the
+// prototypes, or a k-d tree built over them once.
+func (c *Classifier) classify(ctx context.Context, channels []*volume.Scalar, kdtree bool) (*volume.Labels, error) {
 	if err := validateChannels(channels); err != nil {
 		return nil, err
 	}
@@ -339,6 +350,14 @@ func (c *Classifier) ClassifyContext(ctx context.Context, channels []*volume.Sca
 		}
 	} else if len(weights) != nc {
 		return nil, fmt.Errorf("classify: %d weights for %d channels", len(weights), nc)
+	}
+	// search fills bestD/bestL (length k) with the k nearest prototypes
+	// to feat in ascending distance order; it is called concurrently.
+	search := func(feat, bestD []float64, bestL []volume.Label) {
+		c.nearest(feat, weights, k, bestD, bestL)
+	}
+	if kdtree {
+		search = NewKDTree(c.Prototypes, weights).Nearest
 	}
 
 	g := channels[0].Grid
@@ -371,6 +390,9 @@ func (c *Classifier) ClassifyContext(ctx context.Context, channels []*volume.Sca
 			defer func() { span.End(ctx.Err()) }()
 			span.SetAttr("worker", w)
 			span.SetAttr("voxels", hi-lo)
+			if kdtree {
+				span.SetAttr("kdtree", true)
+			}
 			feat := make([]float64, nc)
 			bestD := make([]float64, k)
 			bestL := make([]volume.Label, k)
@@ -379,7 +401,7 @@ func (c *Classifier) ClassifyContext(ctx context.Context, channels []*volume.Sca
 					return
 				}
 				channelsToFeatures(channels, idx, feat)
-				c.nearest(feat, weights, k, bestD, bestL)
+				search(feat, bestD, bestL)
 				out.Data[idx] = vote(bestL, bestD)
 			}
 		}(w, lo, hi)

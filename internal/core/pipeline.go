@@ -274,11 +274,8 @@ type baseline struct {
 	// sys is assembled by preop-assemble and Dirichlet-eliminated in
 	// place by the first solve; updates patch its RHS in place.
 	sys *fem.System
-	// interp rasterizes a solution onto the session grid; interp32
-	// replaces it in mixed-precision sessions (same coverage,
-	// float32-stored weights).
-	interp   *fem.InterpTable
-	interp32 *fem.InterpTable32
+	// interp rasterizes a solution onto the session grid.
+	interp *fem.InterpTable
 	// prevU seeds the next warm-started solve; non-nil marks a baseline
 	// an update can build on. coldIterations is the cold solve's
 	// iteration count, the reference for IterationsSaved.
@@ -292,10 +289,8 @@ type scan struct {
 	preop       *volume.Scalar
 	preopLabels *volume.Labels
 	intraop     *volume.Scalar
-	// retain marks a Session's scan: its baseline outlives the run, so a
-	// mixed-precision configuration keeps only the compact table.
-	retain bool
-	res    *Result
+
+	res *Result
 
 	// With prevU set on entry the preoperative artifacts are pinned and
 	// the sequence runs only the stages that depend on the new image.
@@ -324,15 +319,19 @@ func (p *Pipeline) run(ctx context.Context, sc *scan) (*Result, error) {
 		ctx = context.Background()
 	}
 	warm := sc.prevU != nil
-	switch {
-	case sc.intraop == nil || !warm && (sc.preop == nil || sc.preopLabels == nil):
+	if sc.intraop == nil || !warm && (sc.preop == nil || sc.preopLabels == nil) {
 		return nil, fmt.Errorf("core: nil input volume")
-	case warm && !sc.intraop.Grid.SameShape(sc.alignedPreop.Grid):
+	}
+	if err := checkVolume("intraoperative scan", sc.intraop.Grid, len(sc.intraop.Data)); err != nil {
+		return nil, err
+	}
+	if !warm {
+		if err := checkPreop(sc.preop, sc.preopLabels); err != nil {
+			return nil, err
+		}
+	} else if !sc.intraop.Grid.SameShape(sc.alignedPreop.Grid) {
 		return nil, fmt.Errorf("core: update scan grid %v differs from session grid %v",
 			sc.intraop.Grid, sc.alignedPreop.Grid)
-	case !warm && !sc.preop.Grid.SameShape(sc.preopLabels.Grid):
-		return nil, fmt.Errorf("core: preop scan %v and labels %v differ in shape",
-			sc.preop.Grid, sc.preopLabels.Grid)
 	}
 	spanName := obs.SpanPipelineRun
 	sc.res = &Result{Incremental: warm}
@@ -353,6 +352,36 @@ func (p *Pipeline) run(ctx context.Context, sc *scan) (*Result, error) {
 	}
 	runErr = err
 	return res, err
+}
+
+// checkVolume rejects a volume the stage workers would index out of
+// range: an invalid grid, or a data slice that is not the grid's voxel
+// count. Volumes arrive from outside the program (a scanner, a service
+// client), so this is an error at the boundary, never a panic inside a
+// worker goroutine.
+func checkVolume(what string, g volume.Grid, n int) error {
+	if err := g.Validate(); err != nil {
+		return fmt.Errorf("core: %s: %w", what, err)
+	}
+	if want, ok := gridLen(g); !ok || want != n {
+		return fmt.Errorf("core: %s: %d values on a %dx%dx%d grid", what, n, g.NX, g.NY, g.NZ)
+	}
+	return nil
+}
+
+// checkPreop validates the preoperative scan and its segmentation, and
+// that they share one shape.
+func checkPreop(preop *volume.Scalar, labels *volume.Labels) error {
+	if err := checkVolume("preoperative scan", preop.Grid, len(preop.Data)); err != nil {
+		return err
+	}
+	if err := checkVolume("preoperative labels", labels.Grid, len(labels.Data)); err != nil {
+		return err
+	}
+	if !preop.Grid.SameShape(labels.Grid) {
+		return fmt.Errorf("core: preop scan %v and labels %v differ in shape", preop.Grid, labels.Grid)
+	}
+	return nil
 }
 
 // newStageRunner returns the stage executor: it runs one pipeline stage
@@ -470,11 +499,7 @@ func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
 			if err != nil {
 				return err
 			}
-			if sc.retain && cfg.Solver.StoragePrecision == solver.PrecisionFloat32 {
-				sc.interp32 = tab.val.Compact()
-			} else {
-				sc.interp = tab.val
-			}
+			sc.interp = tab.val
 		}
 		stageResample(sc)
 		return nil
@@ -618,11 +643,7 @@ func (p *Pipeline) stageSolve(ctx context.Context, sc *scan, warm bool) error {
 // gather.
 func stageResample(sc *scan) {
 	res, nodeU := sc.res, sc.solveRes.NodeU
-	if sc.interp32 != nil {
-		res.Forward = sc.interp32.Apply(nodeU)
-	} else {
-		res.Forward = sc.interp.Apply(nodeU)
-	}
+	res.Forward = sc.interp.Apply(nodeU)
 	res.Backward = res.Forward.Invert(4)
 	res.Warped = res.Backward.WarpScalar(sc.alignedPreop)
 }

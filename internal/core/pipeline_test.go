@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -228,6 +229,73 @@ func TestPipelineInputValidation(t *testing.T) {
 	if _, err := pl.Run(c.Preop, c.PreopLabels, smallIntraop); err == nil {
 		t.Error("SkipRigid with mismatched grids accepted")
 	}
+}
+
+// TestMalformedVolumesRejected: a volume whose data is not its grid's
+// voxel count, or whose grid is invalid, is an error at every entry
+// point — not an index-out-of-range panic inside a classification
+// worker, which would take down a whole service process.
+func TestMalformedVolumesRejected(t *testing.T) {
+	c := testCase(24)
+	short := &volume.Scalar{Grid: c.Intraop.Grid, Data: c.Intraop.Data[:len(c.Intraop.Data)-1]}
+	flat := c.Intraop.Clone()
+	flat.Grid.Spacing.Z = 0
+	shortLabels := &volume.Labels{Grid: c.PreopLabels.Grid, Data: c.PreopLabels.Data[:len(c.PreopLabels.Data)-1]}
+	ctx := context.Background()
+
+	t.Run("NewSession", func(t *testing.T) {
+		if _, err := NewSession(fastConfig(), short, c.PreopLabels); err == nil {
+			t.Error("short preop accepted")
+		}
+		if _, err := NewSession(fastConfig(), c.Preop, shortLabels); err == nil {
+			t.Error("short labels accepted")
+		}
+		if _, err := NewSession(fastConfig(), flat, c.PreopLabels); err == nil {
+			t.Error("preop with zero spacing accepted")
+		}
+	})
+	t.Run("RunContext", func(t *testing.T) {
+		pl := New(fastConfig())
+		for _, tc := range []struct {
+			name    string
+			preop   *volume.Scalar
+			labels  *volume.Labels
+			intraop *volume.Scalar
+		}{
+			{"short intraop", c.Preop, c.PreopLabels, short},
+			{"flat intraop", c.Preop, c.PreopLabels, flat},
+			{"short preop", short, c.PreopLabels, c.Intraop},
+			{"short labels", c.Preop, shortLabels, c.Intraop},
+		} {
+			if _, err := pl.RunContext(ctx, tc.preop, tc.labels, tc.intraop); err == nil {
+				t.Errorf("%s accepted", tc.name)
+			}
+		}
+	})
+	t.Run("Session", func(t *testing.T) {
+		sess, err := NewSession(fastConfig(), c.Preop, c.PreopLabels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Register(ctx, short); err == nil {
+			t.Error("Register accepted a short scan")
+		}
+		if _, err := sess.Register(ctx, c.Intraop); err != nil {
+			t.Fatal(err)
+		}
+		for name, bad := range map[string]*volume.Scalar{"short": short, "flat": flat} {
+			if _, err := sess.Update(ctx, bad); err == nil {
+				t.Errorf("Update accepted a %s scan", name)
+			}
+		}
+		// The rejected scans left the session usable and uncounted.
+		if _, err := sess.Update(ctx, c.Intraop); err != nil {
+			t.Errorf("update after rejected scans: %v", err)
+		}
+		if sess.ScanCount() != 2 {
+			t.Errorf("ScanCount = %d, want 2", sess.ScanCount())
+		}
+	})
 }
 
 func TestPipelineRanksInvariance(t *testing.T) {

@@ -67,9 +67,8 @@ func NewSession(cfg Config, preop *volume.Scalar, preopLabels *volume.Labels) (*
 	if preop == nil || preopLabels == nil {
 		return nil, fmt.Errorf("core: nil preoperative data")
 	}
-	if !preop.Grid.SameShape(preopLabels.Grid) {
-		return nil, fmt.Errorf("core: preop scan %v and labels %v differ in shape",
-			preop.Grid, preopLabels.Grid)
+	if err := checkPreop(preop, preopLabels); err != nil {
+		return nil, err
 	}
 	return &Session{
 		pipeline:    New(cfg),
@@ -122,7 +121,7 @@ func (s *Session) Update(ctx context.Context, intraop *volume.Scalar) (*Result, 
 // classification stage leaves the session's model untouched.
 func (s *Session) run(ctx context.Context, intraop *volume.Scalar, from baseline) (*Result, error) {
 	from.cl = from.cl.Clone()
-	sc := &scan{preop: s.preop, preopLabels: s.preopLabels, intraop: intraop, retain: true, baseline: from}
+	sc := &scan{preop: s.preop, preopLabels: s.preopLabels, intraop: intraop, baseline: from}
 	res, err := s.pipeline.run(ctx, sc)
 	if err != nil {
 		return nil, err

@@ -17,8 +17,6 @@ import (
 // incremental-update analogue of the preconditioner cache, for the
 // paper's resampling step. Apply gathers four nodes and weights per
 // covered voxel (see checkShape).
-//
-//lint:precision storage=w
 type InterpTable struct {
 	grid volume.Grid
 	// vox is the linear voxel index of each covered voxel, once, in the
@@ -189,69 +187,6 @@ func (t *InterpTable) Apply(nodeU []geom.Vec3) *volume.Field {
 		var d geom.Vec3
 		for a := 0; a < 4; a++ {
 			d = d.Add(nodeU[t.nodes[b+a]].Scale(t.w[b+a]))
-		}
-		idx := t.vox[n]
-		f.DX[idx] = float32(d.X)
-		f.DY[idx] = float32(d.Y)
-		f.DZ[idx] = float32(d.Z)
-	}
-	return f
-}
-
-// InterpTable32 is the float32-storage variant of InterpTable used by
-// mixed-precision sessions: barycentric weights are demoted to float32
-// (they are convex coefficients in [0,1], far above float32 epsilon),
-// halving the weight-gather traffic of every resample, while Apply
-// still accumulates the interpolated displacement in float64.
-//
-//lint:precision storage=w32
-type InterpTable32 struct {
-	grid  volume.Grid
-	vox   []int32
-	nodes []int32
-	w32   []float32
-}
-
-// Compact demotes the table's weights to float32 storage, sharing the
-// voxel and node index arrays with the source table. This is the
-// sanctioned narrowing boundary for interpolation weights (the
-// resample analogue of sparse.NewCSR32).
-//
-//lint:precision convert
-func (t *InterpTable) Compact() *InterpTable32 {
-	c := &InterpTable32{grid: t.grid, vox: t.vox, nodes: t.nodes, w32: make([]float32, len(t.w))}
-	for i, w := range t.w {
-		c.w32[i] = float32(w)
-	}
-	c.checkShape()
-	return c
-}
-
-// checkShape validates the four-entries-per-voxel invariant (see
-// InterpTable.checkShape).
-func (t *InterpTable32) checkShape() {
-	if len(t.nodes) != 4*len(t.vox) || len(t.w32) != 4*len(t.vox) {
-		panic("fem: inconsistent InterpTable32 shape: nodes/weights are not 4 per covered voxel")
-	}
-}
-
-// Covered returns how many voxels the table interpolates.
-func (t *InterpTable32) Covered() int { return len(t.vox) }
-
-// Grid returns the grid the table was built for.
-func (t *InterpTable32) Grid() volume.Grid { return t.grid }
-
-// Apply rasterizes nodal displacements through the compact table,
-// widening each stored weight to float64 before the multiply so the
-// four-node gather accumulates at full precision; only the final field
-// write narrows, exactly like the float64 table's Apply.
-func (t *InterpTable32) Apply(nodeU []geom.Vec3) *volume.Field {
-	f := volume.NewField(t.grid)
-	for n := range t.vox {
-		b := 4 * n
-		var d geom.Vec3
-		for a := 0; a < 4; a++ {
-			d = d.Add(nodeU[t.nodes[b+a]].Scale(float64(t.w32[b+a])))
 		}
 		idx := t.vox[n]
 		f.DX[idx] = float32(d.X)

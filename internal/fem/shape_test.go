@@ -6,9 +6,8 @@ import (
 	"repro/internal/volume"
 )
 
-// TestConstructorsSatisfyCheckShape calls every constructor of System,
-// InterpTable and InterpTable32 and runs the type's validator on the
-// result, so the shape invariant the solver and the resampling gather
+// TestConstructorsSatisfyCheckShape calls every constructor of System
+// and InterpTable and runs the type's validator on the result, so the shape invariant the solver and the resampling gather
 // index by is pinned from the test side as well as by the checkShape
 // call inside each constructor (sparse has the same test for CSR).
 func TestConstructorsSatisfyCheckShape(t *testing.T) {
@@ -26,7 +25,6 @@ func TestConstructorsSatisfyCheckShape(t *testing.T) {
 		}},
 		{"BuildInterpTable", func() (shaped, error) { return tab, nil }},
 		{"InterpTableFromParts", func() (shaped, error) { return InterpTableFromParts(tab.TableParts()) }},
-		{"InterpTable.Compact", func() (shaped, error) { return tab.Compact(), nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			v, err := tc.build()

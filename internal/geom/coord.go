@@ -3,8 +3,7 @@ package geom
 import "math"
 
 // This file names the two coordinate frames the pipeline moves data
-// between, so the type system (and the simlint coordspace analyzer)
-// can tell them apart:
+// between, so the type system can tell them apart:
 //
 //   - Vec3 (vec.go) is a point or vector in PHYSICAL space, in
 //     millimeters, in the scanner frame a volume's Origin and Spacing
@@ -16,11 +15,12 @@ import "math"
 //     weights live here.
 //
 // Converting between frames requires the grid geometry (origin,
-// spacing), so conversions are methods on volume.Grid, each marked
-// //lint:coordspace conversion. Constructing one frame's type from
-// another frame's components anywhere else is a coordspace finding:
-// that is exactly the "millimeters used as indices" bug class this
-// boundary exists to stop.
+// spacing), so conversions are methods on volume.Grid (World, WorldOf,
+// Voxel). Constructing one frame's type from another frame's components
+// anywhere else is exactly the "millimeters used as indices" bug class
+// this boundary exists to stop; the anisotropic and off-origin grid
+// tests (TestRasterizeMatchesWideBoxOracle,
+// TestPipelineAnisotropicClinicalGeometry) fail on it.
 
 // Voxel is a discrete voxel index (i, j, k) into a volume grid.
 // It is unit-free: it only means something relative to one Grid.
@@ -43,15 +43,11 @@ type VoxelPoint struct {
 
 // Floor returns the voxel whose low corner contains p: the base index
 // for trilinear interpolation.
-//
-//lint:coordspace conversion
 func (p VoxelPoint) Floor() Voxel {
 	return Voxel{int(math.Floor(p.X)), int(math.Floor(p.Y)), int(math.Floor(p.Z))}
 }
 
 // Round returns the nearest voxel index to p.
-//
-//lint:coordspace conversion
 func (p VoxelPoint) Round() Voxel {
 	return Voxel{int(math.Round(p.X)), int(math.Round(p.Y)), int(math.Round(p.Z))}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the control-flow layer under the path-aware analyzers
-// (spanend, concsafe): an intra-procedural CFG of basic
+// (spanend, lockscope, nanguard): an intra-procedural CFG of basic
 // blocks over one function body, with blocks ordered in reverse
 // postorder so the forward dataflow framework in dataflow.go converges
 // in few passes.
@@ -15,7 +15,7 @@ import (
 //
 //   - function literals are NOT inlined — each FuncLit body is its own
 //     scope with its own CFG (funcScopes enumerates them), matching how
-//     defer/span/goroutine contracts attach to one function at a time;
+//     defer/span/lock contracts attach to one function at a time;
 //   - panics are not modelled (a deferred handler is what the analyzers
 //     check for, so the non-panicking edge set is the relevant one);
 //   - goto edges fall back to the function exit, which over-approximates

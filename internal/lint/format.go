@@ -117,7 +117,7 @@ type sarifRegion struct {
 // scanner.
 var pseudoRules = []sarifRule{
 	{ID: "lint", ShortDescription: sarifMessage{
-		Text: "//lint: directive syntax: ignore needs an analyzer and a reason; coordspace and precision arguments must parse"}},
+		Text: "//lint: directive syntax: ignore needs an analyzer and a reason; the verb must be a known one"}},
 }
 
 // WriteSARIF renders findings as a SARIF 2.1.0 log with one run whose

@@ -12,7 +12,7 @@ func sampleFindings() []Finding {
 		{Pos: token.Position{Filename: "/mod/internal/fem/solve.go", Line: 12, Column: 3},
 			Analyzer: "nanguard", Msg: "comparison consumes a possibly non-finite value (division by unproven denominator); guard with math.IsNaN/math.IsInf or numeric.Finite first"},
 		{Pos: token.Position{Filename: "/mod/internal/par/pool.go", Line: 40, Column: 2},
-			Analyzer: "concsafe", Msg: "go statement spawns a goroutine with no deferred WaitGroup.Done, completion send, or recover"},
+			Analyzer: "lockscope", Msg: "channel send while holding p.mu"},
 		{Pos: token.Position{Filename: "/mod/internal/x.go"},
 			Analyzer: "lint", Msg: "//lint:ignore needs an analyzer name and a reason"},
 	}

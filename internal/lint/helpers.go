@@ -73,15 +73,6 @@ func firstParamIsContext(pkg *Package, ft *ast.FuncType) bool {
 // errorIface is the universe error interface.
 var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
-// implementsError reports whether t (or *t) satisfies the error
-// interface.
-func implementsError(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	return types.Implements(t, errorIface) || types.Implements(types.NewPointer(t), errorIface)
-}
-
 // resultsIncludeError reports whether a call expression's result type
 // includes an error (either a single error result or an error among a
 // tuple's components).
@@ -170,35 +161,4 @@ func hasDirective(doc *ast.CommentGroup, verb string) bool {
 		}
 	}
 	return false
-}
-
-// flatParamNames lists a function's parameter names in declaration
-// order (unnamed parameters contribute nothing).
-func flatParamNames(decl *ast.FuncDecl) []string {
-	var out []string
-	if decl.Type.Params == nil {
-		return out
-	}
-	for _, field := range decl.Type.Params.List {
-		for _, name := range field.Names {
-			out = append(out, name.Name)
-		}
-	}
-	return out
-}
-
-// namedStructOf unwraps a (possibly pointer-to) named struct type.
-func namedStructOf(t types.Type) (*types.Named, *types.Struct) {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil, nil
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return nil, nil
-	}
-	return named, st
 }

@@ -73,12 +73,9 @@ func Analyzers() []Analyzer {
 		floateq{},
 		hotalloc{},
 		hotreach{},
-		concsafe{},
 		lockscope{},
-		coordspace{},
 		nanguard{},
 		detguard{},
-		precguard{},
 	}
 }
 

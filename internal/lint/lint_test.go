@@ -89,12 +89,9 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"floateq", "repro/internal/solver/floatfixture"},
 		{"hotalloc", "repro/internal/hotfixture"},
 		{"hotreach", "repro/internal/hotreachfix"},
-		{"concsafe", "repro/internal/par/concfixture"},
 		{"lockscope", "repro/internal/par/lockfixture"},
-		{"coordspace", "repro/internal/mesh/coordfixture"},
 		{"nanguard", "repro/internal/solver/nanfixture"},
 		{"detguard", "repro/internal/fem/detfixture"},
-		{"precguard", "repro/internal/solver/precfixture"},
 	} {
 		t.Run(tc.dir, func(t *testing.T) {
 			pkg := loadFixture(t, filepath.Join("testdata", "src", tc.dir), tc.importPath)
@@ -213,10 +210,12 @@ func TestMalformedDirectives(t *testing.T) {
 		{19, 6, "errwrap", "error discarded with _ ="},
 		{24, 2, "lint", "unknown directive //lint:ignroe"},
 		{25, 6, "errwrap", "error discarded with _ ="},
-		{33, 1, "lint", "unknown directive //lint:stage"},
-		{34, 1, "lint", "unknown directive //lint:phase"},
-		{35, 1, "lint", "unknown directive //lint:noalias"},
-		{36, 1, "lint", "unknown directive //lint:shape"},
+		{35, 1, "lint", "unknown directive //lint:stage"},
+		{36, 1, "lint", "unknown directive //lint:phase"},
+		{37, 1, "lint", "unknown directive //lint:noalias"},
+		{38, 1, "lint", "unknown directive //lint:shape"},
+		{39, 1, "lint", "unknown directive //lint:precision"},
+		{40, 1, "lint", "unknown directive //lint:coordspace"},
 	}
 	if len(findings) != len(want) {
 		t.Fatalf("got %d findings, want %d:\n%s", len(findings), len(want), findingList(findings))
@@ -226,63 +225,6 @@ func TestMalformedDirectives(t *testing.T) {
 		if f.Analyzer != w.analyzer || f.Pos.Line != w.line || f.Pos.Column != w.col ||
 			!strings.Contains(f.Msg, w.substr) {
 			t.Errorf("finding %d = %s, want %s at %d:%d matching %q", i, f, w.analyzer, w.line, w.col, w.substr)
-		}
-	}
-}
-
-// TestDirectiveSyntax checks the lint pseudo-analyzer's validation of
-// the argument-carrying directives: malformed //lint:precision and
-// //lint:coordspace arguments are reported at the directive itself. The
-// cases live inline rather than in a fixture because a want comment
-// appended to a directive line would become part of the directive's
-// own argument.
-func TestDirectiveSyntax(t *testing.T) {
-	const src = `package dirsyntax
-
-// Empty has no argument at all.
-//
-//lint:precision
-func Empty(x []float64) {}
-
-// Bad has an unknown field, a non-identifier and an empty list.
-//
-//lint:precision width=x storage=2y accum=
-func Bad(x, y []float64) {}
-
-// Frame names something other than a conversion.
-//
-//lint:coordspace voxel
-func Frame() {}
-
-// Good parses.
-//
-//lint:precision convert storage=dst accum=src
-func Good(dst []float32, src []float64) {}
-`
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "dirsyntax.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg := loadFixture(t, dir, "repro/internal/dirsyntax")
-	findings := Run([]*Package{pkg}, Analyzers())
-	want := []struct {
-		line   int
-		substr string
-	}{
-		{5, "malformed directive: want //lint:precision [convert]"},
-		// Same position: ties sort by message.
-		{10, `//lint:precision accum= lists no names`},
-		{10, `//lint:precision field "width=x": want convert, storage=, or accum=`},
-		{10, `//lint:precision name "2y" is not an identifier`},
-		{15, "malformed directive: want //lint:coordspace conversion"},
-	}
-	if len(findings) != len(want) {
-		t.Fatalf("got %d findings, want %d:\n%s", len(findings), len(want), findingList(findings))
-	}
-	for i, w := range want {
-		f := findings[i]
-		if f.Analyzer != "lint" || f.Pos.Line != w.line || !strings.Contains(f.Msg, w.substr) {
-			t.Errorf("finding %d = %s, want lint at line %d matching %q", i, f, w.line, w.substr)
 		}
 	}
 }
@@ -299,8 +241,7 @@ func TestAnalyzerNamesStable(t *testing.T) {
 		}
 	}
 	if got, want := strings.Join(names, " "),
-		"ctxprop spanend errwrap floateq hotalloc hotreach concsafe lockscope coordspace"+
-			" nanguard detguard precguard"; got != want {
+		"ctxprop spanend errwrap floateq hotalloc hotreach lockscope nanguard detguard"; got != want {
 		t.Errorf("Analyzers() = %q, want %q", got, want)
 	}
 }

@@ -26,12 +26,16 @@ func Typo() {
 }
 
 // Retired directive verbs are rejected too: the stage contract moved
-// into Go function signatures, and the phase, aliasing and shape
-// contracts are stated by error returns, tests and runtime validators,
-// so a leftover comment must not pass as if something still checked it.
+// into Go function signatures, the phase, aliasing and shape contracts
+// are stated by error returns, tests and runtime validators, the
+// precision contract by the float32-path parity tests and the frame
+// contract by the geom.Voxel/VoxelPoint types, so a leftover comment
+// must not pass as if something still checked it.
 //
 //lint:stage name=leftover inputs=a outputs=b pure
 //lint:phase requires=assembled provides=bc-applied
 //lint:noalias x,y
 //lint:shape len(x)==len(y)
+//lint:precision storage=x accum=y
+//lint:coordspace conversion
 func Retired(x, y []float64) {}

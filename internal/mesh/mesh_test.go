@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/phantom"
 	"repro/internal/volume"
 )
@@ -49,6 +50,35 @@ func TestFromLabelsSolidCube(t *testing.T) {
 	want := math.Pow(2*3+1, 3)
 	if math.Abs(vol-want) > 1e-9 {
 		t.Errorf("mesh volume = %v, want %v", vol, want)
+	}
+}
+
+// TestMeshersHonourSpacingAndOrigin: node positions are millimetres in
+// the scanner frame, not voxel indices — the two coincide only on a
+// 1 mm grid at the origin, which is what the other mesher tests use.
+func TestMeshersHonourSpacingAndOrigin(t *testing.T) {
+	l := solidCube(8)
+	l.Grid.Spacing = geom.V(0.9, 1.1, 2.5)
+	l.Grid.Origin = geom.V(-40, 12, 7)
+	lo, hi := l.Grid.World(0, 0, 0), l.Grid.World(7, 7, 7)
+	for name, mesher := range map[string]func(*volume.Labels, Options) (*Mesh, error){
+		"kuhn": FromLabels, "bcc": FromLabelsBCC,
+	} {
+		m, err := mesher(l, Options{CellSize: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		min, max := m.Nodes[0], m.Nodes[0]
+		for _, p := range m.Nodes {
+			min = geom.V(math.Min(min.X, p.X), math.Min(min.Y, p.Y), math.Min(min.Z, p.Z))
+			max = geom.V(math.Max(max.X, p.X), math.Max(max.Y, p.Y), math.Max(max.Z, p.Z))
+		}
+		if min.Dist(lo) > 1e-9 || max.Dist(hi) > 1e-9 {
+			t.Errorf("%s: nodes span %v..%v, want the grid's %v..%v", name, min, max, lo, hi)
+		}
+		if vol, want := m.TotalVolume(), 343*0.9*1.1*2.5; math.Abs(vol-want) > 1e-6 {
+			t.Errorf("%s: mesh volume = %v mm^3, want %v", name, vol, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package par
 
 import (
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -125,6 +126,35 @@ func TestForEachRankRunsAll(t *testing.T) {
 	if visited != (1<<7)-1 {
 		t.Errorf("visited mask = %b, want all 7 ranks", visited)
 	}
+}
+
+// TestForEachRankManyShortCalls makes the fork-join's ordering rules
+// observable. With bodies this short a rank can finish before the
+// spawning loop moves on, so an Add issued after its go statement
+// panics with a negative counter within a few thousand calls; a call
+// that returns before every rank ran leaves its count short; and two
+// concurrent callers (two jobs of the service) trip the runtime's
+// "WaitGroup is reused" check, or the race detector, if the calls ever
+// came to share one WaitGroup.
+func TestForEachRankManyShortCalls(t *testing.T) {
+	pt := Even(64, 8)
+	const calls = 25000
+	var callers sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			var ran atomic.Int64
+			for i := 1; i <= calls; i++ {
+				pt.ForEachRank(func(int) { ran.Add(1) })
+				if got := ran.Load(); got != int64(i)*8 {
+					t.Errorf("after %d calls %d rank bodies had run, want %d", i, got, i*8)
+					return
+				}
+			}
+		}()
+	}
+	callers.Wait()
 }
 
 func TestCounters(t *testing.T) {

@@ -30,26 +30,10 @@ func TestServiceFlightDumpOnDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := newStageDeadline()
-	j, err := svc.Submit(ctx, "or", c.Intraop)
+	j, err := svc.Submit(obs.WithSink(ctx, expireAt{core.StageSolve, ctx.expire}), "or", c.Intraop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			for _, e := range j.Events() {
-				if e.Stage == core.StageSolve {
-					ctx.expire()
-					return
-				}
-			}
-			select {
-			case <-j.Done():
-				return
-			default:
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
 	res, err := j.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -43,6 +43,21 @@ func (c *stageDeadline) Err() error {
 	}
 }
 
+// expireAt is a span sink that fires fn when the named pipeline stage
+// starts — on the pipeline's own goroutine, so expiry lands on that
+// stage boundary however the host schedules the test.
+type expireAt struct {
+	stage string
+	fn    func()
+}
+
+func (h expireAt) SpanStarted(i obs.SpanInfo) {
+	if i.Stage && i.Name == h.stage {
+		h.fn()
+	}
+}
+func (expireAt) SpanEnded(obs.FinishedSpan) {}
+
 func TestServiceShedCounter(t *testing.T) {
 	// Same setup as TestServiceQueueFull — worker stalled on the session
 	// lock, queue full — but checks the load shed is *counted*: on the
@@ -109,26 +124,10 @@ func TestServiceMidDegradationCountsDegradedOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := newStageDeadline()
-	j, err := svc.Submit(ctx, "or", c.Intraop)
+	j, err := svc.Submit(obs.WithSink(ctx, expireAt{core.StageSolve, ctx.expire}), "or", c.Intraop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			for _, e := range j.Events() {
-				if e.Stage == core.StageSolve {
-					ctx.expire()
-					return
-				}
-			}
-			select {
-			case <-j.Done():
-				return
-			default:
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
 	res, err := j.Wait(context.Background())
 	if err != nil {
 		t.Fatalf("degraded scan should still deliver: %v", err)

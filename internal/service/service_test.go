@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/phantom"
+	"repro/internal/volume"
 )
 
 // testCase generates a small neurosurgery case.
@@ -218,6 +219,36 @@ func TestServiceSessionLifecycleErrors(t *testing.T) {
 	}
 	if err := svc.Open(SessionSpec{ID: "late", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); !errors.Is(err, ErrClosed) {
 		t.Errorf("open after close err = %v, want ErrClosed", err)
+	}
+}
+
+// TestServiceRejectsMalformedVolumes: a scan whose data is not its
+// grid's voxel count fails its own job (or Open) with an error and the
+// process — and every other open surgery — carries on.
+func TestServiceRejectsMalformedVolumes(t *testing.T) {
+	svc := New(Options{Workers: 1})
+	defer svc.Close()
+	c := testCase(24, 6)
+	shortLabels := &volume.Labels{Grid: c.PreopLabels.Grid, Data: c.PreopLabels.Data[:len(c.PreopLabels.Data)-1]}
+	if err := svc.Open(SessionSpec{ID: "bad", Config: fastConfig(), Preop: c.Preop, PreopLabels: shortLabels}); err == nil {
+		t.Error("Open accepted short labels")
+	}
+	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
+		t.Fatal(err)
+	}
+	short := &volume.Scalar{Grid: c.Intraop.Grid, Data: c.Intraop.Data[:len(c.Intraop.Data)-1]}
+	ctx := context.Background()
+	if _, err := svc.Register(ctx, "or", short); err == nil {
+		t.Error("register job delivered a result for a short scan")
+	}
+	if _, err := svc.Update(ctx, "or", short); err == nil {
+		t.Error("update job delivered a result for a short scan")
+	}
+	if _, err := svc.Register(ctx, "or", c.Intraop); err != nil {
+		t.Errorf("good scan after the rejected ones: %v", err)
+	}
+	if m := svc.Metrics(); m.Failed != 2 || m.Scans != 3 {
+		t.Errorf("metrics: %d scans, %d failed; want 3 and 2", m.Scans, m.Failed)
 	}
 }
 

@@ -96,7 +96,6 @@ const reduceChunk = 2048
 //
 //lint:hotpath
 //lint:noescape
-//lint:precision accum=h,vi,zw,vn,result
 func axpyDot(h float64, vi, zw, vn []float64, lo, hi int) float64 {
 	zw = zw[lo:hi]
 	vn = vn[lo:hi][:len(zw)]
@@ -137,8 +136,6 @@ func axpyDot(h float64, vi, zw, vn []float64, lo, hi int) float64 {
 
 // dot returns the inner product in the package's one reduction order
 // (see reduceChunk); accumulation-class, never demoted to float32.
-//
-//lint:precision accum=a,b,result
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for lo := 0; lo < len(a); lo += reduceChunk {
@@ -148,8 +145,6 @@ func dot(a, b []float64) float64 {
 }
 
 // norm2 returns the Euclidean norm, in dot's order.
-//
-//lint:precision accum=v,result
 func norm2(v []float64) float64 { return math.Sqrt(dot(v, v)) }
 
 // GMRES solves A x = b with a background context; see GMRESContext.
@@ -169,8 +164,6 @@ func GMRES(a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) ([]fl
 // contiguous range of reduceChunk-long chunks, so the cycle kernel calls
 // them without allocating and a one-rank solve runs the same chunks in
 // the same order on the calling goroutine.
-//
-//lint:precision accum=r,z,w,zw,h,cs,sn,g,y
 type gmresWorkspace struct {
 	r, z, w, zw []float64
 	v, h        [][]float64

@@ -3,6 +3,7 @@ package solver_test
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fem"
@@ -20,9 +21,23 @@ import (
 // Gram-Schmidt that takes each coefficient with a dot and then
 // subtracts the projection in a separate pass, all serial. Same
 // convergence test and restart policy as solver.GMRESContext; it
-// returns the solution and the iteration count.
-func oracleGMRES(a *sparse.CSR, b, x0 []float64, m solver.Preconditioner, restart, maxIter int, tol float64) ([]float64, int) {
+// returns the solution and the iteration count. With basis32 it is the
+// mixed-precision cycle stated the slow way: the matrix values and each
+// Krylov basis vector are rounded to float32 where they are stored, and
+// everything else — inner products, Hessenberg column, rotations, the
+// triangular solve, the iterate — is float64.
+func oracleGMRES(a *sparse.CSR, b, x0 []float64, m solver.Preconditioner, restart, maxIter int, tol float64, basis32 bool) ([]float64, int) {
 	n := a.N
+	store := func(v float64) float64 { return v }
+	if basis32 {
+		store = func(v float64) float64 { return float64(float32(v)) }
+		rounded := *a
+		rounded.Val = make([]float64, len(a.Val))
+		for i, v := range a.Val {
+			rounded.Val[i] = store(v)
+		}
+		a = &rounded
+	}
 	dot := func(u, v []float64) float64 {
 		s := 0.0
 		for i := range u {
@@ -56,7 +71,7 @@ func oracleGMRES(a *sparse.CSR, b, x0 []float64, m solver.Preconditioner, restar
 			break
 		}
 		for i := range z {
-			v[0][i] = z[i] * (1 / beta)
+			v[0][i] = store(z[i] * (1 / beta))
 		}
 		for i := range g {
 			g[i] = 0
@@ -75,7 +90,7 @@ func oracleGMRES(a *sparse.CSR, b, x0 []float64, m solver.Preconditioner, restar
 			}
 			h[k+1][k] = norm2(zw)
 			for j := range zw {
-				v[k+1][j] = zw[j] * (1 / h[k+1][k])
+				v[k+1][j] = store(zw[j] * (1 / h[k+1][k]))
 			}
 			for i := 0; i < k; i++ {
 				t := cs[i]*h[i][k] + sn[i]*h[i+1][k]
@@ -107,6 +122,16 @@ func oracleGMRES(a *sparse.CSR, b, x0 []float64, m solver.Preconditioner, restar
 		}
 	}
 	return x, iters
+}
+
+// relDiff is ||got - want|| / ||want|| in the 2-norm.
+func relDiff(got, want []float64) float64 {
+	diff, ref := 0.0, 0.0
+	for i := range want {
+		diff += (got[i] - want[i]) * (got[i] - want[i])
+		ref += want[i] * want[i]
+	}
+	return math.Sqrt(diff / ref)
 }
 
 // phantomElasticity assembles the linear-elastic system of the phantom
@@ -194,20 +219,65 @@ func TestGMRESMatchesClassicalGramSchmidt(t *testing.T) {
 			if err != nil || !st.Converged {
 				t.Fatalf("%s: err=%v stats=%v", name, err, st)
 			}
-			want, iters := oracleGMRES(c.a, c.b, x0, c.m, opts.Restart, opts.MaxIter, opts.Tol)
+			want, iters := oracleGMRES(c.a, c.b, x0, c.m, opts.Restart, opts.MaxIter, opts.Tol, false)
 			if st.Iterations != iters {
 				t.Errorf("%s: %d iterations, classical cycle %d", name, st.Iterations, iters)
 			}
-			diff, ref := 0.0, 0.0
-			for i := range want {
-				diff += (got[i] - want[i]) * (got[i] - want[i])
-				ref += want[i] * want[i]
-			}
-			if rel := math.Sqrt(diff / ref); rel > 1e-12 {
+			if rel := relDiff(got, want); rel > 1e-12 {
 				t.Errorf("%s: differs from the classical cycle by %.3g (relative), limit 1e-12", name, rel)
 			} else {
 				t.Logf("%s: %d equations, %d iterations, relative difference %.3g", name, c.a.N, iters, rel)
 			}
+		}
+	}
+}
+
+// TestGMRESMixedPrecisionMatchesClassicalCycle pins which values the
+// float32-storage mode may round: only the matrix entries and the
+// stored Krylov basis. Against the classical cycle with exactly those
+// two roundings it takes the same iterations and lands within 1e-10
+// (observed 1e-15 to 1e-12: the float32 basis amplifies the reduction
+// order's last-bit differences); a Hessenberg entry, a Givens rotation
+// or a running sum narrowed to float32 moves the iterate by 1e-8 or
+// more and fails here. The demotion itself must leave the caller's
+// float64 matrix alone.
+func TestGMRESMixedPrecisionMatchesClassicalCycle(t *testing.T) {
+	lap := solver.Laplacian3D(8, 8, 8)
+	sys, part := phantomElasticity(t, 20, 2)
+	pc, err := solver.NewBlockJacobiILU0(sys.K, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+		b    []float64
+		m    solver.Preconditioner
+		part par.Partition
+		tol  float64
+	}{
+		{"laplacian", lap, solver.RandomRHS(lap.N, 2), solver.NewJacobi(lap), par.Partition{}, 1e-9},
+		{"phantom-elasticity", sys.K, sys.F, pc, part, 1e-8},
+	} {
+		opts := solver.DefaultOptions()
+		opts.Tol, opts.Partition, opts.StoragePrecision = c.tol, c.part, solver.PrecisionFloat32
+		val := slices.Clone(c.a.Val)
+		got, st, err := solver.GMRES(c.a, c.b, nil, c.m, opts)
+		if err != nil || !st.Converged {
+			t.Fatalf("%s: err=%v stats=%v", c.name, err, st)
+		}
+		// The demotion copies: the caller's float64 matrix keeps its bits.
+		if !slices.Equal(val, c.a.Val) {
+			t.Errorf("%s: the float32-storage solve changed the caller's matrix values", c.name)
+		}
+		want, iters := oracleGMRES(c.a, c.b, nil, c.m, opts.Restart, opts.MaxIter, opts.Tol, true)
+		if st.Iterations != iters {
+			t.Errorf("%s: %d iterations, classical cycle %d", c.name, st.Iterations, iters)
+		}
+		if rel := relDiff(got, want); rel > 1e-10 {
+			t.Errorf("%s: differs from the classical cycle by %.3g (relative), limit 1e-10", c.name, rel)
+		} else {
+			t.Logf("%s: %d equations, %d iterations, relative difference %.3g", c.name, c.a.N, iters, rel)
 		}
 	}
 }

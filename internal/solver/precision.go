@@ -9,8 +9,7 @@ import (
 // Precision selects the storage precision of the solver's
 // bandwidth-bound arrays — the CSR value array and the Krylov basis.
 // Accumulation (dot products, norms, Givens rotations, residual and
-// iterate updates) always runs in float64 regardless of this setting;
-// simlint's precguard analyzer proves that split along value flow.
+// iterate updates) always runs in float64 regardless of this setting.
 type Precision int
 
 const (
@@ -35,9 +34,7 @@ func (p Precision) String() string {
 // widenInto promotes the float32-stored vector src into the float64
 // scratch dst, the widening boundary every mixed-precision consumer
 // (matvec input, reference checks) goes through. Widening loses
-// nothing, so no conversion marker is needed.
-//
-//lint:precision storage=src accum=dst
+// nothing.
 func widenInto(dst []float64, src []float32) {
 	for i, s := range src {
 		dst[i] = float64(s)
@@ -47,10 +44,8 @@ func widenInto(dst []float64, src []float32) {
 // narrowScaled writes dst[i] = float32(src[i] * scale): the sanctioned
 // narrowing of a freshly orthogonalized float64 vector into the
 // float32 Krylov basis. This is the only place the GMRES kernel is
-// allowed to round accumulation-class data to storage precision, which
-// is why it carries the precguard convert marker.
-//
-//lint:precision convert storage=dst accum=src
+// allowed to round accumulation-class data to storage precision:
+// convert only here.
 func narrowScaled(dst []float32, src []float64, scale float64) {
 	for i, s := range src {
 		dst[i] = float32(s * scale)
@@ -60,8 +55,6 @@ func narrowScaled(dst []float32, src []float64, scale float64) {
 // dot32 computes the inner product of a float64 vector with a
 // float32-stored vector, widening each stored element before the
 // multiply so the sum carries full float64 precision.
-//
-//lint:precision storage=b accum=a,result
 func dot32(a []float64, b []float32) float64 {
 	s := 0.0
 	b = b[:len(a)]
@@ -76,9 +69,7 @@ func dot32(a []float64, b []float32) float64 {
 // the basis byte traffic of every Gram-Schmidt pass), while the
 // residual/scratch vectors, Hessenberg column, rotations, and
 // triangular-solve buffers stay float64 — they are accumulation-class
-// and precguard forbids demoting them.
-//
-//lint:precision storage=v32 accum=r,z,w,zw,h,cs,sn,g,y
+// and are never demoted.
 type gmresWorkspace32 struct {
 	r, z, w, zw []float64
 	v32         [][]float32

@@ -68,8 +68,6 @@ func (p *JacobiPC) Name() string { return "jacobi" }
 // strictly-upper part of U and U's diagonal each live in arrays of their
 // own, with their own row pointers, so a triangular sweep streams only
 // the entries it reads — the traffic of an SpMV over the same nonzeros.
-//
-//lint:precision accum=lVal,uVal,diag
 type iluFactor struct {
 	n          int
 	lPtr, uPtr []int64
@@ -177,7 +175,6 @@ func newILU0(a *sparse.CSR) (*iluFactor, error) {
 //
 //lint:hotpath
 //lint:noescape
-//lint:precision accum=r,z
 func (f *iluFactor) solve(r, z []float64) {
 	// Forward: L y = r (unit diagonal).
 	rp, col, val := f.lPtr, f.lCol, f.lVal

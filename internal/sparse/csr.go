@@ -102,11 +102,9 @@ func (b *Builder) Build() *CSR {
 // slack: RowPtr has one entry per row plus the terminating total, and
 // Val/Col run in lockstep up to that total.
 //
-// Val is storage-classified under the precision model (see precguard):
-// the matrix entries are bandwidth-bound data, demotable to float32 via
-// NewCSR32, while every kernel accumulates over them in float64.
-//
-//lint:precision storage=Val
+// Val is storage-class under the precision model: the matrix entries
+// are bandwidth-bound data, demotable to float32 via NewCSR32, while
+// every kernel accumulates over them in float64.
 type CSR struct {
 	N      int
 	RowPtr []int64
@@ -156,7 +154,6 @@ func (m *CSR) At(i, j int) float64 {
 //
 //lint:hotpath
 //lint:noescape
-//lint:precision accum=x,y
 func (m *CSR) MulVec(x, y []float64) {
 	rp, col, val := m.RowPtr, m.Col, m.Val
 	for i := 0; i < m.N; i++ {
@@ -181,7 +178,6 @@ func (m *CSR) MulVec(x, y []float64) {
 //
 //lint:hotpath
 //lint:noescape
-//lint:precision accum=x,y
 func (m *CSR) MulVecRows(x, y []float64, lo, hi int) {
 	rp, col, val := m.RowPtr, m.Col, m.Val
 	for i := lo; i < hi; i++ {
@@ -198,8 +194,6 @@ func (m *CSR) MulVecRows(x, y []float64, lo, hi int) {
 
 // MulVecPar computes y = A x with one goroutine per partition range.
 // x and y inherit MulVecRows' non-aliasing requirement.
-//
-//lint:precision accum=x,y
 func (m *CSR) MulVecPar(pt par.Partition, x, y []float64) {
 	pt.ForEachRank(func(r int) {
 		lo, hi := pt.Range(r)

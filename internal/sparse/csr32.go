@@ -12,10 +12,7 @@ import (
 // — per stored entry the float64 kernel streams 12 bytes (8 value + 4
 // column) where this one streams 8 — so demoting storage buys
 // throughput without giving up accumulation accuracy. The value array
-// is storage-class under simlint's precguard: demotable, never
-// accumulated into at float32.
-//
-//lint:precision storage=Val
+// is storage-class: demotable, never accumulated into at float32.
 type CSR32 struct {
 	N      int
 	RowPtr []int64
@@ -27,8 +24,6 @@ type CSR32 struct {
 // one sanctioned narrowing boundary for matrix values: the structure
 // (RowPtr, Col) is shared with the source matrix, only the value array
 // is rounded and copied.
-//
-//lint:precision convert
 func NewCSR32(m *CSR) *CSR32 {
 	c := &CSR32{N: m.N, RowPtr: m.RowPtr, Col: m.Col, Val: make([]float32, len(m.Val))}
 	for i, v := range m.Val {
@@ -55,7 +50,6 @@ func (m *CSR32) NNZ() int { return len(m.Val) }
 // the multiply, so the row sum carries full float64 precision. y and x
 // must have length N and may not alias (see CSR.MulVec).
 //
-//lint:precision accum=x,y
 //lint:hotpath
 //lint:noescape
 func (m *CSR32) MulVec(x, y []float64) {
@@ -79,7 +73,6 @@ func (m *CSR32) MulVec(x, y []float64) {
 // a distributed product, with the same widen-before-multiply
 // accumulation as MulVec. x and y may not alias (see CSR.MulVecRows).
 //
-//lint:precision accum=x,y
 //lint:hotpath
 //lint:noescape
 func (m *CSR32) MulVecRows(x, y []float64, lo, hi int) {
@@ -98,8 +91,6 @@ func (m *CSR32) MulVecRows(x, y []float64, lo, hi int) {
 
 // MulVecPar computes y = A x with one goroutine per partition range.
 // x and y inherit MulVecRows' non-aliasing requirement.
-//
-//lint:precision accum=x,y
 func (m *CSR32) MulVecPar(pt par.Partition, x, y []float64) {
 	pt.ForEachRank(func(r int) {
 		lo, hi := pt.Range(r)

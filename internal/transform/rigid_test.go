@@ -85,52 +85,65 @@ func TestCenterInvariantUnderPureRotation(t *testing.T) {
 	}
 }
 
-func TestResampleScalarPureTranslation(t *testing.T) {
-	g := volume.NewGrid(12, 6, 6, 1)
-	src := volume.NewScalar(g)
-	src.Set(4, 3, 3, 50)
-	// Move content +2 voxels in x.
-	r := Rigid{TX: 2, Center: g.Center()}
-	out := ResampleScalar(src, r, g)
-	if got := out.At(6, 3, 3); math.Abs(got-50) > 1e-4 {
-		t.Errorf("translated value = %v, want 50 at (6,3,3)", got)
+// translationGrids are the grids the pure-translation tests run on: the
+// 1 mm grid at the origin, where a voxel index happens to be a
+// millimetre coordinate, and a clinical one where it is not.
+func translationGrids(nx, ny, nz int) []volume.Grid {
+	return []volume.Grid{
+		volume.NewGrid(nx, ny, nz, 1),
+		{NX: nx, NY: ny, NZ: nz, Spacing: geom.V(0.9, 1.1, 2.5), Origin: geom.V(-40, 12, 7)},
 	}
-	if got := out.At(4, 3, 3); got > 1 {
-		t.Errorf("original position should be (near) empty, got %v", got)
+}
+
+func TestResampleScalarPureTranslation(t *testing.T) {
+	for _, g := range translationGrids(12, 6, 6) {
+		src := volume.NewScalar(g)
+		src.Set(4, 3, 3, 50)
+		// Move content +2 voxels in x.
+		r := Rigid{TX: 2 * g.Spacing.X, Center: g.Center()}
+		out := ResampleScalar(src, r, g)
+		if got := out.At(6, 3, 3); math.Abs(got-50) > 1e-4 {
+			t.Errorf("%v: translated value = %v, want 50 at (6,3,3)", g, got)
+		}
+		if got := out.At(4, 3, 3); got > 1 {
+			t.Errorf("%v: original position should be (near) empty, got %v", g, got)
+		}
 	}
 }
 
 func TestResampleLabelsPureTranslation(t *testing.T) {
-	g := volume.NewGrid(10, 5, 5, 1)
-	src := volume.NewLabels(g)
-	src.Set(2, 2, 2, volume.LabelTumor)
-	r := Rigid{TX: 3, Center: g.Center()}
-	out := ResampleLabels(src, r, g)
-	if out.At(5, 2, 2) != volume.LabelTumor {
-		t.Error("label did not translate")
+	for _, g := range translationGrids(10, 5, 5) {
+		src := volume.NewLabels(g)
+		src.Set(2, 2, 2, volume.LabelTumor)
+		r := Rigid{TX: 3 * g.Spacing.X, Center: g.Center()}
+		out := ResampleLabels(src, r, g)
+		if out.At(5, 2, 2) != volume.LabelTumor {
+			t.Errorf("%v: label did not translate", g)
+		}
 	}
 }
 
 func TestFieldFromRigidMatchesResample(t *testing.T) {
-	g := volume.NewGrid(10, 10, 10, 1)
-	src := volume.NewScalar(g)
-	for k := 0; k < 10; k++ {
-		for j := 0; j < 10; j++ {
-			for i := 0; i < 10; i++ {
-				src.Set(i, j, k, float64(i+2*j+3*k))
+	for _, g := range translationGrids(10, 10, 10) {
+		src := volume.NewScalar(g)
+		for k := 0; k < 10; k++ {
+			for j := 0; j < 10; j++ {
+				for i := 0; i < 10; i++ {
+					src.Set(i, j, k, float64(i+2*j+3*k))
+				}
 			}
 		}
-	}
-	r := Rigid{RZ: 0.1, TX: 1, TY: -0.5, Center: g.Center()}
-	byResample := ResampleScalar(src, r, g)
-	byField := FieldFromRigid(r, g).WarpScalar(src)
-	for k := 2; k < 8; k++ {
-		for j := 2; j < 8; j++ {
-			for i := 2; i < 8; i++ {
-				a := byResample.At(i, j, k)
-				b := byField.At(i, j, k)
-				if math.Abs(a-b) > 1e-3 {
-					t.Fatalf("mismatch at (%d,%d,%d): %v vs %v", i, j, k, a, b)
+		r := Rigid{RZ: 0.1, TX: 1, TY: -0.5, Center: g.Center()}
+		byResample := ResampleScalar(src, r, g)
+		byField := FieldFromRigid(r, g).WarpScalar(src)
+		for k := 2; k < 8; k++ {
+			for j := 2; j < 8; j++ {
+				for i := 2; i < 8; i++ {
+					a := byResample.At(i, j, k)
+					b := byField.At(i, j, k)
+					if math.Abs(a-b) > 1e-3 {
+						t.Fatalf("%v: mismatch at (%d,%d,%d): %v vs %v", g, i, j, k, a, b)
+					}
 				}
 			}
 		}
@@ -148,6 +161,15 @@ func TestMaxDisplacement(t *testing.T) {
 	rot := Rigid{RZ: 0.1, Center: g.Center()}
 	if got := rot.MaxDisplacement(g); got <= 0 {
 		t.Errorf("rotation MaxDisplacement = %v, want > 0", got)
+	}
+	// On a clinical grid the corners are in millimetres, not indices: a
+	// rotation about z by theta moves a corner at distance rho from the
+	// axis by 2 rho sin(theta/2).
+	aniso := volume.Grid{NX: 21, NY: 11, NZ: 5, Spacing: geom.V(0.9, 1.1, 2.5), Origin: geom.V(-40, 12, 7)}
+	rot.Center = aniso.Center()
+	rho := math.Hypot(10*0.9, 5*1.1)
+	if got, want := rot.MaxDisplacement(aniso), 2*rho*math.Sin(0.05); math.Abs(got-want) > 1e-9 {
+		t.Errorf("anisotropic MaxDisplacement = %v, want %v", got, want)
 	}
 }
 

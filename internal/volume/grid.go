@@ -58,8 +58,6 @@ func (g Grid) InBounds(i, j, k int) bool {
 
 // World returns the world coordinates (mm) of the center of voxel
 // (i, j, k).
-//
-//lint:coordspace conversion
 func (g Grid) World(i, j, k int) geom.Vec3 {
 	return geom.V(
 		g.Origin.X+float64(i)*g.Spacing.X,
@@ -69,8 +67,6 @@ func (g Grid) World(i, j, k int) geom.Vec3 {
 }
 
 // WorldOf returns the world coordinates (mm) of the center of voxel v.
-//
-//lint:coordspace conversion
 func (g Grid) WorldOf(v geom.Voxel) geom.Vec3 {
 	return g.World(v.I, v.J, v.K)
 }
@@ -78,8 +74,6 @@ func (g Grid) WorldOf(v geom.Voxel) geom.Vec3 {
 // Voxel returns the continuous voxel-space coordinates of world point
 // p (mm). The result is fractional: feed it to Floor/Round to obtain a
 // discrete index, or to Frac for interpolation weights.
-//
-//lint:coordspace conversion
 func (g Grid) Voxel(p geom.Vec3) geom.VoxelPoint {
 	return geom.VoxelPoint{
 		X: (p.X - g.Origin.X) / g.Spacing.X,

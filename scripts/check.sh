@@ -3,7 +3,13 @@
 # static-analysis suite, the perfgate compiler-fact gate (the
 # //lint:noescape kernel contract), the full test suite (and the
 # benchmark ledger's own vet and tests, which ./... skips), fuzz smoke
-# runs, and the whole module under the race detector (short mode).
+# runs, and the whole module under the race detector (short mode, which
+# includes the service's goroutine-leak test).
+#
+# Every go test carries an explicit -timeout well under the ten-minute
+# default: a lost completion signal (a missed WaitGroup.Done, a send
+# nobody receives) then fails in minutes with a goroutine dump. That,
+# -race and TestServiceLeaksNothing state the goroutine-hygiene rules.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,13 +32,13 @@ go run ./cmd/simlint ./...
 echo "== perfgate"
 go run ./cmd/perfgate
 echo "== go test ./..."
-go test ./...
+go test -timeout 5m ./...
 echo "== go vet ./_bench && go test ./_bench"
 # ./... skips the _-prefixed benchmark directory, so name it.
 go vet ./_bench
-go test ./_bench
+go test -timeout 2m ./_bench
 echo "== go test -fuzz (10s per target, list derived from sources)"
 ./scripts/fuzz_smoke.sh
 echo "== go test -race -short ./..."
-go test -race -short ./...
+go test -race -short -timeout 5m ./...
 echo "== OK"
