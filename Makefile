@@ -33,8 +33,10 @@ bench:
 	$(GO) test -bench=. -benchmem -short ./...
 	$(GO) run ./_bench
 
-# Alternating parent/change pairs of one workload, e.g.
+# Alternating parent/change pairs of one workload, or of each in turn
+# with WORKLOAD=all, e.g.
 #   make bench-pairs PARENT=HEAD~1 WORKLOAD=stream-77k PAIRS=10
+# Fails when a run printed no result or the change failed more scans.
 PARENT ?= HEAD
 WORKLOAD ?= stream-77k
 PAIRS ?= 10

@@ -1,16 +1,21 @@
-// Package artifact is a content-addressed byte store for pipeline
-// stage outputs. A Store keeps a byte-bounded in-memory LRU tier in
-// front of an optional on-disk tier; entries are addressed by the
-// caller's content key (hash of a stage's declared inputs plus its
-// declared config-key fields, see internal/core), so identical preop
-// work is computed once and replayed everywhere else.
+// Package artifact is a content-addressed store for pipeline stage
+// outputs. A Store keeps an in-memory LRU tier of decoded values,
+// bounded by their encoded size, in front of an optional on-disk tier
+// of encoded bytes; entries are addressed by the caller's content key
+// (hash of a stage's declared inputs plus its declared config-key
+// fields, see internal/core), so identical preop work is computed once
+// and the one resident value is shared, read-only, by every session in
+// the process. Bytes exist only while a value crosses the disk
+// boundary: a miss encodes once (to hash, size and write the value), a
+// disk read decodes once.
 //
 // The store is an accelerator, never an authority: a corrupt,
 // truncated, or concurrently rewritten disk entry is detected by a
-// checksum frame and treated as a miss (the file is deleted and the
-// value recomputed), and GetOrCompute deduplicates concurrent
-// computations of the same key so N sessions sharing a preop volume
-// pay for its stages once.
+// checksum frame, and one whose frame passes but whose payload no
+// longer decodes by the caller's decoder; both are deleted and the
+// value recomputed. Value deduplicates concurrent computations of the
+// same key so N sessions sharing a preop volume pay for its stages
+// once.
 package artifact
 
 import (
@@ -30,10 +35,11 @@ import (
 
 // Options configures a Store.
 type Options struct {
-	// MaxMemoryBytes bounds the in-memory tier; at most this many
-	// payload bytes stay resident, evicted least-recently-used.
-	// Zero selects DefaultMaxMemoryBytes; negative disables the
-	// memory tier entirely (every hit re-reads the disk tier).
+	// MaxMemoryBytes bounds the in-memory tier by the encoded size of
+	// the resident values (a decoded value occupies about as much),
+	// evicted least-recently-used. Zero selects DefaultMaxMemoryBytes;
+	// negative disables the memory tier entirely (every hit re-reads
+	// and decodes the disk tier).
 	MaxMemoryBytes int64
 
 	// Dir, when non-empty, enables the on-disk tier rooted at that
@@ -61,15 +67,17 @@ type Stats struct {
 	Entries   int   `json:"entries"`
 	Bytes     int64 `json:"bytes"`
 	// DiskFaults counts disk-tier operations that failed (write,
-	// rename, quarantine removal). The tier is best-effort, so faults
-	// never surface as errors; a persistently climbing count means the
-	// cache directory is read-only or full.
+	// rename, quarantine removal) and well-framed entries quarantined
+	// because their payload did not decode. The tier is best-effort, so
+	// faults never surface as errors; a persistently climbing count
+	// means the cache directory is read-only, full, or written by an
+	// incompatible build.
 	DiskFaults int64 `json:"disk_faults"`
 }
 
 // Store is a two-tier content-addressed cache. All methods are safe
-// for concurrent use. Byte slices returned by GetOrCompute are shared
-// between callers and must be treated as read-only.
+// for concurrent use. Values returned by Value and GetOrCompute are
+// shared between callers and must be treated as read-only.
 type Store struct {
 	dir string
 	max int64
@@ -87,17 +95,25 @@ type Store struct {
 	resident  *obs.Gauge
 }
 
+// Sum is the content hash of a value: the SHA-256 of its encoding,
+// taken once when the value is encoded or read from disk.
+type Sum [sha256.Size]byte
+
+// memEntry is one resident value with the hash and length of its
+// encoding; size is what the memory bound accounts.
 type memEntry struct {
 	key  string
-	data []byte
+	val  any
+	sum  Sum
+	size int64
 }
 
 // flight tracks one in-progress computation; followers wait on done
-// and share the leader's data, or retry when the leader failed.
+// and share the leader's entry, or retry when the leader failed.
 type flight struct {
 	done chan struct{}
-	data []byte
-	err  error
+	memEntry
+	err error
 }
 
 // New opens a Store. The disk directory (when configured) is created
@@ -129,27 +145,39 @@ func New(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// GetOrCompute returns the bytes stored under key, computing and
-// storing them on a miss. hit reports whether the value was served
-// from the store (memory, disk, or a concurrent computation of the
-// same key) rather than by this call's own compute. A compute error
-// is returned to the caller whose compute failed and nothing is stored;
-// callers waiting on that computation do not inherit the error (it may
-// be scoped to the failed caller's context) — each retries with its own
-// compute.
+// GetOrCompute is Value for callers whose artifacts are already bytes:
+// the encoding of a byte slice is itself.
 func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (data []byte, hit bool, err error) {
+	same := func(b []byte) []byte { return b }
+	data, _, hit, err = Value(s, key, compute, same, func(b []byte) ([]byte, error) { return b, nil })
+	return data, hit, err
+}
+
+// Value returns the value stored under key with the content hash of
+// its encoding, computing and storing it on a miss. hit reports whether
+// the value was served from the store (memory, disk, or a concurrent
+// computation of the same key) rather than by this call's own compute.
+// A memory hit returns the resident value itself; a disk hit is decoded
+// once and the decoded value becomes resident; a miss returns what
+// compute returned, and encodes it once to hash it, size it and write
+// it to the disk tier. A compute error is returned to the caller whose
+// compute failed and nothing is stored; callers waiting on that
+// computation do not inherit the error (it may be scoped to the failed
+// caller's context) — each retries with its own compute. Every caller
+// of one key must pass the same T.
+func Value[T any](s *Store, key string, compute func() (T, error),
+	encode func(T) []byte, decode func([]byte) (T, error)) (v T, sum Sum, hit bool, err error) {
 	if key == "" {
-		return nil, false, ErrEmptyKey
+		return v, sum, false, ErrEmptyKey
 	}
 	for {
 		s.mu.Lock()
 		if el, ok := s.entries[key]; ok {
 			s.lru.MoveToFront(el)
-			data = el.Value.(*memEntry).data
-			s.stats.Hits++
+			e := el.Value.(*memEntry)
 			s.mu.Unlock()
-			s.count(s.hits)
-			return data, true, nil
+			s.hit()
+			return e.val.(T), e.sum, true, nil
 		}
 		if fl, ok := s.inflight[key]; ok {
 			s.mu.Unlock()
@@ -160,82 +188,97 @@ func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (data [
 				// context-scoped error from another session.
 				continue
 			}
-			s.mu.Lock()
-			s.stats.Hits++
-			s.mu.Unlock()
-			s.count(s.hits)
-			return fl.data, true, nil
+			s.hit()
+			return fl.val.(T), fl.sum, true, nil
 		}
-		fl := &flight{done: make(chan struct{})}
+		fl := &flight{done: make(chan struct{}), memEntry: memEntry{key: key}}
 		s.inflight[key] = fl
 		s.mu.Unlock()
 
-		data, hit, err = s.fill(key, fl, compute)
-		return data, hit, err
+		hit, err = fill(s, fl, compute, encode, decode)
+		if err != nil {
+			return v, sum, false, err
+		}
+		return fl.val.(T), fl.sum, hit, nil
 	}
 }
 
-// fill resolves one flight: disk probe, then compute + store.
-func (s *Store) fill(key string, fl *flight, compute func() ([]byte, error)) ([]byte, bool, error) {
+// fill resolves one flight: disk probe and decode, then compute,
+// encode and store.
+func fill[T any](s *Store, fl *flight, compute func() (T, error),
+	encode func(T) []byte, decode func([]byte) (T, error)) (hit bool, err error) {
 	defer func() {
+		fl.err = err
 		s.mu.Lock()
-		delete(s.inflight, key)
+		delete(s.inflight, fl.key)
 		s.mu.Unlock()
 		close(fl.done)
 	}()
 
-	if data, ok := s.readDisk(key); ok {
-		s.admit(key, data)
-		s.mu.Lock()
-		s.stats.Hits++
-		s.mu.Unlock()
-		s.count(s.hits)
-		fl.data = data
-		return data, true, nil
+	if data, sum, ok := s.readDisk(fl.key); ok {
+		if v, derr := decode(data); derr == nil {
+			fl.val, fl.sum, fl.size = v, sum, int64(len(data))
+			s.admit(&fl.memEntry)
+			s.hit()
+			return true, nil
+		}
+		// The frame is intact but the payload is not what this build
+		// encodes: quarantine it like a bad frame, so the recomputed
+		// value below replaces it for every later reader.
+		s.fault()
+		s.removeEntry(fl.key)
 	}
 
-	data, err := compute()
+	v, err := compute()
 	if err != nil {
-		fl.err = err
-		return nil, false, err
+		return false, err
 	}
-	s.admit(key, data)
-	s.writeDisk(key, data)
+	data := encode(v)
+	fl.val, fl.sum, fl.size = v, sha256.Sum256(data), int64(len(data))
+	s.admit(&fl.memEntry)
+	s.writeDisk(fl.key, data, fl.sum)
 	s.mu.Lock()
 	s.stats.Misses++
 	s.mu.Unlock()
 	s.count(s.misses)
-	fl.data = data
-	return data, false, nil
+	return false, nil
 }
 
-// admit inserts data into the memory tier and evicts down to the byte
-// bound. An entry larger than the whole bound is not admitted (it
+// hit counts one lookup served from the store.
+func (s *Store) hit() {
+	s.mu.Lock()
+	s.stats.Hits++
+	s.mu.Unlock()
+	s.count(s.hits)
+}
+
+// admit inserts an entry into the memory tier and evicts down to the
+// byte bound. An entry larger than the whole bound is not admitted (it
 // would evict everything and then itself never fit).
-func (s *Store) admit(key string, data []byte) {
-	if s.max < 0 || int64(len(data)) > s.max {
+func (s *Store) admit(e *memEntry) {
+	if s.max < 0 || e.size > s.max {
 		return
 	}
 	var evicted int
 	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
+	if el, ok := s.entries[e.key]; ok {
 		// Another flight (or a disk promote) raced us in; keep the
-		// incumbent so every caller shares one backing array.
+		// incumbent so every caller shares one value.
 		s.lru.MoveToFront(el)
 		s.mu.Unlock()
 		return
 	}
-	s.entries[key] = s.lru.PushFront(&memEntry{key: key, data: data})
-	s.bytes += int64(len(data))
+	s.entries[e.key] = s.lru.PushFront(e)
+	s.bytes += e.size
 	for s.bytes > s.max {
 		back := s.lru.Back()
 		if back == nil {
 			break
 		}
-		e := back.Value.(*memEntry)
+		old := back.Value.(*memEntry)
 		s.lru.Remove(back)
-		delete(s.entries, e.key)
-		s.bytes -= int64(len(e.data))
+		delete(s.entries, old.key)
+		s.bytes -= old.size
 		evicted++
 	}
 	s.stats.Evictions += int64(evicted)
@@ -289,26 +332,30 @@ func (s *Store) entryFile(key string) string {
 	return filepath.Join(s.dir, hex.EncodeToString(sum[:])+".art")
 }
 
-func (s *Store) readDisk(key string) ([]byte, bool) {
+// readDisk returns the payload of key's disk entry and its checksum,
+// which is the payload's content hash.
+func (s *Store) readDisk(key string) ([]byte, Sum, bool) {
 	if s.dir == "" {
-		return nil, false
+		return nil, Sum{}, false
 	}
-	path := s.entryFile(key)
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(s.entryFile(key))
 	if err != nil {
-		return nil, false
+		return nil, Sum{}, false
 	}
-	data, ok := decodeFrame(raw)
+	data, sum, ok := decodeFrame(raw)
 	if !ok {
-		// Quarantine the bad entry so the next reader recomputes
-		// without re-verifying a known-broken file; if the removal
-		// fails the checksum keeps rejecting the entry anyway.
-		if rerr := os.Remove(path); rerr != nil {
-			s.fault()
-		}
-		return nil, false
+		s.removeEntry(key)
 	}
-	return data, true
+	return data, sum, ok
+}
+
+// removeEntry quarantines a bad disk entry so the next reader
+// recomputes without re-verifying a known-broken file; if the removal
+// fails the checks keep rejecting the entry anyway.
+func (s *Store) removeEntry(key string) {
+	if err := os.Remove(s.entryFile(key)); err != nil {
+		s.fault()
+	}
 }
 
 // fault records a failed best-effort disk operation.
@@ -318,11 +365,11 @@ func (s *Store) fault() {
 	s.mu.Unlock()
 }
 
-func (s *Store) writeDisk(key string, data []byte) {
+func (s *Store) writeDisk(key string, data []byte, sum Sum) {
 	if s.dir == "" {
 		return
 	}
-	frame := encodeFrame(data)
+	frame := encodeFrame(data, sum)
 	// Write failures (read-only checkout, full disk) are dropped: the
 	// disk tier is an accelerator, and the memory tier already holds
 	// the value.
@@ -348,34 +395,33 @@ func (s *Store) writeDisk(key string, data []byte) {
 	}
 }
 
-func encodeFrame(data []byte) []byte {
+func encodeFrame(data []byte, sum Sum) []byte {
 	frame := make([]byte, headerLen+len(data))
 	copy(frame, diskMagic)
 	binary.LittleEndian.PutUint32(frame[4:], diskVersion)
 	binary.LittleEndian.PutUint64(frame[8:], uint64(len(data)))
-	sum := sha256.Sum256(data)
 	copy(frame[16:], sum[:])
 	copy(frame[headerLen:], data)
 	return frame
 }
 
-func decodeFrame(raw []byte) ([]byte, bool) {
+func decodeFrame(raw []byte) ([]byte, Sum, bool) {
 	if len(raw) < headerLen || string(raw[:4]) != diskMagic {
-		return nil, false
+		return nil, Sum{}, false
 	}
 	if binary.LittleEndian.Uint32(raw[4:]) != diskVersion {
-		return nil, false
+		return nil, Sum{}, false
 	}
 	n := binary.LittleEndian.Uint64(raw[8:])
 	if n != uint64(len(raw)-headerLen) {
-		return nil, false
+		return nil, Sum{}, false
 	}
 	data := raw[headerLen:]
-	sum := sha256.Sum256(data)
+	sum := Sum(sha256.Sum256(data))
 	if !bytes.Equal(sum[:], raw[16:headerLen]) {
-		return nil, false
+		return nil, Sum{}, false
 	}
-	return data, true
+	return data, sum, true
 }
 
 // ErrEmptyKey rejects lookups with an empty key, which would collide

@@ -275,6 +275,72 @@ func TestConcurrentReadersOfDamagedDisk(t *testing.T) {
 	}
 }
 
+// TestValueIsDecodedOncePerStore drives the typed path: a miss returns
+// the computed value itself, memory hits return that same value with
+// the same content hash, and a fresh Store on the directory decodes the
+// entry once and then shares what it decoded.
+func TestValueIsDecodedOncePerStore(t *testing.T) {
+	dir := t.TempDir()
+	type artifact struct{ text string }
+	decodes := 0
+	encode := func(a *artifact) []byte { return []byte(a.text) }
+	decode := func(b []byte) (*artifact, error) { decodes++; return &artifact{string(b)}, nil }
+	mustNotRun := func() (*artifact, error) { return nil, errors.New("must not recompute") }
+
+	s1 := mustStore(t, Options{Dir: dir})
+	made := &artifact{"payload"}
+	v, sum, hit, err := Value(s1, "k", func() (*artifact, error) { return made, nil }, encode, decode)
+	if err != nil || hit || v != made {
+		t.Fatalf("miss: value %p (computed %p) hit=%v err=%v", v, made, hit, err)
+	}
+	v, again, hit, err := Value(s1, "k", mustNotRun, encode, decode)
+	if err != nil || !hit || v != made || again != sum {
+		t.Fatalf("memory hit: value %p hit=%v err=%v, hashes equal %v", v, hit, err, again == sum)
+	}
+	if decodes != 0 || s1.Stats().Bytes != int64(len(made.text)) {
+		t.Fatalf("%d decodes and %d resident bytes in the store that computed the value", decodes, s1.Stats().Bytes)
+	}
+
+	s2 := mustStore(t, Options{Dir: dir})
+	first, fromDisk, hit, err := Value(s2, "k", mustNotRun, encode, decode)
+	if err != nil || !hit || first.text != made.text || fromDisk != sum {
+		t.Fatalf("disk hit: %+v hit=%v err=%v, hashes equal %v", first, hit, err, fromDisk == sum)
+	}
+	second, _, _, err := Value(s2, "k", mustNotRun, encode, decode)
+	if err != nil || second != first || decodes != 1 {
+		t.Fatalf("second lookup: value %p (first %p), %d decodes, err=%v", second, first, decodes, err)
+	}
+}
+
+// TestUndecodableDiskEntryIsQuarantined: a disk entry whose frame is
+// intact but whose payload the caller's decoder rejects is deleted,
+// counted as a disk fault and replaced by the recomputed value.
+func TestUndecodableDiskEntryIsQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	text := func(b []byte) (string, error) {
+		if len(b) == 0 || b[0] != 'v' {
+			return "", errors.New("foreign payload")
+		}
+		return string(b), nil
+	}
+	encode := func(s string) []byte { return []byte(s) }
+	if _, _, err := mustStore(t, Options{Dir: dir}).GetOrCompute("k", func() ([]byte, error) { return []byte("other build"), nil }); err != nil {
+		t.Fatal(err)
+	}
+	s := mustStore(t, Options{Dir: dir})
+	got, _, hit, err := Value(s, "k", func() (string, error) { return "v1", nil }, encode, text)
+	if err != nil || hit || got != "v1" {
+		t.Fatalf("undecodable entry: got %q hit=%v err=%v, want a recomputed miss", got, hit, err)
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Hits != 0 || st.DiskFaults != 1 {
+		t.Fatalf("stats = %+v, want 1 miss, no hit, 1 disk fault", st)
+	}
+	got, _, hit, err = Value(mustStore(t, Options{Dir: dir}), "k", func() (string, error) { return "", errors.New("must not recompute") }, encode, text)
+	if err != nil || !hit || got != "v1" {
+		t.Fatalf("after the rewrite: got %q hit=%v err=%v", got, hit, err)
+	}
+}
+
 func TestLRUEvictionUpdatesMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := mustStore(t, Options{MaxMemoryBytes: 100, Registry: reg})

@@ -21,10 +21,10 @@ import (
 )
 
 // handle is a typed artifact travelling with its content hash: the hash
-// of the store blob for a stage output, of the value's encoding for a
-// pipeline root. hash is memoized, so an artifact is hashed at most
-// once per run however many stages key on it — and never when no store
-// is configured.
+// the store took of a stage output's encoding, or of the value's
+// encoding for a pipeline root. hash is memoized, so an artifact is
+// hashed at most once per process however many stages and sessions key
+// on it — and never when no store is configured.
 type handle[T any] struct {
 	val  T
 	hash func() []byte
@@ -53,45 +53,30 @@ func join[A, B any](a *handle[A], b *handle[B]) *handle[pair[A, B]] {
 // when store is nil). The store key is the codec version, the stage
 // name, the canonical rendering of key — %#v prints every field,
 // ignores String methods and sorts maps, so Go's map iteration order
-// never leaks into a key — and the content hash of in. On a miss the
-// output is encoded into the store and, deliberately, the just-encoded
-// blob is decoded back, so hit and miss runs hand the downstream stages
-// bit-identical artifacts. A hit that no longer decodes (damage the
-// frame checksum cannot see) is recomputed without the store.
+// never leaks into a key — and the content hash of in. The store keeps
+// values, not bytes: a miss hands downstream the very value fn
+// returned, and every hit in the process hands out that same value, so
+// hit and miss runs see identical artifacts by construction — and must
+// treat them as read-only. Only a value read back from the disk tier
+// has been through the codec, whose round trip is bit-exact; an entry
+// that no longer decodes is quarantined by the store and recomputed as
+// a miss.
 func cached[In, K, Out any](ctx context.Context, store *artifact.Store, name string,
 	fn func(context.Context, In, K) (Out, error), in *handle[In], key K, c codec[Out]) (*handle[Out], error) {
-	direct := func() (*handle[Out], error) {
-		v, err := fn(ctx, in.val, key)
+	compute := func() (Out, error) { return fn(ctx, in.val, key) }
+	if store == nil {
+		v, err := compute()
 		if err != nil {
 			return nil, err
 		}
 		return source(c, v), nil
 	}
-	if store == nil {
-		return direct()
-	}
 	storeKey := artifact.Key([]byte(fmt.Sprintf("core-v%d", codecVersion)), []byte(name),
 		[]byte(fmt.Sprintf("%#v", key)), in.hash())
-	blob, hit, err := store.GetOrCompute(storeKey, func() ([]byte, error) {
-		v, err := fn(ctx, in.val, key)
-		if err != nil {
-			return nil, err
-		}
-		return c.marshal(v), nil
-	})
+	v, sum, hit, err := artifact.Value(store, storeKey, compute, c.marshal, c.unmarshal)
 	if err != nil {
 		return nil, err
 	}
-	v, err := c.unmarshal(blob)
-	if err != nil {
-		if !hit {
-			// We encoded this blob moments ago; failing to decode it is
-			// a codec bug, not cache damage.
-			return nil, err
-		}
-		return direct()
-	}
 	obs.SpanFromContext(ctx).SetAttr(name+"_cache_hit", hit)
-	sum := []byte(artifact.Key(blob))
-	return &handle[Out]{val: v, hash: func() []byte { return sum }}, nil
+	return &handle[Out]{val: v, hash: func() []byte { return sum[:] }}, nil
 }

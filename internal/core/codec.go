@@ -3,20 +3,20 @@ package core
 // Binary codecs for the content-addressed artifact store: deterministic
 // little-endian round-trips for the preop-pure stage outputs (scalar
 // volumes, label volumes, tetrahedral and triangle meshes, the
-// assembled system, the interpolation table). Floats are stored by
-// their IEEE-754 bit patterns, so decode(encode(x)) is bit-identical to
-// x — the property the cache's hit-vs-miss equivalence rests on. cached
-// also decodes what it just encoded on a miss, so a lossy codec would
-// show up immediately as a test failure, not as a drifted cache hit.
+// eliminated FEM operator, the interpolation table). Floats are stored
+// by their IEEE-754 bit patterns, so decode(encode(x)) is bit-identical
+// to x — the property that makes a value read back from the disk tier
+// equivalent to the one a miss computed (in one process both are the
+// same value; see cached).
 //
 // The decoders sit on the trust boundary of the disk tier: a blob whose
 // frame checksum passes may still be structurally wrong, so every
 // decoder checks the shape and index invariants the downstream stages
-// index by, and reports a violation as a decode error (cached then
-// recomputes) rather than letting a later stage panic.
+// index by, and reports a violation as a decode error (the store then
+// quarantines the entry and recomputes) rather than letting a later
+// stage panic.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -42,7 +42,10 @@ import (
 // closed form, which on a snapped mesh rounds the assembled system and
 // the interpolation weights differently in the last bit, so an older
 // build's blobs must miss rather than mix with this one's.
-const codecVersion = 4
+// v5: preop-assemble stores the Dirichlet-eliminated operator (matrix,
+// constrained set, coupling block) and no load vector; a stage output's
+// content hash is the SHA-256 of its blob.
+const codecVersion = 5
 
 // codec is an artifact type's encoder/decoder pair, attached to the
 // type once (the vars below). A decoder reports damage through the
@@ -53,20 +56,25 @@ type codec[T any] struct {
 }
 
 var (
-	labelsCodec  = codec[*volume.Labels]{encodeLabels, decodeLabels}
-	edtCodec     = codec[edtChannels]{encodeEDT, decodeEDT}
-	meshedCodec  = codec[meshed]{encodeMeshed, decodeMeshed}
-	triMeshCodec = codec[*mesh.TriMesh]{encodeTriMesh, decodeTriMesh}
-	systemCodec  = codec[*fem.System]{encodeSystem, decodeSystem}
-	interpCodec  = codec[*fem.InterpTable]{encodeInterpTable, decodeInterpTable}
+	labelsCodec   = codec[*volume.Labels]{encodeLabels, decodeLabels}
+	edtCodec      = codec[edtChannels]{encodeEDT, decodeEDT}
+	meshedCodec   = codec[meshed]{encodeMeshed, decodeMeshed}
+	triMeshCodec  = codec[*mesh.TriMesh]{encodeTriMesh, decodeTriMesh}
+	operatorCodec = codec[*fem.Operator]{encodeOperator, decodeOperator}
+	interpCodec   = codec[*fem.InterpTable]{encodeInterpTable, decodeInterpTable}
 )
 
-// marshal frames v as a store blob: the codec version, then the payload.
+// marshal frames v as a store blob: the codec version, then the
+// payload. The encoder runs twice, first to size the blob and then to
+// fill its one exact allocation.
 func (c codec[T]) marshal(v T) []byte {
 	w := &codecWriter{}
 	w.u32(codecVersion)
 	c.enc(w, v)
-	return w.buf.Bytes()
+	w = &codecWriter{buf: make([]byte, w.n)}
+	w.u32(codecVersion)
+	c.enc(w, v)
+	return w.buf
 }
 
 // unmarshal decodes a store blob, rejecting a foreign version, anything
@@ -87,20 +95,33 @@ func (c codec[T]) unmarshal(blob []byte) (T, error) {
 	return v, nil
 }
 
+// codecWriter counts the bytes written while buf is nil (the sizing
+// pass) and stores them at buf[n:] otherwise.
 type codecWriter struct {
-	buf bytes.Buffer
+	buf []byte
+	n   int
+}
+
+// next claims the next size bytes: the slice to fill, nil on the
+// sizing pass.
+func (w *codecWriter) next(size int) []byte {
+	w.n += size
+	if w.buf == nil {
+		return nil
+	}
+	return w.buf[w.n-size : w.n]
 }
 
 func (w *codecWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf.Write(b[:])
+	if b := w.next(8); b != nil {
+		binary.LittleEndian.PutUint64(b, v)
+	}
 }
 
 func (w *codecWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.buf.Write(b[:])
+	if b := w.next(4); b != nil {
+		binary.LittleEndian.PutUint32(b, v)
+	}
 }
 
 func (w *codecWriter) i64(v int)     { w.u64(uint64(int64(v))) }
@@ -113,35 +134,45 @@ func (w *codecWriter) vec3(v geom.Vec3) {
 	w.f64(v.Z)
 }
 
-// f64s writes a length-prefixed float64 array in one buffer append —
-// the bulk counterpart of codecReader.f64s.
+// f64s writes a length-prefixed float64 array — the bulk counterpart of
+// codecReader.f64s.
 func (w *codecWriter) f64s(vs []float64) {
 	w.u64(uint64(len(vs)))
-	b := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	if b := w.next(8 * len(vs)); b != nil {
+		for i, v := range vs {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
 	}
-	w.buf.Write(b)
 }
 
-// f32s writes a length-prefixed float32 array in one buffer append.
+// f32s writes a length-prefixed float32 array.
 func (w *codecWriter) f32s(vs []float32) {
 	w.u64(uint64(len(vs)))
-	b := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
+	if b := w.next(4 * len(vs)); b != nil {
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
+		}
 	}
-	w.buf.Write(b)
 }
 
-// i32s writes a length-prefixed int32 array in one buffer append.
+// i32s writes a length-prefixed int32 array.
 func (w *codecWriter) i32s(vs []int32) {
 	w.u64(uint64(len(vs)))
-	b := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+	if b := w.next(4 * len(vs)); b != nil {
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+		}
 	}
-	w.buf.Write(b)
+}
+
+// labels writes a length-prefixed label array, one byte each.
+func (w *codecWriter) labels(vs []volume.Label) {
+	w.u64(uint64(len(vs)))
+	if b := w.next(len(vs)); b != nil {
+		for i, v := range vs {
+			b[i] = byte(v)
+		}
+	}
 }
 
 // codecReader decodes with a sticky error: the first malformed read
@@ -234,6 +265,20 @@ func (r *codecReader) f32s(what string) []float32 {
 	out := make([]float32, n)
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out
+}
+
+// labels decodes a length-prefixed label array in bulk.
+func (r *codecReader) labels(what string) []volume.Label {
+	n := r.sliceLen(what, 1)
+	b := r.take(what, n)
+	if r.err != nil {
+		return nil
+	}
+	out := make([]volume.Label, n)
+	for i := range out {
+		out[i] = volume.Label(b[i])
 	}
 	return out
 }
@@ -360,35 +405,24 @@ func decodeEDT(r *codecReader) edtChannels {
 
 func encodeLabels(w *codecWriter, l *volume.Labels) {
 	encodeGrid(w, l.Grid)
-	w.u64(uint64(len(l.Data)))
-	for _, v := range l.Data {
-		w.buf.WriteByte(byte(v))
-	}
+	w.labels(l.Data)
 }
 
 func decodeLabels(r *codecReader) *volume.Labels {
-	g := decodeGrid(r)
-	n := r.sliceLen("label data", 1)
-	data := make([]volume.Label, n)
-	if r.err == nil {
-		for i := range data {
-			data[i] = volume.Label(r.data[r.off+i])
-		}
-		r.off += n
-	}
-	r.checkVoxels("label volume", g, n)
-	return &volume.Labels{Grid: g, Data: data}
+	l := &volume.Labels{Grid: decodeGrid(r), Data: r.labels("label data")}
+	r.checkVoxels("label volume", l.Grid, len(l.Data))
+	return l
 }
 
 func encodeVec3s(w *codecWriter, vs []geom.Vec3) {
 	w.u64(uint64(len(vs)))
-	b := make([]byte, 24*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(b[24*i:], math.Float64bits(v.X))
-		binary.LittleEndian.PutUint64(b[24*i+8:], math.Float64bits(v.Y))
-		binary.LittleEndian.PutUint64(b[24*i+16:], math.Float64bits(v.Z))
+	if b := w.next(24 * len(vs)); b != nil {
+		for i, v := range vs {
+			binary.LittleEndian.PutUint64(b[24*i:], math.Float64bits(v.X))
+			binary.LittleEndian.PutUint64(b[24*i+8:], math.Float64bits(v.Y))
+			binary.LittleEndian.PutUint64(b[24*i+16:], math.Float64bits(v.Z))
+		}
 	}
-	w.buf.Write(b)
 }
 
 func decodeVec3s(r *codecReader, what string) []geom.Vec3 {
@@ -411,17 +445,14 @@ func decodeVec3s(r *codecReader, what string) []geom.Vec3 {
 func encodeMesh(w *codecWriter, m *mesh.Mesh) {
 	encodeVec3s(w, m.Nodes)
 	w.u64(uint64(len(m.Tets)))
-	b := make([]byte, 16*len(m.Tets))
-	for i, t := range m.Tets {
-		for j, id := range t {
-			binary.LittleEndian.PutUint32(b[16*i+4*j:], uint32(id))
+	if b := w.next(16 * len(m.Tets)); b != nil {
+		for i, t := range m.Tets {
+			for j, id := range t {
+				binary.LittleEndian.PutUint32(b[16*i+4*j:], uint32(id))
+			}
 		}
 	}
-	w.buf.Write(b)
-	w.u64(uint64(len(m.TetLabel)))
-	for _, l := range m.TetLabel {
-		w.buf.WriteByte(byte(l))
-	}
+	w.labels(m.TetLabel)
 }
 
 func decodeMesh(r *codecReader) *mesh.Mesh {
@@ -436,14 +467,7 @@ func decodeMesh(r *codecReader) *mesh.Mesh {
 			}
 		}
 	}
-	nl := r.sliceLen("mesh tet labels", 1)
-	lb := r.take("mesh tet labels", nl)
-	if r.err == nil {
-		m.TetLabel = make([]volume.Label, nl)
-		for i := range m.TetLabel {
-			m.TetLabel[i] = volume.Label(lb[i])
-		}
-	}
+	m.TetLabel = r.labels("mesh tet labels")
 	for _, t := range m.Tets {
 		r.checkIndices("mesh tet node", t[:], len(m.Nodes))
 	}
@@ -486,7 +510,7 @@ func decodeTriMesh(r *codecReader) *mesh.TriMesh {
 	}
 	// The owning mesh is a separate artifact, so only the lower bound of
 	// a node id is checkable here (decodeMeshed checks the upper one;
-	// fem.ApplyDirichlet rejects an out-of-range boundary node).
+	// fem.PatchDirichlet rejects an out-of-range boundary node).
 	r.checkIndices("trimesh node id", t.NodeID, math.MaxInt)
 	if r.err == nil && len(t.NodeID) != len(t.Verts) {
 		r.reject(fmt.Errorf("%d node ids for %d surface vertices", len(t.NodeID), len(t.Verts)))
@@ -528,41 +552,53 @@ func decodeInts(r *codecReader, what string) []int {
 	return vs
 }
 
-// encodeSystem serializes an assembled pre-Dirichlet FEM system: the
-// CSR stiffness matrix, the (zero) load vector, the node partition and
-// the per-rank assembly work counters. The mesh reference is NOT
-// stored — the mesh is its own artifact and the decoder re-links it —
-// and the Dirichlet bookkeeping is deliberately absent: the cache holds
-// the system as assembly leaves it, before any intraoperative boundary
-// conditions touch it.
-func encodeSystem(w *codecWriter, s *fem.System) {
-	k := s.K
-	w.i64(k.N)
-	w.u64(uint64(len(k.RowPtr)))
-	b := make([]byte, 8*len(k.RowPtr))
-	for i, v := range k.RowPtr {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
-	}
-	w.buf.Write(b)
-	w.i32s(k.Col)
-	w.f64s(k.Val)
-	w.f64s(s.F)
-	w.i64(s.NumDOF)
-	w.i64(s.NodePart.N)
-	w.i64(s.NodePart.P)
-	encodeInts(w, s.NodePart.Starts)
-	w.i64(s.Assembly.P)
-	w.f64s(s.Assembly.Flops)
-	w.f64s(s.Assembly.BytesSent)
-	w.f64s(s.Assembly.Messages)
+// encodeOperator serializes the Dirichlet-eliminated FEM operator: the
+// CSR stiffness matrix, the node partition, the per-rank assembly work
+// counters, the constrained set (one byte per DOF) and the coupling
+// block. The mesh is its own artifact, and the right-hand side and
+// prescribed values belong to the session that forks a System off the
+// operator, so neither is stored.
+func encodeOperator(w *codecWriter, o *fem.Operator) {
+	bcPtr, bcRows, bcCoef := o.OperatorParts()
+	encodeOperatorParts(w, o.K, o.NodePart, o.Assembly, o.Constrained, bcPtr, bcRows, bcCoef)
 }
 
-// decodeSystem reconstructs the assembled system with an unconstrained
-// Dirichlet state and no mesh reference (the caller links the mesh
-// artifact). The validating constructors (sparse.CSRFromParts,
-// fem.SystemFromParts) check the shape invariants with errors, not
-// panics, so a drifted blob fails the decode and cached recomputes.
-func decodeSystem(r *codecReader) *fem.System {
+func encodeOperatorParts(w *codecWriter, k *sparse.CSR, pt par.Partition, counters *par.Counters,
+	constrained []bool, bcPtr []int, bcRows []int32, bcCoef []float64) {
+	w.i64(k.N)
+	w.u64(uint64(len(k.RowPtr)))
+	if b := w.next(8 * len(k.RowPtr)); b != nil {
+		for i, v := range k.RowPtr {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+		}
+	}
+	w.i32s(k.Col)
+	w.f64s(k.Val)
+	w.i64(pt.N)
+	w.i64(pt.P)
+	encodeInts(w, pt.Starts)
+	w.i64(counters.P)
+	w.f64s(counters.Flops)
+	w.f64s(counters.BytesSent)
+	w.f64s(counters.Messages)
+	w.u64(uint64(len(constrained)))
+	if b := w.next(len(constrained)); b != nil {
+		for i, c := range constrained {
+			if c {
+				b[i] = 1
+			}
+		}
+	}
+	encodeInts(w, bcPtr)
+	w.i32s(bcRows)
+	w.f64s(bcCoef)
+}
+
+// decodeOperator reconstructs the operator. The validating constructors
+// (sparse.CSRFromParts, fem.OperatorFromParts) check the shape and
+// index invariants with errors, not panics, so a drifted blob fails the
+// decode and the store recomputes.
+func decodeOperator(r *codecReader) *fem.Operator {
 	n := r.i64("csr n")
 	np := r.sliceLen("csr rowptr", 8)
 	pb := r.take("csr rowptr", 8*np)
@@ -574,14 +610,29 @@ func decodeSystem(r *codecReader) *fem.System {
 	}
 	col := r.i32s("csr col")
 	val := r.f64s("csr val")
-	f := r.f64s("system rhs")
-	numDOF := r.i64("system numdof")
 	pt := par.Partition{N: r.i64("partition"), P: r.i64("partition")}
 	pt.Starts = decodeInts(r, "partition starts")
 	counters := &par.Counters{P: r.i64("counters")}
 	counters.Flops = r.f64s("counters flops")
 	counters.BytesSent = r.f64s("counters bytes")
 	counters.Messages = r.f64s("counters messages")
+	nc := r.sliceLen("constrained flags", 1)
+	constrained := make([]bool, nc)
+	for i, b := range r.take("constrained flags", nc) {
+		if b > 1 {
+			r.reject(fmt.Errorf("constrained flag %d of DOF %d", b, i))
+			break
+		}
+		constrained[i] = b == 1
+	}
+	// An eliminated operator always has NumDOF+1 column pointers, so an
+	// empty list is the unconstrained operator's nil.
+	bcPtr := decodeInts(r, "coupling pointers")
+	if len(bcPtr) == 0 {
+		bcPtr = nil
+	}
+	bcRows := r.i32s("coupling rows")
+	bcCoef := r.f64s("coupling coefficients")
 	if r.err != nil {
 		return nil
 	}
@@ -590,16 +641,12 @@ func decodeSystem(r *codecReader) *fem.System {
 		r.reject(err)
 		return nil
 	}
-	if numDOF != k.N {
-		r.reject(fmt.Errorf("system numDOF %d, matrix order %d", numDOF, k.N))
-		return nil
-	}
-	sys, err := fem.SystemFromParts(k, f, pt, counters)
+	o, err := fem.OperatorFromParts(k, pt, counters, constrained, bcPtr, bcRows, bcCoef)
 	if err != nil {
 		r.reject(err)
 		return nil
 	}
-	return sys
+	return o
 }
 
 func encodeInterpTable(w *codecWriter, t *fem.InterpTable) {

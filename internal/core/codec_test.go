@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/artifact"
 	"repro/internal/fem"
 	"repro/internal/geom"
 	"repro/internal/mesh"
+	"repro/internal/obs"
 	"repro/internal/surface"
 	"repro/internal/volume"
 )
@@ -34,7 +36,7 @@ func reencode[T any](c codec[T]) func([]byte) ([]byte, error) {
 func FuzzDecodeArtifact(f *testing.F) {
 	codecs := []func([]byte) ([]byte, error){
 		reencode(labelsCodec), reencode(edtCodec), reencode(meshedCodec),
-		reencode(triMeshCodec), reencode(systemCodec), reencode(interpCodec),
+		reencode(triMeshCodec), reencode(operatorCodec), reencode(interpCodec),
 	}
 
 	c := testCase(16)
@@ -56,13 +58,13 @@ func FuzzDecodeArtifact(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	tab, err := preopInterp(ctx, sys, c.Intraop.Grid)
+	tab, err := preopInterp(ctx, pair[meshed, *fem.Operator]{m, sys}, c.Intraop.Grid)
 	if err != nil {
 		f.Fatal(err)
 	}
 	for kind, blob := range [][]byte{
 		labelsCodec.marshal(labels), edtCodec.marshal(ch), meshedCodec.marshal(m),
-		triMeshCodec.marshal(relaxed), systemCodec.marshal(sys), interpCodec.marshal(tab),
+		triMeshCodec.marshal(relaxed), operatorCodec.marshal(sys), interpCodec.marshal(tab),
 	} {
 		if again, err := codecs[kind](blob); err != nil || !bytes.Equal(again, blob) {
 			f.Fatalf("codec %d does not round-trip its own blob: %v", kind, err)
@@ -113,37 +115,155 @@ func TestDecodersRejectStructuralDamage(t *testing.T) {
 		&mesh.TriMesh{Verts: goodTri.Verts, Tris: goodTri.Tris, NodeID: []int32{0, -1, 2}}), reencode(triMeshCodec))
 	try("foreign codec version", append([]byte{9, 0, 0, 0}, triMeshCodec.marshal(goodTri)[4:]...), reencode(triMeshCodec))
 	try("trailing bytes", append(triMeshCodec.marshal(goodTri), 0), reencode(triMeshCodec))
-}
 
-// TestCachedRecomputesDamagedHit plants a checksummed but structurally
-// wrong blob under a stage's key: the miss that wrote it reports the
-// decode failure, and a later hit on it recomputes instead of failing
-// or handing the damage downstream.
-func TestCachedRecomputesDamagedHit(t *testing.T) {
-	store, err := artifact.New(artifact.Options{})
+	// The eliminated operator: re-encode a real one with one part of its
+	// Dirichlet bookkeeping broken at a time.
+	cube := volume.NewLabels(volume.NewGrid(5, 5, 5, 1))
+	for i := range cube.Data {
+		cube.Data[i] = volume.LabelBrain
+	}
+	cm, err := preopMesh(context.Background(), cube, meshKey{CellSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
+	op, err := preopAssemble(context.Background(), cm, assembleKey{Materials: fem.HomogeneousBrain(), Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reencode(operatorCodec)(operatorCodec.marshal(op)); err != nil {
+		t.Fatalf("well-formed operator rejected: %v", err)
+	}
+	// The encoder writes whatever parts it is handed: the good
+	// operator's matrix with broken bookkeeping.
+	type parts struct {
+		constrained []bool
+		ptr         []int
+		rows        []int32
+		coef        []float64
+	}
+	broken := codec[parts]{enc: func(w *codecWriter, p parts) {
+		encodeOperatorParts(w, op.K, op.NodePart, op.Assembly, p.constrained, p.ptr, p.rows, p.coef)
+	}}
+	ptr, rows, coef := op.OperatorParts()
+	good := parts{op.Constrained, ptr, rows, coef}
+	if !bytes.Equal(broken.marshal(good), operatorCodec.marshal(op)) {
+		t.Fatal("the parts encoder does not reproduce the operator blob")
+	}
+	// The first coupled column, which must own rows[0] and rows[1].
+	col := slices.IndexFunc(ptr[1:], func(end int) bool { return end > 0 })
+	if col < 0 || ptr[col+1] < 2 {
+		t.Fatal("the first coupled column has fewer than two rows")
+	}
+	for _, tc := range []struct {
+		name string
+		make func(p *parts)
+	}{
+		{"constrained flags shorter than the DOFs", func(p *parts) { p.constrained = p.constrained[1:] }},
+		{"coupling without column pointers", func(p *parts) { p.ptr = nil }},
+		{"column pointers not ending at the coupling length", func(p *parts) { p.rows, p.coef = p.rows[1:], p.coef[1:] }},
+		{"column pointers decreasing", func(p *parts) { p.ptr[col+2] = p.ptr[col+1] - 1 }},
+		{"column pointers starting past zero", func(p *parts) { p.ptr[0] = 1 }},
+		{"coupling row outside the matrix", func(p *parts) { p.rows[len(p.rows)-1] = int32(op.NumDOF) }},
+		{"negative coupling row", func(p *parts) { p.rows[0] = -1 }},
+		{"coupling rows not ascending in a column", func(p *parts) { p.rows[0], p.rows[1] = p.rows[1], p.rows[0] }},
+		{"fewer coefficients than coupling rows", func(p *parts) { p.coef = p.coef[1:] }},
+	} {
+		p := parts{slices.Clone(good.constrained), slices.Clone(good.ptr), slices.Clone(good.rows), slices.Clone(good.coef)}
+		tc.make(&p)
+		try(tc.name, broken.marshal(p), reencode(operatorCodec))
+	}
+	// A flag byte that is neither 0 nor 1 would re-encode differently.
+	blob := operatorCodec.marshal(op)
+	i := bytes.Index(blob, flagBytes(op.Constrained))
+	if i < 0 {
+		t.Fatal("constrained flags not found in the operator blob")
+	}
+	blob[i] = 2
+	try("constrained flag that is neither 0 nor 1", blob, reencode(operatorCodec))
+}
+
+func flagBytes(flags []bool) []byte {
+	b := make([]byte, len(flags))
+	for i, f := range flags {
+		if f {
+			b[i] = 1
+		}
+	}
+	return b
+}
+
+// TestCachedQuarantinesDamagedEntry plants a well-framed disk entry
+// whose payload is not what the stage's decoder accepts (what another
+// build, or damage the frame checksum cannot see, leaves behind): the
+// first lookup quarantines it, recomputes through the store as a miss
+// and rewrites the entry, so a fresh Store on the directory decodes it
+// and hits — where the entry used to stay in place and make every later
+// session fail the decode and recompute.
+func TestCachedQuarantinesDamagedEntry(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *artifact.Store {
+		t.Helper()
+		store, err := artifact.New(artifact.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
 	in := source(labelsCodec, testCase(16).PreopLabels)
 	key := edtKey{Saturation: 10}
+	want, _ := preopEDT(context.Background(), in.val, key)
+	// lookup runs preop-edt through store under a traced span and
+	// returns the channels with the span's cache-hit attribute.
+	lookup := func(store *artifact.Store, fn func(context.Context, *volume.Labels, edtKey) (edtChannels, error)) (edtChannels, any) {
+		t.Helper()
+		var buf bytes.Buffer
+		ctx, span := obs.StartSpan(obs.WithTracer(context.Background(), obs.NewTracer(&buf)), "lookup")
+		got, err := cached(ctx, store, "preop-edt", fn, in, key, edtCodec)
+		span.End(err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := obs.ReadSpans(&buf)
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("lookup span: %v (%d records)", err, len(recs))
+		}
+		return got.val, recs[0].Attrs["preop-edt_cache_hit"]
+	}
+	mustNotRun := func(context.Context, *volume.Labels, edtKey) (edtChannels, error) {
+		t.Error("stage recomputed although a good entry is on disk")
+		return want, nil
+	}
+
+	// Plant: a stage whose output the decoder rejects (its third channel
+	// is on another grid) writes a checksummed entry under the real key.
 	damaged := func(ctx context.Context, l *volume.Labels, k edtKey) (edtChannels, error) {
 		ch, err := preopEDT(ctx, l, k)
 		ch[2] = &volume.Scalar{Grid: volume.NewGrid(1, 1, 1, 1), Data: make([]float32, 1)}
 		return ch, err
 	}
-	if _, err := cached(ctx, store, "preop-edt", damaged, in, key, edtCodec); err == nil {
-		t.Fatal("a miss that cannot decode its own blob must fail")
+	lookup(open(), damaged)
+
+	first := open()
+	got, hit := lookup(first, preopEDT)
+	if hit != false {
+		t.Errorf("lookup of the damaged entry recorded preop-edt_cache_hit=%v, want false", hit)
 	}
-	got, err := cached(ctx, store, "preop-edt", preopEDT, in, key, edtCodec)
-	if err != nil {
-		t.Fatalf("damaged hit was not recomputed: %v", err)
-	}
-	if st := store.Stats(); st.Hits != 1 {
-		t.Fatalf("second lookup did not hit the planted entry: %+v", st)
-	}
-	want, _ := preopEDT(ctx, in.val, key)
-	if !reflect.DeepEqual(got.val, want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Error("recomputed channels differ from a direct computation")
+	}
+	if st := first.Stats(); st.Hits != 0 || st.Misses != 1 || st.DiskFaults != 1 {
+		t.Errorf("damaged entry: %+v, want 0 hits, 1 miss and 1 disk fault", st)
+	}
+
+	second := open()
+	got, hit = lookup(second, mustNotRun)
+	if hit != true {
+		t.Errorf("lookup of the rewritten entry recorded preop-edt_cache_hit=%v, want true", hit)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("decoded channels differ from a direct computation")
+	}
+	if st := second.Stats(); st.Hits != 1 || st.Misses != 0 || st.DiskFaults != 0 {
+		t.Errorf("rewritten entry: %+v, want 1 hit and nothing else", st)
 	}
 }

@@ -73,9 +73,12 @@ type Config struct {
 	// of the pure preoperative stages (EDT localization channels, mesh
 	// generation, surface relaxation, assembly, interpolation table)
 	// keyed on the input artifacts and Config fields each is called
-	// with, so sessions sharing a preop volume skip those stages. The
-	// store may be shared across sessions and processes; it is read by
-	// cached only, never by stage bodies, and is ignored by Validate.
+	// with, so sessions sharing a preop volume skip those stages and
+	// share, read-only, the one value the store keeps of each output —
+	// the eliminated FEM operator with its preconditioner factors among
+	// them. The store may be shared across sessions and, through its
+	// disk tier, processes; it is read by cached only, never by stage
+	// bodies, and is ignored by Validate.
 	ArtifactStore *artifact.Store
 }
 
@@ -147,6 +150,8 @@ type Result struct {
 	// mesh nodes (forward: preop position -> intraop position).
 	NodeDisplacements []geom.Vec3
 	// Mesh is the tetrahedral model of the (aligned) preoperative head.
+	// It is read-only: with an ArtifactStore it is the store's resident
+	// value, shared by every session and Result on this anatomy.
 	Mesh *mesh.Mesh
 	// Forward is the dense forward displacement field.
 	Forward *volume.Field
@@ -271,8 +276,8 @@ type baseline struct {
 	// boundary, which keeps the vertex-to-node map — and therefore the
 	// Dirichlet row set — identical across updates.
 	relaxedSurf *mesh.TriMesh
-	// sys is assembled by preop-assemble and Dirichlet-eliminated in
-	// place by the first solve; updates patch its RHS in place.
+	// sys is this session's fork of preop-assemble's shared operator:
+	// every scan patches its right-hand side in place.
 	sys *fem.System
 	// interp rasterizes a solution onto the session grid.
 	interp *fem.InterpTable
@@ -423,7 +428,7 @@ func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
 	var (
 		labels *handle[*volume.Labels]
 		meshA  *handle[meshed]
-		sysA   *handle[*fem.System]
+		sysA   *handle[*fem.Operator]
 	)
 	if !warm {
 		if cfg.SkipRigid && !sc.preop.Grid.SameShape(sc.intraop.Grid) {
@@ -480,14 +485,11 @@ func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
 	if err := stage(StageSolve, func(ctx context.Context) (err error) {
 		if !warm {
 			sysA, err = cached(ctx, store, "preop-assemble", preopAssemble, meshA,
-				assembleKey{Materials: cfg.Materials, Ranks: cfg.Ranks}, systemCodec)
+				assembleKey{Materials: cfg.Materials, Ranks: cfg.Ranks}, operatorCodec)
 			if err != nil {
 				return err
 			}
-			// The codec stores everything but the mesh reference; the mesh
-			// is its own artifact.
-			sysA.val.Mesh = sc.mesh
-			sc.sys = sysA.val
+			sc.sys = sysA.val.NewSystem(sc.mesh)
 		}
 		return p.stageSolve(ctx, sc, warm)
 	}); err != nil {
@@ -495,7 +497,7 @@ func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
 	}
 	return stage(StageResample, func(ctx context.Context) error {
 		if !warm {
-			tab, err := cached(ctx, store, "preop-interp", preopInterp, sysA, sc.intraop.Grid, interpCodec)
+			tab, err := cached(ctx, store, "preop-interp", preopInterp, join(meshA, sysA), sc.intraop.Grid, interpCodec)
 			if err != nil {
 				return err
 			}
@@ -582,14 +584,14 @@ func (p *Pipeline) stageSurfaceDisplace(ctx context.Context, sc *scan) error {
 	return nil
 }
 
-// stageSolve runs the biomechanical simulation. Cold, it eliminates the
-// surface-displacement boundary conditions into the assembled system
-// and solves from zero; the assembly work counters travel with the
-// cached System, so the stage span reports them identically on hit and
-// miss runs. Warm, it patches the right-hand
-// side for the boundary displacements that changed, keeps the stiffness
-// matrix and its preconditioner factors, and starts GMRES from the
-// previous displacement field.
+// stageSolve runs the biomechanical simulation: it patches the
+// right-hand side of the session's system for the surface displacements
+// of this scan — from zero on a cold registration, from the previous
+// scan's on an update — and solves with the operator's shared
+// preconditioner factors, from zero or, warm, from the previous
+// displacement field. The assembly work counters travel with the cached
+// operator, so the stage span reports them identically on hit and miss
+// runs.
 func (p *Pipeline) stageSolve(ctx context.Context, sc *scan, warm bool) error {
 	cfg, sys, upd := p.cfg, sc.sys, sc.res.Update
 	sp := obs.SpanFromContext(ctx)
@@ -598,21 +600,16 @@ func (p *Pipeline) stageSolve(ctx context.Context, sc *scan, warm bool) error {
 	if cfg.RecordSolveHistory {
 		sopts.RecordHistory = true
 	}
-	var (
-		sr  *fem.SolveResult
-		err error
-	)
-	if warm {
-		if upd.DOFsPatched, err = sys.PatchDirichlet(ctx, bc); err == nil {
-			sr, err = sys.SolveWarmContext(ctx, sc.prevU, sopts)
-		}
-	} else {
+	var sr *fem.SolveResult
+	patched, err := sys.PatchDirichlet(ctx, bc)
+	if err == nil && warm {
+		upd.DOFsPatched = patched
+		sr, err = sys.SolveWarmContext(ctx, sc.prevU, sopts)
+	} else if err == nil {
 		snap := sys.Assembly.Snapshot()
 		sp.SetAttr(obs.AttrAssemblyFlops, snap.TotalFlops)
 		sp.SetAttr(obs.AttrAssemblyImbalance, snap.Imbalance)
-		if err = sys.ApplyDirichlet(bc); err == nil {
-			sr, err = sys.SolveContext(ctx, sopts)
-		}
+		sr, err = sys.SolveContext(ctx, sopts)
 	}
 	if sr != nil {
 		sp.SetAttr("solver_iterations", sr.Stats.Iterations)

@@ -97,22 +97,28 @@ type assembleKey struct {
 	Ranks     int
 }
 
-// preopAssemble assembles the FEM stiffness system on the preoperative
-// mesh — by far the most expensive pure stage: the matrix is a
-// deterministic function of the mesh geometry, the constitutive model
-// and the rank partition alone. The intraoperative boundary conditions
-// are eliminated later (the solve stage applies Dirichlet rows in place
-// on the run's private System, which with a store is a freshly decoded
-// copy), so the assembled pre-Dirichlet system is content-addressable.
-func preopAssemble(ctx context.Context, m meshed, k assembleKey) (*fem.System, error) {
-	return fem.AssembleContext(ctx, m.Mesh, k.Materials, par.Even(m.Mesh.NumNodes(), k.Ranks))
+// preopAssemble assembles the FEM stiffness matrix on the preoperative
+// mesh and eliminates the brain-surface nodes — by far the most
+// expensive pure stage. The constrained set is the mesh's own surface
+// (every scan prescribes displacements on exactly these nodes; only the
+// values come from a scan), so the eliminated matrix, the coupling
+// block and, hanging off the operator, the preconditioner factors are
+// functions of the mesh geometry, the constitutive model and the rank
+// partition alone: preoperative work, content-addressable, and shared
+// read-only by every session that forks a System off it.
+func preopAssemble(ctx context.Context, m meshed, k assembleKey) (*fem.Operator, error) {
+	sys, err := fem.AssembleContext(ctx, m.Mesh, k.Materials, par.Even(m.Mesh.NumNodes(), k.Ranks))
+	if err != nil {
+		return nil, err
+	}
+	return sys.Eliminate(m.Surf.NodeID)
 }
 
 // preopInterp builds the voxel→element interpolation table of the
 // assembled mesh on the scan grid (its key). The table depends on the
-// mesh geometry — via the system, whose matrix it never reads — and the
-// grid alone; applying it reproduces System.DisplacementField
-// bit-exactly.
-func preopInterp(_ context.Context, sys *fem.System, g volume.Grid) (*fem.InterpTable, error) {
-	return sys.BuildInterpTable(g), nil
+// mesh geometry and the grid alone — the operator is in the input so
+// that the table stays downstream of preop-assemble in the key chain;
+// applying it reproduces System.DisplacementField bit-exactly.
+func preopInterp(_ context.Context, in pair[meshed, *fem.Operator], g volume.Grid) (*fem.InterpTable, error) {
+	return fem.BuildInterpTable(in.A.Mesh, g), nil
 }

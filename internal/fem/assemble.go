@@ -61,98 +61,168 @@ func elementStiffness(t geom.Tet, mat Material) ([4][4][3][3]float64, error) {
 // element stiffness computation, for the performance counters.
 const elementStiffnessFlops = 600
 
-// System is an assembled linear elastic system K u = f over the mesh
-// DOFs (3 per node: node n owns DOFs 3n..3n+2).
-// The solver indexes F and Constrained by DOF without bounds slack
-// (see checkShape).
-type System struct {
-	Mesh   *mesh.Mesh
+// Operator is the read-only half of a linear elastic system K u = f
+// over the mesh DOFs (3 per node: node n owns DOFs 3n..3n+2): the
+// stiffness matrix and, once Eliminate has constrained a node set, the
+// coupling it moved out of the matrix. Nothing writes an Operator after
+// its constructor returns, so one may be shared by any number of
+// Systems (the artifact store hands the preoperative one to every
+// session in the process); the factorized preconditioner is built once
+// per Operator and shared with it. The solver indexes Constrained by
+// DOF without bounds slack (see checkShape).
+type Operator struct {
 	K      *sparse.CSR
-	F      []float64
 	NumDOF int
 	// NodePart is the node partition used for assembly; the DOF
 	// partition used by the solver is its 3x expansion.
 	NodePart par.Partition
 	// Assembly holds per-rank assembly work counters. Wall-clock
 	// assembly time is observability, not state: the fem.assemble trace
-	// span measures it, keeping the assembled System a deterministic
+	// span measures it, keeping the assembled Operator a deterministic
 	// function of (mesh, materials, partition) — the property the
 	// content-addressed preop-assemble cache stage rests on.
 	Assembly *par.Counters
 	// Constrained marks DOFs fixed by Dirichlet conditions.
 	Constrained []bool
 
-	// bcVal holds the currently prescribed value of each constrained DOF
-	// (zero elsewhere). bcRows/bcCoef hold the stiffness coupling that
-	// ApplyDirichlet moved to the right-hand side, column by column: the
-	// original entries K0[i][j] of constrained DOF j against the
-	// unconstrained rows i are bcCoef[bcPtr[j]:bcPtr[j+1]], with i
-	// ascending in bcRows. Together they let PatchDirichlet update F for
-	// changed boundary displacements without re-eliminating the matrix.
-	bcVal  []float64
+	// bcRows/bcCoef hold the stiffness coupling that Eliminate moved out
+	// of the matrix, column by column: the original entries K0[i][j] of
+	// constrained DOF j against the unconstrained rows i are
+	// bcCoef[bcPtr[j]:bcPtr[j+1]], with i ascending in bcRows. They let
+	// PatchDirichlet prescribe boundary displacements through the
+	// right-hand side alone. bcPtr is nil before Eliminate.
 	bcPtr  []int
 	bcRows []int32
 	bcCoef []float64
 	// nConstrained counts constrained DOFs, for the set-equality check
 	// of PatchDirichlet.
 	nConstrained int
-	// pcCache keeps the factorized block-Jacobi preconditioner alive
-	// across solves of the same stiffness matrix (keyed on CSR identity,
-	// so any rebuild of K misses automatically).
+	// pcCache holds the factorized block-Jacobi preconditioner of K,
+	// built by the first solve of any System on this Operator.
 	pcCache solver.PCCache
+}
+
+// System is an Operator with the state one session solves on: the
+// right-hand side and the currently prescribed boundary values. The
+// solver indexes F by DOF without bounds slack (see checkShape).
+type System struct {
+	*Operator
+	Mesh *mesh.Mesh
+	F    []float64
+	// bcVal holds the currently prescribed value of each constrained DOF
+	// (zero elsewhere); nil until the Operator is an eliminated one.
+	bcVal []float64
+}
+
+// checkShape validates the DOF-indexed array invariants.
+func (o *Operator) checkShape() {
+	if o.K.N != o.NumDOF || len(o.Constrained) != o.NumDOF || o.bcPtr != nil && len(o.bcPtr) != o.NumDOF+1 {
+		panic(fmt.Sprintf("fem: inconsistent Operator shape: numDOF=%d K.N=%d len(Constrained)=%d len(bcPtr)=%d",
+			o.NumDOF, o.K.N, len(o.Constrained), len(o.bcPtr)))
+	}
 }
 
 // checkShape validates the DOF-indexed array invariants.
 func (s *System) checkShape() {
-	if len(s.F) != s.NumDOF || len(s.Constrained) != s.NumDOF {
-		panic(fmt.Sprintf("fem: inconsistent System shape: numDOF=%d len(F)=%d len(Constrained)=%d",
-			s.NumDOF, len(s.F), len(s.Constrained)))
+	s.Operator.checkShape()
+	if len(s.F) != s.NumDOF || s.bcVal != nil && len(s.bcVal) != s.NumDOF {
+		panic(fmt.Sprintf("fem: inconsistent System shape: numDOF=%d len(F)=%d len(bcVal)=%d",
+			s.NumDOF, len(s.F), len(s.bcVal)))
 	}
 }
 
-// SystemFromParts reconstructs an assembled, unconstrained system from
-// serialized parts (the core artifact codec's decode path): the
-// stiffness matrix, load vector, node partition and assembly counters
-// as assembly produced them, before any Dirichlet elimination. The mesh
-// reference is left nil for the caller to re-link from its own
-// artifact. Shape violations are reported as errors so a drifted blob
-// fails decode instead of panicking.
-func SystemFromParts(k *sparse.CSR, f []float64, pt par.Partition, counters *par.Counters) (*System, error) {
-	if k == nil || counters == nil {
-		return nil, errors.New("fem: system parts: nil matrix or counters")
+// NewSystem forks a session's System off a shared Operator: a zero
+// right-hand side and, on an eliminated Operator, zero prescribed
+// values, which PatchDirichlet then moves to the scan's. m is the mesh
+// the Operator was assembled on.
+func (o *Operator) NewSystem(m *mesh.Mesh) *System {
+	s := &System{Operator: o, Mesh: m, F: make([]float64, o.NumDOF)}
+	if o.bcPtr != nil {
+		s.bcVal = make([]float64, o.NumDOF)
 	}
-	if len(f) != k.N {
-		return nil, fmt.Errorf("fem: system parts: load vector length %d, matrix order %d", len(f), k.N)
+	s.checkShape()
+	return s
+}
+
+// OperatorParts exposes the Dirichlet bookkeeping of an Operator for
+// serialization (the core artifact codec); bcPtr is nil when nothing is
+// eliminated. Callers must treat the slices as read-only.
+func (o *Operator) OperatorParts() (bcPtr []int, bcRows []int32, bcCoef []float64) {
+	return o.bcPtr, o.bcRows, o.bcCoef
+}
+
+// OperatorFromParts reconstructs an Operator from serialized parts (the
+// core artifact codec's decode path): the stiffness matrix, node
+// partition and assembly counters as assembly produced them, and the
+// constrained set with its coupling block as Eliminate left them (nil
+// bcPtr, no coupling and nothing constrained for an unconstrained
+// one). Shape and index violations are reported as errors so a drifted
+// blob fails decode instead of panicking in a patch.
+func OperatorFromParts(k *sparse.CSR, pt par.Partition, counters *par.Counters,
+	constrained []bool, bcPtr []int, bcRows []int32, bcCoef []float64) (*Operator, error) {
+	if k == nil || counters == nil {
+		return nil, errors.New("fem: operator parts: nil matrix or counters")
 	}
 	if 3*pt.N != k.N || len(pt.Starts) != pt.P+1 {
-		return nil, fmt.Errorf("fem: system parts: node partition (N=%d, P=%d, starts=%d) does not cover %d DOFs",
+		return nil, fmt.Errorf("fem: operator parts: node partition (N=%d, P=%d, starts=%d) does not cover %d DOFs",
 			pt.N, pt.P, len(pt.Starts), k.N)
 	}
 	if counters.P != pt.P || len(counters.Flops) != pt.P ||
 		len(counters.BytesSent) != pt.P || len(counters.Messages) != pt.P {
-		return nil, fmt.Errorf("fem: system parts: counters for %d ranks, partition has %d", counters.P, pt.P)
+		return nil, fmt.Errorf("fem: operator parts: counters for %d ranks, partition has %d", counters.P, pt.P)
 	}
-	s := &System{
-		K:           k,
-		F:           f,
-		NumDOF:      k.N,
-		NodePart:    pt,
-		Assembly:    counters,
-		Constrained: make([]bool, k.N),
+	if len(constrained) != k.N {
+		return nil, fmt.Errorf("fem: operator parts: %d constrained flags for %d DOFs", len(constrained), k.N)
 	}
-	s.checkShape()
-	return s, nil
+	o := &Operator{K: k, NumDOF: k.N, NodePart: pt, Assembly: counters, Constrained: constrained,
+		bcPtr: bcPtr, bcRows: bcRows, bcCoef: bcCoef}
+	for _, c := range constrained {
+		if c {
+			o.nConstrained++
+		}
+	}
+	if bcPtr == nil {
+		if o.nConstrained != 0 || len(bcRows) != 0 || len(bcCoef) != 0 {
+			return nil, errors.New("fem: operator parts: constrained DOFs or coupling without column pointers")
+		}
+	} else if err := o.checkCoupling(); err != nil {
+		return nil, err
+	}
+	o.checkShape()
+	return o, nil
 }
 
-// ErrBoundarySetChanged reports that an incremental patch named a
-// different constrained node set than the one eliminated by
-// ApplyDirichlet; the caller must fall back to a full re-assembly.
+// checkCoupling validates what PatchDirichlet indexes by: column
+// pointers that start at zero, never decrease and end at the coupling
+// length, and per column ascending rows inside the matrix.
+func (o *Operator) checkCoupling() error {
+	if len(o.bcPtr) != o.NumDOF+1 || o.bcPtr[0] != 0 || o.bcPtr[o.NumDOF] != len(o.bcRows) || len(o.bcCoef) != len(o.bcRows) {
+		return fmt.Errorf("fem: operator parts: %d column pointers over %d coupling rows and %d coefficients for %d DOFs",
+			len(o.bcPtr), len(o.bcRows), len(o.bcCoef), o.NumDOF)
+	}
+	for j := 0; j < o.NumDOF; j++ {
+		lo, hi := o.bcPtr[j], o.bcPtr[j+1]
+		if lo > hi || hi > len(o.bcRows) {
+			return fmt.Errorf("fem: operator parts: coupling pointers of DOF %d not monotone (%d, %d)", j, lo, hi)
+		}
+		for p := lo; p < hi; p++ {
+			if row := o.bcRows[p]; row < 0 || int(row) >= o.NumDOF || p > lo && row <= o.bcRows[p-1] {
+				return fmt.Errorf("fem: operator parts: coupling row %d of DOF %d out of range or order", row, j)
+			}
+		}
+	}
+	return nil
+}
+
+// ErrBoundarySetChanged reports that a patch named a different
+// constrained node set than the one the Operator was eliminated on; the
+// caller must fall back to a full re-assembly.
 var ErrBoundarySetChanged = errors.New("fem: Dirichlet boundary set changed; full re-assembly required")
 
 // DOFPartition returns the row partition of the 3N-dimensional system
 // corresponding to the node partition (contiguous, nodes*3).
-func (s *System) DOFPartition() par.Partition {
-	pt := s.NodePart
+func (o *Operator) DOFPartition() par.Partition {
+	pt := o.NodePart
 	starts := make([]int, pt.P+1)
 	for i := range starts {
 		starts[i] = pt.Starts[i] * 3
@@ -225,17 +295,8 @@ func assemble(m *mesh.Mesh, mats Table, pt par.Partition) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	nDOF := 3 * m.NumNodes()
-	sys := &System{
-		Mesh:        m,
-		K:           k,
-		F:           make([]float64, nDOF),
-		NumDOF:      nDOF,
-		NodePart:    pt,
-		Assembly:    counters,
-		Constrained: make([]bool, nDOF),
-	}
-	return sys, nil
+	op := &Operator{K: k, NumDOF: k.N, NodePart: pt, Assembly: counters, Constrained: make([]bool, k.N)}
+	return op.NewSystem(m), nil
 }
 
 // nodeAdjacency is the symbolic pass: for every node, the ascending list
@@ -329,51 +390,45 @@ func assembleRows(m *mesh.Mesh, mats Table, blocks *sparse.BlockAssembler, lo, h
 	return flops, nil
 }
 
-// ApplyDirichlet constrains the three DOFs of each listed node to the
-// given displacement. Rows of constrained DOFs are replaced by identity
-// equations, and their coupling is moved to the right-hand side of the
-// remaining equations ("substituting known values for equations in the
-// original system", as the paper puts it). The stiffness matrix is
-// rebuilt; call once with all conditions (a second call is an error).
-//
-// The eliminated coupling is retained on the System so that a later
-// PatchDirichlet can re-prescribe displacements for the same node set
-// without touching the matrix.
-func (s *System) ApplyDirichlet(bc map[int32]geom.Vec3) error {
-	if s.bcVal != nil {
-		return fmt.Errorf("fem: ApplyDirichlet called twice; re-prescribe values with PatchDirichlet")
+// Eliminate returns the Operator with the three DOFs of each listed
+// node constrained: rows of constrained DOFs are replaced by identity
+// equations, and their coupling to the remaining equations leaves the
+// matrix for the coupling block, from where PatchDirichlet moves it to
+// a right-hand side ("substituting known values for equations in the
+// original system", as the paper puts it) for whatever values a scan
+// prescribes. The receiver is not modified, and the result shares
+// nothing a later call writes. Eliminating twice is an error.
+func (o *Operator) Eliminate(nodes []int32) (*Operator, error) {
+	if o.bcPtr != nil {
+		return nil, fmt.Errorf("fem: system already eliminated; re-prescribe values with PatchDirichlet")
 	}
-	if len(bc) == 0 {
-		return fmt.Errorf("fem: no boundary conditions given; system would be singular")
+	if len(nodes) == 0 {
+		return nil, fmt.Errorf("fem: no boundary conditions given; system would be singular")
 	}
-	val := make([]float64, s.NumDOF)
-	for node, d := range bc {
-		if node < 0 || int(node) >= s.Mesh.NumNodes() {
-			return fmt.Errorf("fem: boundary node %d out of range", node)
+	constrained := make([]bool, o.NumDOF)
+	for _, node := range nodes {
+		if node < 0 || int(node) >= o.NodePart.N {
+			return nil, fmt.Errorf("fem: boundary node %d out of range", node)
 		}
 		for i := 0; i < 3; i++ {
-			dof := 3*int(node) + i
-			s.Constrained[dof] = true
+			constrained[3*int(node)+i] = true
 		}
-		val[3*int(node)+0] = d.X
-		val[3*int(node)+1] = d.Y
-		val[3*int(node)+2] = d.Z
 	}
 	// Count-then-copy: the rows of K are already sorted, so elimination
 	// only filters them. First size the eliminated matrix and every
 	// constrained column's coupling list ...
-	k := s.K
-	rowPtr := make([]int64, s.NumDOF+1)
-	bcPtr := make([]int, s.NumDOF+1)
+	k := o.K
+	rowPtr := make([]int64, o.NumDOF+1)
+	bcPtr := make([]int, o.NumDOF+1)
 	nc := 0
-	for i := 0; i < s.NumDOF; i++ {
+	for i := 0; i < o.NumDOF; i++ {
 		kept := int64(1)
-		if s.Constrained[i] {
+		if constrained[i] {
 			nc++
 		} else {
 			kept = 0
 			for _, j := range k.Col[k.RowPtr[i]:k.RowPtr[i+1]] {
-				if s.Constrained[j] {
+				if constrained[j] {
 					bcPtr[j+1]++
 				} else {
 					kept++
@@ -382,21 +437,20 @@ func (s *System) ApplyDirichlet(bc map[int32]geom.Vec3) error {
 		}
 		rowPtr[i+1] = rowPtr[i] + kept
 	}
-	for j := 0; j < s.NumDOF; j++ {
+	for j := 0; j < o.NumDOF; j++ {
 		bcPtr[j+1] += bcPtr[j]
 	}
 	// ... then fill both in one pass in row order, which leaves each
 	// coupling list in ascending row order.
-	bcRows := make([]int32, bcPtr[s.NumDOF])
-	bcCoef := make([]float64, bcPtr[s.NumDOF])
-	fill := append([]int(nil), bcPtr[:s.NumDOF]...)
-	col := make([]int32, rowPtr[s.NumDOF])
-	kval := make([]float64, rowPtr[s.NumDOF])
-	for i := 0; i < s.NumDOF; i++ {
+	bcRows := make([]int32, bcPtr[o.NumDOF])
+	bcCoef := make([]float64, bcPtr[o.NumDOF])
+	fill := append([]int(nil), bcPtr[:o.NumDOF]...)
+	col := make([]int32, rowPtr[o.NumDOF])
+	kval := make([]float64, rowPtr[o.NumDOF])
+	for i := 0; i < o.NumDOF; i++ {
 		w := rowPtr[i]
-		if s.Constrained[i] {
+		if constrained[i] {
 			col[w], kval[w] = int32(i), 1
-			s.F[i] = val[i]
 			continue
 		}
 		start, end := k.RowPtr[i], k.RowPtr[i+1]
@@ -404,8 +458,7 @@ func (s *System) ApplyDirichlet(bc map[int32]geom.Vec3) error {
 		cols := k.Col[start:end][:len(vals)]
 		for p, v := range vals {
 			j := cols[p]
-			if s.Constrained[j] {
-				s.F[i] -= v * val[j]
+			if constrained[j] {
 				q := fill[j]
 				bcRows[q], bcCoef[q] = int32(i), v
 				fill[j] = q + 1
@@ -415,35 +468,67 @@ func (s *System) ApplyDirichlet(bc map[int32]geom.Vec3) error {
 			}
 		}
 	}
-	eliminated, err := sparse.CSRFromParts(s.NumDOF, rowPtr, col, kval)
+	eliminated, err := sparse.CSRFromParts(o.NumDOF, rowPtr, col, kval)
 	if err != nil {
-		return fmt.Errorf("fem: eliminated matrix: %w", err)
+		return nil, fmt.Errorf("fem: eliminated matrix: %w", err)
 	}
-	s.K = eliminated
-	s.bcVal = val
-	s.bcPtr, s.bcRows, s.bcCoef = bcPtr, bcRows, bcCoef
-	s.nConstrained = nc
-	// The eliminated matrix is a new CSR, so the identity-keyed cache
-	// would miss anyway; dropping the stale factors frees them now.
-	s.pcCache.Invalidate()
-	return nil
+	op := &Operator{K: eliminated, NumDOF: o.NumDOF, NodePart: o.NodePart, Assembly: o.Assembly,
+		Constrained: constrained, bcPtr: bcPtr, bcRows: bcRows, bcCoef: bcCoef, nConstrained: nc}
+	op.checkShape()
+	return op, nil
 }
 
-// PatchDirichlet re-prescribes the surface displacements of an already
-// constrained system. The boundary node set must be exactly the set
-// given to ApplyDirichlet (the incremental path re-evolves the same
-// surface, so its vertex-to-node map is stable); a different set
-// returns ErrBoundarySetChanged and leaves the system untouched.
+// ApplyDirichlet constrains the three DOFs of each listed node to the
+// given displacement: it eliminates the node set (see Eliminate; the
+// System moves to the eliminated Operator, its preconditioner unbuilt)
+// and patches the values in from zero, which subtracts each free row's
+// coupling terms from F in ascending constrained-column order — the
+// order a fused elimination visits them in. Call once with all
+// conditions (a second call is an error).
+func (s *System) ApplyDirichlet(bc map[int32]geom.Vec3) error {
+	nodes := make([]int32, 0, len(bc))
+	for node := range bc {
+		nodes = append(nodes, node)
+	}
+	slices.Sort(nodes) // Eliminate takes a set; sorted so nothing downstream can see map order
+	op, err := s.Operator.Eliminate(nodes)
+	if err != nil {
+		return err
+	}
+	s.Operator, s.bcVal = op, make([]float64, s.NumDOF)
+	_, err = s.patch(bc)
+	return err
+}
+
+// PatchDirichlet prescribes the surface displacements of a System on
+// an eliminated Operator. The boundary node set must be exactly the set
+// the Operator was eliminated on (every scan evolves the same surface,
+// so its vertex-to-node map is stable); a different set returns
+// ErrBoundarySetChanged and leaves the system untouched.
 //
 // Only the right-hand side changes: for each DOF whose prescribed value
 // moved by delta, the retained coupling updates the unconstrained
 // equations (F[i] -= K0[i][j]*delta) and the identity row is set to the
-// new value. The stiffness matrix — and with it the cached
-// preconditioner factors — stays valid. Returns the number of DOFs
-// whose value actually changed.
+// new value. The stiffness matrix — and with it the preconditioner
+// factors — stays valid. Returns the number of DOFs whose value
+// actually changed.
 func (s *System) PatchDirichlet(ctx context.Context, bc map[int32]geom.Vec3) (changed int, err error) {
 	_, span := obs.StartSpan(ctx, obs.SpanFEMPatchBC)
 	defer func() { span.End(err) }()
+	if changed, err = s.patch(bc); err != nil {
+		return 0, err
+	}
+	span.SetAttr("dofs_changed", changed)
+	span.SetAttr("dofs_constrained", s.nConstrained)
+	obs.Emit(ctx, obs.EventFEMPatch, map[string]any{
+		"dofs_changed":     changed,
+		"dofs_constrained": s.nConstrained,
+	})
+	return changed, nil
+}
+
+// patch is PatchDirichlet without its telemetry.
+func (s *System) patch(bc map[int32]geom.Vec3) (changed int, err error) {
 	if s.bcVal == nil {
 		return 0, fmt.Errorf("fem: PatchDirichlet before ApplyDirichlet: %w", ErrBoundarySetChanged)
 	}
@@ -452,7 +537,7 @@ func (s *System) PatchDirichlet(ctx context.Context, bc map[int32]geom.Vec3) (ch
 			len(bc), s.nConstrained/3, ErrBoundarySetChanged)
 	}
 	for node := range bc {
-		if node < 0 || int(node) >= s.Mesh.NumNodes() || !s.Constrained[3*int(node)] {
+		if node < 0 || int(node) >= s.NodePart.N || !s.Constrained[3*int(node)] {
 			return 0, fmt.Errorf("fem: node %d not constrained by the baseline solve: %w",
 				node, ErrBoundarySetChanged)
 		}
@@ -480,6 +565,9 @@ func (s *System) PatchDirichlet(ctx context.Context, bc map[int32]geom.Vec3) (ch
 		}
 		delta := v - s.bcVal[dof]
 		if numeric.Zero(delta) {
+			// The identity row still takes v: equal values may differ in
+			// the sign of zero, and a prescribed -0 is solved for as -0.
+			s.F[dof], s.bcVal[dof] = v, v
 			continue
 		}
 		// Re-slicing coef to rows' length proves the two stride together,
@@ -493,12 +581,6 @@ func (s *System) PatchDirichlet(ctx context.Context, bc map[int32]geom.Vec3) (ch
 		s.bcVal[dof] = v
 		changed++
 	}
-	span.SetAttr("dofs_changed", changed)
-	span.SetAttr("dofs_constrained", s.nConstrained)
-	obs.Emit(ctx, obs.EventFEMPatch, map[string]any{
-		"dofs_changed":     changed,
-		"dofs_constrained": s.nConstrained,
-	})
 	return changed, nil
 }
 
@@ -506,13 +588,13 @@ func (s *System) PatchDirichlet(ctx context.Context, bc map[int32]geom.Vec3) (ch
 // rank's rows are Dirichlet-constrained — the paper's second load
 // imbalance ("the distribution of surface displacements is not equal
 // across CPUs").
-func (s *System) ConstrainedPerRank() []int {
-	pt := s.DOFPartition()
+func (o *Operator) ConstrainedPerRank() []int {
+	pt := o.DOFPartition()
 	out := make([]int, pt.P)
 	for r := 0; r < pt.P; r++ {
 		lo, hi := pt.Range(r)
 		for i := lo; i < hi; i++ {
-			if s.Constrained[i] {
+			if o.Constrained[i] {
 				out[r]++
 			}
 		}

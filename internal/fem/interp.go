@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/mesh"
 	"repro/internal/volume"
 )
 
@@ -43,8 +44,7 @@ func (t *InterpTable) checkShape() {
 // shared coverage loop of DisplacementField and BuildInterpTable:
 // iterating voxels-in-element is far cheaper than point-locating every
 // voxel in an unstructured mesh.
-func (s *System) rasterize(g volume.Grid, fn func(i, j, k int, nodes [4]int32, w [4]float64)) {
-	m := s.Mesh
+func rasterize(m *mesh.Mesh, g volume.Grid, fn func(i, j, k int, nodes [4]int32, w [4]float64)) {
 	for e := range m.Tets {
 		t := m.TetGeom(e)
 		sc, err := t.Shape()
@@ -117,13 +117,17 @@ func tightRange(lo, hi float64) (int, int) {
 }
 
 // BuildInterpTable computes the voxel→element interpolation table of
-// this system's mesh on grid g. Applying the table reproduces
+// this system's mesh on grid g; see the package function.
+func (s *System) BuildInterpTable(g volume.Grid) *InterpTable { return BuildInterpTable(s.Mesh, g) }
+
+// BuildInterpTable computes the voxel→element interpolation table of
+// mesh m on grid g. Applying the table reproduces
 // DisplacementField exactly (same coverage, same weights, same
 // overwrite order). Building it is one rasterization — per element one
 // Shape and a barycentric test of the voxel centres in its bounding box,
 // eight at one cell per voxel — which DisplacementField repeats on
 // every call and Apply never does.
-func (s *System) BuildInterpTable(g volume.Grid) *InterpTable {
+func BuildInterpTable(m *mesh.Mesh, g volume.Grid) *InterpTable {
 	t := &InterpTable{grid: g}
 	// A voxel centre on a shared face, edge or node lies inside every
 	// element around it — at one node per voxel, two dozen of them. Only
@@ -134,7 +138,7 @@ func (s *System) BuildInterpTable(g volume.Grid) *InterpTable {
 	for i := range entry {
 		entry[i] = -1
 	}
-	s.rasterize(g, func(i, j, k int, nodes [4]int32, w [4]float64) {
+	rasterize(m, g, func(i, j, k int, nodes [4]int32, w [4]float64) {
 		idx := g.Index(i, j, k)
 		if n := entry[idx]; n >= 0 {
 			copy(t.nodes[4*n:], nodes[:])

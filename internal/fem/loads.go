@@ -17,10 +17,8 @@ import (
 //
 // Call before ApplyDirichlet, like all load assembly.
 func (s *System) AddBodyForce(f geom.Vec3, filter func(e int) bool) error {
-	for _, c := range s.Constrained {
-		if c {
-			return fmt.Errorf("fem: loads must be assembled before ApplyDirichlet")
-		}
+	if s.nConstrained > 0 {
+		return fmt.Errorf("fem: loads must be assembled before ApplyDirichlet")
 	}
 	m := s.Mesh
 	for e := range m.Tets {

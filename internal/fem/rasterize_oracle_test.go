@@ -91,7 +91,7 @@ func TestRasterizeMatchesWideBoxOracle(t *testing.T) {
 			}
 			sys := &System{Mesh: m}
 			var got, want []visit
-			sys.rasterize(g, func(i, j, k int, nodes [4]int32, w [4]float64) {
+			rasterize(sys.Mesh, g, func(i, j, k int, nodes [4]int32, w [4]float64) {
 				got = append(got, visit{g.Index(i, j, k), nodes, w})
 			})
 			rasterizeWide(sys, g, func(i, j, k int, nodes [4]int32, w [4]float64) {

@@ -6,8 +6,8 @@ import (
 	"repro/internal/volume"
 )
 
-// TestConstructorsSatisfyCheckShape calls every constructor of System
-// and InterpTable and runs the type's validator on the result, so the shape invariant the solver and the resampling gather
+// TestConstructorsSatisfyCheckShape calls every constructor of System,
+// Operator and InterpTable and runs the type's validator on the result, so the shape invariant the solver and the resampling gather
 // index by is pinned from the test side as well as by the checkShape
 // call inside each constructor (sparse has the same test for CSR).
 func TestConstructorsSatisfyCheckShape(t *testing.T) {
@@ -20,9 +20,11 @@ func TestConstructorsSatisfyCheckShape(t *testing.T) {
 		build func() (shaped, error)
 	}{
 		{"Assemble", func() (shaped, error) { return sys, nil }},
-		{"SystemFromParts", func() (shaped, error) {
-			return SystemFromParts(sys.K, sys.F, sys.NodePart, sys.Assembly)
+		{"OperatorFromParts", func() (shaped, error) {
+			return OperatorFromParts(sys.K, sys.NodePart, sys.Assembly, sys.Constrained, nil, nil, nil)
 		}},
+		{"Operator.Eliminate", func() (shaped, error) { return sys.Eliminate([]int32{0, 3}) }},
+		{"Operator.NewSystem", func() (shaped, error) { return sys.NewSystem(sys.Mesh), nil }},
 		{"BuildInterpTable", func() (shaped, error) { return tab, nil }},
 		{"InterpTableFromParts", func() (shaped, error) { return InterpTableFromParts(tab.TableParts()) }},
 	} {

@@ -26,7 +26,7 @@ type SolveResult struct {
 	// preconditioner-cache hit).
 	PCSetupTime time.Duration
 	// PCCacheHit reports that the factorized preconditioner was reused
-	// from a previous solve of the same stiffness matrix.
+	// from a previous solve on the same Operator.
 	PCCacheHit bool
 }
 
@@ -58,17 +58,11 @@ func (s *System) SolveWarmContext(ctx context.Context, x0 []float64, opts solver
 	return s.solve(ctx, opts, x0)
 }
 
-// solve is the shared cold/warm solve body: preconditioner via the
-// identity-keyed cache, then GMRES from x0 (nil = zero start).
+// solve is the shared cold/warm solve body: the Operator's
+// preconditioner, factorized by whichever solve asks first, then GMRES
+// from x0 (nil = zero start).
 func (s *System) solve(ctx context.Context, opts solver.Options, x0 []float64) (*SolveResult, error) {
-	anyBC := false
-	for _, c := range s.Constrained {
-		if c {
-			anyBC = true
-			break
-		}
-	}
-	if !anyBC {
+	if s.nConstrained == 0 {
 		return nil, fmt.Errorf("fem: solving without boundary conditions; system is singular")
 	}
 	pt := s.DOFPartition()
@@ -120,9 +114,10 @@ func (s *System) solve(ctx context.Context, opts solver.Options, x0 []float64) (
 }
 
 // PCCacheStats reports the cumulative preconditioner-cache hit and miss
-// counts of this system's solves.
-func (s *System) PCCacheStats() (hits, misses uint64) {
-	return s.pcCache.Stats()
+// counts of the solves on this Operator, by every System sharing it; a
+// miss is a factorization.
+func (o *Operator) PCCacheStats() (hits, misses uint64) {
+	return o.pcCache.Stats()
 }
 
 // DisplacementField rasterizes the solved nodal displacements onto a
@@ -133,7 +128,7 @@ func (s *System) PCCacheStats() (hits, misses uint64) {
 // configuration (the paper's ~0.5 s resampling step).
 func (s *System) DisplacementField(nodeU []geom.Vec3, g volume.Grid) *volume.Field {
 	f := volume.NewField(g)
-	s.rasterize(g, func(i, j, k int, nodes [4]int32, w [4]float64) {
+	rasterize(s.Mesh, g, func(i, j, k int, nodes [4]int32, w [4]float64) {
 		var d geom.Vec3
 		for a := 0; a < 4; a++ {
 			d = d.Add(nodeU[nodes[a]].Scale(w[a]))

@@ -7,7 +7,7 @@ import (
 
 // Attribute keys the pipeline sets on its solve-stage span and the
 // StageSink reads back: the FEM assembly work behind the solved system.
-// They travel with the cached System, so hit and miss runs agree.
+// They travel with the cached operator, so hit and miss runs agree.
 const (
 	AttrAssemblyFlops     = "assembly_flops"
 	AttrAssemblyImbalance = "assembly_imbalance"

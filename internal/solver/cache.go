@@ -8,22 +8,22 @@ import (
 )
 
 // PCCache caches one factorized block-Jacobi preconditioner across
-// solves. The incremental re-solve path patches only the right-hand
-// side between intraoperative updates, so the stiffness matrix — and
-// with it the ILU(0) block factors, the dominant setup cost of every
-// solve — stays valid from scan to scan.
+// solves. A scan changes only the right-hand side of the eliminated
+// system, so the stiffness matrix — and with it the ILU(0) block
+// factors, the dominant setup cost of every solve — stays valid from
+// scan to scan and from session to session: the cache lives on the
+// shared fem.Operator.
 //
 // The cache is keyed on the identity of the CSR matrix plus the row
-// partition. That key is sound because the assembly layer never mutates
-// a built CSR in place: any change to the stiffness matrix (re-assembly,
-// Dirichlet elimination) allocates a new CSR and stores it on the
-// System, which misses the cache automatically. Callers that mutate matrix
-// values in place (none in this module) must call Invalidate first.
+// partition. That key is sound because no layer mutates a built CSR in
+// place: any change to the stiffness matrix (re-assembly, Dirichlet
+// elimination) allocates a new CSR on a new Operator, whose cache is
+// empty.
 //
 // The zero value is ready to use. Methods are safe for concurrent use,
-// though the factorization itself runs outside the lock (two concurrent
-// misses may both factorize; the last store wins — correct, just not
-// deduplicated).
+// and the factorization is single-flight: it runs under the lock, so
+// callers arriving during it wait and then share its factors instead of
+// each spending the time and memory of their own.
 type PCCache struct {
 	mu     sync.Mutex
 	key    *sparse.CSR
@@ -39,31 +39,17 @@ type PCCache struct {
 // served the request.
 func (c *PCCache) BlockJacobiILU0(a *sparse.CSR, pt par.Partition) (pc *BlockJacobiPC, hit bool, err error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.pc != nil && c.key == a && samePartition(c.part, pt) {
 		c.hits++
-		pc = c.pc
-		c.mu.Unlock()
-		return pc, true, nil
+		return c.pc, true, nil
 	}
 	c.misses++
-	c.mu.Unlock()
-	pc, err = NewBlockJacobiILU0(a, pt)
-	if err != nil {
+	if pc, err = NewBlockJacobiILU0(a, pt); err != nil {
 		return nil, false, err
 	}
-	c.mu.Lock()
 	c.key, c.part, c.pc = a, pt, pc
-	c.mu.Unlock()
 	return pc, false, nil
-}
-
-// Invalidate drops the cached factors; the next request factorizes
-// fresh. Call whenever the cached matrix may have been mutated in
-// place.
-func (c *PCCache) Invalidate() {
-	c.mu.Lock()
-	c.key, c.pc = nil, nil
-	c.mu.Unlock()
 }
 
 // Stats returns the cumulative hit and miss counts.

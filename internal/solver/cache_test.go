@@ -75,19 +75,6 @@ func TestPCCacheMissOnPartitionChange(t *testing.T) {
 	}
 }
 
-func TestPCCacheInvalidate(t *testing.T) {
-	a := testMatrix(12)
-	pt := par.Even(12, 2)
-	var c PCCache
-	if _, _, err := c.BlockJacobiILU0(a, pt); err != nil {
-		t.Fatal(err)
-	}
-	c.Invalidate()
-	if _, hit, err := c.BlockJacobiILU0(a, pt); err != nil || hit {
-		t.Fatalf("after Invalidate: hit=%v err=%v, want miss", hit, err)
-	}
-}
-
 func TestGMRESWarmContextSeedsIterate(t *testing.T) {
 	n := 40
 	a := testMatrix(n)

@@ -4,7 +4,11 @@
 # //lint:noescape kernel contract), the full test suite (and the
 # benchmark ledger's own vet and tests, which ./... skips), fuzz smoke
 # runs, and the whole module under the race detector (short mode, which
-# includes the service's goroutine-leak test).
+# includes the service's goroutine-leak test and the shared-artifact
+# tests: sessions that stream concurrently on one artifact store share
+# its resident values, so a write to one is a data race — those two run
+# a few times more, since a race shows only in an interleaving that has
+# it).
 #
 # Every go test carries an explicit -timeout well under the ten-minute
 # default: a lost completion signal (a missed WaitGroup.Done, a send
@@ -41,4 +45,5 @@ echo "== go test -fuzz (10s per target, list derived from sources)"
 ./scripts/fuzz_smoke.sh
 echo "== go test -race -short ./..."
 go test -race -short -timeout 5m ./...
+go test -race -short -timeout 5m -count 5 -run 'TestSharedArtifactsAreNeverWritten|TestConcurrentSessionsFactorizeOnce' ./internal/core
 echo "== OK"
