@@ -174,7 +174,7 @@ func run(o cliOptions) error {
 	cfg.UseBCCMesh = o.useBCC
 	cfg.SnapMesh = o.snap
 	cfg.SkipRigid = truth != nil // phantom pairs share the scanner frame
-	cfg.RecordSolveHistory = o.recordHistory
+	cfg.Solver.RecordHistory = o.recordHistory
 	if o.hetero {
 		cfg.Materials = fem.HeterogeneousBrain()
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // stageHook is a sink on the obs span seam that calls fn when the named
@@ -226,6 +227,36 @@ func TestObserverSeesAllStagesInOrder(t *testing.T) {
 	}
 }
 
+// TestMisSizedSolverPartitionRejected: a Solver.Partition is refused at
+// every entry point. It used to replace the Ranks partition silently,
+// and one that does not cover the system (seven rows of 2,061 here)
+// factorized a fragment of it: the preconditioned residual was ≈ 0 at
+// entry, so the run returned err == nil, Converged after 1 iteration,
+// and the rigid-only answer labelled as a biomechanical one.
+func TestMisSizedSolverPartitionRejected(t *testing.T) {
+	c := testCase(24)
+	cfg := fastConfig()
+	cfg.Solver.Partition = par.Partition{N: 7, P: 3, Starts: []int{0, 2, 4, 7}}
+	rejected := func(entry string, res *Result, err error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s accepted the partition: %v, match %.3f against rigid-only %.3f",
+				entry, res.SolveStats, res.MatchMeanAbsDiff, res.RigidMeanAbsDiff)
+		} else if !strings.Contains(err.Error(), "Solver.Partition") {
+			t.Errorf("%s: error %q does not name Solver.Partition", entry, err)
+		}
+	}
+	res, err := New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop)
+	rejected("Pipeline.Run", res, err)
+	res, err = New(cfg).RunContext(context.Background(), c.Preop, c.PreopLabels, c.Intraop)
+	rejected("Pipeline.RunContext", res, err)
+	sess, err := NewSession(cfg, c.Preop, c.PreopLabels)
+	if err == nil {
+		res, err = sess.Register(context.Background(), c.Intraop)
+	}
+	rejected("NewSession", res, err)
+}
+
 func TestConfigValidate(t *testing.T) {
 	base := DefaultConfig()
 	if err := base.Validate(); err != nil {
@@ -241,6 +272,7 @@ func TestConfigValidate(t *testing.T) {
 		{"KNN", func(c *Config) { c.KNN = 0 }, "KNN"},
 		{"PrototypesPerClass", func(c *Config) { c.PrototypesPerClass = 0 }, "PrototypesPerClass"},
 		{"EDTSaturation", func(c *Config) { c.EDTSaturation = -2 }, "EDTSaturation"},
+		{"Solver.Partition", func(c *Config) { c.Solver.Partition = par.Even(12, 2) }, "Solver.Partition"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -44,7 +44,8 @@ type Config struct {
 	Register register.Options
 	// Surface configures the active surface evolution.
 	Surface surface.Options
-	// Solver configures the GMRES solve.
+	// Solver configures the GMRES solve. Its Partition must stay zero:
+	// the solve runs on the operator's partition, which Ranks states.
 	Solver solver.Options
 	// KNN, PrototypesPerClass and EDTSaturation configure the tissue
 	// classification stage.
@@ -63,12 +64,6 @@ type Config struct {
 	// in one frame, or when benchmarking later stages in isolation).
 	SkipRigid bool
 	Seed      int64
-	// RecordSolveHistory requests the per-iteration GMRES residual
-	// history (Result.SolveStats.History) without the caller having to
-	// construct the solver directly: it is OR-ed into
-	// Solver.RecordHistory for the biomechanical solve. Trace spans
-	// attach the history per restart cycle when a tracer is active.
-	RecordSolveHistory bool
 	// ArtifactStore, when non-nil, caches the content-addressed outputs
 	// of the pure preoperative stages (EDT localization channels, mesh
 	// generation, surface relaxation, assembly, interpolation table)
@@ -84,9 +79,11 @@ type Config struct {
 
 // Validate reports configuration errors instead of silently patching
 // them: out-of-range MeshCellSize, Ranks, KNN, PrototypesPerClass or
-// EDTSaturation. New and the service layer both call it; New defers the
-// reported error to the first Run so that the chained
-// core.New(cfg).Run(...) idiom keeps working.
+// EDTSaturation, or a Solver.Partition (a second, unchecked way to state
+// Ranks: one that does not cover the system preconditions a fragment of
+// it and "converges" on the rigid answer). New and the service layer
+// both call it; New defers the reported error to the first Run so that
+// the chained core.New(cfg).Run(...) idiom keeps working.
 func (c Config) Validate() error {
 	var errs []error
 	if c.MeshCellSize < 1 {
@@ -103,6 +100,9 @@ func (c Config) Validate() error {
 	}
 	if c.EDTSaturation <= 0 {
 		errs = append(errs, fmt.Errorf("EDTSaturation %g out of range (want > 0 mm)", c.EDTSaturation))
+	}
+	if pt := c.Solver.Partition; pt.N != 0 || pt.P != 0 || len(pt.Starts) != 0 {
+		errs = append(errs, errors.New("Solver.Partition must be zero (the partition is Ranks' to state)"))
 	}
 	if len(errs) == 0 {
 		return nil
@@ -350,10 +350,6 @@ func (p *Pipeline) run(ctx context.Context, sc *scan) (*Result, error) {
 	res, err := p.finish(ctx, p.runStages(ctx, sc, warm), sc)
 	if res != nil {
 		runSpan.SetAttr("degraded", res.Degraded)
-		if res.Update != nil {
-			runSpan.SetAttr("dofs_patched", res.Update.DOFsPatched)
-			runSpan.SetAttr("pc_cache_hit", res.Update.PCCacheHit)
-		}
 	}
 	runErr = err
 	return res, err
@@ -596,25 +592,16 @@ func (p *Pipeline) stageSolve(ctx context.Context, sc *scan, warm bool) error {
 	cfg, sys, upd := p.cfg, sc.sys, sc.res.Update
 	sp := obs.SpanFromContext(ctx)
 	bc := sc.surfRes.BoundaryConditions()
-	sopts := cfg.Solver
-	if cfg.RecordSolveHistory {
-		sopts.RecordHistory = true
-	}
 	var sr *fem.SolveResult
 	patched, err := sys.PatchDirichlet(ctx, bc)
 	if err == nil && warm {
 		upd.DOFsPatched = patched
-		sr, err = sys.SolveWarmContext(ctx, sc.prevU, sopts)
+		sr, err = sys.SolveWarmContext(ctx, sc.prevU, cfg.Solver)
 	} else if err == nil {
 		snap := sys.Assembly.Snapshot()
 		sp.SetAttr(obs.AttrAssemblyFlops, snap.TotalFlops)
 		sp.SetAttr(obs.AttrAssemblyImbalance, snap.Imbalance)
-		sr, err = sys.SolveContext(ctx, sopts)
-	}
-	if sr != nil {
-		sp.SetAttr("solver_iterations", sr.Stats.Iterations)
-		sp.SetAttr("solver_converged", sr.Stats.Converged)
-		sp.SetAttr("solver_final_rel_residual", sr.Stats.FinalResRel)
+		sr, err = sys.SolveContext(ctx, cfg.Solver)
 	}
 	if err != nil {
 		return err
@@ -744,10 +731,9 @@ func degrade(ctx context.Context, err error, res *Result, intraop, alignedPreop,
 	}
 	res.Degraded = true
 	res.DegradedReason = fmt.Sprintf("deadline expired during %s", stageName)
-	// The in-flight record of the decision: which stage the deadline
-	// interrupted, visible in the flight recorder even when the caller
-	// discards the Result.
-	obs.Emit(ctx, obs.EventPipelineDegraded, map[string]any{"stage": stageName})
+	// The record of the decision, on the run span (ctx is its context):
+	// which stage the deadline interrupted.
+	obs.SpanFromContext(ctx).SetAttr("degraded_stage", stageName)
 	// The delivered image is the rigid alignment; both match metrics
 	// describe it, so downstream comparisons correctly see no
 	// biomechanical improvement.

@@ -18,8 +18,8 @@ type IncrementalStats struct {
 	// DOFsPatched is the number of Dirichlet DOFs whose prescribed
 	// displacement actually changed since the previous solve.
 	DOFsPatched int
-	// PCCacheHit reports that the factorized preconditioner was reused
-	// (true whenever the stiffness matrix was unchanged).
+	// PCCacheHit reports that the solve did not factorize: the operator's
+	// preconditioner was built by an earlier solve (always, on an update).
 	PCCacheHit bool
 	// WarmStarted reports that the solve was seeded with the previous
 	// displacement field.

@@ -179,10 +179,7 @@ func TestConcurrentSessionsFactorizeOnce(t *testing.T) {
 		}
 	}
 	if pcHits != sessions-1 {
-		t.Errorf("%d of %d fem.solve spans report pc_cache_hit, want all but the first", pcHits, sessions)
-	}
-	if hits, misses := sess[0].base.sys.PCCacheStats(); misses != 1 || hits != sessions-1 {
-		t.Errorf("preconditioner: %d factorizations and %d reuses, want 1 and %d", misses, hits, sessions-1)
+		t.Errorf("%d of %d solves report pc_cache_hit, want one factorization and every other solve a hit", pcHits, sessions)
 	}
 }
 

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/solver"
 )
 
 // TestPipelineEmitsNestedTrace runs a full registration with tracing on
@@ -15,7 +18,7 @@ import (
 func TestPipelineEmitsNestedTrace(t *testing.T) {
 	c := testCase(24)
 	cfg := fastConfig()
-	cfg.RecordSolveHistory = true
+	cfg.Solver.RecordHistory = true
 
 	var buf bytes.Buffer
 	tracer := obs.NewTracer(&buf)
@@ -72,7 +75,7 @@ func TestPipelineEmitsNestedTrace(t *testing.T) {
 	solveStage := byName[StageSolve][0]
 
 	// The solver's restart cycles chain gmres.cycle -> fem.solve ->
-	// solve stage, and with RecordSolveHistory each cycle carries its
+	// solve stage, and with Solver.RecordHistory each cycle carries its
 	// residual history slice.
 	solves := byName["fem.solve"]
 	if len(solves) != 1 {
@@ -144,14 +147,77 @@ func TestPipelineEmitsNestedTrace(t *testing.T) {
 			t.Errorf("surface.evolve attrs = %v, want iterations", e.Attrs)
 		}
 	}
+}
 
-	// The solve stage span carries the solver statistics the admin
-	// surface aggregates.
-	if v, ok := solveStage.Attrs["solver_iterations"].(float64); !ok || v <= 0 {
-		t.Errorf("solve stage solver_iterations = %v, want > 0", solveStage.Attrs["solver_iterations"])
+// TestSolveFactsAreStatedOnce: after a cold and a warm solve the
+// fem.solve span states the solve — the solver's nine statistics with
+// the values of the returned Stats, and fem's three — and no other span
+// of the run repeats a solve statistic or a patch count.
+func TestSolveFactsAreStatedOnce(t *testing.T) {
+	scans := shiftScans(24)
+	var buf bytes.Buffer
+	ctx := obs.WithTracer(context.Background(), obs.NewTracer(&buf))
+	sess, err := NewSession(fastConfig(), scans[0].Preop, scans[0].PreopLabels)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if solveStage.Attrs["solver_converged"] != true {
-		t.Errorf("solve stage attrs = %v, want solver_converged=true", solveStage.Attrs)
+	cold, err := sess.Register(ctx, scans[0].Intraop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := sess.Update(ctx, scans[1].Intraop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadSpans(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var solves []obs.SpanRecord
+	for _, r := range recs {
+		switch r.Name {
+		case obs.SpanFEMSolve:
+			solves = append(solves, r)
+			continue
+		case obs.SpanGMRESCycle, obs.SpanSurfaceEvolve:
+			continue // a cycle's, an evolution's own iterations: other facts
+		}
+		for k := range r.Attrs {
+			_, stat := solveFacts(solver.Stats{})[k]
+			if stat || strings.HasPrefix(k, "solver_") || strings.HasPrefix(k, "pc_") ||
+				strings.HasPrefix(k, "dofs_") && r.Name != obs.SpanFEMPatchBC {
+				t.Errorf("span %q restates %q = %v", r.Name, k, r.Attrs[k])
+			}
+		}
+	}
+	if len(solves) != 2 {
+		t.Fatalf("%d fem.solve spans, want a cold and a warm one", len(solves))
+	}
+	for i, res := range []*Result{cold, warm} {
+		want := solveFacts(res.SolveStats)
+		want["dofs"] = float64(3 * res.Mesh.NumNodes())
+		want["pc_cache_hit"] = i == 1
+		got := solves[i].Attrs
+		if _, ok := got["pc_setup_ms"].(float64); !ok {
+			t.Errorf("solve %d: pc_setup_ms = %v, want a duration", i, got["pc_setup_ms"])
+		}
+		delete(got, "pc_setup_ms")
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("solve %d: fem.solve attrs\n got %v\nwant %v", i, got, want)
+		}
+	}
+	if !warm.SolveStats.WarmStarted || cold.SolveStats.WarmStarted {
+		t.Errorf("WarmStarted cold=%v warm=%v", cold.SolveStats.WarmStarted, warm.SolveStats.WarmStarted)
+	}
+}
+
+// solveFacts is what a fem.solve span read back from JSONL says of st.
+func solveFacts(st solver.Stats) map[string]any {
+	return map[string]any{
+		"iterations": float64(st.Iterations), "matvecs": float64(st.MatVecs), "converged": st.Converged,
+		"entry_rel_residual": st.EntryResRel, "final_rel_residual": st.FinalResRel,
+		"restarts": float64(st.Restarts), "stagnated_cycles": float64(st.StagnatedCycles),
+		"diverged": st.Diverged, "warm_started": st.WarmStarted,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/mesh"
@@ -97,9 +98,12 @@ type Operator struct {
 	// nConstrained counts constrained DOFs, for the set-equality check
 	// of PatchDirichlet.
 	nConstrained int
-	// pcCache holds the factorized block-Jacobi preconditioner of K,
-	// built by the first solve of any System on this Operator.
-	pcCache solver.PCCache
+	// pc is the block-Jacobi ILU(0) factor of K on DOFPartition(), built
+	// by the first solve of any System on this Operator (see
+	// preconditioner); K never changes, so neither does the factor.
+	pcOnce sync.Once
+	pc     *solver.BlockJacobiPC
+	pcErr  error
 }
 
 // System is an Operator with the state one session solves on: the
@@ -520,10 +524,6 @@ func (s *System) PatchDirichlet(ctx context.Context, bc map[int32]geom.Vec3) (ch
 	}
 	span.SetAttr("dofs_changed", changed)
 	span.SetAttr("dofs_constrained", s.nConstrained)
-	obs.Emit(ctx, obs.EventFEMPatch, map[string]any{
-		"dofs_changed":     changed,
-		"dofs_constrained": s.nConstrained,
-	})
 	return changed, nil
 }
 

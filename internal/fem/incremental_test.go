@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -161,10 +162,13 @@ func TestPatchDirichletRejectsChangedSet(t *testing.T) {
 	}
 }
 
-// TestPCCacheMissesAfterReapply pins that a full re-elimination (which
-// rebuilds the stiffness matrix) cannot reuse stale factors.
+// TestPCCacheMissesAfterReapply pins who factorizes: the first solve on
+// an Operator, once — every later solve of every System on it reports
+// PCCacheHit, whatever partition its options name — and a full
+// re-elimination, which builds a new Operator, cannot reuse stale
+// factors.
 func TestPCCacheMissesAfterReapply(t *testing.T) {
-	g := volume.NewGrid(5, 5, 5, 1)
+	g := volume.NewGrid(9, 9, 9, 1)
 	l := volume.NewLabels(g)
 	for i := range l.Data {
 		l.Data[i] = volume.LabelBrain
@@ -175,27 +179,44 @@ func TestPCCacheMissesAfterReapply(t *testing.T) {
 	}
 	opts := solver.Options{Tol: 1e-9, MaxIter: 2000, Restart: 40}
 	bc := surfaceBC(t, m, func(geom.Vec3) geom.Vec3 { return geom.V(0.2, -0.1, 0) })
+	nodes := make([]int32, 0, len(bc))
+	for node := range bc {
+		nodes = append(nodes, node)
+	}
+	slices.Sort(nodes)
 
-	sys, err := Assemble(m, HomogeneousBrain(), par.Even(m.NumNodes(), 2))
+	assembled, err := Assemble(m, HomogeneousBrain(), par.Even(m.NumNodes(), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.ApplyDirichlet(bc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.SolveContext(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := sys.SolveContext(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.PCCacheHit {
-		t.Fatal("re-solve of unchanged system missed the preconditioner cache")
-	}
-	hits, misses := sys.PCCacheStats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("cache stats = (%d hits, %d misses), want (1, 1)", hits, misses)
+	var first *SolveResult
+	for _, fresh := range []bool{true, false} { // an eliminated Operator, then its re-elimination
+		op, err := assembled.Eliminate(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range []solver.Options{opts, opts, {Tol: opts.Tol, MaxIter: opts.MaxIter, Restart: opts.Restart,
+			Partition: par.Partition{N: 7, P: 3, Starts: []int{0, 2, 4, 7}}}} {
+			sys := op.NewSystem(m) // every solve on a fork of its own
+			if _, err := sys.PatchDirichlet(context.Background(), bc); err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.SolveContext(context.Background(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.PCCacheHit != (i > 0) || !res.Stats.Converged || res.Stats.Iterations < 2 {
+				t.Errorf("fresh=%v solve %d: PCCacheHit = %v, want only the first solve on an Operator to factorize",
+					fresh, i, res.PCCacheHit)
+			}
+			if first == nil {
+				first = res
+			}
+			if res.Stats.Iterations != first.Stats.Iterations || !slices.Equal(res.U, first.U) {
+				t.Errorf("fresh=%v solve %d: %d iterations against the first solve's %d, or another solution",
+					fresh, i, res.Stats.Iterations, first.Stats.Iterations)
+			}
+		}
 	}
 }
 

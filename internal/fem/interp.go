@@ -15,7 +15,7 @@ import (
 // a pure function of the mesh geometry and the grid, so a session can
 // build it once and rasterize every subsequent displacement solution
 // with a dense gather instead of re-locating each voxel — the
-// incremental-update analogue of the preconditioner cache, for the
+// incremental-update analogue of the operator's kept factors, for the
 // paper's resampling step. Apply gathers four nodes and weights per
 // covered voxel (see checkShape).
 type InterpTable struct {

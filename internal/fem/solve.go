@@ -20,13 +20,8 @@ type SolveResult struct {
 	NodeU []geom.Vec3
 	// Stats reports Krylov iteration counts.
 	Stats solver.Stats
-	// SolveTime is the measured wall-clock solve time.
-	SolveTime time.Duration
-	// PCSetupTime is the block Jacobi factorization time (≈0 on a
-	// preconditioner-cache hit).
-	PCSetupTime time.Duration
-	// PCCacheHit reports that the factorized preconditioner was reused
-	// from a previous solve on the same Operator.
+	// PCCacheHit reports that this solve did not factorize: the
+	// Operator's preconditioner was built by an earlier solve on it.
 	PCCacheHit bool
 }
 
@@ -59,65 +54,52 @@ func (s *System) SolveWarmContext(ctx context.Context, x0 []float64, opts solver
 }
 
 // solve is the shared cold/warm solve body: the Operator's
-// preconditioner, factorized by whichever solve asks first, then GMRES
-// from x0 (nil = zero start).
-func (s *System) solve(ctx context.Context, opts solver.Options, x0 []float64) (*SolveResult, error) {
+// preconditioner on the Operator's partition (whatever opts names),
+// factorized by whichever solve asks first, then GMRES from x0 (nil =
+// zero start).
+func (s *System) solve(ctx context.Context, opts solver.Options, x0 []float64) (_ *SolveResult, err error) {
 	if s.nConstrained == 0 {
 		return nil, fmt.Errorf("fem: solving without boundary conditions; system is singular")
 	}
-	pt := s.DOFPartition()
-	if opts.Partition.P == 0 {
-		opts.Partition = pt
-	}
+	opts.Partition = s.DOFPartition()
 	// The solve span parents the GMRES restart-cycle spans, so a trace
-	// nests stage → fem.solve → gmres.cycle.
+	// nests stage → fem.solve → gmres.cycle; GMRES publishes its
+	// statistics on it, fem only what the solver cannot know.
 	ctx, span := obs.StartSpan(ctx, obs.SpanFEMSolve)
-	var serr error
-	defer func() { span.End(serr) }()
+	defer func() { span.End(err) }()
 	span.SetAttr("dofs", s.NumDOF)
 	pcStart := time.Now()
-	pc, pcHit, err := s.pcCache.BlockJacobiILU0(s.K, opts.Partition)
+	pc, built, err := s.preconditioner()
 	if err != nil {
-		serr = fmt.Errorf("fem: preconditioner setup: %w", err)
-		return nil, serr
+		return nil, fmt.Errorf("fem: preconditioner setup: %w", err)
 	}
-	pcTime := time.Since(pcStart)
-	span.SetAttr("pc_setup_ms", float64(pcTime)/float64(time.Millisecond))
-	span.SetAttr("pc_cache_hit", pcHit)
-	start := time.Now()
+	span.SetAttr("pc_setup_ms", float64(time.Since(pcStart))/float64(time.Millisecond))
+	span.SetAttr("pc_cache_hit", !built)
 	var (
 		u     []float64
 		stats solver.Stats
 	)
 	if x0 != nil {
 		u, stats, err = solver.GMRESWarmContext(ctx, s.K, s.F, x0, pc, opts)
-		span.SetAttr("warm_start", true)
-		span.SetAttr("entry_rel_residual", stats.EntryResRel)
 	} else {
 		u, stats, err = solver.GMRESContext(ctx, s.K, s.F, nil, pc, opts)
 	}
-	span.SetAttr("iterations", stats.Iterations)
-	span.SetAttr("converged", stats.Converged)
-	span.SetAttr("final_rel_residual", stats.FinalResRel)
 	if err != nil {
-		serr = fmt.Errorf("fem: solve: %w", err)
-		return nil, serr
+		return nil, fmt.Errorf("fem: solve: %w", err)
 	}
-	return &SolveResult{
-		U:           u,
-		NodeU:       s.NodeDisplacements(u),
-		Stats:       stats,
-		SolveTime:   time.Since(start),
-		PCSetupTime: pcTime,
-		PCCacheHit:  pcHit,
-	}, nil
+	return &SolveResult{U: u, NodeU: s.NodeDisplacements(u), Stats: stats, PCCacheHit: !built}, nil
 }
 
-// PCCacheStats reports the cumulative preconditioner-cache hit and miss
-// counts of the solves on this Operator, by every System sharing it; a
-// miss is a factorization.
-func (o *Operator) PCCacheStats() (hits, misses uint64) {
-	return o.pcCache.Stats()
+// preconditioner returns the Operator's block-Jacobi ILU(0) factor, one
+// block per rank of DOFPartition(). The first call factorizes and
+// reports built; calls arriving meanwhile wait for it, and every later
+// one shares its factor (or its error: K is immutable).
+func (o *Operator) preconditioner() (pc *solver.BlockJacobiPC, built bool, err error) {
+	o.pcOnce.Do(func() {
+		o.pc, o.pcErr = solver.NewBlockJacobiILU0(o.K, o.DOFPartition())
+		built = true
+	})
+	return o.pc, built, o.pcErr
 }
 
 // DisplacementField rasterizes the solved nodal displacements onto a

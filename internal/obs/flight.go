@@ -4,35 +4,34 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
 )
 
-// FlightRecord is one entry in a flight recorder: a finished span, a
-// structured event (see Emit), or a log record (see ContextHandler).
-// Every record carries the session/job identity and the innermost span
-// that were on the context when it was produced, so a dump can be
-// correlated line-by-line with the trace stream and the job log.
+// FlightRecord is one entry in a flight recorder: a finished span —
+// the same span, id and attributes a Tracer on the context writes — or
+// a log record (see ContextHandler). Every record carries the
+// session/job identity and the innermost span that were on the context
+// when it was produced, so a dump can be correlated line-by-line with
+// the trace stream and the job log.
 type FlightRecord struct {
 	// Time is when the record was produced — the end time for "span"
 	// records (ring order is End order, so dumps stay monotonically
-	// timestamped; the span's start is Time minus DurMS), the emit time
-	// for events, the log time for logs.
+	// timestamped; the span's start is Time minus DurMS), the log time
+	// for logs.
 	Time time.Time `json:"t"`
-	// Kind is "span", "event" or "log".
+	// Kind is "span" or "log".
 	Kind    string `json:"kind"`
 	Session string `json:"session,omitempty"`
 	Job     string `json:"job,omitempty"`
 	// Span and SpanID identify the record's span: for span records the
-	// span itself, for events and logs the innermost enclosing span.
+	// span itself, for logs the innermost enclosing span.
 	Span   string `json:"span,omitempty"`
 	SpanID uint64 `json:"span_id,omitempty"`
 	// Trace is the root-span id of the span tree the record belongs to.
 	Trace uint64 `json:"trace,omitempty"`
-	// Name is the span name, event name, or log message.
+	// Name is the span name or the log message.
 	Name string `json:"name"`
 	// Level is the log level of "log" records.
 	Level string `json:"level,omitempty"`
@@ -193,7 +192,7 @@ const (
 )
 
 // WithSessionID returns a context carrying the surgical session id;
-// spans, events and log records produced under it are stamped with it.
+// spans and log records produced under it are stamped with it.
 func WithSessionID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, sessionIDKey, id)
 }
@@ -204,8 +203,8 @@ func SessionIDFromContext(ctx context.Context) string {
 	return id
 }
 
-// WithJobID returns a context carrying the service job id; spans,
-// events and log records produced under it are stamped with it.
+// WithJobID returns a context carrying the service job id; spans and
+// log records produced under it are stamped with it.
 func WithJobID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, jobIDKey, id)
 }
@@ -217,8 +216,8 @@ func JobIDFromContext(ctx context.Context) string {
 }
 
 // WithFlightRecorder returns a context carrying the flight recorder:
-// it is a Sink for the spans ended under the context, and events
-// emitted and log records handled under it are recorded there too.
+// it is a Sink for the spans ended under the context, and log records
+// handled under it (see ContextHandler) are recorded there too.
 func WithFlightRecorder(ctx context.Context, r *FlightRecorder) context.Context {
 	if r == nil {
 		return ctx
@@ -231,48 +230,4 @@ func WithFlightRecorder(ctx context.Context, r *FlightRecorder) context.Context 
 func FlightRecorderFromContext(ctx context.Context) *FlightRecorder {
 	r, _ := ctx.Value(recorderKey).(*FlightRecorder)
 	return r
-}
-
-// Emit records one structured event into the context's flight recorder,
-// stamped with the session/job identity and the innermost span. Events
-// are the descriptors declared in names.go; attrs must be
-// JSON-serializable (non-finite floats are stringified, as in
-// Span.SetAttr; the caller's map is never modified and may be reused).
-// Without a recorder on the context Emit is a no-op, so
-// instrumented code needs no guards; the per-call cost is two context
-// lookups.
-func Emit(ctx context.Context, ev Event, attrs map[string]any) {
-	r := FlightRecorderFromContext(ctx)
-	if r == nil {
-		return
-	}
-	// Copy attrs (stringifying non-finite floats in the copy) so the
-	// retained record never aliases the caller's map — the caller may
-	// reuse or mutate it after Emit returns, including concurrently with
-	// a ring dump.
-	var copied map[string]any
-	if len(attrs) > 0 {
-		copied = make(map[string]any, len(attrs))
-		for k, v := range attrs {
-			if f, ok := v.(float64); ok && (math.IsNaN(f) || math.IsInf(f, 0)) {
-				copied[k] = fmt.Sprintf("%g", f)
-			} else {
-				copied[k] = v
-			}
-		}
-	}
-	rec := FlightRecord{
-		Time:    time.Now(),
-		Kind:    "event",
-		Session: SessionIDFromContext(ctx),
-		Job:     JobIDFromContext(ctx),
-		Name:    ev.name,
-		Attrs:   copied,
-	}
-	if sp := SpanFromContext(ctx); sp != nil {
-		rec.Span = sp.Name()
-		rec.SpanID = sp.ID()
-		rec.Trace = sp.TraceID()
-	}
-	r.Record(rec)
 }

@@ -28,9 +28,11 @@ func NewLogger(h slog.Handler) *slog.Logger {
 	return slog.New(NewContextHandler(h))
 }
 
-// Enabled implements slog.Handler.
+// Enabled implements slog.Handler. A context carrying a flight recorder
+// enables every level: the ring keeps a record whether or not anything
+// renders it.
 func (h *ContextHandler) Enabled(ctx context.Context, level slog.Level) bool {
-	return h.inner.Enabled(ctx, level)
+	return h.inner.Enabled(ctx, level) || FlightRecorderFromContext(ctx) != nil
 }
 
 // Handle implements slog.Handler: it appends session/job/span
@@ -51,7 +53,10 @@ func (h *ContextHandler) Handle(ctx context.Context, r slog.Record) error {
 			slog.Uint64("span_id", sp.ID()),
 			slog.Uint64("trace", sp.TraceID()))
 	}
-	err := h.inner.Handle(ctx, r)
+	var err error
+	if h.inner.Enabled(ctx, r.Level) {
+		err = h.inner.Handle(ctx, r)
+	}
 	if rec := FlightRecorderFromContext(ctx); rec != nil {
 		fr := FlightRecord{
 			Time:    r.Time,
@@ -107,11 +112,12 @@ var nopLoggerOnce struct {
 	l *slog.Logger
 }
 
-// NopLogger returns a logger that discards everything — the default
-// when no logger is configured, so call sites never nil-check.
+// NopLogger returns a logger that renders nothing — the default when no
+// logger is configured, so call sites never nil-check. It is still a
+// ContextHandler: records logged under a flight recorder reach the ring.
 func NopLogger() *slog.Logger {
 	nopLoggerOnce.Do(func() {
-		nopLoggerOnce.l = slog.New(nopHandler{})
+		nopLoggerOnce.l = NewLogger(nopHandler{})
 	})
 	return nopLoggerOnce.l
 }

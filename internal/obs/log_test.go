@@ -106,4 +106,11 @@ func TestNopLogger(t *testing.T) {
 	if log.Enabled(context.Background(), slog.LevelError) {
 		t.Error("NopLogger must report every level disabled")
 	}
+	// Rendering nothing is not recording nothing: under a flight
+	// recorder the record still reaches the ring.
+	r := NewFlightRecorder(4)
+	log.WarnContext(WithFlightRecorder(context.Background(), r), "scan shed", "reason", "queue full")
+	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Kind != "log" || snap[0].Attrs["reason"] != "queue full" {
+		t.Errorf("ring after a nop-logged record = %+v, want the one log record", snap)
+	}
 }

@@ -1,13 +1,14 @@
 package obs
 
-// The brainsim telemetry vocabulary: every span name, metric and
-// structured event the simulator's instrumentation emits, in one place.
-// Pipeline stage spans use the core.Stage* constants (the stage
-// vocabulary of internal/core); everything below a stage uses the span
-// names here, which the simlint `spanend` analyzer checks literals
-// against. Metrics and events are sealed descriptor values: the
-// registry and Emit accept nothing else and only this package can mint
-// one, so adding a metric or event means declaring it here.
+// The brainsim telemetry vocabulary: every span name and metric the
+// simulator's instrumentation emits, in one place. Pipeline stage spans
+// use the core.Stage* constants (the stage vocabulary of
+// internal/core); everything below a stage uses the span names here,
+// which the simlint `spanend` analyzer checks literals against. A
+// pipeline fact is an attribute of exactly one span (DESIGN §6.1 lists
+// which). Metrics are sealed descriptor values: the registry accepts
+// nothing else and only this package can mint one, so adding a metric
+// means declaring it here.
 const (
 	// SpanPipelineRun is the root span of one intraoperative
 	// registration (parents the six stage spans).
@@ -16,14 +17,17 @@ const (
 	// a streaming intraoperative update against a registered baseline,
 	// running only the intraoperative stage subset.
 	SpanPipelineUpdate = "pipeline.update"
-	// SpanFEMPatchBC covers the Dirichlet delta patch of the incremental
-	// path: right-hand-side updates for the boundary displacements that
-	// changed since the previous solve, with the stiffness matrix kept.
+	// SpanFEMPatchBC covers the Dirichlet delta patch: right-hand-side
+	// updates for the boundary displacements that changed since the
+	// previous solve, with the stiffness matrix kept. It alone states
+	// the patch counts (dofs_changed, dofs_constrained).
 	SpanFEMPatchBC = "fem.patch_bc"
 	// SpanFEMAssemble covers the parallel element-stiffness assembly.
 	SpanFEMAssemble = "fem.assemble"
 	// SpanFEMSolve covers preconditioner setup plus the Krylov solve; it
-	// parents the per-cycle SpanGMRESCycle spans.
+	// parents the per-cycle SpanGMRESCycle spans and alone states the
+	// solve's facts: fem's set-up ones and, published by GMRES itself,
+	// the solver's statistics.
 	SpanFEMSolve = "fem.solve"
 	// SpanGMRESCycle is one GMRES restart cycle, with the entry/exit
 	// relative residuals (and, when recorded, the residual history of
@@ -94,7 +98,6 @@ var (
 
 	MetricSubmissions = counter("brainsim_submissions_total",
 		"Scan submissions accepted into the queue.")
-	// MetricShed includes early elective-QoS shedding.
 	MetricShed = counter("brainsim_shed_total",
 		"Scan submissions rejected because the queue was full.")
 	// MetricScans is labeled {outcome="completed"|"degraded"|"canceled"|"failed"}.
@@ -173,34 +176,4 @@ var (
 		"Bytes resident in the in-memory artifact tier.")
 	MetricArtifactEvictions = counter("brainsim_artifact_cache_evictions_total",
 		"In-memory artifact entries evicted by the LRU bound.")
-)
-
-// Event names one kind of structured event (see Emit and the flight
-// recorder). Events are point-in-time records — no duration, unlike
-// spans — describing a health-relevant state change; the taxonomy is
-// documented in DESIGN.md. Like Metric, only this file can mint one.
-type Event struct{ name string }
-
-// String returns the event name as flight records carry it.
-func (e Event) String() string { return e.name }
-
-var (
-	// EventSolverSolve is emitted once per GMRES solve with the
-	// convergence diagnosis: iterations, restarts, entry/final relative
-	// residuals, stagnated cycle count, divergence and convergence flags.
-	EventSolverSolve = Event{"solver.solve"}
-	// EventFEMPatch is emitted per incremental Dirichlet patch with the
-	// number of DOFs whose prescribed displacement changed.
-	EventFEMPatch = Event{"fem.patch"}
-	// EventJobFallback marks an update job that ran as a full
-	// registration because its session had no baseline.
-	EventJobFallback = Event{"job.fallback"}
-	// EventJobShed marks a submission rejected by load shedding.
-	EventJobShed = Event{"job.shed"}
-	// EventJobFailed marks a job that finished with an error.
-	EventJobFailed = Event{"job.failed"}
-	// EventPipelineDegraded is emitted by the core pipeline at the
-	// moment the deadline fallback fires, naming the interrupted stage;
-	// under the service it carries the job id of the degraded job.
-	EventPipelineDegraded = Event{"pipeline.degraded"}
 )

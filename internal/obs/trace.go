@@ -57,7 +57,7 @@ func (f FinishedSpan) errString() string {
 	return f.Err.Error()
 }
 
-// Tracer is the Sink that writes spans as JSONL structured events: one
+// Tracer is the Sink that writes spans as JSONL structured records: one
 // JSON object per line, written when the span ends. Span hierarchy is
 // carried on context.Context (WithTracer / StartSpan), so the pipeline,
 // the solver's restart cycles, the classifier's worker batches and the
@@ -250,9 +250,9 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	return WithSink(ctx, t)
 }
 
-// SpanFromContext returns the innermost span on the context, or nil.
-// Useful for attaching attributes to the enclosing region (e.g. solver
-// statistics onto the owning pipeline-stage span).
+// SpanFromContext returns the innermost span on the context, or nil:
+// how a callee states its facts on the region that encloses it (GMRES
+// its statistics on fem.solve) instead of opening a record of its own.
 func SpanFromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanKey).(*Span)
 	return s

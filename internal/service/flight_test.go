@@ -4,18 +4,59 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/volume"
 )
+
+// anomalyLogs returns the dump's log records above INFO: what the
+// service said went wrong. Every anomaly says it exactly once.
+func anomalyLogs(d *FlightDump) (out []obs.FlightRecord) {
+	for _, r := range d.Records {
+		if r.Kind == "log" && r.Level != "INFO" {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// dumpSpan returns the dump's one span of that name.
+func dumpSpan(t *testing.T, d *FlightDump, name string) obs.FlightRecord {
+	t.Helper()
+	var found []obs.FlightRecord
+	for _, r := range d.Records {
+		if r.Kind == "span" && r.Name == name {
+			found = append(found, r)
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("dump holds %d %s spans, want 1", len(found), name)
+	}
+	return found[0]
+}
+
+// lastDump returns session "or"'s dump, which must carry that trigger.
+func lastDump(t *testing.T, svc *Service, trigger string) *FlightDump {
+	t.Helper()
+	d, err := svc.SessionLastDump("or")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d == nil || d.Trigger != trigger || d.SessionID != "or" {
+		t.Fatalf("dump = %+v, want trigger %s of session or", d, trigger)
+	}
+	return d
+}
 
 // TestServiceFlightDumpOnDegraded induces a mid-solve degradation and
 // checks the session's flight recorder is frozen into a retrievable
@@ -23,12 +64,7 @@ import (
 // a surgeon's post-incident review reads.
 func TestServiceFlightDumpOnDegraded(t *testing.T) {
 	dumpDir := t.TempDir()
-	svc := New(Options{Workers: 1, FlightDumpDir: dumpDir})
-	defer svc.Close()
-	c := testCase(24, 8)
-	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
-		t.Fatal(err)
-	}
+	svc, c := openOR(t, Options{Workers: 1, FlightDumpDir: dumpDir}, fastConfig(), 8)
 	ctx := newStageDeadline()
 	j, err := svc.Submit(obs.WithSink(ctx, expireAt{core.StageSolve, ctx.expire}), "or", c.Intraop)
 	if err != nil {
@@ -42,53 +78,28 @@ func TestServiceFlightDumpOnDegraded(t *testing.T) {
 		t.Fatal("result not degraded; deadline missed the solve stage")
 	}
 
-	d, err := svc.SessionLastDump("or")
-	if err != nil {
-		t.Fatal(err)
+	d := lastDump(t, svc, "degraded")
+	if d.JobID != j.ID {
+		t.Fatalf("dump names job %q, want %s", d.JobID, j.ID)
 	}
-	if d == nil {
-		t.Fatal("degraded job produced no flight dump")
-	}
-	if d.Trigger != "degraded" || d.SessionID != "or" || d.JobID != j.ID {
-		t.Fatalf("dump = trigger %q session %q job %q, want degraded/or/%s",
-			d.Trigger, d.SessionID, d.JobID, j.ID)
-	}
-	if len(d.Records) == 0 {
-		t.Fatal("dump holds no records")
-	}
-	// Every record stamped with a job id must name the anomalous job,
-	// and at least one must: the dump has to be joinable to the job.
-	matched := 0
+	// Every record names the anomalous job and its session: the dump
+	// has to be joinable to the job.
 	for _, r := range d.Records {
-		if r.Job != "" {
-			if r.Job != j.ID {
-				t.Errorf("record %q carries job %q, want %s", r.Name, r.Job, j.ID)
-			}
-			matched++
-		}
-		if r.Session != "" && r.Session != "or" {
-			t.Errorf("record %q carries session %q, want or", r.Name, r.Session)
+		if r.Job != j.ID || r.Session != "or" {
+			t.Errorf("record %q carries session %q job %q, want or/%s", r.Name, r.Session, r.Job, j.ID)
 		}
 	}
-	if matched == 0 {
-		t.Error("no dump record is stamped with the job id")
+	// The run span states the decision and the interrupted stage; the
+	// service says once that the scan degraded.
+	if run := dumpSpan(t, d, obs.SpanPipelineRun); run.Attrs["degraded"] != true || run.Attrs["degraded_stage"] != core.StageSolve {
+		t.Errorf("pipeline.run attrs = %v, want degraded at %s", run.Attrs, core.StageSolve)
 	}
-	// The event that fired the trigger is in the ring, under the job's
-	// id, naming the interrupted stage.
-	foundDegraded := false
-	for _, r := range d.Records {
-		if r.Kind == "event" && r.Name == obs.EventPipelineDegraded.String() &&
-			r.Job == j.ID && r.Attrs["stage"] == core.StageSolve {
-			foundDegraded = true
-		}
-	}
-	if !foundDegraded {
-		t.Errorf("dump missing the %s event of job %s", obs.EventPipelineDegraded, j.ID)
+	if logs := anomalyLogs(d); len(logs) != 1 || logs[0].Level != "WARN" || !strings.Contains(logs[0].Name, "degraded") {
+		t.Errorf("anomaly logs = %+v, want the one degradation warning", logs)
 	}
 
 	// The same dump also landed on disk as JSONL.
-	path := filepath.Join(dumpDir, "or-"+j.ID+".jsonl")
-	f, err := os.Open(path)
+	f, err := os.Open(filepath.Join(dumpDir, "or-"+j.ID+".jsonl"))
 	if err != nil {
 		t.Fatalf("dump file: %v", err)
 	}
@@ -108,109 +119,131 @@ func TestServiceFlightDumpOnDegraded(t *testing.T) {
 }
 
 func TestServiceFlightDumpOnFallback(t *testing.T) {
-	svc := New(Options{Workers: 1})
-	defer svc.Close()
-	c := testCase(24, 12)
-	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
-		t.Fatal(err)
-	}
+	// A caller's plain logger: the service puts the ContextHandler under it.
+	plain := slog.New(slog.NewTextHandler(io.Discard, nil))
+	svc, c := openOR(t, Options{Workers: 1, Logger: plain}, fastConfig(), 12)
 	// An update before any baseline falls back to a full registration.
 	if _, err := svc.Update(context.Background(), "or", c.Intraop); err != nil {
 		t.Fatal(err)
 	}
-	d, err := svc.SessionLastDump("or")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d == nil || d.Trigger != "fallback" {
-		t.Fatalf("dump = %+v, want trigger fallback", d)
-	}
-	found := false
-	for _, r := range d.Records {
-		if r.Kind == "event" && r.Name == obs.EventJobFallback.String() {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("dump missing the %s event", obs.EventJobFallback)
+	logs := anomalyLogs(lastDump(t, svc, "fallback"))
+	if len(logs) != 1 || logs[0].Level != "WARN" || logs[0].Attrs["reason"] != "no baseline" || logs[0].Job == "" {
+		t.Errorf("anomaly logs = %+v, want the one fallback warning naming its reason and job", logs)
 	}
 }
 
-func TestServiceFlightDumpOnNonConverged(t *testing.T) {
-	svc := New(Options{Workers: 1})
-	defer svc.Close()
-	c := testCase(24, 9)
+// nonConverging is a configuration whose solve stops short of tolerance.
+func nonConverging() core.Config {
 	cfg := fastConfig()
-	cfg.Solver.MaxIter = 1
-	cfg.Solver.Tol = 1e-14
-	if err := svc.Open(SessionSpec{ID: "or", Config: cfg, Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
-		t.Fatal(err)
-	}
+	cfg.Solver.MaxIter, cfg.Solver.Tol = 1, 1e-14
+	return cfg
+}
+
+func TestServiceFlightDumpOnNonConverged(t *testing.T) {
+	svc, c := openOR(t, Options{Workers: 1}, nonConverging(), 9)
 	res, err := svc.Register(context.Background(), "or", c.Intraop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SolveStats.Converged {
-		t.Skip("solve converged in one iteration; cannot exercise the trigger")
+		t.Fatal("solve converged in one iteration; cannot exercise the trigger")
 	}
-	d, err := svc.SessionLastDump("or")
-	if err != nil {
-		t.Fatal(err)
+	d := lastDump(t, svc, "nonconverged")
+	// The solver's own statistics are in the black box, on the one span
+	// that states them; the service only says that it did not converge.
+	if solve := dumpSpan(t, d, obs.SpanFEMSolve); solve.Attrs["converged"] != false || solve.Attrs["iterations"] != 1 ||
+		solve.Attrs["final_rel_residual"] != res.SolveStats.FinalResRel {
+		t.Errorf("fem.solve attrs = %v, want the non-converged solve %v", solve.Attrs, res.SolveStats)
 	}
-	if d == nil || d.Trigger != "nonconverged" {
-		t.Fatalf("dump = %+v, want trigger nonconverged", d)
+	if logs := anomalyLogs(d); len(logs) != 1 || logs[0].Name != "solve did not converge" || len(logs[0].Attrs) != 0 {
+		t.Errorf("anomaly logs = %+v, want the one bare non-convergence warning", logs)
 	}
-	// The solver's own convergence event made it into the black box.
-	found := false
-	for _, r := range d.Records {
-		if r.Kind == "event" && r.Name == obs.EventSolverSolve.String() && r.Attrs["converged"] == false {
-			found = true
-		}
+}
+
+// TestServiceFlightDumpOnFailed: a job that ends in an error leaves one
+// ERROR record carrying it.
+func TestServiceFlightDumpOnFailed(t *testing.T) {
+	svc, c := openOR(t, Options{Workers: 1}, fastConfig(), 9)
+	short := &volume.Scalar{Grid: c.Intraop.Grid, Data: c.Intraop.Data[:len(c.Intraop.Data)-1]}
+	_, err := svc.Register(context.Background(), "or", short)
+	if err == nil {
+		t.Fatal("short scan registered")
 	}
-	if !found {
-		t.Errorf("dump missing a non-converged %s event", obs.EventSolverSolve)
+	logs := anomalyLogs(lastDump(t, svc, "failed"))
+	if len(logs) != 1 || logs[0].Level != "ERROR" || logs[0].Attrs["error"] != err.Error() {
+		t.Errorf("anomaly logs = %+v, want the one failure record carrying %q", logs, err)
 	}
 }
 
 func TestServiceFlightDumpOnShed(t *testing.T) {
-	svc := New(Options{Workers: 1, QueueDepth: 1})
-	defer svc.Close()
-	c := testCase(24, 7)
-	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
-		t.Fatal(err)
+	svc, c := openOR(t, Options{Workers: 1, QueueDepth: 1}, fastConfig(), 7)
+	_, _, release := shedOne(t, svc, c.Intraop, c.Intraop, JobRegister)
+	// The shed fired its dump at submit time, before the queue drains,
+	// and the one record of it is in the ring, under the session.
+	d := lastDump(t, svc, "shed")
+	if logs := anomalyLogs(d); d.JobID != "" || len(logs) != 1 || logs[0].Name != "scan shed" ||
+		logs[0].Attrs["reason"] != "queue full" || logs[0].Session != "or" {
+		t.Errorf("dump of job %q, anomaly logs %+v: want no job and the one shed record", d.JobID, logs)
 	}
-	svc.mu.Lock()
-	ms := svc.sessions["or"]
-	svc.mu.Unlock()
-	ms.gate <- struct{}{} // stall the worker on the session gate
+	release()
+}
 
-	j1, err := svc.Submit(context.Background(), "or", c.Intraop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(svc.queue) != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	j2, err := svc.Submit(context.Background(), "or", c.Intraop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Submit(context.Background(), "or", c.Intraop); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("err = %v, want ErrQueueFull", err)
-	}
-	// The shed fired its dump at submit time, before the queue drains.
-	d, err := svc.SessionLastDump("or")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d == nil || d.Trigger != "shed" || d.JobID != "" {
-		t.Fatalf("dump = %+v, want trigger shed with no job id", d)
-	}
-	<-ms.gate
-	for _, j := range []*Job{j1, j2} {
+// TestTraceEqualsFlightDump: a Tracer on the submitting context and the
+// session's flight recorder are sinks on one seam, so the trace and the
+// dump of one scan state the same spans — id, name, duration, error,
+// attributes — and the dump holds nothing but spans and logs.
+func TestTraceEqualsFlightDump(t *testing.T) {
+	deadline := newStageDeadline()
+	for _, tc := range []struct {
+		trigger string
+		cfg     core.Config
+		ctx     context.Context
+	}{
+		{"degraded", fastConfig(), obs.WithSink(deadline, expireAt{core.StageSolve, deadline.expire})},
+		{"nonconverged", nonConverging(), context.Background()},
+	} {
+		svc, c := openOR(t, Options{Workers: 1, FlightRecorderSize: 4096}, tc.cfg, 9)
+		var trace bytes.Buffer
+		j, err := svc.Submit(obs.WithTracer(tc.ctx, obs.NewTracer(&trace)), "or", c.Intraop)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := j.Wait(context.Background()); err != nil {
-			t.Errorf("job failed: %v", err)
+			t.Fatal(err)
+		}
+		// Both sides as the JSON they are written as, keyed by span id.
+		type span struct {
+			Name, Err string
+			DurMS     float64
+			Attrs     map[string]any
+		}
+		render := func(s span) string {
+			b, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(b)
+		}
+		traced, dumped := map[uint64]string{}, map[uint64]string{}
+		spans, err := obs.ReadSpans(&trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range spans {
+			traced[r.ID] = render(span{r.Name, r.Err, r.DurMS, r.Attrs})
+		}
+		for _, r := range lastDump(t, svc, tc.trigger).Records {
+			switch r.Kind {
+			case "span":
+				dumped[r.SpanID] = render(span{r.Name, r.Err, r.DurMS, r.Attrs})
+			case "log":
+			default:
+				t.Errorf("%s: dump holds a %q record %q", tc.trigger, r.Kind, r.Name)
+			}
+		}
+		if len(traced) == 0 || !reflect.DeepEqual(traced, dumped) {
+			t.Errorf("%s: the trace's %d spans and the dump's %d differ:\n%v\n%v",
+				tc.trigger, len(traced), len(dumped), traced, dumped)
 		}
 	}
 }

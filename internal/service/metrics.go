@@ -56,10 +56,10 @@ type Metrics struct {
 	Failed   int
 	Degraded int
 	Canceled int
-	// Shed counts submissions rejected with ErrQueueFull — both queue
-	// overflow and early elective-QoS shedding. Shed submissions never
-	// become scans, so they are tracked separately instead of silently
-	// vanishing from the aggregates. (brainsim_shed_total.)
+	// Shed counts submissions rejected with ErrQueueFull. Shed
+	// submissions never become scans, so they are tracked separately
+	// instead of silently vanishing from the aggregates.
+	// (brainsim_shed_total.)
 	Shed int
 	// Updates counts delivered scans that ran the incremental re-solve
 	// path (a subset of Scans; the count of

@@ -77,7 +77,7 @@ type Options struct {
 	// at one time.
 	JobRetention int
 	// FlightRecorderSize bounds each session's flight-recorder ring (the
-	// per-session black box of recent spans, events and log records).
+	// per-session black box of recent spans and log records).
 	// Default 256 records.
 	FlightRecorderSize int
 	// FlightDumpDir, when non-empty, additionally writes every automatic
@@ -90,9 +90,11 @@ type Options struct {
 	// registry at that period. The /metrics endpoint also samples at
 	// scrape time, so zero just means scrape-driven sampling only.
 	RuntimeSampleInterval time.Duration
-	// Logger receives the service's structured log records (through an
-	// obs.ContextHandler, so records carry session/job/span identity).
-	// Nil discards them.
+	// Logger renders the service's structured log records, through an
+	// obs.ContextHandler (New wraps a logger that is not built on one):
+	// it stamps session/job/span identity on each record and files it in
+	// the session's flight recorder. Nil renders nothing; the flight
+	// recorder still gets them.
 	Logger *slog.Logger
 	// ArtifactStore, when non-nil, is injected into every opened
 	// session whose Config does not already carry one: sessions sharing
@@ -151,12 +153,11 @@ type scanRequest struct {
 // worker can abandon the wait when the job's context dies.
 type managedSession struct {
 	id   string
-	qos  QoSClass
 	gate chan struct{}
 	sess *core.Session
 	// fr is the session's flight recorder: the bounded ring of recent
-	// spans, events and log records that backs the automatic anomaly
-	// dumps and the /sessions/{id}/flightrecorder endpoint.
+	// spans and log records that backs the automatic anomaly dumps and
+	// the /sessions/{id}/flightrecorder endpoint.
 	fr *obs.FlightRecorder
 
 	// dumpMu guards lastDump. It is a leaf lock: never acquired while
@@ -165,11 +166,17 @@ type managedSession struct {
 	lastDump *FlightDump
 }
 
-func newManagedSession(id string, qos QoSClass, sess *core.Session, frSize int) *managedSession {
+func newManagedSession(id string, sess *core.Session, frSize int) *managedSession {
 	return &managedSession{
-		id: id, qos: qos, gate: make(chan struct{}, 1), sess: sess,
+		id: id, gate: make(chan struct{}, 1), sess: sess,
 		fr: obs.NewFlightRecorder(frSize),
 	}
+}
+
+// telemetry stamps ctx with the session's identity and flight recorder:
+// spans ended and records logged under the result land in its ring.
+func (ms *managedSession) telemetry(ctx context.Context) context.Context {
+	return obs.WithFlightRecorder(obs.WithSessionID(ctx, ms.id), ms.fr)
 }
 
 // setDump stores the session's most recent automatic dump.
@@ -227,6 +234,8 @@ func New(opts Options) *Service {
 	}
 	if opts.Logger == nil {
 		opts.Logger = obs.NopLogger()
+	} else if _, ok := opts.Logger.Handler().(*obs.ContextHandler); !ok {
+		opts.Logger = obs.NewLogger(opts.Logger.Handler())
 	}
 	s := &Service{
 		opts:     opts,
@@ -292,20 +301,6 @@ func (s *Service) logger() *slog.Logger {
 	return s.log
 }
 
-// QoSClass classifies a session's scans for admission control under
-// load. The distinction matters only when the queue backs up.
-type QoSClass string
-
-const (
-	// QoSUrgent scans (the default) may fill the whole queue — a scan
-	// the surgeon is waiting on is never shed while capacity remains.
-	QoSUrgent QoSClass = "urgent"
-	// QoSElective scans are shed once the queue is half full, keeping
-	// headroom for urgent sessions: batch re-processing and research
-	// traffic yields to the operating room.
-	QoSElective QoSClass = "elective"
-)
-
 // SessionSpec describes a surgical session to open. The struct form
 // (rather than positional arguments) leaves room for per-session policy
 // to grow without breaking every caller.
@@ -317,8 +312,6 @@ type SessionSpec struct {
 	// Preop and PreopLabels are the preoperative preparation.
 	Preop       *volume.Scalar
 	PreopLabels *volume.Labels
-	// QoS is the admission class under load; empty means QoSUrgent.
-	QoS QoSClass
 }
 
 // Validate reports every problem with the spec at once, mirroring
@@ -328,11 +321,6 @@ func (sp SessionSpec) Validate() error {
 	var errs []error
 	if sp.ID == "" {
 		errs = append(errs, errors.New("ID must be non-empty"))
-	}
-	switch sp.QoS {
-	case "", QoSUrgent, QoSElective:
-	default:
-		errs = append(errs, fmt.Errorf("unknown QoS class %q", sp.QoS))
 	}
 	if err := sp.Config.Validate(); err != nil {
 		errs = append(errs, err)
@@ -349,10 +337,6 @@ func (s *Service) Open(spec SessionSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	qos := spec.QoS
-	if qos == "" {
-		qos = QoSUrgent
-	}
 	if spec.Config.ArtifactStore == nil {
 		spec.Config.ArtifactStore = s.opts.ArtifactStore
 	}
@@ -368,7 +352,7 @@ func (s *Service) Open(spec SessionSpec) error {
 	if _, dup := s.sessions[spec.ID]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateSession, spec.ID)
 	}
-	s.sessions[spec.ID] = newManagedSession(spec.ID, qos, sess, s.opts.FlightRecorderSize)
+	s.sessions[spec.ID] = newManagedSession(spec.ID, sess, s.opts.FlightRecorderSize)
 	return nil
 }
 
@@ -420,7 +404,6 @@ type FlightDumpInfo struct {
 // SessionStatus is the wire form of one open session on /sessions.
 type SessionStatus struct {
 	ID          string `json:"id"`
-	QoS         string `json:"qos"`
 	HasBaseline bool   `json:"has_baseline"`
 	Scans       int    `json:"scans"`
 	// FlightRecords / FlightCapacity / FlightTotal describe the
@@ -435,7 +418,6 @@ type SessionStatus struct {
 func (ms *managedSession) status() SessionStatus {
 	st := SessionStatus{
 		ID:             ms.id,
-		QoS:            string(ms.qos),
 		HasBaseline:    ms.sess.HasBaseline(),
 		Scans:          ms.sess.ScanCount(),
 		FlightRecords:  ms.fr.Len(),
@@ -495,8 +477,7 @@ func (s *Service) SessionLastDump(id string) (*FlightDump, error) {
 // once the job starts. A full queue fails fast with ErrQueueFull rather
 // than blocking the scanner; shed submissions are counted
 // (Metrics.Shed, brainsim_shed_total) so overload is visible on the
-// admin surface. Sessions opened with QoSElective are shed earlier,
-// once the queue is half full.
+// admin surface.
 func (s *Service) Submit(ctx context.Context, sessionID string, intraop *volume.Scalar) (*Job, error) {
 	return s.submit(ctx, sessionID, intraop, JobRegister)
 }
@@ -530,13 +511,6 @@ func (s *Service) submit(ctx context.Context, sessionID string, intraop *volume.
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownSession, sessionID)
 	}
-	if ms.qos == QoSElective && len(s.queue) >= cap(s.queue)/2 {
-		// Elective sessions only use the front half of the queue; the
-		// back half is reserved headroom for urgent scans.
-		s.mu.Unlock()
-		s.shedJob(ms, kind, "elective headroom")
-		return nil, ErrQueueFull
-	}
 	s.jobSeq++
 	j := &Job{
 		ID:        fmt.Sprintf("j%06d", s.jobSeq),
@@ -556,26 +530,19 @@ func (s *Service) submit(ctx context.Context, sessionID string, intraop *volume.
 	default:
 		s.jobSeq-- // the id was never issued
 		s.mu.Unlock()
-		s.shedJob(ms, kind, "queue full")
+		s.shedJob(ctx, ms, kind)
 		return nil, ErrQueueFull
 	}
 }
 
-// shedJob accounts one load-shed submission: the shed metric, a
-// job.shed event in the session's flight recorder, and an automatic
-// dump — a shed scan is an anomaly the surgeon will ask about. Called
-// WITHOUT s.mu held.
-func (s *Service) shedJob(ms *managedSession, kind JobKind, why string) {
+// shedJob accounts one load-shed submission: the shed metric, one log
+// record — filed in the session's flight recorder — and an automatic
+// dump holding it: a shed scan is an anomaly the surgeon will ask about.
+// Called WITHOUT s.mu held.
+func (s *Service) shedJob(ctx context.Context, ms *managedSession, kind JobKind) {
 	s.opts.Registry.Counter(obs.MetricShed).Inc()
-	ms.fr.Record(obs.FlightRecord{
-		Time:    time.Now(),
-		Kind:    "event",
-		Session: ms.id,
-		Name:    obs.EventJobShed.String(),
-		Attrs:   map[string]any{"kind": string(kind), "reason": why},
-	})
+	s.logger().WarnContext(ms.telemetry(ctx), "scan shed", "kind", string(kind), "reason", "queue full")
 	s.dumpFlight(ms, "", "shed")
-	s.logger().Warn("scan shed", "session", ms.id, "kind", string(kind), "reason", why)
 }
 
 // retainJobLocked registers the job for admin lookup and evicts the
@@ -690,17 +657,16 @@ func (s *Service) worker() {
 // runJob executes one queued scan. The scan runs under a context
 // stamped with the session/job identity and carrying two span sinks —
 // the session's flight recorder and the job's stage sink — so every
-// span the pipeline opens, every event the solver emits, and every log
-// record written below lands in the session's black box with matching
-// ids, and each stage span becomes one entry of the job's timeline and
-// one observation of the stage histograms.
+// span the pipeline opens and every log record written below lands in
+// the session's black box with matching ids, and each stage span becomes
+// one entry of the job's timeline and one observation of the stage
+// histograms.
 func (s *Service) runJob(q scanRequest) {
 	j, ms := q.j, q.ms
 	defer close(j.done)
 	start := time.Now()
 	j.setStarted(start)
-	ctx := obs.WithSink(obs.WithFlightRecorder(
-		obs.WithJobID(obs.WithSessionID(q.ctx, j.SessionID), j.ID), ms.fr), j.stages)
+	ctx := obs.WithSink(obs.WithJobID(ms.telemetry(q.ctx), j.ID), j.stages)
 	if s.opts.ScanTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opts.ScanTimeout)
@@ -726,8 +692,7 @@ func (s *Service) runJob(q scanRequest) {
 		kind = JobRegister
 		j.markFellBack()
 		s.opts.Registry.Counter(obs.MetricUpdateFallbacks).Inc()
-		obs.Emit(ctx, obs.EventJobFallback, map[string]any{"requested": string(JobUpdate)})
-		s.logger().WarnContext(ctx, "update fell back to full registration: no baseline")
+		s.logger().WarnContext(ctx, "update fell back to full registration", "reason", "no baseline")
 	}
 	s.logger().InfoContext(ctx, "scan started", "kind", string(kind),
 		"queue_wait_ms", float64(start.Sub(j.enqueued))/float64(time.Millisecond))
@@ -742,21 +707,19 @@ func (s *Service) runJob(q scanRequest) {
 	scanDone(s.opts.Registry, kind, j.ID, time.Since(start), res, err)
 
 	// Anomaly triage: any of these outcomes freezes the flight recorder
-	// into a retrievable dump. One dump per job, worst trigger wins.
+	// into a retrievable dump. One dump per job, worst trigger wins; the
+	// log record names the outcome, the spans already in the ring under
+	// this job's id state its facts (pipeline.run the interrupted stage,
+	// fem.solve the solver's statistics).
 	switch {
 	case err != nil:
-		obs.Emit(ctx, obs.EventJobFailed, map[string]any{"error": err.Error()})
 		s.logger().ErrorContext(ctx, "scan failed", "error", err.Error())
 		s.dumpFlight(ms, j.ID, "failed")
 	case res != nil && res.Degraded:
-		// The pipeline.degraded event naming the interrupted stage is
-		// already in the ring under this job's id.
 		s.logger().WarnContext(ctx, "scan degraded to rigid-only result")
 		s.dumpFlight(ms, j.ID, "degraded")
 	case res != nil && !res.SolveStats.Converged:
-		s.logger().WarnContext(ctx, "solve did not converge",
-			"iterations", res.SolveStats.Iterations,
-			"final_rel_residual", res.SolveStats.FinalResRel)
+		s.logger().WarnContext(ctx, "solve did not converge")
 		s.dumpFlight(ms, j.ID, "nonconverged")
 	case j.FellBack():
 		s.dumpFlight(ms, j.ID, "fallback")

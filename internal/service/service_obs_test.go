@@ -59,41 +59,11 @@ func (h expireAt) SpanStarted(i obs.SpanInfo) {
 func (expireAt) SpanEnded(obs.FinishedSpan) {}
 
 func TestServiceShedCounter(t *testing.T) {
-	// Same setup as TestServiceQueueFull — worker stalled on the session
-	// lock, queue full — but checks the load shed is *counted*: on the
-	// typed snapshot, and on the Prometheus registry.
-	svc := New(Options{Workers: 1, QueueDepth: 1})
-	defer svc.Close()
-	c := testCase(24, 7)
-	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
-		t.Fatal(err)
-	}
-	svc.mu.Lock()
-	ms := svc.sessions["or"]
-	svc.mu.Unlock()
-	ms.gate <- struct{}{} // stall the worker on the session gate
-
-	j1, err := svc.Submit(context.Background(), "or", c.Intraop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(svc.queue) != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	j2, err := svc.Submit(context.Background(), "or", c.Intraop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Submit(context.Background(), "or", c.Intraop); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("err = %v, want ErrQueueFull", err)
-	}
-	<-ms.gate // release the worker
-	for _, j := range []*Job{j1, j2} {
-		if _, err := j.Wait(context.Background()); err != nil {
-			t.Errorf("job failed: %v", err)
-		}
-	}
+	// The load shed of shedOne is *counted*: on the typed snapshot, and
+	// on the Prometheus registry.
+	svc, c := openOR(t, Options{Workers: 1, QueueDepth: 1}, fastConfig(), 7)
+	j1, j2, release := shedOne(t, svc, c.Intraop, c.Intraop, JobRegister)
+	release()
 
 	m := svc.Metrics()
 	if m.Shed != 1 {

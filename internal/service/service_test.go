@@ -3,11 +3,12 @@ package service
 import (
 	"context"
 	"errors"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/phantom"
 	"repro/internal/volume"
 )
@@ -233,6 +234,14 @@ func TestServiceRejectsMalformedVolumes(t *testing.T) {
 	if err := svc.Open(SessionSpec{ID: "bad", Config: fastConfig(), Preop: c.Preop, PreopLabels: shortLabels}); err == nil {
 		t.Error("Open accepted short labels")
 	}
+	// Nor a second statement of the solve partition (a mis-sized one used
+	// to deliver the rigid answer as a converged biomechanical one).
+	parted := fastConfig()
+	parted.Solver.Partition = par.Partition{N: 7, P: 3, Starts: []int{0, 2, 4, 7}}
+	if err := svc.Open(SessionSpec{ID: "bad", Config: parted, Preop: c.Preop, PreopLabels: c.PreopLabels}); err == nil ||
+		!strings.Contains(err.Error(), "Solver.Partition") {
+		t.Errorf("Open with a Solver.Partition: err = %v, want it rejected by name", err)
+	}
 	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
 		t.Fatal(err)
 	}
@@ -252,50 +261,59 @@ func TestServiceRejectsMalformedVolumes(t *testing.T) {
 	}
 }
 
-func TestServiceQueueFull(t *testing.T) {
-	// One worker, queue depth one. Block the worker by holding the
-	// session lock, let one job occupy the queue, and the next submit
-	// must shed load instead of blocking the scanner.
-	svc := New(Options{Workers: 1, QueueDepth: 1})
-	defer svc.Close()
-	c := testCase(24, 7)
-	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
+// openOR starts a service and opens session "or" on a fresh case.
+func openOR(t *testing.T, opts Options, cfg core.Config, seed int64) (*Service, *phantom.Case) {
+	t.Helper()
+	svc := New(opts)
+	t.Cleanup(func() { svc.Close() })
+	c := testCase(24, seed)
+	if err := svc.Open(SessionSpec{ID: "or", Config: cfg, Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
 		t.Fatal(err)
 	}
+	return svc, c
+}
+
+// shedOne overloads a one-worker, one-slot service: it stalls the worker
+// on session "or"'s gate with a registration of first, queues second
+// behind it (a job of that kind) and submits once more, which must be
+// shed instead of blocking the scanner. release lets the two accepted
+// jobs run and waits for them.
+func shedOne(t *testing.T, svc *Service, first, second *volume.Scalar, kind JobKind) (j1, j2 *Job, release func()) {
+	t.Helper()
 	svc.mu.Lock()
 	ms := svc.sessions["or"]
 	svc.mu.Unlock()
 	ms.gate <- struct{}{} // stall the worker inside runJob
-
-	j1, err := svc.Submit(context.Background(), "or", c.Intraop)
+	j1, err := svc.Submit(context.Background(), "or", first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the worker has dequeued j1 and is blocked on the
-	// session lock, so the queue slot is free again.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(svc.queue) != 0 && time.Now().Before(deadline) {
+	// Wait until the worker has dequeued j1 and is blocked on the gate,
+	// so the queue slot is free again.
+	for deadline := time.Now().Add(5 * time.Second); len(svc.queue) != 0 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	j2, err := svc.Submit(context.Background(), "or", c.Intraop)
-	if err != nil {
+	if j2, err = svc.submit(context.Background(), "or", second, kind); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Submit(context.Background(), "or", c.Intraop); !errors.Is(err, ErrQueueFull) {
-		t.Errorf("err = %v, want ErrQueueFull", err)
+	if _, err := svc.Submit(context.Background(), "or", first); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("third submit: err = %v, want ErrQueueFull", err)
 	}
-	<-ms.gate // release the worker
-	var wg sync.WaitGroup
-	for _, j := range []*Job{j1, j2} {
-		wg.Add(1)
-		go func(j *Job) {
-			defer wg.Done()
+	return j1, j2, func() {
+		t.Helper()
+		<-ms.gate
+		for _, j := range []*Job{j1, j2} {
 			if _, err := j.Wait(context.Background()); err != nil {
-				t.Errorf("job failed: %v", err)
+				t.Errorf("job %s failed: %v", j.ID, err)
 			}
-		}(j)
+		}
 	}
-	wg.Wait()
+}
+
+func TestServiceQueueFull(t *testing.T) {
+	svc, c := openOR(t, Options{Workers: 1, QueueDepth: 1}, fastConfig(), 7)
+	j1, _, release := shedOne(t, svc, c.Intraop, c.Intraop, JobRegister)
+	release()
 	if w := j1.QueueWait(); w < 0 {
 		t.Errorf("negative queue wait %v", w)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -112,24 +111,11 @@ func TestMetricsVocabularyAndView(t *testing.T) {
 	svc := New(Options{Workers: 1, QueueDepth: 1})
 	defer svc.Close()
 	c1, c2 := streamCase(24, 22)
-	for _, spec := range []SessionSpec{
-		{ID: "or", Config: fastConfig(), Preop: c1.Preop, PreopLabels: c1.PreopLabels},
-		// With a one-slot queue an elective session is always past its half.
-		{ID: "batch", Config: fastConfig(), Preop: c1.Preop, PreopLabels: c1.PreopLabels, QoS: QoSElective},
-	} {
-		if err := svc.Open(spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := svc.Register(context.Background(), "or", c1.Intraop); err != nil {
+	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c1.Preop, PreopLabels: c1.PreopLabels}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Update(context.Background(), "or", c2.Intraop); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Submit(context.Background(), "batch", c1.Intraop); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("elective submit: err = %v, want ErrQueueFull", err)
-	}
+	_, _, release := shedOne(t, svc, c1.Intraop, c2.Intraop, JobUpdate)
+	release()
 	runtime.GC() // so the scrape-time runtime sample has a pause to report
 	m := svc.Metrics()
 

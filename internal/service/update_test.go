@@ -2,11 +2,10 @@ package service
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/phantom"
 )
 
@@ -119,61 +118,17 @@ func TestServiceUpdateFallsBackWithoutBaseline(t *testing.T) {
 	}
 }
 
-// TestServiceElectiveQoSShedding is a white-box admission test: with no
-// workers draining the queue, elective sessions must be shed once the
-// queue is half full while urgent sessions may fill it entirely.
-func TestServiceElectiveQoSShedding(t *testing.T) {
-	svc := &Service{
-		opts:     Options{QueueDepth: 4, Registry: obs.NewRegistry()},
-		queue:    make(chan scanRequest, 4),
-		sessions: make(map[string]*managedSession),
-		jobs:     make(map[string]*Job),
-	}
-	defer svc.Close() // no workers: close only drains bookkeeping
-
-	c, _ := streamCase(24, 13)
-	if err := svc.Open(SessionSpec{ID: "urgent-or", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Open(SessionSpec{ID: "batch", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels, QoS: QoSElective}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Below the half-full mark the elective session is admitted.
-	for i := 0; i < 2; i++ {
-		if _, err := svc.Submit(context.Background(), "batch", c.Intraop); err != nil {
-			t.Fatalf("elective submit %d under light load: %v", i, err)
-		}
-	}
-	// At half capacity every further elective submission is shed ...
-	if _, err := svc.SubmitUpdate(context.Background(), "batch", c.Intraop); !errors.Is(err, ErrQueueFull) {
-		t.Errorf("elective submit at half capacity: err = %v, want ErrQueueFull", err)
-	}
-	// ... while urgent scans may use the reserved back half.
-	for i := 0; i < 2; i++ {
-		if _, err := svc.Submit(context.Background(), "urgent-or", c.Intraop); err != nil {
-			t.Fatalf("urgent submit %d into reserved headroom: %v", i, err)
-		}
-	}
-	if _, err := svc.Submit(context.Background(), "urgent-or", c.Intraop); !errors.Is(err, ErrQueueFull) {
-		t.Errorf("urgent submit into full queue: err = %v, want ErrQueueFull", err)
-	}
-	m := svc.Metrics()
-	if m.Shed != 2 {
-		t.Errorf("Shed = %d, want 2 (one elective, one urgent)", m.Shed)
-	}
-}
-
 // TestSessionSpecValidate reports every defect at once.
 func TestSessionSpecValidate(t *testing.T) {
 	c, _ := streamCase(24, 14)
-	bad := SessionSpec{Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels, QoS: "stat"}
+	bad := SessionSpec{Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}
 	bad.Config.KNN = 0
+	bad.Config.Solver.Partition = par.Even(12, 2)
 	err := bad.Validate()
 	if err == nil {
 		t.Fatal("invalid spec accepted")
 	}
-	for _, want := range []string{"ID must be non-empty", "stat", "KNN"} {
+	for _, want := range []string{"ID must be non-empty", "Solver.Partition", "KNN"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("validation error %q missing %q", err, want)
 		}

@@ -399,28 +399,29 @@ func GMRESContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Precond
 	return gmres(ctx, a, b, x0, m, opts, false)
 }
 
-// emitSolveEvent publishes one solver.solve convergence event into the
-// context's flight recorder — the per-solve numerical-health record
-// (iterations, residual trajectory, restart/stagnation/divergence
-// counters) that lets a post-hoc dump answer "why did this solve take
-// 40 iterations". A no-op without a recorder on the context.
-func emitSolveEvent(ctx context.Context, stats *Stats) {
-	obs.Emit(ctx, obs.EventSolverSolve, map[string]any{
-		"iterations":         stats.Iterations,
-		"matvecs":            stats.MatVecs,
-		"converged":          stats.Converged,
-		"entry_rel_residual": stats.EntryResRel,
-		"final_rel_residual": stats.FinalResRel,
-		"restarts":           stats.Restarts,
-		"stagnated_cycles":   stats.StagnatedCycles,
-		"diverged":           stats.Diverged,
-		"warm_started":       stats.WarmStarted,
-	})
+// publish states the solve's statistics, once, as attributes of the
+// span enclosing the solve (fem.solve under the pipeline) — the one
+// record of why a solve took the iterations it did, in a trace and a
+// flight dump alike. A no-op without a span on the context.
+func (s *Stats) publish(span *obs.Span) {
+	if span == nil {
+		return
+	}
+	span.SetAttr("iterations", s.Iterations)
+	span.SetAttr("matvecs", s.MatVecs)
+	span.SetAttr("converged", s.Converged)
+	span.SetAttr("entry_rel_residual", s.EntryResRel)
+	span.SetAttr("final_rel_residual", s.FinalResRel)
+	span.SetAttr("restarts", s.Restarts)
+	span.SetAttr("stagnated_cycles", s.StagnatedCycles)
+	span.SetAttr("diverged", s.Diverged)
+	span.SetAttr("warm_started", s.WarmStarted)
 }
 
 // gmres is the shared body of GMRESContext and GMRESWarmContext; warm
-// marks the statistics (and the solve event) as warm-started.
-func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options, warm bool) ([]float64, Stats, error) {
+// marks the statistics as warm-started. Every exit past the argument
+// checks publishes the statistics it returns.
+func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options, warm bool) (_ []float64, stats Stats, _ error) {
 	n := a.N
 	if len(b) != n {
 		return nil, Stats{}, fmt.Errorf("solver: rhs length %d != n %d", len(b), n)
@@ -491,8 +492,8 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 		rbuf, zbuf = ws.r, ws.z
 	}
 
-	var stats Stats
 	stats.WarmStarted = warm
+	defer func() { stats.publish(obs.SpanFromContext(ctx)) }()
 
 	// Convergence is relative to ||M^{-1} b|| (the PETSc convention),
 	// which makes warm starts converge immediately instead of chasing a
@@ -504,7 +505,6 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 	if numeric.Zero(bNorm) {
 		// b = 0: solution is x = 0 regardless of x0.
 		stats.Converged = true
-		emitSolveEvent(ctx, &stats)
 		return make([]float64, n), stats, nil
 	}
 	if !numeric.Finite(bNorm) {
@@ -512,7 +512,6 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 		// the convergence comparisons go silently false and the solve
 		// burns MaxIter doing nothing. Fail loudly instead.
 		stats.FinalResRel = math.NaN()
-		emitSolveEvent(ctx, &stats)
 		return nil, stats, fmt.Errorf("solver: preconditioned rhs norm is not finite (%g)", bNorm)
 	}
 
@@ -524,7 +523,6 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 		// inner iterations, yet bounds the abort latency to one cycle.
 		if err := ctx.Err(); err != nil {
 			stats.FinalResRel = math.NaN()
-			emitSolveEvent(ctx, &stats)
 			return x, stats, err
 		}
 		// Each restart cycle runs in a closure holding one trace span
@@ -587,7 +585,6 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 			return false
 		}()
 		if converged {
-			emitSolveEvent(ctx, &stats)
 			return x, stats, nil
 		}
 		cycle++
@@ -603,7 +600,6 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 	rel := norm2(zbuf) / beta0
 	stats.FinalResRel = rel
 	stats.Converged = rel <= tol
-	emitSolveEvent(ctx, &stats)
 	return x, stats, nil
 }
 

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -75,74 +76,115 @@ func TestGMRESStagnationDetected(t *testing.T) {
 	}
 }
 
-// TestGMRESSolveEventEmitted checks the per-solve convergence event
-// reaches the context's flight recorder with the health attributes.
-func TestGMRESSolveEventEmitted(t *testing.T) {
+// TestGMRESStatsOnEnclosingSpan: a solve states its statistics once, as
+// attributes of the span it runs under, with the values it returns —
+// cold, warm, and on the early exits (a zero right-hand side, a context
+// cancelled before the first cycle) alike.
+func TestGMRESStatsOnEnclosingSpan(t *testing.T) {
 	a := laplacian3D(6, 6, 6)
 	b := randomRHS(a.N, 17)
-	rec := obs.NewFlightRecorder(32)
-	ctx := obs.WithFlightRecorder(context.Background(), rec)
 	opts := Options{Tol: 1e-8, MaxIter: 500, Restart: 10}
-	_, st, err := GMRESContext(ctx, a, b, nil, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ev *obs.FlightRecord
-	for _, r := range rec.Snapshot() {
-		if r.Kind == "event" && r.Name == obs.EventSolverSolve.String() {
-			cp := r
-			ev = &cp
-		}
-	}
-	if ev == nil {
-		t.Fatalf("no %s event recorded; records: %d", obs.EventSolverSolve, rec.Len())
-	}
-	if got := ev.Attrs["iterations"]; got != float64(st.Iterations) && got != st.Iterations {
-		t.Errorf("event iterations = %v, want %d", got, st.Iterations)
-	}
-	if got := ev.Attrs["converged"]; got != st.Converged {
-		t.Errorf("event converged = %v, want %v", got, st.Converged)
-	}
-	if got := ev.Attrs["warm_started"]; got != false {
-		t.Errorf("event warm_started = %v, want false", got)
-	}
-	if _, ok := ev.Attrs["final_rel_residual"]; !ok {
-		t.Error("event missing final_rel_residual")
-	}
-	if _, ok := ev.Attrs["restarts"]; !ok {
-		t.Error("event missing restarts")
-	}
-}
-
-// TestGMRESWarmEventMarksWarmStart checks the warm entry point stamps
-// the event and stats with the warm-start provenance.
-func TestGMRESWarmEventMarksWarmStart(t *testing.T) {
-	a := laplacian3D(6, 6, 6)
-	b := randomRHS(a.N, 19)
-	opts := Options{Tol: 1e-9, MaxIter: 500, Restart: 20}
 	x, _, err := GMRES(a, b, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewFlightRecorder(32)
-	ctx := obs.WithFlightRecorder(context.Background(), rec)
-	_, st, err := GMRESWarmContext(ctx, a, b, x, nil, opts)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name  string
+		ctx   context.Context
+		solve func(ctx context.Context) (Stats, error)
+	}{
+		{"cold", context.Background(), func(ctx context.Context) (Stats, error) {
+			_, st, err := GMRESContext(ctx, a, b, nil, nil, opts)
+			return st, err
+		}},
+		{"warm", context.Background(), func(ctx context.Context) (Stats, error) {
+			_, st, err := GMRESWarmContext(ctx, a, b, x, nil, opts)
+			return st, err
+		}},
+		{"zero rhs", context.Background(), func(ctx context.Context) (Stats, error) {
+			_, st, err := GMRESContext(ctx, a, make([]float64, a.N), nil, nil, opts)
+			return st, err
+		}},
+		{"cancelled", cancelled, func(ctx context.Context) (Stats, error) {
+			_, st, err := GMRESContext(ctx, a, b, nil, nil, opts)
+			if err == nil {
+				t.Error("cancelled solve returned no error")
+			}
+			return st, nil
+		}},
+	} {
+		rec := obs.NewFlightRecorder(64)
+		ctx, span := obs.StartSpan(obs.WithFlightRecorder(c.ctx, rec), obs.SpanFEMSolve)
+		st, err := c.solve(ctx)
+		span.End(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if st.WarmStarted != (c.name == "warm") {
+			t.Errorf("%s: Stats.WarmStarted = %v", c.name, st.WarmStarted)
+		}
+		var got map[string]any
+		for _, r := range rec.Snapshot() {
+			if r.Kind != "span" {
+				t.Errorf("%s: ring holds a %q record %q", c.name, r.Kind, r.Name)
+			}
+			if r.Name == obs.SpanFEMSolve {
+				got = r.Attrs
+			}
+		}
+		want := map[string]any{
+			"iterations": st.Iterations, "matvecs": st.MatVecs, "converged": st.Converged,
+			"entry_rel_residual": st.EntryResRel, "final_rel_residual": st.FinalResRel,
+			"restarts": st.Restarts, "stagnated_cycles": st.StagnatedCycles,
+			"diverged": st.Diverged, "warm_started": st.WarmStarted,
+		}
+		if c.name == "cancelled" {
+			want["final_rel_residual"] = "NaN"
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: enclosing span attrs\n got %v\nwant %v", c.name, got, want)
+		}
+	}
+}
+
+func TestGMRESWarmContextSeedsIterate(t *testing.T) {
+	n := 40
+	a := laplacian1D(n)
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = float64(i%7) + 1
+	}
+	opts := Options{Tol: 1e-10, MaxIter: 400, Restart: 20}
+	cold, coldStats, err := GMRES(a, b, nil, nil, opts)
+	if err != nil || !coldStats.Converged {
+		t.Fatalf("cold solve: err=%v stats=%v", err, coldStats)
+	}
+	// Seeding with the solution itself must converge without iterating.
+	x, stats, err := GMRESWarmContext(t.Context(), a, b, cold, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.WarmStarted {
-		t.Error("Stats.WarmStarted = false from GMRESWarmContext")
+	if !stats.WarmStarted {
+		t.Fatal("warm solve not marked WarmStarted")
 	}
-	if st.EntryResRel > 0.01 {
-		t.Errorf("EntryResRel = %g seeding with the exact solution, want ~0", st.EntryResRel)
+	if !stats.Converged {
+		t.Fatalf("warm solve did not converge: %v", stats)
 	}
-	found := false
-	for _, r := range rec.Snapshot() {
-		if r.Kind == "event" && r.Name == obs.EventSolverSolve.String() && r.Attrs["warm_started"] == true {
-			found = true
+	if stats.Iterations >= coldStats.Iterations {
+		t.Fatalf("warm iterations %d not below cold %d", stats.Iterations, coldStats.Iterations)
+	}
+	if stats.EntryResRel > 1e-9 {
+		t.Fatalf("entry residual %g not near zero for an exact seed", stats.EntryResRel)
+	}
+	for i := range x {
+		if d := x[i] - cold[i]; d > 1e-8 || d < -1e-8 {
+			t.Fatalf("warm solution drifted at %d: %g vs %g", i, x[i], cold[i])
 		}
 	}
-	if !found {
-		t.Error("no solver.solve event with warm_started=true recorded")
+	// A wrongly sized seed is an API error, not a silent cold start.
+	if _, _, err := GMRESWarmContext(t.Context(), a, b, cold[:n-1], nil, opts); err == nil {
+		t.Fatal("short seed accepted")
 	}
 }
