@@ -203,8 +203,15 @@ func Value[T any](s *Store, key string, compute func() (T, error),
 	}
 }
 
+// errAbandoned is what the waiters of a flight see when its leader's
+// decode, compute, encode or store step panicked: a failed leader, so
+// each retries.
+var errAbandoned = errors.New("artifact: computation abandoned by a panic")
+
 // fill resolves one flight: disk probe and decode, then compute,
-// encode and store.
+// encode and store. A panic propagates to the leader's caller; the
+// deferred release then hands the waiters errAbandoned, which every
+// return overwrites.
 func fill[T any](s *Store, fl *flight, compute func() (T, error),
 	encode func(T) []byte, decode func([]byte) (T, error)) (hit bool, err error) {
 	defer func() {
@@ -214,6 +221,7 @@ func fill[T any](s *Store, fl *flight, compute func() (T, error),
 		s.mu.Unlock()
 		close(fl.done)
 	}()
+	err = errAbandoned
 
 	if data, sum, ok := s.readDisk(fl.key); ok {
 		if v, derr := decode(data); derr == nil {
@@ -229,9 +237,12 @@ func fill[T any](s *Store, fl *flight, compute func() (T, error),
 		s.removeEntry(fl.key)
 	}
 
-	v, err := compute()
-	if err != nil {
-		return false, err
+	// compute's error gets its own name: err must stay errAbandoned
+	// until a return, or a panic in encode or the store would release
+	// the waiters with a nil error and no value.
+	v, cerr := compute()
+	if cerr != nil {
+		return false, cerr
 	}
 	data := encode(v)
 	fl.val, fl.sum, fl.size = v, sha256.Sum256(data), int64(len(data))

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -233,6 +236,79 @@ func TestConcurrentReadersSingleflight(t *testing.T) {
 	if st.Misses != 1 || st.Hits != readers-1 {
 		t.Fatalf("stats = %+v, want 1 miss and %d hits", st, readers-1)
 	}
+}
+
+// TestPanickingLeaderLetsWaitersRetry: when a key's leader panics —
+// in its compute, or in encoding the value its compute returned — the
+// panic reaches the leader's caller, and a caller already waiting on
+// that computation is not handed the value the leader never published:
+// it retries with its own compute and gets a value.
+func TestPanickingLeaderLetsWaitersRetry(t *testing.T) {
+	type artifact struct{ text string }
+	encode := func(a *artifact) []byte { return []byte(a.text) }
+	decode := func(b []byte) (*artifact, error) { return &artifact{string(b)}, nil }
+	for _, tc := range []struct {
+		name          string
+		computePanics bool
+	}{{"compute panics", true}, {"encode panics", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustStore(t, Options{})
+			computing, release := make(chan struct{}), make(chan struct{})
+			leader := make(chan any)
+			go func() {
+				defer func() { leader <- recover() }()
+				_, _, _, _ = Value(s, "k", func() (*artifact, error) {
+					close(computing)
+					<-release
+					if tc.computePanics {
+						panic("leader failed")
+					}
+					return &artifact{"leader"}, nil
+				}, func(*artifact) []byte { panic("leader failed") }, decode)
+			}()
+			<-computing
+
+			type outcome struct {
+				v     *artifact
+				hit   bool
+				err   error
+				panic any
+			}
+			waiter := make(chan outcome)
+			go func() {
+				var o outcome
+				defer func() { o.panic = recover(); waiter <- o }()
+				o.v, _, o.hit, o.err = Value(s, "k", func() (*artifact, error) { return &artifact{"retried"}, nil }, encode, decode)
+			}()
+			waitForFlightWaiter(t)
+			close(release)
+
+			if p := <-leader; p != "leader failed" {
+				t.Errorf("leader's caller recovered %v, want the leader's panic", p)
+			}
+			o := <-waiter
+			if o.panic != nil || o.err != nil || o.v == nil || o.v.text != "retried" || o.hit {
+				t.Fatalf("waiter: value %v hit=%v err=%v panic=%v; want its own computed value", o.v, o.hit, o.err, o.panic)
+			}
+		})
+	}
+}
+
+// waitForFlightWaiter returns once a goroutine is parked in Value
+// waiting on another caller's flight (in Value, not in fill).
+func waitForFlightWaiter(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(stacks, "\n\n") {
+			if strings.Contains(g, "[chan receive") && strings.Contains(g, "artifact.Value[") &&
+				!strings.Contains(g, "artifact.fill[") {
+				return
+			}
+		}
+	}
+	t.Fatal("no caller waited on the leader's flight")
 }
 
 // TestConcurrentReadersOfDamagedDisk hammers a disk entry that keeps

@@ -466,15 +466,21 @@ func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
 		}
 	}
 	if err := stage(StageSurface, func(ctx context.Context) error {
-		if !warm {
-			relaxed, err := cached(ctx, store, "preop-relax", preopRelax, join(labels, meshA),
-				cfg.Surface, triMeshCodec)
-			if err != nil {
-				return err
-			}
-			sc.relaxedSurf = relaxed.val
+		if warm {
+			return p.stageSurfaceDisplace(ctx, sc, sc.intraopPhi())
 		}
-		return p.stageSurfaceDisplace(ctx, sc)
+		// The scan's φ does not depend on the relaxed surface: compute it
+		// beside preop-relax.
+		phi := make(chan *volume.Scalar, 1)
+		go func() { phi <- sc.intraopPhi() }()
+		relaxed, err := cached(ctx, store, "preop-relax", preopRelax, join(labels, meshA),
+			cfg.Surface, triMeshCodec)
+		phiIntra := <-phi
+		if err != nil {
+			return err
+		}
+		sc.relaxedSurf = relaxed.val
+		return p.stageSurfaceDisplace(ctx, sc, phiIntra)
 	}); err != nil {
 		return err
 	}
@@ -566,12 +572,18 @@ func (p *Pipeline) stageClassify(ctx context.Context, sc *scan) error {
 	return err
 }
 
-// stageSurfaceDisplace deforms the relaxed preoperative brain surface
-// onto the classified intraoperative brain: these displacements are
-// the physical surface correspondences driving the FEM solve.
-func (p *Pipeline) stageSurfaceDisplace(ctx context.Context, sc *scan) error {
+// intraopPhi sets the scan's signed distance to its classified brain
+// boundary and returns the smoothed copy the surface evolves on.
+func (sc *scan) intraopPhi() *volume.Scalar {
 	sc.phiBrain = edt.SignedOfSet(sc.intraLabels, brainSet, 0)
-	phiIntra := sc.phiBrain.SmoothGaussian(1.0)
+	return sc.phiBrain.SmoothGaussian(1.0)
+}
+
+// stageSurfaceDisplace deforms the relaxed preoperative brain surface
+// onto the classified intraoperative brain, along phiIntra (see
+// intraopPhi): these displacements are the physical surface
+// correspondences driving the FEM solve.
+func (p *Pipeline) stageSurfaceDisplace(ctx context.Context, sc *scan, phiIntra *volume.Scalar) error {
 	sr, err := surface.EvolveContext(ctx, sc.relaxedSurf, surface.SignedDistanceForce{Phi: phiIntra}, p.cfg.Surface)
 	if err != nil {
 		return err

@@ -31,13 +31,15 @@ type edtKey struct{ Saturation float64 }
 
 // preopEDT computes the classifier's spatial localization channels —
 // saturated distance maps of the brain, ventricle and CSF compartments —
-// from the aligned preoperative segmentation alone.
+// from the aligned preoperative segmentation alone, the three side by
+// side.
 func preopEDT(_ context.Context, labels *volume.Labels, k edtKey) (edtChannels, error) {
-	return edtChannels{
-		edt.Saturated(labels, volume.LabelBrain, k.Saturation),
-		edt.Saturated(labels, volume.LabelVentricle, k.Saturation),
-		edt.Saturated(labels, volume.LabelCSF, k.Saturation),
-	}, nil
+	var ch edtChannels
+	classes := [len(ch)]volume.Label{volume.LabelBrain, volume.LabelVentricle, volume.LabelCSF}
+	par.Even(len(ch), len(ch)).ForEachRank(func(i int) {
+		ch[i] = edt.Saturated(labels, classes[i], k.Saturation)
+	})
+	return ch, nil
 }
 
 type meshKey struct {

@@ -59,7 +59,8 @@ func elementStiffness(t geom.Tet, mat Material) ([4][4][3][3]float64, error) {
 }
 
 // elementStiffnessFlops estimates the floating point work of one
-// element stiffness computation, for the performance counters.
+// element stiffness computation, for the performance counters (which
+// charge it per element visit, memo hit or not).
 const elementStiffnessFlops = 600
 
 // Operator is the read-only half of a linear elastic system K u = f
@@ -305,8 +306,8 @@ func assemble(m *mesh.Mesh, mats Table, pt par.Partition) (*System, error) {
 
 // nodeAdjacency is the symbolic pass: for every node, the ascending list
 // of the nodes it shares an element with (itself included), as offsets
-// and one flat list. Each rank counts, buckets, sorts and dedupes the
-// lists of its own nodes.
+// and one flat list. Each rank counts and buckets the lists of its own
+// nodes, dedupes each bucket with a marker and sorts what is left.
 func nodeAdjacency(m *mesh.Mesh, pt par.Partition) (ptr []int, adj []int32) {
 	ptr = make([]int, m.NumNodes()+1)
 	local := make([][]int32, pt.P)
@@ -330,19 +331,26 @@ func nodeAdjacency(m *mesh.Mesh, pt par.Partition) (ptr []int, adj []int32) {
 		for _, t := range m.Tets {
 			for _, a := range t {
 				if n := int(a); n >= lo && n < hi {
-					copy(buf[fill[n-lo]:], t[:])
+					*(*[4]int32)(buf[fill[n-lo]:]) = t
 					fill[n-lo] += 4
 				}
 			}
 		}
-		// Dedupe in place: the write cursor never passes a bucket start.
+		// Dedupe in place: the write cursor never passes the read
+		// cursor. seen[c] == n+1 once node n's list holds c.
+		seen := make([]int32, m.NumNodes())
 		w := 0
 		for n := lo; n < hi; n++ {
-			bucket := buf[start[n-lo]:start[n-lo+1]]
-			slices.Sort(bucket)
-			deg := copy(buf[w:], slices.Compact(bucket))
-			ptr[n+1] = deg
-			w += deg
+			first := w
+			for _, c := range buf[start[n-lo]:start[n-lo+1]] {
+				if seen[c] != int32(n+1) {
+					seen[c] = int32(n + 1)
+					buf[w] = c
+					w++
+				}
+			}
+			slices.Sort(buf[first:w])
+			ptr[n+1] = w - first
 		}
 		local[r] = buf[:w]
 	})
@@ -357,14 +365,20 @@ func nodeAdjacency(m *mesh.Mesh, pt par.Partition) (ptr []int, adj []int32) {
 }
 
 // assembleRows is the numeric pass of one rank, which owns the nodes
-// [lo, hi): every element touching one of them is computed once and its
-// blocks are added to the owned rows. An element spanning several ranks
-// is computed by each (the paper's duplicated boundary work). Elements
-// are visited in ascending order, so each entry of K is summed in element
-// order whatever the partition. Returns the rank's flop count.
+// [lo, hi): every element touching one of them has its block rows added
+// to the owned rows. An element spanning several ranks is visited by
+// each (the paper's duplicated boundary work). Elements are visited in
+// ascending order, so each entry of K is summed in element order
+// whatever the partition. Element stiffness comes from the rank's shape
+// memo (see memo.go), so each distinct shape is computed once per rank;
+// the returned flop count still charges every visit a full element
+// stiffness — it models the per-element work of the paper's
+// distributed assembly, which the cluster model and the scaling figures
+// consume, rather than measuring this code.
 //
 //lint:hotpath
 func assembleRows(m *mesh.Mesh, mats Table, blocks *sparse.BlockAssembler, lo, hi int32) (flops float64, err error) {
+	memo := new(stiffnessMemo)
 	for e, t := range m.Tets {
 		owned := 0
 		for _, n := range t {
@@ -375,7 +389,8 @@ func assembleRows(m *mesh.Mesh, mats Table, blocks *sparse.BlockAssembler, lo, h
 		if owned == 0 {
 			continue
 		}
-		ke, err := elementStiffness(m.TetGeom(e), mats.For(m.TetLabel[e]))
+		tet := m.TetGeom(e)
+		ke, err := memo.stiffness(&tet, mats.For(m.TetLabel[e]))
 		if err != nil {
 			return flops, fmt.Errorf("fem: element %d: %w", e, err)
 		}
@@ -383,11 +398,8 @@ func assembleRows(m *mesh.Mesh, mats Table, blocks *sparse.BlockAssembler, lo, h
 		// counter slots share a cache line.
 		flops += elementStiffnessFlops + float64(36*owned)
 		for a, na := range t {
-			if na < lo || na >= hi {
-				continue // row owned by another rank
-			}
-			for b, nb := range t {
-				blocks.AddBlock(na, nb, &ke[a][b])
+			if na >= lo && na < hi { // else the row is another rank's
+				blocks.AddBlock(na, &t, &ke.k[a], &ke.mask[a])
 			}
 		}
 	}
@@ -418,60 +430,100 @@ func (o *Operator) Eliminate(nodes []int32) (*Operator, error) {
 			constrained[3*int(node)+i] = true
 		}
 	}
-	// Count-then-copy: the rows of K are already sorted, so elimination
-	// only filters them. First size the eliminated matrix and every
-	// constrained column's coupling list ...
-	k := o.K
-	rowPtr := make([]int64, o.NumDOF+1)
-	bcPtr := make([]int, o.NumDOF+1)
+	// slot numbers the constrained columns in ascending order, so that
+	// the per-rank counts below run over them only and keep the columns'
+	// locality (the free columns' slots are unused).
+	slot := make([]int32, o.NumDOF)
 	nc := 0
-	for i := 0; i < o.NumDOF; i++ {
-		kept := int64(1)
-		if constrained[i] {
+	for j, c := range constrained {
+		if c {
+			slot[j] = int32(nc)
 			nc++
+		}
+	}
+	// Count-then-copy over the rank partition: the rows of K are already
+	// sorted, so elimination only filters them. First each rank sizes its
+	// rows of the eliminated matrix and counts, per constrained column,
+	// its rows coupled to it ...
+	k, pt := o.K, o.DOFPartition()
+	rowPtr := make([]int64, o.NumDOF+1)
+	fill := make([][]int, pt.P)
+	pt.ForEachRank(func(r int) {
+		lo, hi := pt.Range(r)
+		cnt := make([]int, nc)
+		for i := lo; i < hi; i++ {
+			kept := int64(1)
+			if !constrained[i] {
+				kept = 0
+				for _, j := range k.Col[k.RowPtr[i]:k.RowPtr[i+1]] {
+					if constrained[j] {
+						cnt[slot[j]]++
+					} else {
+						kept++
+					}
+				}
+			}
+			rowPtr[i+1] = kept
+		}
+		fill[r] = cnt
+	})
+	for i := 0; i < o.NumDOF; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	// ... then lay each coupling column out rank after rank, turning the
+	// counts into each rank's first slot in it; the ranks own ascending
+	// row ranges, so every column lists its rows in ascending order ...
+	bcPtr := make([]int, o.NumDOF+1)
+	for j, c := range slot {
+		q := bcPtr[j]
+		if constrained[j] {
+			for _, cnt := range fill {
+				q, cnt[c] = q+cnt[c], q
+			}
+		}
+		bcPtr[j+1] = q
+	}
+	// ... and each rank copies its rows.
+	bcRows := make([]int32, bcPtr[o.NumDOF])
+	bcCoef := make([]float64, bcPtr[o.NumDOF])
+	// make zeroes what it allocates, on the calling goroutine; at 76,041
+	// equations that is a third of the elimination, so the matrix's two
+	// arrays are allocated side by side.
+	var col []int32
+	var kval []float64
+	par.Even(2, 2).ForEachRank(func(r int) {
+		if r == 0 {
+			col = make([]int32, rowPtr[o.NumDOF])
 		} else {
-			kept = 0
-			for _, j := range k.Col[k.RowPtr[i]:k.RowPtr[i+1]] {
+			kval = make([]float64, rowPtr[o.NumDOF])
+		}
+	})
+	pt.ForEachRank(func(r int) {
+		lo, hi := pt.Range(r)
+		next := fill[r]
+		for i := lo; i < hi; i++ {
+			w := rowPtr[i]
+			if constrained[i] {
+				col[w], kval[w] = int32(i), 1
+				continue
+			}
+			start, end := k.RowPtr[i], k.RowPtr[i+1]
+			vals := k.Val[start:end]
+			cols := k.Col[start:end][:len(vals)]
+			for p, v := range vals {
+				j := cols[p]
 				if constrained[j] {
-					bcPtr[j+1]++
+					c := slot[j]
+					q := next[c]
+					bcRows[q], bcCoef[q] = int32(i), v
+					next[c] = q + 1
 				} else {
-					kept++
+					col[w], kval[w] = j, v
+					w++
 				}
 			}
 		}
-		rowPtr[i+1] = rowPtr[i] + kept
-	}
-	for j := 0; j < o.NumDOF; j++ {
-		bcPtr[j+1] += bcPtr[j]
-	}
-	// ... then fill both in one pass in row order, which leaves each
-	// coupling list in ascending row order.
-	bcRows := make([]int32, bcPtr[o.NumDOF])
-	bcCoef := make([]float64, bcPtr[o.NumDOF])
-	fill := append([]int(nil), bcPtr[:o.NumDOF]...)
-	col := make([]int32, rowPtr[o.NumDOF])
-	kval := make([]float64, rowPtr[o.NumDOF])
-	for i := 0; i < o.NumDOF; i++ {
-		w := rowPtr[i]
-		if constrained[i] {
-			col[w], kval[w] = int32(i), 1
-			continue
-		}
-		start, end := k.RowPtr[i], k.RowPtr[i+1]
-		vals := k.Val[start:end]
-		cols := k.Col[start:end][:len(vals)]
-		for p, v := range vals {
-			j := cols[p]
-			if constrained[j] {
-				q := fill[j]
-				bcRows[q], bcCoef[q] = int32(i), v
-				fill[j] = q + 1
-			} else {
-				col[w], kval[w] = j, v
-				w++
-			}
-		}
-	}
+	})
 	eliminated, err := sparse.CSRFromParts(o.NumDOF, rowPtr, col, kval)
 	if err != nil {
 		return nil, fmt.Errorf("fem: eliminated matrix: %w", err)

@@ -1,13 +1,16 @@
 package fem
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"repro/internal/edt"
 	"repro/internal/geom"
 	"repro/internal/mesh"
 	"repro/internal/par"
+	"repro/internal/phantom"
 	"repro/internal/solver"
 	"repro/internal/volume"
 )
@@ -65,42 +68,140 @@ func BenchmarkAssembleParallel4(b *testing.B) {
 // equations, against the paper's 77,511. The 12^3 meshes above fit in L2;
 // this one does not.
 func paperScaleMesh(b *testing.B) *mesh.Mesh {
+	m, _ := paperScaleMeshes(b, false)
+	return m
+}
+
+// paperScaleMeshes returns the paper-scale lattice and, when snapped is
+// set, the same mesh as the pipeline's SnapMesh option builds it too:
+// surface nodes snapped to the segmentation boundary and the lattice
+// relaxed, which leaves almost every element a shape of its own.
+func paperScaleMeshes(b *testing.B, snapped bool) (lattice, snap *mesh.Mesh) {
 	b.Helper()
 	if testing.Short() {
 		b.Skip("paper-scale mesh")
 	}
 	// Brain, ventricle, tumour, falx, resection: the tissues the
 	// pipeline's biomechanical model deforms.
-	return phantomMesh(b, 44, mesh.FromLabels, mesh.Options{CellSize: 1, Include: func(l volume.Label) bool {
-		return l >= volume.LabelBrain
-	}})
+	tissue := func(l volume.Label) bool { return l >= volume.LabelBrain }
+	p := phantom.DefaultParams(44)
+	labels := phantom.GenerateLabels(phantom.GridFor(p), p)
+	opts := mesh.Options{CellSize: 1, Include: tissue}
+	lattice, err := mesh.FromLabels(labels, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !snapped {
+		return lattice, nil
+	}
+	if snap, err = mesh.FromLabels(labels, opts); err != nil {
+		b.Fatal(err)
+	}
+	surf, err := snap.ExtractSurface(tissue)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap.SnapToLevelSet(surf.NodeID, edt.SignedOfSet(labels, tissue, 0), 1)
+	snap.Smooth(3, 0.5)
+	return lattice, snap
 }
 
+// BenchmarkAssemble77k assembles the paper-scale lattice with the
+// material table every ledger workload uses (homogeneous: six element
+// shapes for the memo) and with the heterogeneous one (about thirty),
+// and the snapped mesh, where almost every element misses the memo.
 func BenchmarkAssemble77k(b *testing.B) {
+	lattice, snapped := paperScaleMeshes(b, true)
+	for _, m := range []struct {
+		name string
+		m    *mesh.Mesh
+	}{{"lattice", lattice}, {"snapped", snapped}} {
+		pt := par.Even(m.m.NumNodes(), runtime.GOMAXPROCS(0))
+		for _, c := range []struct {
+			name string
+			mats Table
+		}{{"homogeneous", HomogeneousBrain()}, {"heterogeneous", HeterogeneousBrain()}} {
+			b.Run(m.name+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Assemble(m.m, c.mats, pt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkBuildInterpTable77k rasterizes the paper-scale meshes onto
+// their own 44^3 grid, one cell per voxel: what the first resample of a
+// session pays.
+func BenchmarkBuildInterpTable77k(b *testing.B) {
+	lattice, snapped := paperScaleMeshes(b, true)
+	g := volume.NewGrid(44, 44, 44, 1)
+	for _, c := range []struct {
+		name string
+		m    *mesh.Mesh
+	}{{"lattice", lattice}, {"snapped", snapped}} {
+		b.Run(c.name, func(b *testing.B) {
+			sys := &System{Mesh: c.m}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if sys.BuildInterpTable(g).Covered() == 0 {
+					b.Fatal("empty table")
+				}
+			}
+		})
+	}
+}
+
+// paperScaleOperator assembles the paper-scale mesh on ranks ranks
+// (homogeneous, as the ledger) and returns it with its surface nodes.
+func paperScaleOperator(b *testing.B, ranks int) (*Operator, []int32) {
 	m := paperScaleMesh(b)
-	mats := HeterogeneousBrain()
-	pt := par.Even(m.NumNodes(), runtime.GOMAXPROCS(0))
+	surf, err := m.ExtractSurface(func(volume.Label) bool { return true })
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := Assemble(m, HomogeneousBrain(), par.Even(m.NumNodes(), ranks))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sys.Operator, surf.NodeID
+}
+
+// BenchmarkEliminate77k is preop-assemble's elimination of the surface
+// nodes, at GOMAXPROCS ranks.
+func BenchmarkEliminate77k(b *testing.B) {
+	op, nodes := paperScaleOperator(b, runtime.GOMAXPROCS(0))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Assemble(m, mats, pt); err != nil {
+		if _, err := op.Eliminate(nodes); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkBuildInterpTable77k rasterizes the paper-scale mesh onto its
-// own 44^3 grid, one cell per voxel: what the first resample of a
-// session pays.
-func BenchmarkBuildInterpTable77k(b *testing.B) {
-	sys := &System{Mesh: paperScaleMesh(b)}
-	g := volume.NewGrid(44, 44, 44, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sys.BuildInterpTable(g).Covered() == 0 {
-			b.Fatal("empty table")
-		}
+// BenchmarkBlockJacobiILU077k factors the eliminated paper-scale
+// operator in one block (≈ 76k rows) and in two.
+func BenchmarkBlockJacobiILU077k(b *testing.B) {
+	for _, blocks := range []int{1, 2} {
+		b.Run(fmt.Sprint("blocks=", blocks), func(b *testing.B) {
+			op, nodes := paperScaleOperator(b, blocks)
+			elim, err := op.Eliminate(nodes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pt := elim.DOFPartition()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := solver.NewBlockJacobiILU0(elim.K, pt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -43,11 +43,13 @@ func (t *InterpTable) checkShape() {
 // element's node indices and the barycentric shape weights. It is the
 // shared coverage loop of DisplacementField and BuildInterpTable:
 // iterating voxels-in-element is far cheaper than point-locating every
-// voxel in an unstructured mesh.
+// voxel in an unstructured mesh. The shape functions come from a shape
+// memo (see memo.go), bit for bit those of Tet.Shape.
 func rasterize(m *mesh.Mesh, g volume.Grid, fn func(i, j, k int, nodes [4]int32, w [4]float64)) {
+	memo := new(shapeMemo)
 	for e := range m.Tets {
 		t := m.TetGeom(e)
-		sc, err := t.Shape()
+		sc, err := memo.shape(&t)
 		if err != nil {
 			continue // degenerate element contributes nothing
 		}
@@ -89,11 +91,13 @@ func rasterize(m *mesh.Mesh, g volume.Grid, fn func(i, j, k int, nodes [4]int32,
 				for i := maxInt(i0, 0); i <= minInt(i1, g.NX-1); i++ {
 					p := g.World(i, j, k)
 					// Barycentric test with a small tolerance so shared
-					// faces are covered by at least one element.
+					// faces are covered by at least one element. The
+					// weight is ShapeCoeffs.Eval's expression, spelled out:
+					// Eval's value receiver copies sc per call.
 					var w [4]float64
 					inside := true
 					for a := 0; a < 4; a++ {
-						w[a] = sc.Eval(a, p)
+						w[a] = sc.A[a] + sc.B[a]*p.X + sc.C[a]*p.Y + sc.D[a]*p.Z
 						if w[a] < -1e-9 {
 							inside = false
 							break

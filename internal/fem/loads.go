@@ -78,11 +78,16 @@ func (s *System) Strains(nodeU []geom.Vec3) ([]ElementStrain, error) {
 
 // elementStrain is the strain of element e.
 func (s *System) elementStrain(e int, nodeU []geom.Vec3) (ElementStrain, error) {
-	m := s.Mesh
-	sc, err := m.TetGeom(e).Shape()
+	sc, err := s.Mesh.TetGeom(e).Shape()
 	if err != nil {
 		return ElementStrain{}, fmt.Errorf("fem: element %d: %w", e, err)
 	}
+	return s.strainOf(e, &sc, nodeU), nil
+}
+
+// strainOf is the strain of element e with shape functions sc.
+func (s *System) strainOf(e int, sc *geom.ShapeCoeffs, nodeU []geom.Vec3) ElementStrain {
+	m := s.Mesh
 	var st ElementStrain
 	for a := 0; a < 4; a++ {
 		u := nodeU[m.Tets[e][a]]
@@ -94,7 +99,7 @@ func (s *System) elementStrain(e int, nodeU []geom.Vec3) (ElementStrain, error) 
 		st[4] += bz*u.Y + by*u.Z
 		st[5] += bz*u.X + bx*u.Z
 	}
-	return st, nil
+	return st
 }
 
 // Stresses converts element strains to stresses through each element's
@@ -128,7 +133,8 @@ func (st ElementStrain) stress(lambda, mu float64) ElementStress {
 // nodal displacement field in one pass over the elements, split into
 // ranks contiguous ranges that run concurrently: element by element
 // the Strains, Stresses, ElementStress.VonMises chain, and its bits,
-// without the two intermediate slices.
+// without the two intermediate slices, each rank taking the shape
+// functions from its own shape memo (see memo.go).
 func (s *System) VonMisesStresses(nodeU []geom.Vec3, mats Table, ranks int) ([]float64, error) {
 	if len(nodeU) != s.Mesh.NumNodes() {
 		return nil, fmt.Errorf("fem: %d displacements for %d nodes", len(nodeU), s.Mesh.NumNodes())
@@ -138,13 +144,15 @@ func (s *System) VonMisesStresses(nodeU []geom.Vec3, mats Table, ranks int) ([]f
 	errs := make([]error, pt.P) // one slot per rank; the lowest rank's error is reported
 	pt.ForEachRank(func(r int) {
 		lo, hi := pt.Range(r)
+		memo := new(shapeMemo)
 		for e := lo; e < hi; e++ {
-			st, err := s.elementStrain(e, nodeU)
+			t := s.Mesh.TetGeom(e)
+			sc, err := memo.shape(&t)
 			if err != nil {
-				errs[r] = err
+				errs[r] = fmt.Errorf("fem: element %d: %w", e, err)
 				return
 			}
-			out[e] = st.stress(mats.For(s.Mesh.TetLabel[e]).Lame()).VonMises()
+			out[e] = s.strainOf(e, &sc, nodeU).stress(mats.For(s.Mesh.TetLabel[e]).Lame()).VonMises()
 		}
 	})
 	for _, err := range errs {

@@ -106,27 +106,7 @@ func TestRasterizeMatchesWideBoxOracle(t *testing.T) {
 			for n, p := range m.Nodes {
 				nodeU[n] = geom.V(0.03*p.Y, -0.02*p.Z+0.1, 0.01*p.X*p.Y)
 			}
-			field := volume.NewField(g)
-			last := map[int]visit{}
-			var vox []int32
-			for _, v := range want {
-				if _, seen := last[v.idx]; !seen {
-					vox = append(vox, int32(v.idx))
-				}
-				last[v.idx] = v
-				var d geom.Vec3
-				for a := 0; a < 4; a++ {
-					d = d.Add(nodeU[v.nodes[a]].Scale(v.w[a]))
-				}
-				field.DX[v.idx], field.DY[v.idx], field.DZ[v.idx] = float32(d.X), float32(d.Y), float32(d.Z)
-			}
-			var nodes []int32
-			var w []float64
-			for _, idx := range vox {
-				v := last[int(idx)]
-				nodes = append(nodes, v.nodes[:]...)
-				w = append(w, v.w[:]...)
-			}
+			vox, nodes, w, field := oracleInterp(want, g, nodeU)
 			_, gotVox, gotNodes, gotW := sys.BuildInterpTable(g).TableParts()
 			if !reflect.DeepEqual(gotVox, vox) || !reflect.DeepEqual(gotNodes, nodes) || !reflect.DeepEqual(gotW, w) {
 				t.Errorf("cs=%d snap=%v: interpolation table differs from the wide-box oracle's", cs, snap)
@@ -136,4 +116,28 @@ func TestRasterizeMatchesWideBoxOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// oracleInterp rebuilds, from the oracle's accepted visits, the
+// interpolation table's arrays and the displacement field of nodeU.
+func oracleInterp(visits []visit, g volume.Grid, nodeU []geom.Vec3) (vox, nodes []int32, w []float64, field *volume.Field) {
+	field = volume.NewField(g)
+	last := map[int]visit{}
+	for _, v := range visits {
+		if _, seen := last[v.idx]; !seen {
+			vox = append(vox, int32(v.idx))
+		}
+		last[v.idx] = v
+		var d geom.Vec3
+		for a := 0; a < 4; a++ {
+			d = d.Add(nodeU[v.nodes[a]].Scale(v.w[a]))
+		}
+		field.DX[v.idx], field.DY[v.idx], field.DZ[v.idx] = float32(d.X), float32(d.Y), float32(d.Z)
+	}
+	for _, idx := range vox {
+		v := last[int(idx)]
+		nodes = append(nodes, v.nodes[:]...)
+		w = append(w, v.w[:]...)
+	}
+	return vox, nodes, w, field
 }

@@ -34,6 +34,7 @@ func TestModulePassesPerfgate(t *testing.T) {
 		"gmresCycle32":               false,
 		"axpyDot":                    false,
 		"iluFactor.solve":            false,
+		"iluFactor.factor":           false,
 		"distanceTransform1D":        false,
 		"Tet.Shape":                  false,
 		"Field.SampleWorld":          false,

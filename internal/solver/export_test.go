@@ -1,7 +1,9 @@
 package solver
 
-// Test systems shared with the external test package.
+// Test systems and the factor's oracle, shared with the external test
+// package.
 var (
-	Laplacian3D = laplacian3D
-	RandomRHS   = randomRHS
+	Laplacian3D        = laplacian3D
+	RandomRHS          = randomRHS
+	FactorsMatchOracle = factorsMatchOracle
 )

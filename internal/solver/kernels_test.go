@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -94,6 +95,83 @@ func newOracleILU0(a *sparse.CSR) (*oracleILU, error) {
 	return f, nil
 }
 
+// split is the factor in split storage: each row's entries left of its
+// diagonal, the diagonal and the entries right of it.
+func (f *oracleILU) split() *iluFactor {
+	s := &iluFactor{n: f.n, lPtr: make([]int64, f.n+1), uPtr: make([]int64, f.n+1), diag: make([]float64, f.n)}
+	for i, d := range f.diag {
+		s.lCol = append(s.lCol, f.col[f.rowPtr[i]:d]...)
+		s.lVal = append(s.lVal, f.val[f.rowPtr[i]:d]...)
+		s.uCol = append(s.uCol, f.col[d+1:f.rowPtr[i+1]]...)
+		s.uVal = append(s.uVal, f.val[d+1:f.rowPtr[i+1]]...)
+		s.lPtr[i+1], s.uPtr[i+1] = int64(len(s.lVal)), int64(len(s.uVal))
+		s.diag[i] = f.val[d]
+	}
+	return s
+}
+
+// diagonalBlock is the square sub-matrix of rows and columns [lo, hi)
+// over the local index space, a private copy: the block the factor was
+// built from before it read the operator's rows in place.
+func diagonalBlock(m *sparse.CSR, lo, hi int) *sparse.CSR {
+	n := hi - lo
+	rowPtr := make([]int64, n+1)
+	var col []int32
+	var val []float64
+	for i := lo; i < hi; i++ {
+		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+			if c := int(m.Col[p]); c >= lo && c < hi {
+				col, val = append(col, int32(c-lo)), append(val, m.Val[p])
+			}
+		}
+		rowPtr[i-lo+1] = int64(len(col))
+	}
+	blk, err := sparse.CSRFromParts(n, rowPtr, col, val)
+	if err != nil {
+		panic(err)
+	}
+	return blk
+}
+
+// factorsMatchOracle builds the block-Jacobi preconditioner of a on pt
+// and checks every block's factor against the oracle's on a copy of the
+// block, bit for bit: pattern, values and pivots. A missing diagonal
+// must be an error from both, the lowest-rank one reported.
+func factorsMatchOracle(a *sparse.CSR, pt par.Partition) error {
+	pc, err := NewBlockJacobiILU0(a, pt)
+	for r := 0; r < pt.P; r++ {
+		lo, hi := pt.Range(r)
+		if lo == hi {
+			if err == nil && pc.factors[r] != nil {
+				return fmt.Errorf("empty block %d has a factor", r)
+			}
+			continue
+		}
+		f, oerr := newOracleILU0(diagonalBlock(a, lo, hi))
+		if oerr != nil {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d: %v", r, oerr)) {
+				return fmt.Errorf("block %d: error %v, oracle %v", r, err, oerr)
+			}
+			return nil
+		}
+		if err != nil {
+			continue // a later block's error
+		}
+		got, want := pc.factors[r], f.split()
+		if got.n != want.n || !slices.Equal(got.lPtr, want.lPtr) || !slices.Equal(got.uPtr, want.uPtr) ||
+			!slices.Equal(got.lCol, want.lCol) || !slices.Equal(got.uCol, want.uCol) {
+			return fmt.Errorf("block %d: factor pattern differs from the oracle's", r)
+		}
+		if !sameBits(got.lVal, want.lVal) || !sameBits(got.uVal, want.uVal) || !sameBits(got.diag, want.diag) {
+			return fmt.Errorf("block %d: factor values differ from the oracle's", r)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("%v, while the oracle factors every block", err)
+	}
+	return nil
+}
+
 func (f *oracleILU) solve(r, z []float64) {
 	for i := 0; i < f.n; i++ {
 		sum := r[i]
@@ -146,12 +224,16 @@ func sameBits(a, b []float64) bool {
 	return len(a) == len(b)
 }
 
-// TestSplitILUMatchesCombinedLayout: the split-storage factor applies
-// the combined-layout factor's operations in its order, so block by
-// block the preconditioner's output has the oracle's bits — on random
-// SPD blocks, the fuzz target's seed matrices, zero pivots (the
-// perturbation path) and partitions with empty row ranges — and
-// BlockNNZ still counts every stored entry.
+// TestSplitILUMatchesCombinedLayout: factored straight from the
+// matrix's rows, every block has the combined-layout factor's bits —
+// pattern, values and pivots, for the case's partition and for 1, 2, 3
+// and 7 even ones — and the split-storage solve applies its operations
+// in its order, so the preconditioner's output has the oracle's bits:
+// on random SPD blocks, a Laplacian, the fuzz target's seed matrices,
+// zero pivots (the perturbation path, including a perturbation that
+// underflows to zero) and partitions with empty row ranges. BlockNNZ
+// still counts every stored entry, and a missing diagonal is an error
+// from both.
 func TestSplitILUMatchesCombinedLayout(t *testing.T) {
 	dense := func(n int, vals ...float64) *sparse.CSR {
 		b := sparse.NewBuilder(n)
@@ -172,6 +254,10 @@ func TestSplitILUMatchesCombinedLayout(t *testing.T) {
 		{"laplacian", laplacian3D(6, 5, 4), par.Even(120, 4)},
 		{"zero-pivot-after-elimination", dense(2, 1, 1, 1, 1), par.Even(2, 1)},
 		{"zero-leading-pivot", dense(3, 0, 1, 2, 1, 0, 3, 2, 3, 0), par.Even(3, 1)},
+		{"zero-pivot-in-second-block", dense(4, 2, 1, 0, 1, 4, 2, 0, 0, 0, 0, 3, 1, 1, 0, 3, 4), par.Even(4, 2)},
+		// 1e-10 times the row's largest magnitude underflows to zero, and
+		// the next row divides by the 1e-12 floor instead.
+		{"subnormal-zero-pivot", dense(2, 0, 1e-320, 1, 1), par.Even(2, 1)},
 		{"empty-ranges", randomSPD(5, 4, 4), par.Even(5, 7)},
 		{"empty-middle-range", randomSPD(40, 6, 5), par.Partition{N: 40, P: 3, Starts: []int{0, 17, 17, 40}}},
 	}
@@ -180,6 +266,11 @@ func TestSplitILUMatchesCombinedLayout(t *testing.T) {
 		cases = append(cases, iluCase{fmt.Sprint("fuzz-seed-", i), a, par.Even(n, 1)})
 	}
 	for _, c := range cases {
+		for _, pt := range []par.Partition{c.pt, par.Even(c.a.N, 1), par.Even(c.a.N, 2), par.Even(c.a.N, 3), par.Even(c.a.N, 7)} {
+			if err := factorsMatchOracle(c.a, pt); err != nil {
+				t.Errorf("%s, %d blocks: %v", c.name, pt.P, err)
+			}
+		}
 		pc, err := NewBlockJacobiILU0(c.a, c.pt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -196,7 +287,7 @@ func TestSplitILUMatchesCombinedLayout(t *testing.T) {
 				}
 				continue
 			}
-			f, err := newOracleILU0(c.a.DiagonalBlock(lo, hi))
+			f, err := newOracleILU0(diagonalBlock(c.a, lo, hi))
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", c.name, err)
 			}
@@ -209,15 +300,20 @@ func TestSplitILUMatchesCombinedLayout(t *testing.T) {
 			t.Errorf("%s: split-storage solve differs from the combined-layout solve", c.name)
 		}
 	}
-	// A missing diagonal is still an error, from both.
-	b := sparse.NewBuilder(2)
+	// A missing diagonal (row 1) is still an error, from both.
+	b := sparse.NewBuilder(3)
 	b.Add(0, 0, 1)
 	b.Add(0, 1, 1)
 	b.Add(1, 0, 1)
-	_, err := NewBlockJacobiILU0(b.Build(), par.Even(2, 1))
-	_, oerr := newOracleILU0(b.Build())
-	if err == nil || oerr == nil || !strings.Contains(err.Error(), oerr.Error()) {
-		t.Errorf("missing diagonal: error %v, oracle %v", err, oerr)
+	b.Add(2, 2, 1)
+	missing := b.Build()
+	for _, ranks := range []int{1, 2, 3, 7} {
+		if err := factorsMatchOracle(missing, par.Even(3, ranks)); err != nil {
+			t.Errorf("missing diagonal, %d blocks: %v", ranks, err)
+		}
+	}
+	if _, err := NewBlockJacobiILU0(missing, par.Even(3, 1)); err == nil {
+		t.Error("a row without its diagonal was factorized")
 	}
 }
 

@@ -166,6 +166,24 @@ func phantomElasticity(t *testing.T, size, ranks int) (*fem.System, par.Partitio
 	return sys, sys.DOFPartition()
 }
 
+// TestBlockFactorsOfFEMOperatorsMatchOracle: on the eliminated phantom
+// operator, the factor built from the operator's rows has the
+// copy-and-merge factor's bits, block by block, for 1, 2, 3 and 7
+// ranks. (The mesh and material variety of the operators is fem's
+// exactness suite; the factor reads only the matrix.)
+func TestBlockFactorsOfFEMOperatorsMatchOracle(t *testing.T) {
+	size := 20
+	if testing.Short() {
+		size = 14
+	}
+	for _, ranks := range []int{1, 2, 3, 7} {
+		sys, pt := phantomElasticity(t, size, ranks)
+		if err := solver.FactorsMatchOracle(sys.K, pt); err != nil {
+			t.Errorf("%d ranks: %v", ranks, err)
+		}
+	}
+}
+
 // TestGMRESMatchesClassicalGramSchmidt bounds what the fused,
 // multi-lane, rank-parallel Gram-Schmidt may change: against the
 // classical serial cycle the solver takes the same number of iterations

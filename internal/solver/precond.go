@@ -9,7 +9,6 @@ package solver
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/numeric"
 	"repro/internal/par"
@@ -76,96 +75,126 @@ type iluFactor struct {
 	diag       []float64 // U's diagonal, the pivots
 }
 
-// newILU0 computes the ILU(0) factorization of a, which it takes
-// ownership of: the factors are computed in place in a's arrays and then
-// split, so a must be a private copy (DiagonalBlock returns one) and is
-// garbage once newILU0 returns. A row missing its diagonal entry is an
-// error. A zero pivot is perturbed to a small multiple of the largest
-// row entry so the factorization always completes (the paper's
-// stiffness blocks are strongly diagonally dominant after
-// boundary-condition substitution, so this is a safety net, not the
-// normal path).
-func newILU0(a *sparse.CSR) (*iluFactor, error) {
-	n := a.N
-	rowPtr, col, val := a.RowPtr, a.Col, a.Val
-	// Locate diagonals; insert is not possible with fixed pattern, so a
-	// missing diagonal is an error (FEM stiffness always has one).
-	diag := make([]int64, n)
+// newILU0 computes the ILU(0) factorization of the diagonal block of a
+// on rows and columns [lo, hi), reading a's rows in place: a count pass
+// sizes the split storage, and factor fills it. A row missing its
+// diagonal entry is an error (the pattern is fixed, and FEM stiffness
+// always has one); its index is local to the block.
+func newILU0(a *sparse.CSR, lo, hi int) (*iluFactor, error) {
+	n := hi - lo
+	f := &iluFactor{n: n, lPtr: make([]int64, n+1), uPtr: make([]int64, n+1), diag: make([]float64, n)}
 	for i := 0; i < n; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		cols := col[lo:hi]
-		k := sort.Search(len(cols), func(p int) bool { return cols[p] >= int32(i) })
-		if k == len(cols) || cols[k] != int32(i) {
+		var nl, nu int64
+		diag := false
+		for _, c := range a.Col[a.RowPtr[lo+i]:a.RowPtr[lo+i+1]] {
+			switch j := int(c) - lo; {
+			case j < 0 || j >= n: // outside the block
+			case j < i:
+				nl++
+			case j > i:
+				nu++
+			default:
+				diag = true
+			}
+		}
+		if !diag {
 			return nil, fmt.Errorf("solver: row %d has no diagonal entry", i)
 		}
-		diag[i] = lo + int64(k)
+		f.lPtr[i+1], f.uPtr[i+1] = f.lPtr[i]+nl, f.uPtr[i]+nu
 	}
-	// IKJ-order ILU(0).
-	for i := 0; i < n; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		for p := lo; p < hi; p++ {
-			k := int(col[p])
-			if k >= i {
-				break
+	f.lCol, f.lVal = make([]int32, f.lPtr[n]), make([]float64, f.lPtr[n])
+	f.uCol, f.uVal = make([]int32, f.uPtr[n]), make([]float64, f.uPtr[n])
+	f.factor(a, lo, make([]float64, n), make([]int32, n))
+	return f, nil
+}
+
+// factor fills the factor's arrays, sized by newILU0, with the IKJ-order
+// ILU(0) of the block at offset lo of a. Row i is scattered into the
+// dense working row w, with mark[j] == i+1 placing column j in its
+// pattern; it is eliminated against the finished rows k < i in
+// ascending k, each of them through its U part in ascending column
+// order — every entry takes the updates of an in-place factorization of
+// the block, in its order — and it is gathered back into the split
+// storage. A zero pivot is perturbed to 1e-10 times the largest entry
+// of its row once the row is done, and a pivot that is still zero (that
+// product underflows when the row's entries are subnormal) is read as
+// 1e-12 by the later rows, so the factorization always completes (the
+// paper's stiffness blocks are strongly diagonally dominant after
+// boundary-condition substitution: a safety net, not the normal path).
+//
+//lint:hotpath
+//lint:noescape
+func (f *iluFactor) factor(a *sparse.CSR, lo int, w []float64, mark []int32) {
+	for i := 0; i < f.n; i++ {
+		in := int32(i + 1)
+		start, end := a.RowPtr[lo+i], a.RowPtr[lo+i+1]
+		vals := a.Val[start:end]
+		cols := a.Col[start:end][:len(vals)]
+		lw, uw := f.lPtr[i], f.uPtr[i]
+		for p, v := range vals {
+			j := int(cols[p]) - lo
+			if j < 0 || j >= f.n {
+				continue
 			}
-			// a_ik /= u_kk
-			pivot := val[diag[k]]
+			w[j], mark[j] = v, in
+			if j < i {
+				f.lCol[lw] = int32(j)
+				lw++
+			} else if j > i {
+				f.uCol[uw] = int32(j)
+				uw++
+			}
+		}
+		lCols := f.lCol[f.lPtr[i]:f.lPtr[i+1]]
+		uCols := f.uCol[f.uPtr[i]:f.uPtr[i+1]]
+		for _, k := range lCols {
+			// l_ik = a_ik / u_kk; then a_ij -= l_ik u_kj for j > k in
+			// row i's pattern.
+			pivot := f.diag[k]
 			if numeric.Zero(pivot) {
 				pivot = 1e-12
 			}
-			lik := val[p] / pivot
-			val[p] = lik
-			// For j > k in row i's pattern: a_ij -= l_ik * u_kj.
-			kLo, kHi := diag[k]+1, rowPtr[k+1]
-			iPos := p + 1
-			for q := kLo; q < kHi; q++ {
-				cj := col[q]
-				for iPos < hi && col[iPos] < cj {
-					iPos++
-				}
-				if iPos < hi && col[iPos] == cj {
-					val[iPos] -= lik * val[q]
+			lik := w[k] / pivot
+			w[k] = lik
+			kCols := f.uCol[f.uPtr[k]:f.uPtr[k+1]]
+			kVals := f.uVal[f.uPtr[k]:f.uPtr[k+1]][:len(kCols)]
+			for q, j := range kCols {
+				if mark[j] == in {
+					w[j] -= lik * kVals[q]
 				}
 			}
 		}
-		if numeric.Zero(val[diag[i]]) {
-			// Zero pivot: perturb.
-			maxRow := 0.0
-			for p := lo; p < hi; p++ {
-				if v := val[p]; v > maxRow {
-					maxRow = v
-				} else if -v > maxRow {
-					maxRow = -v
-				}
+		lVals := f.lVal[f.lPtr[i]:f.lPtr[i+1]][:len(lCols)]
+		uVals := f.uVal[f.uPtr[i]:f.uPtr[i+1]][:len(uCols)]
+		for p, j := range lCols {
+			lVals[p] = w[j]
+		}
+		for p, j := range uCols {
+			uVals[p] = w[j]
+		}
+		if numeric.Zero(w[i]) {
+			w[i] = 1e-10 * maxAbs(lVals, uVals)
+		}
+		f.diag[i] = w[i]
+	}
+}
+
+// maxAbs is the largest magnitude in a and b, 1 when all are zero.
+func maxAbs(a, b []float64) float64 {
+	m := 0.0
+	for _, s := range [2][]float64{a, b} {
+		for _, v := range s {
+			if v > m {
+				m = v
+			} else if -v > m {
+				m = -v
 			}
-			if numeric.Zero(maxRow) {
-				maxRow = 1
-			}
-			val[diag[i]] = 1e-10 * maxRow
 		}
 	}
-	// Split the combined rows around their diagonals.
-	nl := int64(0)
-	for i, d := range diag {
-		nl += d - rowPtr[i]
+	if numeric.Zero(m) {
+		return 1
 	}
-	nu := int64(len(val)) - nl - int64(n)
-	f := &iluFactor{
-		n:    n,
-		lPtr: make([]int64, n+1), uPtr: make([]int64, n+1),
-		lCol: make([]int32, 0, nl), uCol: make([]int32, 0, nu),
-		lVal: make([]float64, 0, nl), uVal: make([]float64, 0, nu),
-		diag: make([]float64, n),
-	}
-	for i, d := range diag {
-		f.lCol = append(f.lCol, col[rowPtr[i]:d]...)
-		f.lVal = append(f.lVal, val[rowPtr[i]:d]...)
-		f.uCol = append(f.uCol, col[d+1:rowPtr[i+1]]...)
-		f.uVal = append(f.uVal, val[d+1:rowPtr[i+1]]...)
-		f.lPtr[i+1], f.uPtr[i+1] = int64(len(f.lVal)), int64(len(f.uVal))
-		f.diag[i] = val[d]
-	}
-	return f, nil
+	return m
 }
 
 // solve computes z = (LU)^{-1} r over the local index space; r and z
@@ -279,7 +308,7 @@ type BlockJacobiPC struct {
 }
 
 // NewBlockJacobiILU0 builds the block preconditioner for the given row
-// partition.
+// partition, each rank factorizing its block straight from a's rows.
 func NewBlockJacobiILU0(a *sparse.CSR, pt par.Partition) (*BlockJacobiPC, error) {
 	pc := &BlockJacobiPC{part: pt, factors: make([]*iluFactor, pt.P)}
 	// One error slot per rank, so the ranks share nothing; the
@@ -290,7 +319,7 @@ func NewBlockJacobiILU0(a *sparse.CSR, pt par.Partition) (*BlockJacobiPC, error)
 		if lo == hi {
 			return
 		}
-		f, err := newILU0(a.DiagonalBlock(lo, hi))
+		f, err := newILU0(a, lo, hi)
 		if err != nil {
 			errs[r] = fmt.Errorf("solver: block %d: %w", r, err)
 			return

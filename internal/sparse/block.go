@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/numeric"
 	"repro/internal/par"
 )
 
@@ -12,7 +11,7 @@ import (
 // assembly of a 3-DOF-per-node system. The symbolic phase — the sorted
 // node adjacency, handed to NewBlockAssembler — fixes a layout of dense
 // 3x3 blocks, one per (node, neighbour) pair; AddBlock then sums element
-// blocks straight into that layout, and Compact turns it into a CSR
+// block rows straight into that layout, and Compact turns it into a CSR
 // matrix. No triplet is ever stored.
 //
 // Concurrent AddBlock calls are safe as long as they address different
@@ -56,35 +55,53 @@ func NewBlockAssembler(ptr []int, adj []int32) (*BlockAssembler, error) {
 	}, nil
 }
 
-// AddBlock sums blk into the block at (row, col). It panics when the
-// adjacency has no such block: the symbolic phase did not see the
-// element the caller is adding.
+// AddBlock sums one element's row of blocks into block row row: blks[b]
+// into the block at column cols[b], and masks[b] — the positions of
+// blks[b] that hold a non-zero, bit 3i+j for (i, j) — into that block's
+// mask. One merge of the columns, in ascending order, against the row's
+// ascending adjacency finds all four blocks. It panics when the
+// adjacency lacks one: the symbolic phase did not see the element the
+// caller is adding.
 //
 //lint:hotpath
-func (a *BlockAssembler) AddBlock(row, col int32, blk *[3][3]float64) {
+func (a *BlockAssembler) AddBlock(row int32, cols *[4]int32, blks *[4][3][3]float64, masks *[4]uint16) {
+	// The four columns in ascending order, each with its index into cols
+	// in the low bits: a branch-free sorting network on the packed keys.
+	var s [4]int64
+	for b, c := range cols {
+		s[b] = int64(c)<<2 | int64(b)
+	}
+	s[0], s[1] = min(s[0], s[1]), max(s[0], s[1])
+	s[2], s[3] = min(s[2], s[3]), max(s[2], s[3])
+	s[0], s[2] = min(s[0], s[2]), max(s[0], s[2])
+	s[1], s[3] = min(s[1], s[3]), max(s[1], s[3])
+	s[1], s[2] = min(s[1], s[2]), max(s[1], s[2])
 	lo := a.ptr[row]
-	for k, c := range a.col[lo:a.ptr[row+1]] {
-		if c != col {
-			continue
+	adj := a.col[lo:a.ptr[row+1]]
+	k := 0
+	for _, key := range s {
+		c, b := int32(key>>2), key&3
+		for k < len(adj) && adj[k] < c {
+			k++
+		}
+		if k == len(adj) || adj[k] != c {
+			panic("sparse: AddBlock outside the block adjacency")
 		}
 		p := lo + k
-		dst := a.val[9*p : 9*p+9 : 9*p+9]
-		m := a.mask[p]
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				v := blk[i][j]
-				// Adding a zero changes nothing (no sum here is ever
-				// -0), so only the mask needs the test.
-				dst[3*i+j] += v
-				if numeric.NonZero(v) {
-					m |= 1 << (3*i + j)
-				}
-			}
-		}
-		a.mask[p] = m
-		return
+		// Adding a zero changes nothing (no sum here is ever -0), so the
+		// nine values are added unconditionally.
+		dst, src := (*[9]float64)(a.val[9*p:]), &blks[b]
+		dst[0] += src[0][0]
+		dst[1] += src[0][1]
+		dst[2] += src[0][2]
+		dst[3] += src[1][0]
+		dst[4] += src[1][1]
+		dst[5] += src[1][2]
+		dst[6] += src[2][0]
+		dst[7] += src[2][1]
+		dst[8] += src[2][2]
+		a.mask[p] |= masks[b]
 	}
-	panic("sparse: AddBlock outside the block adjacency")
 }
 
 // Compact builds the 3n x 3n CSR matrix of the positions that received

@@ -8,20 +8,70 @@ import (
 	"repro/internal/par"
 )
 
-// TestBlockAssemblerMatchesBuilder adds random 3x3 blocks — with exact
-// zeros, and with pairs that cancel — through both constructors: the
-// compacted matrix must keep exactly the positions Builder keeps (every
-// one that received a non-zero, even if it sums to zero) with the same
-// sums.
+// TestBlockAssemblerMatchesBuilder adds the block rows of random
+// elements — blocks with exact zeros, elements added twice, and
+// elements followed by their negation — through both constructors, over
+// an adjacency that also holds blocks no element touches: the compacted
+// matrix must keep exactly the positions Builder keeps (every one that
+// received a non-zero, even if it sums to zero) with the same sums.
 func TestBlockAssemblerMatchesBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(12)
+		n := 4 + rng.Intn(10)
+		type element struct {
+			nodes [4]int32
+			blks  [4][4][3][3]float64
+			masks [4][4]uint16
+		}
+		coupled := make([][]bool, n)
+		for r := range coupled {
+			coupled[r] = make([]bool, n)
+			for c := range coupled[r] {
+				coupled[r][c] = rng.Intn(5) == 0 // blocks no element touches
+			}
+		}
+		var elems []element
+		for e := 2 + rng.Intn(8); e > 0; e-- {
+			var el element
+			for a, node := range rng.Perm(n)[:4] {
+				el.nodes[a] = int32(node)
+			}
+			for a, na := range el.nodes {
+				for b, nb := range el.nodes {
+					coupled[na][nb] = true
+					for i := range el.blks[a][b] {
+						for j := range el.blks[a][b][i] {
+							if rng.Intn(3) > 0 {
+								el.blks[a][b][i][j] = rng.NormFloat64()
+								el.masks[a][b] |= 1 << (3*i + j)
+							}
+						}
+					}
+				}
+			}
+			elems = append(elems, el)
+			switch rng.Intn(3) {
+			case 0:
+				elems = append(elems, el)
+			case 1:
+				neg := el // sums to exactly zero, and stays
+				for a := range neg.blks {
+					for b := range neg.blks[a] {
+						for i := range neg.blks[a][b] {
+							for j := range neg.blks[a][b][i] {
+								neg.blks[a][b][i][j] = -neg.blks[a][b][i][j]
+							}
+						}
+					}
+				}
+				elems = append(elems, neg)
+			}
+		}
 		ptr := make([]int, n+1)
 		var adj []int32
-		for r := 0; r < n; r++ {
-			for c := 0; c < n; c++ {
-				if c == r || rng.Intn(3) == 0 {
+		for r := range coupled {
+			for c, ok := range coupled[r] {
+				if ok {
 					adj = append(adj, int32(c))
 				}
 			}
@@ -32,36 +82,16 @@ func TestBlockAssemblerMatchesBuilder(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := NewBuilder(3 * n)
-		add := func(r int, c int32, blk [3][3]float64) {
-			a.AddBlock(int32(r), c, &blk)
-			for i, row := range blk {
-				for j, v := range row {
-					if v != 0 {
-						ref.Add(3*r+i, 3*int(c)+j, v)
-					}
-				}
-			}
-		}
-		for r := 0; r < n; r++ {
-			for _, c := range adj[ptr[r]:ptr[r+1]] {
-				mode := rng.Intn(5)
-				if mode == 0 {
-					continue // a block no element touches
-				}
-				for rep := 0; rep < 3; rep++ {
-					var blk, neg [3][3]float64
-					for i := range blk {
-						for j := range blk[i] {
-							if rng.Intn(3) > 0 {
-								blk[i][j] = rng.NormFloat64()
-								neg[i][j] = -blk[i][j]
+		for _, el := range elems {
+			for ra, r := range el.nodes {
+				a.AddBlock(r, &el.nodes, &el.blks[ra], &el.masks[ra])
+				for b, c := range el.nodes {
+					for i, row := range el.blks[ra][b] {
+						for j, v := range row {
+							if v != 0 {
+								ref.Add(3*int(r)+i, 3*int(c)+j, v)
 							}
 						}
-					}
-					add(r, c, blk)
-					if mode == 1 {
-						add(r, c, neg) // sums to exactly zero, and stays
-						break
 					}
 				}
 			}
@@ -96,11 +126,11 @@ func TestBlockAssemblerRejectsBadInput(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	a, err := NewBlockAssembler([]int{0, 1, 2}, []int32{0, 1})
+	a, err := NewBlockAssembler([]int{0, 3, 4, 5, 6}, []int32{0, 1, 3, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Compact(par.Even(3, 1)); err == nil {
+	if _, err := a.Compact(par.Even(5, 1)); err == nil {
 		t.Error("partition of the wrong size accepted")
 	}
 	defer func() {
@@ -108,7 +138,7 @@ func TestBlockAssemblerRejectsBadInput(t *testing.T) {
 			t.Error("AddBlock outside the adjacency did not panic")
 		}
 	}()
-	a.AddBlock(0, 1, &[3][3]float64{})
+	a.AddBlock(0, &[4]int32{3, 2, 1, 0}, &[4][3][3]float64{}, &[4]uint16{}) // row 0 lacks column 2
 }
 
 // TestBuilderBuildExactlySized: the matrix must not pin the

@@ -280,38 +280,3 @@ func (m *CSR) PartitionStats(pt par.Partition) []RankWork {
 	}
 	return out
 }
-
-// DiagonalBlock extracts the square sub-matrix of rows and columns
-// [lo, hi) as a dense-indexable CSR over the local index space — the
-// per-rank block used by the block Jacobi preconditioner. The rows are
-// already sorted, so it is a count-then-copy filter.
-func (m *CSR) DiagonalBlock(lo, hi int) *CSR {
-	n := hi - lo
-	blk := &CSR{N: n, RowPtr: make([]int64, n+1)}
-	for i := lo; i < hi; i++ {
-		cnt := int64(0)
-		for _, c := range m.Col[m.RowPtr[i]:m.RowPtr[i+1]] {
-			if int(c) >= lo && int(c) < hi {
-				cnt++
-			}
-		}
-		blk.RowPtr[i-lo+1] = blk.RowPtr[i-lo] + cnt
-	}
-	blk.Col = make([]int32, blk.RowPtr[n])
-	blk.Val = make([]float64, blk.RowPtr[n])
-	w := 0
-	for i := lo; i < hi; i++ {
-		start, end := m.RowPtr[i], m.RowPtr[i+1]
-		row := m.Val[start:end]
-		cols := m.Col[start:end][:len(row)]
-		for k, v := range row {
-			if c := int(cols[k]); c >= lo && c < hi {
-				blk.Col[w] = int32(c - lo)
-				blk.Val[w] = v
-				w++
-			}
-		}
-	}
-	blk.checkShape()
-	return blk
-}

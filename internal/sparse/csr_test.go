@@ -167,23 +167,6 @@ func TestPartitionStats(t *testing.T) {
 	}
 }
 
-func TestDiagonalBlock(t *testing.T) {
-	b := NewBuilder(4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			b.Add(i, j, float64(10*i+j))
-		}
-	}
-	m := b.Build()
-	blk := m.DiagonalBlock(1, 3)
-	if blk.N != 2 {
-		t.Fatalf("block N = %d", blk.N)
-	}
-	if blk.At(0, 0) != 11 || blk.At(0, 1) != 12 || blk.At(1, 0) != 21 || blk.At(1, 1) != 22 {
-		t.Errorf("block contents wrong: %v", denseFromCSR(blk))
-	}
-}
-
 func TestAtIsZeroOutsidePattern(t *testing.T) {
 	b := NewBuilder(5)
 	b.Add(2, 3, 7)

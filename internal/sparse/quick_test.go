@@ -116,26 +116,3 @@ func TestQuickPartitionStatsConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestQuickDiagonalBlockIsSubmatrix checks block extraction.
-func TestQuickDiagonalBlockIsSubmatrix(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 6 + rng.Intn(14)
-		a := quickCSR(seed, n)
-		lo := rng.Intn(n - 2)
-		hi := lo + 2 + rng.Intn(n-lo-2)
-		blk := a.DiagonalBlock(lo, hi)
-		for i := lo; i < hi; i++ {
-			for j := lo; j < hi; j++ {
-				if math.Abs(blk.At(i-lo, j-lo)-a.At(i, j)) > 1e-12 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}

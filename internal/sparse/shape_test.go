@@ -27,17 +27,19 @@ func TestConstructorsSatisfyCheckShape(t *testing.T) {
 		{"Builder.Build", func() (shaped, error) { return build(), nil }},
 		{"Builder.Build/empty", func() (shaped, error) { return NewBuilder(3).Build(), nil }},
 		{"BlockAssembler.Compact", func() (shaped, error) {
-			a, err := NewBlockAssembler([]int{0, 2, 3}, []int32{0, 1, 1})
+			a, err := NewBlockAssembler([]int{0, 4, 5, 6, 7}, []int32{0, 1, 2, 3, 1, 2, 3})
 			if err != nil {
 				return nil, err
 			}
-			a.AddBlock(0, 0, &[3][3]float64{{2, 0, 1}, {0, 2, 0}, {1, 0, 2}})
-			a.AddBlock(0, 1, &[3][3]float64{{0, -1, 0}, {0, 0, 0}, {0, 0, -1}})
-			a.AddBlock(1, 1, &[3][3]float64{{3, 0, 0}, {0, 3, 0}, {0, 0, 3}})
-			return a.Compact(par.Even(2, 2))
+			blks := [4][3][3]float64{
+				{{2, 0, 1}, {0, 2, 0}, {1, 0, 2}},
+				{{0, -1, 0}, {0, 0, 0}, {0, 0, -1}},
+				{{3, 0, 0}, {0, 3, 0}, {0, 0, 3}},
+				{{0, 0, 0}, {0, 1, 0}, {0, 0, 0}},
+			}
+			a.AddBlock(0, &[4]int32{2, 0, 3, 1}, &blks, &[4]uint16{0o525, 0o402, 0o421, 0o020})
+			return a.Compact(par.Even(4, 2))
 		}},
-		{"CSR.DiagonalBlock", func() (shaped, error) { return build().DiagonalBlock(1, 5), nil }},
-		{"CSR.DiagonalBlock/empty", func() (shaped, error) { return build().DiagonalBlock(2, 2), nil }},
 		{"NewCSR32", func() (shaped, error) { return NewCSR32(build()), nil }},
 		{"CSRFromParts", func() (shaped, error) {
 			m := build()

@@ -8,7 +8,8 @@
 # tests: sessions that stream concurrently on one artifact store share
 # its resident values, so a write to one is a data race — those two run
 # a few times more, since a race shows only in an interleaving that has
-# it).
+# it, and so do the exactness tests of the rank-parallel elimination and
+# block factor).
 #
 # Every go test carries an explicit -timeout well under the ten-minute
 # default: a lost completion signal (a missed WaitGroup.Done, a send
@@ -46,4 +47,6 @@ echo "== go test -fuzz (10s per target, list derived from sources)"
 echo "== go test -race -short ./..."
 go test -race -short -timeout 5m ./...
 go test -race -short -timeout 5m -count 5 -run 'TestSharedArtifactsAreNeverWritten|TestConcurrentSessionsFactorizeOnce' ./internal/core
+go test -race -short -timeout 5m -count 5 -run 'TestMemoizedBuildMatchesPerElementOracle' ./internal/fem
+go test -race -short -timeout 5m -count 5 -run 'TestBlockFactorsOfFEMOperatorsMatchOracle|TestSplitILUMatchesCombinedLayout' ./internal/solver
 echo "== OK"
