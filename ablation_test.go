@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -33,11 +34,11 @@ func BenchmarkAblationLoadBalance(b *testing.B) {
 	var even, bal figures.ScalingRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		even, err = figures.ScalingPointStrategy(built, mach, 16, opts, figures.EvenStrategy)
+		even, err = figures.ScalingPointStrategy(context.Background(), built, mach, 16, opts, figures.EvenStrategy)
 		if err != nil {
 			b.Fatal(err)
 		}
-		bal, err = figures.ScalingPointStrategy(built, mach, 16, opts, figures.BalancedStrategy)
+		bal, err = figures.ScalingPointStrategy(context.Background(), built, mach, 16, opts, figures.BalancedStrategy)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func BenchmarkAblationPreconditioner(b *testing.B) {
 	iters := map[string]int{}
 	for i := 0; i < b.N; i++ {
 		for _, c := range cases {
-			_, st, err := solver.GMRES(sys.K, sys.F, nil, c.pc, opts)
+			_, st, err := solver.GMRESContext(context.Background(), sys.K, sys.F, nil, c.pc, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -128,7 +129,7 @@ func BenchmarkAblationMaterialModel(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.SkipRigid = true
 			cfg.Materials = mt.tab
-			res, err := core.New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop)
+			res, err := registerCase(cfg, c)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -163,7 +164,7 @@ func BenchmarkBaselineDemonsVsBiomech(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultConfig()
 		cfg.SkipRigid = true
-		bio, err := core.New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop)
+		bio, err := registerCase(cfg, c)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,7 +214,7 @@ func BenchmarkAblationMeshResolution(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.SkipRigid = true
 			cfg.MeshCellSize = cell
-			res, err := core.New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop)
+			res, err := registerCase(cfg, c)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -243,7 +244,7 @@ func BenchmarkAblationMesher(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.SkipRigid = true
 			cfg.UseBCCMesh = useBCC
-			res, err := core.New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop)
+			res, err := registerCase(cfg, c)
 			if err != nil {
 				b.Fatal(err)
 			}

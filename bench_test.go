@@ -22,6 +22,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -40,13 +41,23 @@ var pipelineCase *phantom.Case
 var pipelineRes *core.Result
 var pipelineErr error
 
+// registerCase runs one full registration of the case's intraoperative
+// scan through a fresh session.
+func registerCase(cfg core.Config, c *phantom.Case) (*core.Result, error) {
+	sess, err := core.NewSession(cfg, c.Preop, c.PreopLabels)
+	if err != nil {
+		return nil, err
+	}
+	return sess.Register(context.Background(), c.Intraop)
+}
+
 func pipelineResult() (*phantom.Case, *core.Result, error) {
 	pipelineOnce.Do(func() {
 		c := phantom.Generate(phantom.DefaultParams(48))
 		cfg := core.DefaultConfig()
 		cfg.SkipRigid = true
 		pipelineCase = c
-		pipelineRes, pipelineErr = core.New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop)
+		pipelineRes, pipelineErr = registerCase(cfg, c)
 	})
 	return pipelineCase, pipelineRes, pipelineErr
 }
@@ -62,7 +73,7 @@ func builtSystem(b *testing.B, eqs int) *figures.Built {
 	if sys, ok := builtSystems[eqs]; ok {
 		return sys
 	}
-	sys, err := figures.BuildHeadSystem(figures.SystemSpec{TargetEquations: eqs, Seed: 1})
+	sys, err := figures.BuildHeadSystem(context.Background(), figures.SystemSpec{TargetEquations: eqs, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -100,7 +111,7 @@ func BenchmarkFig4MatchQuality(b *testing.B) {
 		c := phantom.Generate(phantom.DefaultParams(48))
 		cfg := core.DefaultConfig()
 		cfg.SkipRigid = true
-		res, err := core.New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop)
+		res, err := registerCase(cfg, c)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,10 +152,9 @@ func BenchmarkFig6PipelineTimeline(b *testing.B) {
 	c := phantom.Generate(phantom.DefaultParams(48))
 	cfg := core.DefaultConfig()
 	cfg.SkipRigid = true
-	pl := core.New(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := pl.Run(c.Preop, c.PreopLabels, c.Intraop)
+		res, err := registerCase(cfg, c)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,7 +192,7 @@ func scalingBench(b *testing.B, eqs int, mach cluster.Machine, cpus []int) {
 	var rows []figures.ScalingRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = figures.ScalingStudy(built, mach, cpus, solver.DefaultOptions())
+		rows, err = figures.ScalingStudy(context.Background(), built, mach, cpus, solver.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,7 +223,7 @@ func BenchmarkFig7DeepFlow(b *testing.B) {
 	var rows []figures.ScalingRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = figures.ScalingStudy(built, mach,
+		rows, err = figures.ScalingStudy(context.Background(), built, mach,
 			[]int{1, 2, 4, 6, 8, 10, 12, 14, 16}, solver.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
@@ -263,7 +273,7 @@ func BenchmarkFig9LargeSystem(b *testing.B) {
 	var rows []figures.ScalingRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = figures.ScalingStudy(built, mach,
+		rows, err = figures.ScalingStudy(context.Background(), built, mach,
 			[]int{1, 4, 8, 12, 16, 20}, solver.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -48,6 +49,7 @@ func main() {
 		*eqs9 /= 10
 	}
 
+	ctx := context.Background()
 	run := func(name string, fn func() error) {
 		if *fig != "all" && *fig != name {
 			return
@@ -64,39 +66,43 @@ func main() {
 		fmt.Print(cluster.Fig3Table())
 		return nil
 	})
-	run("4", func() error { return fig4(*size, *outDir) })
-	run("5", func() error { return fig5(*size, *outDir) })
-	run("6", func() error { return fig6(*size) })
+	run("4", func() error { return fig4(ctx, *size, *outDir) })
+	run("5", func() error { return fig5(ctx, *size, *outDir) })
+	run("6", func() error { return fig6(ctx, *size) })
 	run("7", func() error {
-		return scaling("Figure 7: Deep Flow cluster", *eqs7, cluster.DeepFlow(),
+		return scaling(ctx, "Figure 7: Deep Flow cluster", *eqs7, cluster.DeepFlow(),
 			[]int{1, 2, 4, 6, 8, 10, 12, 14, 16})
 	})
 	run("8a", func() error {
-		return scaling("Figure 8a: Sun Ultra HPC 6000 SMP", *eqs7, cluster.UltraHPC6000(),
+		return scaling(ctx, "Figure 8a: Sun Ultra HPC 6000 SMP", *eqs7, cluster.UltraHPC6000(),
 			[]int{1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20})
 	})
 	run("8b", func() error {
-		return scaling("Figure 8b: 2x Sun Ultra 80 + Fast Ethernet", *eqs7, cluster.Ultra80Pair(),
+		return scaling(ctx, "Figure 8b: 2x Sun Ultra 80 + Fast Ethernet", *eqs7, cluster.Ultra80Pair(),
 			[]int{1, 2, 3, 4, 5, 6, 7, 8})
 	})
 	run("9", func() error {
-		return scaling("Figure 9: 253,308 equations on Ultra 6000", *eqs9, cluster.UltraHPC6000(),
+		return scaling(ctx, "Figure 9: 253,308 equations on Ultra 6000", *eqs9, cluster.UltraHPC6000(),
 			[]int{1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20})
 	})
 }
 
 // runPipeline executes the full pipeline on a phantom case.
-func runPipeline(size int) (*phantom.Case, *core.Result, error) {
+func runPipeline(ctx context.Context, size int) (*phantom.Case, *core.Result, error) {
 	p := phantom.DefaultParams(size)
 	c := phantom.Generate(p)
 	cfg := core.DefaultConfig()
 	cfg.SkipRigid = true
-	res, err := core.New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop)
+	sess, err := core.NewSession(cfg, c.Preop, c.PreopLabels)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := sess.Register(ctx, c.Intraop)
 	return c, res, err
 }
 
-func fig4(size int, outDir string) error {
-	c, res, err := runPipeline(size)
+func fig4(ctx context.Context, size int, outDir string) error {
+	c, res, err := runPipeline(ctx, size)
 	if err != nil {
 		return err
 	}
@@ -132,8 +138,8 @@ func fig4(size int, outDir string) error {
 	return nil
 }
 
-func fig5(size int, outDir string) error {
-	c, res, err := runPipeline(size)
+func fig5(ctx context.Context, size int, outDir string) error {
+	c, res, err := runPipeline(ctx, size)
 	if err != nil {
 		return err
 	}
@@ -189,8 +195,8 @@ func fig5(size int, outDir string) error {
 	return nil
 }
 
-func fig6(size int) error {
-	_, res, err := runPipeline(size)
+func fig6(ctx context.Context, size int) error {
+	_, res, err := runPipeline(ctx, size)
 	if err != nil {
 		return err
 	}
@@ -204,12 +210,12 @@ var builtCache = map[int]*figures.Built{}
 // csvOut, when non-empty, receives per-figure scaling CSVs.
 var csvOut string
 
-func builtFor(eqs int) (*figures.Built, error) {
+func builtFor(ctx context.Context, eqs int) (*figures.Built, error) {
 	if b, ok := builtCache[eqs]; ok {
 		return b, nil
 	}
 	fmt.Printf("building ~%d-equation biomechanical system...\n", eqs)
-	b, err := figures.BuildHeadSystem(figures.SystemSpec{TargetEquations: eqs, Seed: 1})
+	b, err := figures.BuildHeadSystem(ctx, figures.SystemSpec{TargetEquations: eqs, Seed: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -217,14 +223,14 @@ func builtFor(eqs int) (*figures.Built, error) {
 	return b, nil
 }
 
-func scaling(title string, eqs int, mach cluster.Machine, cpus []int) error {
-	b, err := builtFor(eqs)
+func scaling(ctx context.Context, title string, eqs int, mach cluster.Machine, cpus []int) error {
+	b, err := builtFor(ctx, eqs)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("system: %d equations (%d nodes, %d elements, %d constrained DOFs)\n",
 		b.NumEq, b.Mesh.NumNodes(), b.Mesh.NumTets(), b.NumBC)
-	rows, err := figures.ScalingStudy(b, mach, cpus, solver.DefaultOptions())
+	rows, err := figures.ScalingStudy(ctx, b, mach, cpus, solver.DefaultOptions())
 	if err != nil {
 		return err
 	}

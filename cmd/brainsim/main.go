@@ -217,7 +217,11 @@ func run(o cliOptions) error {
 	log.InfoContext(ctx, "running pipeline",
 		"ranks", o.ranks, "cell_size", o.cellSize,
 		"materials", map[bool]string{false: "homogeneous", true: "heterogeneous"}[o.hetero])
-	res, err := core.New(cfg).RunContext(ctx, preop, labels, intraop)
+	sess, err := core.NewSession(cfg, preop, labels)
+	if err != nil {
+		return err
+	}
+	res, err := sess.Register(ctx, intraop)
 	if err != nil {
 		return err
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -56,7 +57,11 @@ func main() {
 
 	cfg := core.DefaultConfig()
 	cfg.SkipRigid = true
-	res, err := core.New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop)
+	sess, err := core.NewSession(cfg, c.Preop, c.PreopLabels)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := sess.Register(context.Background(), c.Intraop)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,11 @@ func main() {
 		cfg := core.DefaultConfig()
 		cfg.SkipRigid = true
 		cfg.Materials = mt.tab
-		res, err := core.New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop)
+		sess, err := core.NewSession(cfg, c.Preop, c.PreopLabels)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := sess.Register(context.Background(), c.Intraop)
 		if err != nil {
 			log.Fatal(err)
 		}

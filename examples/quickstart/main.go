@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,15 +23,21 @@ func main() {
 	//    resection caused the brain to shift.
 	c := phantom.Generate(phantom.DefaultParams(48))
 
-	// 2. The pipeline with default settings. SkipRigid because phantom
-	//    scan pairs already share one scanner frame; with real scans the
-	//    MI rigid registration stage would align them first.
+	// 2. A surgical session on the preoperative data, with default
+	//    settings. SkipRigid because phantom scan pairs already share
+	//    one scanner frame; with real scans the MI rigid registration
+	//    stage would align them first.
 	cfg := core.DefaultConfig()
 	cfg.SkipRigid = true
-	pipeline := core.New(cfg)
+	sess, err := core.NewSession(cfg, c.Preop, c.PreopLabels)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	// 3. Register the intraoperative scan.
-	res, err := pipeline.Run(c.Preop, c.PreopLabels, c.Intraop)
+	// 3. Register the intraoperative scan. The context bounds the run:
+	//    give it a deadline and an expiry during the solve degrades to
+	//    the rigid-only alignment.
+	res, err := sess.Register(context.Background(), c.Intraop)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -23,9 +24,10 @@ import (
 func main() {
 	eqs := flag.Int("eqs", 8000, "target number of equations")
 	flag.Parse()
+	ctx := context.Background()
 
 	fmt.Printf("building ~%d-equation biomechanical system from a synthetic case...\n", *eqs)
-	b, err := figures.BuildHeadSystem(figures.SystemSpec{TargetEquations: *eqs, Seed: 1})
+	b, err := figures.BuildHeadSystem(ctx, figures.SystemSpec{TargetEquations: *eqs, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func main() {
 		{cluster.Ultra80Pair(), []int{1, 2, 4, 8}},
 	}
 	for _, st := range studies {
-		rows, err := figures.ScalingStudy(b, st.mach, st.cpus, solver.DefaultOptions())
+		rows, err := figures.ScalingStudy(ctx, b, st.mach, st.cpus, solver.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,6 +35,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	svc := service.New(service.Options{Workers: 2})
 	defer svc.Close()
 
@@ -77,11 +78,11 @@ func main() {
 		wg.Add(1)
 		go func(r room) {
 			defer wg.Done()
-			j, err := svc.Submit(context.Background(), r.id, cases[r.id].Intraop)
+			j, err := svc.Submit(ctx, r.id, cases[r.id].Intraop)
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := j.Wait(context.Background())
+			res, err := j.Wait(ctx)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -100,7 +101,11 @@ func main() {
 	// above is reused (mesh, preconditioner factors, displacement seed)
 	// and only the boundary patch plus a warm-started solve runs.
 	fmt.Println("\nStreaming a follow-up scan through the incremental update path:")
-	if res, err := svc.Update(context.Background(), "or-1", cases["or-1"].Intraop); err != nil {
+	j, err := svc.SubmitUpdate(ctx, "or-1", cases["or-1"].Intraop)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if res, err := j.Wait(ctx); err != nil {
 		log.Fatal(err)
 	} else if res.Update != nil {
 		fmt.Printf("  incremental: %d boundary DOFs patched, pc cache hit %v, %d solve iters (%d saved)\n",
@@ -114,8 +119,8 @@ func main() {
 	// demo machine-dependent, so expiry is pinned to the start of the
 	// solve stage instead.
 	fmt.Println("\nSame scan with a time budget that expires during the solve:")
-	ctx := &stageDeadline{done: make(chan struct{})}
-	j, err := svc.Submit(ctx, "or-1", cases["or-1"].Intraop)
+	budget := &stageDeadline{done: make(chan struct{})}
+	j, err = svc.Submit(budget, "or-1", cases["or-1"].Intraop)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,14 +128,14 @@ func main() {
 		for {
 			for _, e := range j.Events() {
 				if e.Stage == core.StageSolve {
-					ctx.expire()
+					budget.expire()
 					return
 				}
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	switch res, err := j.Wait(context.Background()); {
+	switch res, err := j.Wait(ctx); {
 	case err != nil:
 		fmt.Printf("  aborted: %v\n", err)
 	case res.Degraded:

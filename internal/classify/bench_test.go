@@ -1,12 +1,13 @@
 package classify
 
 import (
+	"context"
 	"testing"
 )
 
 func BenchmarkClassify(b *testing.B) {
 	channels, labels := twoClassChannels(32, 3, 7)
-	protos, err := SamplePrototypes(labels, channels, 30, 11)
+	protos, err := SamplePrototypesContext(context.Background(), labels, channels, 30, 11)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -14,7 +15,7 @@ func BenchmarkClassify(b *testing.B) {
 	b.SetBytes(int64(channels[0].Grid.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Classify(channels); err != nil {
+		if _, err := c.ClassifyContext(context.Background(), channels); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -24,7 +25,7 @@ func BenchmarkSamplePrototypes(b *testing.B) {
 	channels, labels := twoClassChannels(32, 3, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SamplePrototypes(labels, channels, 30, 11); err != nil {
+		if _, err := SamplePrototypesContext(context.Background(), labels, channels, 30, 11); err != nil {
 			b.Fatal(err)
 		}
 	}

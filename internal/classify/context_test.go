@@ -43,7 +43,7 @@ func TestClassifyContextCancelled(t *testing.T) {
 
 func TestClassifyContextBackgroundMatchesClassify(t *testing.T) {
 	cl, channels := twoClassSetup()
-	a, err := cl.Classify(channels)
+	a, err := cl.ClassifyContext(context.Background(), channels)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,15 +136,9 @@ func (t *KDTree) search(n *kdNode, q []float64, bestD []float64, bestL []volume.
 	}
 }
 
-// ClassifyKD labels every voxel with a background context; see
-// ClassifyKDContext.
-func (c *Classifier) ClassifyKD(channels []*volume.Scalar) (*volume.Labels, error) {
-	return c.ClassifyKDContext(context.Background(), channels)
-}
-
 // ClassifyKDContext labels every voxel like ClassifyContext but answers
 // neighbor queries through a k-d tree. Results are identical to
-// Classify up to ties at exactly equal distances; validation, worker
+// ClassifyContext's up to ties at exactly equal distances; validation, worker
 // fan-out and context semantics are ClassifyContext's.
 func (c *Classifier) ClassifyKDContext(ctx context.Context, channels []*volume.Scalar) (*volume.Labels, error) {
 	return c.classify(ctx, channels, true)

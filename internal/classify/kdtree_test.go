@@ -103,16 +103,16 @@ func TestKDTreeEmpty(t *testing.T) {
 
 func TestClassifyKDMatchesClassify(t *testing.T) {
 	channels, labels := twoClassChannels(14, 3, 41)
-	protos, err := SamplePrototypes(labels, channels, 25, 42)
+	protos, err := SamplePrototypesContext(context.Background(), labels, channels, 25, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := &Classifier{K: 5, Prototypes: protos, Workers: 3}
-	a, err := c.Classify(channels)
+	a, err := c.ClassifyContext(context.Background(), channels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.ClassifyKD(channels)
+	b, err := c.ClassifyKDContext(context.Background(), channels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,19 +133,19 @@ func TestClassifyKDErrors(t *testing.T) {
 	c := &Classifier{K: 1}
 	g := volume.NewGrid(2, 2, 2, 1)
 	ch := volume.NewScalar(g)
-	if _, err := c.ClassifyKD([]*volume.Scalar{ch}); err == nil {
+	if _, err := c.ClassifyKDContext(context.Background(), []*volume.Scalar{ch}); err == nil {
 		t.Error("empty classifier accepted")
 	}
 	c.Prototypes = []Prototype{{Features: []float64{1}, Label: 1}}
 	c.Weights = []float64{1, 2}
-	if _, err := c.ClassifyKD([]*volume.Scalar{ch}); err == nil {
+	if _, err := c.ClassifyKDContext(context.Background(), []*volume.Scalar{ch}); err == nil {
 		t.Error("weight arity mismatch accepted")
 	}
 	// A prototype with too few features is an error, as in Classify —
 	// not an index past its Features inside a worker.
 	c.Weights = nil
 	c.Prototypes = append(c.Prototypes, Prototype{Label: 2})
-	if _, err := c.ClassifyKD([]*volume.Scalar{ch}); err == nil {
+	if _, err := c.ClassifyKDContext(context.Background(), []*volume.Scalar{ch}); err == nil {
 		t.Error("feature arity mismatch accepted")
 	}
 }
@@ -181,21 +181,21 @@ func TestClassifyWorkersDefault(t *testing.T) {
 
 func BenchmarkClassifyBruteVsKD(b *testing.B) {
 	channels, labels := twoClassChannels(24, 3, 51)
-	protos, err := SamplePrototypes(labels, channels, 500, 52)
+	protos, err := SamplePrototypesContext(context.Background(), labels, channels, 500, 52)
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := &Classifier{K: 5, Prototypes: protos, Workers: 2}
 	b.Run("brute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Classify(channels); err != nil {
+			if _, err := c.ClassifyContext(context.Background(), channels); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("kdtree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := c.ClassifyKD(channels); err != nil {
+			if _, err := c.ClassifyKDContext(context.Background(), channels); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -96,13 +96,6 @@ func validateChannels(channels []*volume.Scalar) error {
 	return nil
 }
 
-// SamplePrototypes draws prototypes with a background context; see
-// SamplePrototypesContext.
-func SamplePrototypes(labels *volume.Labels, channels []*volume.Scalar,
-	perClass int, seed int64, skip ...volume.Label) ([]Prototype, error) {
-	return SamplePrototypesContext(context.Background(), labels, channels, perClass, seed, skip...)
-}
-
 // SamplePrototypesContext draws up to perClass prototype voxels for
 // every label present in labels (excluding classes in skip), reading
 // their feature vectors from channels. Sampling is deterministic for a
@@ -164,12 +157,6 @@ func SamplePrototypesContext(ctx context.Context, labels *volume.Labels, channel
 	return protos, nil
 }
 
-// RefreshFeatures refreshes the prototype features with a background
-// context; see RefreshFeaturesContext.
-func (c *Classifier) RefreshFeatures(channels []*volume.Scalar) error {
-	return c.RefreshFeaturesContext(context.Background(), channels)
-}
-
 // RefreshFeaturesContext re-reads every prototype's feature vector from
 // a new set of channel volumes at the recorded voxel locations — the
 // paper's automatic statistical model update for subsequent
@@ -196,25 +183,17 @@ func (c *Classifier) RefreshFeaturesContext(ctx context.Context, channels []*vol
 	return nil
 }
 
-// RefreshFeaturesRobust refreshes the prototype features from new
-// channel volumes like RefreshFeatures, then discards prototypes whose
-// refreshed intensity (channel 0) is an outlier within their class —
-// deviating from the class median by more than maxDev median absolute
-// deviations. Such prototypes sit where the tissue itself changed
-// between scans (resection cavity, brain-shift gap) and would poison
-// the statistical model; a human expert would simply not pick them. At
-// least minKeep prototypes per class are always retained (the nearest
-// to the median), so a class can never vanish from the model.
-//
-// RefreshFeaturesRobust runs with a background context; see
-// RefreshFeaturesRobustContext.
-func (c *Classifier) RefreshFeaturesRobust(channels []*volume.Scalar, maxDev float64, minKeep int) error {
-	return c.RefreshFeaturesRobustContext(context.Background(), channels, maxDev, minKeep)
-}
-
-// RefreshFeaturesRobustContext is RefreshFeaturesRobust bounded by a
-// context: cancellation aborts during the underlying refresh and
-// between per-class outlier passes, returning ctx.Err().
+// RefreshFeaturesRobustContext refreshes the prototype features from
+// new channel volumes like RefreshFeaturesContext, then discards
+// prototypes whose refreshed intensity (channel 0) is an outlier within
+// their class — deviating from the class median by more than maxDev
+// median absolute deviations. Such prototypes sit where the tissue
+// itself changed between scans (resection cavity, brain-shift gap) and
+// would poison the statistical model; a human expert would simply not
+// pick them. At least minKeep prototypes per class are always retained
+// (the nearest to the median), so a class can never vanish from the
+// model. Cancellation aborts during the underlying refresh and between
+// per-class outlier passes, returning ctx.Err().
 func (c *Classifier) RefreshFeaturesRobustContext(ctx context.Context, channels []*volume.Scalar, maxDev float64, minKeep int) error {
 	if err := c.RefreshFeaturesContext(ctx, channels); err != nil {
 		return err
@@ -299,12 +278,6 @@ func abs64(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-// Classify labels every voxel with a background context; see
-// ClassifyContext.
-func (c *Classifier) Classify(channels []*volume.Scalar) (*volume.Labels, error) {
-	return c.ClassifyContext(context.Background(), channels)
 }
 
 // ClassifyContext labels every voxel of the channel volumes by majority

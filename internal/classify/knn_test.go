@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -35,7 +36,7 @@ func twoClassChannels(n int, noise float64, seed int64) ([]*volume.Scalar, *volu
 
 func TestSamplePrototypesPerClass(t *testing.T) {
 	channels, labels := twoClassChannels(8, 0, 1)
-	protos, err := SamplePrototypes(labels, channels, 5, 42)
+	protos, err := SamplePrototypesContext(context.Background(), labels, channels, 5, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestSamplePrototypesPerClass(t *testing.T) {
 
 func TestSamplePrototypesSkipsClasses(t *testing.T) {
 	channels, labels := twoClassChannels(8, 0, 1)
-	protos, err := SamplePrototypes(labels, channels, 5, 42, volume.LabelCSF)
+	protos, err := SamplePrototypesContext(context.Background(), labels, channels, 5, 42, volume.LabelCSF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +64,8 @@ func TestSamplePrototypesSkipsClasses(t *testing.T) {
 
 func TestSamplePrototypesDeterministic(t *testing.T) {
 	channels, labels := twoClassChannels(8, 1, 2)
-	a, _ := SamplePrototypes(labels, channels, 3, 7)
-	b, _ := SamplePrototypes(labels, channels, 3, 7)
+	a, _ := SamplePrototypesContext(context.Background(), labels, channels, 3, 7)
+	b, _ := SamplePrototypesContext(context.Background(), labels, channels, 3, 7)
 	if len(a) != len(b) {
 		t.Fatal("different lengths")
 	}
@@ -77,23 +78,23 @@ func TestSamplePrototypesDeterministic(t *testing.T) {
 
 func TestSamplePrototypesErrors(t *testing.T) {
 	channels, labels := twoClassChannels(8, 0, 1)
-	if _, err := SamplePrototypes(labels, nil, 5, 1); err == nil {
+	if _, err := SamplePrototypesContext(context.Background(), labels, nil, 5, 1); err == nil {
 		t.Error("no channels accepted")
 	}
 	other := volume.NewLabels(volume.NewGrid(4, 4, 4, 1))
-	if _, err := SamplePrototypes(other, channels, 5, 1); err == nil {
+	if _, err := SamplePrototypesContext(context.Background(), other, channels, 5, 1); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 }
 
 func TestClassifyTwoClassesCleanly(t *testing.T) {
 	channels, labels := twoClassChannels(12, 2, 3)
-	protos, err := SamplePrototypes(labels, channels, 8, 9)
+	protos, err := SamplePrototypesContext(context.Background(), labels, channels, 8, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := &Classifier{K: 3, Prototypes: protos}
-	got, err := c.Classify(channels)
+	got, err := c.ClassifyContext(context.Background(), channels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestClassifyMajorityVote(t *testing.T) {
 		{Features: []float64{48}, Label: volume.LabelBrain, VoxelIndex: 0},
 	}
 	c := &Classifier{K: 3, Prototypes: protos}
-	out, err := c.Classify([]*volume.Scalar{ch})
+	out, err := c.ClassifyContext(context.Background(), []*volume.Scalar{ch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestClassifyMajorityVote(t *testing.T) {
 	}
 	// With K=1 the exact-match CSF prototype wins.
 	c.K = 1
-	out, _ = c.Classify([]*volume.Scalar{ch})
+	out, _ = c.ClassifyContext(context.Background(), []*volume.Scalar{ch})
 	if out.Data[0] != volume.LabelCSF {
 		t.Errorf("1-NN = %v, want csf", out.Data[0])
 	}
@@ -145,7 +146,7 @@ func TestClassifyWeightsChannels(t *testing.T) {
 		{Features: []float64{10, 10}, Label: volume.LabelBrain},
 	}
 	c := &Classifier{K: 1, Prototypes: protos, Weights: []float64{1, 0.01}}
-	out, err := c.Classify([]*volume.Scalar{ch1, ch2})
+	out, err := c.ClassifyContext(context.Background(), []*volume.Scalar{ch1, ch2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestClassifyWeightsChannels(t *testing.T) {
 		t.Error("channel weighting ignored")
 	}
 	c.Weights = []float64{0.01, 1}
-	out, _ = c.Classify([]*volume.Scalar{ch1, ch2})
+	out, _ = c.ClassifyContext(context.Background(), []*volume.Scalar{ch1, ch2})
 	if out.Data[0] != volume.LabelBrain {
 		t.Error("channel weighting ignored (flipped)")
 	}
@@ -163,23 +164,23 @@ func TestClassifyErrors(t *testing.T) {
 	g := volume.NewGrid(2, 2, 2, 1)
 	ch := volume.NewScalar(g)
 	c := &Classifier{K: 1}
-	if _, err := c.Classify([]*volume.Scalar{ch}); err == nil {
+	if _, err := c.ClassifyContext(context.Background(), []*volume.Scalar{ch}); err == nil {
 		t.Error("empty classifier accepted")
 	}
 	c.Prototypes = []Prototype{{Features: []float64{1, 2}, Label: 1}}
-	if _, err := c.Classify([]*volume.Scalar{ch}); err == nil {
+	if _, err := c.ClassifyContext(context.Background(), []*volume.Scalar{ch}); err == nil {
 		t.Error("feature arity mismatch accepted")
 	}
 	c.Prototypes = []Prototype{{Features: []float64{1}, Label: 1}}
 	c.Weights = []float64{1, 2, 3}
-	if _, err := c.Classify([]*volume.Scalar{ch}); err == nil {
+	if _, err := c.ClassifyContext(context.Background(), []*volume.Scalar{ch}); err == nil {
 		t.Error("weight arity mismatch accepted")
 	}
 }
 
 func TestRefreshFeatures(t *testing.T) {
 	channels, labels := twoClassChannels(8, 0, 4)
-	protos, err := SamplePrototypes(labels, channels, 3, 11)
+	protos, err := SamplePrototypesContext(context.Background(), labels, channels, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestRefreshFeatures(t *testing.T) {
 	for i := range shifted.Data {
 		shifted.Data[i] += 1000
 	}
-	if err := c.RefreshFeatures([]*volume.Scalar{shifted}); err != nil {
+	if err := c.RefreshFeaturesContext(context.Background(), []*volume.Scalar{shifted}); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range c.Prototypes {
@@ -199,14 +200,14 @@ func TestRefreshFeatures(t *testing.T) {
 	}
 	// Out-of-range prototype index is rejected.
 	c.Prototypes[0].VoxelIndex = 1 << 30
-	if err := c.RefreshFeatures([]*volume.Scalar{shifted}); err == nil {
+	if err := c.RefreshFeaturesContext(context.Background(), []*volume.Scalar{shifted}); err == nil {
 		t.Error("out-of-range prototype accepted")
 	}
 }
 
 func TestRefreshFeaturesRobustDropsChangedTissue(t *testing.T) {
 	channels, labels := twoClassChannels(10, 1, 21)
-	protos, err := SamplePrototypes(labels, channels, 20, 22)
+	protos, err := SamplePrototypesContext(context.Background(), labels, channels, 20, 22)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestRefreshFeaturesRobustDropsChangedTissue(t *testing.T) {
 			}
 		}
 	}
-	if err := c.RefreshFeaturesRobust([]*volume.Scalar{newScan}, 4, 3); err != nil {
+	if err := c.RefreshFeaturesRobustContext(context.Background(), []*volume.Scalar{newScan}, 4, 3); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Prototypes) >= before {
@@ -238,7 +239,7 @@ func TestRefreshFeaturesRobustDropsChangedTissue(t *testing.T) {
 
 func TestRefreshFeaturesRobustKeepsMinimum(t *testing.T) {
 	channels, labels := twoClassChannels(8, 1, 23)
-	protos, err := SamplePrototypes(labels, channels, 6, 24)
+	protos, err := SamplePrototypesContext(context.Background(), labels, channels, 6, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestRefreshFeaturesRobustKeepsMinimum(t *testing.T) {
 			newScan.Data[i] = 5
 		}
 	}
-	if err := c.RefreshFeaturesRobust([]*volume.Scalar{newScan}, 4, 4); err != nil {
+	if err := c.RefreshFeaturesRobustContext(context.Background(), []*volume.Scalar{newScan}, 4, 4); err != nil {
 		t.Fatal(err)
 	}
 	count := map[volume.Label]int{}
@@ -265,14 +266,14 @@ func TestRefreshFeaturesRobustKeepsMinimum(t *testing.T) {
 
 func TestRefreshFeaturesRobustStableOnCleanData(t *testing.T) {
 	channels, labels := twoClassChannels(10, 1, 25)
-	protos, err := SamplePrototypes(labels, channels, 15, 26)
+	protos, err := SamplePrototypesContext(context.Background(), labels, channels, 15, 26)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := &Classifier{K: 3, Prototypes: protos}
 	before := len(c.Prototypes)
 	// Refreshing from the same scan must not drop (non-outlier) protos.
-	if err := c.RefreshFeaturesRobust(channels, 6, 3); err != nil {
+	if err := c.RefreshFeaturesRobustContext(context.Background(), channels, 6, 3); err != nil {
 		t.Fatal(err)
 	}
 	if dropped := before - len(c.Prototypes); dropped > before/10 {
@@ -294,17 +295,17 @@ func TestMedian(t *testing.T) {
 
 func TestClassifyParallelMatchesSerial(t *testing.T) {
 	channels, labels := twoClassChannels(10, 3, 5)
-	protos, err := SamplePrototypes(labels, channels, 6, 13)
+	protos, err := SamplePrototypesContext(context.Background(), labels, channels, 6, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serial := &Classifier{K: 3, Prototypes: protos, Workers: 1}
 	parallel := &Classifier{K: 3, Prototypes: protos, Workers: 8}
-	a, err := serial.Classify(channels)
+	a, err := serial.ClassifyContext(context.Background(), channels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parallel.Classify(channels)
+	b, err := parallel.ClassifyContext(context.Background(), channels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,12 +333,12 @@ func TestClassifyPhantomWithLocalizationChannel(t *testing.T) {
 		edt.Saturated(labels, volume.LabelBrain, 10),
 		edt.Saturated(labels, volume.LabelCSF, 10),
 	}
-	protos, err := SamplePrototypes(labels, channels, 20, 17)
+	protos, err := SamplePrototypesContext(context.Background(), labels, channels, 20, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := &Classifier{K: 5, Prototypes: protos, Weights: []float64{1, 10, 10}}
-	got, err := c.Classify(channels)
+	got, err := c.ClassifyContext(context.Background(), channels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,12 +351,12 @@ func TestClassifyPhantomWithLocalizationChannel(t *testing.T) {
 	}
 
 	// Intensity-only classifier should do worse (or at best equal).
-	protosI, err := SamplePrototypes(labels, channels[:1], 20, 17)
+	protosI, err := SamplePrototypesContext(context.Background(), labels, channels[:1], 20, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ci := &Classifier{K: 5, Prototypes: protosI}
-	gotI, err := ci.Classify(channels[:1])
+	gotI, err := ci.ClassifyContext(context.Background(), channels[:1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,7 @@ import (
 func TestArtifactCacheHitIsBitIdentical(t *testing.T) {
 	c := testCase(24)
 
-	cold := New(fastConfig())
-	coldRes, err := cold.Run(c.Preop, c.PreopLabels, c.Intraop)
+	coldRes, err := registerCase(context.Background(), fastConfig(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +40,14 @@ func TestArtifactCacheHitIsBitIdentical(t *testing.T) {
 	}
 	cfgWarm := fastConfig()
 	cfgWarm.ArtifactStore = store
-	if _, err := New(cfgWarm).Run(c.Preop, c.PreopLabels, c.Intraop); err != nil {
+	if _, err := registerCase(context.Background(), cfgWarm, c); err != nil {
 		t.Fatalf("populate run: %v", err)
 	}
 	if st := store.Stats(); st.Misses == 0 {
 		t.Fatalf("populate run recorded no misses: %+v", st)
 	}
 
-	warmRes, err := New(cfgWarm).Run(c.Preop, c.PreopLabels, c.Intraop)
+	warmRes, err := registerCase(context.Background(), cfgWarm, c)
 	if err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
@@ -81,7 +80,7 @@ func cacheHits(t *testing.T, cfg Config, c *phantom.Case) map[string]bool {
 	t.Helper()
 	var buf bytes.Buffer
 	tracer := obs.NewTracer(&buf)
-	if _, err := New(cfg).RunContext(obs.WithTracer(context.Background(), tracer), c.Preop, c.PreopLabels, c.Intraop); err != nil {
+	if _, err := registerCase(obs.WithTracer(context.Background(), tracer), cfg, c); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := obs.ReadSpans(&buf)
@@ -194,7 +193,7 @@ func TestPureStagesByteDeterministic(t *testing.T) {
 		}
 		cfg := fastConfig()
 		cfg.ArtifactStore = store
-		if _, err := New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop); err != nil {
+		if _, err := registerCase(context.Background(), cfg, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,7 +244,7 @@ func resultDigest(res *Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestResultDigestsPinned pins every path's output bits: a cold Run, a
+// TestResultDigestsPinned pins every path's output bits: a
 // Session.Register and two streamed Updates at size 24. The constants
 // were re-pinned once, in PR 18, for the solver's reduction-order change
 // (inner products summed as fixed 2,048-element chunks of four lanes
@@ -279,13 +278,11 @@ func TestResultDigestsPinned(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	res, err := New(fastConfig()).Run(scans[0].Preop, scans[0].PreopLabels, scans[0].Intraop)
-	check("Run", res, err, registerDigest)
 	sess, err := NewSession(fastConfig(), scans[0].Preop, scans[0].PreopLabels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = sess.Register(ctx, scans[0].Intraop)
+	res, err := sess.Register(ctx, scans[0].Intraop)
 	check("Register", res, err, registerDigest)
 	res, err = sess.Update(ctx, scans[1].Intraop)
 	check("first Update", res, err, update1Digest)

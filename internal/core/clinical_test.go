@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/geom"
@@ -31,7 +32,7 @@ func TestPipelineAnisotropicClinicalGeometry(t *testing.T) {
 
 	cfg := fastConfig()
 	cfg.MeshCellSize = 2
-	res, err := New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop)
+	res, err := registerCase(context.Background(), cfg, c)
 	if err != nil {
 		t.Fatal(err)
 	}

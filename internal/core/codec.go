@@ -45,7 +45,9 @@ import (
 // v5: preop-assemble stores the Dirichlet-eliminated operator (matrix,
 // constrained set, coupling block) and no load vector; a stage output's
 // content hash is the SHA-256 of its blob.
-const codecVersion = 5
+// v6: preop-assemble's counters drop the per-rank bytes-sent and message
+// arrays, which nothing wrote.
+const codecVersion = 6
 
 // codec is an artifact type's encoder/decoder pair, attached to the
 // type once (the vars below). A decoder reports damage through the
@@ -333,23 +335,15 @@ func decodeGrid(r *codecReader) volume.Grid {
 	}
 }
 
-// gridLen returns the voxel count of a decoded grid; false when a
-// dimension is negative or the count overflows.
-func gridLen(g volume.Grid) (int, bool) {
-	n := 1
-	for _, d := range [3]int{g.NX, g.NY, g.NZ} {
-		if d < 0 || (d > 0 && n > math.MaxInt/d) {
-			return 0, false
-		}
-		n *= d
-	}
-	return n, true
-}
-
-// checkVoxels rejects a volume whose data length is not its grid's
-// voxel count.
+// checkVoxels rejects a volume whose grid is invalid or whose data
+// length is not the grid's voxel count.
 func (r *codecReader) checkVoxels(what string, g volume.Grid, n int) {
-	if want, ok := gridLen(g); r.err == nil && (!ok || want != n) {
+	if r.err != nil {
+		return
+	}
+	if err := g.Validate(); err != nil {
+		r.reject(fmt.Errorf("%s: %w", what, err))
+	} else if g.Len() != n {
 		r.reject(fmt.Errorf("%s: %d values on a %dx%dx%d grid", what, n, g.NX, g.NY, g.NZ))
 	}
 }
@@ -579,8 +573,6 @@ func encodeOperatorParts(w *codecWriter, k *sparse.CSR, pt par.Partition, counte
 	encodeInts(w, pt.Starts)
 	w.i64(counters.P)
 	w.f64s(counters.Flops)
-	w.f64s(counters.BytesSent)
-	w.f64s(counters.Messages)
 	w.u64(uint64(len(constrained)))
 	if b := w.next(len(constrained)); b != nil {
 		for i, c := range constrained {
@@ -614,8 +606,6 @@ func decodeOperator(r *codecReader) *fem.Operator {
 	pt.Starts = decodeInts(r, "partition starts")
 	counters := &par.Counters{P: r.i64("counters")}
 	counters.Flops = r.f64s("counters flops")
-	counters.BytesSent = r.f64s("counters bytes")
-	counters.Messages = r.f64s("counters messages")
 	nc := r.sliceLen("constrained flags", 1)
 	constrained := make([]bool, nc)
 	for i, b := range r.take("constrained flags", nc) {
@@ -665,10 +655,10 @@ func decodeInterpTable(r *codecReader) *fem.InterpTable {
 	// The node count belongs to the mesh artifact; only the lower bound
 	// of a node index is checkable here.
 	r.checkIndices("interp node", nodes, math.MaxInt)
-	if n, ok := gridLen(g); ok {
-		r.checkIndices("interp voxel", vox, n)
+	if err := g.Validate(); err != nil {
+		r.reject(fmt.Errorf("interp grid: %w", err))
 	} else {
-		r.reject(fmt.Errorf("interp grid %dx%dx%d", g.NX, g.NY, g.NZ))
+		r.checkIndices("interp voxel", vox, g.Len())
 	}
 	if r.err != nil {
 		return nil

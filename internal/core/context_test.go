@@ -86,7 +86,7 @@ func TestRunContextCancelDuringSolve(t *testing.T) {
 	// Cancel exactly when the FEM solve begins: the GMRES loop must
 	// notice within one restart cycle and attribute the abort to the
 	// solve stage.
-	_, err := New(fastConfig()).RunContext(atStage(ctx, StageSolve, cancel), c.Preop, c.PreopLabels, c.Intraop)
+	_, err := registerCase(atStage(ctx, StageSolve, cancel), fastConfig(), c)
 	if err == nil {
 		t.Fatal("cancelled solve returned no error")
 	}
@@ -106,7 +106,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	c := testCase(24)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := New(fastConfig()).RunContext(ctx, c.Preop, c.PreopLabels, c.Intraop)
+	_, err := registerCase(ctx, fastConfig(), c)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -122,7 +122,7 @@ func TestRunContextDeadlineAfterSurfaceDegradesToRigid(t *testing.T) {
 	// The deadline expires the moment the solve starts — i.e. after the
 	// surface stage completed. The clinical fallback applies: no error,
 	// rigid-only result marked degraded.
-	res, err := New(fastConfig()).RunContext(atStage(ctx, StageSolve, ctx.expire), c.Preop, c.PreopLabels, c.Intraop)
+	res, err := registerCase(atStage(ctx, StageSolve, ctx.expire), fastConfig(), c)
 	if err != nil {
 		t.Fatalf("deadline after surface must degrade, not fail: %v", err)
 	}
@@ -179,7 +179,7 @@ func checkDegradedWithSolutionInHand(t *testing.T, res *Result, err error) {
 func TestRunContextDeadlineAfterSolveDeliversNoStresses(t *testing.T) {
 	c := testCase(24)
 	ctx := newExpirableCtx()
-	res, err := New(fastConfig()).RunContext(afterStage(ctx, StageSolve, ctx.expire), c.Preop, c.PreopLabels, c.Intraop)
+	res, err := registerCase(afterStage(ctx, StageSolve, ctx.expire), fastConfig(), c)
 	checkDegradedWithSolutionInHand(t, res, err)
 }
 
@@ -188,7 +188,7 @@ func TestRunContextDeadlineBeforeSurfaceFails(t *testing.T) {
 	ctx := newExpirableCtx()
 	// Expiring during classification is before the fallback point: the
 	// scan must fail with a stage-attributed deadline error.
-	_, err := New(fastConfig()).RunContext(atStage(ctx, StageClassify, ctx.expire), c.Preop, c.PreopLabels, c.Intraop)
+	_, err := registerCase(atStage(ctx, StageClassify, ctx.expire), fastConfig(), c)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -202,7 +202,7 @@ func TestObserverSeesAllStagesInOrder(t *testing.T) {
 	c := testCase(24)
 	sink := obs.NewStageSink(obs.NewRegistry())
 	ctx := obs.WithSink(context.Background(), sink)
-	res, err := New(fastConfig()).RunContext(ctx, c.Preop, c.PreopLabels, c.Intraop)
+	res, err := registerCase(ctx, fastConfig(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +227,8 @@ func TestObserverSeesAllStagesInOrder(t *testing.T) {
 	}
 }
 
-// TestMisSizedSolverPartitionRejected: a Solver.Partition is refused at
-// every entry point. It used to replace the Ranks partition silently,
+// TestMisSizedSolverPartitionRejected: a Solver.Partition is refused by
+// NewSession. It used to replace the Ranks partition silently,
 // and one that does not cover the system (seven rows of 2,061 here)
 // factorized a fragment of it: the preconditioned residual was ≈ 0 at
 // entry, so the run returned err == nil, Converged after 1 iteration,
@@ -237,24 +237,13 @@ func TestMisSizedSolverPartitionRejected(t *testing.T) {
 	c := testCase(24)
 	cfg := fastConfig()
 	cfg.Solver.Partition = par.Partition{N: 7, P: 3, Starts: []int{0, 2, 4, 7}}
-	rejected := func(entry string, res *Result, err error) {
-		t.Helper()
-		if err == nil {
-			t.Errorf("%s accepted the partition: %v, match %.3f against rigid-only %.3f",
-				entry, res.SolveStats, res.MatchMeanAbsDiff, res.RigidMeanAbsDiff)
-		} else if !strings.Contains(err.Error(), "Solver.Partition") {
-			t.Errorf("%s: error %q does not name Solver.Partition", entry, err)
-		}
-	}
-	res, err := New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop)
-	rejected("Pipeline.Run", res, err)
-	res, err = New(cfg).RunContext(context.Background(), c.Preop, c.PreopLabels, c.Intraop)
-	rejected("Pipeline.RunContext", res, err)
-	sess, err := NewSession(cfg, c.Preop, c.PreopLabels)
+	res, err := registerCase(context.Background(), cfg, c)
 	if err == nil {
-		res, err = sess.Register(context.Background(), c.Intraop)
+		t.Errorf("accepted the partition: %v, match %.3f against rigid-only %.3f",
+			res.SolveStats, res.MatchMeanAbsDiff, res.RigidMeanAbsDiff)
+	} else if !strings.Contains(err.Error(), "Solver.Partition") {
+		t.Errorf("error %q does not name Solver.Partition", err)
 	}
-	rejected("NewSession", res, err)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -285,12 +274,6 @@ func TestConfigValidate(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not name field %s", err, tc.want)
 			}
-			// New defers the error to Run so call chains keep compiling.
-			if _, runErr := New(cfg).Run(nil, nil, nil); runErr == nil ||
-				!strings.Contains(runErr.Error(), tc.want) {
-				t.Errorf("New(bad).Run err = %v, want validation error", runErr)
-			}
-			// NewSession reports it eagerly.
 			if _, sessErr := NewSession(cfg, nil, nil); sessErr == nil ||
 				!strings.Contains(sessErr.Error(), tc.want) {
 				t.Errorf("NewSession err = %v, want validation error", sessErr)

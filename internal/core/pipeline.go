@@ -81,9 +81,7 @@ type Config struct {
 // them: out-of-range MeshCellSize, Ranks, KNN, PrototypesPerClass or
 // EDTSaturation, or a Solver.Partition (a second, unchecked way to state
 // Ranks: one that does not cover the system preconditions a fragment of
-// it and "converges" on the rigid answer). New and the service layer
-// both call it; New defers the reported error to the first Run so that
-// the chained core.New(cfg).Run(...) idiom keeps working.
+// it and "converges" on the rigid answer). NewSession calls it.
 func (c Config) Validate() error {
 	var errs []error
 	if c.MeshCellSize < 1 {
@@ -221,43 +219,6 @@ func (r *Result) Timeline() string {
 	return b.String()
 }
 
-// Pipeline runs intraoperative registrations against one preoperative
-// preparation.
-type Pipeline struct {
-	cfg Config
-	// cfgErr holds the Validate error of an invalid configuration; it
-	// is returned by Run/RunContext so the core.New(cfg).Run(...) call
-	// chain keeps compiling while still surfacing the problem.
-	cfgErr error
-}
-
-// New creates a pipeline with the given configuration. The
-// configuration is validated (see Config.Validate); a validation error
-// is reported by the first Run or RunContext call.
-func New(cfg Config) *Pipeline {
-	return &Pipeline{cfg: cfg, cfgErr: cfg.Validate()}
-}
-
-// Run executes the full intraoperative pipeline with a background
-// context; see RunContext.
-func (p *Pipeline) Run(preop *volume.Scalar, preopLabels *volume.Labels, intraop *volume.Scalar) (*Result, error) {
-	return p.RunContext(context.Background(), preop, preopLabels, intraop)
-}
-
-// RunContext executes the full intraoperative pipeline: preop and
-// preopLabels are the preoperative preparation; intraop is the newly
-// acquired scan. The context bounds the run: cancellation or deadline
-// expiry aborts the current stage promptly (within one GMRES restart
-// cycle during the solve) and returns the context error wrapped in a
-// *StageError identifying the interrupted stage. One exception
-// implements the paper's clinical fallback: if the *deadline* expires
-// after the surface stage has completed, the rigid-only result is
-// returned, marked Degraded, instead of an error — the surgeon still
-// gets the rigid alignment on time.
-func (p *Pipeline) RunContext(ctx context.Context, preop *volume.Scalar, preopLabels *volume.Labels, intraop *volume.Scalar) (*Result, error) {
-	return p.run(ctx, &scan{preop: preop, preopLabels: preopLabels, intraop: intraop})
-}
-
 // baseline is what one scan leaves for the next: the statistical model,
 // the artifacts derived from the preoperative preparation alone (a full
 // registration computes them, an update pins them), the constrained FEM
@@ -311,15 +272,12 @@ type scan struct {
 	solveRes *fem.SolveResult
 }
 
-// run validates one scan's inputs and executes the stage sequence under
-// a pipeline.run (full registration) or pipeline.update (pinned
+// runScan validates one scan's inputs and executes the stage sequence
+// under a pipeline.run (full registration) or pipeline.update (pinned
 // baseline) span. With a tracer on the context (see package obs) the
 // run becomes a span hierarchy: run → per-stage spans → the nested
 // solver/assembly/classification spans.
-func (p *Pipeline) run(ctx context.Context, sc *scan) (*Result, error) {
-	if p.cfgErr != nil {
-		return nil, p.cfgErr
-	}
+func (s *Session) runScan(ctx context.Context, sc *scan) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -347,7 +305,7 @@ func (p *Pipeline) run(ctx context.Context, sc *scan) (*Result, error) {
 	ctx, runSpan := obs.StartSpan(ctx, spanName)
 	var runErr error
 	defer func() { runSpan.End(runErr) }()
-	res, err := p.finish(ctx, p.runStages(ctx, sc, warm), sc)
+	res, err := s.finish(ctx, s.runStages(ctx, sc, warm), sc)
 	if res != nil {
 		runSpan.SetAttr("degraded", res.Degraded)
 	}
@@ -364,7 +322,7 @@ func checkVolume(what string, g volume.Grid, n int) error {
 	if err := g.Validate(); err != nil {
 		return fmt.Errorf("core: %s: %w", what, err)
 	}
-	if want, ok := gridLen(g); !ok || want != n {
+	if g.Len() != n {
 		return fmt.Errorf("core: %s: %d values on a %dx%dx%d grid", what, n, g.NX, g.NY, g.NZ)
 	}
 	return nil
@@ -417,8 +375,8 @@ func newStageRunner(ctx context.Context, res *Result) func(name string, fn func(
 // in the scanner frame for the duration of the case. Each preop-pure
 // stage goes through cached, keyed on exactly the handle and key struct
 // it is called with.
-func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
-	cfg, store := p.cfg, p.cfg.ArtifactStore
+func (s *Session) runStages(ctx context.Context, sc *scan, warm bool) error {
+	cfg, store := s.cfg, s.cfg.ArtifactStore
 	stage := newStageRunner(ctx, sc.res)
 	// Handles of the preoperative artifacts later pure stages key on.
 	var (
@@ -434,7 +392,7 @@ func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
 				sc.preop.Grid, sc.intraop.Grid)
 		}
 		if err := stage(StageRigid, func(ctx context.Context) error {
-			return p.stageRigidAlign(ctx, sc)
+			return s.stageRigidAlign(ctx, sc)
 		}); err != nil {
 			return err
 		}
@@ -449,7 +407,7 @@ func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
 			}
 			sc.edt = ch.val
 		}
-		return p.stageClassify(ctx, sc)
+		return s.stageClassify(ctx, sc)
 	}); err != nil {
 		return err
 	}
@@ -467,7 +425,7 @@ func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
 	}
 	if err := stage(StageSurface, func(ctx context.Context) error {
 		if warm {
-			return p.stageSurfaceDisplace(ctx, sc, sc.intraopPhi())
+			return s.stageSurfaceDisplace(ctx, sc, sc.intraopPhi())
 		}
 		// The scan's φ does not depend on the relaxed surface: compute it
 		// beside preop-relax.
@@ -480,7 +438,7 @@ func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
 			return err
 		}
 		sc.relaxedSurf = relaxed.val
-		return p.stageSurfaceDisplace(ctx, sc, phiIntra)
+		return s.stageSurfaceDisplace(ctx, sc, phiIntra)
 	}); err != nil {
 		return err
 	}
@@ -493,7 +451,7 @@ func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
 			}
 			sc.sys = sysA.val.NewSystem(sc.mesh)
 		}
-		return p.stageSolve(ctx, sc, warm)
+		return s.stageSolve(ctx, sc, warm)
 	}); err != nil {
 		return err
 	}
@@ -512,15 +470,15 @@ func (p *Pipeline) runStages(ctx context.Context, sc *scan, warm bool) error {
 
 // stageRigidAlign aligns the preoperative data to the intraoperative
 // frame by MI maximization (or passes it through under SkipRigid).
-func (p *Pipeline) stageRigidAlign(ctx context.Context, sc *scan) error {
-	if p.cfg.SkipRigid {
+func (s *Session) stageRigidAlign(ctx context.Context, sc *scan) error {
+	if s.cfg.SkipRigid {
 		sc.rigid = transform.Identity(sc.intraop.Grid.Center())
 		sc.alignedPreop = sc.preop
 		sc.alignedLabels = sc.preopLabels
 		return nil
 	}
-	init := register.CenterOfMassInit(sc.intraop, sc.preop, p.cfg.Register.Threshold)
-	diag, err := register.AlignContext(ctx, sc.intraop, sc.preop, init, p.cfg.Register)
+	init := register.CenterOfMassInit(sc.intraop, sc.preop, s.cfg.Register.Threshold)
+	diag, err := register.AlignContext(ctx, sc.intraop, sc.preop, init, s.cfg.Register)
 	if err != nil {
 		return err
 	}
@@ -536,8 +494,8 @@ func (p *Pipeline) stageRigidAlign(ctx context.Context, sc *scan) error {
 // statistical model's prototypes; later scans refresh the recorded
 // prototypes from the new image (the paper's automatic model update) —
 // never re-sampled, the first scan owns the prototype geometry.
-func (p *Pipeline) stageClassify(ctx context.Context, sc *scan) error {
-	cfg := p.cfg
+func (s *Session) stageClassify(ctx context.Context, sc *scan) error {
+	cfg := s.cfg
 	channels := append([]*volume.Scalar{sc.intraop}, sc.edt[:]...)
 	if sc.cl == nil {
 		// First scan: build the statistical model. Prototype features
@@ -562,13 +520,7 @@ func (p *Pipeline) stageClassify(ctx context.Context, sc *scan) error {
 	}
 	sc.cl.Workers = cfg.Ranks
 	var err error
-	// The k-d tree wins once the prototype set is large; below that the
-	// brute-force scan's cache behaviour is better.
-	if len(sc.cl.Prototypes) >= 128 {
-		sc.intraLabels, err = sc.cl.ClassifyKDContext(ctx, channels)
-	} else {
-		sc.intraLabels, err = sc.cl.ClassifyContext(ctx, channels)
-	}
+	sc.intraLabels, err = sc.cl.ClassifyKDContext(ctx, channels)
 	return err
 }
 
@@ -583,8 +535,8 @@ func (sc *scan) intraopPhi() *volume.Scalar {
 // onto the classified intraoperative brain, along phiIntra (see
 // intraopPhi): these displacements are the physical surface
 // correspondences driving the FEM solve.
-func (p *Pipeline) stageSurfaceDisplace(ctx context.Context, sc *scan, phiIntra *volume.Scalar) error {
-	sr, err := surface.EvolveContext(ctx, sc.relaxedSurf, surface.SignedDistanceForce{Phi: phiIntra}, p.cfg.Surface)
+func (s *Session) stageSurfaceDisplace(ctx context.Context, sc *scan, phiIntra *volume.Scalar) error {
+	sr, err := surface.EvolveContext(ctx, sc.relaxedSurf, surface.SignedDistanceForce{Phi: phiIntra}, s.cfg.Surface)
 	if err != nil {
 		return err
 	}
@@ -600,8 +552,8 @@ func (p *Pipeline) stageSurfaceDisplace(ctx context.Context, sc *scan, phiIntra 
 // displacement field. The assembly work counters travel with the cached
 // operator, so the stage span reports them identically on hit and miss
 // runs.
-func (p *Pipeline) stageSolve(ctx context.Context, sc *scan, warm bool) error {
-	cfg, sys, upd := p.cfg, sc.sys, sc.res.Update
+func (s *Session) stageSolve(ctx context.Context, sc *scan, warm bool) error {
+	cfg, sys, upd := s.cfg, sc.sys, sc.res.Update
 	sp := obs.SpanFromContext(ctx)
 	bc := sc.surfRes.BoundaryConditions()
 	var sr *fem.SolveResult
@@ -648,7 +600,7 @@ func stageResample(sc *scan) {
 // copy the run's artifacts into the Result, apply the clinical degraded
 // fallback when the deadline expired during the solve or resample
 // stage, and compute the match metrics on success.
-func (p *Pipeline) finish(ctx context.Context, err error, sc *scan) (*Result, error) {
+func (s *Session) finish(ctx context.Context, err error, sc *scan) (*Result, error) {
 	res := sc.res
 	res.Rigid = sc.rigid
 	res.AlignedPreop = sc.alignedPreop
@@ -669,7 +621,7 @@ func (p *Pipeline) finish(ctx context.Context, err error, sc *scan) (*Result, er
 	}
 	// Success only: a degraded result delivers the rigid alignment, not
 	// the stresses of a solve it discards.
-	stressSummary(sc.sys, sc.solveRes.NodeU, p.cfg.Materials, p.cfg.Ranks, res)
+	stressSummary(sc.sys, sc.solveRes.NodeU, s.cfg.Materials, s.cfg.Ranks, res)
 	matchMetrics(res, sc.intraop, sc.alignedPreop, sc.phiBrain)
 	return res, nil
 }

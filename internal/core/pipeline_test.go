@@ -30,10 +30,19 @@ func fastConfig() Config {
 	return cfg
 }
 
+// registerCase runs one full registration of the case's intraoperative scan
+// through a fresh session, returning NewSession's error or Register's.
+func registerCase(ctx context.Context, cfg Config, c *phantom.Case) (*Result, error) {
+	sess, err := NewSession(cfg, c.Preop, c.PreopLabels)
+	if err != nil {
+		return nil, err
+	}
+	return sess.Register(ctx, c.Intraop)
+}
+
 func TestPipelineEndToEndImprovesOnRigid(t *testing.T) {
 	c := testCase(32)
-	pl := New(fastConfig())
-	res, err := pl.Run(c.Preop, c.PreopLabels, c.Intraop)
+	res, err := registerCase(context.Background(), fastConfig(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +67,7 @@ func TestPipelineEndToEndImprovesOnRigid(t *testing.T) {
 
 func TestPipelineRecoversDeformationDirection(t *testing.T) {
 	c := testCase(32)
-	pl := New(fastConfig())
-	res, err := pl.Run(c.Preop, c.PreopLabels, c.Intraop)
+	res, err := registerCase(context.Background(), fastConfig(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +109,7 @@ func TestPipelineRecoversDeformationDirection(t *testing.T) {
 
 func TestPipelineStressMonitoring(t *testing.T) {
 	c := testCase(32)
-	pl := New(fastConfig())
-	res, err := pl.Run(c.Preop, c.PreopLabels, c.Intraop)
+	res, err := registerCase(context.Background(), fastConfig(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +148,7 @@ func TestPipelineStressMonitoring(t *testing.T) {
 
 func TestPipelineTimingsCoverAllStages(t *testing.T) {
 	c := testCase(24)
-	pl := New(fastConfig())
-	res, err := pl.Run(c.Preop, c.PreopLabels, c.Intraop)
+	res, err := registerCase(context.Background(), fastConfig(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +181,7 @@ func TestPipelineTimingsCoverAllStages(t *testing.T) {
 
 func TestPipelineClassificationQuality(t *testing.T) {
 	c := testCase(32)
-	pl := New(fastConfig())
-	res, err := pl.Run(c.Preop, c.PreopLabels, c.Intraop)
+	res, err := registerCase(context.Background(), fastConfig(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +202,7 @@ func TestPipelineWithRigidMisalignment(t *testing.T) {
 	cfg.SkipRigid = false
 	cfg.Register.Levels = []int{2}
 	cfg.Register.MaxIter = 4
-	pl := New(cfg)
-	res, err := pl.Run(c.Preop, c.PreopLabels, c.Intraop)
+	res, err := registerCase(context.Background(), cfg, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,23 +214,27 @@ func TestPipelineWithRigidMisalignment(t *testing.T) {
 
 func TestPipelineInputValidation(t *testing.T) {
 	c := testCase(24)
-	pl := New(fastConfig())
-	if _, err := pl.Run(nil, c.PreopLabels, c.Intraop); err == nil {
+	ctx := context.Background()
+	if _, err := NewSession(fastConfig(), nil, c.PreopLabels); err == nil {
 		t.Error("nil preop accepted")
 	}
-	if _, err := pl.Run(c.Preop, nil, c.Intraop); err == nil {
+	if _, err := NewSession(fastConfig(), c.Preop, nil); err == nil {
 		t.Error("nil labels accepted")
 	}
-	if _, err := pl.Run(c.Preop, c.PreopLabels, nil); err == nil {
-		t.Error("nil intraop accepted")
-	}
 	other := volume.NewLabels(volume.NewGrid(8, 8, 8, 1))
-	if _, err := pl.Run(c.Preop, other, c.Intraop); err == nil {
+	if _, err := NewSession(fastConfig(), c.Preop, other); err == nil {
 		t.Error("mismatched label shape accepted")
+	}
+	sess, err := NewSession(fastConfig(), c.Preop, c.PreopLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Register(ctx, nil); err == nil {
+		t.Error("nil intraop accepted")
 	}
 	// SkipRigid with different grids must fail.
 	smallIntraop := volume.NewScalar(volume.NewGrid(8, 8, 8, 1))
-	if _, err := pl.Run(c.Preop, c.PreopLabels, smallIntraop); err == nil {
+	if _, err := sess.Register(ctx, smallIntraop); err == nil {
 		t.Error("SkipRigid with mismatched grids accepted")
 	}
 }
@@ -255,7 +263,6 @@ func TestMalformedVolumesRejected(t *testing.T) {
 		}
 	})
 	t.Run("RunContext", func(t *testing.T) {
-		pl := New(fastConfig())
 		for _, tc := range []struct {
 			name    string
 			preop   *volume.Scalar
@@ -267,7 +274,8 @@ func TestMalformedVolumesRejected(t *testing.T) {
 			{"short preop", short, c.PreopLabels, c.Intraop},
 			{"short labels", c.Preop, shortLabels, c.Intraop},
 		} {
-			if _, err := pl.RunContext(ctx, tc.preop, tc.labels, tc.intraop); err == nil {
+			bad := &phantom.Case{Preop: tc.preop, PreopLabels: tc.labels, Intraop: tc.intraop}
+			if _, err := registerCase(ctx, fastConfig(), bad); err == nil {
 				t.Errorf("%s accepted", tc.name)
 			}
 		}
@@ -277,8 +285,10 @@ func TestMalformedVolumesRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.Register(ctx, short); err == nil {
-			t.Error("Register accepted a short scan")
+		for name, bad := range map[string]*volume.Scalar{"short": short, "flat": flat} {
+			if _, err := sess.Register(ctx, bad); err == nil {
+				t.Errorf("Register accepted a %s scan", name)
+			}
 		}
 		if _, err := sess.Register(ctx, c.Intraop); err != nil {
 			t.Fatal(err)
@@ -305,11 +315,11 @@ func TestPipelineRanksInvariance(t *testing.T) {
 	cfg1.Ranks = 1
 	cfg4 := fastConfig()
 	cfg4.Ranks = 4
-	r1, err := New(cfg1).Run(c.Preop, c.PreopLabels, c.Intraop)
+	r1, err := registerCase(context.Background(), cfg1, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := New(cfg4).Run(c.Preop, c.PreopLabels, c.Intraop)
+	r4, err := registerCase(context.Background(), cfg4, c)
 	if err != nil {
 		t.Fatal(err)
 	}

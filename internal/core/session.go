@@ -48,7 +48,7 @@ type IncrementalStats struct {
 // evolution, a Dirichlet right-hand-side patch and a warm-started
 // solve — at a fraction of the cold cost.
 type Session struct {
-	pipeline    *Pipeline
+	cfg         Config
 	preop       *volume.Scalar
 	preopLabels *volume.Labels
 	// base is the baseline of the last good (neither failed nor
@@ -57,9 +57,9 @@ type Session struct {
 	scans int
 }
 
-// NewSession prepares a surgical session from the preoperative data.
-// The configuration is validated eagerly (unlike New, which defers the
-// error to the first Run).
+// NewSession prepares a surgical session from the preoperative data,
+// rejecting an invalid configuration (see Config.Validate) or
+// malformed preoperative volumes.
 func NewSession(cfg Config, preop *volume.Scalar, preopLabels *volume.Labels) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -71,7 +71,7 @@ func NewSession(cfg Config, preop *volume.Scalar, preopLabels *volume.Labels) (*
 		return nil, err
 	}
 	return &Session{
-		pipeline:    New(cfg),
+		cfg:         cfg,
 		preop:       preop,
 		preopLabels: preopLabels,
 	}, nil
@@ -81,13 +81,17 @@ func NewSession(cfg Config, preop *volume.Scalar, preopLabels *volume.Labels) (*
 // the preoperative preparation with the full pipeline and returns the
 // registration result. The first call builds the tissue statistical
 // model; later calls refresh it from the new image at the recorded
-// prototype locations. The context bounds the run with the same
-// semantics as Pipeline.RunContext: cancellation yields a *StageError,
-// a deadline expiring after the surface stage yields a Degraded
-// rigid-only result. A degraded or failed scan advances neither the
-// statistical model nor the incremental-update baseline. Sessions are
-// not safe for concurrent use; the service layer serializes scans per
-// session.
+// prototype locations. The context bounds the run: cancellation or
+// deadline expiry aborts the current stage promptly (within one GMRES
+// restart cycle during the solve) and returns the context error wrapped
+// in a *StageError identifying the interrupted stage. One exception
+// implements the paper's clinical fallback: if the *deadline* expires
+// after the surface stage has completed, the rigid-only result is
+// returned, marked Degraded, instead of an error — the surgeon still
+// gets the rigid alignment on time. A degraded or failed scan advances
+// neither the statistical model nor the incremental-update baseline.
+// Sessions are not safe for concurrent use; the service layer
+// serializes scans per session.
 func (s *Session) Register(ctx context.Context, intraop *volume.Scalar) (*Result, error) {
 	var from baseline
 	if s.base != nil {
@@ -122,7 +126,7 @@ func (s *Session) Update(ctx context.Context, intraop *volume.Scalar) (*Result, 
 func (s *Session) run(ctx context.Context, intraop *volume.Scalar, from baseline) (*Result, error) {
 	from.cl = from.cl.Clone()
 	sc := &scan{preop: s.preop, preopLabels: s.preopLabels, intraop: intraop, baseline: from}
-	res, err := s.pipeline.run(ctx, sc)
+	res, err := s.runScan(ctx, sc)
 	if err != nil {
 		return nil, err
 	}

@@ -126,7 +126,7 @@ func TestDiskTierDecodesOncePerProcess(t *testing.T) {
 // the store-less one.
 func TestConcurrentSessionsFactorizeOnce(t *testing.T) {
 	c := testCase(24)
-	want, err := New(fastConfig()).Run(c.Preop, c.PreopLabels, c.Intraop)
+	want, err := registerCase(context.Background(), fastConfig(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -14,11 +15,11 @@ func TestSnapMeshImprovesOrMatchesAccuracy(t *testing.T) {
 	snapped := fastConfig()
 	snapped.SnapMesh = true
 
-	rPlain, err := New(plain).Run(c.Preop, c.PreopLabels, c.Intraop)
+	rPlain, err := registerCase(context.Background(), plain, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rSnap, err := New(snapped).Run(c.Preop, c.PreopLabels, c.Intraop)
+	rSnap, err := registerCase(context.Background(), snapped, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestPipelineWithBCCMesh(t *testing.T) {
 	c := testCase(32)
 	cfg := fastConfig()
 	cfg.UseBCCMesh = true
-	res, err := New(cfg).Run(c.Preop, c.PreopLabels, c.Intraop)
+	res, err := registerCase(context.Background(), cfg, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestPipelineWithBCCMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := New(fastConfig()).Run(c.Preop, c.PreopLabels, c.Intraop)
+	plain, err := registerCase(context.Background(), fastConfig(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

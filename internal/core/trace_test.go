@@ -24,7 +24,7 @@ func TestPipelineEmitsNestedTrace(t *testing.T) {
 	tracer := obs.NewTracer(&buf)
 	ctx := obs.WithTracer(context.Background(), tracer)
 
-	if _, err := New(cfg).RunContext(ctx, c.Preop, c.PreopLabels, c.Intraop); err != nil {
+	if _, err := registerCase(ctx, cfg, c); err != nil {
 		t.Fatal(err)
 	}
 	if err := tracer.Err(); err != nil {

@@ -172,8 +172,7 @@ func OperatorFromParts(k *sparse.CSR, pt par.Partition, counters *par.Counters,
 		return nil, fmt.Errorf("fem: operator parts: node partition (N=%d, P=%d, starts=%d) does not cover %d DOFs",
 			pt.N, pt.P, len(pt.Starts), k.N)
 	}
-	if counters.P != pt.P || len(counters.Flops) != pt.P ||
-		len(counters.BytesSent) != pt.P || len(counters.Messages) != pt.P {
+	if counters.P != pt.P || len(counters.Flops) != pt.P {
 		return nil, fmt.Errorf("fem: operator parts: counters for %d ranks, partition has %d", counters.P, pt.P)
 	}
 	if len(constrained) != k.N {
@@ -235,22 +234,17 @@ func (o *Operator) DOFPartition() par.Partition {
 	return par.Partition{N: pt.N * 3, P: pt.P, Starts: starts}
 }
 
-// Assemble builds the global stiffness matrix with a background
-// context; see AssembleContext. Each rank assembles the matrix rows of
-// the nodes it owns; an element spanning nodes of several ranks is
-// visited by each of them (this duplicated element work, plus the
-// varying node connectivity, is the paper's assembly load imbalance —
-// it emerges from the data rather than being injected).
-func Assemble(m *mesh.Mesh, mats Table, pt par.Partition) (*System, error) {
-	return AssembleContext(context.Background(), m, mats, pt)
-}
-
-// AssembleContext is Assemble with telemetry: when the context carries
-// an obs tracer, the assembly is wrapped in a "fem.assemble" span with
-// the per-rank work snapshot (flops, max/mean imbalance) attached — the
-// quantities the paper's load-balance discussion revolves around. The
-// assembly itself is not cancellable (it is one bounded bulk-synchronous
-// phase; the surrounding stage checks the context).
+// AssembleContext builds the global stiffness matrix. Each rank
+// assembles the matrix rows of the nodes it owns; an element spanning
+// nodes of several ranks is visited by each of them (this duplicated
+// element work, plus the varying node connectivity, is the paper's
+// assembly load imbalance — it emerges from the data rather than being
+// injected). When the context carries an obs tracer, the assembly is
+// wrapped in a "fem.assemble" span with the per-rank work snapshot
+// (flops, max/mean imbalance) attached — the quantities the paper's
+// load-balance discussion revolves around. The assembly itself is not
+// cancellable (it is one bounded bulk-synchronous phase; the
+// surrounding stage checks the context).
 func AssembleContext(ctx context.Context, m *mesh.Mesh, mats Table, pt par.Partition) (sys *System, err error) {
 	_, span := obs.StartSpan(ctx, obs.SpanFEMAssemble)
 	defer func() { span.End(err) }()

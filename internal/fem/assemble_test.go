@@ -1,6 +1,7 @@
 package fem
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -63,7 +64,7 @@ func TestAssembleMatchesBuilderReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := phantomMesh(t, 20, tc.mesher, mesh.Options{CellSize: 2})
 			mats := HeterogeneousBrain()
-			sys, err := Assemble(m, mats, par.Even(m.NumNodes(), 3))
+			sys, err := AssembleContext(context.Background(), m, mats, par.Even(m.NumNodes(), 3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,12 +94,12 @@ func TestAssembleMatchesBuilderReference(t *testing.T) {
 func TestAssembleParallelInvariance(t *testing.T) {
 	m := phantomMesh(t, 16, mesh.FromLabels, mesh.Options{CellSize: 2})
 	mats := HeterogeneousBrain()
-	ref, err := Assemble(m, mats, par.Even(m.NumNodes(), 1))
+	ref, err := AssembleContext(context.Background(), m, mats, par.Even(m.NumNodes(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ranks := range []int{2, 3, 7} {
-		sys, err := Assemble(m, mats, par.Even(m.NumNodes(), ranks))
+		sys, err := AssembleContext(context.Background(), m, mats, par.Even(m.NumNodes(), ranks))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func TestAssembleParallelInvariance(t *testing.T) {
 // order.
 func TestApplyDirichletMatchesBuilderElimination(t *testing.T) {
 	m := phantomMesh(t, 16, mesh.FromLabels, mesh.Options{CellSize: 2})
-	sys, err := Assemble(m, HeterogeneousBrain(), par.Even(m.NumNodes(), 2))
+	sys, err := AssembleContext(context.Background(), m, HeterogeneousBrain(), par.Even(m.NumNodes(), 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package fem
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -46,7 +47,7 @@ func BenchmarkAssembleSerial(b *testing.B) {
 	mats := HomogeneousBrain()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Assemble(m, mats, par.Even(m.NumNodes(), 1)); err != nil {
+		if _, err := AssembleContext(context.Background(), m, mats, par.Even(m.NumNodes(), 1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +58,7 @@ func BenchmarkAssembleParallel4(b *testing.B) {
 	mats := HomogeneousBrain()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Assemble(m, mats, par.Even(m.NumNodes(), 4)); err != nil {
+		if _, err := AssembleContext(context.Background(), m, mats, par.Even(m.NumNodes(), 4)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -124,7 +125,7 @@ func BenchmarkAssemble77k(b *testing.B) {
 			b.Run(m.name+"/"+c.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := Assemble(m.m, c.mats, pt); err != nil {
+					if _, err := AssembleContext(context.Background(), m.m, c.mats, pt); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -163,7 +164,7 @@ func paperScaleOperator(b *testing.B, ranks int) (*Operator, []int32) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := Assemble(m, HomogeneousBrain(), par.Even(m.NumNodes(), ranks))
+	sys, err := AssembleContext(context.Background(), m, HomogeneousBrain(), par.Even(m.NumNodes(), ranks))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func BenchmarkApplyDirichlet77k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sys, err := Assemble(m, HeterogeneousBrain(), pt)
+		sys, err := AssembleContext(context.Background(), m, HeterogeneousBrain(), pt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -242,7 +243,7 @@ func BenchmarkAssemblyWorkModel(b *testing.B) {
 
 func BenchmarkSolveSmallSystem(b *testing.B) {
 	m := benchMesh(b, 10)
-	sys, err := Assemble(m, HomogeneousBrain(), par.Even(m.NumNodes(), 1))
+	sys, err := AssembleContext(context.Background(), m, HomogeneousBrain(), par.Even(m.NumNodes(), 1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func BenchmarkSolveSmallSystem(b *testing.B) {
 	opts := solver.DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Solve(opts); err != nil {
+		if _, err := sys.SolveContext(context.Background(), opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,7 +269,7 @@ func BenchmarkSolveSmallSystem(b *testing.B) {
 
 func BenchmarkDisplacementField(b *testing.B) {
 	m := benchMesh(b, 12)
-	sys, err := Assemble(m, HomogeneousBrain(), par.Even(m.NumNodes(), 1))
+	sys, err := AssembleContext(context.Background(), m, HomogeneousBrain(), par.Even(m.NumNodes(), 1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestApplyDirichletIsEliminateThenPatch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := phantomMesh(t, 16, tc.mesher, mesh.Options{CellSize: 2})
 			assembled := func() *System {
-				sys, err := Assemble(m, HeterogeneousBrain(), par.Even(m.NumNodes(), 2))
+				sys, err := AssembleContext(context.Background(), m, HeterogeneousBrain(), par.Even(m.NumNodes(), 2))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -189,7 +189,7 @@ func cubeSystem(t *testing.T, n, cs, ranks int) (*System, *mesh.Mesh) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Assemble(m, HomogeneousBrain(), par.Even(m.NumNodes(), ranks))
+	sys, err := AssembleContext(context.Background(), m, HomogeneousBrain(), par.Even(m.NumNodes(), ranks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +205,10 @@ func TestAssembleGlobalSymmetry(t *testing.T) {
 
 func TestAssembleErrors(t *testing.T) {
 	_, m := cubeSystem(t, 4, 2, 1)
-	if _, err := Assemble(m, Table{Default: Material{E: -1, Nu: 0.3}}, par.Even(m.NumNodes(), 1)); err == nil {
+	if _, err := AssembleContext(context.Background(), m, Table{Default: Material{E: -1, Nu: 0.3}}, par.Even(m.NumNodes(), 1)); err == nil {
 		t.Error("invalid material accepted")
 	}
-	if _, err := Assemble(m, HomogeneousBrain(), par.Even(m.NumNodes()+5, 1)); err == nil {
+	if _, err := AssembleContext(context.Background(), m, HomogeneousBrain(), par.Even(m.NumNodes()+5, 1)); err == nil {
 		t.Error("mismatched partition accepted")
 	}
 }
@@ -238,7 +238,7 @@ func TestPatchTest(t *testing.T) {
 	if err := sys.ApplyDirichlet(bc); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Solve(solver.Options{Tol: 1e-10, MaxIter: 3000, Restart: 50})
+	res, err := sys.SolveContext(context.Background(), solver.Options{Tol: 1e-10, MaxIter: 3000, Restart: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestPatchTest(t *testing.T) {
 
 func TestSolveWithoutBCFails(t *testing.T) {
 	sys, _ := cubeSystem(t, 4, 2, 1)
-	if _, err := sys.Solve(solver.Options{}); err == nil {
+	if _, err := sys.SolveContext(context.Background(), solver.Options{}); err == nil {
 		t.Error("unconstrained solve accepted")
 	}
 	if err := sys.ApplyDirichlet(nil); err == nil {
@@ -328,7 +328,7 @@ func TestDirichletValuesPreserved(t *testing.T) {
 	if err := sys.ApplyDirichlet(bc); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Solve(solver.Options{Tol: 1e-10, MaxIter: 2000, Restart: 40})
+	res, err := sys.SolveContext(context.Background(), solver.Options{Tol: 1e-10, MaxIter: 2000, Restart: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

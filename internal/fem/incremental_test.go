@@ -185,7 +185,7 @@ func TestPCCacheMissesAfterReapply(t *testing.T) {
 	}
 	slices.Sort(nodes)
 
-	assembled, err := Assemble(m, HomogeneousBrain(), par.Even(m.NumNodes(), 2))
+	assembled, err := AssembleContext(context.Background(), m, HomogeneousBrain(), par.Even(m.NumNodes(), 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package fem
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -97,7 +98,7 @@ func TestGravitySagUnderLoad(t *testing.T) {
 	if err := sys.ApplyDirichlet(bc); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Solve(solver.Options{Tol: 1e-8, MaxIter: 3000, Restart: 40})
+	res, err := sys.SolveContext(context.Background(), solver.Options{Tol: 1e-8, MaxIter: 3000, Restart: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

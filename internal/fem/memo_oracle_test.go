@@ -196,7 +196,7 @@ func TestMemoizedBuildMatchesPerElementOracle(t *testing.T) {
 				)
 				for _, r := range ranks {
 					pt := par.Even(m.NumNodes(), r)
-					sys, err := Assemble(m, mats.t, pt)
+					sys, err := AssembleContext(context.Background(), m, mats.t, pt)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,6 +1,7 @@
 package fem
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -24,7 +25,7 @@ func phantomSystem(t *testing.T, n int) (*System, *mesh.Mesh) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Assemble(m, HeterogeneousBrain(), par.Even(m.NumNodes(), 2))
+	sys, err := AssembleContext(context.Background(), m, HeterogeneousBrain(), par.Even(m.NumNodes(), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestGMRESMixedPrecisionParity(t *testing.T) {
 	sys, _ := phantomSystem(t, 24)
 	opts := solver.Options{Tol: 1e-6, MaxIter: 4000, Restart: 30}
 
-	res64, err := sys.Solve(opts)
+	res64, err := sys.SolveContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestGMRESMixedPrecisionParity(t *testing.T) {
 	}
 
 	opts.StoragePrecision = solver.PrecisionFloat32
-	res32, err := sys.Solve(opts)
+	res32, err := sys.SolveContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestGMRESMixedPrecisionHistory(t *testing.T) {
 	sys, _ := phantomSystem(t, 16)
 	opts := solver.Options{Tol: 1e-6, MaxIter: 2000, Restart: 25, RecordHistory: true,
 		StoragePrecision: solver.PrecisionFloat32, Partition: sys.DOFPartition()}
-	res, err := sys.Solve(opts)
+	res, err := sys.SolveContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,6 @@ type SolveResult struct {
 	PCCacheHit bool
 }
 
-// Solve runs the solver with a background context; see SolveContext.
-func (s *System) Solve(opts solver.Options) (*SolveResult, error) {
-	return s.SolveContext(context.Background(), opts)
-}
-
 // SolveContext runs the paper's solver configuration — GMRES with block
 // Jacobi preconditioning, one block per rank — on the assembled,
 // constrained system. A cancelled or deadline-expired context aborts

@@ -10,6 +10,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -104,7 +105,7 @@ func calibrateGridDim(targetNodes, cellSize int, seed int64) (int, error) {
 // assembles the stiffness matrix and applies the ground-truth surface
 // displacements as Dirichlet boundary conditions — the exact system the
 // paper assembles and solves in its scaling study.
-func BuildHeadSystem(spec SystemSpec) (*Built, error) {
+func BuildHeadSystem(ctx context.Context, spec SystemSpec) (*Built, error) {
 	if spec.TargetEquations <= 0 {
 		return nil, fmt.Errorf("figures: TargetEquations must be positive")
 	}
@@ -131,7 +132,7 @@ func BuildHeadSystem(spec SystemSpec) (*Built, error) {
 	if err := m.CheckConsistency(); err != nil {
 		return nil, fmt.Errorf("figures: generated mesh inconsistent: %w", err)
 	}
-	sys, err := fem.Assemble(m, mats, par.Even(m.NumNodes(), 1))
+	sys, err := fem.AssembleContext(ctx, m, mats, par.Even(m.NumNodes(), 1))
 	if err != nil {
 		return nil, err
 	}
@@ -182,13 +183,13 @@ type ScalingRow struct {
 // actual GMRES/block-Jacobi solve (iteration counts genuinely change
 // with the number of blocks), and converts per-rank work into predicted
 // times.
-func ScalingStudy(b *Built, mach cluster.Machine, cpuCounts []int, opts solver.Options) ([]ScalingRow, error) {
+func ScalingStudy(ctx context.Context, b *Built, mach cluster.Machine, cpuCounts []int, opts solver.Options) ([]ScalingRow, error) {
 	var rows []ScalingRow
 	for _, p := range cpuCounts {
 		if p < 1 || p > mach.MaxCPUs {
 			return nil, fmt.Errorf("figures: %d CPUs outside machine range [1,%d]", p, mach.MaxCPUs)
 		}
-		row, err := ScalingPoint(b, mach, p, opts)
+		row, err := ScalingPointStrategy(ctx, b, mach, p, opts, EvenStrategy)
 		if err != nil {
 			return nil, err
 		}
@@ -211,15 +212,9 @@ const (
 	BalancedStrategy
 )
 
-// ScalingPoint computes one row of a scaling figure using the paper's
-// even decomposition.
-func ScalingPoint(b *Built, mach cluster.Machine, cpus int, opts solver.Options) (ScalingRow, error) {
-	return ScalingPointStrategy(b, mach, cpus, opts, EvenStrategy)
-}
-
 // ScalingPointStrategy computes one row of a scaling figure under the
 // chosen decomposition strategy.
-func ScalingPointStrategy(b *Built, mach cluster.Machine, cpus int, opts solver.Options, strat Strategy) (ScalingRow, error) {
+func ScalingPointStrategy(ctx context.Context, b *Built, mach cluster.Machine, cpus int, opts solver.Options, strat Strategy) (ScalingRow, error) {
 	m := b.Mesh
 	sys := b.System
 	var nodePt, dofPt par.Partition
@@ -247,7 +242,7 @@ func ScalingPointStrategy(b *Built, mach cluster.Machine, cpus int, opts solver.
 	solveOpts := opts
 	solveOpts.Partition = dofPt
 	wallStart := time.Now()
-	u, stats, err := solver.GMRES(sys.K, sys.F, nil, pc, solveOpts)
+	u, stats, err := solver.GMRESContext(ctx, sys.K, sys.F, nil, pc, solveOpts)
 	if err != nil {
 		return ScalingRow{}, err
 	}

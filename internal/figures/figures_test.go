@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // equation study runs in the benchmark harness.
 func smallSystem(t *testing.T) *Built {
 	t.Helper()
-	b, err := BuildHeadSystem(SystemSpec{TargetEquations: 4500, Seed: 1})
+	b, err := BuildHeadSystem(context.Background(), SystemSpec{TargetEquations: 4500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestBuildHeadSystemCalibration(t *testing.T) {
 }
 
 func TestBuildHeadSystemRejectsBadSpec(t *testing.T) {
-	if _, err := BuildHeadSystem(SystemSpec{TargetEquations: 0}); err == nil {
+	if _, err := BuildHeadSystem(context.Background(), SystemSpec{TargetEquations: 0}); err == nil {
 		t.Error("zero equations accepted")
 	}
 }
@@ -53,7 +54,7 @@ func TestScalingStudyShape(t *testing.T) {
 	mach := cluster.UltraHPC6000()
 	opts := solver.DefaultOptions()
 	opts.Tol = 1e-6
-	rows, err := ScalingStudy(b, mach, []int{1, 2, 4, 8, 16}, opts)
+	rows, err := ScalingStudy(context.Background(), b, mach, []int{1, 2, 4, 8, 16}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +96,10 @@ func TestScalingStudyShape(t *testing.T) {
 func TestScalingStudyRespectsMachineLimit(t *testing.T) {
 	b := smallSystem(t)
 	mach := cluster.Ultra80Pair() // max 8 CPUs
-	if _, err := ScalingStudy(b, mach, []int{16}, solver.DefaultOptions()); err == nil {
+	if _, err := ScalingStudy(context.Background(), b, mach, []int{16}, solver.DefaultOptions()); err == nil {
 		t.Error("16 CPUs accepted on an 8-CPU machine")
 	}
-	if _, err := ScalingStudy(b, mach, []int{0}, solver.DefaultOptions()); err == nil {
+	if _, err := ScalingStudy(context.Background(), b, mach, []int{0}, solver.DefaultOptions()); err == nil {
 		t.Error("0 CPUs accepted")
 	}
 }
@@ -112,11 +113,11 @@ func TestEthernetNeedsLargeSystems(t *testing.T) {
 	b := smallSystem(t)
 	opts := solver.DefaultOptions()
 	opts.Tol = 1e-6
-	rowsDF, err := ScalingStudy(b, cluster.DeepFlow(), []int{1, 8}, opts)
+	rowsDF, err := ScalingStudy(context.Background(), b, cluster.DeepFlow(), []int{1, 8}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsSMP, err := ScalingStudy(b, cluster.UltraHPC6000(), []int{1, 8}, opts)
+	rowsSMP, err := ScalingStudy(context.Background(), b, cluster.UltraHPC6000(), []int{1, 8}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +140,11 @@ func TestBalancedStrategyNotWorse(t *testing.T) {
 	opts := solver.DefaultOptions()
 	opts.Tol = 1e-6
 	for _, cpus := range []int{4, 8} {
-		even, err := ScalingPointStrategy(b, mach, cpus, opts, EvenStrategy)
+		even, err := ScalingPointStrategy(context.Background(), b, mach, cpus, opts, EvenStrategy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bal, err := ScalingPointStrategy(b, mach, cpus, opts, BalancedStrategy)
+		bal, err := ScalingPointStrategy(context.Background(), b, mach, cpus, opts, BalancedStrategy)
 		if err != nil {
 			t.Fatal(err)
 		}

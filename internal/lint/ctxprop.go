@@ -15,6 +15,8 @@ var ctxpropScope = []string{
 	"internal/solver",
 	"internal/classify",
 	"internal/surface",
+	"internal/register",
+	"internal/figures",
 	"internal/service",
 }
 
@@ -22,7 +24,7 @@ var ctxpropScope = []string{
 // a pipeline-package function whose first parameter is a
 // context.Context, that parameter (or a context derived from it via
 // context.With*, span starts, etc.) must be the context that flows to
-// every context-accepting callee. Three ways to break the chain are
+// every context-accepting callee. Two ways to break the chain are
 // findings:
 //
 //   - dropped ctx: a call receives a context variable, or a fresh
@@ -31,15 +33,12 @@ var ctxpropScope = []string{
 //     propagating at that frame;
 //   - ctx shadowing: a context-typed variable is (re)assigned from a
 //     source unrelated to the ctx parameter, so every later use of the
-//     shadowed name looks derived but is not;
-//   - wrapper call: a context-bearing function calls one of the
-//     documented background-context compat wrappers instead of the
-//     Context variant next to it.
+//     shadowed name looks derived but is not.
 //
 // Independent of parameter flow, minting fresh root contexts with
-// context.Background()/TODO() remains forbidden everywhere in scope
-// outside the documented compat wrappers and the nil-context
-// defaulting idiom, exactly as under ctxflow.
+// context.Background()/TODO() is forbidden everywhere in scope outside
+// the nil-context defaulting idiom: every operation has one entry
+// point, and it takes the caller's context.
 type ctxprop struct{}
 
 func (ctxprop) Name() string { return "ctxprop" }
@@ -47,10 +46,9 @@ func (ctxprop) Name() string { return "ctxprop" }
 func (ctxprop) Doc() string {
 	return "a context.Context parameter must flow (directly or via derived contexts) " +
 		"to every context-capable callee in the pipeline packages (core, fem, solver, " +
-		"classify, surface, service); dropped contexts, context shadowing, and calls " +
-		"to background-context compat wrappers from context-bearing functions are " +
-		"findings, and context.Background()/TODO() stay forbidden outside the " +
-		"documented wrappers and nil-context defaulting"
+		"classify, surface, register, figures, service); dropped contexts and context " +
+		"shadowing are findings, and context.Background()/TODO() stay forbidden " +
+		"outside nil-context defaulting"
 }
 
 func (c ctxprop) Run(pkg *Package) []Finding {
@@ -75,9 +73,6 @@ func (c ctxprop) checkDecl(pkg *Package, fd *ast.FuncDecl) []Finding {
 	flag := func(pos token.Pos, msg string) {
 		out = append(out, Finding{Pos: pkg.Fset.Position(pos), Analyzer: "ctxprop", Msg: msg})
 	}
-	// A documented compat wrapper ("... with a background context; see
-	// FooContext") is the one place a root context may be created.
-	wrapper := docHas(fd, "background context")
 	ctxParam := contextParamObj(pkg, fd)
 
 	derived := derivedContexts(pkg, fd, ctxParam)
@@ -126,19 +121,13 @@ func (c ctxprop) checkDecl(pkg *Package, fd *ast.FuncDecl) []Finding {
 		})
 	}
 
-	// Rule 2 — dropped ctx and wrapper calls at each call site.
+	// Rule 2 — dropped ctx at each call site.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
 		if ctxParam != nil {
-			if fn := calleeFunc(pkg, call); fn != nil {
-				if decl := pkg.Mod.FuncDecl(fn); decl != nil && decl != fd && docHas(decl, "background context") {
-					flag(call.Pos(), "call to "+fn.Name()+", a background-context compat wrapper, from a "+
-						"context-bearing function: call the Context variant and pass ctx")
-				}
-			}
 			for _, arg := range call.Args {
 				switch a := ast.Unparen(arg).(type) {
 				case *ast.Ident:
@@ -150,7 +139,7 @@ func (c ctxprop) checkDecl(pkg *Package, fd *ast.FuncDecl) []Finding {
 						"parameter: the caller's cancellation is dropped at this frame (dropped ctx)")
 					derived[obj] = true
 				case *ast.CallExpr:
-					if mint, ok := mintCall(pkg, a); ok && !handled[mint] && !wrapper {
+					if mint, ok := mintCall(pkg, a); ok && !handled[mint] {
 						handled[mint] = true
 						flag(a.Pos(), "fresh root context passed as an argument instead of the function's "+
 							"ctx parameter: the caller's cancellation is dropped at this frame (dropped ctx)")
@@ -161,20 +150,19 @@ func (c ctxprop) checkDecl(pkg *Package, fd *ast.FuncDecl) []Finding {
 		return true
 	})
 
-	// Rule 3 — the carried-over mint ban: fresh root contexts are
-	// forbidden in scope outside wrappers and nil-guard defaulting,
-	// whether or not the function takes a ctx parameter.
+	// Rule 3 — the mint ban: fresh root contexts are forbidden in scope
+	// outside nil-guard defaulting, whether or not the function takes a
+	// ctx parameter.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
 		name, isMint := mintName(pkg, call)
-		if !isMint || handled[call] || wrapper || nilGuardDefault(fd.Body, call) {
+		if !isMint || handled[call] || nilGuardDefault(fd.Body, call) {
 			return true
 		}
-		flag(call.Pos(), name+"() forbidden here: accept and propagate the caller's context "+
-			"(or document the function as a background-context compat wrapper)")
+		flag(call.Pos(), name+"() forbidden here: accept and propagate the caller's context")
 		return true
 	})
 	return out

@@ -132,18 +132,6 @@ func inspectShallow(n ast.Node, f func(ast.Node) bool) {
 	})
 }
 
-// docHas reports whether a function's doc comment contains the given
-// phrase (case-insensitive, with comment line wrapping normalized to
-// single spaces). The ctxflow analyzer uses it to recognise the
-// documented background-context compat wrappers.
-func docHas(decl *ast.FuncDecl, phrase string) bool {
-	if decl == nil || decl.Doc == nil {
-		return false
-	}
-	text := strings.Join(strings.Fields(decl.Doc.Text()), " ")
-	return strings.Contains(strings.ToLower(text), strings.ToLower(phrase))
-}
-
 // hasDirective reports whether the comment group carries the given
 // //lint: directive verb.
 func hasDirective(doc *ast.CommentGroup, verb string) bool {

@@ -36,7 +36,7 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 	// Mod points back to the loading module, giving analyzers access to
-	// cross-package declaration lookups (Module.FuncDecl).
+	// module-wide state (Module.Graph, Module.TypeSpec).
 	Mod *Module
 }
 
@@ -61,13 +61,8 @@ type Module struct {
 	graphMu  sync.Mutex
 	graph    *CallGraph
 	graphGen int
-	// decls indexes every loaded FuncDecl by the position of its name,
-	// which is exactly what types.Func.Pos() reports for module-internal
-	// functions — so analyzers can jump from a resolved callee to its
-	// declaration (and its doc comment) in any loaded package.
-	decls map[token.Pos]*ast.FuncDecl
-	// typeSpecs indexes every loaded type declaration the same way
-	// (types.TypeName.Pos() is the position of the spec's name), with
+	// typeSpecs indexes every loaded type declaration by the position of
+	// its name (what types.TypeName.Pos() reports), with
 	// the doc comment resolved per the usual Go rule: the spec's own doc
 	// when present, else the enclosing GenDecl's.
 	typeSpecs map[token.Pos]*TypeDecl
@@ -118,20 +113,8 @@ func NewModule(root string) (*Module, error) {
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		},
 		loadWG:    make(map[string]bool),
-		decls:     make(map[token.Pos]*ast.FuncDecl),
 		typeSpecs: make(map[token.Pos]*TypeDecl),
 	}, nil
-}
-
-// FuncDecl returns the declaration of a module-internal function or
-// method, or nil when fn is external (stdlib) or not yet loaded. The
-// lookup is position-based: types.Func.Pos() is the position of the
-// declaring identifier, which LoadDir indexed when it parsed the file.
-func (m *Module) FuncDecl(fn *types.Func) *ast.FuncDecl {
-	if fn == nil {
-		return nil
-	}
-	return m.decls[fn.Pos()]
 }
 
 // modulePath extracts the module path from a go.mod file.
@@ -244,24 +227,20 @@ func (m *Module) LoadDir(dir, importPath string) (*Package, error) {
 	}
 	for _, f := range files {
 		for _, d := range f.Decls {
-			switch decl := d.(type) {
-			case *ast.FuncDecl:
-				m.decls[decl.Name.Pos()] = decl
-			case *ast.GenDecl:
-				if decl.Tok != token.TYPE {
+			decl, ok := d.(*ast.GenDecl)
+			if !ok || decl.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range decl.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
 					continue
 				}
-				for _, spec := range decl.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					doc := ts.Doc
-					if doc == nil {
-						doc = decl.Doc
-					}
-					m.typeSpecs[ts.Name.Pos()] = &TypeDecl{Spec: ts, Doc: doc}
+				doc := ts.Doc
+				if doc == nil {
+					doc = decl.Doc
 				}
+				m.typeSpecs[ts.Name.Pos()] = &TypeDecl{Spec: ts, Doc: doc}
 			}
 		}
 	}

@@ -8,11 +8,6 @@ import (
 	"time"
 )
 
-// Solve runs the solve with a background context; see solveContext.
-func Solve(n int) error {
-	return solveContext(context.Background(), n)
-}
-
 // Refit mints a fresh root context mid-stack.
 func Refit(n int) error {
 	ctx := context.Background() // want ctxprop "forbidden here: accept and propagate"
@@ -52,12 +47,6 @@ func Blend(ctx, old context.Context, n int) error {
 // Reseed passes a fresh root straight into the callee.
 func Reseed(ctx context.Context, n int) error {
 	return solveContext(context.Background(), n) // want ctxprop "dropped ctx"
-}
-
-// Chain has a context in hand but calls the background-context compat
-// wrapper, discarding it one frame down.
-func Chain(ctx context.Context, n int) error {
-	return Solve(n) // want ctxprop "background-context compat wrapper"
 }
 
 // Fallback demonstrates an accepted suppression of the mint ban.

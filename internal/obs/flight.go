@@ -2,44 +2,8 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"io"
 	"sync"
-	"time"
 )
-
-// FlightRecord is one entry in a flight recorder: a finished span —
-// the same span, id and attributes a Tracer on the context writes — or
-// a log record (see ContextHandler). Every record carries the
-// session/job identity and the innermost span that were on the context
-// when it was produced, so a dump can be correlated line-by-line with
-// the trace stream and the job log.
-type FlightRecord struct {
-	// Time is when the record was produced — the end time for "span"
-	// records (ring order is End order, so dumps stay monotonically
-	// timestamped; the span's start is Time minus DurMS), the log time
-	// for logs.
-	Time time.Time `json:"t"`
-	// Kind is "span" or "log".
-	Kind    string `json:"kind"`
-	Session string `json:"session,omitempty"`
-	Job     string `json:"job,omitempty"`
-	// Span and SpanID identify the record's span: for span records the
-	// span itself, for logs the innermost enclosing span.
-	Span   string `json:"span,omitempty"`
-	SpanID uint64 `json:"span_id,omitempty"`
-	// Trace is the root-span id of the span tree the record belongs to.
-	Trace uint64 `json:"trace,omitempty"`
-	// Name is the span name or the log message.
-	Name string `json:"name"`
-	// Level is the log level of "log" records.
-	Level string `json:"level,omitempty"`
-	// DurMS is the span duration of "span" records.
-	DurMS float64        `json:"dur_ms,omitempty"`
-	Err   string         `json:"err,omitempty"`
-	Attrs map[string]any `json:"attrs,omitempty"`
-}
 
 // defaultFlightRecorderCap bounds a recorder created with a
 // non-positive capacity.
@@ -55,7 +19,7 @@ const defaultFlightRecorderCap = 256
 // recording continues. Safe for concurrent use.
 type FlightRecorder struct {
 	mu    sync.Mutex
-	buf   []FlightRecord
+	buf   []SpanRecord
 	next  int
 	full  bool
 	total uint64
@@ -67,11 +31,11 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = defaultFlightRecorderCap
 	}
-	return &FlightRecorder{buf: make([]FlightRecord, 0, capacity)}
+	return &FlightRecorder{buf: make([]SpanRecord, 0, capacity)}
 }
 
 // Record appends one record, overwriting the oldest when full.
-func (r *FlightRecorder) Record(rec FlightRecord) {
+func (r *FlightRecorder) Record(rec SpanRecord) {
 	if r == nil {
 		return
 	}
@@ -90,16 +54,10 @@ func (r *FlightRecorder) Record(rec FlightRecord) {
 // SpanStarted implements Sink; the ring records finished spans only.
 func (r *FlightRecorder) SpanStarted(SpanInfo) {}
 
-// SpanEnded implements Sink. Records land in the ring in End order, so
-// the record is stamped with the end time — dumps stay monotonically
-// timestamped (the start is recoverable as Time - DurMS; the trace
-// stream's SpanRecord keeps Start).
+// SpanEnded implements Sink: the record a Tracer on the same context
+// writes. Records land in the ring in End order.
 func (r *FlightRecorder) SpanEnded(f FinishedSpan) {
-	r.Record(FlightRecord{
-		Time: f.Start.Add(f.Dur), Kind: "span", Session: f.Session, Job: f.Job,
-		Span: f.Name, SpanID: f.ID, Trace: f.Trace, Name: f.Name,
-		DurMS: f.durMS(), Err: f.errString(), Attrs: f.Attrs,
-	})
+	r.Record(f.record())
 }
 
 // Len reports how many records are currently retained.
@@ -133,13 +91,13 @@ func (r *FlightRecorder) Total() uint64 {
 
 // Snapshot copies the retained records, oldest first. The copy shares
 // no state with the ring; recording continues undisturbed.
-func (r *FlightRecorder) Snapshot() []FlightRecord {
+func (r *FlightRecorder) Snapshot() []SpanRecord {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]FlightRecord, 0, len(r.buf))
+	out := make([]SpanRecord, 0, len(r.buf))
 	if r.full {
 		out = append(out, r.buf[r.next:]...)
 		out = append(out, r.buf[:r.next]...)
@@ -147,42 +105,6 @@ func (r *FlightRecorder) Snapshot() []FlightRecord {
 		out = append(out, r.buf...)
 	}
 	return out
-}
-
-// WriteJSONL writes the retained records oldest-first, one JSON object
-// per line — the dump format of the /sessions/{id}/flightrecorder admin
-// endpoint.
-func (r *FlightRecorder) WriteJSONL(w io.Writer) error {
-	return WriteFlightRecords(w, r.Snapshot())
-}
-
-// WriteFlightRecords writes records as JSONL — the shared encoder of
-// live-ring and retained-dump serving.
-func WriteFlightRecords(w io.Writer, recs []FlightRecord) error {
-	enc := json.NewEncoder(w)
-	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadFlightRecords parses a JSONL flight dump back into records — the
-// inverse of WriteJSONL, for tests and offline analysis.
-func ReadFlightRecords(r io.Reader) ([]FlightRecord, error) {
-	dec := json.NewDecoder(r)
-	var out []FlightRecord
-	for {
-		var rec FlightRecord
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				return out, nil
-			}
-			return out, err
-		}
-		out = append(out, rec)
-	}
 }
 
 const (

@@ -16,7 +16,7 @@ func TestFlightRecorderRingRotation(t *testing.T) {
 		t.Fatalf("Capacity = %d, want 4", got)
 	}
 	for i := 0; i < 10; i++ {
-		r.Record(FlightRecord{Kind: "log", Name: fmt.Sprintf("e%d", i)})
+		r.Record(SpanRecord{Kind: "log", Name: fmt.Sprintf("e%d", i)})
 	}
 	if got := r.Len(); got != 4 {
 		t.Errorf("Len = %d, want 4", got)
@@ -35,7 +35,7 @@ func TestFlightRecorderRingRotation(t *testing.T) {
 		}
 	}
 	// The snapshot is a copy: recording more must not mutate it.
-	r.Record(FlightRecord{Kind: "log", Name: "late"})
+	r.Record(SpanRecord{Kind: "log", Name: "late"})
 	if snap[0].Name != "e6" {
 		t.Errorf("snapshot mutated by later Record: %q", snap[0].Name)
 	}
@@ -46,28 +46,27 @@ func TestFlightRecorderDefaultsAndNilSafety(t *testing.T) {
 		t.Errorf("default capacity = %d, want %d", got, defaultFlightRecorderCap)
 	}
 	var r *FlightRecorder
-	r.Record(FlightRecord{Name: "x"}) // must not panic
+	r.Record(SpanRecord{Name: "x"}) // must not panic
 	if r.Len() != 0 || r.Total() != 0 || r.Snapshot() != nil {
 		t.Error("nil recorder must report empty state")
 	}
 }
 
 func TestFlightRecordJSONLRoundTrip(t *testing.T) {
-	recs := []FlightRecord{
-		{Kind: "span", Session: "or-1", Job: "j000001", Span: "fem.solve",
-			SpanID: 3, Trace: 1, Name: "fem.solve", DurMS: 12.5,
+	recs := []SpanRecord{
+		{Session: "or-1", Job: "j000001", ID: 3, Trace: 1, Name: "fem.solve", DurMS: 12.5,
 			Attrs: map[string]any{"iterations": 17.0}},
-		{Kind: "log", Session: "or-1", Level: "WARN", Name: "solver did not converge"},
+		{Kind: "log", Session: "or-1", Parent: 3, Trace: 1, Level: "WARN", Name: "solver did not converge"},
 		{Kind: "log", Level: "WARN", Name: "scan shed", Attrs: map[string]any{"reason": "queue full"}},
 	}
 	var buf bytes.Buffer
-	if err := WriteFlightRecords(&buf, recs); err != nil {
+	if err := WriteSpans(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	if n := strings.Count(buf.String(), "\n"); n != len(recs) {
 		t.Fatalf("wrote %d lines, want %d", n, len(recs))
 	}
-	back, err := ReadFlightRecords(&buf)
+	back, err := ReadSpans(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,23 +79,17 @@ func TestFlightRecordJSONLRoundTrip(t *testing.T) {
 	if back[0].Attrs["iterations"] != 17.0 {
 		t.Errorf("attrs mangled: %+v", back[0].Attrs)
 	}
-	if back[1].Level != "WARN" {
-		t.Errorf("log level mangled: %+v", back[1])
+	if back[1].Kind != "log" || back[1].Level != "WARN" || back[1].Parent != 3 {
+		t.Errorf("log record mangled: %+v", back[1])
 	}
 	if back[2].Name != "scan shed" || back[2].Attrs["reason"] != "queue full" {
 		t.Errorf("log attrs mangled: %+v", back[2])
 	}
 }
 
-func TestReadFlightRecordsRejectsGarbage(t *testing.T) {
-	if _, err := ReadFlightRecords(strings.NewReader("{\"kind\":\"log\"}\nnot json\n")); err == nil {
-		t.Error("garbage line must error")
-	}
-}
-
 // TestFlightSpanRecordStampsContextIdentity: a span ended under a
 // recorder lands in the ring once, with the identity on its context and
-// its attributes, stamped with its end time so ring order is time order.
+// its attributes, started when the span started and lasting until End.
 func TestFlightSpanRecordStampsContextIdentity(t *testing.T) {
 	r := NewFlightRecorder(16)
 	ctx := WithFlightRecorder(WithJobID(WithSessionID(context.Background(), "or-7"), "j000042"), r)
@@ -105,13 +98,14 @@ func TestFlightSpanRecordStampsContextIdentity(t *testing.T) {
 	span.SetAttr("final_rel_residual", math.NaN())
 	running := time.Now()
 	span.End(nil)
+	ended := time.Now()
 
 	snap := r.Snapshot()
 	if len(snap) != 1 {
 		t.Fatalf("records = %d, want the one span", len(snap))
 	}
 	sp := snap[0]
-	if sp.Kind != "span" || sp.Name != SpanFEMSolve || sp.SpanID != span.ID() || sp.Trace != span.TraceID() {
+	if sp.Kind != "" || sp.Name != SpanFEMSolve || sp.ID != span.ID() || sp.Trace != span.TraceID() {
 		t.Errorf("span record = %+v", sp)
 	}
 	if sp.Session != "or-7" || sp.Job != "j000042" {
@@ -120,7 +114,8 @@ func TestFlightSpanRecordStampsContextIdentity(t *testing.T) {
 	if sp.Attrs["iterations"] != 12 || sp.Attrs["final_rel_residual"] != "NaN" {
 		t.Errorf("span attrs = %v, want iterations=12 and a stringified NaN", sp.Attrs)
 	}
-	if sp.Time.Before(running) {
-		t.Errorf("span record time %v precedes %v, when it was still running; want end-time stamping", sp.Time, running)
+	end := sp.Start.Add(time.Duration(sp.DurMS * float64(time.Millisecond)))
+	if sp.Start.After(running) || end.Before(running) || end.After(ended) {
+		t.Errorf("span record covers %v..%v; want it to start before %v and end by %v", sp.Start, end, running, ended)
 	}
 }

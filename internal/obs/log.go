@@ -58,18 +58,15 @@ func (h *ContextHandler) Handle(ctx context.Context, r slog.Record) error {
 		err = h.inner.Handle(ctx, r)
 	}
 	if rec := FlightRecorderFromContext(ctx); rec != nil {
-		fr := FlightRecord{
-			Time:    r.Time,
+		fr := SpanRecord{
+			Start:   r.Time,
 			Kind:    "log",
 			Session: session,
 			Job:     job,
 			Name:    r.Message,
 			Level:   r.Level.String(),
-		}
-		if sp != nil {
-			fr.Span = sp.Name()
-			fr.SpanID = sp.ID()
-			fr.Trace = sp.TraceID()
+			Parent:  sp.ID(),
+			Trace:   sp.TraceID(),
 		}
 		r.Attrs(func(a slog.Attr) bool {
 			switch a.Key {

@@ -50,9 +50,9 @@ func TestContextHandlerCorrelationRoundTrip(t *testing.T) {
 	if rec.Kind != "log" || rec.Name != "scan started" || rec.Level != "INFO" {
 		t.Errorf("flight record = %+v", rec)
 	}
-	if rec.Session != "or-3" || rec.Job != "j000009" || rec.SpanID != span.ID() {
+	if rec.Session != "or-3" || rec.Job != "j000009" || rec.Parent != span.ID() {
 		t.Errorf("flight record identity = %q/%q/%d, want or-3/j000009/%d",
-			rec.Session, rec.Job, rec.SpanID, span.ID())
+			rec.Session, rec.Job, rec.Parent, span.ID())
 	}
 	if rec.Attrs["kind"] != "update" {
 		t.Errorf("flight record attrs = %v, want kind=update", rec.Attrs)

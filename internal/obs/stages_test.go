@@ -82,7 +82,7 @@ func TestStageStatesItsDurationOnce(t *testing.T) {
 		t.Errorf("trace record = %+v, want dur_ms %v", st, ms)
 	}
 	recs := fr.Snapshot()
-	if last := recs[len(recs)-1]; last.Name != "solve" || last.DurMS != ms || last.SpanID != spans[1].ID {
+	if last := recs[len(recs)-1]; last.Name != "solve" || last.DurMS != ms || last.ID != spans[1].ID {
 		t.Errorf("flight record = %+v, want dur_ms %v and span id %d", last, ms, spans[1].ID)
 	}
 	ev := sink.Events()

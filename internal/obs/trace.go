@@ -46,15 +46,18 @@ type FinishedSpan struct {
 	Attrs map[string]any // shared between sinks; read-only
 }
 
-// durMS is the duration as the JSONL records state it.
-func (f FinishedSpan) durMS() float64 { return float64(f.Dur) / float64(time.Millisecond) }
-
-// errString is the error as the JSONL records state it ("" for nil).
-func (f FinishedSpan) errString() string {
-	if f.Err == nil {
-		return ""
+// record is the span as its JSONL line states it — the one form the
+// trace stream and the flight recorder share.
+func (f FinishedSpan) record() SpanRecord {
+	rec := SpanRecord{
+		Name: f.Name, ID: f.ID, Parent: f.Parent, Trace: f.Trace,
+		Session: f.Session, Job: f.Job, Start: f.Start,
+		DurMS: float64(f.Dur) / float64(time.Millisecond), Attrs: f.Attrs,
 	}
-	return f.Err.Error()
+	if f.Err != nil {
+		rec.Err = f.Err.Error()
+	}
+	return rec
 }
 
 // Tracer is the Sink that writes spans as JSONL structured records: one
@@ -86,14 +89,9 @@ func (t *Tracer) SpanStarted(SpanInfo) {}
 
 // SpanEnded implements Sink: one SpanRecord line.
 func (t *Tracer) SpanEnded(f FinishedSpan) {
-	rec := SpanRecord{
-		Name: f.Name, ID: f.ID, Parent: f.Parent, Trace: f.Trace,
-		Session: f.Session, Job: f.Job, Start: f.Start,
-		DurMS: f.durMS(), Err: f.errString(), Attrs: f.Attrs,
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.enc.Encode(rec); err != nil && t.err == nil {
+	if err := t.enc.Encode(f.record()); err != nil && t.err == nil {
 		t.err = err
 	}
 }
@@ -102,12 +100,16 @@ func (t *Tracer) SpanEnded(f FinishedSpan) {
 // a trace line and a flight record of one span carry the same id.
 var spanSeq atomic.Uint64
 
-// SpanRecord is the JSONL schema of one emitted span. Parent is 0 for
-// root spans; reconstruct the hierarchy by chasing Parent ids. Trace is
-// the root span's id, shared by the whole tree, and Session/Job carry
-// the identity stamped on the context (see WithSessionID/WithJobID) —
-// the correlation keys that line the trace stream up with the service's
-// job log and flight-recorder dumps.
+// SpanRecord is the JSONL schema of one finished span — a line of a
+// trace stream and an entry of a flight recorder alike — or, with Kind
+// "log", of one log line a flight recorder kept (see ContextHandler).
+// Parent is 0 for root spans; reconstruct the hierarchy by chasing
+// Parent ids. A log line is a leaf: its Parent is the innermost span
+// on its context, Name its message, Start its time. Trace is the root
+// span's id, shared by the whole tree, and Session/Job carry the
+// identity stamped on the context (see WithSessionID/WithJobID) — the
+// correlation keys that line the trace stream up with the service's job
+// log and flight-recorder dumps.
 type SpanRecord struct {
 	Name    string         `json:"name"`
 	ID      uint64         `json:"id"`
@@ -119,10 +121,26 @@ type SpanRecord struct {
 	DurMS   float64        `json:"dur_ms"`
 	Err     string         `json:"err,omitempty"`
 	Attrs   map[string]any `json:"attrs,omitempty"`
+	// Kind is "" for a span and "log" for a log line, whose Level is
+	// the slog level.
+	Kind  string `json:"kind,omitempty"`
+	Level string `json:"level,omitempty"`
 }
 
-// ReadSpans parses a JSONL trace back into records — the inverse of
-// what a Tracer writes, for tests and offline analysis.
+// WriteSpans writes records as JSONL, one object per line — the format
+// a Tracer streams and a flight-recorder dump is written in.
+func WriteSpans(w io.Writer, recs []SpanRecord) error {
+	enc := json.NewEncoder(w)
+	for _, rec := range recs {
+		if err := enc.Encode(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadSpans parses JSONL records back — the inverse of WriteSpans and
+// of what a Tracer writes, for tests and offline analysis.
 func ReadSpans(r io.Reader) ([]SpanRecord, error) {
 	dec := json.NewDecoder(r)
 	var out []SpanRecord

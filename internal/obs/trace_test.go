@@ -128,8 +128,9 @@ type failWriter struct{}
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
 func TestReadSpansRejectsGarbage(t *testing.T) {
-	_, err := ReadSpans(strings.NewReader("{\"name\":\"ok\"}\nnot json\n"))
-	if err == nil {
-		t.Error("garbage line parsed without error")
+	for _, in := range []string{"{\"name\":\"ok\"}\nnot json\n", "{\"kind\":\"log\"}\nnot json\n"} {
+		if _, err := ReadSpans(strings.NewReader(in)); err == nil {
+			t.Errorf("garbage line after %q parsed without error", in[:strings.Index(in, "\n")])
+		}
 	}
 }

@@ -2,10 +2,9 @@
 // rank-based decomposition in the style of the paper's MPI/PETSc
 // implementation, executed with goroutines. Work is split into
 // contiguous index ranges ("partitions"), one per rank; per-rank
-// counters record the floating-point work and communication volume each
-// rank performs, which both drives real goroutine parallelism and feeds
-// the cluster performance model (package cluster) that regenerates the
-// paper's scaling figures.
+// counters record the floating-point work each rank performs, which
+// feeds the cluster performance model (package cluster) that
+// regenerates the paper's scaling figures.
 package par
 
 import (
@@ -128,31 +127,15 @@ type Counters struct {
 	P int
 	// Flops counts floating-point operations per rank.
 	Flops []float64
-	// BytesSent counts communication volume per rank (halo exchanges,
-	// reductions) under a distributed-memory interpretation.
-	BytesSent []float64
-	// Messages counts discrete messages per rank (latency term).
-	Messages []float64
 }
 
 // NewCounters allocates counters for p ranks.
 func NewCounters(p int) *Counters {
-	return &Counters{
-		P:         p,
-		Flops:     make([]float64, p),
-		BytesSent: make([]float64, p),
-		Messages:  make([]float64, p),
-	}
+	return &Counters{P: p, Flops: make([]float64, p)}
 }
 
 // AddFlops accumulates floating-point work for a rank.
 func (c *Counters) AddFlops(rank int, n float64) { c.Flops[rank] += n }
-
-// AddComm accumulates one message of the given byte size for a rank.
-func (c *Counters) AddComm(rank int, bytes float64) {
-	c.BytesSent[rank] += bytes
-	c.Messages[rank]++
-}
 
 // MaxFlops returns the largest per-rank flop count — the critical path
 // of a bulk-synchronous phase.
@@ -182,8 +165,6 @@ type Snapshot struct {
 	TotalFlops float64
 	MaxFlops   float64
 	Imbalance  float64
-	BytesSent  float64
-	Messages   float64
 }
 
 // Snapshot summarizes the counters into a value type. A nil receiver
@@ -192,18 +173,11 @@ func (c *Counters) Snapshot() Snapshot {
 	if c == nil {
 		return Snapshot{}
 	}
-	var bytes, msgs float64
-	for r := 0; r < c.P; r++ {
-		bytes += c.BytesSent[r]
-		msgs += c.Messages[r]
-	}
 	return Snapshot{
 		Ranks:      c.P,
 		TotalFlops: c.TotalFlops(),
 		MaxFlops:   c.MaxFlops(),
 		Imbalance:  c.Imbalance(),
-		BytesSent:  bytes,
-		Messages:   msgs,
 	}
 }
 

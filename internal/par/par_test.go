@@ -171,10 +171,6 @@ func TestCounters(t *testing.T) {
 	if got := c.Imbalance(); got != 1.5 {
 		t.Errorf("Imbalance = %v, want 1.5", got)
 	}
-	c.AddComm(1, 4096)
-	if c.BytesSent[1] != 4096 || c.Messages[1] != 1 {
-		t.Error("AddComm did not record")
-	}
 }
 
 func TestCountersEmpty(t *testing.T) {

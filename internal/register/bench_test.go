@@ -1,6 +1,7 @@
 package register
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/geom"
@@ -30,7 +31,7 @@ func BenchmarkAlignSmall(b *testing.B) {
 	init := transform.Identity(fixed.Grid.Center())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Align(fixed, moving, init, opts); err != nil {
+		if _, err := AlignContext(context.Background(), fixed, moving, init, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

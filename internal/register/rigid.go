@@ -102,12 +102,6 @@ func intensityCentroid(s *volume.Scalar, threshold float64) geom.Vec3 {
 	return sum.Scale(1 / total)
 }
 
-// Align runs the registration with a background context; see
-// AlignContext.
-func Align(fixed, moving *volume.Scalar, init transform.Rigid, opts Options) (Result, error) {
-	return AlignContext(context.Background(), fixed, moving, init, opts)
-}
-
 // AlignContext estimates the rigid transform r maximizing the mutual
 // information between fixed and the moving volume moved by r, i.e.
 // after alignment ResampleScalar(moving, r, fixed.Grid) matches fixed.

@@ -1,6 +1,7 @@
 package register
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/transform"
@@ -34,7 +35,7 @@ func TestAlignRecoversKnownTransform(t *testing.T) {
 	opts.Levels = []int{2, 1}
 	opts.MaxIter = 10
 	init := CenterOfMassInit(fixed, moving, opts.Threshold)
-	res, err := Align(fixed, moving, init, opts)
+	res, err := AlignContext(context.Background(), fixed, moving, init, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestAlignIdentityStaysPut(t *testing.T) {
 	opts.Levels = []int{2}
 	opts.MaxIter = 3
 	init := transform.Identity(fixed.Grid.Center())
-	res, err := Align(fixed, fixed.Clone(), init, opts)
+	res, err := AlignContext(context.Background(), fixed, fixed.Clone(), init, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +81,10 @@ func TestAlignIdentityStaysPut(t *testing.T) {
 func TestAlignRejectsInvalidGrids(t *testing.T) {
 	bad := &volume.Scalar{Grid: volume.Grid{}}
 	good := testVolume(8, 73)
-	if _, err := Align(bad, good, transform.Rigid{}, DefaultOptions()); err == nil {
+	if _, err := AlignContext(context.Background(), bad, good, transform.Rigid{}, DefaultOptions()); err == nil {
 		t.Error("invalid fixed grid accepted")
 	}
-	if _, err := Align(good, bad, transform.Rigid{}, DefaultOptions()); err == nil {
+	if _, err := AlignContext(context.Background(), good, bad, transform.Rigid{}, DefaultOptions()); err == nil {
 		t.Error("invalid moving grid accepted")
 	}
 }

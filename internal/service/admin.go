@@ -135,7 +135,7 @@ func AdminHandler(s *Service) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		_ = obs.WriteFlightRecords(w, recs)
+		_ = obs.WriteSpans(w, recs)
 	})
 	obs.RegisterPprof(mux)
 	return mux

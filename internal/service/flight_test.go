@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ import (
 
 // anomalyLogs returns the dump's log records above INFO: what the
 // service said went wrong. Every anomaly says it exactly once.
-func anomalyLogs(d *FlightDump) (out []obs.FlightRecord) {
+func anomalyLogs(d *FlightDump) (out []obs.SpanRecord) {
 	for _, r := range d.Records {
 		if r.Kind == "log" && r.Level != "INFO" {
 			out = append(out, r)
@@ -31,11 +32,11 @@ func anomalyLogs(d *FlightDump) (out []obs.FlightRecord) {
 }
 
 // dumpSpan returns the dump's one span of that name.
-func dumpSpan(t *testing.T, d *FlightDump, name string) obs.FlightRecord {
+func dumpSpan(t *testing.T, d *FlightDump, name string) obs.SpanRecord {
 	t.Helper()
-	var found []obs.FlightRecord
+	var found []obs.SpanRecord
 	for _, r := range d.Records {
-		if r.Kind == "span" && r.Name == name {
+		if r.Kind == "" && r.Name == name {
 			found = append(found, r)
 		}
 	}
@@ -104,7 +105,7 @@ func TestServiceFlightDumpOnDegraded(t *testing.T) {
 		t.Fatalf("dump file: %v", err)
 	}
 	defer f.Close()
-	recs, err := obs.ReadFlightRecords(f)
+	recs, err := obs.ReadSpans(f)
 	if err != nil {
 		t.Fatalf("dump file decode: %v", err)
 	}
@@ -123,7 +124,7 @@ func TestServiceFlightDumpOnFallback(t *testing.T) {
 	plain := slog.New(slog.NewTextHandler(io.Discard, nil))
 	svc, c := openOR(t, Options{Workers: 1, Logger: plain}, fastConfig(), 12)
 	// An update before any baseline falls back to a full registration.
-	if _, err := svc.Update(context.Background(), "or", c.Intraop); err != nil {
+	if _, err := wait(context.Background(), svc.SubmitUpdate, "or", c.Intraop); err != nil {
 		t.Fatal(err)
 	}
 	logs := anomalyLogs(lastDump(t, svc, "fallback"))
@@ -141,7 +142,7 @@ func nonConverging() core.Config {
 
 func TestServiceFlightDumpOnNonConverged(t *testing.T) {
 	svc, c := openOR(t, Options{Workers: 1}, nonConverging(), 9)
-	res, err := svc.Register(context.Background(), "or", c.Intraop)
+	res, err := wait(context.Background(), svc.Submit, "or", c.Intraop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestServiceFlightDumpOnNonConverged(t *testing.T) {
 func TestServiceFlightDumpOnFailed(t *testing.T) {
 	svc, c := openOR(t, Options{Workers: 1}, fastConfig(), 9)
 	short := &volume.Scalar{Grid: c.Intraop.Grid, Data: c.Intraop.Data[:len(c.Intraop.Data)-1]}
-	_, err := svc.Register(context.Background(), "or", short)
+	_, err := wait(context.Background(), svc.Submit, "or", short)
 	if err == nil {
 		t.Fatal("short scan registered")
 	}
@@ -189,9 +190,9 @@ func TestServiceFlightDumpOnShed(t *testing.T) {
 }
 
 // TestTraceEqualsFlightDump: a Tracer on the submitting context and the
-// session's flight recorder are sinks on one seam, so the trace and the
-// dump of one scan state the same spans — id, name, duration, error,
-// attributes — and the dump holds nothing but spans and logs.
+// session's flight recorder are sinks on one seam writing one record
+// type, so every span line of a scan's dump is byte-for-byte a line of
+// its trace, and the dump holds nothing but those spans and logs.
 func TestTraceEqualsFlightDump(t *testing.T) {
 	deadline := newStageDeadline()
 	for _, tc := range []struct {
@@ -211,41 +212,34 @@ func TestTraceEqualsFlightDump(t *testing.T) {
 		if _, err := j.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		// Both sides as the JSON they are written as, keyed by span id.
-		type span struct {
-			Name, Err string
-			DurMS     float64
-			Attrs     map[string]any
-		}
-		render := func(s span) string {
-			b, err := json.Marshal(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return string(b)
-		}
-		traced, dumped := map[uint64]string{}, map[uint64]string{}
-		spans, err := obs.ReadSpans(&trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range spans {
-			traced[r.ID] = render(span{r.Name, r.Err, r.DurMS, r.Attrs})
-		}
+		var spans []obs.SpanRecord
 		for _, r := range lastDump(t, svc, tc.trigger).Records {
 			switch r.Kind {
-			case "span":
-				dumped[r.SpanID] = render(span{r.Name, r.Err, r.DurMS, r.Attrs})
+			case "":
+				spans = append(spans, r)
 			case "log":
 			default:
 				t.Errorf("%s: dump holds a %q record %q", tc.trigger, r.Kind, r.Name)
 			}
 		}
-		if len(traced) == 0 || !reflect.DeepEqual(traced, dumped) {
-			t.Errorf("%s: the trace's %d spans and the dump's %d differ:\n%v\n%v",
-				tc.trigger, len(traced), len(dumped), traced, dumped)
+		var dump bytes.Buffer
+		if err := obs.WriteSpans(&dump, spans); err != nil {
+			t.Fatal(err)
+		}
+		// Concurrent spans may end in a different order at each sink.
+		traced, dumped := sortedLines(trace.String()), sortedLines(dump.String())
+		if trace.Len() == 0 || !reflect.DeepEqual(traced, dumped) {
+			t.Errorf("%s: the trace's %d span lines and the dump's %d differ:\n%s\n%s",
+				tc.trigger, len(traced), len(dumped), strings.Join(traced, "\n"), strings.Join(dumped, "\n"))
 		}
 	}
+}
+
+// sortedLines splits JSONL into its lines, sorted.
+func sortedLines(s string) []string {
+	lines := strings.Split(strings.TrimSuffix(s, "\n"), "\n")
+	sort.Strings(lines)
+	return lines
 }
 
 // TestSessionsAdminEndpoints exercises the /sessions admin surface:
@@ -258,7 +252,7 @@ func TestSessionsAdminEndpoints(t *testing.T) {
 	if err := svc.Open(SessionSpec{ID: "or-a", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Register(context.Background(), "or-a", c.Intraop); err != nil {
+	if _, err := wait(context.Background(), svc.Submit, "or-a", c.Intraop); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(AdminHandler(svc))
@@ -300,7 +294,7 @@ func TestSessionsAdminEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/sessions/or-a/flightrecorder = %d", code)
 	}
-	recs, err := obs.ReadFlightRecords(bytes.NewReader(body))
+	recs, err := obs.ReadSpans(bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("flight JSONL decode: %v", err)
 	}
@@ -321,14 +315,14 @@ func TestSessionsAdminEndpoints(t *testing.T) {
 	}
 
 	// Induce a fallback; the dump becomes retrievable.
-	if _, err := svc.Update(context.Background(), "or-a", c.Intraop); err != nil {
+	if _, err := wait(context.Background(), svc.SubmitUpdate, "or-a", c.Intraop); err != nil {
 		t.Fatal(err)
 	}
 	// or-a has a baseline now, so force the anomaly on a fresh session.
 	if err := svc.Open(SessionSpec{ID: "or-b", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Update(context.Background(), "or-b", c.Intraop); err != nil {
+	if _, err := wait(context.Background(), svc.SubmitUpdate, "or-b", c.Intraop); err != nil {
 		t.Fatal(err)
 	}
 	code, body = get("/sessions/or-b/flightrecorder?dump=last")
@@ -392,7 +386,7 @@ func TestDefaultJobRetentionIsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := svc.Register(context.Background(), "or", c.Intraop); err != nil {
+		if _, err := wait(context.Background(), svc.Submit, "or", c.Intraop); err != nil {
 			t.Fatal(err)
 		}
 	}

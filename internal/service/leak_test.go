@@ -28,10 +28,10 @@ func TestServiceLeaksNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	bg := context.Background()
-	if _, err := svc.Register(bg, "or", c.Intraop); err != nil {
+	if _, err := wait(bg, svc.Submit, "or", c.Intraop); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Update(bg, "or", c.Intraop); err != nil {
+	if _, err := wait(bg, svc.SubmitUpdate, "or", c.Intraop); err != nil {
 		t.Fatal(err)
 	}
 

@@ -8,7 +8,7 @@
 // scan is driven by a context.Context: a cancelled context aborts the
 // solve within one GMRES restart cycle, and an expired deadline after
 // the surface stage degrades to the rigid-only result instead of
-// failing the scan (see core.Pipeline.RunContext).
+// failing the scan (see core.Session.Register).
 //
 // The service is also the anchor of the observability surface: its obs
 // registry backs both the typed Metrics snapshot and the Prometheus
@@ -199,11 +199,11 @@ func (ms *managedSession) LastDump() *FlightDump {
 // shed, non-convergence, failure), frozen at the moment the trigger
 // fired while live recording continued.
 type FlightDump struct {
-	SessionID string             `json:"session_id"`
-	JobID     string             `json:"job_id,omitempty"`
-	Trigger   string             `json:"trigger"` // degraded | fallback | shed | nonconverged | failed
-	Time      time.Time          `json:"time"`
-	Records   []obs.FlightRecord `json:"records"`
+	SessionID string           `json:"session_id"`
+	JobID     string           `json:"job_id,omitempty"`
+	Trigger   string           `json:"trigger"` // degraded | fallback | shed | nonconverged | failed
+	Time      time.Time        `json:"time"`
+	Records   []obs.SpanRecord `json:"records"`
 }
 
 // acquire claims the session's scan slot, or gives up when ctx ends
@@ -452,7 +452,7 @@ func (s *Service) Sessions() []SessionStatus {
 
 // SessionFlightRecords returns the live contents of a session's flight
 // recorder, oldest first.
-func (s *Service) SessionFlightRecords(id string) ([]obs.FlightRecord, error) {
+func (s *Service) SessionFlightRecords(id string) ([]obs.SpanRecord, error) {
 	ms, err := s.managed(id)
 	if err != nil {
 		return nil, err
@@ -602,24 +602,6 @@ func (s *Service) WorkersAlive() int {
 	return int(s.workersAlive.Load())
 }
 
-// Register is the synchronous convenience wrapper: Submit + Wait.
-func (s *Service) Register(ctx context.Context, sessionID string, intraop *volume.Scalar) (*core.Result, error) {
-	j, err := s.Submit(ctx, sessionID, intraop)
-	if err != nil {
-		return nil, err
-	}
-	return j.Wait(ctx)
-}
-
-// Update is the synchronous convenience wrapper: SubmitUpdate + Wait.
-func (s *Service) Update(ctx context.Context, sessionID string, intraop *volume.Scalar) (*core.Result, error) {
-	j, err := s.SubmitUpdate(ctx, sessionID, intraop)
-	if err != nil {
-		return nil, err
-	}
-	return j.Wait(ctx)
-}
-
 // Metrics returns a snapshot of the aggregate per-stage metrics
 // accumulated over every scan processed so far.
 func (s *Service) Metrics() Metrics {
@@ -756,7 +738,7 @@ func (s *Service) dumpFlight(ms *managedSession, jobID, trigger string) {
 }
 
 // writeDumpFile writes one dump as a JSONL file.
-func writeDumpFile(path string, recs []obs.FlightRecord) (err error) {
+func writeDumpFile(path string, recs []obs.SpanRecord) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -766,5 +748,5 @@ func writeDumpFile(path string, recs []obs.FlightRecord) (err error) {
 			err = cerr
 		}
 	}()
-	return obs.WriteFlightRecords(f, recs)
+	return obs.WriteSpans(f, recs)
 }

@@ -128,7 +128,7 @@ func TestServiceSolveNotConverged(t *testing.T) {
 	if err := svc.Open(SessionSpec{ID: "or", Config: cfg, Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Register(context.Background(), "or", c.Intraop)
+	res, err := wait(context.Background(), svc.Submit, "or", c.Intraop)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,18 +247,29 @@ func TestServiceRejectsMalformedVolumes(t *testing.T) {
 	}
 	short := &volume.Scalar{Grid: c.Intraop.Grid, Data: c.Intraop.Data[:len(c.Intraop.Data)-1]}
 	ctx := context.Background()
-	if _, err := svc.Register(ctx, "or", short); err == nil {
+	if _, err := wait(ctx, svc.Submit, "or", short); err == nil {
 		t.Error("register job delivered a result for a short scan")
 	}
-	if _, err := svc.Update(ctx, "or", short); err == nil {
+	if _, err := wait(ctx, svc.SubmitUpdate, "or", short); err == nil {
 		t.Error("update job delivered a result for a short scan")
 	}
-	if _, err := svc.Register(ctx, "or", c.Intraop); err != nil {
+	if _, err := wait(ctx, svc.Submit, "or", c.Intraop); err != nil {
 		t.Errorf("good scan after the rejected ones: %v", err)
 	}
 	if m := svc.Metrics(); m.Failed != 2 || m.Scans != 3 {
 		t.Errorf("metrics: %d scans, %d failed; want 3 and 2", m.Scans, m.Failed)
 	}
+}
+
+// wait submits one scan through submit (the service's Submit or
+// SubmitUpdate) and waits for its result.
+func wait(ctx context.Context, submit func(context.Context, string, *volume.Scalar) (*Job, error),
+	sessionID string, intraop *volume.Scalar) (*core.Result, error) {
+	j, err := submit(ctx, sessionID, intraop)
+	if err != nil {
+		return nil, err
+	}
+	return j.Wait(ctx)
 }
 
 // openOR starts a service and opens session "or" on a fresh case.

@@ -48,13 +48,13 @@ func TestStageDurationStatedOnce(t *testing.T) {
 			traced[s.Name] = s
 		}
 	}
-	flown := map[string]obs.FlightRecord{}
+	flown := map[string]obs.SpanRecord{}
 	recs, err := svc.SessionFlightRecords("or")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if r.Kind == "span" && r.Attrs["kind"] == "stage" {
+		if r.Kind == "" && r.Attrs["kind"] == "stage" {
 			flown[r.Name] = r
 		}
 	}
@@ -76,8 +76,8 @@ func TestStageDurationStatedOnce(t *testing.T) {
 		if got := traced[tm.Name]; got.DurMS != ms || got.Job != j.ID {
 			t.Errorf("%s: trace says %v ms (job %q), Timings %v ms", tm.Name, got.DurMS, got.Job, ms)
 		}
-		if got := flown[tm.Name]; got.DurMS != ms || got.SpanID != traced[tm.Name].ID {
-			t.Errorf("%s: flight record says %v ms (span %d), Timings %v ms", tm.Name, got.DurMS, got.SpanID, ms)
+		if got := flown[tm.Name]; got.DurMS != ms || got.ID != traced[tm.Name].ID {
+			t.Errorf("%s: flight record says %v ms (span %d), Timings %v ms", tm.Name, got.DurMS, got.ID, ms)
 		}
 		if got := status.Stages[i]; got.Stage != tm.Name || !got.Done || got.ElapsedMS != ms {
 			t.Errorf("%s: /jobs/{id} says %+v, Timings %v ms", tm.Name, got, ms)

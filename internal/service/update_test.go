@@ -33,7 +33,7 @@ func TestServiceUpdateFlow(t *testing.T) {
 	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c1.Preop, PreopLabels: c1.PreopLabels}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Register(context.Background(), "or", c1.Intraop); err != nil {
+	if _, err := wait(context.Background(), svc.Submit, "or", c1.Intraop); err != nil {
 		t.Fatal(err)
 	}
 
@@ -89,7 +89,7 @@ func TestServiceUpdateFallsBackWithoutBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := svc.Update(context.Background(), "or", c1.Intraop)
+	res, err := wait(context.Background(), svc.SubmitUpdate, "or", c1.Intraop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestServiceUpdateFallsBackWithoutBaseline(t *testing.T) {
 	}
 
 	// The fallback established the baseline: the next update is real.
-	res2, err := svc.Update(context.Background(), "or", c2.Intraop)
+	res2, err := wait(context.Background(), svc.SubmitUpdate, "or", c2.Intraop)
 	if err != nil {
 		t.Fatal(err)
 	}

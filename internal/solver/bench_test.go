@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/par"
@@ -12,7 +13,7 @@ func BenchmarkGMRESUnpreconditioned(b *testing.B) {
 	opts := DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, st, err := GMRES(a, rhs, nil, nil, opts); err != nil || !st.Converged {
+		if _, st, err := GMRESContext(context.Background(), a, rhs, nil, nil, opts); err != nil || !st.Converged {
 			b.Fatalf("err=%v st=%v", err, st)
 		}
 	}
@@ -28,7 +29,7 @@ func BenchmarkGMRESBlockJacobi8(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, st, err := GMRES(a, rhs, nil, pc, opts); err != nil || !st.Converged {
+		if _, st, err := GMRESContext(context.Background(), a, rhs, nil, pc, opts); err != nil || !st.Converged {
 			b.Fatalf("err=%v st=%v", err, st)
 		}
 	}
@@ -41,7 +42,7 @@ func BenchmarkCGJacobi(b *testing.B) {
 	pc := NewJacobi(a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, st, err := CG(a, rhs, nil, pc, opts); err != nil || !st.Converged {
+		if _, st, err := CGContext(context.Background(), a, rhs, nil, pc, opts); err != nil || !st.Converged {
 			b.Fatalf("err=%v st=%v", err, st)
 		}
 	}

@@ -48,7 +48,7 @@ func TestGMRESContextPreCancelled(t *testing.T) {
 }
 
 func TestGMRESContextCancelAbortsWithinOneRestartCycle(t *testing.T) {
-	// A 3D Laplacian large enough that an unpreconditioned GMRES(5)
+	// A 3D Laplacian large enough that an unpreconditioned GMRESContext(context.Background(), 5)
 	// needs many restart cycles at a tight tolerance.
 	a := laplacian3D(10, 10, 10)
 	n := a.N
@@ -61,7 +61,7 @@ func TestGMRESContextCancelAbortsWithinOneRestartCycle(t *testing.T) {
 	opts := Options{Tol: 1e-10, MaxIter: 10000, Restart: restart}
 
 	// Reference: how many iterations the uncancelled solve takes.
-	_, ref, err := GMRES(a, b, nil, nil, opts)
+	_, ref, err := GMRESContext(context.Background(), a, b, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

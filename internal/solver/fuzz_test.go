@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -118,7 +119,7 @@ func FuzzGMRESAgainstDense(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nRaw uint8, offdiag, rhs []byte) {
 		n, a, dense, b := fuzzSystem(nRaw, offdiag, rhs)
 
-		got, stats, err := GMRES(a, b, nil, nil, Options{Tol: 1e-12, Restart: n + 1, MaxIter: 50 * n})
+		got, stats, err := GMRESContext(context.Background(), a, b, nil, nil, Options{Tol: 1e-12, Restart: n + 1, MaxIter: 50 * n})
 		if err != nil {
 			t.Fatalf("GMRES: %v", err)
 		}

@@ -147,11 +147,6 @@ func dot(a, b []float64) float64 {
 // norm2 returns the Euclidean norm, in dot's order.
 func norm2(v []float64) float64 { return math.Sqrt(dot(v, v)) }
 
-// GMRES solves A x = b with a background context; see GMRESContext.
-func GMRES(a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) ([]float64, Stats, error) {
-	return GMRESContext(context.Background(), a, b, x0, m, opts)
-}
-
 // gmresWorkspace holds every buffer one GMRES solve reuses across
 // restart cycles, so the hot cycle kernel performs no allocation at
 // all: the Krylov basis v and Hessenberg h are carved out of flat
@@ -617,11 +612,6 @@ func GMRESWarmContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Pre
 		return nil, Stats{}, fmt.Errorf("solver: warm-start seed length %d != n %d", len(x0), a.N)
 	}
 	return gmres(ctx, a, b, x0, m, opts, true)
-}
-
-// CG solves A x = b with a background context; see CGContext.
-func CG(a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) ([]float64, Stats, error) {
-	return CGContext(context.Background(), a, b, x0, m, opts)
 }
 
 // CGContext solves the symmetric positive definite system A x = b with

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -87,7 +88,7 @@ func TestGMRESSolvesTridiagonal(t *testing.T) {
 	b := randomRHS(50, 1)
 	opts := DefaultOptions()
 	opts.Tol = 1e-10
-	x, st, err := GMRES(a, b, nil, nil, opts)
+	x, st, err := GMRESContext(context.Background(), a, b, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestGMRESSolves3DLaplacian(t *testing.T) {
 	b := randomRHS(a.N, 2)
 	opts := DefaultOptions()
 	opts.Tol = 1e-9
-	x, st, err := GMRES(a, b, nil, nil, opts)
+	x, st, err := GMRESContext(context.Background(), a, b, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestGMRESWithPreconditioners(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Tol = 1e-9
 
-	baseline, stNone, err := GMRES(a, b, nil, IdentityPC{}, opts)
+	baseline, stNone, err := GMRESContext(context.Background(), a, b, nil, IdentityPC{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestGMRESWithPreconditioners(t *testing.T) {
 		mustBlockJacobi(t, a, par.Even(a.N, 4)),
 		mustBlockJacobi(t, a, par.Even(a.N, 16)),
 	} {
-		x, st, err := GMRES(a, b, nil, pc, opts)
+		x, st, err := GMRESContext(context.Background(), a, b, nil, pc, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", pc.Name(), err)
 		}
@@ -151,7 +152,7 @@ func TestGMRESWithPreconditioners(t *testing.T) {
 	// Single-block ILU(0) of the full matrix should converge in far
 	// fewer iterations than unpreconditioned GMRES.
 	ilu := mustBlockJacobi(t, a, par.Even(a.N, 1))
-	_, stILU, err := GMRES(a, b, nil, ilu, opts)
+	_, stILU, err := GMRESContext(context.Background(), a, b, nil, ilu, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestBlockJacobiIterationsGrowWithBlocks(t *testing.T) {
 	prev := 0
 	for _, blocks := range []int{1, 4, 16} {
 		pc := mustBlockJacobi(t, a, par.Even(a.N, blocks))
-		_, st, err := GMRES(a, b, nil, pc, opts)
+		_, st, err := GMRESContext(context.Background(), a, b, nil, pc, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,12 +202,12 @@ func TestGMRESParallelMatchesSerial(t *testing.T) {
 	b := randomRHS(a.N, 5)
 	opts := DefaultOptions()
 	opts.Tol = 1e-10
-	xs, _, err := GMRES(a, b, nil, nil, opts)
+	xs, _, err := GMRESContext(context.Background(), a, b, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Partition = par.Even(a.N, 4)
-	xp, _, err := GMRES(a, b, nil, nil, opts)
+	xp, _, err := GMRESContext(context.Background(), a, b, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestGMRESParallelMatchesSerial(t *testing.T) {
 
 func TestGMRESZeroRHS(t *testing.T) {
 	a := laplacian1D(10)
-	x, st, err := GMRES(a, make([]float64, 10), nil, nil, DefaultOptions())
+	x, st, err := GMRESContext(context.Background(), a, make([]float64, 10), nil, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +239,11 @@ func TestGMRESRespectsX0(t *testing.T) {
 	b := randomRHS(20, 6)
 	// Solve once, then restart from the solution: should converge with
 	// zero iterations.
-	x, _, err := GMRES(a, b, nil, nil, Options{Tol: 1e-12, MaxIter: 500, Restart: 20})
+	x, _, err := GMRESContext(context.Background(), a, b, nil, nil, Options{Tol: 1e-12, MaxIter: 500, Restart: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := GMRES(a, b, x, nil, Options{Tol: 1e-6, MaxIter: 500, Restart: 20})
+	_, st, err := GMRESContext(context.Background(), a, b, x, nil, Options{Tol: 1e-6, MaxIter: 500, Restart: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,10 +254,10 @@ func TestGMRESRespectsX0(t *testing.T) {
 
 func TestGMRESErrors(t *testing.T) {
 	a := laplacian1D(5)
-	if _, _, err := GMRES(a, make([]float64, 4), nil, nil, DefaultOptions()); err == nil {
+	if _, _, err := GMRESContext(context.Background(), a, make([]float64, 4), nil, nil, DefaultOptions()); err == nil {
 		t.Error("wrong rhs length accepted")
 	}
-	if _, _, err := GMRES(a, make([]float64, 5), make([]float64, 3), nil, DefaultOptions()); err == nil {
+	if _, _, err := GMRESContext(context.Background(), a, make([]float64, 5), make([]float64, 3), nil, DefaultOptions()); err == nil {
 		t.Error("wrong x0 length accepted")
 	}
 }
@@ -265,7 +266,7 @@ func TestGMRESNonConvergenceReported(t *testing.T) {
 	a := laplacian3D(8, 8, 8)
 	b := randomRHS(a.N, 7)
 	opts := Options{Tol: 1e-14, MaxIter: 3, Restart: 3}
-	_, st, err := GMRES(a, b, nil, nil, opts)
+	_, st, err := GMRESContext(context.Background(), a, b, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +280,11 @@ func TestCGMatchesGMRES(t *testing.T) {
 	b := randomRHS(a.N, 8)
 	opts := DefaultOptions()
 	opts.Tol = 1e-10
-	xg, _, err := GMRES(a, b, nil, nil, opts)
+	xg, _, err := GMRESContext(context.Background(), a, b, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xc, st, err := CG(a, b, nil, nil, opts)
+	xc, st, err := CGContext(context.Background(), a, b, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestCGRejectsIndefinite(t *testing.T) {
 	b.Add(0, 0, 1)
 	b.Add(1, 1, -1) // indefinite
 	a := b.Build()
-	_, _, err := CG(a, []float64{1, 1}, nil, nil, DefaultOptions())
+	_, _, err := CGContext(context.Background(), a, []float64{1, 1}, nil, nil, DefaultOptions())
 	if err == nil {
 		t.Error("CG accepted an indefinite matrix")
 	}
@@ -313,7 +314,7 @@ func TestCGWithJacobi(t *testing.T) {
 	b := randomRHS(a.N, 9)
 	opts := DefaultOptions()
 	opts.Tol = 1e-9
-	x, st, err := CG(a, b, nil, NewJacobi(a), opts)
+	x, st, err := CGContext(context.Background(), a, b, nil, NewJacobi(a), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/par"
@@ -12,7 +13,7 @@ func TestGMRESHistoryMonotoneWithinCycle(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Tol = 1e-9
 	opts.RecordHistory = true
-	_, st, err := GMRES(a, b, nil, NewJacobi(a), opts)
+	_, st, err := GMRESContext(context.Background(), a, b, nil, NewJacobi(a), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestGMRESHistoryMonotoneWithinCycle(t *testing.T) {
 func TestHistoryOffByDefault(t *testing.T) {
 	a := laplacian1D(20)
 	b := randomRHS(20, 32)
-	_, st, err := GMRES(a, b, nil, nil, DefaultOptions())
+	_, st, err := GMRESContext(context.Background(), a, b, nil, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestCGHistory(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Tol = 1e-8
 	opts.RecordHistory = true
-	_, st, err := CG(a, b, nil, nil, opts)
+	_, st, err := CGContext(context.Background(), a, b, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestBlockCountConvergenceCurves(t *testing.T) {
 	var lengths []int
 	for _, blocks := range []int{1, 8, 64} {
 		pc := mustBlockJacobi(t, a, par.Even(a.N, blocks))
-		_, st, err := GMRES(a, b, nil, pc, opts)
+		_, st, err := GMRESContext(context.Background(), a, b, nil, pc, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

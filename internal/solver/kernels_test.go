@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -400,7 +401,7 @@ func TestGMRESBitIdenticalAcrossWorkers(t *testing.T) {
 	var refStats Stats
 	for _, p := range []int{1, 2, 3, 7} {
 		opts.Partition = par.Even(a.N, p)
-		x, st, err := GMRES(a, b, nil, NewJacobi(a), opts)
+		x, st, err := GMRESContext(context.Background(), a, b, nil, NewJacobi(a), opts)
 		if err != nil || !st.Converged {
 			t.Fatalf("P=%d: err=%v stats=%v", p, err, st)
 		}
@@ -424,7 +425,7 @@ func TestCGRejectsWrongLengthX0(t *testing.T) {
 	a := laplacian1D(10)
 	b := randomRHS(10, 1)
 	for _, n := range []int{3, 11} {
-		if _, _, err := CG(a, b, make([]float64, n), nil, DefaultOptions()); err == nil {
+		if _, _, err := CGContext(context.Background(), a, b, make([]float64, n), nil, DefaultOptions()); err == nil {
 			t.Errorf("x0 of length %d accepted for n=10", n)
 		}
 	}
@@ -438,7 +439,7 @@ func TestCGCountsFinalResidualMatVec(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Tol = 1e-14
 	opts.MaxIter = 3
-	_, st, err := CG(a, randomRHS(a.N, 1), nil, nil, opts)
+	_, st, err := CGContext(context.Background(), a, randomRHS(a.N, 1), nil, nil, opts)
 	if err != nil || st.Converged {
 		t.Fatalf("err=%v stats=%v, want an unconverged solve", err, st)
 	}

@@ -16,7 +16,7 @@ import (
 	"repro/internal/volume"
 )
 
-// oracleGMRES is left-preconditioned restarted GMRES(m) as the solver
+// oracleGMRES is left-preconditioned restarted GMRESContext(context.Background(), m) as the solver
 // ran it before PR 18: one-accumulator inner products, and a modified
 // Gram-Schmidt that takes each coefficient with a dot and then
 // subtracts the projection in a separate pass, all serial. Same
@@ -147,7 +147,7 @@ func phantomElasticity(t *testing.T, size, ranks int) (*fem.System, par.Partitio
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := fem.Assemble(m, fem.HeterogeneousBrain(), par.Even(m.NumNodes(), ranks))
+	sys, err := fem.AssembleContext(context.Background(), m, fem.HeterogeneousBrain(), par.Even(m.NumNodes(), ranks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestGMRESMatchesClassicalGramSchmidt(t *testing.T) {
 	for _, c := range cases {
 		opts := solver.DefaultOptions()
 		opts.Tol, opts.Partition = c.tol, c.part
-		seed, _, err := solver.GMRES(c.a, perturbed(c.b), nil, c.m, opts)
+		seed, _, err := solver.GMRESContext(context.Background(), c.a, perturbed(c.b), nil, c.m, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestGMRESMixedPrecisionMatchesClassicalCycle(t *testing.T) {
 		opts := solver.DefaultOptions()
 		opts.Tol, opts.Partition, opts.StoragePrecision = c.tol, c.part, solver.PrecisionFloat32
 		val := slices.Clone(c.a.Val)
-		got, st, err := solver.GMRES(c.a, c.b, nil, c.m, opts)
+		got, st, err := solver.GMRESContext(context.Background(), c.a, c.b, nil, c.m, opts)
 		if err != nil || !st.Converged {
 			t.Fatalf("%s: err=%v stats=%v", c.name, err, st)
 		}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ func TestSSORAcceleratesGMRES(t *testing.T) {
 	b := randomRHS(a.N, 41)
 	opts := DefaultOptions()
 	opts.Tol = 1e-9
-	_, stNone, err := GMRES(a, b, nil, nil, opts)
+	_, stNone, err := GMRESContext(context.Background(), a, b, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,7 @@ func TestSSORAcceleratesGMRES(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, stSSOR, err := GMRES(a, b, nil, pc, opts)
+	x, stSSOR, err := GMRESContext(context.Background(), a, b, nil, pc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestSSORSolutionMatchesBaseline(t *testing.T) {
 	b := randomRHS(a.N, 42)
 	opts := DefaultOptions()
 	opts.Tol = 1e-10
-	base, _, err := GMRES(a, b, nil, nil, opts)
+	base, _, err := GMRESContext(context.Background(), a, b, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestSSORSolutionMatchesBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, st, err := GMRES(a, b, nil, pc, opts)
+		x, st, err := GMRESContext(context.Background(), a, b, nil, pc, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

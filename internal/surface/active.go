@@ -131,12 +131,6 @@ type Result struct {
 	MeanDisp, MaxDisp float64
 }
 
-// Evolve runs the evolution with a background context; see
-// EvolveContext.
-func Evolve(s *mesh.TriMesh, force ForceField, opts Options) (*Result, error) {
-	return EvolveContext(context.Background(), s, force, opts)
-}
-
 // EvolveContext iteratively deforms surface s under the given force
 // field. The input surface is not modified. The context is checked once
 // per iteration; a cancelled or deadline-expired context aborts the

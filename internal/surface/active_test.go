@@ -1,6 +1,7 @@
 package surface
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestEvolveShrinksSphereToSmallerTarget(t *testing.T) {
 	src := brainSurface(t, sphereLabels(n, 11))
 	target := sphereLabels(n, 8)
 	phi := edt.Signed(target, volume.LabelBrain, 0)
-	res, err := Evolve(src, SignedDistanceForce{Phi: phi}, DefaultOptions())
+	res, err := EvolveContext(context.Background(), src, SignedDistanceForce{Phi: phi}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestEvolveGrowsSphereToLargerTarget(t *testing.T) {
 	src := brainSurface(t, sphereLabels(n, 8))
 	target := sphereLabels(n, 11)
 	phi := edt.Signed(target, volume.LabelBrain, 0)
-	res, err := Evolve(src, SignedDistanceForce{Phi: phi}, DefaultOptions())
+	res, err := EvolveContext(context.Background(), src, SignedDistanceForce{Phi: phi}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestEvolveStationaryOnMatchedTarget(t *testing.T) {
 	src := brainSurface(t, labels)
 	phi := edt.Signed(labels, volume.LabelBrain, 0)
 	opts := DefaultOptions()
-	res, err := Evolve(src, SignedDistanceForce{Phi: phi}, opts)
+	res, err := EvolveContext(context.Background(), src, SignedDistanceForce{Phi: phi}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestEvolveInputUnmodified(t *testing.T) {
 	src := brainSurface(t, sphereLabels(n, 8))
 	orig := append([]geom.Vec3(nil), src.Verts...)
 	phi := edt.Signed(sphereLabels(n, 10), volume.LabelBrain, 0)
-	if _, err := Evolve(src, SignedDistanceForce{Phi: phi}, DefaultOptions()); err != nil {
+	if _, err := EvolveContext(context.Background(), src, SignedDistanceForce{Phi: phi}, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	for v := range src.Verts {
@@ -139,16 +140,16 @@ func TestEvolveInputUnmodified(t *testing.T) {
 }
 
 func TestEvolveErrors(t *testing.T) {
-	if _, err := Evolve(nil, SignedDistanceForce{}, DefaultOptions()); err == nil {
+	if _, err := EvolveContext(context.Background(), nil, SignedDistanceForce{}, DefaultOptions()); err == nil {
 		t.Error("nil surface accepted")
 	}
 	empty := &mesh.TriMesh{}
-	if _, err := Evolve(empty, SignedDistanceForce{}, DefaultOptions()); err == nil {
+	if _, err := EvolveContext(context.Background(), empty, SignedDistanceForce{}, DefaultOptions()); err == nil {
 		t.Error("empty surface accepted")
 	}
 	n := 24
 	src := brainSurface(t, sphereLabels(n, 8))
-	if _, err := Evolve(src, nil, DefaultOptions()); err == nil {
+	if _, err := EvolveContext(context.Background(), src, nil, DefaultOptions()); err == nil {
 		t.Error("nil force accepted")
 	}
 }
@@ -164,12 +165,12 @@ func TestSmoothingRegularizesNoisyForce(t *testing.T) {
 	opts.MaxIter = 30
 	opts.Tol = 0 // run all iterations
 	opts.Smoothing = 0
-	resNoSmooth, err := Evolve(src, rough, opts)
+	resNoSmooth, err := EvolveContext(context.Background(), src, rough, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Smoothing = 0.5
-	resSmooth, err := Evolve(src, rough, opts)
+	resSmooth, err := EvolveContext(context.Background(), src, rough, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestBoundaryConditionsMapToNodes(t *testing.T) {
 	n := 24
 	src := brainSurface(t, sphereLabels(n, 9))
 	phi := edt.Signed(sphereLabels(n, 7), volume.LabelBrain, 0)
-	res, err := Evolve(src, SignedDistanceForce{Phi: phi}, DefaultOptions())
+	res, err := EvolveContext(context.Background(), src, SignedDistanceForce{Phi: phi}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestEvolveContextBackgroundMatchesEvolve(t *testing.T) {
 	src := brainSurface(t, sphereLabels(n, 11))
 	phi := edt.SignedOfSet(sphereLabels(n, 8),
 		func(l volume.Label) bool { return l == volume.LabelBrain }, 0)
-	a, err := Evolve(src, SignedDistanceForce{Phi: phi}, DefaultOptions())
+	a, err := EvolveContext(context.Background(), src, SignedDistanceForce{Phi: phi}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

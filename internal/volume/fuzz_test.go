@@ -2,8 +2,45 @@ package volume
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 )
+
+// overflowHeaders declare a voxel count past int: 2097152³ = 2^63 and
+// 4194304³ = 2^66, which a wrapping product turns negative and zero.
+var overflowHeaders = []string{
+	"MVOL1 %s 2097152 2097152 2097152 1 1 1 0 0 0\n",
+	"MVOL1 %s 4194304 4194304 4194304 1 1 1 0 0 0\n",
+}
+
+// addOverflowSeeds seeds a reader's corpus with overflowHeaders for the
+// given volume kind.
+func addOverflowSeeds(f *testing.F, kind string) {
+	for _, h := range overflowHeaders {
+		f.Add([]byte(fmt.Sprintf(h, kind)))
+	}
+}
+
+// checkParsed is the property every reader's accepted output must hold:
+// a valid grid whose voxel count, computed without wrapping, is the
+// data length.
+func checkParsed(t *testing.T, g Grid, n int) {
+	t.Helper()
+	if err := g.Validate(); err != nil {
+		t.Fatalf("parser returned invalid grid: %v", err)
+	}
+	want := 1
+	for _, d := range [3]int{g.NX, g.NY, g.NZ} {
+		if want > math.MaxInt/d {
+			t.Fatalf("parser returned grid %v whose voxel count overflows int", g)
+		}
+		want *= d
+	}
+	if n != want {
+		t.Fatalf("data length %d != grid %d", n, want)
+	}
+}
 
 // FuzzReadScalar hardens the MVOL parser against malformed input: any
 // byte stream must either parse into a structurally valid volume or
@@ -21,6 +58,7 @@ func FuzzReadScalar(f *testing.F) {
 	f.Add([]byte("MVOL1 labels 1 1 1 1 1 1 0 0 0\nx"))
 	f.Add([]byte("garbage"))
 	f.Add([]byte("MVOL1 scalar 1000000 1000000 1000000 1 1 1 0 0 0\n"))
+	addOverflowSeeds(f, "scalar")
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Guard against absurd allocations from huge declared dims: the
@@ -33,12 +71,7 @@ func FuzzReadScalar(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := vol.Grid.Validate(); err != nil {
-			t.Fatalf("parser returned invalid grid: %v", err)
-		}
-		if len(vol.Data) != vol.Grid.Len() {
-			t.Fatalf("data length %d != grid %d", len(vol.Data), vol.Grid.Len())
-		}
+		checkParsed(t, vol.Grid, len(vol.Data))
 	})
 }
 
@@ -52,6 +85,7 @@ func FuzzReadLabels(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte("MVOL1 labels 2 2 2 1 1 1 0 0 0\n"))
+	addOverflowSeeds(f, "labels")
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
@@ -61,8 +95,33 @@ func FuzzReadLabels(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(vol.Data) != vol.Grid.Len() {
-			t.Fatalf("data length %d != grid %d", len(vol.Data), vol.Grid.Len())
+		checkParsed(t, vol.Grid, len(vol.Data))
+	})
+}
+
+// FuzzReadField mirrors FuzzReadScalar for the displacement-field
+// parser.
+func FuzzReadField(f *testing.F) {
+	fl := NewField(NewGrid(2, 2, 2, 1))
+	fl.DX[3] = 0.5
+	var buf bytes.Buffer
+	if err := WriteField(&buf, fl); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("MVOL1 field 2 2 2 1 1 1 0 0 0\n"))
+	addOverflowSeeds(f, "field")
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<20 {
+			return
+		}
+		vol, err := ReadField(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, c := range [][]float32{vol.DX, vol.DY, vol.DZ} {
+			checkParsed(t, vol.Grid, len(c))
 		}
 	})
 }

@@ -13,6 +13,7 @@ package volume
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
@@ -121,10 +122,14 @@ func (g Grid) SameShape(h Grid) bool {
 }
 
 // Validate returns an error if the grid has non-positive dimensions or
-// spacing.
+// spacing, or more voxels than an int counts — so Len is exact on every
+// grid Validate accepts.
 func (g Grid) Validate() error {
 	if g.NX <= 0 || g.NY <= 0 || g.NZ <= 0 {
 		return fmt.Errorf("volume: invalid grid dims %dx%dx%d", g.NX, g.NY, g.NZ)
+	}
+	if g.NY > math.MaxInt/g.NX || g.NZ > math.MaxInt/(g.NX*g.NY) {
+		return fmt.Errorf("volume: grid dims %dx%dx%d overflow the voxel count", g.NX, g.NY, g.NZ)
 	}
 	if g.Spacing.X <= 0 || g.Spacing.Y <= 0 || g.Spacing.Z <= 0 {
 		return fmt.Errorf("volume: invalid spacing %v", g.Spacing)

@@ -54,8 +54,8 @@ func readHeader(r *bufio.Reader) (kind string, g Grid, err error) {
 	// Refuse to allocate for absurd declared dimensions: a malformed or
 	// hostile header must not drive a multi-gigabyte allocation before
 	// any data has been read. 2^30 voxels (4 GiB of float32) comfortably
-	// covers clinical volumes.
-	if int64(g.NX)*int64(g.NY)*int64(g.NZ) > 1<<30 {
+	// covers clinical volumes; Len is exact on the validated grid.
+	if g.Len() > 1<<30 {
 		return "", Grid{}, fmt.Errorf("volume: declared size %dx%dx%d exceeds the 2^30-voxel limit",
 			g.NX, g.NY, g.NZ)
 	}

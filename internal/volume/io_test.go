@@ -2,6 +2,8 @@ package volume
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -92,6 +94,25 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadScalar(strings.NewReader("MVOL1 scalar 4 4 4 1 1 1 0 0 0\nshort")); err == nil {
 		t.Error("truncated data accepted")
+	}
+}
+
+// TestReadRejectsOverflowingHeader covers the overflowHeaders: a
+// capped voxel product that wraps either panics in the allocation or
+// returns an empty volume on a 7.4e19-voxel grid.
+func TestReadRejectsOverflowingHeader(t *testing.T) {
+	readers := map[string]func(io.Reader) error{
+		"scalar": func(r io.Reader) error { _, err := ReadScalar(r); return err },
+		"labels": func(r io.Reader) error { _, err := ReadLabels(r); return err },
+		"field":  func(r io.Reader) error { _, err := ReadField(r); return err },
+	}
+	for kind, read := range readers {
+		for _, h := range overflowHeaders {
+			header := fmt.Sprintf(h, kind)
+			if err := read(strings.NewReader(header)); err == nil {
+				t.Errorf("%q: accepted", header)
+			}
+		}
 	}
 }
 
