@@ -91,7 +91,7 @@ func main() {
 			fmt.Printf("\n%s (shift %.0f mm): queued %v, boundary match %.2f -> %.2f mm\n",
 				r.id, r.shift, j.QueueWait().Round(time.Millisecond),
 				res.RigidMeanAbsDiff, res.MatchMeanAbsDiff)
-			fmt.Print(j.Timeline())
+			fmt.Print(res.Timeline())
 		}(r)
 	}
 	wg.Wait()
@@ -146,10 +146,7 @@ func main() {
 		fmt.Println("  finished before the budget expired")
 	}
 
-	fmt.Println("\nAggregate service metrics:")
-	fmt.Print(svc.Metrics().String())
-
-	// What the operator sees: the same aggregates over HTTP.
+	// The aggregates, as the operator (or Prometheus) sees them.
 	fmt.Println("\nAdmin surface, as scraped over HTTP:")
 	fmt.Printf("  GET /healthz       -> %s\n", compactJSON(get(admin.Addr(), "/healthz")))
 	fmt.Printf("  GET /jobs/%s  ->\n", j.ID)

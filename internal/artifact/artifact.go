@@ -21,6 +21,7 @@ package artifact
 import (
 	"bytes"
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -29,8 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // Options configures a Store.
@@ -47,19 +46,15 @@ type Options struct {
 	// restarts and are shared between Stores pointed at the same
 	// directory; they are never evicted by the LRU bound.
 	Dir string
-
-	// Registry, when non-nil, receives the cache's hit/miss/bytes/
-	// eviction instruments under the brainsim_artifact_cache_* names.
-	Registry *obs.Registry
 }
 
 // DefaultMaxMemoryBytes bounds the memory tier when Options leaves
 // MaxMemoryBytes zero.
 const DefaultMaxMemoryBytes = 256 << 20
 
-// Stats is a point-in-time snapshot of the store's counters, exposed
-// for the admin surface and tests; the same values feed the obs
-// registry when one is configured.
+// Stats is a point-in-time snapshot of the store's counters — the one
+// count of its traffic, read by the admin surface's /artifacts and by
+// the benchmark.
 type Stats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -88,11 +83,6 @@ type Store struct {
 	bytes    int64
 	inflight map[string]*flight
 	stats    Stats
-
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
-	resident  *obs.Gauge
 }
 
 // Sum is the content hash of a value: the SHA-256 of its encoding,
@@ -129,27 +119,21 @@ func New(opts Options) (*Store, error) {
 	if max == 0 {
 		max = DefaultMaxMemoryBytes
 	}
-	s := &Store{
+	return &Store{
 		dir:      opts.Dir,
 		max:      max,
 		entries:  make(map[string]*list.Element),
 		lru:      list.New(),
 		inflight: make(map[string]*flight),
-	}
-	if opts.Registry != nil {
-		s.hits = opts.Registry.Counter(obs.MetricArtifactHits)
-		s.misses = opts.Registry.Counter(obs.MetricArtifactMisses)
-		s.evictions = opts.Registry.Counter(obs.MetricArtifactEvictions)
-		s.resident = opts.Registry.Gauge(obs.MetricArtifactBytes)
-	}
-	return s, nil
+	}, nil
 }
 
-// GetOrCompute is Value for callers whose artifacts are already bytes:
-// the encoding of a byte slice is itself.
+// GetOrCompute is Value for callers whose artifacts are already bytes
+// (the encoding of a byte slice is itself) and who have no context: it
+// waits out a concurrent computation of the key however long it takes.
 func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (data []byte, hit bool, err error) {
 	same := func(b []byte) []byte { return b }
-	data, _, hit, err = Value(s, key, compute, same, func(b []byte) ([]byte, error) { return b, nil })
+	data, _, hit, err = value(nil, s, key, compute, same, func(b []byte) ([]byte, error) { return b, nil })
 	return data, hit, err
 }
 
@@ -163,10 +147,23 @@ func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (data [
 // it to the disk tier. A compute error is returned to the caller whose
 // compute failed and nothing is stored; callers waiting on that
 // computation do not inherit the error (it may be scoped to the failed
-// caller's context) — each retries with its own compute. Every caller
-// of one key must pass the same T.
-func Value[T any](s *Store, key string, compute func() (T, error),
+// caller's context) — each retries with its own compute. A caller
+// waiting on another's computation gives up with ctx.Err() when ctx ends
+// first; the computation itself runs on under its own caller. Every
+// caller of one key must pass the same T.
+func Value[T any](ctx context.Context, s *Store, key string, compute func() (T, error),
 	encode func(T) []byte, decode func([]byte) (T, error)) (v T, sum Sum, hit bool, err error) {
+	return value(ctx, s, key, compute, encode, decode)
+}
+
+// value is Value with an optional context: a nil ctx never abandons a
+// wait.
+func value[T any](ctx context.Context, s *Store, key string, compute func() (T, error),
+	encode func(T) []byte, decode func([]byte) (T, error)) (v T, sum Sum, hit bool, err error) {
+	var abandon <-chan struct{}
+	if ctx != nil {
+		abandon = ctx.Done()
+	}
 	if key == "" {
 		return v, sum, false, ErrEmptyKey
 	}
@@ -181,7 +178,11 @@ func Value[T any](s *Store, key string, compute func() (T, error),
 		}
 		if fl, ok := s.inflight[key]; ok {
 			s.mu.Unlock()
-			<-fl.done
+			select {
+			case <-fl.done:
+			case <-abandon:
+				return v, sum, false, ctx.Err()
+			}
 			if fl.err != nil {
 				// The leader failed; each waiter retries its own
 				// compute rather than inheriting a possibly
@@ -251,7 +252,6 @@ func fill[T any](s *Store, fl *flight, compute func() (T, error),
 	s.mu.Lock()
 	s.stats.Misses++
 	s.mu.Unlock()
-	s.count(s.misses)
 	return false, nil
 }
 
@@ -260,7 +260,6 @@ func (s *Store) hit() {
 	s.mu.Lock()
 	s.stats.Hits++
 	s.mu.Unlock()
-	s.count(s.hits)
 }
 
 // admit inserts an entry into the memory tier and evicts down to the
@@ -270,13 +269,12 @@ func (s *Store) admit(e *memEntry) {
 	if s.max < 0 || e.size > s.max {
 		return
 	}
-	var evicted int
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if el, ok := s.entries[e.key]; ok {
 		// Another flight (or a disk promote) raced us in; keep the
 		// incumbent so every caller shares one value.
 		s.lru.MoveToFront(el)
-		s.mu.Unlock()
 		return
 	}
 	s.entries[e.key] = s.lru.PushFront(e)
@@ -290,18 +288,7 @@ func (s *Store) admit(e *memEntry) {
 		s.lru.Remove(back)
 		delete(s.entries, old.key)
 		s.bytes -= old.size
-		evicted++
-	}
-	s.stats.Evictions += int64(evicted)
-	s.stats.Entries = len(s.entries)
-	s.stats.Bytes = s.bytes
-	resident := s.bytes
-	s.mu.Unlock()
-	for i := 0; i < evicted; i++ {
-		s.count(s.evictions)
-	}
-	if s.resident != nil {
-		s.resident.Set(float64(resident))
+		s.stats.Evictions++
 	}
 }
 
@@ -313,12 +300,6 @@ func (s *Store) Stats() Stats {
 	st.Entries = len(s.entries)
 	st.Bytes = s.bytes
 	return st
-}
-
-func (s *Store) count(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
 }
 
 // Disk tier. Each entry is one file framed as

@@ -73,7 +73,7 @@ func cached[In, K, Out any](ctx context.Context, store *artifact.Store, name str
 	}
 	storeKey := artifact.Key([]byte(fmt.Sprintf("core-v%d", codecVersion)), []byte(name),
 		[]byte(fmt.Sprintf("%#v", key)), in.hash())
-	v, sum, hit, err := artifact.Value(store, storeKey, compute, c.marshal, c.unmarshal)
+	v, sum, hit, err := artifact.Value(ctx, store, storeKey, compute, c.marshal, c.unmarshal)
 	if err != nil {
 		return nil, err
 	}

@@ -18,27 +18,14 @@ var DefaultLatencyBuckets = []float64{
 
 // Histogram is a fixed-bucket histogram. Observations are counted into
 // the first bucket whose upper bound is >= the value (Prometheus "le"
-// semantics), with an implicit +Inf overflow bucket; the exact min, max
-// and sum are tracked alongside, so quantile estimates can be clamped
-// to the observed range. All methods are safe for concurrent use.
+// semantics), with an implicit +Inf overflow bucket, and summed. All
+// methods are safe for concurrent use.
 type Histogram struct {
-	mu        sync.Mutex
-	bounds    []float64 // strictly increasing upper bounds; +Inf implicit
-	counts    []uint64  // len(bounds)+1, last is the overflow bucket
-	exemplars []exemplar
-	sum       float64
-	count     uint64
-	min       float64
-	max       float64
-}
-
-// exemplar is the most recent annotated observation of one bucket —
-// the OpenMetrics-style breadcrumb that links a latency bucket back to
-// a concrete trace or job id.
-type exemplar struct {
-	key, val string
-	value    float64
-	set      bool
+	mu     sync.Mutex
+	bounds []float64 // strictly increasing upper bounds; +Inf implicit
+	counts []uint64  // len(bounds)+1, last is the overflow bucket
+	sum    float64
+	count  uint64
 }
 
 // newHistogram builds a histogram over the given upper bounds (nil
@@ -68,20 +55,6 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	h.observe(v, "", "")
-}
-
-// ObserveExemplar records one value and attaches an exemplar label to
-// the bucket it lands in (e.g. trace_id = the job's trace id), shown
-// inline on the bucket's line in the OpenMetrics exposition (the 0.0.4
-// text format has no exemplar syntax and renders plain). The newest
-// exemplar per bucket wins. An empty labelVal records plainly, like
-// Observe.
-func (h *Histogram) ObserveExemplar(v float64, labelKey, labelVal string) {
-	h.observe(v, labelKey, labelVal)
-}
-
-func (h *Histogram) observe(v float64, exKey, exVal string) {
 	if math.IsNaN(v) {
 		return
 	}
@@ -89,132 +62,38 @@ func (h *Histogram) observe(v float64, exKey, exVal string) {
 	h.mu.Lock()
 	h.counts[i]++
 	h.sum += v
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
 	h.count++
-	if exVal != "" {
-		if h.exemplars == nil {
-			h.exemplars = make([]exemplar, len(h.counts))
-		}
-		h.exemplars[i] = exemplar{key: exKey, val: exVal, value: v, set: true}
-	}
 	h.mu.Unlock()
 }
 
-// Quantile estimates the q-th quantile (q in [0,1]) by linear
-// interpolation within the bucket containing the target rank, clamped
-// to the observed [min, max] range. Zero observations yield 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
-func (h *Histogram) quantileLocked(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	rank := q * float64(h.count)
-	cum := 0.0
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += float64(c)
-		if cum < rank {
-			continue
-		}
-		// Interpolate inside bucket i: [bounds[i-1], bounds[i]], with
-		// the observed min/max standing in for the open outer edges.
-		lo := h.min
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.max
-		if i < len(h.bounds) {
-			hi = h.bounds[i]
-		}
-		if hi <= lo {
-			return clamp(hi, h.min, h.max)
-		}
-		v := lo + (hi-lo)*(rank-prev)/float64(c)
-		return clamp(v, h.min, h.max)
-	}
-	return h.max
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// HistSummary is a point-in-time digest of a histogram.
+// HistSummary is a point-in-time digest of a histogram: the _count and
+// _sum series of its exposition.
 type HistSummary struct {
-	Count         uint64
-	Sum, Min, Max float64
-	P50, P90, P99 float64
+	Count uint64
+	Sum   float64
 }
 
-// Summary computes the digest atomically (one lock for all quantiles).
+// Summary reads count and sum under one lock.
 func (h *Histogram) Summary() HistSummary {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return HistSummary{
-		Count: h.count,
-		Sum:   h.sum,
-		Min:   h.min,
-		Max:   h.max,
-		P50:   h.quantileLocked(0.50),
-		P90:   h.quantileLocked(0.90),
-		P99:   h.quantileLocked(0.99),
-	}
+	return HistSummary{Count: h.count, Sum: h.sum}
 }
 
 // write renders the histogram in Prometheus text format: cumulative
-// _bucket series, then _sum and _count. In the OpenMetrics exposition
-// (exemplars true), buckets that carry an exemplar get it appended
-// inline:
-//
-//	name_bucket{le="0.5"} 12 # {trace_id="j0001"} 0.43
-//
-// The 0.0.4 text format has no exemplar syntax — a conforming scraper
-// expects at most a timestamp after the value — so with exemplars
-// false every bucket line renders plain.
-func (h *Histogram) write(w *bufio.Writer, name, labels string, exemplars bool) {
+// _bucket series, then _sum and _count.
+func (h *Histogram) write(w *bufio.Writer, name, labels string) {
 	h.mu.Lock()
 	bounds := h.bounds
 	counts := append([]uint64(nil), h.counts...)
-	exs := append([]exemplar(nil), h.exemplars...)
 	sum, count := h.sum, h.count
 	h.mu.Unlock()
-	suffix := func(i int) string {
-		if !exemplars || i >= len(exs) || !exs[i].set {
-			return ""
-		}
-		return fmt.Sprintf(" # {%s=%q} %g", exs[i].key, exs[i].val, exs[i].value)
-	}
 	cum := uint64(0)
 	for i, b := range bounds {
 		cum += counts[i]
-		fmt.Fprintf(w, "%s_bucket{%s} %d%s\n", name, appendLabel(labels, "le", fmt.Sprintf("%g", b)), cum, suffix(i))
+		fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, appendLabel(labels, "le", fmt.Sprintf("%g", b)), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{%s} %d%s\n", name, appendLabel(labels, "le", "+Inf"), count, suffix(len(bounds)))
+	fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, appendLabel(labels, "le", "+Inf"), count)
 	fmt.Fprintf(w, "%s_sum%s %v\n", name, braces(labels), sum)
 	fmt.Fprintf(w, "%s_count%s %d\n", name, braces(labels), count)
 }

@@ -7,9 +7,9 @@
 // rest of the system builds on:
 //
 //   - a metrics Registry of counters, gauges and fixed-bucket latency
-//     histograms (with p50/p90/p99 summaries), rendered in the
-//     Prometheus text exposition format, keyed by the Metric
-//     descriptors declared once in names.go;
+//     histograms, rendered once, in the Prometheus text exposition
+//     format (version 0.0.4), keyed by the Metric descriptors declared
+//     once in names.go;
 //   - hierarchical span tracing carried on context.Context; a finished
 //     span is built once and handed to every Sink on the context (the
 //     JSONL Tracer, the FlightRecorder, the StageSink — see trace.go);
@@ -42,11 +42,9 @@ type Label struct {
 type instrument interface {
 	// write renders the instrument in Prometheus text format. labels is
 	// the pre-rendered label body without braces ("" when unlabeled).
-	// exemplars selects the OpenMetrics exposition, the only text format
-	// in which exemplar suffixes are legal; the 0.0.4 format must render
-	// without them. The buffered writer latches any write error for the
-	// registry's final Flush, so instruments render unconditionally.
-	write(w *bufio.Writer, name, labels string, exemplars bool)
+	// The buffered writer latches any write error for the registry's
+	// final Flush, so instruments render unconditionally.
+	write(w *bufio.Writer, name, labels string)
 }
 
 // Counter is a monotonically increasing metric.
@@ -75,7 +73,7 @@ func (c *Counter) Value() float64 {
 	return c.v
 }
 
-func (c *Counter) write(w *bufio.Writer, name, labels string, _ bool) {
+func (c *Counter) write(w *bufio.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %v\n", name, braces(labels), c.Value())
 }
 
@@ -116,7 +114,7 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-func (g *Gauge) write(w *bufio.Writer, name, labels string, _ bool) {
+func (g *Gauge) write(w *bufio.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %v\n", name, braces(labels), g.Value())
 }
 
@@ -186,25 +184,9 @@ func (r *Registry) Histogram(m Metric, labels ...Label) *Histogram {
 
 // WritePrometheus renders every registered instrument in the Prometheus
 // text exposition format (version 0.0.4), families sorted by name.
-// Exemplars are omitted: the 0.0.4 grammar allows only an optional
-// timestamp after the sample value, so a conforming scraper would fail
-// the whole scrape on an exemplar suffix. Use WriteOpenMetrics for the
-// exemplar-annotated exposition. Rendering is buffered; the returned
-// error is the first write error the underlying writer reported.
+// Rendering is buffered; the returned error is the first write error
+// the underlying writer reported.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.writeExposition(w, false)
-}
-
-// WriteOpenMetrics renders the registry in the OpenMetrics text format:
-// histogram buckets carry their exemplar suffixes
-// (`# {trace_id="j000042"} 0.43`), counter families are announced under
-// their metadata name (the sample name without the `_total` suffix),
-// and the exposition ends with the mandatory `# EOF` trailer.
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	return r.writeExposition(w, true)
-}
-
-func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for n := range r.families {
@@ -232,60 +214,25 @@ func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
 	// latches the first write error for the final Flush.
 	bw := bufio.NewWriter(w)
 	for _, e := range entries {
-		// OpenMetrics announces counters under the metadata name — the
-		// sample name minus its mandatory `_total` suffix.
-		meta := e.name
-		if openMetrics && e.f.typ == "counter" {
-			meta = strings.TrimSuffix(meta, "_total")
-		}
 		if e.f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", meta, e.f.help)
+			fmt.Fprintf(bw, "# HELP %s %s\n", e.name, e.f.help)
 		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", meta, e.f.typ)
+		fmt.Fprintf(bw, "# TYPE %s %s\n", e.name, e.f.typ)
 		for i, k := range e.keys {
-			e.insts[i].write(bw, e.name, k, openMetrics)
+			e.insts[i].write(bw, e.name, k)
 		}
-	}
-	if openMetrics {
-		bw.WriteString("# EOF\n")
 	}
 	return bw.Flush()
 }
 
 // Handler returns an http.Handler serving the registry — the /metrics
-// endpoint. The format is negotiated on the Accept header: a scraper
-// asking for application/openmetrics-text gets the OpenMetrics
-// exposition with exemplars and the `# EOF` trailer; everyone else gets
-// plain Prometheus text (version 0.0.4), which carries no exemplars.
+// endpoint — as Prometheus text (version 0.0.4), whatever the request's
+// Accept header asks for.
 func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		om := acceptsOpenMetrics(req.Header.Get("Accept"))
-		ct := "text/plain; version=0.0.4; charset=utf-8"
-		if om {
-			ct = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-		}
-		w.Header().Set("Content-Type", ct)
-		if om {
-			_ = r.WriteOpenMetrics(w)
-		} else {
-			_ = r.WritePrometheus(w)
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = r.WritePrometheus(w)
 	})
-}
-
-// acceptsOpenMetrics reports whether an Accept header value asks for
-// the OpenMetrics media type (parameters like version or q ignored —
-// any explicit mention opts in).
-func acceptsOpenMetrics(accept string) bool {
-	for accept != "" {
-		var part string
-		part, accept, _ = strings.Cut(accept, ",")
-		mt, _, _ := strings.Cut(part, ";")
-		if strings.EqualFold(strings.TrimSpace(mt), "application/openmetrics-text") {
-			return true
-		}
-	}
-	return false
 }
 
 // renderLabels renders labels as a Prometheus label body (no braces),

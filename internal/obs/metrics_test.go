@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"math"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -40,61 +41,15 @@ func TestRegistryTypeMismatchPanics(t *testing.T) {
 	r.Gauge(counter("m", ""))
 }
 
-func TestHistogramQuantilesUniform(t *testing.T) {
-	// 100 observations 1..100 against decade buckets: with linear
-	// interpolation inside the rank bucket every quantile is exact.
-	h := newHistogram([]float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
-	for v := 1; v <= 100; v++ {
-		h.Observe(float64(v))
-	}
-	for _, tc := range []struct{ q, want float64 }{
-		{0, 1}, {0.5, 50}, {0.9, 90}, {0.99, 99}, {1, 100},
-	} {
-		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-	s := h.Summary()
-	if s.Count != 100 || s.Sum != 5050 || s.Min != 1 || s.Max != 100 {
-		t.Errorf("summary = %+v", s)
-	}
-	if s.P50 != 50 || s.P90 != 90 || s.P99 != 99 {
-		t.Errorf("summary quantiles = %+v", s)
-	}
-}
-
-func TestHistogramQuantilesSkewed(t *testing.T) {
-	// 90 fast observations and 10 slow ones: the p50 stays in the fast
-	// bucket, the p99 lands in the slow one, and everything is clamped
-	// to the observed range even in the open overflow bucket.
-	h := newHistogram([]float64{1, 10})
-	for i := 0; i < 90; i++ {
-		h.Observe(0.5)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(50) // overflow bucket (10, +Inf)
-	}
-	if p50 := h.Quantile(0.5); p50 < 0.5 || p50 > 1 {
-		t.Errorf("p50 = %v, want within fast bucket [0.5, 1]", p50)
-	}
-	if p99 := h.Quantile(0.99); p99 < 10 || p99 > 50 {
-		t.Errorf("p99 = %v, want within (10, max=50]", p99)
-	}
-	if p := h.Quantile(0.9999); p > 50 {
-		t.Errorf("extreme quantile %v escapes observed max 50", p)
-	}
-}
-
 func TestHistogramSingleValue(t *testing.T) {
 	h := newHistogram(nil) // DefaultLatencyBuckets
-	h.Observe(0.042)
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 0.042 {
-			t.Errorf("Quantile(%v) = %v, want the single observation", q, got)
-		}
+	if s := h.Summary(); s != (HistSummary{}) {
+		t.Errorf("empty histogram summary = %+v, want zero", s)
 	}
-	if got := newHistogram(nil).Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", got)
+	h.Observe(0.042)
+	h.Observe(math.NaN()) // dropped: a NaN would poison the sum
+	if s := h.Summary(); s.Count != 1 || s.Sum != 0.042 {
+		t.Errorf("summary = %+v, want the single observation", s)
 	}
 }
 
@@ -107,7 +62,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 	h.Observe(3) // +Inf
 	var b strings.Builder
 	bw := bufio.NewWriter(&b)
-	h.write(bw, "m", "", false)
+	h.write(bw, "m", "")
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,5 +128,49 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if v := r.Counter(counter("ops_total", "")).Value(); v != 8*200 {
 		t.Errorf("ops_total = %v, want %d", v, 8*200)
+	}
+}
+
+// TestPrometheusTextFormatHasNoExemplars: the 0.0.4 grammar allows at
+// most a timestamp after a sample value — a conforming scraper fails the
+// whole scrape on a '#' there — and has no EOF trailer.
+func TestPrometheusTextFormatHasNoExemplars(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram(histogram("brainsim_scan_seconds", "scan latency", []float64{1, 10}))
+	for _, v := range []float64{0.5, 5, 50} {
+		h.Observe(v)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			continue
+		}
+		if strings.Contains(line, "#") {
+			t.Errorf("0.0.4 line carries non-sample syntax: %s", line)
+		}
+	}
+}
+
+// TestMetricsHandlerContentNegotiation: /metrics has one exposition.
+// A scraper asking for OpenMetrics first still gets 0.0.4 text, which
+// every Prometheus scraper accepts.
+func TestMetricsHandlerContentNegotiation(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter(MetricScans).Inc()
+	for _, accept := range []string{"", "application/openmetrics-text; version=1.0.0; q=0.5, text/plain; version=0.0.4; q=0.4"} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("GET", "/metrics", nil)
+		req.Header.Set("Accept", accept)
+		reg.Handler().ServeHTTP(rec, req)
+		if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+			t.Errorf("Accept %q: Content-Type = %q", accept, ct)
+		}
+		if body := rec.Body.String(); !strings.Contains(body, "# TYPE brainsim_scans_total counter\nbrainsim_scans_total 1\n") ||
+			strings.Contains(body, "# EOF") {
+			t.Errorf("Accept %q: body is not the 0.0.4 exposition:\n%s", accept, body)
+		}
 	}
 }

@@ -79,9 +79,9 @@ func histogram(name, help string, buckets []float64) Metric {
 	return Metric{name: name, help: help, kind: "histogram", buckets: buckets}
 }
 
-// The service layer, cmd/brainsim, the artifact store and the runtime
-// collector all publish under these descriptors, so dashboards built
-// against one surface work against the others.
+// The service layer, cmd/brainsim and the runtime collector all publish
+// under these descriptors, so dashboards built against one surface work
+// against the others.
 var (
 	// MetricStageSeconds is labeled {stage} with the core.Stage* names;
 	// MetricStageErrors includes context cancellations.
@@ -102,9 +102,7 @@ var (
 		"Scan submissions rejected because the queue was full.")
 	// MetricScans is labeled {outcome="completed"|"degraded"|"canceled"|"failed"}.
 	MetricScans = counter("brainsim_scans_total", "Finished scans by outcome.")
-	// MetricScanSeconds is labeled {kind="register"|"update"}; its
-	// buckets carry job-ID exemplars linking a latency bucket to a
-	// concrete trace, and its update count is Metrics.Updates.
+	// MetricScanSeconds is labeled {kind="register"|"update"}.
 	MetricScanSeconds = histogram("brainsim_scan_seconds",
 		"Worker wall-clock time per delivered scan by processing path.", DefaultLatencyBuckets)
 	MetricQueueDepth = gauge("brainsim_queue_depth",
@@ -166,14 +164,4 @@ var (
 		})
 	MetricRuntimeGCCycles = counter("brainsim_runtime_gc_cycles_total",
 		"Completed GC cycles.")
-
-	// Hits are pipeline stages skipped entirely (memory or disk).
-	MetricArtifactHits = counter("brainsim_artifact_cache_hits_total",
-		"Artifact-cache lookups served from the store.")
-	MetricArtifactMisses = counter("brainsim_artifact_cache_misses_total",
-		"Artifact-cache lookups that recomputed the stage.")
-	MetricArtifactBytes = gauge("brainsim_artifact_cache_bytes",
-		"Bytes resident in the in-memory artifact tier.")
-	MetricArtifactEvictions = counter("brainsim_artifact_cache_evictions_total",
-		"In-memory artifact entries evicted by the LRU bound.")
 )

@@ -10,8 +10,8 @@ import (
 // suddenly misses its budget with healthy solver telemetry usually
 // means the runtime, not the numerics: a GC pause inside the solve
 // window or a goroutine leak in the worker pool, which these series
-// expose. Sample is safe for concurrent use and cheap enough to call
-// both from a background ticker and at /metrics scrape time.
+// expose. The service samples once per /metrics scrape; Sample is safe
+// for concurrent use, so overlapping scrapes are fine.
 type RuntimeCollector struct {
 	reg *Registry
 

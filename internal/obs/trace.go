@@ -186,8 +186,8 @@ func (s *Span) ID() uint64 {
 }
 
 // TraceID returns the id of the span tree's root span (0 for a nil
-// span) — the stable handle the exemplar and flight-recorder surfaces
-// correlate on.
+// span) — the handle a log record and the spans of its scan share in a
+// trace stream or a flight-recorder dump.
 func (s *Span) TraceID() uint64 {
 	if s == nil {
 		return 0

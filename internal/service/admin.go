@@ -32,23 +32,28 @@ func AdminHandler(s *Service) http.Handler {
 		// Point-in-time gauges and the runtime sample are refreshed at
 		// scrape time, so the exposition reflects the service as it is
 		// now, not as it was at the last state change.
-		s.SampleRuntime()
-		reg := s.Registry()
-		reg.Gauge(obs.MetricQueueDepth).Set(float64(s.QueueDepth()))
-		reg.Gauge(obs.MetricQueueCapacity).Set(float64(s.QueueCapacity()))
-		reg.Gauge(obs.MetricWorkersAlive).Set(float64(s.WorkersAlive()))
-		reg.Handler().ServeHTTP(w, r)
+		s.rt.Sample()
+		s.reg.Gauge(obs.MetricQueueDepth).Set(float64(s.QueueDepth()))
+		s.reg.Gauge(obs.MetricQueueCapacity).Set(float64(s.QueueCapacity()))
+		s.reg.Gauge(obs.MetricWorkersAlive).Set(float64(s.WorkersAlive()))
+		s.reg.Handler().ServeHTTP(w, r)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		alive := s.WorkersAlive()
-		m := s.Metrics()
 		status := http.StatusOK
 		if alive == 0 {
 			status = http.StatusServiceUnavailable
 		}
+		// The share of submissions shed, read off the counters /metrics
+		// renders: a settled submission was either shed or a finished scan.
+		shed := s.reg.Counter(obs.MetricShed).Value()
+		submitted := shed
+		for _, outcome := range scanOutcomes {
+			submitted += s.reg.Counter(obs.MetricScans, obs.Label{Key: "outcome", Value: outcome}).Value()
+		}
 		shedRate := 0.0
-		if total := m.Scans + m.Shed; total > 0 {
-			shedRate = float64(m.Shed) / float64(total)
+		if submitted > 0 {
+			shedRate = shed / submitted
 		}
 		writeJSON(w, status, map[string]any{
 			"ok":            alive > 0,

@@ -3,14 +3,11 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/artifact"
-	"repro/internal/obs"
 )
 
 // TestSharedArtifactStoreAcrossSessions is the service-level caching
@@ -19,12 +16,11 @@ import (
 // preop stages instead of recomputing them, and the results stay
 // identical to the uncached session's.
 func TestSharedArtifactStoreAcrossSessions(t *testing.T) {
-	reg := obs.NewRegistry()
-	store, err := artifact.New(artifact.Options{Registry: reg})
+	store, err := artifact.New(artifact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := New(Options{Workers: 2, Registry: reg, ArtifactStore: store})
+	svc := New(Options{Workers: 2, ArtifactStore: store})
 	defer svc.Close()
 
 	c := testCase(24, 1)
@@ -107,25 +103,8 @@ func TestSharedArtifactStoreAcrossSessions(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Hits == 0 || got.Misses == 0 {
-		t.Fatalf("/artifacts reports no traffic: %+v", got)
-	}
-
-	// The shared registry carries the cache series alongside the
-	// service's own.
-	rec := httptest.NewRecorder()
-	reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	body, err := io.ReadAll(rec.Result().Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		obs.MetricArtifactHits.String(),
-		obs.MetricArtifactMisses.String(),
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("registry exposition missing %q", want)
-		}
+	if got != store.Stats() {
+		t.Fatalf("/artifacts = %+v, want the store's Stats %+v", got, store.Stats())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -338,10 +339,11 @@ func TestSessionsAdminEndpoints(t *testing.T) {
 	}
 }
 
-// TestJobRetentionEviction bounds the admin job index: with retention 2
-// a third scan evicts the oldest finished job and counts the eviction.
+// TestJobRetentionEviction bounds the admin job index: with one worker
+// and one queue slot it retains two jobs, so a third scan evicts the
+// oldest finished job and counts the eviction.
 func TestJobRetentionEviction(t *testing.T) {
-	svc := New(Options{Workers: 1, JobRetention: 2})
+	svc := New(Options{Workers: 1, QueueDepth: 1})
 	defer svc.Close()
 	c := testCase(24, 6)
 	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
@@ -375,22 +377,35 @@ func TestJobRetentionEviction(t *testing.T) {
 	}
 }
 
-// TestDefaultJobRetentionIsCapacity: left unset, the index holds as many
-// jobs as the service can have accepted at once — workers plus queue
-// slots — so the results it pins do not grow with the scans it has run.
+// TestDefaultJobRetentionIsCapacity: the index holds as many jobs as the
+// service can have accepted at once — workers plus queue slots — so the
+// results it pins do not grow with the scans it has run. Jobs submitted
+// already cancelled finish without running a scan, which keeps this
+// cheap.
 func TestDefaultJobRetentionIsCapacity(t *testing.T) {
-	svc := New(Options{Workers: 1, QueueDepth: 1})
+	svc := New(Options{Workers: 2, QueueDepth: 3})
 	defer svc.Close()
 	c := testCase(24, 6)
 	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := wait(context.Background(), svc.Submit, "or", c.Intraop); err != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var last *Job
+	for i := 0; i < 8; i++ {
+		j, err := svc.Submit(ctx, "or", c.Intraop)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := j.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+			t.Fatalf("job %s: err = %v, want context.Canceled", j.ID, err)
+		}
+		last = j
 	}
-	if jobs := svc.Jobs(); len(jobs) != 2 {
-		t.Errorf("retained %d jobs, want Workers+QueueDepth = 2", len(jobs))
+	if jobs := svc.Jobs(); len(jobs) != 5 || jobs[4] != last {
+		t.Errorf("retained %d jobs, want the last Workers+QueueDepth = 5", len(jobs))
+	}
+	if v := svc.Registry().Counter(obs.MetricJobsEvicted).Value(); v != 3 {
+		t.Errorf("%s = %v, want 3", obs.MetricJobsEvicted, v)
 	}
 }

@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -206,23 +204,4 @@ func (j *Job) Status() JobStatus {
 		st.Stages = append(st.Stages, ss)
 	}
 	return st
-}
-
-// Timeline renders the recorded stage events as text, one line per
-// stage — the service-side analogue of core.Result.Timeline that also
-// works for failed or still-running jobs.
-func (j *Job) Timeline() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "job %s: stage timeline\n", j.ID)
-	for _, e := range j.Events() {
-		switch {
-		case !e.Done:
-			fmt.Fprintf(&b, "  %-28s    running\n", e.Stage)
-		case e.Err != nil:
-			fmt.Fprintf(&b, "  %-28s %10.3fs  ERROR: %v\n", e.Stage, e.Elapsed.Seconds(), e.Err)
-		default:
-			fmt.Fprintf(&b, "  %-28s %10.3fs\n", e.Stage, e.Elapsed.Seconds())
-		}
-	}
-	return b.String()
 }

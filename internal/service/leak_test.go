@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,15 +16,14 @@ import (
 // TestServiceLeaksNothing drives every way a job can end — delivered,
 // cancelled while queued, shed on a full queue, degraded by its
 // deadline — and then closes the service: every goroutine it started
-// (pool workers, the runtime sampler, the pipeline's rank and k-NN
-// workers) must be gone and no session gate may stay held. A worker
-// that blocks on a send nobody receives, a missed WaitGroup.Done or a
-// gate not released on an error path shows up here as a leftover
-// goroutine, a held gate, or Close never returning (the suite's
-// -timeout then prints the goroutine dump).
+// (pool workers, the pipeline's rank and k-NN workers) must be gone and
+// no session gate may stay held. A worker that blocks on a send nobody
+// receives, a missed WaitGroup.Done or a gate not released on an error
+// path shows up here as a leftover goroutine, a held gate, or Close
+// never returning (the suite's -timeout then prints the goroutine dump).
 func TestServiceLeaksNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
-	svc := New(Options{Workers: 1, QueueDepth: 1, RuntimeSampleInterval: time.Millisecond})
+	svc := New(Options{Workers: 1, QueueDepth: 1})
 	c := testCase(24, 31)
 	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c.Preop, PreopLabels: c.PreopLabels}); err != nil {
 		t.Fatal(err)
@@ -81,14 +82,21 @@ func TestServiceLeaksNothing(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if m := svc.Metrics(); m.Scans != 5 || m.Shed != 1 || m.Canceled != 1 || m.Degraded != 1 {
-		t.Errorf("metrics = %+v, want 5 scans, 1 shed, 1 canceled, 1 degraded", m)
+	want := map[string]int{"completed": 3, "degraded": 1, "canceled": 1, "failed": 0}
+	if o, shed := outcomes(svc), count(svc, obs.MetricShed); !reflect.DeepEqual(o, want) || shed != 1 {
+		t.Errorf("scan outcomes %v and %d shed, want %v and 1", o, shed, want)
 	}
 	if n := len(ms.gate); n != 0 {
 		t.Errorf("session gate still held after Close (%d)", n)
 	}
-	// Close returns once wg.Wait does; the last workers may still be a
-	// few instructions from exiting.
+	noGoroutinesLeft(t, before)
+}
+
+// noGoroutinesLeft waits for the goroutine count to fall back to
+// before: Close returns once wg.Wait does, and the last workers may
+// still be a few instructions from exiting.
+func noGoroutinesLeft(t *testing.T, before int) {
+	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
@@ -96,4 +104,66 @@ func TestServiceLeaksNothing(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 	}
+}
+
+// panicAt is a span sink that panics when the named pipeline stage
+// starts, on the pipeline's own goroutine.
+type panicAt string
+
+func (p panicAt) SpanStarted(i obs.SpanInfo) {
+	if i.Stage && i.Name == string(p) {
+		panic("sink failed at " + i.Name)
+	}
+}
+func (panicAt) SpanEnded(obs.FinishedSpan) {}
+
+// TestPanickingJobCostsOneJob: a panic on a job's goroutine — here a
+// sink on the submitting context, as the solve stage starts — fails that
+// job with ErrJobPanicked and a flight dump, and nothing else: the
+// worker keeps serving, the session's next update and another session's
+// concurrent scan complete, and Close leaves no goroutine behind.
+func TestPanickingJobCostsOneJob(t *testing.T) {
+	before := runtime.NumGoroutine()
+	svc := New(Options{Workers: 2})
+	c1, c2 := streamCase(24, 32)
+	for _, id := range []string{"or", "or-2"} {
+		if err := svc.Open(SessionSpec{ID: id, Config: fastConfig(), Preop: c1.Preop, PreopLabels: c1.PreopLabels}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bg := context.Background()
+	if _, err := wait(bg, svc.Submit, "or", c1.Intraop); err != nil {
+		t.Fatal(err)
+	}
+
+	other, err := svc.Submit(bg, "or-2", c1.Intraop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = wait(obs.WithSink(bg, panicAt(core.StageSolve)), svc.SubmitUpdate, "or", c2.Intraop)
+	if !errors.Is(err, ErrJobPanicked) || !strings.Contains(err.Error(), "sink failed at "+core.StageSolve) ||
+		!strings.Contains(err.Error(), "goroutine ") {
+		t.Fatalf("panicking job: err = %v, want ErrJobPanicked with the panic value and stack", err)
+	}
+	d := lastDump(t, svc, "failed")
+	if logs := anomalyLogs(d); len(logs) != 1 || logs[0].Name != "scan failed" || logs[0].Attrs["error"] != err.Error() {
+		t.Errorf("anomaly logs = %+v, want the one failure record", logs)
+	}
+	if n := count(svc, obs.MetricScans, obs.Label{Key: "outcome", Value: "failed"}); n != 1 {
+		t.Errorf("failed scans = %d, want 1", n)
+	}
+
+	if _, err := other.Wait(bg); err != nil {
+		t.Errorf("concurrent session: %v", err)
+	}
+	if res, err := wait(bg, svc.SubmitUpdate, "or", c2.Intraop); err != nil || !res.Incremental {
+		t.Errorf("next update of the panicked session: err = %v", err)
+	}
+	if n := svc.WorkersAlive(); n != 2 {
+		t.Errorf("%d workers alive after the panic, want 2", n)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	noGoroutinesLeft(t, before)
 }

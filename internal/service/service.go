@@ -11,10 +11,9 @@
 // failing the scan (see core.Session.Register).
 //
 // The service is also the anchor of the observability surface: its obs
-// registry backs both the typed Metrics snapshot and the Prometheus
-// /metrics endpoint of the admin server (see admin.go), and finished
-// jobs are retained for a while so /jobs/{id} can answer after the
-// fact.
+// registry is the one count of every aggregate, read as Prometheus text
+// on the admin server's /metrics (see admin.go), and finished jobs are
+// retained for a while so /jobs/{id} can answer after the fact.
 package service
 
 import (
@@ -24,6 +23,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,6 +51,11 @@ var (
 	// ErrUnknownJob is returned by Job lookups for ids never assigned
 	// or already evicted from the retention window.
 	ErrUnknownJob = errors.New("service: unknown job")
+	// ErrJobPanicked is the error of a job whose scan panicked — in a
+	// stage body or a span sink on its context. The error text carries
+	// the panic value and the goroutine stack; the worker, the session
+	// and every other job carry on.
+	ErrJobPanicked = errors.New("service: job panicked")
 )
 
 // Options configures the service.
@@ -65,17 +70,6 @@ type Options struct {
 	// top of the caller's context — the paper's intraoperative time
 	// budget. Zero means no service-imposed deadline.
 	ScanTimeout time.Duration
-	// Registry, when non-nil, receives the service's metrics (stage
-	// histograms, outcome counters, assembly gauges). Nil allocates a
-	// private registry, reachable via Service.Registry.
-	Registry *obs.Registry
-	// JobRetention bounds how many jobs stay addressable on the admin
-	// surface; the oldest beyond it are evicted (counted in
-	// brainsim_jobs_evicted_total). A retained job keeps its Result, so
-	// this is also the number of results the service itself holds on to.
-	// Default Workers + QueueDepth: as many jobs as it can have accepted
-	// at one time.
-	JobRetention int
 	// FlightRecorderSize bounds each session's flight-recorder ring (the
 	// per-session black box of recent spans and log records).
 	// Default 256 records.
@@ -85,11 +79,6 @@ type Options struct {
 	// that directory; dumps are always retrievable in memory via
 	// /sessions/{id}/flightrecorder regardless.
 	FlightDumpDir string
-	// RuntimeSampleInterval, when positive, starts a background sampler
-	// feeding runtime health (heap, goroutines, GC pauses) into the
-	// registry at that period. The /metrics endpoint also samples at
-	// scrape time, so zero just means scrape-driven sampling only.
-	RuntimeSampleInterval time.Duration
 	// Logger renders the service's structured log records, through an
 	// obs.ContextHandler (New wraps a logger that is not built on one):
 	// it stamps session/job/span identity on each record and files it in
@@ -113,16 +102,19 @@ type Service struct {
 	opts  Options
 	queue chan scanRequest
 	wg    sync.WaitGroup
+	reg   *obs.Registry
 	rt    *obs.RuntimeCollector
 	log   *slog.Logger
-
-	// stopSampler ends the background runtime sampler (nil when none).
-	stopSampler chan struct{}
 
 	// workersAlive tracks workers that have started and not yet exited —
 	// the liveness signal behind /healthz.
 	workersAlive atomic.Int64
 
+	// mu guards the fields below. jobs holds the last Workers +
+	// QueueDepth jobs submitted — as many as the service can have
+	// accepted at one time — in jobOrder; older ones are evicted
+	// (brainsim_jobs_evicted_total). A retained job keeps its Result, so
+	// this bounds the results the service itself holds on to.
 	mu       sync.Mutex
 	sessions map[string]*managedSession
 	closed   bool
@@ -229,20 +221,19 @@ func New(opts Options) *Service {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 16
 	}
-	if opts.Registry == nil {
-		opts.Registry = obs.NewRegistry()
-	}
 	if opts.Logger == nil {
 		opts.Logger = obs.NopLogger()
 	} else if _, ok := opts.Logger.Handler().(*obs.ContextHandler); !ok {
 		opts.Logger = obs.NewLogger(opts.Logger.Handler())
 	}
+	reg := obs.NewRegistry()
 	s := &Service{
 		opts:     opts,
 		queue:    make(chan scanRequest, opts.QueueDepth),
 		sessions: make(map[string]*managedSession),
 		jobs:     make(map[string]*Job),
-		rt:       obs.NewRuntimeCollector(opts.Registry),
+		reg:      reg,
+		rt:       obs.NewRuntimeCollector(reg),
 		log:      opts.Logger,
 	}
 	s.wg.Add(opts.Workers)
@@ -250,40 +241,13 @@ func New(opts Options) *Service {
 		s.workersAlive.Add(1)
 		go s.worker()
 	}
-	if opts.RuntimeSampleInterval > 0 {
-		s.stopSampler = make(chan struct{})
-		s.wg.Add(1)
-		go s.sampleRuntime(opts.RuntimeSampleInterval)
-	}
 	return s
-}
-
-// sampleRuntime feeds runtime health into the registry until Close.
-func (s *Service) sampleRuntime(interval time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.rt.Sample()
-		case <-s.stopSampler:
-			return
-		}
-	}
-}
-
-// SampleRuntime takes one runtime-health sample into the registry —
-// called by the admin /metrics handler at scrape time so the exposition
-// is current even without a background sampler.
-func (s *Service) SampleRuntime() {
-	s.rt.Sample()
 }
 
 // Registry returns the obs registry holding the service's metrics —
 // the same one the admin server exposes on /metrics.
 func (s *Service) Registry() *obs.Registry {
-	return s.opts.Registry
+	return s.reg
 }
 
 // ArtifactStore returns the shared stage cache configured at
@@ -476,8 +440,7 @@ func (s *Service) SessionLastDump(id string) (*FlightDump, error) {
 // queue wait included — and is further bounded by Options.ScanTimeout
 // once the job starts. A full queue fails fast with ErrQueueFull rather
 // than blocking the scanner; shed submissions are counted
-// (Metrics.Shed, brainsim_shed_total) so overload is visible on the
-// admin surface.
+// (brainsim_shed_total) so overload is visible on the admin surface.
 func (s *Service) Submit(ctx context.Context, sessionID string, intraop *volume.Scalar) (*Job, error) {
 	return s.submit(ctx, sessionID, intraop, JobRegister)
 }
@@ -518,14 +481,14 @@ func (s *Service) submit(ctx context.Context, sessionID string, intraop *volume.
 		Kind:      kind,
 		enqueued:  time.Now(),
 		done:      make(chan struct{}),
-		stages:    obs.NewStageSink(s.opts.Registry),
+		stages:    obs.NewStageSink(s.reg),
 	}
 	select {
 	case s.queue <- scanRequest{j: j, ctx: ctx, ms: ms, intraop: intraop}:
 		evicted := s.retainJobLocked(j)
 		s.mu.Unlock()
-		s.opts.Registry.Counter(obs.MetricSubmissions).Inc()
-		s.opts.Registry.Counter(obs.MetricJobsEvicted).Add(float64(evicted))
+		s.reg.Counter(obs.MetricSubmissions).Inc()
+		s.reg.Counter(obs.MetricJobsEvicted).Add(float64(evicted))
 		return j, nil
 	default:
 		s.jobSeq-- // the id was never issued
@@ -540,23 +503,20 @@ func (s *Service) submit(ctx context.Context, sessionID string, intraop *volume.
 // dump holding it: a shed scan is an anomaly the surgeon will ask about.
 // Called WITHOUT s.mu held.
 func (s *Service) shedJob(ctx context.Context, ms *managedSession, kind JobKind) {
-	s.opts.Registry.Counter(obs.MetricShed).Inc()
+	s.reg.Counter(obs.MetricShed).Inc()
 	s.logger().WarnContext(ms.telemetry(ctx), "scan shed", "kind", string(kind), "reason", "queue full")
 	s.dumpFlight(ms, "", "shed")
 }
 
 // retainJobLocked registers the job for admin lookup and evicts the
-// oldest beyond the retention window, returning how many were evicted
-// (the caller feeds the eviction metric after releasing s.mu — metric
-// locks never nest inside it). Caller holds s.mu.
+// oldest beyond the Workers + QueueDepth retention window, returning how
+// many were evicted (the caller feeds the eviction metric after
+// releasing s.mu — metric locks never nest inside it). Caller holds
+// s.mu.
 func (s *Service) retainJobLocked(j *Job) (evicted int) {
-	retention := s.opts.JobRetention
-	if retention <= 0 {
-		retention = s.opts.Workers + cap(s.queue)
-	}
 	s.jobs[j.ID] = j
 	s.jobOrder = append(s.jobOrder, j.ID)
-	for len(s.jobOrder) > retention {
+	for len(s.jobOrder) > s.opts.Workers+s.opts.QueueDepth {
 		delete(s.jobs, s.jobOrder[0])
 		s.jobOrder = s.jobOrder[1:]
 		evicted++
@@ -602,12 +562,6 @@ func (s *Service) WorkersAlive() int {
 	return int(s.workersAlive.Load())
 }
 
-// Metrics returns a snapshot of the aggregate per-stage metrics
-// accumulated over every scan processed so far.
-func (s *Service) Metrics() Metrics {
-	return snapshot(s.opts.Registry)
-}
-
 // Close stops the service: no new sessions or scans are accepted,
 // queued jobs are drained, and Close returns once every worker has
 // exited. It is idempotent.
@@ -620,9 +574,6 @@ func (s *Service) Close() error {
 	s.closed = true
 	close(s.queue)
 	s.mu.Unlock()
-	if s.stopSampler != nil {
-		close(s.stopSampler)
-	}
 	s.wg.Wait()
 	return nil
 }
@@ -663,7 +614,7 @@ func (s *Service) runJob(q scanRequest) {
 	}
 	if err != nil {
 		j.finish(nil, err)
-		scanDone(s.opts.Registry, j.Kind, j.ID, 0, nil, err)
+		scanDone(s.reg, j.Kind, 0, nil, err)
 		return
 	}
 	// The effective kind is resolved under the gate: HasBaseline is
@@ -673,20 +624,15 @@ func (s *Service) runJob(q scanRequest) {
 	if kind == JobUpdate && !ms.sess.HasBaseline() {
 		kind = JobRegister
 		j.markFellBack()
-		s.opts.Registry.Counter(obs.MetricUpdateFallbacks).Inc()
+		s.reg.Counter(obs.MetricUpdateFallbacks).Inc()
 		s.logger().WarnContext(ctx, "update fell back to full registration", "reason", "no baseline")
 	}
 	s.logger().InfoContext(ctx, "scan started", "kind", string(kind),
 		"queue_wait_ms", float64(start.Sub(j.enqueued))/float64(time.Millisecond))
-	var res *core.Result
-	if kind == JobUpdate {
-		res, err = ms.sess.Update(ctx, q.intraop)
-	} else {
-		res, err = ms.sess.Register(ctx, q.intraop)
-	}
+	res, err := scan(ctx, ms.sess, kind, q.intraop)
 	ms.release()
 	j.finish(res, err)
-	scanDone(s.opts.Registry, kind, j.ID, time.Since(start), res, err)
+	scanDone(s.reg, kind, time.Since(start), res, err)
 
 	// Anomaly triage: any of these outcomes freezes the flight recorder
 	// into a retrievable dump. One dump per job, worst trigger wins; the
@@ -711,6 +657,22 @@ func (s *Service) runJob(q scanRequest) {
 	}
 }
 
+// scan runs one scan on the session. A panic in it — a stage body, or a
+// sink on the job's context — unwinds no further than this frame: it
+// becomes the job's ErrJobPanicked, so the fault costs one job, not the
+// worker and every open session with it.
+func scan(ctx context.Context, sess *core.Session, kind JobKind, intraop *volume.Scalar) (res *core.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("%w: %v\n%s", ErrJobPanicked, p, debug.Stack())
+		}
+	}()
+	if kind == JobUpdate {
+		return sess.Update(ctx, intraop)
+	}
+	return sess.Register(ctx, intraop)
+}
+
 // dumpFlight freezes the session's flight recorder into a FlightDump:
 // retained on the session (served by /sessions/{id}/flightrecorder),
 // optionally written as JSONL to Options.FlightDumpDir, and counted by
@@ -724,7 +686,7 @@ func (s *Service) dumpFlight(ms *managedSession, jobID, trigger string) {
 		Records:   ms.fr.Snapshot(),
 	}
 	ms.setDump(d)
-	s.opts.Registry.Counter(obs.MetricFlightDumps, obs.Label{Key: "trigger", Value: trigger}).Inc()
+	s.reg.Counter(obs.MetricFlightDumps, obs.Label{Key: "trigger", Value: trigger}).Inc()
 	if dir := s.opts.FlightDumpDir; dir != "" {
 		name := ms.id
 		if jobID != "" {

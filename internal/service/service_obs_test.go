@@ -59,21 +59,17 @@ func (h expireAt) SpanStarted(i obs.SpanInfo) {
 func (expireAt) SpanEnded(obs.FinishedSpan) {}
 
 func TestServiceShedCounter(t *testing.T) {
-	// The load shed of shedOne is *counted*: on the typed snapshot, and
-	// on the Prometheus registry.
+	// The load shed of shedOne is *counted* on the registry, and is not
+	// a scan.
 	svc, c := openOR(t, Options{Workers: 1, QueueDepth: 1}, fastConfig(), 7)
 	j1, j2, release := shedOne(t, svc, c.Intraop, c.Intraop, JobRegister)
 	release()
 
-	m := svc.Metrics()
-	if m.Shed != 1 {
-		t.Errorf("Shed = %d, want 1", m.Shed)
-	}
-	if m.Scans != 2 {
-		t.Errorf("Scans = %d, want 2 (shed submissions are not scans)", m.Scans)
-	}
-	if v := svc.Registry().Counter(obs.MetricShed).Value(); v != 1 {
+	if v := count(svc, obs.MetricShed); v != 1 {
 		t.Errorf("brainsim_shed_total = %v, want 1", v)
+	}
+	if o := outcomes(svc); o["completed"] != 2 {
+		t.Errorf("scan outcomes = %v, want 2 completed (shed submissions are not scans)", o)
 	}
 	// A shed submission never got a job id: the next accepted job must
 	// not skip a number.
@@ -105,13 +101,8 @@ func TestServiceMidDegradationCountsDegradedOnly(t *testing.T) {
 	if !res.Degraded {
 		t.Fatal("result not degraded; deadline missed the solve stage")
 	}
-	m := svc.Metrics()
-	if m.Degraded != 1 || m.Canceled != 0 || m.Failed != 0 {
-		t.Errorf("metrics = %+v, want Degraded=1 Canceled=0 Failed=0", m)
-	}
-	if v := svc.Registry().Counter(obs.MetricScans,
-		obs.Label{Key: "outcome", Value: "degraded"}).Value(); v != 1 {
-		t.Errorf(`brainsim_scans_total{outcome="degraded"} = %v, want 1`, v)
+	if o := outcomes(svc); o["degraded"] != 1 || o["canceled"] != 0 || o["failed"] != 0 {
+		t.Errorf("brainsim_scans_total by outcome = %v, want degraded alone", o)
 	}
 }
 
@@ -135,74 +126,9 @@ func TestServiceSolveNotConverged(t *testing.T) {
 	if res.SolveStats.Converged {
 		t.Skip("solve converged in one iteration; cannot exercise the metric")
 	}
-	m := svc.Metrics()
-	if m.SolveNotConverged != 1 {
-		t.Errorf("SolveNotConverged = %d, want 1", m.SolveNotConverged)
-	}
 	if v := svc.Registry().Counter(obs.MetricSolverSolves,
 		obs.Label{Key: "converged", Value: "false"}).Value(); v != 1 {
 		t.Errorf(`brainsim_solver_solves_total{converged="false"} = %v, want 1`, v)
-	}
-}
-
-func TestAggregatorSnapshotIndependence(t *testing.T) {
-	// snapshot() must share nothing with the registry: a held snapshot
-	// may not change as more stages complete, and mutating it must not
-	// leak back. Run with -race to also exercise the locking.
-	reg := obs.NewRegistry()
-	sink := obs.NewStageSink(reg)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				sink.SpanEnded(obs.FinishedSpan{
-					SpanInfo: obs.SpanInfo{Name: core.StageSolve, Stage: true},
-					Dur:      time.Duration(i+1) * time.Millisecond,
-				})
-			}
-		}()
-	}
-	var snaps []Metrics
-	for i := 0; i < 50; i++ {
-		snaps = append(snaps, snapshot(reg))
-		if i%10 == 9 {
-			// Yield so the writers make progress even on GOMAXPROCS=1.
-			time.Sleep(time.Millisecond)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for snapshot(reg).Stages[core.StageSolve].Count == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-
-	for i, s := range snaps {
-		// Poison the snapshot; the aggregator must not notice.
-		s.Stages[core.StageSolve] = StageMetrics{Count: -1}
-		s.Stages["bogus"] = StageMetrics{}
-		if i > 0 && snaps[i].Stages[core.StageSolve].Count < snaps[i-1].Stages[core.StageSolve].Count {
-			t.Fatalf("snapshot %d went backwards", i)
-		}
-	}
-	final := snapshot(reg)
-	sm := final.Stages[core.StageSolve]
-	if sm.Count <= 0 {
-		t.Errorf("final count = %d, want > 0 (snapshot mutation leaked in?)", sm.Count)
-	}
-	if _, ok := final.Stages["bogus"]; ok {
-		t.Error("mutating a snapshot leaked a stage into the aggregator")
-	}
-	if sm.Max < sm.P99 || sm.P99 < sm.P50 {
-		t.Errorf("quantiles disordered: p50=%v p99=%v max=%v", sm.P50, sm.P99, sm.Max)
 	}
 }
 
@@ -256,14 +182,8 @@ func TestAdminEndpoints(t *testing.T) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)
 		}
 	}
-	// The 0.0.4 default scrape must stay exemplar-free (exemplars are
-	// illegal in that grammar and would fail the whole scrape).
-	if strings.Contains(body, "# {") {
-		t.Errorf("0.0.4 /metrics scrape carries exemplar syntax:\n%s", body)
-	}
 
-	// An OpenMetrics scrape carries the job-ID exemplars on the scan
-	// latency buckets, plus the mandatory EOF trailer.
+	// A scraper asking for OpenMetrics gets the one exposition there is.
 	req, err := http.NewRequest("GET", ts.URL+"/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -278,14 +198,11 @@ func TestAdminEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/openmetrics-text") {
-		t.Errorf("OpenMetrics /metrics content type %q", ct)
+	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Errorf("/metrics asked for OpenMetrics: content type %q", ct)
 	}
-	if !strings.Contains(string(omBody), `# {trace_id="`) {
-		t.Errorf("OpenMetrics /metrics missing exemplar annotation:\n%s", omBody)
-	}
-	if !strings.HasSuffix(string(omBody), "# EOF\n") {
-		t.Errorf("OpenMetrics /metrics missing # EOF trailer:\n%s", omBody)
+	if strings.Contains(string(omBody), "# EOF") || !strings.Contains(string(omBody), "# TYPE brainsim_scans_total counter") {
+		t.Errorf("/metrics asked for OpenMetrics did not answer 0.0.4 text:\n%s", omBody)
 	}
 
 	code, body, _ = get("/healthz")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/phantom"
 	"repro/internal/volume"
@@ -20,6 +21,20 @@ func testCase(n int, seed int64) *phantom.Case {
 	p.ShiftMagnitude = 6
 	p.Seed = seed
 	return phantom.Generate(p)
+}
+
+// count reads one counter of the service's registry.
+func count(svc *Service, m obs.Metric, labels ...obs.Label) int {
+	return int(svc.Registry().Counter(m, labels...).Value())
+}
+
+// outcomes reads brainsim_scans_total by outcome.
+func outcomes(svc *Service) map[string]int {
+	out := map[string]int{}
+	for _, o := range scanOutcomes {
+		out[o] = count(svc, obs.MetricScans, obs.Label{Key: "outcome", Value: o})
+	}
+	return out
 }
 
 // fastConfig shrinks optimizer budgets for test-sized volumes.
@@ -68,8 +83,8 @@ func TestServiceConcurrentSessions(t *testing.T) {
 		// snapshot.
 		events := j.Events()
 		if len(events) != len(core.Stages) {
-			t.Fatalf("session %s: %d stage events, want %d:\n%s",
-				ids[i], len(events), len(core.Stages), j.Timeline())
+			t.Fatalf("session %s: %d stage events, want %d: %+v",
+				ids[i], len(events), len(core.Stages), events)
 		}
 		countersSeen := false
 		for k, e := range events {
@@ -88,20 +103,18 @@ func TestServiceConcurrentSessions(t *testing.T) {
 		}
 	}
 
-	m := svc.Metrics()
-	if m.Scans != 2 || m.Failed != 0 || m.Degraded != 0 {
-		t.Errorf("metrics = %+v, want 2 clean scans", m)
+	if o := outcomes(svc); o["completed"] != 2 || o["degraded"]+o["canceled"]+o["failed"] != 0 {
+		t.Errorf("scan outcomes = %v, want 2 clean scans", o)
 	}
 	for _, stage := range core.Stages {
-		sm := m.Stages[stage]
-		if sm.Count != 2 || sm.Errors != 0 {
-			t.Errorf("stage %q metrics = %+v, want Count=2 Errors=0", stage, sm)
-		}
-		if sm.Max < sm.Mean() {
-			t.Errorf("stage %q: max %v < mean %v", stage, sm.Max, sm.Mean())
+		label := obs.Label{Key: "stage", Value: stage}
+		h := svc.Registry().Histogram(obs.MetricStageSeconds, label).Summary()
+		if h.Count != 2 || h.Sum <= 0 || count(svc, obs.MetricStageErrors, label) != 0 {
+			t.Errorf("stage %q: %+v and %d errors, want two timed executions, no error",
+				stage, h, count(svc, obs.MetricStageErrors, label))
 		}
 	}
-	if m.AssemblyFlops <= 0 {
+	if svc.Registry().Counter(obs.MetricAssemblyFlops).Value() <= 0 {
 		t.Error("no assembly flops aggregated")
 	}
 }
@@ -157,9 +170,8 @@ func TestServiceCancelledSubmission(t *testing.T) {
 	if _, err := j.Wait(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
-	m := svc.Metrics()
-	if m.Failed != 1 || m.Canceled != 1 {
-		t.Errorf("metrics = %+v, want Failed=1 Canceled=1", m)
+	if o := outcomes(svc); o["canceled"] != 1 || o["failed"] != 0 {
+		t.Errorf("scan outcomes = %v, want one canceled", o)
 	}
 }
 
@@ -181,8 +193,8 @@ func TestServiceScanTimeout(t *testing.T) {
 	if !errors.Is(werr, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want DeadlineExceeded", werr)
 	}
-	if m := svc.Metrics(); m.Canceled != 1 {
-		t.Errorf("metrics = %+v, want Canceled=1", m)
+	if o := outcomes(svc); o["canceled"] != 1 {
+		t.Errorf("scan outcomes = %v, want one canceled", o)
 	}
 }
 
@@ -256,8 +268,8 @@ func TestServiceRejectsMalformedVolumes(t *testing.T) {
 	if _, err := wait(ctx, svc.Submit, "or", c.Intraop); err != nil {
 		t.Errorf("good scan after the rejected ones: %v", err)
 	}
-	if m := svc.Metrics(); m.Failed != 2 || m.Scans != 3 {
-		t.Errorf("metrics: %d scans, %d failed; want 3 and 2", m.Scans, m.Failed)
+	if o := outcomes(svc); o["failed"] != 2 || o["completed"] != 1 {
+		t.Errorf("scan outcomes = %v, want 2 failed and 1 completed", o)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/phantom"
 )
@@ -24,7 +25,7 @@ func streamCase(n int, seed int64) (*phantom.Case, *phantom.Case) {
 
 // TestServiceUpdateFlow drives the first-class update job kind end to
 // end: open with a SessionSpec, register the baseline, then stream an
-// update and check the job surface and aggregate metrics reflect the
+// update and check the job surface and the registry reflect the
 // incremental path.
 func TestServiceUpdateFlow(t *testing.T) {
 	svc := New(Options{Workers: 1})
@@ -62,24 +63,27 @@ func TestServiceUpdateFlow(t *testing.T) {
 		t.Errorf("job status kind=%q fellBack=%v, want update/false", st.Kind, st.FellBack)
 	}
 
-	m := svc.Metrics()
-	if m.Scans != 2 || m.Updates != 1 || m.UpdateFallbacks != 0 {
-		t.Errorf("metrics = %+v, want Scans=2 Updates=1 UpdateFallbacks=0", m)
+	if o, u, f := outcomes(svc), updates(svc), count(svc, obs.MetricUpdateFallbacks); o["completed"] != 2 || u != 1 || f != 0 {
+		t.Errorf("outcomes %v, %d updates, %d fallbacks; want 2 completed scans, 1 update, no fallback", o, u, f)
 	}
-	if m.PCCacheHits != 1 || m.PCCacheMisses != 0 {
-		t.Errorf("pc cache metrics hit=%d miss=%d, want 1/0", m.PCCacheHits, m.PCCacheMisses)
+	hit, miss := count(svc, obs.MetricPCCache, obs.Label{Key: "result", Value: "hit"}),
+		count(svc, obs.MetricPCCache, obs.Label{Key: "result", Value: "miss"})
+	if hit != 1 || miss != 0 {
+		t.Errorf("pc cache hit=%d miss=%d, want 1/0", hit, miss)
 	}
-	if m.WarmIterationsSaved != res.Update.IterationsSaved {
-		t.Errorf("WarmIterationsSaved = %d, want %d", m.WarmIterationsSaved, res.Update.IterationsSaved)
+	if saved := count(svc, obs.MetricWarmItersSaved); saved != res.Update.IterationsSaved {
+		t.Errorf("%s = %d, want %d", obs.MetricWarmItersSaved, saved, res.Update.IterationsSaved)
 	}
-	if !strings.Contains(m.String(), "updates=1") {
-		t.Errorf("metrics report missing update line:\n%s", m.String())
-	}
+}
+
+// updates counts the delivered scans that ran the incremental path.
+func updates(svc *Service) int {
+	return int(svc.Registry().Histogram(obs.MetricScanSeconds, obs.Label{Key: "kind", Value: string(JobUpdate)}).Summary().Count)
 }
 
 // TestServiceUpdateFallsBackWithoutBaseline: an update submitted before
 // any full registration must run as a cold registration, be marked
-// FellBack, and count in Metrics.UpdateFallbacks — the streaming client
+// FellBack, and count in brainsim_update_fallbacks_total — the streaming client
 // never sees an error for being first.
 func TestServiceUpdateFallsBackWithoutBaseline(t *testing.T) {
 	svc := New(Options{Workers: 1})
@@ -100,9 +104,8 @@ func TestServiceUpdateFallsBackWithoutBaseline(t *testing.T) {
 	if len(jobs) != 1 || !jobs[0].FellBack() {
 		t.Fatalf("fallback not recorded on the job: %+v", jobs)
 	}
-	m := svc.Metrics()
-	if m.UpdateFallbacks != 1 || m.Updates != 0 {
-		t.Errorf("metrics = %+v, want UpdateFallbacks=1 Updates=0", m)
+	if f, u := count(svc, obs.MetricUpdateFallbacks), updates(svc); f != 1 || u != 0 {
+		t.Errorf("%d fallbacks, %d updates; want 1 and 0", f, u)
 	}
 
 	// The fallback established the baseline: the next update is real.
@@ -113,8 +116,8 @@ func TestServiceUpdateFallsBackWithoutBaseline(t *testing.T) {
 	if !res2.Incremental {
 		t.Fatal("second update did not take the incremental path")
 	}
-	if m := svc.Metrics(); m.Updates != 1 || m.UpdateFallbacks != 1 {
-		t.Errorf("metrics = %+v, want Updates=1 UpdateFallbacks=1", m)
+	if f, u := count(svc, obs.MetricUpdateFallbacks), updates(svc); f != 1 || u != 1 {
+		t.Errorf("%d fallbacks, %d updates; want 1 and 1", f, u)
 	}
 }
 

@@ -9,7 +9,7 @@
 # its resident values, so a write to one is a data race — those two run
 # a few times more, since a race shows only in an interleaving that has
 # it, and so do the exactness tests of the rank-parallel elimination and
-# block factor).
+# block factor, a panicking job and an artifact waiter's deadline).
 #
 # Every go test carries an explicit -timeout well under the ten-minute
 # default: a lost completion signal (a missed WaitGroup.Done, a send
@@ -49,4 +49,6 @@ go test -race -short -timeout 5m ./...
 go test -race -short -timeout 5m -count 5 -run 'TestSharedArtifactsAreNeverWritten|TestConcurrentSessionsFactorizeOnce' ./internal/core
 go test -race -short -timeout 5m -count 5 -run 'TestMemoizedBuildMatchesPerElementOracle' ./internal/fem
 go test -race -short -timeout 5m -count 5 -run 'TestBlockFactorsOfFEMOperatorsMatchOracle|TestSplitILUMatchesCombinedLayout' ./internal/solver
+go test -race -short -timeout 5m -count 5 -run 'TestPanickingJobCostsOneJob' ./internal/service
+go test -race -short -timeout 5m -count 5 -run 'TestWaiterHonoursItsDeadline' ./internal/artifact
 echo "== OK"
