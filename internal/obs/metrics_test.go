@@ -154,6 +154,52 @@ func TestPrometheusTextFormatHasNoExemplars(t *testing.T) {
 	}
 }
 
+// TestHistogramWithoutExemplarsUnchanged pins a plain histogram's
+// exposition byte for byte: cumulative buckets, then _sum and _count,
+// with nothing after a sample value.
+func TestHistogramWithoutExemplarsUnchanged(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram(histogram("brainsim_scan_seconds", "", []float64{1, 10}))
+	for _, v := range []float64{0.5, 5, 50} {
+		h.Observe(v)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE brainsim_scan_seconds histogram\n" +
+		"brainsim_scan_seconds_bucket{le=\"1\"} 1\n" +
+		"brainsim_scan_seconds_bucket{le=\"10\"} 2\n" +
+		"brainsim_scan_seconds_bucket{le=\"+Inf\"} 3\n" +
+		"brainsim_scan_seconds_sum 55.5\n" +
+		"brainsim_scan_seconds_count 3\n"
+	if got := b.String(); got != want {
+		t.Errorf("plain histogram exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestOpenMetricsCounterMetadataName: the 0.0.4 exposition announces a
+// counter under its full sample name, _total included — never under the
+// OpenMetrics metadata name with the suffix dropped.
+func TestOpenMetricsCounterMetadataName(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter(MetricScans).Inc()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if !strings.Contains(out, "# TYPE brainsim_scans_total counter\n") {
+		t.Errorf("0.0.4 TYPE line should keep the full sample name:\n%s", out)
+	}
+	if strings.Contains(out, "# TYPE brainsim_scans counter\n") {
+		t.Errorf("0.0.4 TYPE line dropped _total:\n%s", out)
+	}
+	if !strings.Contains(out, "brainsim_scans_total 1\n") {
+		t.Errorf("sample line should keep _total:\n%s", out)
+	}
+}
+
 // TestMetricsHandlerContentNegotiation: /metrics has one exposition.
 // A scraper asking for OpenMetrics first still gets 0.0.4 text, which
 // every Prometheus scraper accepts.
