@@ -18,9 +18,9 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/volume"
 )
 
@@ -339,47 +339,38 @@ func (c *Classifier) classify(ctx context.Context, channels []*volume.Scalar, kd
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Partition voxels into contiguous ranges, one goroutine per range.
-	nvox := g.Len()
-	chunk := (nvox + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nvox {
-			hi = nvox
+	// Partition voxels into contiguous ranges, one rank per range; a
+	// voxel's label depends on that voxel alone, so the split cannot
+	// change one.
+	pt := par.Even(g.Len(), workers)
+	pt.ForEachRank(func(w int) {
+		lo, hi := pt.Range(w)
+		if lo == hi {
+			return
 		}
-		if lo >= hi {
-			break
+		// One span per worker batch: the k-NN sweep is the pipeline's
+		// per-voxel hot loop, so batch spans expose straggler workers.
+		// The deferred End records ctx.Err() — nil on a completed
+		// batch, the cancellation cause on an aborted one.
+		_, span := obs.StartSpan(ctx, obs.SpanKNNBatch)
+		defer func() { span.End(ctx.Err()) }()
+		span.SetAttr("worker", w)
+		span.SetAttr("voxels", hi-lo)
+		if kdtree {
+			span.SetAttr("kdtree", true)
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			// One span per worker batch: the k-NN sweep is the pipeline's
-			// per-voxel hot loop, so batch spans expose straggler workers.
-			// The deferred End records ctx.Err() — nil on a completed
-			// batch, the cancellation cause on an aborted one.
-			_, span := obs.StartSpan(ctx, obs.SpanKNNBatch)
-			defer func() { span.End(ctx.Err()) }()
-			span.SetAttr("worker", w)
-			span.SetAttr("voxels", hi-lo)
-			if kdtree {
-				span.SetAttr("kdtree", true)
+		feat := make([]float64, nc)
+		bestD := make([]float64, k)
+		bestL := make([]volume.Label, k)
+		for idx := lo; idx < hi; idx++ {
+			if idx&ctxCheckMask == 0 && ctx.Err() != nil {
+				return
 			}
-			feat := make([]float64, nc)
-			bestD := make([]float64, k)
-			bestL := make([]volume.Label, k)
-			for idx := lo; idx < hi; idx++ {
-				if idx&ctxCheckMask == 0 && ctx.Err() != nil {
-					return
-				}
-				channelsToFeatures(channels, idx, feat)
-				search(feat, bestD, bestL)
-				out.Data[idx] = vote(bestL, bestD)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+			channelsToFeatures(channels, idx, feat)
+			search(feat, bestD, bestL)
+			out.Data[idx] = vote(bestL, bestD)
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

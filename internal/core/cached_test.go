@@ -18,6 +18,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/fem"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/phantom"
 	"repro/internal/volume"
 )
@@ -97,6 +98,59 @@ func cacheHits(t *testing.T, cfg Config, c *phantom.Case) map[string]bool {
 		}
 	}
 	return hits
+}
+
+// TestAssemblyWorkStatedOnce: assembly work is stated by the assembly
+// that ran it, once. Of two registrations on one store, the miss has
+// exactly one fem.assemble span, whose flops are the work model's sum;
+// the hit assembled nothing, so it has no fem.assemble span, and no
+// other span of either run — the solve stage included — repeats an
+// assembly count.
+func TestAssemblyWorkStatedOnce(t *testing.T) {
+	c := testCase(16)
+	store, err := artifact.New(artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastConfig()
+	cfg.ArtifactStore = store
+	for run, wantAssemblies := range []int{1, 0} {
+		var buf bytes.Buffer
+		res, err := registerCase(obs.WithTracer(context.Background(), obs.NewTracer(&buf)), cfg, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := obs.ReadSpans(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var assemblies []obs.SpanRecord
+		for _, r := range recs {
+			if r.Name == obs.SpanFEMAssemble {
+				assemblies = append(assemblies, r)
+				continue
+			}
+			for k := range r.Attrs {
+				if strings.Contains(k, "flops") || strings.Contains(k, "imbalance") {
+					t.Errorf("run %d: span %q states assembly work as %s=%v", run, r.Name, k, r.Attrs[k])
+				}
+			}
+		}
+		if len(assemblies) != wantAssemblies {
+			t.Fatalf("run %d: %d fem.assemble spans, want %d", run, len(assemblies), wantAssemblies)
+		}
+		if wantAssemblies == 0 {
+			continue
+		}
+		flops, _ := fem.AssemblyWorkModel(res.Mesh, par.Even(res.Mesh.NumNodes(), cfg.Ranks))
+		want := 0.0
+		for _, f := range flops {
+			want += f
+		}
+		if got := assemblies[0].Attrs["flops"]; got != want {
+			t.Errorf("fem.assemble flops = %v, work model %v", got, want)
+		}
+	}
 }
 
 // TestCacheKeySensitivity is the runtime form of "a pure stage reads

@@ -47,7 +47,10 @@ import (
 // content hash is the SHA-256 of its blob.
 // v6: preop-assemble's counters drop the per-rank bytes-sent and message
 // arrays, which nothing wrote.
-const codecVersion = 6
+// v7: preop-assemble stores no assembly work counters: they describe the
+// assembly that ran, which a store hit did not, so they stay on the
+// assembled System and its fem.assemble span.
+const codecVersion = 7
 
 // codec is an artifact type's encoder/decoder pair, attached to the
 // type once (the vars below). A decoder reports damage through the
@@ -547,17 +550,16 @@ func decodeInts(r *codecReader, what string) []int {
 }
 
 // encodeOperator serializes the Dirichlet-eliminated FEM operator: the
-// CSR stiffness matrix, the node partition, the per-rank assembly work
-// counters, the constrained set (one byte per DOF) and the coupling
-// block. The mesh is its own artifact, and the right-hand side and
-// prescribed values belong to the session that forks a System off the
-// operator, so neither is stored.
+// CSR stiffness matrix, the node partition, the constrained set (one
+// byte per DOF) and the coupling block. The mesh is its own artifact,
+// and the right-hand side and prescribed values belong to the session
+// that forks a System off the operator, so neither is stored.
 func encodeOperator(w *codecWriter, o *fem.Operator) {
 	bcPtr, bcRows, bcCoef := o.OperatorParts()
-	encodeOperatorParts(w, o.K, o.NodePart, o.Assembly, o.Constrained, bcPtr, bcRows, bcCoef)
+	encodeOperatorParts(w, o.K, o.NodePart, o.Constrained, bcPtr, bcRows, bcCoef)
 }
 
-func encodeOperatorParts(w *codecWriter, k *sparse.CSR, pt par.Partition, counters *par.Counters,
+func encodeOperatorParts(w *codecWriter, k *sparse.CSR, pt par.Partition,
 	constrained []bool, bcPtr []int, bcRows []int32, bcCoef []float64) {
 	w.i64(k.N)
 	w.u64(uint64(len(k.RowPtr)))
@@ -571,8 +573,6 @@ func encodeOperatorParts(w *codecWriter, k *sparse.CSR, pt par.Partition, counte
 	w.i64(pt.N)
 	w.i64(pt.P)
 	encodeInts(w, pt.Starts)
-	w.i64(counters.P)
-	w.f64s(counters.Flops)
 	w.u64(uint64(len(constrained)))
 	if b := w.next(len(constrained)); b != nil {
 		for i, c := range constrained {
@@ -604,8 +604,6 @@ func decodeOperator(r *codecReader) *fem.Operator {
 	val := r.f64s("csr val")
 	pt := par.Partition{N: r.i64("partition"), P: r.i64("partition")}
 	pt.Starts = decodeInts(r, "partition starts")
-	counters := &par.Counters{P: r.i64("counters")}
-	counters.Flops = r.f64s("counters flops")
 	nc := r.sliceLen("constrained flags", 1)
 	constrained := make([]bool, nc)
 	for i, b := range r.take("constrained flags", nc) {
@@ -631,7 +629,7 @@ func decodeOperator(r *codecReader) *fem.Operator {
 		r.reject(err)
 		return nil
 	}
-	o, err := fem.OperatorFromParts(k, pt, counters, constrained, bcPtr, bcRows, bcCoef)
+	o, err := fem.OperatorFromParts(k, pt, constrained, bcPtr, bcRows, bcCoef)
 	if err != nil {
 		r.reject(err)
 		return nil

@@ -142,7 +142,7 @@ func TestDecodersRejectStructuralDamage(t *testing.T) {
 		coef        []float64
 	}
 	broken := codec[parts]{enc: func(w *codecWriter, p parts) {
-		encodeOperatorParts(w, op.K, op.NodePart, op.Assembly, p.constrained, p.ptr, p.rows, p.coef)
+		encodeOperatorParts(w, op.K, op.NodePart, p.constrained, p.ptr, p.rows, p.coef)
 	}}
 	ptr, rows, coef := op.OperatorParts()
 	good := parts{op.Constrained, ptr, rows, coef}

@@ -151,8 +151,8 @@ func TestRunContextDeadlineAfterSurfaceDegradesToRigid(t *testing.T) {
 // checkDegradedWithSolutionInHand: the deadline expired between the
 // solve and resample stages, so the run holds a converged solution it
 // will not deliver. The fallback is the rigid-only result and nothing of
-// the discarded solve — no displacements, and no stress summary, whose
-// 134,016-element pass at paper scale would also delay the fallback.
+// the discarded solve: no displacements, so no stresses can be derived
+// from it either.
 func checkDegradedWithSolutionInHand(t *testing.T, res *Result, err error) {
 	t.Helper()
 	if err != nil {
@@ -166,10 +166,6 @@ func checkDegradedWithSolutionInHand(t *testing.T, res *Result, err error) {
 	}
 	if res.NodeDisplacements != nil || res.Forward != nil || res.Backward != nil {
 		t.Error("degraded result carries the discarded deformation")
-	}
-	if res.PeakVonMises != 0 || res.MeanVonMises != 0 {
-		t.Errorf("degraded result reports the discarded solve's stresses: peak %v, mean %v",
-			res.PeakVonMises, res.MeanVonMises)
 	}
 	if res.Warped != res.AlignedPreop {
 		t.Error("degraded Warped is not the rigid-only aligned preop")
@@ -220,9 +216,6 @@ func TestObserverSeesAllStagesInOrder(t *testing.T) {
 		}
 		if e.Elapsed != res.Timings[i].Elapsed {
 			t.Errorf("stage %s: sink says %v, Timings %v", e.Stage, e.Elapsed, res.Timings[i].Elapsed)
-		}
-		if (e.Flops > 0) != (want == StageSolve) {
-			t.Errorf("stage %s: assembly flops %v; only the solve stage carries them", e.Stage, e.Flops)
 		}
 	}
 }

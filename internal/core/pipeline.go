@@ -188,12 +188,6 @@ type Result struct {
 	// after rigid alignment only, and after the biomechanical match.
 	RigidMeanAbsDiff float64
 	MatchMeanAbsDiff float64
-
-	// PeakVonMises and MeanVonMises summarize the tissue stress implied
-	// by the recovered deformation (Pa) — the "quantitative monitoring
-	// of treatment progress" the paper's introduction promises.
-	PeakVonMises float64
-	MeanVonMises float64
 }
 
 // TotalTime returns the summed stage time.
@@ -428,12 +422,24 @@ func (s *Session) runStages(ctx context.Context, sc *scan, warm bool) error {
 			return s.stageSurfaceDisplace(ctx, sc, sc.intraopPhi())
 		}
 		// The scan's φ does not depend on the relaxed surface: compute it
-		// beside preop-relax.
-		phi := make(chan *volume.Scalar, 1)
-		go func() { phi <- sc.intraopPhi() }()
+		// beside preop-relax. A panic computing it comes back over the
+		// channel and is raised again here, on the scan's goroutine.
+		phi := make(chan any, 1)
+		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					phi <- p
+				}
+			}()
+			phi <- sc.intraopPhi()
+		}()
 		relaxed, err := cached(ctx, store, "preop-relax", preopRelax, join(labels, meshA),
 			cfg.Surface, triMeshCodec)
-		phiIntra := <-phi
+		v := <-phi
+		phiIntra, ok := v.(*volume.Scalar)
+		if !ok {
+			panic(v)
+		}
 		if err != nil {
 			return err
 		}
@@ -549,12 +555,11 @@ func (s *Session) stageSurfaceDisplace(ctx context.Context, sc *scan, phiIntra *
 // of this scan — from zero on a cold registration, from the previous
 // scan's on an update — and solves with the operator's shared
 // preconditioner factors, from zero or, warm, from the previous
-// displacement field. The assembly work counters travel with the cached
-// operator, so the stage span reports them identically on hit and miss
-// runs.
+// displacement field. Assembly work is not the solve's to state: the
+// fem.assemble span of the assembly that ran states it, and a store hit
+// ran none.
 func (s *Session) stageSolve(ctx context.Context, sc *scan, warm bool) error {
 	cfg, sys, upd := s.cfg, sc.sys, sc.res.Update
-	sp := obs.SpanFromContext(ctx)
 	bc := sc.surfRes.BoundaryConditions()
 	var sr *fem.SolveResult
 	patched, err := sys.PatchDirichlet(ctx, bc)
@@ -562,9 +567,6 @@ func (s *Session) stageSolve(ctx context.Context, sc *scan, warm bool) error {
 		upd.DOFsPatched = patched
 		sr, err = sys.SolveWarmContext(ctx, sc.prevU, cfg.Solver)
 	} else if err == nil {
-		snap := sys.Assembly.Snapshot()
-		sp.SetAttr(obs.AttrAssemblyFlops, snap.TotalFlops)
-		sp.SetAttr(obs.AttrAssemblyImbalance, snap.Imbalance)
 		sr, err = sys.SolveContext(ctx, cfg.Solver)
 	}
 	if err != nil {
@@ -619,32 +621,8 @@ func (s *Session) finish(ctx context.Context, err error, sc *scan) (*Result, err
 		}
 		return nil, err
 	}
-	// Success only: a degraded result delivers the rigid alignment, not
-	// the stresses of a solve it discards.
-	stressSummary(sc.sys, sc.solveRes.NodeU, s.cfg.Materials, s.cfg.Ranks, res)
 	matchMetrics(res, sc.intraop, sc.alignedPreop, sc.phiBrain)
 	return res, nil
-}
-
-// stressSummary fills the Von Mises stress summary of res from the
-// solved deformation (best effort: degenerate elements skip it). The
-// per-element values are computed concurrently; peak and mean are then
-// reduced in element order, so they do not depend on the rank count.
-func stressSummary(sys *fem.System, nodeU []geom.Vec3, mats fem.Table, ranks int, res *Result) {
-	vonMises, err := sys.VonMisesStresses(nodeU, mats, ranks)
-	if err != nil {
-		return
-	}
-	sum := 0.0
-	for _, vm := range vonMises {
-		sum += vm
-		if vm > res.PeakVonMises {
-			res.PeakVonMises = vm
-		}
-	}
-	if len(vonMises) > 0 {
-		res.MeanVonMises = sum / float64(len(vonMises))
-	}
 }
 
 // matchMetrics computes the match-quality metrics (Figure 4d analogue).
@@ -704,10 +682,6 @@ func degrade(ctx context.Context, err error, res *Result, intraop, alignedPreop,
 	res.Warped = alignedPreop
 	res.NodeDisplacements = nil
 	res.Forward, res.Backward = nil, nil
-	band := brainBoundaryBand(phiBrain)
-	if d, derr := alignedPreop.AbsDiff(intraop); derr == nil {
-		res.RigidMeanAbsDiff = d.ComputeStats(band).Mean
-		res.MatchMeanAbsDiff = res.RigidMeanAbsDiff
-	}
+	matchMetrics(res, intraop, alignedPreop, phiBrain)
 	return true
 }

@@ -107,33 +107,37 @@ func TestPipelineRecoversDeformationDirection(t *testing.T) {
 	}
 }
 
+// TestPipelineStressMonitoring: the tissue stress behind the paper's
+// "quantitative monitoring of treatment progress" is an on-demand
+// analysis of a Result — computed from its Mesh and NodeDisplacements,
+// not by the scan — with plausible magnitudes and, for any rank count,
+// the bits of the serial Strains, Stresses, VonMises chain.
 func TestPipelineStressMonitoring(t *testing.T) {
 	c := testCase(32)
-	res, err := registerCase(context.Background(), fastConfig(), c)
+	cfg := fastConfig()
+	res, err := registerCase(context.Background(), cfg, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PeakVonMises <= 0 {
-		t.Error("no peak stress computed")
-	}
-	if res.MeanVonMises <= 0 || res.MeanVonMises > res.PeakVonMises {
-		t.Errorf("mean stress %v inconsistent with peak %v", res.MeanVonMises, res.PeakVonMises)
-	}
-	// A few-millimetre shift over a ~10mm lever in 3kPa tissue should
-	// produce stresses in the tens-to-thousands of Pa, not megapascals.
-	if res.PeakVonMises > 1e6 {
-		t.Errorf("peak stress %v Pa implausibly high", res.PeakVonMises)
-	}
-	// The summary keeps the bits of the serial Strains, Stresses,
-	// VonMises path reduced in element order, whatever cfg.Ranks is.
 	sys := &fem.System{Mesh: res.Mesh}
 	strains, err := sys.Strains(res.NodeDisplacements)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stresses, err := sys.Stresses(strains, fastConfig().Materials)
+	stresses, err := sys.Stresses(strains, cfg.Materials)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, ranks := range []int{1, cfg.Ranks, 3} {
+		vonMises, err := fem.VonMisesStresses(res.Mesh, res.NodeDisplacements, cfg.Materials, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e, st := range stresses {
+			if want := st.VonMises(); math.Float64bits(vonMises[e]) != math.Float64bits(want) {
+				t.Fatalf("ranks=%d element %d: von Mises %v, three-step path %v", ranks, e, vonMises[e], want)
+			}
+		}
 	}
 	peak, sum := 0.0, 0.0
 	for _, st := range stresses {
@@ -141,8 +145,16 @@ func TestPipelineStressMonitoring(t *testing.T) {
 		sum += vm
 		peak = math.Max(peak, vm)
 	}
-	if mean := sum / float64(len(stresses)); res.PeakVonMises != peak || res.MeanVonMises != mean {
-		t.Errorf("stress summary peak %v mean %v, three-step path %v %v", res.PeakVonMises, res.MeanVonMises, peak, mean)
+	if peak <= 0 {
+		t.Error("no peak stress computed")
+	}
+	if mean := sum / float64(len(stresses)); mean <= 0 || mean > peak {
+		t.Errorf("mean stress %v inconsistent with peak %v", mean, peak)
+	}
+	// A few-millimetre shift over a ~10mm lever in 3kPa tissue should
+	// produce stresses in the tens-to-thousands of Pa, not megapascals.
+	if peak > 1e6 {
+		t.Errorf("peak stress %v Pa implausibly high", peak)
 	}
 }
 

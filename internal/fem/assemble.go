@@ -78,12 +78,6 @@ type Operator struct {
 	// NodePart is the node partition used for assembly; the DOF
 	// partition used by the solver is its 3x expansion.
 	NodePart par.Partition
-	// Assembly holds per-rank assembly work counters. Wall-clock
-	// assembly time is observability, not state: the fem.assemble trace
-	// span measures it, keeping the assembled Operator a deterministic
-	// function of (mesh, materials, partition) — the property the
-	// content-addressed preop-assemble cache stage rests on.
-	Assembly *par.Counters
 	// Constrained marks DOFs fixed by Dirichlet conditions.
 	Constrained []bool
 
@@ -114,6 +108,11 @@ type System struct {
 	*Operator
 	Mesh *mesh.Mesh
 	F    []float64
+	// Assembly is the per-rank work of the assembly that built this
+	// System (AssembleContext); nil on a System forked off an Operator,
+	// which ran no assembly. The fem.assemble span states the same
+	// counters, once per assembly.
+	Assembly *par.Counters
 	// bcVal holds the currently prescribed value of each constrained DOF
 	// (zero elsewhere); nil until the Operator is an eliminated one.
 	bcVal []float64
@@ -157,28 +156,25 @@ func (o *Operator) OperatorParts() (bcPtr []int, bcRows []int32, bcCoef []float6
 }
 
 // OperatorFromParts reconstructs an Operator from serialized parts (the
-// core artifact codec's decode path): the stiffness matrix, node
-// partition and assembly counters as assembly produced them, and the
-// constrained set with its coupling block as Eliminate left them (nil
-// bcPtr, no coupling and nothing constrained for an unconstrained
-// one). Shape and index violations are reported as errors so a drifted
-// blob fails decode instead of panicking in a patch.
-func OperatorFromParts(k *sparse.CSR, pt par.Partition, counters *par.Counters,
+// core artifact codec's decode path): the stiffness matrix and node
+// partition as assembly produced them, and the constrained set with its
+// coupling block as Eliminate left them (nil bcPtr, no coupling and
+// nothing constrained for an unconstrained one). Shape and index
+// violations are reported as errors so a drifted blob fails decode
+// instead of panicking in a patch.
+func OperatorFromParts(k *sparse.CSR, pt par.Partition,
 	constrained []bool, bcPtr []int, bcRows []int32, bcCoef []float64) (*Operator, error) {
-	if k == nil || counters == nil {
-		return nil, errors.New("fem: operator parts: nil matrix or counters")
+	if k == nil {
+		return nil, errors.New("fem: operator parts: nil matrix")
 	}
 	if 3*pt.N != k.N || len(pt.Starts) != pt.P+1 {
 		return nil, fmt.Errorf("fem: operator parts: node partition (N=%d, P=%d, starts=%d) does not cover %d DOFs",
 			pt.N, pt.P, len(pt.Starts), k.N)
 	}
-	if counters.P != pt.P || len(counters.Flops) != pt.P {
-		return nil, fmt.Errorf("fem: operator parts: counters for %d ranks, partition has %d", counters.P, pt.P)
-	}
 	if len(constrained) != k.N {
 		return nil, fmt.Errorf("fem: operator parts: %d constrained flags for %d DOFs", len(constrained), k.N)
 	}
-	o := &Operator{K: k, NumDOF: k.N, NodePart: pt, Assembly: counters, Constrained: constrained,
+	o := &Operator{K: k, NumDOF: k.N, NodePart: pt, Constrained: constrained,
 		bcPtr: bcPtr, bcRows: bcRows, bcCoef: bcCoef}
 	for _, c := range constrained {
 		if c {
@@ -294,8 +290,10 @@ func assemble(m *mesh.Mesh, mats Table, pt par.Partition) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	op := &Operator{K: k, NumDOF: k.N, NodePart: pt, Assembly: counters, Constrained: make([]bool, k.N)}
-	return op.NewSystem(m), nil
+	op := &Operator{K: k, NumDOF: k.N, NodePart: pt, Constrained: make([]bool, k.N)}
+	sys := op.NewSystem(m)
+	sys.Assembly = counters
+	return sys, nil
 }
 
 // nodeAdjacency is the symbolic pass: for every node, the ascending list
@@ -522,7 +520,7 @@ func (o *Operator) Eliminate(nodes []int32) (*Operator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fem: eliminated matrix: %w", err)
 	}
-	op := &Operator{K: eliminated, NumDOF: o.NumDOF, NodePart: o.NodePart, Assembly: o.Assembly,
+	op := &Operator{K: eliminated, NumDOF: o.NumDOF, NodePart: o.NodePart,
 		Constrained: constrained, bcPtr: bcPtr, bcRows: bcRows, bcCoef: bcCoef, nConstrained: nc}
 	op.checkShape()
 	return op, nil

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/mesh"
 	"repro/internal/par"
 )
 
@@ -82,12 +83,11 @@ func (s *System) elementStrain(e int, nodeU []geom.Vec3) (ElementStrain, error) 
 	if err != nil {
 		return ElementStrain{}, fmt.Errorf("fem: element %d: %w", e, err)
 	}
-	return s.strainOf(e, &sc, nodeU), nil
+	return strainOf(s.Mesh, e, &sc, nodeU), nil
 }
 
-// strainOf is the strain of element e with shape functions sc.
-func (s *System) strainOf(e int, sc *geom.ShapeCoeffs, nodeU []geom.Vec3) ElementStrain {
-	m := s.Mesh
+// strainOf is the strain of element e of m with shape functions sc.
+func strainOf(m *mesh.Mesh, e int, sc *geom.ShapeCoeffs, nodeU []geom.Vec3) ElementStrain {
 	var st ElementStrain
 	for a := 0; a < 4; a++ {
 		u := nodeU[m.Tets[e][a]]
@@ -129,30 +129,32 @@ func (st ElementStrain) stress(lambda, mu float64) ElementStress {
 	}
 }
 
-// VonMisesStresses computes every element's von Mises stress from the
-// nodal displacement field in one pass over the elements, split into
+// VonMisesStresses computes every element's von Mises stress on m from
+// the nodal displacement field in one pass over the elements, split into
 // ranks contiguous ranges that run concurrently: element by element
 // the Strains, Stresses, ElementStress.VonMises chain, and its bits,
 // without the two intermediate slices, each rank taking the shape
-// functions from its own shape memo (see memo.go).
-func (s *System) VonMisesStresses(nodeU []geom.Vec3, mats Table, ranks int) ([]float64, error) {
-	if len(nodeU) != s.Mesh.NumNodes() {
-		return nil, fmt.Errorf("fem: %d displacements for %d nodes", len(nodeU), s.Mesh.NumNodes())
+// functions from its own shape memo (see memo.go). It is an on-demand
+// analysis of a solved deformation (a core.Result's Mesh and
+// NodeDisplacements), not part of a scan.
+func VonMisesStresses(m *mesh.Mesh, nodeU []geom.Vec3, mats Table, ranks int) ([]float64, error) {
+	if len(nodeU) != m.NumNodes() {
+		return nil, fmt.Errorf("fem: %d displacements for %d nodes", len(nodeU), m.NumNodes())
 	}
-	out := make([]float64, s.Mesh.NumTets())
+	out := make([]float64, m.NumTets())
 	pt := par.Even(len(out), ranks)
 	errs := make([]error, pt.P) // one slot per rank; the lowest rank's error is reported
 	pt.ForEachRank(func(r int) {
 		lo, hi := pt.Range(r)
 		memo := new(shapeMemo)
 		for e := lo; e < hi; e++ {
-			t := s.Mesh.TetGeom(e)
+			t := m.TetGeom(e)
 			sc, err := memo.shape(&t)
 			if err != nil {
 				errs[r] = fmt.Errorf("fem: element %d: %w", e, err)
 				return
 			}
-			out[e] = s.strainOf(e, &sc, nodeU).stress(mats.For(s.Mesh.TetLabel[e]).Lame()).VonMises()
+			out[e] = strainOf(m, e, &sc, nodeU).stress(mats.For(m.TetLabel[e]).Lame()).VonMises()
 		}
 	})
 	for _, err := range errs {

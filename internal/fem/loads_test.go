@@ -256,7 +256,7 @@ func TestVonMisesStressesMatchesThreeStepPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ranks := range []int{1, 2, 3, 7} {
-		got, err := sys.VonMisesStresses(nodeU, mats, ranks)
+		got, err := VonMisesStresses(m, nodeU, mats, ranks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestVonMisesStressesMatchesThreeStepPath(t *testing.T) {
 			}
 		}
 	}
-	if _, err := sys.VonMisesStresses(make([]geom.Vec3, 3), mats, 2); err == nil {
+	if _, err := VonMisesStresses(m, make([]geom.Vec3, 3), mats, 2); err == nil {
 		t.Error("wrong displacement count accepted")
 	}
 }

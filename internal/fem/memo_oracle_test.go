@@ -248,7 +248,7 @@ func TestMemoizedBuildMatchesPerElementOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, r := range ranks {
-					got, err := sys.VonMisesStresses(nodeU, mats.t, r)
+					got, err := VonMisesStresses(m, nodeU, mats.t, r)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -21,7 +21,7 @@ func TestConstructorsSatisfyCheckShape(t *testing.T) {
 	}{
 		{"Assemble", func() (shaped, error) { return sys, nil }},
 		{"OperatorFromParts", func() (shaped, error) {
-			return OperatorFromParts(sys.K, sys.NodePart, sys.Assembly, sys.Constrained, nil, nil, nil)
+			return OperatorFromParts(sys.K, sys.NodePart, sys.Constrained, nil, nil, nil)
 		}},
 		{"Operator.Eliminate", func() (shaped, error) { return sys.Eliminate([]int32{0, 3}) }},
 		{"Operator.NewSystem", func() (shaped, error) { return sys.NewSystem(sys.Mesh), nil }},

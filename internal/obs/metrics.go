@@ -90,16 +90,6 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// SetMax stores v only when it exceeds the current value — a
-// high-water-mark gauge (e.g. the worst assembly imbalance seen).
-func (g *Gauge) SetMax(v float64) {
-	g.mu.Lock()
-	if v > g.v {
-		g.v = v
-	}
-	g.mu.Unlock()
-}
-
 // Add accumulates a delta.
 func (g *Gauge) Add(d float64) {
 	g.mu.Lock()

@@ -89,12 +89,6 @@ var (
 		"Pipeline stage wall-clock time in seconds.", DefaultLatencyBuckets)
 	MetricStageErrors = counter("brainsim_stage_errors_total",
 		"Pipeline stage executions that failed (including cancellations).")
-	MetricAssemblyFlops = counter("brainsim_assembly_flops_total",
-		"Total FEM assembly floating-point work across ranks.")
-	// MetricAssemblyImbalanceMax is the quantity the paper's
-	// load-balancing discussion revolves around (1.0 = balanced).
-	MetricAssemblyImbalanceMax = gauge("brainsim_assembly_imbalance_max",
-		"Worst max/mean per-rank FEM assembly work ratio observed.")
 
 	MetricSubmissions = counter("brainsim_submissions_total",
 		"Scan submissions accepted into the queue.")
@@ -118,9 +112,6 @@ var (
 		"Update submissions that ran as full registrations (no baseline).")
 	MetricWarmItersSaved = counter("brainsim_warmstart_iterations_saved_total",
 		"GMRES iterations saved by warm-started incremental updates.")
-	// MetricPCCache is labeled {result="hit"|"miss"}.
-	MetricPCCache = counter("brainsim_pc_cache_total",
-		"Preconditioner cache outcomes of incremental solves.")
 
 	// MetricSolverIterations is the "why did this session take 40
 	// iterations" distribution, from warm-started few-iteration updates

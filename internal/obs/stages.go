@@ -5,14 +5,6 @@ import (
 	"time"
 )
 
-// Attribute keys the pipeline sets on its solve-stage span and the
-// StageSink reads back: the FEM assembly work behind the solved system.
-// They travel with the cached operator, so hit and miss runs agree.
-const (
-	AttrAssemblyFlops     = "assembly_flops"
-	AttrAssemblyImbalance = "assembly_imbalance"
-)
-
 // StageEvent is one pipeline stage of a run as the StageSink saw it —
 // one bar of the paper's Figure 6 timeline, live.
 type StageEvent struct {
@@ -26,20 +18,16 @@ type StageEvent struct {
 	Done bool
 	// Err holds the stage failure, if any.
 	Err error
-	// Flops and Imbalance are the FEM assembly work counters of a
-	// finished stage that carried them (the solve stage); zero otherwise.
-	Flops, Imbalance float64
 }
 
 // StageSink is the one consumer of stage spans (see Stage). It keeps
 // the live stage timeline of the run it is attached to and feeds the
 // per-stage metrics of reg: stage wall-clock times into the per-stage
 // latency histograms (errored executions included — an aborted solve
-// still consumed its wall-clock), stage failures into the error
-// counters, and the assembly work into the flop/imbalance metrics. The
-// service attaches one per job, sharing its registry; cmd/brainsim
-// attaches one for its run. Spans that are not stages pass through
-// untouched. Safe for concurrent use.
+// still consumed its wall-clock) and stage failures into the error
+// counters. The service attaches one per job, sharing its registry;
+// cmd/brainsim attaches one for its run. Spans that are not stages pass
+// through untouched. Safe for concurrent use.
 type StageSink struct {
 	reg *Registry
 
@@ -75,13 +63,10 @@ func (s *StageSink) SpanEnded(f FinishedSpan) {
 	if !f.Stage {
 		return
 	}
-	flops, assembled := f.Attrs[AttrAssemblyFlops].(float64)
-	imbalance, _ := f.Attrs[AttrAssemblyImbalance].(float64)
 	s.mu.Lock()
 	for i := len(s.events) - 1; i >= 0; i-- {
 		if e := &s.events[i]; e.Stage == f.Name && !e.Done {
 			e.Elapsed, e.Done, e.Err = f.Dur, true, f.Err
-			e.Flops, e.Imbalance = flops, imbalance
 			break
 		}
 	}
@@ -92,9 +77,5 @@ func (s *StageSink) SpanEnded(f FinishedSpan) {
 	s.reg.Histogram(MetricStageSeconds, stage).Observe(f.Dur.Seconds())
 	if f.Err != nil {
 		s.reg.Counter(MetricStageErrors, stage).Inc()
-	}
-	if assembled {
-		s.reg.Counter(MetricAssemblyFlops).Add(flops)
-		s.reg.Gauge(MetricAssemblyImbalanceMax).SetMax(imbalance)
 	}
 }

@@ -9,6 +9,7 @@ package par
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -107,17 +108,43 @@ func (pt Partition) Owner(i int) int {
 }
 
 // ForEachRank runs fn(rank) concurrently for every rank and waits for
-// completion.
+// completion. A rank that panics does not take the process down: once
+// every rank has returned, the lowest panicking rank's value is raised
+// again on the calling goroutine, with the stack of the worker it came
+// from, where the caller's own recover can see it.
 func (pt Partition) ForEachRank(fn func(rank int)) {
 	var wg sync.WaitGroup
+	panics := make([]*rankPanic, pt.P)
 	wg.Add(pt.P)
 	for r := 0; r < pt.P; r++ {
 		go func(rank int) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					panics[rank] = &rankPanic{rank: rank, value: v, stack: debug.Stack()}
+				}
+			}()
 			fn(rank)
 		}(r)
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
+// rankPanic is a rank worker's panic carried to the goroutine that
+// called ForEachRank: the value and the stack of the worker.
+type rankPanic struct {
+	rank  int
+	value any
+	stack []byte
+}
+
+func (p *rankPanic) Error() string {
+	return fmt.Sprintf("%v [recovered on rank %d]\n%s", p.value, p.rank, p.stack)
 }
 
 // Counters records per-rank work during a parallel phase. All numbers

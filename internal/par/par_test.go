@@ -1,7 +1,9 @@
 package par
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,6 +157,32 @@ func TestForEachRankManyShortCalls(t *testing.T) {
 		}()
 	}
 	callers.Wait()
+}
+
+// TestForEachRankPanicReachesTheCaller: a rank's panic does not kill
+// the process from its worker goroutine. Every other rank still runs to
+// the end, and only then is the panic raised again on the caller's
+// goroutine, carrying the value and the panicking worker's stack.
+func TestForEachRankPanicReachesTheCaller(t *testing.T) {
+	pt := Even(64, 4)
+	var done atomic.Int64
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		pt.ForEachRank(func(r int) {
+			if r == 2 {
+				panic("rank body")
+			}
+			done.Add(1)
+		})
+		return nil
+	}()
+	if n := done.Load(); n != 3 {
+		t.Errorf("%d ranks finished before the panic was raised, want the other 3", n)
+	}
+	msg := fmt.Sprint(got)
+	if !strings.Contains(msg, "rank body") || !strings.Contains(msg, "rank 2") || !strings.Contains(msg, "goroutine ") {
+		t.Errorf("recovered %q, want the value, its rank and the worker's stack", msg)
+	}
 }
 
 func TestCounters(t *testing.T) {

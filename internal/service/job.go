@@ -129,10 +129,6 @@ type JobStageStatus struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	Done      bool    `json:"done"`
 	Error     string  `json:"error,omitempty"`
-	// Flops and Imbalance carry the FEM assembly counters when the
-	// stage recorded them.
-	Flops     float64 `json:"flops,omitempty"`
-	Imbalance float64 `json:"imbalance,omitempty"`
 }
 
 // JobStatus is the wire form of a job on the admin surface: the live
@@ -200,7 +196,6 @@ func (j *Job) Status() JobStatus {
 		if e.Err != nil {
 			ss.Error = e.Err.Error()
 		}
-		ss.Flops, ss.Imbalance = e.Flops, e.Imbalance
 		st.Stages = append(st.Stages, ss)
 	}
 	return st

@@ -106,12 +106,13 @@ func noGoroutinesLeft(t *testing.T, before int) {
 	}
 }
 
-// panicAt is a span sink that panics when the named pipeline stage
-// starts, on the pipeline's own goroutine.
+// panicAt is a span sink that panics when a span of the given name
+// starts: a pipeline stage, on the pipeline's own goroutine, or a span a
+// rank worker opens, such as knn.batch, on that worker's goroutine.
 type panicAt string
 
 func (p panicAt) SpanStarted(i obs.SpanInfo) {
-	if i.Stage && i.Name == string(p) {
+	if i.Name == string(p) {
 		panic("sink failed at " + i.Name)
 	}
 }
@@ -161,6 +162,43 @@ func TestPanickingJobCostsOneJob(t *testing.T) {
 	}
 	if n := svc.WorkersAlive(); n != 2 {
 		t.Errorf("%d workers alive after the panic, want 2", n)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	noGoroutinesLeft(t, before)
+}
+
+// TestPanickingWorkerCostsOneJob: a panic on a goroutine the pipeline
+// started — here a sink panicking as a k-NN worker opens its batch span
+// — reaches the job's recover through par.ForEachRank instead of
+// killing the process: that job fails with ErrJobPanicked, carrying the
+// value and the worker's stack, and the worker serves the session's
+// next scan.
+func TestPanickingWorkerCostsOneJob(t *testing.T) {
+	before := runtime.NumGoroutine()
+	svc := New(Options{Workers: 1})
+	c1, c2 := streamCase(24, 33)
+	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c1.Preop, PreopLabels: c1.PreopLabels}); err != nil {
+		t.Fatal(err)
+	}
+	bg := context.Background()
+	_, err := wait(obs.WithSink(bg, panicAt(obs.SpanKNNBatch)), svc.Submit, "or", c1.Intraop)
+	if !errors.Is(err, ErrJobPanicked) || !strings.Contains(err.Error(), "sink failed at "+obs.SpanKNNBatch) ||
+		!strings.Contains(err.Error(), "goroutine ") {
+		t.Fatalf("panicking worker: err = %v, want ErrJobPanicked with the panic value and stack", err)
+	}
+	if n := count(svc, obs.MetricScans, obs.Label{Key: "outcome", Value: "failed"}); n != 1 {
+		t.Errorf("failed scans = %d, want 1", n)
+	}
+	if _, err := wait(bg, svc.Submit, "or", c1.Intraop); err != nil {
+		t.Errorf("registration after the panic: %v", err)
+	}
+	if res, err := wait(bg, svc.SubmitUpdate, "or", c2.Intraop); err != nil || !res.Incremental {
+		t.Errorf("update after the panic: err = %v", err)
+	}
+	if n := svc.WorkersAlive(); n != 1 {
+		t.Errorf("%d workers alive after the panic, want 1", n)
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)

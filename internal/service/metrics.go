@@ -57,10 +57,5 @@ func scanDone(reg *obs.Registry, kind JobKind, elapsed time.Duration, res *core.
 		obs.Label{Key: "converged", Value: strconv.FormatBool(st.Converged)}).Inc()
 	if res.Update != nil {
 		reg.Counter(obs.MetricWarmItersSaved).Add(float64(res.Update.IterationsSaved))
-		hit := "hit"
-		if !res.Update.PCCacheHit {
-			hit = "miss"
-		}
-		reg.Counter(obs.MetricPCCache, obs.Label{Key: "result", Value: hit}).Inc()
 	}
 }

@@ -78,15 +78,13 @@ func TestServiceConcurrentSessions(t *testing.T) {
 		if res.Degraded {
 			t.Errorf("session %s: unexpected degraded result", ids[i])
 		}
-		// Per-stage timeline events: every stage started, finished, no
-		// errors, and the solve stage carries an assembly counters
-		// snapshot.
+		// Per-stage timeline events: every stage started and finished, no
+		// errors.
 		events := j.Events()
 		if len(events) != len(core.Stages) {
 			t.Fatalf("session %s: %d stage events, want %d: %+v",
 				ids[i], len(events), len(core.Stages), events)
 		}
-		countersSeen := false
 		for k, e := range events {
 			if e.Stage != core.Stages[k] {
 				t.Errorf("session %s event %d: stage %q, want %q", ids[i], k, e.Stage, core.Stages[k])
@@ -94,12 +92,6 @@ func TestServiceConcurrentSessions(t *testing.T) {
 			if !e.Done || e.Err != nil {
 				t.Errorf("session %s event %d (%s): done=%v err=%v", ids[i], k, e.Stage, e.Done, e.Err)
 			}
-			if e.Flops > 0 {
-				countersSeen = true
-			}
-		}
-		if !countersSeen {
-			t.Errorf("session %s: no counters snapshot recorded", ids[i])
 		}
 	}
 
@@ -113,9 +105,6 @@ func TestServiceConcurrentSessions(t *testing.T) {
 			t.Errorf("stage %q: %+v and %d errors, want two timed executions, no error",
 				stage, h, count(svc, obs.MetricStageErrors, label))
 		}
-	}
-	if svc.Registry().Counter(obs.MetricAssemblyFlops).Value() <= 0 {
-		t.Error("no assembly flops aggregated")
 	}
 }
 

@@ -66,11 +66,6 @@ func TestServiceUpdateFlow(t *testing.T) {
 	if o, u, f := outcomes(svc), updates(svc), count(svc, obs.MetricUpdateFallbacks); o["completed"] != 2 || u != 1 || f != 0 {
 		t.Errorf("outcomes %v, %d updates, %d fallbacks; want 2 completed scans, 1 update, no fallback", o, u, f)
 	}
-	hit, miss := count(svc, obs.MetricPCCache, obs.Label{Key: "result", Value: "hit"}),
-		count(svc, obs.MetricPCCache, obs.Label{Key: "result", Value: "miss"})
-	if hit != 1 || miss != 0 {
-		t.Errorf("pc cache hit=%d miss=%d, want 1/0", hit, miss)
-	}
 	if saved := count(svc, obs.MetricWarmItersSaved); saved != res.Update.IterationsSaved {
 		t.Errorf("%s = %d, want %d", obs.MetricWarmItersSaved, saved, res.Update.IterationsSaved)
 	}

@@ -105,8 +105,12 @@ func (a *BlockAssembler) AddBlock(row int32, cols *[4]int32, blks *[4][3][3]floa
 }
 
 // Compact builds the 3n x 3n CSR matrix of the positions that received
-// a non-zero, with exactly sized arrays. Each rank of pt, a partition of
-// the block rows, counts and then copies its own rows.
+// a non-zero. The matrix's values take over the assembler's block
+// storage, compacted in place toward its front, so assembly never holds
+// the block layout and a copy of it at once; the assembler is spent
+// afterwards. Each rank of pt, a partition of the block rows, counts its
+// rows, then compacts them at the front of its own stretch of the
+// storage; the stretches then move down into place in rank order.
 func (a *BlockAssembler) Compact(pt par.Partition) (*CSR, error) {
 	if pt.N != a.n {
 		return nil, fmt.Errorf("sparse: compacting %d block rows over a partition of %d", a.n, pt.N)
@@ -127,35 +131,51 @@ func (a *BlockAssembler) Compact(pt par.Partition) (*CSR, error) {
 	for i := 0; i < m.N; i++ {
 		m.RowPtr[i+1] += m.RowPtr[i]
 	}
-	m.Col = make([]int32, m.RowPtr[m.N])
-	m.Val = make([]float64, m.RowPtr[m.N])
+	nnz := m.RowPtr[m.N]
+	m.Col = make([]int32, nnz)
+	// A block row keeps at most the nine entries of each of its blocks,
+	// so its compacted entries never reach past its own blocks: written
+	// in ascending order from the front of a stretch, they overwrite
+	// only blocks already read.
 	pt.ForEachRank(func(r int) {
 		lo, hi := pt.Range(r)
+		shift := int64(9*a.ptr[lo]) - m.RowPtr[3*lo]
+		var blocks []float64
 		for node := lo; node < hi; node++ {
-			a.compactRows(m, node)
+			blocks = append(blocks[:0], a.val[9*a.ptr[node]:9*a.ptr[node+1]]...)
+			a.compactRows(m, node, blocks, shift)
 		}
 	})
+	for r := 1; r < pt.P; r++ {
+		lo, hi := pt.Range(r)
+		from := 9 * int64(a.ptr[lo])
+		copy(a.val[m.RowPtr[3*lo]:m.RowPtr[3*hi]], a.val[from:])
+	}
+	m.Val = a.val[:nnz:nnz]
+	a.val = nil
 	m.checkShape()
 	return m, nil
 }
 
-// compactRows copies the three matrix rows of one block row.
+// compactRows writes the three matrix rows of one block row from
+// blocks, a copy of its block values: the entry at position w of the
+// matrix puts its column in m.Col[w] and its value in a.val[w+shift].
 //
 //lint:hotpath
 //lint:noescape
-func (a *BlockAssembler) compactRows(m *CSR, node int) {
+func (a *BlockAssembler) compactRows(m *CSR, node int, blocks []float64, shift int64) {
 	lo, hi := a.ptr[node], a.ptr[node+1]
 	cols := a.col[lo:hi]
 	masks := a.mask[lo:hi][:len(cols)]
 	for i := 0; i < 3; i++ {
 		w := m.RowPtr[3*node+i]
 		for k, c := range cols {
-			blk := a.val[9*(lo+k)+3*i:][:3]
+			blk := blocks[9*k+3*i:][:3]
 			rowBits := masks[k] >> (3 * i)
 			for j, v := range blk {
 				if rowBits&(1<<j) != 0 {
 					m.Col[w] = 3*c + int32(j)
-					m.Val[w] = v
+					a.val[w+shift] = v
 					w++
 				}
 			}

@@ -96,9 +96,13 @@ func TestBlockAssemblerMatchesBuilder(t *testing.T) {
 				}
 			}
 		}
+		store := a.val
 		got, err := a.Compact(par.Even(n, 1+rng.Intn(4)))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(got.Val) > 0 && &got.Val[0] != &store[0] {
+			t.Errorf("trial %d: values copied out of the block storage, not compacted in place", trial)
 		}
 		want := ref.Build()
 		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) || !slices.Equal(got.Val, want.Val) {

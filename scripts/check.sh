@@ -4,12 +4,9 @@
 # //lint:noescape kernel contract), the full test suite (and the
 # benchmark ledger's own vet and tests, which ./... skips), fuzz smoke
 # runs, and the whole module under the race detector (short mode, which
-# includes the service's goroutine-leak test and the shared-artifact
-# tests: sessions that stream concurrently on one artifact store share
-# its resident values, so a write to one is a data race — those two run
-# a few times more, since a race shows only in an interleaving that has
-# it, and so do the exactness tests of the rank-parallel elimination and
-# block factor, a panicking job and an artifact waiter's deadline).
+# includes the service's goroutine-leak test), then the race repeats of
+# scripts/race_repeats.sh: the tests whose races show only in an
+# interleaving that has them, run a few times more.
 #
 # Every go test carries an explicit -timeout well under the ten-minute
 # default: a lost completion signal (a missed WaitGroup.Done, a send
@@ -46,9 +43,5 @@ echo "== go test -fuzz (10s per target, list derived from sources)"
 ./scripts/fuzz_smoke.sh
 echo "== go test -race -short ./..."
 go test -race -short -timeout 5m ./...
-go test -race -short -timeout 5m -count 5 -run 'TestSharedArtifactsAreNeverWritten|TestConcurrentSessionsFactorizeOnce' ./internal/core
-go test -race -short -timeout 5m -count 5 -run 'TestMemoizedBuildMatchesPerElementOracle' ./internal/fem
-go test -race -short -timeout 5m -count 5 -run 'TestBlockFactorsOfFEMOperatorsMatchOracle|TestSplitILUMatchesCombinedLayout' ./internal/solver
-go test -race -short -timeout 5m -count 5 -run 'TestPanickingJobCostsOneJob' ./internal/service
-go test -race -short -timeout 5m -count 5 -run 'TestWaiterHonoursItsDeadline' ./internal/artifact
+./scripts/race_repeats.sh
 echo "== OK"

@@ -1,0 +1,23 @@
+#!/bin/sh
+# The race-detector repeats, stated once for scripts/check.sh and CI. A
+# data race shows only in an interleaving that has it, so these tests
+# run five times more under -race (short mode):
+#   - sessions streaming concurrently on one artifact store share its
+#     resident values, so a write to one is a race;
+#   - the exactness tests of the rank-parallel elimination and block
+#     factor;
+#   - the faults: a panicking job, a panicking rank worker, and an
+#     artifact waiter's deadline.
+set -eu
+cd "$(dirname "$0")/.."
+
+repeat() {
+	echo "== go test -race -count 5 -run '$2' $1"
+	go test -race -short -timeout 5m -count 5 -run "$2" "$1"
+}
+repeat ./internal/core 'TestSharedArtifactsAreNeverWritten|TestConcurrentSessionsFactorizeOnce'
+repeat ./internal/fem 'TestMemoizedBuildMatchesPerElementOracle'
+repeat ./internal/solver 'TestBlockFactorsOfFEMOperatorsMatchOracle|TestSplitILUMatchesCombinedLayout'
+repeat ./internal/par 'TestForEachRankPanicReachesTheCaller'
+repeat ./internal/service 'TestPanickingJobCostsOneJob|TestPanickingWorkerCostsOneJob'
+repeat ./internal/artifact 'TestWaiterHonoursItsDeadline'
