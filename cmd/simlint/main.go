@@ -20,15 +20,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/obs"
 )
 
 func main() {
-	list := flag.Bool("list", false, "list the analyzers and the span vocabulary spanend enforces, then exit")
+	list := flag.Bool("list", false, "list the analyzers, then exit")
 	format := flag.String("format", "text", "report format: text, json, or sarif")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: simlint [-list] [-format text|json|sarif] [pattern ...]\n\npatterns default to ./... (the whole module)\n")
@@ -97,22 +95,12 @@ func main() {
 	}
 }
 
-// printList writes the analyzer inventory plus the span vocabulary the
-// spanend analyzer checks literals against. (Metrics and events need no
-// listing: they are typed descriptors in internal/obs/names.go.)
+// printList writes the analyzer inventory. (Span names and metrics need
+// no listing: they are typed values in internal/obs/names.go.)
 func printList(analyzers []lint.Analyzer) {
 	fmt.Println("simlint analyzers:")
 	for _, a := range analyzers {
 		fmt.Printf("  %-10s %s\n", a.Name(), a.Doc())
-	}
-	fmt.Println("\nbrainsim span vocabulary (obs.SpanNames):")
-	names := make([]string, 0, len(obs.SpanNames))
-	for n := range obs.SpanNames {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Printf("  %-16s %s\n", n, obs.SpanNames[n])
 	}
 	fmt.Println("\nsuppress a finding with:  //lint:ignore <analyzer> <reason> (the module itself carries none; TestModuleIsSimlintClean pins that)")
 	fmt.Println("annotate a kernel with:   //lint:hotpath (enables hotalloc + hotreach checks)")

@@ -155,7 +155,7 @@ type batchCounter struct{ n atomic.Int64 }
 
 func (*batchCounter) SpanStarted(obs.SpanInfo) {}
 func (b *batchCounter) SpanEnded(f obs.FinishedSpan) {
-	if f.Name == obs.SpanKNNBatch {
+	if f.Name == obs.SpanKNNBatch.String() {
 		b.n.Add(1)
 	}
 }

@@ -126,7 +126,7 @@ func TestAssemblyWorkStatedOnce(t *testing.T) {
 		}
 		var assemblies []obs.SpanRecord
 		for _, r := range recs {
-			if r.Name == obs.SpanFEMAssemble {
+			if r.Name == obs.SpanFEMAssemble.String() {
 				assemblies = append(assemblies, r)
 				continue
 			}

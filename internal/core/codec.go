@@ -74,10 +74,10 @@ var (
 // fill its one exact allocation.
 func (c codec[T]) marshal(v T) []byte {
 	w := &codecWriter{}
-	w.u32(codecVersion)
+	put(w, u32Layout, codecVersion)
 	c.enc(w, v)
 	w = &codecWriter{buf: make([]byte, w.n)}
-	w.u32(codecVersion)
+	put(w, u32Layout, codecVersion)
 	c.enc(w, v)
 	return w.buf
 }
@@ -86,7 +86,7 @@ func (c codec[T]) marshal(v T) []byte {
 // the decoder objects to, and trailing bytes.
 func (c codec[T]) unmarshal(blob []byte) (T, error) {
 	r := &codecReader{data: blob}
-	if v := r.u32("codec version"); v != codecVersion {
+	if v := get(r, "codec version", u32Layout); v != codecVersion {
 		r.reject(fmt.Errorf("codec version %d, want %d", v, codecVersion))
 	}
 	v := c.dec(r)
@@ -98,6 +98,85 @@ func (c codec[T]) unmarshal(blob []byte) (T, error) {
 		return zero, r.err
 	}
 	return v, nil
+}
+
+// layout is the byte form of one element type, stated once: every
+// scalar and every array element of that type is written by put and
+// read by get, size bytes each, little-endian. valid, when set, rejects
+// the byte forms get would read as a value that put writes differently.
+type layout[E any] struct {
+	size  int
+	put   func([]byte, E)
+	get   func([]byte) E
+	valid func([]byte) bool
+}
+
+var le = binary.LittleEndian
+
+var (
+	u32Layout = layout[uint32]{size: 4, put: le.PutUint32, get: le.Uint32}
+	u64Layout = layout[uint64]{size: 8, put: le.PutUint64, get: le.Uint64}
+	intLayout = layout[int]{size: 8,
+		put: func(b []byte, v int) { le.PutUint64(b, uint64(int64(v))) },
+		get: func(b []byte) int { return int(int64(le.Uint64(b))) }}
+	i32Layout = layout[int32]{size: 4,
+		put: func(b []byte, v int32) { le.PutUint32(b, uint32(v)) },
+		get: func(b []byte) int32 { return int32(le.Uint32(b)) }}
+	i64Layout = layout[int64]{size: 8,
+		put: func(b []byte, v int64) { le.PutUint64(b, uint64(v)) },
+		get: func(b []byte) int64 { return int64(le.Uint64(b)) }}
+	f32Layout = layout[float32]{size: 4,
+		put: func(b []byte, v float32) { le.PutUint32(b, math.Float32bits(v)) },
+		get: func(b []byte) float32 { return math.Float32frombits(le.Uint32(b)) }}
+	f64Layout = layout[float64]{size: 8,
+		put: func(b []byte, v float64) { le.PutUint64(b, math.Float64bits(v)) },
+		get: func(b []byte) float64 { return math.Float64frombits(le.Uint64(b)) }}
+	labelLayout = layout[volume.Label]{size: 1,
+		put: func(b []byte, v volume.Label) { b[0] = byte(v) },
+		get: func(b []byte) volume.Label { return volume.Label(b[0]) }}
+	// A flag is one byte, 0 or 1 (the operator's constrained set).
+	flagLayout = layout[bool]{size: 1,
+		put: func(b []byte, v bool) {
+			b[0] = 0
+			if v {
+				b[0] = 1
+			}
+		},
+		get:   func(b []byte) bool { return b[0] == 1 },
+		valid: func(b []byte) bool { return b[0] <= 1 }}
+	vec3Layout = layout[geom.Vec3]{size: 24,
+		put: func(b []byte, v geom.Vec3) {
+			le.PutUint64(b, math.Float64bits(v.X))
+			le.PutUint64(b[8:], math.Float64bits(v.Y))
+			le.PutUint64(b[16:], math.Float64bits(v.Z))
+		},
+		get: func(b []byte) geom.Vec3 {
+			return geom.Vec3{
+				X: math.Float64frombits(le.Uint64(b)),
+				Y: math.Float64frombits(le.Uint64(b[8:])),
+				Z: math.Float64frombits(le.Uint64(b[16:])),
+			}
+		}}
+	tetLayout = indexLayout[[4]int32]()
+	triLayout = indexLayout[[3]int32]()
+)
+
+// indexLayout is the byte form of a tet's or a triangle's node indices:
+// int32s back to back.
+func indexLayout[T [3]int32 | [4]int32]() layout[T] {
+	var n T
+	return layout[T]{size: 4 * len(n),
+		put: func(b []byte, t T) {
+			for j := 0; j < len(t); j++ {
+				le.PutUint32(b[4*j:], uint32(t[j]))
+			}
+		},
+		get: func(b []byte) (t T) {
+			for j := 0; j < len(t); j++ {
+				t[j] = int32(le.Uint32(b[4*j:]))
+			}
+			return t
+		}}
 }
 
 // codecWriter counts the bytes written while buf is nil (the sizing
@@ -117,65 +196,20 @@ func (w *codecWriter) next(size int) []byte {
 	return w.buf[w.n-size : w.n]
 }
 
-func (w *codecWriter) u64(v uint64) {
-	if b := w.next(8); b != nil {
-		binary.LittleEndian.PutUint64(b, v)
+// put writes one element.
+func put[E any](w *codecWriter, l layout[E], v E) {
+	if b := w.next(l.size); b != nil {
+		l.put(b, v)
 	}
 }
 
-func (w *codecWriter) u32(v uint32) {
-	if b := w.next(4); b != nil {
-		binary.LittleEndian.PutUint32(b, v)
-	}
-}
-
-func (w *codecWriter) i64(v int)     { w.u64(uint64(int64(v))) }
-func (w *codecWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *codecWriter) f32(v float32) { w.u32(math.Float32bits(v)) }
-
-func (w *codecWriter) vec3(v geom.Vec3) {
-	w.f64(v.X)
-	w.f64(v.Y)
-	w.f64(v.Z)
-}
-
-// f64s writes a length-prefixed float64 array — the bulk counterpart of
-// codecReader.f64s.
-func (w *codecWriter) f64s(vs []float64) {
-	w.u64(uint64(len(vs)))
-	if b := w.next(8 * len(vs)); b != nil {
+// putArray writes a length-prefixed array: the element count as a
+// uint64, then the elements back to back.
+func putArray[E any](w *codecWriter, l layout[E], vs []E) {
+	put(w, u64Layout, uint64(len(vs)))
+	if b := w.next(l.size * len(vs)); b != nil {
 		for i, v := range vs {
-			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-		}
-	}
-}
-
-// f32s writes a length-prefixed float32 array.
-func (w *codecWriter) f32s(vs []float32) {
-	w.u64(uint64(len(vs)))
-	if b := w.next(4 * len(vs)); b != nil {
-		for i, v := range vs {
-			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
-		}
-	}
-}
-
-// i32s writes a length-prefixed int32 array.
-func (w *codecWriter) i32s(vs []int32) {
-	w.u64(uint64(len(vs)))
-	if b := w.next(4 * len(vs)); b != nil {
-		for i, v := range vs {
-			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
-		}
-	}
-}
-
-// labels writes a length-prefixed label array, one byte each.
-func (w *codecWriter) labels(vs []volume.Label) {
-	w.u64(uint64(len(vs)))
-	if b := w.next(len(vs)); b != nil {
-		for i, v := range vs {
-			b[i] = byte(v)
+			l.put(b[l.size*i:], v)
 		}
 	}
 }
@@ -189,10 +223,6 @@ type codecReader struct {
 	err  error
 }
 
-func (r *codecReader) fail(what string) {
-	r.reject(fmt.Errorf("truncated %s at offset %d", what, r.off))
-}
-
 // reject records a structural violation (the first one sticks).
 func (r *codecReader) reject(err error) {
 	if r.err == nil {
@@ -200,45 +230,14 @@ func (r *codecReader) reject(err error) {
 	}
 }
 
-func (r *codecReader) u64(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.data) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *codecReader) u32(what string) uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+4 > len(r.data) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *codecReader) i64(what string) int     { return int(int64(r.u64(what))) }
-func (r *codecReader) f64(what string) float64 { return math.Float64frombits(r.u64(what)) }
-func (r *codecReader) f32(what string) float32 { return math.Float32frombits(r.u32(what)) }
-
-// take claims n bytes of the payload with a single bounds check — the
-// bulk-array fast path (the large artifacts are multi-megabyte float
-// and index arrays; per-element reads would dominate warm-run decode).
+// take claims n bytes of the payload with a single bounds check, so an
+// array of any length costs one check.
 func (r *codecReader) take(what string, n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.data) {
-		r.fail(what)
+	if r.off+n > len(r.data) {
+		r.reject(fmt.Errorf("truncated %s at offset %d", what, r.off))
 		return nil
 	}
 	b := r.data[r.off : r.off+n]
@@ -246,95 +245,55 @@ func (r *codecReader) take(what string, n int) []byte {
 	return b
 }
 
-// f64s decodes a length-prefixed float64 array in bulk.
-func (r *codecReader) f64s(what string) []float64 {
-	n := r.sliceLen(what, 8)
-	b := r.take(what, 8*n)
+// get reads one element.
+func get[E any](r *codecReader, what string, l layout[E]) (v E) {
+	if vs := getN(r, what, l, 1); vs != nil {
+		v = vs[0]
+	}
+	return v
+}
+
+// getArray reads a length-prefixed array. The declared count is checked
+// against the bytes left before anything is allocated, so a corrupted
+// length cannot drive an enormous allocation.
+func getArray[E any](r *codecReader, what string, l layout[E]) []E {
+	n := get(r, what+" length", u64Layout)
+	if r.err == nil && n > uint64(len(r.data)-r.off)/uint64(l.size) {
+		r.reject(fmt.Errorf("truncated %s length at offset %d", what, r.off))
+	}
+	return getN(r, what, l, int(n))
+}
+
+// getN reads n elements, or nothing once the reader has failed.
+func getN[E any](r *codecReader, what string, l layout[E], n int) []E {
+	b := r.take(what, l.size*n)
 	if r.err != nil {
 		return nil
 	}
-	out := make([]float64, n)
+	out := make([]E, n)
 	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		e := b[l.size*i:]
+		if l.valid != nil && !l.valid(e) {
+			r.reject(fmt.Errorf("%s %d: invalid byte form %v", what, i, e[:l.size]))
+			return nil
+		}
+		out[i] = l.get(e)
 	}
 	return out
-}
-
-// f32s decodes a length-prefixed float32 array in bulk.
-func (r *codecReader) f32s(what string) []float32 {
-	n := r.sliceLen(what, 4)
-	b := r.take(what, 4*n)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// labels decodes a length-prefixed label array in bulk.
-func (r *codecReader) labels(what string) []volume.Label {
-	n := r.sliceLen(what, 1)
-	b := r.take(what, n)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]volume.Label, n)
-	for i := range out {
-		out[i] = volume.Label(b[i])
-	}
-	return out
-}
-
-// i32s decodes a length-prefixed int32 array in bulk.
-func (r *codecReader) i32s(what string) []int32 {
-	n := r.sliceLen(what, 4)
-	b := r.take(what, 4*n)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-func (r *codecReader) vec3(what string) geom.Vec3 {
-	return geom.Vec3{X: r.f64(what), Y: r.f64(what), Z: r.f64(what)}
-}
-
-// sliceLen validates a decoded element count against the bytes left,
-// so a corrupted length cannot drive an enormous allocation.
-func (r *codecReader) sliceLen(what string, elemBytes int) int {
-	n := r.u64(what)
-	if r.err != nil {
-		return 0
-	}
-	if elemBytes < 1 {
-		elemBytes = 1
-	}
-	if n > uint64(len(r.data)-r.off)/uint64(elemBytes) {
-		r.fail(what + " length")
-		return 0
-	}
-	return int(n)
 }
 
 func encodeGrid(w *codecWriter, g volume.Grid) {
-	w.i64(g.NX)
-	w.i64(g.NY)
-	w.i64(g.NZ)
-	w.vec3(g.Spacing)
-	w.vec3(g.Origin)
+	put(w, intLayout, g.NX)
+	put(w, intLayout, g.NY)
+	put(w, intLayout, g.NZ)
+	put(w, vec3Layout, g.Spacing)
+	put(w, vec3Layout, g.Origin)
 }
 
 func decodeGrid(r *codecReader) volume.Grid {
 	return volume.Grid{
-		NX: r.i64("grid"), NY: r.i64("grid"), NZ: r.i64("grid"),
-		Spacing: r.vec3("grid"), Origin: r.vec3("grid"),
+		NX: get(r, "grid", intLayout), NY: get(r, "grid", intLayout), NZ: get(r, "grid", intLayout),
+		Spacing: get(r, "grid", vec3Layout), Origin: get(r, "grid", vec3Layout),
 	}
 }
 
@@ -366,11 +325,11 @@ func (r *codecReader) checkIndices(what string, ids []int32, n int) {
 
 func encodeScalar(w *codecWriter, s *volume.Scalar) {
 	encodeGrid(w, s.Grid)
-	w.f32s(s.Data)
+	putArray(w, f32Layout, s.Data)
 }
 
 func decodeScalar(r *codecReader) *volume.Scalar {
-	s := &volume.Scalar{Grid: decodeGrid(r), Data: r.f32s("scalar data")}
+	s := &volume.Scalar{Grid: decodeGrid(r), Data: getArray(r, "scalar data", f32Layout)}
 	r.checkVoxels("scalar volume", s.Grid, len(s.Data))
 	return s
 }
@@ -380,7 +339,7 @@ func decodeScalar(r *codecReader) *volume.Scalar {
 type edtChannels [3]*volume.Scalar
 
 func encodeEDT(w *codecWriter, ch edtChannels) {
-	w.u64(uint64(len(ch)))
+	put(w, u64Layout, uint64(len(ch)))
 	for _, c := range ch {
 		encodeScalar(w, c)
 	}
@@ -388,7 +347,7 @@ func encodeEDT(w *codecWriter, ch edtChannels) {
 
 func decodeEDT(r *codecReader) edtChannels {
 	var ch edtChannels
-	if n := r.u64("edt channels"); n != uint64(len(ch)) {
+	if n := get(r, "edt channels", u64Layout); n != uint64(len(ch)) {
 		r.reject(fmt.Errorf("%d edt channels, want %d", n, len(ch)))
 	}
 	for i := range ch {
@@ -402,69 +361,27 @@ func decodeEDT(r *codecReader) edtChannels {
 
 func encodeLabels(w *codecWriter, l *volume.Labels) {
 	encodeGrid(w, l.Grid)
-	w.labels(l.Data)
+	putArray(w, labelLayout, l.Data)
 }
 
 func decodeLabels(r *codecReader) *volume.Labels {
-	l := &volume.Labels{Grid: decodeGrid(r), Data: r.labels("label data")}
+	l := &volume.Labels{Grid: decodeGrid(r), Data: getArray(r, "label data", labelLayout)}
 	r.checkVoxels("label volume", l.Grid, len(l.Data))
 	return l
 }
 
-func encodeVec3s(w *codecWriter, vs []geom.Vec3) {
-	w.u64(uint64(len(vs)))
-	if b := w.next(24 * len(vs)); b != nil {
-		for i, v := range vs {
-			binary.LittleEndian.PutUint64(b[24*i:], math.Float64bits(v.X))
-			binary.LittleEndian.PutUint64(b[24*i+8:], math.Float64bits(v.Y))
-			binary.LittleEndian.PutUint64(b[24*i+16:], math.Float64bits(v.Z))
-		}
-	}
-}
-
-func decodeVec3s(r *codecReader, what string) []geom.Vec3 {
-	n := r.sliceLen(what, 24)
-	b := r.take(what, 24*n)
-	if r.err != nil {
-		return nil
-	}
-	vs := make([]geom.Vec3, n)
-	for i := range vs {
-		vs[i] = geom.Vec3{
-			X: math.Float64frombits(binary.LittleEndian.Uint64(b[24*i:])),
-			Y: math.Float64frombits(binary.LittleEndian.Uint64(b[24*i+8:])),
-			Z: math.Float64frombits(binary.LittleEndian.Uint64(b[24*i+16:])),
-		}
-	}
-	return vs
-}
-
 func encodeMesh(w *codecWriter, m *mesh.Mesh) {
-	encodeVec3s(w, m.Nodes)
-	w.u64(uint64(len(m.Tets)))
-	if b := w.next(16 * len(m.Tets)); b != nil {
-		for i, t := range m.Tets {
-			for j, id := range t {
-				binary.LittleEndian.PutUint32(b[16*i+4*j:], uint32(id))
-			}
-		}
-	}
-	w.labels(m.TetLabel)
+	putArray(w, vec3Layout, m.Nodes)
+	putArray(w, tetLayout, m.Tets)
+	putArray(w, labelLayout, m.TetLabel)
 }
 
 func decodeMesh(r *codecReader) *mesh.Mesh {
-	m := &mesh.Mesh{Nodes: decodeVec3s(r, "mesh nodes")}
-	nt := r.sliceLen("mesh tets", 16)
-	tb := r.take("mesh tets", 16*nt)
-	if r.err == nil {
-		m.Tets = make([][4]int32, nt)
-		for i := range m.Tets {
-			for j := 0; j < 4; j++ {
-				m.Tets[i][j] = int32(binary.LittleEndian.Uint32(tb[16*i+4*j:]))
-			}
-		}
+	m := &mesh.Mesh{
+		Nodes:    getArray(r, "mesh nodes", vec3Layout),
+		Tets:     getArray(r, "mesh tets", tetLayout),
+		TetLabel: getArray(r, "mesh tet labels", labelLayout),
 	}
-	m.TetLabel = r.labels("mesh tet labels")
 	for _, t := range m.Tets {
 		r.checkIndices("mesh tet node", t[:], len(m.Nodes))
 	}
@@ -475,32 +392,16 @@ func decodeMesh(r *codecReader) *mesh.Mesh {
 }
 
 func encodeTriMesh(w *codecWriter, t *mesh.TriMesh) {
-	encodeVec3s(w, t.Verts)
-	w.u64(uint64(len(t.Tris)))
-	for _, tri := range t.Tris {
-		for _, id := range tri {
-			w.u32(uint32(id))
-		}
-	}
-	w.u64(uint64(len(t.NodeID)))
-	for _, id := range t.NodeID {
-		w.u32(uint32(id))
-	}
+	putArray(w, vec3Layout, t.Verts)
+	putArray(w, triLayout, t.Tris)
+	putArray(w, i32Layout, t.NodeID)
 }
 
 func decodeTriMesh(r *codecReader) *mesh.TriMesh {
-	t := &mesh.TriMesh{Verts: decodeVec3s(r, "trimesh verts")}
-	nt := r.sliceLen("trimesh tris", 12)
-	t.Tris = make([][3]int32, nt)
-	for i := range t.Tris {
-		for j := 0; j < 3; j++ {
-			t.Tris[i][j] = int32(r.u32("trimesh tris"))
-		}
-	}
-	nn := r.sliceLen("trimesh node ids", 4)
-	t.NodeID = make([]int32, nn)
-	for i := range t.NodeID {
-		t.NodeID[i] = int32(r.u32("trimesh node ids"))
+	t := &mesh.TriMesh{
+		Verts:  getArray(r, "trimesh verts", vec3Layout),
+		Tris:   getArray(r, "trimesh tris", triLayout),
+		NodeID: getArray(r, "trimesh node ids", i32Layout),
 	}
 	for _, tri := range t.Tris {
 		r.checkIndices("trimesh vertex", tri[:], len(t.Verts))
@@ -533,22 +434,6 @@ func decodeMeshed(r *codecReader) meshed {
 	return m
 }
 
-func encodeInts(w *codecWriter, vs []int) {
-	w.u64(uint64(len(vs)))
-	for _, v := range vs {
-		w.i64(v)
-	}
-}
-
-func decodeInts(r *codecReader, what string) []int {
-	n := r.sliceLen(what, 8)
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = r.i64(what)
-	}
-	return vs
-}
-
 // encodeOperator serializes the Dirichlet-eliminated FEM operator: the
 // CSR stiffness matrix, the node partition, the constrained set (one
 // byte per DOF) and the coupling block. The mesh is its own artifact,
@@ -561,29 +446,17 @@ func encodeOperator(w *codecWriter, o *fem.Operator) {
 
 func encodeOperatorParts(w *codecWriter, k *sparse.CSR, pt par.Partition,
 	constrained []bool, bcPtr []int, bcRows []int32, bcCoef []float64) {
-	w.i64(k.N)
-	w.u64(uint64(len(k.RowPtr)))
-	if b := w.next(8 * len(k.RowPtr)); b != nil {
-		for i, v := range k.RowPtr {
-			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
-		}
-	}
-	w.i32s(k.Col)
-	w.f64s(k.Val)
-	w.i64(pt.N)
-	w.i64(pt.P)
-	encodeInts(w, pt.Starts)
-	w.u64(uint64(len(constrained)))
-	if b := w.next(len(constrained)); b != nil {
-		for i, c := range constrained {
-			if c {
-				b[i] = 1
-			}
-		}
-	}
-	encodeInts(w, bcPtr)
-	w.i32s(bcRows)
-	w.f64s(bcCoef)
+	put(w, intLayout, k.N)
+	putArray(w, i64Layout, k.RowPtr)
+	putArray(w, i32Layout, k.Col)
+	putArray(w, f64Layout, k.Val)
+	put(w, intLayout, pt.N)
+	put(w, intLayout, pt.P)
+	putArray(w, intLayout, pt.Starts)
+	putArray(w, flagLayout, constrained)
+	putArray(w, intLayout, bcPtr)
+	putArray(w, i32Layout, bcRows)
+	putArray(w, f64Layout, bcCoef)
 }
 
 // decodeOperator reconstructs the operator. The validating constructors
@@ -591,36 +464,21 @@ func encodeOperatorParts(w *codecWriter, k *sparse.CSR, pt par.Partition,
 // index invariants with errors, not panics, so a drifted blob fails the
 // decode and the store recomputes.
 func decodeOperator(r *codecReader) *fem.Operator {
-	n := r.i64("csr n")
-	np := r.sliceLen("csr rowptr", 8)
-	pb := r.take("csr rowptr", 8*np)
-	rowPtr := make([]int64, np)
-	if r.err == nil {
-		for i := range rowPtr {
-			rowPtr[i] = int64(binary.LittleEndian.Uint64(pb[8*i:]))
-		}
-	}
-	col := r.i32s("csr col")
-	val := r.f64s("csr val")
-	pt := par.Partition{N: r.i64("partition"), P: r.i64("partition")}
-	pt.Starts = decodeInts(r, "partition starts")
-	nc := r.sliceLen("constrained flags", 1)
-	constrained := make([]bool, nc)
-	for i, b := range r.take("constrained flags", nc) {
-		if b > 1 {
-			r.reject(fmt.Errorf("constrained flag %d of DOF %d", b, i))
-			break
-		}
-		constrained[i] = b == 1
-	}
+	n := get(r, "csr n", intLayout)
+	rowPtr := getArray(r, "csr rowptr", i64Layout)
+	col := getArray(r, "csr col", i32Layout)
+	val := getArray(r, "csr val", f64Layout)
+	pt := par.Partition{N: get(r, "partition", intLayout), P: get(r, "partition", intLayout)}
+	pt.Starts = getArray(r, "partition starts", intLayout)
+	constrained := getArray(r, "constrained flags", flagLayout)
 	// An eliminated operator always has NumDOF+1 column pointers, so an
 	// empty list is the unconstrained operator's nil.
-	bcPtr := decodeInts(r, "coupling pointers")
+	bcPtr := getArray(r, "coupling pointers", intLayout)
 	if len(bcPtr) == 0 {
 		bcPtr = nil
 	}
-	bcRows := r.i32s("coupling rows")
-	bcCoef := r.f64s("coupling coefficients")
+	bcRows := getArray(r, "coupling rows", i32Layout)
+	bcCoef := getArray(r, "coupling coefficients", f64Layout)
 	if r.err != nil {
 		return nil
 	}
@@ -640,16 +498,16 @@ func decodeOperator(r *codecReader) *fem.Operator {
 func encodeInterpTable(w *codecWriter, t *fem.InterpTable) {
 	g, vox, nodes, weights := t.TableParts()
 	encodeGrid(w, g)
-	w.i32s(vox)
-	w.i32s(nodes)
-	w.f64s(weights)
+	putArray(w, i32Layout, vox)
+	putArray(w, i32Layout, nodes)
+	putArray(w, f64Layout, weights)
 }
 
 func decodeInterpTable(r *codecReader) *fem.InterpTable {
 	g := decodeGrid(r)
-	vox := r.i32s("interp vox")
-	nodes := r.i32s("interp nodes")
-	weights := r.f64s("interp weights")
+	vox := getArray(r, "interp vox", i32Layout)
+	nodes := getArray(r, "interp nodes", i32Layout)
+	weights := getArray(r, "interp weights", f64Layout)
 	// The node count belongs to the mesh artifact; only the lower bound
 	// of a node index is checkable here.
 	r.checkIndices("interp node", nodes, math.MaxInt)

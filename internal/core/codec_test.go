@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -12,6 +15,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mesh"
 	"repro/internal/obs"
+	"repro/internal/phantom"
 	"repro/internal/surface"
 	"repro/internal/volume"
 )
@@ -217,7 +221,7 @@ func TestCachedQuarantinesDamagedEntry(t *testing.T) {
 	lookup := func(store *artifact.Store, fn func(context.Context, *volume.Labels, edtKey) (edtChannels, error)) (edtChannels, any) {
 		t.Helper()
 		var buf bytes.Buffer
-		ctx, span := obs.StartSpan(obs.WithTracer(context.Background(), obs.NewTracer(&buf)), "lookup")
+		ctx, span := obs.StartSpan(obs.WithTracer(context.Background(), obs.NewTracer(&buf)), obs.SpanPipelineRun)
 		got, err := cached(ctx, store, "preop-edt", fn, in, key, edtCodec)
 		span.End(err)
 		if err != nil {
@@ -265,5 +269,75 @@ func TestCachedQuarantinesDamagedEntry(t *testing.T) {
 	}
 	if st := second.Stats(); st.Hits != 1 || st.Misses != 0 || st.DiskFaults != 0 {
 		t.Errorf("rewritten entry: %+v, want 1 hit and nothing else", st)
+	}
+}
+
+// pinnedBlobs holds, per codec version, the SHA-256 of every artifact
+// blob the size-24 phantom of TestResultDigestsPinned produces under
+// fastConfig. A version's row is written once and never edited: an
+// encoding change must bump codecVersion and add a row.
+var pinnedBlobs = map[uint32]map[string]string{
+	7: {
+		"labels":          "8f0e91238707089ce83f08f7030a984f8330afea73be179847b5abadceea1e19",
+		"edt":             "a8154f81db699e785b3bce688bbd91540f1527ef544ecb79fb9c6449a3ef94d1",
+		"meshed":          "a9e5aca563a08745ff8289d65f5e7cebce8af4c8b690b7f6a76d584d411ee8da",
+		"relaxed surface": "861193424501591efa8801693b3eba729ebd9d57e5e13c6baf35a1b67b152282",
+		"operator":        "29ae00290fb0dd76603e91848a7eef478b526ceb70abbae8cbcd5ec633a223d3",
+		"interp table":    "417e3abbbbfcbed5a9ec0a9f44edfc0bbb4b92e22b4d83439051046f92b87254",
+	},
+}
+
+// TestArtifactBlobsPinned holds the codecs to their version: a blob
+// whose digest moves while codecVersion stays is an encoding change
+// that would mix with an older build's store entries.
+func TestArtifactBlobsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests are pinned for amd64 floating point (no fused multiply-add)")
+	}
+	want, ok := pinnedBlobs[codecVersion]
+	if !ok {
+		t.Fatalf("codecVersion %d has no pinned blob digests", codecVersion)
+	}
+	p := phantom.DefaultParams(24)
+	p.ShiftMagnitude = 3
+	c := phantom.Generate(p)
+	cfg := fastConfig()
+	ctx := context.Background()
+	labels := c.PreopLabels
+	ch, err := preopEDT(ctx, labels, edtKey{Saturation: cfg.EDTSaturation})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := preopMesh(ctx, labels, meshKey{CellSize: cfg.MeshCellSize, BCC: cfg.UseBCCMesh, Snap: cfg.SnapMesh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relaxed, err := preopRelax(ctx, pair[*volume.Labels, meshed]{labels, m}, cfg.Surface)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := preopAssemble(ctx, m, assembleKey{Materials: cfg.Materials, Ranks: cfg.Ranks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := preopInterp(ctx, pair[meshed, *fem.Operator]{m, op}, c.Intraop.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		codec string
+		blob  []byte
+	}{
+		{"labels", labelsCodec.marshal(labels)},
+		{"edt", edtCodec.marshal(ch)},
+		{"meshed", meshedCodec.marshal(m)},
+		{"relaxed surface", triMeshCodec.marshal(relaxed)},
+		{"operator", operatorCodec.marshal(op)},
+		{"interp table", interpCodec.marshal(tab)},
+	} {
+		sum := sha256.Sum256(b.blob)
+		if got := hex.EncodeToString(sum[:]); got != want[b.codec] {
+			t.Errorf("%s codec: blob digest %s at codecVersion %d, want %s", b.codec, got, codecVersion, want[b.codec])
+		}
 	}
 }

@@ -151,11 +151,10 @@ type Result struct {
 	// It is read-only: with an ArtifactStore it is the store's resident
 	// value, shared by every session and Result on this anatomy.
 	Mesh *mesh.Mesh
-	// Forward is the dense forward displacement field.
-	Forward *volume.Field
-	// Backward is its inverse in the backward-warp convention: warping
-	// the aligned preop scan with it produces the simulated match to
-	// the intraoperative scan (the paper's Figure 4c).
+	// Backward is the inverse of the dense forward displacement field,
+	// in the backward-warp convention: warping the aligned preop scan
+	// with it produces the simulated match to the intraoperative scan
+	// (the paper's Figure 4c).
 	Backward *volume.Field
 	// Warped is the aligned preoperative scan deformed into the
 	// intraoperative configuration.
@@ -178,7 +177,7 @@ type Result struct {
 	// expired after the surface stage, so the biomechanical refinement
 	// was abandoned and Warped is just the rigidly aligned preoperative
 	// scan — the paper's clinical fallback when the time budget runs
-	// out. NodeDisplacements, Forward and Backward are nil.
+	// out. NodeDisplacements and Backward are nil.
 	Degraded bool
 	// DegradedReason says which stage the deadline interrupted.
 	DegradedReason string
@@ -580,7 +579,6 @@ func (s *Session) stageSolve(ctx context.Context, sc *scan, warm bool) error {
 	}
 	upd.PCCacheHit = sr.PCCacheHit
 	upd.WarmStarted = sr.Stats.WarmStarted
-	upd.EntryResRel = sr.Stats.EntryResRel
 	if sc.coldIterations > sr.Stats.Iterations {
 		upd.IterationsSaved = sc.coldIterations - sr.Stats.Iterations
 	}
@@ -593,8 +591,7 @@ func (s *Session) stageSolve(ctx context.Context, sc *scan, warm bool) error {
 // gather.
 func stageResample(sc *scan) {
 	res, nodeU := sc.res, sc.solveRes.NodeU
-	res.Forward = sc.interp.Apply(nodeU)
-	res.Backward = res.Forward.Invert(4)
+	res.Backward = sc.interp.Apply(nodeU).Invert(4)
 	res.Warped = res.Backward.WarpScalar(sc.alignedPreop)
 }
 
@@ -681,7 +678,7 @@ func degrade(ctx context.Context, err error, res *Result, intraop, alignedPreop,
 	// biomechanical improvement.
 	res.Warped = alignedPreop
 	res.NodeDisplacements = nil
-	res.Forward, res.Backward = nil, nil
+	res.Backward = nil
 	matchMetrics(res, intraop, alignedPreop, phiBrain)
 	return true
 }

@@ -261,6 +261,8 @@ func TestMalformedVolumesRejected(t *testing.T) {
 	flat := c.Intraop.Clone()
 	flat.Grid.Spacing.Z = 0
 	shortLabels := &volume.Labels{Grid: c.PreopLabels.Grid, Data: c.PreopLabels.Data[:len(c.PreopLabels.Data)-1]}
+	nanLabels := &volume.Labels{Grid: c.PreopLabels.Grid, Data: c.PreopLabels.Data}
+	nanLabels.Grid.Spacing.X = math.NaN()
 	ctx := context.Background()
 
 	t.Run("NewSession", func(t *testing.T) {
@@ -285,6 +287,7 @@ func TestMalformedVolumesRejected(t *testing.T) {
 			{"flat intraop", c.Preop, c.PreopLabels, flat},
 			{"short preop", short, c.PreopLabels, c.Intraop},
 			{"short labels", c.Preop, shortLabels, c.Intraop},
+			{"labels with NaN spacing", c.Preop, nanLabels, c.Intraop},
 		} {
 			bad := &phantom.Case{Preop: tc.preop, PreopLabels: tc.labels, Intraop: tc.intraop}
 			if _, err := registerCase(ctx, fastConfig(), bad); err == nil {

@@ -24,10 +24,6 @@ type IncrementalStats struct {
 	// WarmStarted reports that the solve was seeded with the previous
 	// displacement field.
 	WarmStarted bool
-	// EntryResRel is the relative preconditioned residual of the seeded
-	// iterate: 1.0 would mean the seed was worthless, values ≪ 1 mean
-	// most of the solve was inherited.
-	EntryResRel float64
 	// IterationsSaved is the iteration count saved relative to the
 	// session's baseline cold solve (0 when the update needed as many).
 	IterationsSaved int

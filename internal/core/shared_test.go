@@ -173,7 +173,7 @@ func TestConcurrentSessionsFactorizeOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range recs {
-			if r.Name == obs.SpanFEMSolve && r.Attrs["pc_cache_hit"] == true {
+			if r.Name == obs.SpanFEMSolve.String() && r.Attrs["pc_cache_hit"] == true {
 				pcHits++
 			}
 		}

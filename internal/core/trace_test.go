@@ -176,16 +176,16 @@ func TestSolveFactsAreStatedOnce(t *testing.T) {
 	var solves []obs.SpanRecord
 	for _, r := range recs {
 		switch r.Name {
-		case obs.SpanFEMSolve:
+		case obs.SpanFEMSolve.String():
 			solves = append(solves, r)
 			continue
-		case obs.SpanGMRESCycle, obs.SpanSurfaceEvolve:
+		case obs.SpanGMRESCycle.String(), obs.SpanSurfaceEvolve.String():
 			continue // a cycle's, an evolution's own iterations: other facts
 		}
 		for k := range r.Attrs {
 			_, stat := solveFacts(solver.Stats{})[k]
 			if stat || strings.HasPrefix(k, "solver_") || strings.HasPrefix(k, "pc_") ||
-				strings.HasPrefix(k, "dofs_") && r.Name != obs.SpanFEMPatchBC {
+				strings.HasPrefix(k, "dofs_") && r.Name != obs.SpanFEMPatchBC.String() {
 				t.Errorf("span %q restates %q = %v", r.Name, k, r.Attrs[k])
 			}
 		}
@@ -225,7 +225,7 @@ func solveFacts(st solver.Stats) map[string]any {
 // contract: no tracer on the context means no spans and no allocations
 // of span machinery visible to the caller.
 func TestPipelineWithoutTracerEmitsNothing(t *testing.T) {
-	ctx, span := obs.StartSpan(context.Background(), "x")
+	ctx, span := obs.StartSpan(context.Background(), obs.SpanPipelineRun)
 	if span != nil {
 		t.Fatal("StartSpan without tracer returned a live span")
 	}

@@ -77,8 +77,8 @@ func TestUpdateEquivalentToColdRegister(t *testing.T) {
 	if ru.Update.DOFsPatched == 0 {
 		t.Fatal("grown shift patched no Dirichlet DOFs")
 	}
-	if ru.Update.EntryResRel >= 1 {
-		t.Errorf("warm seed entry residual %g not below a cold start", ru.Update.EntryResRel)
+	if ru.SolveStats.EntryResRel >= 1 {
+		t.Errorf("warm seed entry residual %g not below a cold start", ru.SolveStats.EntryResRel)
 	}
 	if !ru.SolveStats.Converged {
 		t.Fatalf("update solve did not converge: %+v", ru.SolveStats)

@@ -3,17 +3,13 @@ package lint
 import (
 	"go/ast"
 	"strconv"
-
-	"repro/internal/obs"
 )
 
 // spanend enforces the telemetry invariant from PR 2: a span opened
 // with obs.StartSpan must be closed in the same function by a deferred
 // End (directly or inside a deferred closure), so no early return or
-// panic can leak an open span from the JSONL trace. Span-name literals
-// must come from the shared brainsim vocabulary (obs.SpanNames); stage
-// spans are named through the core.Stage* constants and non-literal
-// arguments are accepted as-is.
+// panic can leak an open span from the JSONL trace. (Span names need
+// no check: StartSpan takes an obs.SpanName, which only obs can mint.)
 type spanend struct{}
 
 func (spanend) Name() string { return "spanend" }
@@ -21,7 +17,7 @@ func (spanend) Name() string { return "spanend" }
 func (spanend) Doc() string {
 	return "every obs.StartSpan must have a matching deferred span.End in the same " +
 		"function (a defer inside a loop is flagged too — wrap the iteration in a " +
-		"closure); span-name literals must belong to the obs.SpanNames vocabulary"
+		"closure)"
 }
 
 // spanStart is one obs.StartSpan call found in a function scope.
@@ -72,7 +68,6 @@ func (s spanend) checkScope(pkg *Package, fs funcScope) []Finding {
 						}
 					}
 					starts = append(starts, start)
-					out = append(out, s.checkName(pkg, call)...)
 				}
 			}
 		case *ast.CallExpr:
@@ -80,7 +75,6 @@ func (s spanend) checkScope(pkg *Package, fs funcScope) []Finding {
 			// span can never be ended.
 			if isStartSpan(pkg, st) && !assigned[st] {
 				starts = append(starts, spanStart{call: st})
-				out = append(out, s.checkName(pkg, st)...)
 			}
 		case *ast.DeferStmt:
 			if name, ok := deferredEndVar(st); ok {
@@ -246,33 +240,6 @@ func (spanend) checkLeakPaths(pkg *Package, fs funcScope, starts []spanStart) []
 		}
 	}
 	return out
-}
-
-// checkName validates a literal span-name argument against the shared
-// vocabulary. Non-literal names (core.Stage* constants, computed
-// names) are accepted.
-func (spanend) checkName(pkg *Package, call *ast.CallExpr) []Finding {
-	if len(call.Args) < 2 {
-		return nil
-	}
-	lit, ok := ast.Unparen(call.Args[1]).(*ast.BasicLit)
-	if !ok {
-		return nil
-	}
-	name, err := strconv.Unquote(lit.Value)
-	if err != nil {
-		return nil
-	}
-	if obs.KnownSpanName(name) {
-		return nil
-	}
-	return []Finding{{
-		Pos:      pkg.Fset.Position(lit.Pos()),
-		Analyzer: "spanend",
-		Msg: "span name " + strconv.Quote(name) +
-			" is not in the brainsim span vocabulary (obs.SpanNames); " +
-			"add it there or use the obs.Span* constants",
-	}}
 }
 
 // isStartSpan reports whether the call invokes internal/obs.StartSpan.

@@ -1,6 +1,6 @@
 // Package spanfixture exercises the spanend analyzer: every
 // obs.StartSpan needs a deferred End in the same function, outside any
-// loop, and literal span names must come from the shared vocabulary.
+// loop.
 package spanfixture
 
 import (
@@ -51,18 +51,6 @@ func LoopClosure(ctx context.Context, n int) {
 			defer span.End(nil)
 		}()
 	}
-}
-
-// BadName invents a span name outside the vocabulary.
-func BadName(ctx context.Context) {
-	_, span := obs.StartSpan(ctx, "rogue.span") // want spanend "not in the brainsim span vocabulary"
-	defer span.End(nil)
-}
-
-// GoodName spells a vocabulary name as a literal, which is allowed.
-func GoodName(ctx context.Context) {
-	_, span := obs.StartSpan(ctx, "fem.solve")
-	defer span.End(nil)
 }
 
 // Suppressed leaks a span under an explicit waiver.

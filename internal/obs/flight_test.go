@@ -105,7 +105,7 @@ func TestFlightSpanRecordStampsContextIdentity(t *testing.T) {
 		t.Fatalf("records = %d, want the one span", len(snap))
 	}
 	sp := snap[0]
-	if sp.Kind != "" || sp.Name != SpanFEMSolve || sp.ID != span.ID() || sp.Trace != span.TraceID() {
+	if sp.Kind != "" || sp.Name != SpanFEMSolve.String() || sp.ID != span.ID() || sp.Trace != span.TraceID() {
 		t.Errorf("span record = %+v", sp)
 	}
 	if sp.Session != "or-7" || sp.Job != "j000042" {

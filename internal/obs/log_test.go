@@ -35,8 +35,8 @@ func TestContextHandlerCorrelationRoundTrip(t *testing.T) {
 	if line["session"] != "or-3" || line["job"] != "j000009" {
 		t.Errorf("correlators = session %v job %v, want or-3/j000009", line["session"], line["job"])
 	}
-	if line["span"] != SpanPipelineRun {
-		t.Errorf("span = %v, want %q", line["span"], SpanPipelineRun)
+	if line["span"] != SpanPipelineRun.String() {
+		t.Errorf("span = %v, want %q", line["span"], SpanPipelineRun.String())
 	}
 	if line["trace"] == nil || line["span_id"] == nil {
 		t.Errorf("missing trace/span_id correlators: %v", line)

@@ -3,62 +3,51 @@ package obs
 // The brainsim telemetry vocabulary: every span name and metric the
 // simulator's instrumentation emits, in one place. Pipeline stage spans
 // use the core.Stage* constants (the stage vocabulary of
-// internal/core); everything below a stage uses the span names here,
-// which the simlint `spanend` analyzer checks literals against. A
+// internal/core); everything below a stage uses the span names here. A
 // pipeline fact is an attribute of exactly one span (DESIGN §6.1 lists
-// which). Metrics are sealed descriptor values: the registry accepts
-// nothing else and only this package can mint one, so adding a metric
-// means declaring it here.
-const (
+// which). Span names and metrics are sealed values: StartSpan and the
+// registry accept nothing else and only this package can mint one, so
+// adding a span name or a metric means declaring it here.
+
+// SpanName names a span below the pipeline stages. Its field is
+// unexported, so a name that is not declared in this file cannot reach
+// StartSpan.
+type SpanName struct{ name string }
+
+// String returns the name as it appears in traces and dumps.
+func (n SpanName) String() string { return n.name }
+
+var (
 	// SpanPipelineRun is the root span of one intraoperative
 	// registration (parents the six stage spans).
-	SpanPipelineRun = "pipeline.run"
+	SpanPipelineRun = SpanName{"pipeline.run"}
 	// SpanPipelineUpdate is the root span of one incremental re-solve:
 	// a streaming intraoperative update against a registered baseline,
 	// running only the intraoperative stage subset.
-	SpanPipelineUpdate = "pipeline.update"
+	SpanPipelineUpdate = SpanName{"pipeline.update"}
 	// SpanFEMPatchBC covers the Dirichlet delta patch: right-hand-side
 	// updates for the boundary displacements that changed since the
 	// previous solve, with the stiffness matrix kept. It alone states
 	// the patch counts (dofs_changed, dofs_constrained).
-	SpanFEMPatchBC = "fem.patch_bc"
+	SpanFEMPatchBC = SpanName{"fem.patch_bc"}
 	// SpanFEMAssemble covers the parallel element-stiffness assembly.
-	SpanFEMAssemble = "fem.assemble"
+	SpanFEMAssemble = SpanName{"fem.assemble"}
 	// SpanFEMSolve covers preconditioner setup plus the Krylov solve; it
 	// parents the per-cycle SpanGMRESCycle spans and alone states the
 	// solve's facts: fem's set-up ones and, published by GMRES itself,
 	// the solver's statistics.
-	SpanFEMSolve = "fem.solve"
+	SpanFEMSolve = SpanName{"fem.solve"}
 	// SpanGMRESCycle is one GMRES restart cycle, with the entry/exit
 	// relative residuals (and, when recorded, the residual history of
 	// the cycle) attached.
-	SpanGMRESCycle = "gmres.cycle"
+	SpanGMRESCycle = SpanName{"gmres.cycle"}
 	// SpanKNNBatch is one classification worker's voxel batch — the
 	// straggler-detection granule of the k-NN sweep.
-	SpanKNNBatch = "knn.batch"
+	SpanKNNBatch = SpanName{"knn.batch"}
 	// SpanSurfaceEvolve is one active-surface evolution with its
 	// convergence outcome attached.
-	SpanSurfaceEvolve = "surface.evolve"
+	SpanSurfaceEvolve = SpanName{"surface.evolve"}
 )
-
-// SpanNames maps each vocabulary span name to a one-line description,
-// for discoverability (simlint -list, dashboards, docs).
-var SpanNames = map[string]string{
-	SpanPipelineRun:    "root span of one intraoperative registration",
-	SpanPipelineUpdate: "root span of one incremental streaming update",
-	SpanFEMAssemble:    "parallel element-stiffness assembly",
-	SpanFEMSolve:       "preconditioner setup + Krylov solve",
-	SpanFEMPatchBC:     "Dirichlet delta patch for an incremental re-solve",
-	SpanGMRESCycle:     "one GMRES restart cycle",
-	SpanKNNBatch:       "one k-NN classification worker batch",
-	SpanSurfaceEvolve:  "one active-surface evolution",
-}
-
-// KnownSpanName reports whether name belongs to the span vocabulary.
-func KnownSpanName(name string) bool {
-	_, ok := SpanNames[name]
-	return ok
-}
 
 // Metric describes one metric family: its name, help text, kind and
 // (for histograms) bucket bounds, each stated once in the declarations

@@ -33,7 +33,7 @@ func TestSinksFireInAttachOrder(t *testing.T) {
 		WithSink(context.Background(), a), nil), nil), nil), b)
 
 	failure := errors.New("x")
-	_, s := StartSpan(ctx, "s")
+	_, s := StartSpan(ctx, SpanName{"s"})
 	s.SetAttr("k", 1)
 	s.End(failure)
 
@@ -61,7 +61,7 @@ func TestStageStatesItsDurationOnce(t *testing.T) {
 		if ev := sink.Events(); len(ev) != 1 || ev[0].Done || ev[0].Stage != "solve" {
 			t.Errorf("running stage not on the live timeline: %+v", ev)
 		}
-		_, child := StartSpan(ctx, "fem.solve") // not a stage: the sink ignores it
+		_, child := StartSpan(ctx, SpanFEMSolve) // not a stage: the sink ignores it
 		child.End(nil)
 		time.Sleep(time.Millisecond)
 		return failure

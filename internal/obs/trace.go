@@ -281,8 +281,8 @@ func SpanFromContext(ctx context.Context) *Span {
 // context it returns (ctx, nil); the nil span's methods are no-ops, so
 // instrumented code needs no guards. Every span must be closed with
 // End.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	return startSpan(ctx, SpanInfo{Name: name, Start: time.Now()})
+func StartSpan(ctx context.Context, name SpanName) (context.Context, *Span) {
+	return startSpan(ctx, SpanInfo{Name: name.name, Start: time.Now()})
 }
 
 // Stage runs fn as the pipeline stage named name, under a stage span

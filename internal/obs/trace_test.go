@@ -14,9 +14,9 @@ func TestSpanRoundTrip(t *testing.T) {
 	tr := NewTracer(&buf)
 	ctx := WithTracer(context.Background(), tr)
 
-	ctx, root := StartSpan(ctx, "root")
-	cctx, child := StartSpan(ctx, "child")
-	_, grand := StartSpan(cctx, "grandchild")
+	ctx, root := StartSpan(ctx, SpanName{"root"})
+	cctx, child := StartSpan(ctx, SpanName{"child"})
+	_, grand := StartSpan(cctx, SpanName{"grandchild"})
 	grand.SetAttr("n", 3)
 	grand.End(nil)
 	child.End(errors.New("boom"))
@@ -64,7 +64,7 @@ func TestSpanRoundTrip(t *testing.T) {
 func TestSpanNilSafety(t *testing.T) {
 	// No tracer on the context: StartSpan returns a nil span whose
 	// methods are all no-ops, so instrumented code needs no guards.
-	ctx, span := StartSpan(context.Background(), "anything")
+	ctx, span := StartSpan(context.Background(), SpanName{"anything"})
 	if span != nil {
 		t.Fatal("span without tracer should be nil")
 	}
@@ -79,7 +79,7 @@ func TestSpanNilSafety(t *testing.T) {
 func TestSpanEndIdempotent(t *testing.T) {
 	var buf bytes.Buffer
 	ctx := WithTracer(context.Background(), NewTracer(&buf))
-	_, s := StartSpan(ctx, "once")
+	_, s := StartSpan(ctx, SpanName{"once"})
 	s.End(nil)
 	s.End(errors.New("late"))
 	recs, err := ReadSpans(&buf)
@@ -97,7 +97,7 @@ func TestSpanNonFiniteAttrs(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	ctx := WithTracer(context.Background(), tr)
-	_, s := StartSpan(ctx, "solve")
+	_, s := StartSpan(ctx, SpanName{"solve"})
 	s.SetAttr("nan", math.NaN())
 	s.SetAttr("inf", math.Inf(1))
 	s.End(nil)
@@ -116,7 +116,7 @@ func TestSpanNonFiniteAttrs(t *testing.T) {
 func TestTracerErrPropagates(t *testing.T) {
 	tr := NewTracer(failWriter{})
 	ctx := WithTracer(context.Background(), tr)
-	_, s := StartSpan(ctx, "doomed")
+	_, s := StartSpan(ctx, SpanName{"doomed"})
 	s.End(nil)
 	if tr.Err() == nil {
 		t.Error("write failure not surfaced by Err")

@@ -93,7 +93,7 @@ func TestServiceFlightDumpOnDegraded(t *testing.T) {
 	}
 	// The run span states the decision and the interrupted stage; the
 	// service says once that the scan degraded.
-	if run := dumpSpan(t, d, obs.SpanPipelineRun); run.Attrs["degraded"] != true || run.Attrs["degraded_stage"] != core.StageSolve {
+	if run := dumpSpan(t, d, obs.SpanPipelineRun.String()); run.Attrs["degraded"] != true || run.Attrs["degraded_stage"] != core.StageSolve {
 		t.Errorf("pipeline.run attrs = %v, want degraded at %s", run.Attrs, core.StageSolve)
 	}
 	if logs := anomalyLogs(d); len(logs) != 1 || logs[0].Level != "WARN" || !strings.Contains(logs[0].Name, "degraded") {
@@ -153,7 +153,7 @@ func TestServiceFlightDumpOnNonConverged(t *testing.T) {
 	d := lastDump(t, svc, "nonconverged")
 	// The solver's own statistics are in the black box, on the one span
 	// that states them; the service only says that it did not converge.
-	if solve := dumpSpan(t, d, obs.SpanFEMSolve); solve.Attrs["converged"] != false || solve.Attrs["iterations"] != 1 ||
+	if solve := dumpSpan(t, d, obs.SpanFEMSolve.String()); solve.Attrs["converged"] != false || solve.Attrs["iterations"] != 1 ||
 		solve.Attrs["final_rel_residual"] != res.SolveStats.FinalResRel {
 		t.Errorf("fem.solve attrs = %v, want the non-converged solve %v", solve.Attrs, res.SolveStats)
 	}

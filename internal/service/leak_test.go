@@ -183,8 +183,8 @@ func TestPanickingWorkerCostsOneJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	bg := context.Background()
-	_, err := wait(obs.WithSink(bg, panicAt(obs.SpanKNNBatch)), svc.Submit, "or", c1.Intraop)
-	if !errors.Is(err, ErrJobPanicked) || !strings.Contains(err.Error(), "sink failed at "+obs.SpanKNNBatch) ||
+	_, err := wait(obs.WithSink(bg, panicAt(obs.SpanKNNBatch.String())), svc.Submit, "or", c1.Intraop)
+	if !errors.Is(err, ErrJobPanicked) || !strings.Contains(err.Error(), "sink failed at "+obs.SpanKNNBatch.String()) ||
 		!strings.Contains(err.Error(), "goroutine ") {
 		t.Fatalf("panicking worker: err = %v, want ErrJobPanicked with the panic value and stack", err)
 	}

@@ -130,7 +130,7 @@ func TestGMRESStatsOnEnclosingSpan(t *testing.T) {
 			if r.Kind != "" {
 				t.Errorf("%s: ring holds a %q record %q", c.name, r.Kind, r.Name)
 			}
-			if r.Name == obs.SpanFEMSolve {
+			if r.Name == obs.SpanFEMSolve.String() {
 				got = r.Attrs
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -12,6 +13,13 @@ import (
 var overflowHeaders = []string{
 	"MVOL1 %s 2097152 2097152 2097152 1 1 1 0 0 0\n",
 	"MVOL1 %s 4194304 4194304 4194304 1 1 1 0 0 0\n",
+}
+
+// nonFiniteHeaders declare a NaN spacing and an infinite origin on an
+// otherwise well-formed scalar volume.
+var nonFiniteHeaders = []string{
+	"MVOL1 scalar 1 1 1 NaN 1 1 0 0 0\n\x00\x00\x00\x00",
+	"MVOL1 scalar 1 1 1 1 1 1 0 Inf 0\n\x00\x00\x00\x00",
 }
 
 // addOverflowSeeds seeds a reader's corpus with overflowHeaders for the
@@ -23,12 +31,17 @@ func addOverflowSeeds(f *testing.F, kind string) {
 }
 
 // checkParsed is the property every reader's accepted output must hold:
-// a valid grid whose voxel count, computed without wrapping, is the
-// data length.
+// a valid grid with finite spacing and origin whose voxel count,
+// computed without wrapping, is the data length.
 func checkParsed(t *testing.T, g Grid, n int) {
 	t.Helper()
 	if err := g.Validate(); err != nil {
 		t.Fatalf("parser returned invalid grid: %v", err)
+	}
+	for _, v := range [...]float64{g.Spacing.X, g.Spacing.Y, g.Spacing.Z, g.Origin.X, g.Origin.Y, g.Origin.Z} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("parser returned grid %v with a non-finite spacing or origin %v", g, v)
+		}
 	}
 	want := 1
 	for _, d := range [3]int{g.NX, g.NY, g.NZ} {
@@ -59,6 +72,9 @@ func FuzzReadScalar(f *testing.F) {
 	f.Add([]byte("garbage"))
 	f.Add([]byte("MVOL1 scalar 1000000 1000000 1000000 1 1 1 0 0 0\n"))
 	addOverflowSeeds(f, "scalar")
+	for _, h := range nonFiniteHeaders {
+		f.Add([]byte(h))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Guard against absurd allocations from huge declared dims: the
@@ -111,6 +127,9 @@ func FuzzReadField(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("MVOL1 field 2 2 2 1 1 1 0 0 0\n"))
 	addOverflowSeeds(f, "field")
+	for _, h := range nonFiniteHeaders {
+		f.Add([]byte(strings.Replace(h, "scalar", "field", 1) + strings.Repeat("\x00", 8)))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {

@@ -121,9 +121,10 @@ func (g Grid) SameShape(h Grid) bool {
 	return g.NX == h.NX && g.NY == h.NY && g.NZ == h.NZ
 }
 
-// Validate returns an error if the grid has non-positive dimensions or
-// spacing, or more voxels than an int counts — so Len is exact on every
-// grid Validate accepts.
+// Validate returns an error if the grid has non-positive dimensions,
+// more voxels than an int counts (so Len is exact on every grid Validate
+// accepts), a spacing that is not positive and finite, or a non-finite
+// origin.
 func (g Grid) Validate() error {
 	if g.NX <= 0 || g.NY <= 0 || g.NZ <= 0 {
 		return fmt.Errorf("volume: invalid grid dims %dx%dx%d", g.NX, g.NY, g.NZ)
@@ -131,8 +132,15 @@ func (g Grid) Validate() error {
 	if g.NY > math.MaxInt/g.NX || g.NZ > math.MaxInt/(g.NX*g.NY) {
 		return fmt.Errorf("volume: grid dims %dx%dx%d overflow the voxel count", g.NX, g.NY, g.NZ)
 	}
-	if g.Spacing.X <= 0 || g.Spacing.Y <= 0 || g.Spacing.Z <= 0 {
-		return fmt.Errorf("volume: invalid spacing %v", g.Spacing)
+	for _, s := range [3]float64{g.Spacing.X, g.Spacing.Y, g.Spacing.Z} {
+		if !(s > 0) || math.IsInf(s, 1) {
+			return fmt.Errorf("volume: invalid spacing %v", g.Spacing)
+		}
+	}
+	for _, o := range [3]float64{g.Origin.X, g.Origin.Y, g.Origin.Z} {
+		if math.IsNaN(o) || math.IsInf(o, 0) {
+			return fmt.Errorf("volume: non-finite origin %v", g.Origin)
+		}
 	}
 	return nil
 }

@@ -101,10 +101,21 @@ func TestGridValidate(t *testing.T) {
 	if err := NewGrid(0, 4, 4, 1).Validate(); err == nil {
 		t.Error("zero-dim grid accepted")
 	}
-	bad := NewGrid(4, 4, 4, 1)
-	bad.Spacing.Y = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative spacing accepted")
+	for _, tc := range []struct {
+		name string
+		edit func(g *Grid)
+	}{
+		{"negative spacing", func(g *Grid) { g.Spacing.Y = -1 }},
+		{"NaN spacing", func(g *Grid) { g.Spacing.X = math.NaN() }},
+		{"+Inf spacing", func(g *Grid) { g.Spacing.Z = math.Inf(1) }},
+		{"NaN origin", func(g *Grid) { g.Origin.Y = math.NaN() }},
+		{"-Inf origin", func(g *Grid) { g.Origin.X = math.Inf(-1) }},
+	} {
+		bad := NewGrid(4, 4, 4, 1)
+		tc.edit(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -116,6 +116,17 @@ func TestReadRejectsOverflowingHeader(t *testing.T) {
 	}
 }
 
+// TestReadRejectsNonFiniteHeader: a header may spell NaN or Inf, which
+// the %g verbs parse; the grid it declares is rejected before any data
+// is read.
+func TestReadRejectsNonFiniteHeader(t *testing.T) {
+	for _, header := range nonFiniteHeaders {
+		if _, err := ReadScalar(strings.NewReader(header)); err == nil {
+			t.Errorf("%q: accepted", header)
+		}
+	}
+}
+
 func TestFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := NewScalar(NewGrid(3, 3, 3, 1))

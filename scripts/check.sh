@@ -15,16 +15,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "== gofmt -l"
-# internal/lint/testdata holds analyzer fixtures that are deliberately
-# not gofmt-clean (formatting_test.go pins one); the go tool already
-# ignores testdata, so the formatting gate must too.
-unformatted=$(find . -name '*.go' -not -path '*/testdata/*' -exec gofmt -l {} +)
-if [ -n "$unformatted" ]; then
-	echo "gofmt needed on:" >&2
-	echo "$unformatted" >&2
-	exit 1
-fi
+./scripts/gofmt_check.sh
 echo "== go build ./..."
 go build ./...
 echo "== go vet ./..."
