@@ -139,7 +139,7 @@ func BenchmarkAblationMaterialModel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				brain, err := res.Backward.RMSDifference(c.Truth, c.BrainMask)
+				brain, _, err := c.TruthRMS(res.Backward)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -173,11 +173,11 @@ func BenchmarkBaselineDemonsVsBiomech(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			bioRMS, err := bio.Backward.RMSDifference(c.Truth, c.BrainMask)
+			bioRMS, _, err := c.TruthRMS(bio.Backward)
 			if err != nil {
 				b.Fatal(err)
 			}
-			dmRMS, err := dm.Field.RMSDifference(c.Truth, c.BrainMask)
+			dmRMS, _, err := c.TruthRMS(dm.Field)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -219,7 +219,7 @@ func BenchmarkAblationMeshResolution(b *testing.B) {
 				b.Fatal(err)
 			}
 			if i == 0 {
-				rms, err := res.Backward.RMSDifference(c.Truth, c.BrainMask)
+				rms, _, err := c.TruthRMS(res.Backward)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -253,7 +253,7 @@ func BenchmarkAblationMesher(b *testing.B) {
 				if useBCC {
 					name = "bcc"
 				}
-				rms, err := res.Backward.RMSDifference(c.Truth, c.BrainMask)
+				rms, _, err := c.TruthRMS(res.Backward)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -111,9 +111,7 @@ func fig4(ctx context.Context, size int, outDir string) error {
 	fmt.Printf("  mean |simulated     - intraop| at brain boundary (biomech):    %8.3f\n", res.MatchMeanAbsDiff)
 	impr := (res.RigidMeanAbsDiff - res.MatchMeanAbsDiff) / res.RigidMeanAbsDiff * 100
 	fmt.Printf("  improvement over rigid registration alone: %.1f%%\n", impr)
-	if rms, err := res.Backward.RMSDifference(c.Truth, c.BrainMask); err == nil {
-		zero := volume.NewField(c.Grid)
-		rms0, _ := zero.RMSDifference(c.Truth, c.BrainMask)
+	if rms, rms0, err := c.TruthRMS(res.Backward); err == nil {
 		fmt.Printf("  deformation field RMS error vs ground truth: %.3f mm (rigid-only baseline %.3f mm)\n", rms, rms0)
 	}
 	// Slice panels (a)-(d).

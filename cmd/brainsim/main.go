@@ -237,9 +237,7 @@ func run(o cliOptions) error {
 	fmt.Printf("match quality at brain boundary: rigid-only %.3f -> biomechanical %.3f (mean |diff|)\n",
 		res.RigidMeanAbsDiff, res.MatchMeanAbsDiff)
 	if truth != nil {
-		if rms, err := res.Backward.RMSDifference(truth.Truth, truth.BrainMask); err == nil {
-			zero := volume.NewField(truth.Grid)
-			rms0, _ := zero.RMSDifference(truth.Truth, truth.BrainMask)
+		if rms, rms0, err := truth.TruthRMS(res.Backward); err == nil {
 			fmt.Printf("deformation field RMS error vs ground truth: %.3f mm (baseline %.3f mm)\n", rms, rms0)
 		}
 	}

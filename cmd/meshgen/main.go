@@ -101,14 +101,7 @@ func run(labelsPath string, usePhantom bool, size, cellSize int, useBCC bool, su
 		minV, float64(sum)/float64(len(adj)), maxV)
 
 	if surfaceOut != "" {
-		inBrain := func(lab volume.Label) bool {
-			switch lab {
-			case volume.LabelBrain, volume.LabelVentricle, volume.LabelTumor, volume.LabelFalx:
-				return true
-			}
-			return false
-		}
-		s, err := m.ExtractSurface(inBrain)
+		s, err := m.ExtractSurface(volume.IsBrainTissue)
 		if err != nil {
 			return err
 		}

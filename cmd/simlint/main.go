@@ -5,12 +5,12 @@
 //
 // Usage:
 //
-//	go run ./cmd/simlint [-list] [-format text|json|sarif] [pattern ...]
+//	go run ./cmd/simlint [-list] [-format text|sarif] [pattern ...]
 //
 // Patterns are module-relative package paths; "./..." (the default)
 // covers the whole module, "./internal/..." a subtree, "./cmd/simlint"
 // one package. Findings print as file:line:col: analyzer: message (or
-// as JSON / SARIF 2.1.0 with -format) and any unsuppressed finding
+// as SARIF 2.1.0 with -format sarif) and any unsuppressed finding
 // makes the exit status non-zero, so the command slots directly into
 // scripts/check.sh and CI.
 package main
@@ -27,9 +27,9 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers, then exit")
-	format := flag.String("format", "text", "report format: text, json, or sarif")
+	format := flag.String("format", "text", "report format: text or sarif")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: simlint [-list] [-format text|json|sarif] [pattern ...]\n\npatterns default to ./... (the whole module)\n")
+		fmt.Fprintf(os.Stderr, "usage: simlint [-list] [-format text|sarif] [pattern ...]\n\npatterns default to ./... (the whole module)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -39,8 +39,8 @@ func main() {
 		printList(analyzers)
 		return
 	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "simlint: unknown format %q (want text, json, or sarif)\n", *format)
+	if *format != "text" && *format != "sarif" {
+		fmt.Fprintf(os.Stderr, "simlint: unknown format %q (want text or sarif)\n", *format)
 		os.Exit(2)
 	}
 
@@ -80,8 +80,6 @@ func main() {
 	switch *format {
 	case "text":
 		err = lint.WriteText(os.Stdout, root, findings)
-	case "json":
-		err = lint.WriteJSON(os.Stdout, root, findings)
 	case "sarif":
 		err = lint.WriteSARIF(os.Stdout, root, findings, analyzers)
 	}

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/phantom"
-	"repro/internal/volume"
 )
 
 func main() {
@@ -43,12 +42,7 @@ func main() {
 
 		// RMS error of the recovered field vs truth, inside the brain;
 		// the rigid-only baseline is the zero field.
-		rms, err := res.Backward.RMSDifference(c.Truth, c.BrainMask)
-		if err != nil {
-			log.Fatal(err)
-		}
-		zero := volume.NewField(c.Grid)
-		rms0, err := zero.RMSDifference(c.Truth, c.BrainMask)
+		rms, rms0, err := c.TruthRMS(res.Backward)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func main() {
 			log.Fatal(err)
 		}
 		ventMask := c.PreopLabels.Mask(volume.LabelVentricle)
-		brainRMS, err := res.Backward.RMSDifference(c.Truth, c.BrainMask)
+		brainRMS, _, err := c.TruthRMS(res.Backward)
 		if err != nil {
 			log.Fatal(err)
 		}

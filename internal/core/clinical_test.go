@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/phantom"
-	"repro/internal/volume"
 )
 
 // TestPipelineAnisotropicClinicalGeometry runs the full pipeline on a
@@ -43,12 +42,8 @@ func TestPipelineAnisotropicClinicalGeometry(t *testing.T) {
 		t.Fatalf("anisotropic mesh inconsistent: %v", err)
 	}
 	// The recovered field must still reduce the ground-truth error.
-	rms, err := res.Backward.RMSDifference(c.Truth, c.BrainMask)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Baseline: the zero field (rigid registration alone).
-	base, err := volume.NewField(c.Grid).RMSDifference(c.Truth, c.BrainMask)
+	rms, base, err := c.TruthRMS(res.Backward)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -532,7 +532,7 @@ func (s *Session) stageClassify(ctx context.Context, sc *scan) error {
 // intraopPhi sets the scan's signed distance to its classified brain
 // boundary and returns the smoothed copy the surface evolves on.
 func (sc *scan) intraopPhi() *volume.Scalar {
-	sc.phiBrain = edt.SignedOfSet(sc.intraLabels, brainSet, 0)
+	sc.phiBrain = edt.SignedOfSet(sc.intraLabels, volume.IsBrainTissue, 0)
 	return sc.phiBrain.SmoothGaussian(1.0)
 }
 

@@ -23,11 +23,11 @@ func TestSnapMeshImprovesOrMatchesAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rmsPlain, err := rPlain.Backward.RMSDifference(c.Truth, c.BrainMask)
+	rmsPlain, _, err := c.TruthRMS(rPlain.Backward)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rmsSnap, err := rSnap.Backward.RMSDifference(c.Truth, c.BrainMask)
+	rmsSnap, _, err := c.TruthRMS(rSnap.Backward)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPipelineWithBCCMesh(t *testing.T) {
 	if !res.SolveStats.Converged {
 		t.Fatal("BCC solve did not converge")
 	}
-	rms, err := res.Backward.RMSDifference(c.Truth, c.BrainMask)
+	rms, _, err := c.TruthRMS(res.Backward)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPipelineWithBCCMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rmsPlain, err := plain.Backward.RMSDifference(c.Truth, c.BrainMask)
+	rmsPlain, _, err := c.TruthRMS(plain.Backward)
 	if err != nil {
 		t.Fatal(err)
 	}

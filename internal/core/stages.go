@@ -16,17 +16,6 @@ import (
 	"repro/internal/volume"
 )
 
-// brainSet reports whether a label belongs to the intracranial tissues
-// deformed by the biomechanical model.
-func brainSet(lab volume.Label) bool {
-	switch lab {
-	case volume.LabelBrain, volume.LabelVentricle, volume.LabelTumor,
-		volume.LabelFalx, volume.LabelResection:
-		return true
-	}
-	return false
-}
-
 type edtKey struct{ Saturation float64 }
 
 // preopEDT computes the classifier's spatial localization channels —
@@ -55,22 +44,22 @@ func preopMesh(_ context.Context, labels *volume.Labels, k meshKey) (meshed, err
 	if k.BCC {
 		mesher = mesh.FromLabelsBCC
 	}
-	m, err := mesher(labels, mesh.Options{CellSize: k.CellSize, Include: brainSet})
+	m, err := mesher(labels, mesh.Options{CellSize: k.CellSize, Include: volume.IsBrainTissue})
 	if err != nil {
 		return meshed{}, err
 	}
-	surf, err := m.ExtractSurface(brainSet)
+	surf, err := m.ExtractSurface(volume.IsBrainTissue)
 	if err != nil {
 		return meshed{}, err
 	}
 	if k.Snap {
 		// Conform the FEM geometry to the smooth preoperative brain
 		// boundary, then relax the interior lattice.
-		phiPre := edt.SignedOfSet(labels, brainSet, 0)
+		phiPre := edt.SignedOfSet(labels, volume.IsBrainTissue, 0)
 		m.SnapToLevelSet(surf.NodeID, phiPre, float64(k.CellSize))
 		m.Smooth(3, 0.5)
 		// Re-extract so the surface carries the snapped positions.
-		if surf, err = m.ExtractSurface(brainSet); err != nil {
+		if surf, err = m.ExtractSurface(volume.IsBrainTissue); err != nil {
 			return meshed{}, err
 		}
 	}
@@ -86,7 +75,7 @@ func preopRelax(ctx context.Context, in pair[*volume.Labels, meshed], opts surfa
 	// The distance field is lightly smoothed so its level set does not
 	// inherit the voxel (or thick-slice) staircase of the label map,
 	// which would otherwise make the evolution oscillate.
-	phiPre := edt.SignedOfSet(in.A, brainSet, 0).SmoothGaussian(1.0)
+	phiPre := edt.SignedOfSet(in.A, volume.IsBrainTissue, 0).SmoothGaussian(1.0)
 	relaxed, err := surface.EvolveContext(ctx, in.B.Surf, surface.SignedDistanceForce{Phi: phiPre}, opts)
 	if err != nil {
 		return nil, err

@@ -18,7 +18,6 @@ package edt
 import (
 	"math"
 
-	"repro/internal/geom"
 	"repro/internal/volume"
 )
 
@@ -158,19 +157,6 @@ func SquaredFromMask(g volume.Grid, mask []bool) []float64 {
 		}
 	}
 	return d
-}
-
-// SquaredFromVoxels is SquaredFromMask with an explicit seed set: the
-// squared distance from every voxel to the nearest of the given seed
-// voxels. Seeds outside the grid are ignored.
-func SquaredFromVoxels(g volume.Grid, seeds []geom.Voxel) []float64 {
-	mask := make([]bool, g.Len())
-	for _, v := range seeds {
-		if g.Contains(v) {
-			mask[g.IndexOf(v)] = true
-		}
-	}
-	return SquaredFromMask(g, mask)
 }
 
 // FromMask returns the exact Euclidean distance (mm) from every voxel to

@@ -628,24 +628,6 @@ func (s *System) patch(bc map[int32]geom.Vec3) (changed int, err error) {
 	return changed, nil
 }
 
-// ConstrainedPerRank returns, for the DOF partition, how many of each
-// rank's rows are Dirichlet-constrained — the paper's second load
-// imbalance ("the distribution of surface displacements is not equal
-// across CPUs").
-func (o *Operator) ConstrainedPerRank() []int {
-	pt := o.DOFPartition()
-	out := make([]int, pt.P)
-	for r := 0; r < pt.P; r++ {
-		lo, hi := pt.Range(r)
-		for i := lo; i < hi; i++ {
-			if o.Constrained[i] {
-				out[r]++
-			}
-		}
-	}
-	return out
-}
-
 // NodeDisplacements reshapes a DOF solution vector into per-node
 // displacement vectors.
 func (s *System) NodeDisplacements(u []float64) []geom.Vec3 {

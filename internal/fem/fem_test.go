@@ -293,27 +293,6 @@ func TestApplyDirichletTwiceFails(t *testing.T) {
 	}
 }
 
-func TestConstrainedPerRank(t *testing.T) {
-	sys, m := cubeSystem(t, 6, 2, 4)
-	// Constrain the first node only: rank 0 gets 3 constrained DOFs.
-	bc := map[int32]geom.Vec3{0: geom.V(1, 0, 0)}
-	_ = m
-	if err := sys.ApplyDirichlet(bc); err != nil {
-		t.Fatal(err)
-	}
-	per := sys.ConstrainedPerRank()
-	if per[0] != 3 {
-		t.Errorf("rank 0 constrained = %d, want 3", per[0])
-	}
-	total := 0
-	for _, c := range per {
-		total += c
-	}
-	if total != 3 {
-		t.Errorf("total constrained = %d, want 3", total)
-	}
-}
-
 func TestDirichletValuesPreserved(t *testing.T) {
 	sys, m := cubeSystem(t, 6, 2, 2)
 	surf, err := m.ExtractSurface(func(volume.Label) bool { return true })

@@ -3,7 +3,6 @@ package fem
 import (
 	"context"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -130,14 +129,14 @@ func TestGravitySagUnderLoad(t *testing.T) {
 }
 
 func TestStrainsOfLinearField(t *testing.T) {
-	sys, m := cubeSystem(t, 6, 2, 1)
+	_, m := cubeSystem(t, 6, 2, 1)
 	// u = (a x, b y, c z) has strain (a, b, c, 0, 0, 0) everywhere.
 	a, b, c := 0.01, -0.02, 0.005
 	nodeU := make([]geom.Vec3, m.NumNodes())
 	for n, p := range m.Nodes {
 		nodeU[n] = geom.V(a*p.X, b*p.Y, c*p.Z)
 	}
-	strains, err := sys.Strains(nodeU)
+	strains, err := Strains(m, nodeU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +151,14 @@ func TestStrainsOfLinearField(t *testing.T) {
 }
 
 func TestStrainsShearField(t *testing.T) {
-	sys, m := cubeSystem(t, 6, 2, 1)
+	_, m := cubeSystem(t, 6, 2, 1)
 	// u = (k y, 0, 0) is simple shear: gxy = k, all else 0.
 	k := 0.04
 	nodeU := make([]geom.Vec3, m.NumNodes())
 	for n, p := range m.Nodes {
 		nodeU[n] = geom.V(k*p.Y, 0, 0)
 	}
-	strains, err := sys.Strains(nodeU)
+	strains, err := Strains(m, nodeU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +175,7 @@ func TestStrainsShearField(t *testing.T) {
 }
 
 func TestStressesHydrostatic(t *testing.T) {
-	sys, m := cubeSystem(t, 4, 2, 1)
+	_, m := cubeSystem(t, 4, 2, 1)
 	// Uniform dilation: strain (e,e,e,0,0,0) gives hydrostatic stress
 	// (3 lambda + 2 mu) e on the diagonal and zero shear; von Mises 0.
 	e := 0.01
@@ -184,12 +183,12 @@ func TestStressesHydrostatic(t *testing.T) {
 	for n, p := range m.Nodes {
 		nodeU[n] = p.Scale(e)
 	}
-	strains, err := sys.Strains(nodeU)
+	strains, err := Strains(m, nodeU)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mats := HomogeneousBrain()
-	stresses, err := sys.Stresses(strains, mats)
+	stresses, err := Stresses(m, strains, mats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,55 +220,11 @@ func TestVonMisesUniaxial(t *testing.T) {
 }
 
 func TestStrainsErrors(t *testing.T) {
-	sys, _ := cubeSystem(t, 4, 2, 1)
-	if _, err := sys.Strains(make([]geom.Vec3, 3)); err == nil {
+	_, m := cubeSystem(t, 4, 2, 1)
+	if _, err := Strains(m, make([]geom.Vec3, 3)); err == nil {
 		t.Error("wrong displacement count accepted")
 	}
-	if _, err := sys.Stresses(make([]ElementStrain, 1), HomogeneousBrain()); err == nil {
+	if _, err := Stresses(m, make([]ElementStrain, 1), HomogeneousBrain()); err == nil {
 		t.Error("wrong strain count accepted")
-	}
-}
-
-// TestVonMisesStressesMatchesThreeStepPath: the one-pass computation
-// gives, bit for bit and for any rank count, what Strains, Stresses
-// and ElementStress.VonMises give element by element — on a
-// heterogeneous table, so the per-element material lookup is covered.
-func TestVonMisesStressesMatchesThreeStepPath(t *testing.T) {
-	sys, m := cubeSystem(t, 6, 2, 1)
-	for e := range m.TetLabel {
-		if e%3 == 0 {
-			m.TetLabel[e] = volume.LabelFalx
-		}
-	}
-	mats := HeterogeneousBrain()
-	rng := rand.New(rand.NewSource(3))
-	nodeU := make([]geom.Vec3, m.NumNodes())
-	for n := range nodeU {
-		nodeU[n] = geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
-	}
-	strains, err := sys.Strains(nodeU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stresses, err := sys.Stresses(strains, mats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ranks := range []int{1, 2, 3, 7} {
-		got, err := VonMisesStresses(m, nodeU, mats, ranks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(stresses) {
-			t.Fatalf("ranks=%d: %d values for %d elements", ranks, len(got), len(stresses))
-		}
-		for e, st := range stresses {
-			if want := st.VonMises(); math.Float64bits(got[e]) != math.Float64bits(want) {
-				t.Fatalf("ranks=%d element %d: von Mises %v, three-step path %v", ranks, e, got[e], want)
-			}
-		}
-	}
-	if _, err := VonMisesStresses(m, make([]geom.Vec3, 3), mats, 2); err == nil {
-		t.Error("wrong displacement count accepted")
 	}
 }

@@ -19,8 +19,8 @@ import (
 // The per-element path the shape memos, the merge scatter and the
 // marker dedupe replaced is kept as their oracle: referenceStiffness
 // (one elementStiffness per element, summed by sparse.Builder),
-// oracleNodeAdjacency, Tet.Shape per element through rasterizeWide and
-// System.Strains, and fusedDirichlet for the elimination.
+// oracleNodeAdjacency, Tet.Shape per element through rasterizeWide, and
+// fusedDirichlet for the elimination.
 
 // oracleNodeAdjacency sorts and compacts every node's whole bucket of
 // incident element nodes.
@@ -138,7 +138,7 @@ func distinctShapes(m *mesh.Mesh) map[shapeKey]bool {
 // per-element oracle's bits — node adjacency, K, the per-rank assembly
 // counters, the eliminated K, the patched right-hand side and the
 // coupling block — and the memoized shape functions give its
-// interpolation table and von Mises stresses. The lattices' shapes fit
+// interpolation table. The lattices' shapes fit
 // in one memo (the benchmark mesh has six); the snapped and off-grid
 // meshes have more than a memo holds.
 func TestMemoizedBuildMatchesPerElementOracle(t *testing.T) {
@@ -231,31 +231,6 @@ func TestMemoizedBuildMatchesPerElementOracle(t *testing.T) {
 					}
 					if !slices.Equal(forked.bcPtr, wantPtr) || !slices.Equal(forked.bcRows, wantRows) || !sameBits(forked.bcCoef, wantCoef) {
 						t.Errorf("%s, %d ranks: coupling block differs from the fused elimination's", mats.name, r)
-					}
-				}
-
-				sys := &System{Mesh: m}
-				nodeU := make([]geom.Vec3, m.NumNodes())
-				for n, p := range m.Nodes {
-					nodeU[n] = geom.V(0.03*p.Y, -0.02*p.Z+0.1, 0.01*p.X*p.Y)
-				}
-				strains, err := sys.Strains(nodeU)
-				if err != nil {
-					t.Fatal(err)
-				}
-				stresses, err := sys.Stresses(strains, mats.t)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, r := range ranks {
-					got, err := VonMisesStresses(m, nodeU, mats.t, r)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for e, st := range stresses {
-						if want := st.VonMises(); math.Float64bits(got[e]) != math.Float64bits(want) {
-							t.Fatalf("%s, %d ranks: element %d von Mises %v, oracle %v", mats.name, r, e, got[e], want)
-						}
 					}
 				}
 			}

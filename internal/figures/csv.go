@@ -30,42 +30,3 @@ func WriteCSV(w io.Writer, rows []ScalingRow) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadCSV parses rows written by WriteCSV.
-func ReadCSV(r io.Reader) ([]ScalingRow, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("figures: empty CSV")
-	}
-	var rows []ScalingRow
-	for i, rec := range recs[1:] {
-		if len(rec) != 6 {
-			return nil, fmt.Errorf("figures: row %d has %d fields, want 6", i+1, len(rec))
-		}
-		var row ScalingRow
-		if row.CPUs, err = strconv.Atoi(rec[0]); err != nil {
-			return nil, fmt.Errorf("figures: row %d cpus: %w", i+1, err)
-		}
-		if row.AssembleSec, err = strconv.ParseFloat(rec[1], 64); err != nil {
-			return nil, fmt.Errorf("figures: row %d assemble: %w", i+1, err)
-		}
-		if row.SolveSec, err = strconv.ParseFloat(rec[2], 64); err != nil {
-			return nil, fmt.Errorf("figures: row %d solve: %w", i+1, err)
-		}
-		if row.TotalSec, err = strconv.ParseFloat(rec[3], 64); err != nil {
-			return nil, fmt.Errorf("figures: row %d total: %w", i+1, err)
-		}
-		if row.Iterations, err = strconv.Atoi(rec[4]); err != nil {
-			return nil, fmt.Errorf("figures: row %d iterations: %w", i+1, err)
-		}
-		if row.Converged, err = strconv.ParseBool(rec[5]); err != nil {
-			return nil, fmt.Errorf("figures: row %d converged: %w", i+1, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}

@@ -2,47 +2,24 @@ package figures
 
 import (
 	"bytes"
-	"math"
-	"strings"
 	"testing"
 )
 
+// TestCSVRoundTrip: WriteCSV's text, which cmd/benchfig -csv writes, is
+// a header and one line per row in the order given.
 func TestCSVRoundTrip(t *testing.T) {
 	rows := []ScalingRow{
 		{CPUs: 1, AssembleSec: 31.65, SolveSec: 6.7, TotalSec: 39.85, Iterations: 41, Converged: true},
-		{CPUs: 16, AssembleSec: 2.15, SolveSec: 2.1, TotalSec: 5.74, Iterations: 72, Converged: true},
+		{CPUs: 16, AssembleSec: 2.15, SolveSec: 2.1, TotalSec: 5.74, Iterations: 72, Converged: false},
 	}
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 {
-		t.Fatalf("rows = %d", len(back))
-	}
-	for i := range rows {
-		if back[i].CPUs != rows[i].CPUs || back[i].Iterations != rows[i].Iterations ||
-			back[i].Converged != rows[i].Converged {
-			t.Errorf("row %d mismatch: %+v vs %+v", i, back[i], rows[i])
-		}
-		if math.Abs(back[i].TotalSec-rows[i].TotalSec) > 1e-6 {
-			t.Errorf("row %d total mismatch", i)
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty CSV accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("cpus,assemble_s\n1,2\n")); err == nil {
-		t.Error("short rows accepted")
-	}
-	bad := "cpus,assemble_s,solve_s,total_s,iterations,converged\nx,1,2,3,4,true\n"
-	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
-		t.Error("non-numeric cpus accepted")
+	want := "cpus,assemble_s,solve_s,total_s,iterations,converged\n" +
+		"1,31.650000,6.700000,39.850000,41,true\n" +
+		"16,2.150000,2.100000,5.740000,72,false\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteCSV wrote\n%s\nwant\n%s", got, want)
 	}
 }

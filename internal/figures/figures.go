@@ -49,17 +49,6 @@ type Built struct {
 	GridDim int
 }
 
-// brainLabels reports whether a label belongs to the intracranial
-// tissue whose deformation the model simulates.
-func brainLabels(lab volume.Label) bool {
-	switch lab {
-	case volume.LabelBrain, volume.LabelVentricle, volume.LabelTumor,
-		volume.LabelFalx, volume.LabelResection:
-		return true
-	}
-	return false
-}
-
 // calibrateGridDim finds a phantom grid dimension whose mesh node count
 // approaches targetNodes.
 func calibrateGridDim(targetNodes, cellSize int, seed int64) (int, error) {
@@ -73,7 +62,7 @@ func calibrateGridDim(targetNodes, cellSize int, seed int64) (int, error) {
 		p.Seed = seed
 		g := volume.NewGrid(n, n, n, p.Spacing)
 		labels := phantom.GenerateLabels(g, p)
-		m, err := mesh.FromLabels(labels, mesh.Options{CellSize: cellSize, Include: brainLabels})
+		m, err := mesh.FromLabels(labels, mesh.Options{CellSize: cellSize, Include: volume.IsBrainTissue})
 		if err != nil {
 			return 0, err
 		}
@@ -125,7 +114,7 @@ func BuildHeadSystem(ctx context.Context, spec SystemSpec) (*Built, error) {
 	p := phantom.DefaultParams(n)
 	p.Seed = spec.Seed
 	c := phantom.Generate(p)
-	m, err := mesh.FromLabels(c.PreopLabels, mesh.Options{CellSize: cs, Include: brainLabels})
+	m, err := mesh.FromLabels(c.PreopLabels, mesh.Options{CellSize: cs, Include: volume.IsBrainTissue})
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +128,7 @@ func BuildHeadSystem(ctx context.Context, spec SystemSpec) (*Built, error) {
 	// Boundary conditions: the brain surface nodes move by the
 	// ground-truth brain shift (standing in for the active surface
 	// output, whose role in the pipeline is exercised by package core).
-	surf, err := m.ExtractSurface(brainLabels)
+	surf, err := m.ExtractSurface(volume.IsBrainTissue)
 	if err != nil {
 		return nil, err
 	}

@@ -51,9 +51,3 @@ func (p VoxelPoint) Floor() Voxel {
 func (p VoxelPoint) Round() Voxel {
 	return Voxel{int(math.Round(p.X)), int(math.Round(p.Y)), int(math.Round(p.Z))}
 }
-
-// Frac returns the interpolation weights of p within the voxel cell
-// Floor() selects — each component in [0, 1).
-func (p VoxelPoint) Frac() (fx, fy, fz float64) {
-	return p.X - math.Floor(p.X), p.Y - math.Floor(p.Y), p.Z - math.Floor(p.Z)
-}

@@ -88,34 +88,6 @@ func (sc ShapeCoeffs) Eval(i int, p Vec3) float64 {
 	return sc.A[i] + sc.B[i]*p.X + sc.C[i]*p.Y + sc.D[i]*p.Z
 }
 
-// Barycentric returns the barycentric coordinates of p with respect to t.
-func (t Tet) Barycentric(p Vec3) ([4]float64, error) {
-	sc, err := t.Shape()
-	if err != nil {
-		return [4]float64{}, err
-	}
-	var b [4]float64
-	for i := 0; i < 4; i++ {
-		b[i] = sc.Eval(i, p)
-	}
-	return b, nil
-}
-
-// Contains reports whether p lies inside (or on the boundary of) t,
-// within tolerance tol on the barycentric coordinates.
-func (t Tet) Contains(p Vec3, tol float64) bool {
-	b, err := t.Barycentric(p)
-	if err != nil {
-		return false
-	}
-	for i := 0; i < 4; i++ {
-		if b[i] < -tol {
-			return false
-		}
-	}
-	return true
-}
-
 // AspectQuality returns a scale-invariant quality measure in (0, 1]:
 // the ratio of the inscribed-sphere radius to the circumscribing measure
 // longest-edge/ (2*sqrt(6)), which is 1 for a regular tetrahedron and

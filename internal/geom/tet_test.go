@@ -103,33 +103,6 @@ func TestShapeDegenerate(t *testing.T) {
 	}
 }
 
-func TestBarycentric(t *testing.T) {
-	tet := unitTet()
-	b, err := tet.Barycentric(V(0.25, 0.25, 0.25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if !almostEq(b[i], 0.25, 1e-12) {
-			t.Errorf("b[%d] = %v, want 0.25", i, b[i])
-		}
-	}
-}
-
-func TestContains(t *testing.T) {
-	tet := unitTet()
-	if !tet.Contains(V(0.1, 0.1, 0.1), 1e-12) {
-		t.Error("interior point reported outside")
-	}
-	if tet.Contains(V(1, 1, 1), 1e-12) {
-		t.Error("exterior point reported inside")
-	}
-	// Vertex is on the boundary.
-	if !tet.Contains(V(0, 0, 0), 1e-9) {
-		t.Error("vertex reported outside")
-	}
-}
-
 func TestAspectQuality(t *testing.T) {
 	// Regular tetrahedron scores ~1.
 	reg := Tet{P: [4]Vec3{

@@ -34,9 +34,6 @@ type Block struct {
 	Nodes []ast.Node
 	// Succs are the possible successor blocks.
 	Succs []*Block
-	// LoopDepth counts the for/range statements enclosing the block
-	// within this function body (0 = not in a loop).
-	LoopDepth int
 }
 
 // A CFG is the control-flow graph of one function body.
@@ -54,8 +51,8 @@ type CFG struct {
 // BuildCFG constructs the control-flow graph of a function body.
 func BuildCFG(body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{exit: &Block{}}
-	entry := b.newBlock(0)
-	last := b.stmtList(entry, body.List, 0)
+	entry := &Block{}
+	last := b.stmtList(entry, body.List)
 	if last != nil {
 		addEdge(last, b.exit)
 	}
@@ -81,10 +78,6 @@ type loopCtx struct {
 	isLoop bool
 }
 
-func (b *cfgBuilder) newBlock(depth int) *Block {
-	return &Block{LoopDepth: depth}
-}
-
 func addEdge(from, to *Block) {
 	for _, s := range from.Succs {
 		if s == to {
@@ -97,44 +90,44 @@ func addEdge(from, to *Block) {
 // stmtList appends the statements to cur, returning the block control
 // is in afterwards — nil when the list ends in a terminator (return,
 // break, ...) and the following position is unreachable.
-func (b *cfgBuilder) stmtList(cur *Block, list []ast.Stmt, depth int) *Block {
+func (b *cfgBuilder) stmtList(cur *Block, list []ast.Stmt) *Block {
 	for _, s := range list {
 		if cur == nil {
 			// Unreachable code after a terminator: park it in a detached
 			// block so its nodes still exist, without edges in.
-			cur = b.newBlock(depth)
+			cur = &Block{}
 		}
-		cur = b.stmt(cur, s, "", depth)
+		cur = b.stmt(cur, s, "")
 	}
 	return cur
 }
 
 // stmt adds one statement to the graph. label is the pending label when
 // the statement was wrapped in a LabeledStmt.
-func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt, label string, depth int) *Block {
+func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt, label string) *Block {
 	switch st := s.(type) {
 	case *ast.BlockStmt:
-		return b.stmtList(cur, st.List, depth)
+		return b.stmtList(cur, st.List)
 
 	case *ast.LabeledStmt:
 		cur.Nodes = append(cur.Nodes, st)
-		return b.stmt(cur, st.Stmt, st.Label.Name, depth)
+		return b.stmt(cur, st.Stmt, st.Label.Name)
 
 	case *ast.IfStmt:
 		if st.Init != nil {
 			cur.Nodes = append(cur.Nodes, st.Init)
 		}
 		cur.Nodes = append(cur.Nodes, st.Cond)
-		after := b.newBlock(depth)
-		thenB := b.newBlock(depth)
+		after := &Block{}
+		thenB := &Block{}
 		addEdge(cur, thenB)
-		if end := b.stmtList(thenB, st.Body.List, depth); end != nil {
+		if end := b.stmtList(thenB, st.Body.List); end != nil {
 			addEdge(end, after)
 		}
 		if st.Else != nil {
-			elseB := b.newBlock(depth)
+			elseB := &Block{}
 			addEdge(cur, elseB)
-			if end := b.stmt(elseB, st.Else, "", depth); end != nil {
+			if end := b.stmt(elseB, st.Else, ""); end != nil {
 				addEdge(end, after)
 			}
 		} else {
@@ -146,13 +139,13 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt, label string, depth int) *Bloc
 		if st.Init != nil {
 			cur.Nodes = append(cur.Nodes, st.Init)
 		}
-		head := b.newBlock(depth + 1)
+		head := &Block{}
 		addEdge(cur, head)
 		if st.Cond != nil {
 			head.Nodes = append(head.Nodes, st.Cond)
 		}
-		after := b.newBlock(depth)
-		post := b.newBlock(depth + 1)
+		after := &Block{}
+		post := &Block{}
 		if st.Post != nil {
 			post.Nodes = append(post.Nodes, st.Post)
 		}
@@ -160,25 +153,25 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt, label string, depth int) *Bloc
 		if st.Cond != nil {
 			addEdge(head, after)
 		}
-		body := b.newBlock(depth + 1)
+		body := &Block{}
 		addEdge(head, body)
 		b.loops = append(b.loops, loopCtx{label: label, brk: after, cont: post, isLoop: true})
-		if end := b.stmtList(body, st.Body.List, depth+1); end != nil {
+		if end := b.stmtList(body, st.Body.List); end != nil {
 			addEdge(end, post)
 		}
 		b.loops = b.loops[:len(b.loops)-1]
 		return after
 
 	case *ast.RangeStmt:
-		head := b.newBlock(depth + 1)
+		head := &Block{}
 		head.Nodes = append(head.Nodes, st.X)
 		addEdge(cur, head)
-		after := b.newBlock(depth)
+		after := &Block{}
 		addEdge(head, after) // empty or exhausted range
-		body := b.newBlock(depth + 1)
+		body := &Block{}
 		addEdge(head, body)
 		b.loops = append(b.loops, loopCtx{label: label, brk: after, cont: head, isLoop: true})
-		if end := b.stmtList(body, st.Body.List, depth+1); end != nil {
+		if end := b.stmtList(body, st.Body.List); end != nil {
 			addEdge(end, head)
 		}
 		b.loops = b.loops[:len(b.loops)-1]
@@ -200,13 +193,13 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt, label string, depth int) *Bloc
 		if tag != nil {
 			cur.Nodes = append(cur.Nodes, tag)
 		}
-		after := b.newBlock(depth)
+		after := &Block{}
 		b.loops = append(b.loops, loopCtx{label: label, brk: after})
 		hasDefault := false
 		// Case bodies, with fallthrough jumping into the next body.
 		bodies := make([]*Block, len(clauses))
 		for i := range clauses {
-			bodies[i] = b.newBlock(depth)
+			bodies[i] = &Block{}
 		}
 		for i, cl := range clauses {
 			cc := cl.(*ast.CaseClause)
@@ -221,7 +214,7 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt, label string, depth int) *Bloc
 			fellThrough := false
 			for _, bs := range cc.Body {
 				if end == nil {
-					end = b.newBlock(depth)
+					end = &Block{}
 				}
 				if br, ok := bs.(*ast.BranchStmt); ok && br.Tok == token.FALLTHROUGH {
 					if i+1 < len(bodies) {
@@ -231,7 +224,7 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt, label string, depth int) *Bloc
 					end = nil
 					continue
 				}
-				end = b.stmt(end, bs, "", depth)
+				end = b.stmt(end, bs, "")
 			}
 			if end != nil && !fellThrough {
 				addEdge(end, after)
@@ -244,7 +237,7 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt, label string, depth int) *Bloc
 		return after
 
 	case *ast.SelectStmt:
-		after := b.newBlock(depth)
+		after := &Block{}
 		b.loops = append(b.loops, loopCtx{label: label, brk: after})
 		hasDefault := false
 		for _, cl := range st.Body.List {
@@ -252,12 +245,12 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt, label string, depth int) *Bloc
 			if cc.Comm == nil {
 				hasDefault = true
 			}
-			body := b.newBlock(depth)
+			body := &Block{}
 			if cc.Comm != nil {
 				body.Nodes = append(body.Nodes, cc.Comm)
 			}
 			addEdge(cur, body)
-			if end := b.stmtList(body, cc.Body, depth); end != nil {
+			if end := b.stmtList(body, cc.Body); end != nil {
 				addEdge(end, after)
 			}
 		}

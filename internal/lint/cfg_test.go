@@ -85,18 +85,6 @@ for i := 0; i < 10; i++ {
 	}
 }
 return ok(a)`))
-	maxDepth := 0
-	for _, bl := range c.Blocks {
-		if bl.LoopDepth > maxDepth {
-			maxDepth = bl.LoopDepth
-		}
-	}
-	if maxDepth != 2 {
-		t.Errorf("max loop depth = %d, want 2", maxDepth)
-	}
-	if c.Entry.LoopDepth != 0 {
-		t.Errorf("entry depth = %d, want 0", c.Entry.LoopDepth)
-	}
 	// The loop introduces a cycle: some block must appear as its own
 	// ancestor, i.e. there is a back edge (succ with smaller-or-equal
 	// RPO index).

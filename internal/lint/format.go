@@ -8,11 +8,11 @@ import (
 	"strings"
 )
 
-// This file renders a finding list in the three report formats
-// cmd/simlint offers: the conventional file:line:col text form, a plain
-// JSON array for scripting, and SARIF 2.1.0 for GitHub code scanning.
-// All three emit findings in the order given — RunAll's total sort —
-// so two runs over the same tree produce byte-identical reports.
+// This file renders a finding list in the two report formats
+// cmd/simlint offers: the conventional file:line:col text form and
+// SARIF 2.1.0 for GitHub code scanning. Both emit findings in the order
+// given — RunAll's total sort — so two runs over the same tree produce
+// byte-identical reports.
 
 // WriteText prints findings one per line as file:line:col: analyzer:
 // message, with filenames relativized to root.
@@ -25,33 +25,6 @@ func WriteText(w io.Writer, root string, findings []Finding) error {
 		}
 	}
 	return nil
-}
-
-// jsonFinding is the -format json element shape.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// WriteJSON renders findings as a JSON array (never null: an empty run
-// emits []), with filenames relativized to root.
-func WriteJSON(w io.Writer, root string, findings []Finding) error {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			File:     relPath(root, f.Pos.Filename),
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Analyzer: f.Analyzer,
-			Message:  f.Msg,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // SARIF 2.1.0 structures — just the subset GitHub code scanning

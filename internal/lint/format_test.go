@@ -18,34 +18,6 @@ func sampleFindings() []Finding {
 	}
 }
 
-// TestWriteJSON checks the -format json shape, including the empty-run
-// case (an array, never null).
-func TestWriteJSON(t *testing.T) {
-	var b strings.Builder
-	if err := WriteJSON(&b, "/mod", sampleFindings()); err != nil {
-		t.Fatal(err)
-	}
-	var got []map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &got); err != nil {
-		t.Fatalf("output is not a JSON array: %v\n%s", err, b.String())
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d elements, want 3", len(got))
-	}
-	if got[0]["file"] != "internal/fem/solve.go" || got[0]["line"] != float64(12) ||
-		got[0]["analyzer"] != "nanguard" {
-		t.Errorf("first element = %v", got[0])
-	}
-
-	b.Reset()
-	if err := WriteJSON(&b, "/mod", nil); err != nil {
-		t.Fatal(err)
-	}
-	if s := strings.TrimSpace(b.String()); s != "[]" {
-		t.Errorf("empty run renders %q, want []", s)
-	}
-}
-
 // TestWriteSARIF validates the emitted log against the SARIF 2.1.0
 // requirements GitHub code scanning enforces: version and $schema, a
 // run with a named tool driver, every result referencing a declared

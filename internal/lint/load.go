@@ -36,7 +36,7 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 	// Mod points back to the loading module, giving analyzers access to
-	// module-wide state (Module.Graph, Module.TypeSpec).
+	// module-wide state (Module.Graph).
 	Mod *Module
 }
 
@@ -61,26 +61,6 @@ type Module struct {
 	graphMu  sync.Mutex
 	graph    *CallGraph
 	graphGen int
-	// typeSpecs indexes every loaded type declaration by the position of
-	// its name (what types.TypeName.Pos() reports), with
-	// the doc comment resolved per the usual Go rule: the spec's own doc
-	// when present, else the enclosing GenDecl's.
-	typeSpecs map[token.Pos]*TypeDecl
-}
-
-// TypeDecl pairs a type spec with its effective doc comment.
-type TypeDecl struct {
-	Spec *ast.TypeSpec
-	Doc  *ast.CommentGroup
-}
-
-// TypeSpec returns the declaration of a module-internal named type, or
-// nil when the type is external or not yet loaded.
-func (m *Module) TypeSpec(tn *types.TypeName) *TypeDecl {
-	if tn == nil {
-		return nil
-	}
-	return m.typeSpecs[tn.Pos()]
 }
 
 // NewModule prepares a loader for the module rooted at root (the
@@ -112,8 +92,7 @@ func NewModule(root string) (*Module, error) {
 			Uses:       make(map[*ast.Ident]types.Object),
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		},
-		loadWG:    make(map[string]bool),
-		typeSpecs: make(map[token.Pos]*TypeDecl),
+		loadWG: make(map[string]bool),
 	}, nil
 }
 
@@ -224,25 +203,6 @@ func (m *Module) LoadDir(dir, importPath string) (*Package, error) {
 		Types:   tpkg,
 		Info:    m.info,
 		Mod:     m,
-	}
-	for _, f := range files {
-		for _, d := range f.Decls {
-			decl, ok := d.(*ast.GenDecl)
-			if !ok || decl.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range decl.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				doc := ts.Doc
-				if doc == nil {
-					doc = decl.Doc
-				}
-				m.typeSpecs[ts.Name.Pos()] = &TypeDecl{Spec: ts, Doc: doc}
-			}
-		}
 	}
 	m.pkgs[importPath] = pkg
 	return pkg, nil

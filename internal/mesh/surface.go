@@ -182,17 +182,6 @@ func (m *Mesh) CheckConsistency() error {
 	return nil
 }
 
-// Area returns the total surface area (mm^2).
-func (s *TriMesh) Area() float64 {
-	a := 0.0
-	for _, t := range s.Tris {
-		e1 := s.Verts[t[1]].Sub(s.Verts[t[0]])
-		e2 := s.Verts[t[2]].Sub(s.Verts[t[0]])
-		a += e1.Cross(e2).Norm() / 2
-	}
-	return a
-}
-
 // VertexNormals returns area-weighted per-vertex normals (unit length).
 func (s *TriMesh) VertexNormals() []geom.Vec3 {
 	normals := make([]geom.Vec3, len(s.Verts))

@@ -3,7 +3,6 @@ package mesh
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -74,15 +73,6 @@ func TestSurfaceNormalsPointOutward(t *testing.T) {
 	}
 	if frac := float64(outward) / float64(len(s.Verts)); frac < 0.99 {
 		t.Errorf("only %.0f%% of normals point outward", 100*frac)
-	}
-}
-
-func TestSurfaceAreaOfCube(t *testing.T) {
-	_, s := cubeSurface(t, 8, 2)
-	// Lattice cube has side 7 (clamped last lattice plane): area 6*49.
-	want := 6.0 * 49
-	if math.Abs(s.Area()-want) > 1e-9 {
-		t.Errorf("area = %v, want %v", s.Area(), want)
 	}
 }
 

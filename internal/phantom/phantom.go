@@ -115,6 +115,17 @@ type Case struct {
 	Params    Params
 }
 
+// TruthRMS returns the RMS difference (mm) over BrainMask between a
+// recovered backward field and Truth, and that of the zero field: the
+// error rigid registration alone leaves.
+func (c *Case) TruthRMS(backward *volume.Field) (rms, rigidOnly float64, err error) {
+	if rms, err = backward.RMSDifference(c.Truth, c.BrainMask); err != nil {
+		return 0, 0, err
+	}
+	rigidOnly, err = volume.NewField(c.Grid).RMSDifference(c.Truth, c.BrainMask)
+	return rms, rigidOnly, err
+}
+
 // headGeometry evaluates the anatomy at world point p and returns its
 // tissue label. The head is a set of nested ellipsoids slightly
 // elongated along y (anterior-posterior), with a vertical falx plane at

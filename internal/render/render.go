@@ -136,62 +136,6 @@ func GraySlice(s *volume.Scalar, axis Axis, index int, lo, hi float64) (*Image, 
 	return im, nil
 }
 
-// TissueColor returns the display color of a tissue label, roughly
-// following the SPL's conventional palette.
-func TissueColor(l volume.Label) RGB {
-	switch l {
-	case volume.LabelSkin:
-		return RGB{255, 220, 177}
-	case volume.LabelSkull:
-		return RGB{230, 230, 230}
-	case volume.LabelCSF:
-		return RGB{80, 160, 255}
-	case volume.LabelBrain:
-		return RGB{200, 120, 120}
-	case volume.LabelVentricle:
-		return RGB{40, 80, 255}
-	case volume.LabelTumor:
-		return RGB{90, 220, 90}
-	case volume.LabelFalx:
-		return RGB{255, 255, 100}
-	case volume.LabelResection:
-		return RGB{160, 60, 200}
-	default:
-		return RGB{}
-	}
-}
-
-// OverlayLabels alpha-blends a segmentation slice onto the image.
-func OverlayLabels(im *Image, l *volume.Labels, axis Axis, index int, alpha float64) error {
-	w, h := sliceDims(l.Grid, axis)
-	if w != im.W || h != im.H {
-		return fmt.Errorf("render: overlay %dx%d on image %dx%d", w, h, im.W, im.H)
-	}
-	if alpha < 0 {
-		alpha = 0
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			i, j, k := sliceVoxel(axis, x, y, index)
-			lab := l.At(i, j, k)
-			if lab == volume.LabelBackground {
-				continue
-			}
-			c := TissueColor(lab)
-			p := im.At(x, y)
-			im.Set(x, y, RGB{
-				blend(p.R, c.R, alpha),
-				blend(p.G, c.G, alpha),
-				blend(p.B, c.B, alpha),
-			})
-		}
-	}
-	return nil
-}
-
 func blend(a, b uint8, alpha float64) uint8 {
 	return uint8(float64(a)*(1-alpha) + float64(b)*alpha)
 }

@@ -107,27 +107,6 @@ func TestHeatEndpoints(t *testing.T) {
 	}
 }
 
-func TestOverlayLabels(t *testing.T) {
-	g := volume.NewGrid(4, 3, 2, 1)
-	l := volume.NewLabels(g)
-	l.Set(1, 1, 0, volume.LabelTumor)
-	im := NewImage(4, 3)
-	if err := OverlayLabels(im, l, AxisZ, 0, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if im.At(1, 1) != TissueColor(volume.LabelTumor) {
-		t.Errorf("tumor pixel = %v", im.At(1, 1))
-	}
-	// Background stays untouched.
-	if im.At(0, 0) != (RGB{}) {
-		t.Error("background was painted")
-	}
-	// Shape mismatch rejected.
-	if err := OverlayLabels(NewImage(2, 2), l, AxisZ, 0, 1); err == nil {
-		t.Error("mismatched overlay accepted")
-	}
-}
-
 func TestOverlayFieldMagnitude(t *testing.T) {
 	g := volume.NewGrid(4, 4, 1, 1)
 	f := volume.NewField(g)

@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -269,7 +270,9 @@ func (s *Service) logger() *slog.Logger {
 // (rather than positional arguments) leaves room for per-session policy
 // to grow without breaking every caller.
 type SessionSpec struct {
-	// ID names the session; required and unique among open sessions.
+	// ID names the session; required, unique among open sessions, and a
+	// single path element, because it names the session's flight-dump
+	// files and its /sessions/{id} admin routes.
 	ID string
 	// Config is the pipeline configuration.
 	Config core.Config
@@ -283,8 +286,11 @@ type SessionSpec struct {
 // a bad parameter mid-scan.
 func (sp SessionSpec) Validate() error {
 	var errs []error
-	if sp.ID == "" {
+	switch {
+	case sp.ID == "":
 		errs = append(errs, errors.New("ID must be non-empty"))
+	case sp.ID == "." || sp.ID == ".." || strings.ContainsAny(sp.ID, `/\`):
+		errs = append(errs, fmt.Errorf("ID %q must be a single path element (no /, \\, . or ..)", sp.ID))
 	}
 	if err := sp.Config.Validate(); err != nil {
 		errs = append(errs, err)
@@ -330,19 +336,6 @@ func (s *Service) CloseSession(id string) error {
 	}
 	delete(s.sessions, id)
 	return nil
-}
-
-// Session returns the underlying core.Session (e.g. to inspect
-// ScanCount or PrototypeCount between scans). Do not call its Register or
-// Update methods directly while the service is running jobs for it.
-func (s *Service) Session(id string) (*core.Session, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ms, ok := s.sessions[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownSession, id)
-	}
-	return ms.sess, nil
 }
 
 // managed returns the managed session wrapper for id.

@@ -131,10 +131,11 @@ func TestServiceSerializesScansOfOneSession(t *testing.T) {
 	if _, err := j2.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := svc.Session("or")
+	ms, err := svc.managed("or")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess := ms.sess
 	if sess.ScanCount() != 2 {
 		t.Errorf("ScanCount = %d, want 2", sess.ScanCount())
 	}

@@ -189,10 +189,11 @@ func TestFinishedJobPinsNothing(t *testing.T) {
 	freed := make(chan string, 3)
 	var j *Job
 	func() {
-		sess, err := svc.Session("or")
+		ms, err := svc.managed("or")
 		if err != nil {
 			t.Fatal(err)
 		}
+		sess := ms.sess
 		scan, ctx := c.Intraop.Clone(), &scanCtx{context.Background()}
 		runtime.SetFinalizer(sess, func(*core.Session) { freed <- "session" })
 		runtime.SetFinalizer(scan, func(any) { freed <- "scan" })

@@ -135,4 +135,21 @@ func TestSessionSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
+	// The ID names flight-dump files under FlightDumpDir and the
+	// /sessions/{id} routes, so it must be one path element: "../x"
+	// would dump outside the directory.
+	for _, id := range []string{"../escaped", "a/b", `a\b`, ".", ".."} {
+		spec := good
+		spec.ID = id
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "single path element") {
+			t.Errorf("ID %q: error %v, want a single-path-element rejection", id, err)
+		}
+	}
+	for _, id := range []string{"or-a", "c0-r1", "populate-0"} {
+		spec := good
+		spec.ID = id
+		if err := spec.Validate(); err != nil {
+			t.Errorf("ID %q rejected: %v", id, err)
+		}
+	}
 }

@@ -42,10 +42,6 @@ func (b *Builder) Add(i, j int, v float64) {
 	b.vals = append(b.vals, v)
 }
 
-// NNZTriplets returns the number of accumulated triplets (before
-// duplicate merging).
-func (b *Builder) NNZTriplets() int { return len(b.vals) }
-
 // Build finalizes the builder into a CSR matrix, summing duplicates.
 func (b *Builder) Build() *CSR {
 	n := b.n

@@ -8,7 +8,6 @@ package transform
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 	"repro/internal/volume"
@@ -131,31 +130,4 @@ func ResampleLabels(src *volume.Labels, r Rigid, out volume.Grid) *volume.Labels
 		}
 	}
 	return dst
-}
-
-// FieldFromRigid converts a rigid transform into a dense displacement
-// field on grid g, with the backward-warp convention used by
-// volume.Field: f(p) = r^{-1}(p) - p, so WarpScalar(src) == resampled
-// src moved by r.
-func FieldFromRigid(r Rigid, g volume.Grid) *volume.Field {
-	inv := r.Inverse()
-	f := volume.NewField(g)
-	for k := 0; k < g.NZ; k++ {
-		for j := 0; j < g.NY; j++ {
-			for i := 0; i < g.NX; i++ {
-				p := g.World(i, j, k)
-				f.Set(i, j, k, inv.Apply(p).Sub(p))
-			}
-		}
-	}
-	return f
-}
-
-// ParamDistance returns a scalar distance between two rigid transforms,
-// combining rotation (radians, weighted by lever arm) and translation
-// (mm). Used by tests to assert registration accuracy.
-func ParamDistance(a, b Rigid, leverArm float64) float64 {
-	dr := math.Abs(a.RX-b.RX) + math.Abs(a.RY-b.RY) + math.Abs(a.RZ-b.RZ)
-	dt := math.Abs(a.TX-b.TX) + math.Abs(a.TY-b.TY) + math.Abs(a.TZ-b.TZ)
-	return dr*leverArm + dt
 }

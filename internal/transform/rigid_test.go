@@ -123,33 +123,6 @@ func TestResampleLabelsPureTranslation(t *testing.T) {
 	}
 }
 
-func TestFieldFromRigidMatchesResample(t *testing.T) {
-	for _, g := range translationGrids(10, 10, 10) {
-		src := volume.NewScalar(g)
-		for k := 0; k < 10; k++ {
-			for j := 0; j < 10; j++ {
-				for i := 0; i < 10; i++ {
-					src.Set(i, j, k, float64(i+2*j+3*k))
-				}
-			}
-		}
-		r := Rigid{RZ: 0.1, TX: 1, TY: -0.5, Center: g.Center()}
-		byResample := ResampleScalar(src, r, g)
-		byField := FieldFromRigid(r, g).WarpScalar(src)
-		for k := 2; k < 8; k++ {
-			for j := 2; j < 8; j++ {
-				for i := 2; i < 8; i++ {
-					a := byResample.At(i, j, k)
-					b := byField.At(i, j, k)
-					if math.Abs(a-b) > 1e-3 {
-						t.Fatalf("%v: mismatch at (%d,%d,%d): %v vs %v", g, i, j, k, a, b)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestMaxDisplacement(t *testing.T) {
 	g := volume.NewGrid(11, 11, 11, 1)
 	r := Rigid{TX: 3, TY: 4, Center: g.Center()}
@@ -170,17 +143,5 @@ func TestMaxDisplacement(t *testing.T) {
 	rho := math.Hypot(10*0.9, 5*1.1)
 	if got, want := rot.MaxDisplacement(aniso), 2*rho*math.Sin(0.05); math.Abs(got-want) > 1e-9 {
 		t.Errorf("anisotropic MaxDisplacement = %v, want %v", got, want)
-	}
-}
-
-func TestParamDistance(t *testing.T) {
-	a := Rigid{TX: 1}
-	b := Rigid{TX: 3}
-	if got := ParamDistance(a, b, 100); got != 2 {
-		t.Errorf("ParamDistance = %v, want 2", got)
-	}
-	c := Rigid{RX: 0.01}
-	if got := ParamDistance(c, Rigid{}, 100); math.Abs(got-1) > 1e-12 {
-		t.Errorf("rotation ParamDistance = %v, want 1", got)
 	}
 }

@@ -202,22 +202,3 @@ func (f *Field) Invert(iterations int) *Field {
 	}
 	return out
 }
-
-// Compose returns the field h(p) = f(p) + g(p + f(p)): applying h is
-// equivalent to warping first through f then through g (both in the
-// backward-warp convention).
-func (f *Field) Compose(g *Field) *Field {
-	out := NewField(f.Grid)
-	gr := f.Grid
-	for k := 0; k < gr.NZ; k++ {
-		for j := 0; j < gr.NY; j++ {
-			for i := 0; i < gr.NX; i++ {
-				p := gr.World(i, j, k)
-				d1 := f.At(i, j, k)
-				d2 := g.SampleWorld(p.Add(d1))
-				out.Set(i, j, k, d1.Add(d2))
-			}
-		}
-	}
-	return out
-}

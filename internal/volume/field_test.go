@@ -101,22 +101,6 @@ func TestFieldSampleWorldInterpolates(t *testing.T) {
 	}
 }
 
-func TestComposeOfConstantFields(t *testing.T) {
-	g := NewGrid(8, 8, 8, 1)
-	f := NewField(g)
-	h := NewField(g)
-	for i := range f.DX {
-		f.DX[i] = 1
-		h.DY[i] = 2
-	}
-	c := f.Compose(h)
-	// Away from boundary the composition is (1, 2, 0).
-	got := c.At(3, 3, 3)
-	if got.Sub(geom.V(1, 2, 0)).MaxAbs() > 1e-5 {
-		t.Errorf("Compose = %v, want (1,2,0)", got)
-	}
-}
-
 func TestInvertRoundTrip(t *testing.T) {
 	// A smooth forward field composed with its inverse should be near
 	// zero in the interior.
@@ -153,39 +137,5 @@ func TestInvertOfZeroIsZero(t *testing.T) {
 	inv := f.Invert(0) // 0 iterations defaults to 5
 	if inv.MaxMagnitude() != 0 {
 		t.Error("inverse of zero field not zero")
-	}
-}
-
-func TestComposeEquivalentToSequentialWarp(t *testing.T) {
-	g := NewGrid(12, 12, 12, 1)
-	src := NewScalar(g)
-	for k := 0; k < 12; k++ {
-		for j := 0; j < 12; j++ {
-			for i := 0; i < 12; i++ {
-				src.Set(i, j, k, float64(i*i)+2*float64(j)+float64(k))
-			}
-		}
-	}
-	f := NewField(g)
-	h := NewField(g)
-	for i := range f.DX {
-		f.DX[i] = 0.5
-		h.DZ[i] = 0.75
-	}
-	seq := h.WarpScalar(f.WarpScalar(src))
-	direct := f.Compose(h).WarpScalar(src)
-	// Compare in the interior (boundary handling differs where samples
-	// leave the grid).
-	for k := 3; k < 9; k++ {
-		for j := 3; j < 9; j++ {
-			for i := 3; i < 9; i++ {
-				a, b := seq.At(i, j, k), direct.At(i, j, k)
-				if math.Abs(a-b) > 0.51 {
-					// Sequential warping loses accuracy through double
-					// interpolation; composition should stay close.
-					t.Fatalf("warp mismatch at (%d,%d,%d): %v vs %v", i, j, k, a, b)
-				}
-			}
-		}
 	}
 }

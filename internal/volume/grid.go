@@ -74,7 +74,7 @@ func (g Grid) WorldOf(v geom.Voxel) geom.Vec3 {
 
 // Voxel returns the continuous voxel-space coordinates of world point
 // p (mm). The result is fractional: feed it to Floor/Round to obtain a
-// discrete index, or to Frac for interpolation weights.
+// discrete index.
 func (g Grid) Voxel(p geom.Vec3) geom.VoxelPoint {
 	return geom.VoxelPoint{
 		X: (p.X - g.Origin.X) / g.Spacing.X,
@@ -85,13 +85,6 @@ func (g Grid) Voxel(p geom.Vec3) geom.VoxelPoint {
 
 // IndexOf returns the linear index of voxel v.
 func (g Grid) IndexOf(v geom.Voxel) int { return g.Index(v.I, v.J, v.K) }
-
-// VoxelCoords returns the discrete voxel coordinates of linear index
-// idx (the typed counterpart of Coords).
-func (g Grid) VoxelCoords(idx int) geom.Voxel {
-	i, j, k := g.Coords(idx)
-	return geom.Voxel{I: i, J: j, K: k}
-}
 
 // Contains reports whether voxel v addresses a voxel of the grid.
 func (g Grid) Contains(v geom.Voxel) bool { return g.InBounds(v.I, v.J, v.K) }

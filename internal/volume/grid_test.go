@@ -79,9 +79,6 @@ func TestWorldOfVoxelCenters(t *testing.T) {
 	if g.IndexOf(geom.Vox(1, 2, 3)) != g.Index(1, 2, 3) {
 		t.Error("IndexOf disagrees with Index")
 	}
-	if g.VoxelCoords(g.Index(1, 2, 3)) != geom.Vox(1, 2, 3) {
-		t.Error("VoxelCoords disagrees with Coords")
-	}
 	if !g.Contains(geom.Vox(1, 2, 3)) || g.Contains(geom.Vox(-1, 0, 0)) {
 		t.Error("Contains disagrees with InBounds")
 	}

@@ -27,6 +27,17 @@ const (
 	LabelResection  Label = 8
 )
 
+// IsBrainTissue reports whether l is one of the intracranial tissues the
+// biomechanical model meshes and deforms: brain, ventricle, tumor, falx
+// and resection cavity.
+func IsBrainTissue(l Label) bool {
+	switch l {
+	case LabelBrain, LabelVentricle, LabelTumor, LabelFalx, LabelResection:
+		return true
+	}
+	return false
+}
+
 // LabelName returns a human-readable name for the canonical labels.
 func LabelName(l Label) string {
 	switch l {
@@ -171,27 +182,4 @@ func (l *Labels) DiceCoefficient(other *Labels, v Label) (float64, error) {
 		return 1, nil
 	}
 	return 2 * float64(inter) / float64(a+b), nil
-}
-
-// BoundaryVoxels returns the linear indices of voxels with label v that
-// have at least one 6-neighbor with a different label (or that lie on
-// the volume boundary).
-func (l *Labels) BoundaryVoxels(v Label) []int {
-	var out []int
-	g := l.Grid
-	for k := 0; k < g.NZ; k++ {
-		for j := 0; j < g.NY; j++ {
-			for i := 0; i < g.NX; i++ {
-				if l.At(i, j, k) != v {
-					continue
-				}
-				if l.At(i-1, j, k) != v || l.At(i+1, j, k) != v ||
-					l.At(i, j-1, k) != v || l.At(i, j+1, k) != v ||
-					l.At(i, j, k-1) != v || l.At(i, j, k+1) != v {
-					out = append(out, g.Index(i, j, k))
-				}
-			}
-		}
-	}
-	return out
 }

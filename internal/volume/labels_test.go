@@ -89,30 +89,6 @@ func TestDiceCoefficient(t *testing.T) {
 	}
 }
 
-func TestBoundaryVoxels(t *testing.T) {
-	// A 3x3x3 cube of brain inside a 5x5x5 grid: the 26 shell voxels of
-	// the cube are boundary, the single center voxel is interior.
-	g := NewGrid(5, 5, 5, 1)
-	l := NewLabels(g)
-	for k := 1; k <= 3; k++ {
-		for j := 1; j <= 3; j++ {
-			for i := 1; i <= 3; i++ {
-				l.Set(i, j, k, LabelBrain)
-			}
-		}
-	}
-	bd := l.BoundaryVoxels(LabelBrain)
-	if len(bd) != 26 {
-		t.Errorf("boundary count = %d, want 26", len(bd))
-	}
-	center := g.Index(2, 2, 2)
-	for _, idx := range bd {
-		if idx == center {
-			t.Error("interior voxel reported as boundary")
-		}
-	}
-}
-
 func TestLabelName(t *testing.T) {
 	if LabelName(LabelBrain) != "brain" {
 		t.Error("brain name")

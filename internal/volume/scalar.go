@@ -132,18 +132,6 @@ func (s *Scalar) MinMax() (lo, hi float64) {
 	return lo, hi
 }
 
-// Mean returns the average voxel value.
-func (s *Scalar) Mean() float64 {
-	if len(s.Data) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.Data {
-		sum += float64(v)
-	}
-	return sum / float64(len(s.Data))
-}
-
 // Stats summarizes a scalar volume: mean, standard deviation, min, max.
 type Stats struct {
 	Mean, Std, Min, Max float64
