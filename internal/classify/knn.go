@@ -53,9 +53,8 @@ type Classifier struct {
 }
 
 // Clone returns a deep copy (nil for a nil receiver): refreshing the
-// copy's prototypes leaves the original untouched, so a caller can
-// adopt the refreshed model only once the scan it was refreshed for
-// has succeeded.
+// copy's prototypes, or rejecting some of them, leaves the original
+// untouched.
 func (c *Classifier) Clone() *Classifier {
 	if c == nil {
 		return nil

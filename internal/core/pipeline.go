@@ -219,7 +219,8 @@ func (r *Result) Timeline() string {
 // solution. A Session keeps the baseline of its last good scan.
 type baseline struct {
 	// cl is nil until the first scan samples the model's prototypes;
-	// later scans refresh them from the new image.
+	// later scans refresh a copy of it from the new image and leave it
+	// as it is.
 	cl           *classify.Classifier
 	rigid        transform.Rigid
 	alignedPreop *volume.Scalar
@@ -498,11 +499,15 @@ func (s *Session) stageRigidAlign(ctx context.Context, sc *scan) error {
 // plus the localization channels. The first scan samples the
 // statistical model's prototypes; later scans refresh the recorded
 // prototypes from the new image (the paper's automatic model update) —
-// never re-sampled, the first scan owns the prototype geometry.
+// never re-sampled, the first scan owns the prototype geometry. The
+// refresh, and its outlier rejection, work on a copy for this scan
+// alone: a prototype rejected where this scan's tissue changed is
+// still the session's for the next scan.
 func (s *Session) stageClassify(ctx context.Context, sc *scan) error {
 	cfg := s.cfg
 	channels := append([]*volume.Scalar{sc.intraop}, sc.edt[:]...)
-	if sc.cl == nil {
+	cl := sc.cl
+	if cl == nil {
 		// First scan: build the statistical model. Prototype features
 		// must come from the same modality as the scan being
 		// classified: read intensity from the aligned preop scan at the
@@ -513,19 +518,23 @@ func (s *Session) stageClassify(ctx context.Context, sc *scan) error {
 		if err != nil {
 			return err
 		}
-		sc.cl = &classify.Classifier{
+		cl = &classify.Classifier{
 			K:          cfg.KNN,
 			Prototypes: protos,
 			Weights:    []float64{1, 8, 8, 8},
 		}
-	} else if err := sc.cl.RefreshFeaturesRobustContext(ctx, channels, 4, 5); err != nil {
+		sc.cl = cl
+	} else {
 		// Prototypes whose tissue changed between scans (resection, shift
-		// gap) are rejected as per-class outliers.
-		return err
+		// gap) are rejected as per-class outliers, for this scan.
+		cl = cl.Clone()
+		if err := cl.RefreshFeaturesRobustContext(ctx, channels, 4, 5); err != nil {
+			return err
+		}
 	}
-	sc.cl.Workers = cfg.Ranks
+	cl.Workers = cfg.Ranks
 	var err error
-	sc.intraLabels, err = sc.cl.ClassifyKDContext(ctx, channels)
+	sc.intraLabels, err = cl.ClassifyKDContext(ctx, channels)
 	return err
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fem"
 	"repro/internal/phantom"
+	"repro/internal/transform"
 	"repro/internal/volume"
 )
 
@@ -334,5 +335,32 @@ func TestPipelineRanksInvariance(t *testing.T) {
 	// solution within solver tolerance.
 	if rms > 0.05 {
 		t.Errorf("rank count changed the deformation field: RMS %v mm", rms)
+	}
+}
+
+// TestHeadPoseOnGridFaceRegisters: a head moved by 0.03 rad about z and
+// 1.5 mm along y pushes brain voxels of the resampled preoperative
+// labels onto the grid's far faces; with one-voxel mesh cells that
+// once made zero-volume tets, and the registration failed in the FEM
+// assembly. It registers now, and the solve converges.
+func TestHeadPoseOnGridFaceRegisters(t *testing.T) {
+	p := phantom.DefaultParams(28)
+	p.NoiseStd = 2
+	c := phantom.Generate(p)
+	pose := transform.Identity(c.Grid.Center())
+	pose.RZ, pose.TY = 0.03, 1.5
+	cfg := DefaultConfig()
+	cfg.MeshCellSize = 1
+	cfg.Ranks = 2
+	sess, err := NewSession(cfg, c.Preop, c.PreopLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Register(context.Background(), transform.ResampleScalar(c.Intraop, pose, c.Grid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded || !res.SolveStats.Converged {
+		t.Errorf("degraded %v, solve %v", res.Degraded, res.SolveStats)
 	}
 }

@@ -116,11 +116,10 @@ func (s *Session) Update(ctx context.Context, intraop *volume.Scalar) (*Result, 
 }
 
 // run runs one scan from the given baseline and adopts the baseline it
-// leaves only on a non-degraded success. The statistical model is
-// refreshed on a deep copy, so a scan that fails or degrades after the
-// classification stage leaves the session's model untouched.
+// leaves only on a non-degraded success. No scan changes the session's
+// statistical model once it exists (the classification stage refreshes
+// a copy), so a scan that fails or degrades leaves it untouched.
 func (s *Session) run(ctx context.Context, intraop *volume.Scalar, from baseline) (*Result, error) {
-	from.cl = from.cl.Clone()
 	sc := &scan{preop: s.preop, preopLabels: s.preopLabels, intraop: intraop, baseline: from}
 	res, err := s.runScan(ctx, sc)
 	if err != nil {

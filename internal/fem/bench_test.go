@@ -283,3 +283,30 @@ func BenchmarkDisplacementField(b *testing.B) {
 		sys.DisplacementField(nodeU, g)
 	}
 }
+
+// BenchmarkBlockJacobiApply77k applies the factor of the eliminated
+// paper-scale operator in one block and in two: the preconditioner
+// half of one GMRES iteration.
+func BenchmarkBlockJacobiApply77k(b *testing.B) {
+	for _, blocks := range []int{1, 2} {
+		b.Run(fmt.Sprint("blocks=", blocks), func(b *testing.B) {
+			op, nodes := paperScaleOperator(b, blocks)
+			elim, err := op.Eliminate(nodes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pc, err := solver.NewBlockJacobiILU0(elim.K, elim.DOFPartition())
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, z := make([]float64, elim.NumDOF), make([]float64, elim.NumDOF)
+			for i := range r {
+				r[i] = float64(i%7) - 3
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pc.Apply(r, z)
+			}
+		})
+	}
+}

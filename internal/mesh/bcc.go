@@ -28,7 +28,7 @@ func FromLabelsBCC(l *volume.Labels, opts Options) (*Mesh, error) {
 		include = func(lab volume.Label) bool { return lab != volume.LabelBackground }
 	}
 	g := l.Grid
-	cx, cy, cz := g.NX/cs, g.NY/cs, g.NZ/cs
+	cx, cy, cz := cells(g.NX, cs), cells(g.NY, cs), cells(g.NZ, cs)
 	if cx < 1 || cy < 1 || cz < 1 {
 		return nil, fmt.Errorf("mesh: cell size %d too large for grid %v", cs, g)
 	}

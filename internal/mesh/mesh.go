@@ -65,6 +65,12 @@ type Options struct {
 	Include func(volume.Label) bool
 }
 
+// cells is the number of cells of cs voxels along a grid axis of n
+// voxels: as many as fit, less a last one whose far corners, clamped
+// into the grid, would fall on its near ones (cs = 1), since its tets
+// would have zero volume.
+func cells(n, cs int) int { return min(n/cs, (n+cs-2)/cs) }
+
 // FromLabels generates a tetrahedral mesh of the labeled object(s).
 func FromLabels(l *volume.Labels, opts Options) (*Mesh, error) {
 	if err := l.Grid.Validate(); err != nil {
@@ -81,9 +87,7 @@ func FromLabels(l *volume.Labels, opts Options) (*Mesh, error) {
 	g := l.Grid
 	// Cell lattice: cells index [0, cx) x [0, cy) x [0, cz); lattice
 	// points (cell corners) index [0, cx] x ...
-	cx := g.NX / cs
-	cy := g.NY / cs
-	cz := g.NZ / cs
+	cx, cy, cz := cells(g.NX, cs), cells(g.NY, cs), cells(g.NZ, cs)
 	if cx < 1 || cy < 1 || cz < 1 {
 		return nil, fmt.Errorf("mesh: cell size %d too large for grid %v", cs, g)
 	}

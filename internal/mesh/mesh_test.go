@@ -234,3 +234,42 @@ func TestCheckConsistencyCatchesBadMesh(t *testing.T) {
 		t.Error("label count mismatch accepted")
 	}
 }
+
+// TestFarFaceCellsKeepVolume: a brain that reaches the grid's far
+// faces meshes without a zero-volume tet, on both meshers and at cell
+// sizes 1 to 3. With one-voxel cells the far corners of the last cell
+// layer would clamp onto its near ones, so that layer is not meshed;
+// every Kuhn tet of a whole cell then has volume cs³/6.
+func TestFarFaceCellsKeepVolume(t *testing.T) {
+	g := volume.NewGrid(7, 7, 7, 1)
+	l := volume.NewLabels(g)
+	for k := 3; k < 7; k++ {
+		for j := 3; j < 7; j++ {
+			for i := 3; i < 7; i++ {
+				l.Set(i, j, k, volume.LabelBrain)
+			}
+		}
+	}
+	for name, mesher := range map[string]func(*volume.Labels, Options) (*Mesh, error){
+		"kuhn": FromLabels, "bcc": FromLabelsBCC,
+	} {
+		for cs := 1; cs <= 3; cs++ {
+			m, err := mesher(l, Options{CellSize: cs})
+			if err != nil {
+				t.Fatalf("%s, cell size %d: %v", name, cs, err)
+			}
+			for e := range m.Tets {
+				if v := m.TetGeom(e).Volume(); v <= 0 {
+					t.Fatalf("%s, cell size %d: tet %d has volume %g", name, cs, e, v)
+				}
+			}
+			if name == "kuhn" && cs == 1 {
+				for e := range m.Tets {
+					if v := m.TetGeom(e).Volume(); math.Abs(v-1.0/6) > 1e-12 {
+						t.Fatalf("kuhn, cell size 1: tet %d has volume %g, want 1/6", e, v)
+					}
+				}
+			}
+		}
+	}
+}

@@ -35,6 +35,8 @@ func TestModulePassesPerfgate(t *testing.T) {
 		"axpyDot":                    false,
 		"iluFactor.solve":            false,
 		"iluFactor.factor":           false,
+		"bluFactor.solve":            false,
+		"bluFactor.factor":           false,
 		"distanceTransform1D":        false,
 		"Tet.Shape":                  false,
 		"Field.SampleWorld":          false,

@@ -136,9 +136,14 @@ func diagonalBlock(m *sparse.CSR, lo, hi int) *sparse.CSR {
 
 // factorsMatchOracle builds the block-Jacobi preconditioner of a on pt
 // and checks every block's factor against the oracle's on a copy of the
-// block, bit for bit: pattern, values and pivots. A missing diagonal
-// must be an error from both, the lowest-rank one reported.
+// block, bit for bit: pattern, values and pivots — the point oracle's,
+// or on a matrix of block size 3 the node-block oracle's (see
+// blockFactorsMatchOracle). A missing diagonal must be an error from
+// both, the lowest-rank one reported.
 func factorsMatchOracle(a *sparse.CSR, pt par.Partition) error {
+	if a.BlockSize() == 3 {
+		return blockFactorsMatchOracle(a, pt)
+	}
 	pc, err := NewBlockJacobiILU0(a, pt)
 	for r := 0; r < pt.P; r++ {
 		lo, hi := pt.Range(r)
@@ -158,7 +163,7 @@ func factorsMatchOracle(a *sparse.CSR, pt par.Partition) error {
 		if err != nil {
 			continue // a later block's error
 		}
-		got, want := pc.factors[r], f.split()
+		got, want := pc.factors[r].(*iluFactor), f.split()
 		if got.n != want.n || !slices.Equal(got.lPtr, want.lPtr) || !slices.Equal(got.uPtr, want.uPtr) ||
 			!slices.Equal(got.lCol, want.lCol) || !slices.Equal(got.uCol, want.uCol) {
 			return fmt.Errorf("block %d: factor pattern differs from the oracle's", r)

@@ -174,7 +174,7 @@ func phantomElasticity(t *testing.T, size, ranks int) (*fem.System, par.Partitio
 func TestBlockFactorsOfFEMOperatorsMatchOracle(t *testing.T) {
 	size := 20
 	if testing.Short() {
-		size = 14
+		size = 28
 	}
 	for _, ranks := range []int{1, 2, 3, 7} {
 		sys, pt := phantomElasticity(t, size, ranks)
@@ -296,6 +296,50 @@ func TestGMRESMixedPrecisionMatchesClassicalCycle(t *testing.T) {
 			t.Errorf("%s: differs from the classical cycle by %.3g (relative), limit 1e-10", c.name, rel)
 		} else {
 			t.Logf("%s: %d equations, %d iterations, relative difference %.3g", c.name, c.a.N, iters, rel)
+		}
+	}
+}
+
+// TestBILU0NeedsNoMoreIterationsThanPointILU0: on the phantom
+// elasticity system, GMRES preconditioned by the node-block factor
+// converges in no more iterations than with the point factor of the
+// same matrix read as block size 1, at one rank and at two: 30 against
+// 32 and 41 against 42 at size 28, 20 against 21 and 31 against 32 at
+// size 20. It is a tendency, not a theorem: on the smallest grids (14
+// and 16, under 5,000 equations) the one-rank solve takes one
+// iteration more with the block factor.
+func TestBILU0NeedsNoMoreIterationsThanPointILU0(t *testing.T) {
+	size := 28
+	if testing.Short() {
+		size = 20
+	}
+	for _, ranks := range []int{1, 2} {
+		sys, pt := phantomElasticity(t, size, ranks)
+		if sys.K.BlockSize() != 3 {
+			t.Fatalf("the FEM operator states block size %d, want 3", sys.K.BlockSize())
+		}
+		point, err := sparse.CSRFromParts(sys.K.N, sys.K.RowPtr, sys.K.Col, sys.K.Val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := solver.DefaultOptions()
+		opts.Partition = pt
+		var iters [2]int
+		for i, a := range []*sparse.CSR{sys.K, point} {
+			pc, err := solver.NewBlockJacobiILU0(a, pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := solver.GMRESContext(context.Background(), a, sys.F, nil, pc, opts)
+			if err != nil || !st.Converged {
+				t.Fatalf("%d ranks: err=%v stats=%v", ranks, err, st)
+			}
+			iters[i] = st.Iterations
+		}
+		if iters[0] > iters[1] {
+			t.Errorf("%d ranks: BILU(0) took %d iterations, point ILU(0) %d", ranks, iters[0], iters[1])
+		} else {
+			t.Logf("%d equations, %d ranks: BILU(0) %d iterations, point ILU(0) %d", sys.NumDOF, ranks, iters[0], iters[1])
 		}
 	}
 }

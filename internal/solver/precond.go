@@ -179,10 +179,10 @@ func (f *iluFactor) factor(a *sparse.CSR, lo int, w []float64, mark []int32) {
 	}
 }
 
-// maxAbs is the largest magnitude in a and b, 1 when all are zero.
-func maxAbs(a, b []float64) float64 {
+// maxAbs is the largest magnitude in vs, 1 when all are zero.
+func maxAbs(vs ...[]float64) float64 {
 	m := 0.0
-	for _, s := range [2][]float64{a, b} {
+	for _, s := range vs {
 		for _, v := range s {
 			if v > m {
 				m = v
@@ -300,17 +300,42 @@ func (p *SSORPC) Name() string { return fmt.Sprintf("ssor(%.2g)", p.omega) }
 
 // BlockJacobiPC is the paper's preconditioner: the matrix restricted to
 // each rank's row block, factorized with ILU(0); off-block coupling is
-// dropped. With one block it degenerates to global ILU(0); with n
-// blocks of size 1 it degenerates to point Jacobi.
+// dropped. On a matrix of block size 3 (the FEM operator, see
+// sparse.CSR.BlockSize) each block is factorized over whole 3x3 node
+// blocks, as PETSc's ILU(0) does on a block (BAIJ) matrix; on any other
+// matrix point-wise. With one block it degenerates to global ILU(0);
+// with n blocks of size 1 it degenerates to point Jacobi.
 type BlockJacobiPC struct {
 	part    par.Partition
-	factors []*iluFactor
+	factors []blockFactor
 }
 
+// blockFactor is one rank's factor: iluFactor or bluFactor.
+type blockFactor interface {
+	// solve computes z = (LU)⁻¹ r over the block's index space.
+	solve(r, z []float64)
+	// entries is the number of stored factor entries.
+	entries() int64
+}
+
+func (f *iluFactor) entries() int64 { return int64(len(f.lVal) + len(f.uVal) + f.n) }
+
+func (f *bluFactor) entries() int64 { return int64(len(f.lVal) + len(f.uVal) + len(f.dInv)) }
+
 // NewBlockJacobiILU0 builds the block preconditioner for the given row
-// partition, each rank factorizing its block straight from a's rows.
+// partition, each rank factorizing its block straight from a's rows. On
+// a matrix of block size 3 a partition boundary that splits a node is
+// an error.
 func NewBlockJacobiILU0(a *sparse.CSR, pt par.Partition) (*BlockJacobiPC, error) {
-	pc := &BlockJacobiPC{part: pt, factors: make([]*iluFactor, pt.P)}
+	nodes := a.BlockSize() == 3
+	if nodes {
+		for _, s := range pt.Starts {
+			if s%3 != 0 {
+				return nil, fmt.Errorf("solver: partition boundary at row %d splits a node of block size 3", s)
+			}
+		}
+	}
+	pc := &BlockJacobiPC{part: pt, factors: make([]blockFactor, pt.P)}
 	// One error slot per rank, so the ranks share nothing; the
 	// lowest-rank error is reported.
 	errs := make([]error, pt.P)
@@ -319,7 +344,13 @@ func NewBlockJacobiILU0(a *sparse.CSR, pt par.Partition) (*BlockJacobiPC, error)
 		if lo == hi {
 			return
 		}
-		f, err := newILU0(a, lo, hi)
+		var f blockFactor
+		var err error
+		if nodes {
+			f, err = newBILU0(a, lo, hi)
+		} else {
+			f, err = newILU0(a, lo, hi)
+		}
 		if err != nil {
 			errs[r] = fmt.Errorf("solver: block %d: %w", r, err)
 			return
@@ -353,14 +384,14 @@ func (pc *BlockJacobiPC) Name() string {
 // Blocks returns the number of blocks.
 func (pc *BlockJacobiPC) Blocks() int { return pc.part.P }
 
-// BlockNNZ returns the number of stored entries in each block factor —
-// the per-rank preconditioner work, used by the cluster performance
-// model.
+// BlockNNZ returns the number of stored entries in each block factor
+// (nine per stored 3x3 block of a node-block factor) — the per-rank
+// preconditioner work, used by the cluster performance model.
 func (pc *BlockJacobiPC) BlockNNZ() []int64 {
 	out := make([]int64, len(pc.factors))
 	for i, f := range pc.factors {
 		if f != nil {
-			out[i] = int64(len(f.lVal) + len(f.uVal) + f.n)
+			out[i] = f.entries()
 		}
 	}
 	return out

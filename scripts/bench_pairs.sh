@@ -9,8 +9,9 @@
 # first alternating — and prints every end-to-end metric of each pair,
 # then each side's failed/attempted scans and per metric each side's
 # quartiles, the parent's interquartile distance, the pairs won / tied /
-# lost and the choosing-metrics verdict (resolved or unresolved). `all`
-# runs every workload of BENCHMARK.json in turn.
+# lost and the choosing-metrics verdict (resolved or unresolved), and
+# under that every failing sample's check with its pair, seed and side.
+# `all` runs every workload of BENCHMARK.json in turn.
 # Exits 1 when a run did not end in its contract line or the change
 # failed a larger share of its scans than the parent on some workload:
 # such a change is refused whatever its timings.
@@ -38,6 +39,7 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/parent" "$tmp/out"
 : >"$tmp/results"
 : >"$tmp/scans"
+: >"$tmp/failed"
 
 git -C "$root" archive "$ref" | tar -x -C "$tmp/parent"
 (cd "$tmp/parent" && go build -o "$tmp/bench_parent" ./_bench)
@@ -45,9 +47,12 @@ git -C "$root" archive "$ref" | tar -x -C "$tmp/parent"
 
 # run <side> <dir> <pair>: one run from its own tree (each binary reads
 # the BENCHMARK.json beside it); appends "pair side metric value" lines
-# to results and "side attempted failed" to scans.
+# to results, "side attempted failed" to scans and the run's
+# "FAILED <workload> sample <i>: <check>" lines, labelled, to failed.
 run() {
-	line=$(cd "$2" && "$tmp/bench_$1" -workload "$workload" -seconds "$seconds" -seed "$3" -out "$tmp/out" | tail -n 1)
+	(cd "$2" && "$tmp/bench_$1" -workload "$workload" -seconds "$seconds" -seed "$3" -out "$tmp/out") >"$tmp/run.out" || true
+	sed -n "s/^FAILED /  pair $3, seed $3, $1: /p" "$tmp/run.out" >>"$tmp/failed"
+	line=$(tail -n 1 "$tmp/run.out")
 	case $line in
 	'{"correct":'*'"attempted":'*'"failed":'*'"metrics":'*) ;;
 	*)
@@ -127,4 +132,8 @@ for metric in $(awk '{ print $3 }' "$tmp/results" | sort -u); do
 				(sign > 0) ? "lower" : "higher", wins, ties, losses, verdict
 		}' "$tmp/results"
 done
+if [ -s "$tmp/failed" ]; then
+	echo "failing samples:"
+	cat "$tmp/failed"
+fi
 exit $status
