@@ -459,15 +459,24 @@ func encodeOperatorParts(w *codecWriter, k *sparse.CSR, pt par.Partition,
 	putArray(w, f64Layout, bcCoef)
 }
 
-// decodeOperator reconstructs the operator. The validating constructors
-// (sparse.CSRFromParts, fem.OperatorFromParts) check the shape and
-// index invariants with errors, not panics, so a drifted blob fails the
-// decode and the store recomputes.
+// decodeOperator reconstructs the operator. The matrix's row pointers
+// (from 0, never decreasing) and columns (inside the matrix) are
+// checked here; the validating constructors (sparse.CSRFromParts,
+// fem.OperatorFromParts) check the array lengths, the node partition
+// and the Dirichlet bookkeeping. Each reports an error, not a panic, so
+// a drifted blob fails the decode and the store recomputes.
 func decodeOperator(r *codecReader) *fem.Operator {
 	n := get(r, "csr n", intLayout)
 	rowPtr := getArray(r, "csr rowptr", i64Layout)
 	col := getArray(r, "csr col", i32Layout)
 	val := getArray(r, "csr val", f64Layout)
+	for i, p := range rowPtr {
+		if i == 0 && p != 0 || i > 0 && p < rowPtr[i-1] {
+			r.reject(fmt.Errorf("csr row pointer %d of row %d does not ascend from 0", p, i))
+			break
+		}
+	}
+	r.checkIndices("csr column", col, n)
 	pt := par.Partition{N: get(r, "partition", intLayout), P: get(r, "partition", intLayout)}
 	pt.Starts = getArray(r, "partition starts", intLayout)
 	constrained := getArray(r, "constrained flags", flagLayout)

@@ -15,7 +15,10 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mesh"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/phantom"
+	"repro/internal/solver"
+	"repro/internal/sparse"
 	"repro/internal/surface"
 	"repro/internal/volume"
 )
@@ -33,10 +36,14 @@ func reencode[T any](c codec[T]) func([]byte) ([]byte, error) {
 
 // FuzzDecodeArtifact drives every artifact decoder — the trust boundary
 // of the disk cache — with mutations of the real blobs of the five pure
-// stages (and the label-volume root): a decoder either reports an error
-// or yields a value that re-encodes to the very same bytes; it never
-// panics, and the shape and index checks mean what it yields cannot
-// make a downstream stage index out of range.
+// stages (and the label-volume root), and of operator blobs with one
+// invariant broken: a decoder either reports an error or yields a value
+// that re-encodes to the very same bytes; it never panics, and the
+// shape and index checks mean what it yields cannot make a downstream
+// stage index out of range. A decoded operator is put to the first
+// uses a session makes of it: a System forked off it, a parallel
+// product with its matrix over its DOF partition, and its block-Jacobi
+// preconditioner built and applied once.
 func FuzzDecodeArtifact(f *testing.F) {
 	codecs := []func([]byte) ([]byte, error){
 		reencode(labelsCodec), reencode(edtCodec), reencode(meshedCodec),
@@ -75,11 +82,32 @@ func FuzzDecodeArtifact(f *testing.F) {
 		}
 		f.Add(uint8(kind), blob)
 	}
+	const operatorKind = 4 // reencode(operatorCodec) in codecs
+	for _, d := range damagedOperators(f, cubeOperator(f)) {
+		f.Add(uint8(operatorKind), d.blob)
+	}
 
 	f.Fuzz(func(t *testing.T, kind uint8, blob []byte) {
 		again, err := codecs[int(kind)%len(codecs)](blob)
 		if err == nil && !bytes.Equal(again, blob) {
 			t.Fatalf("codec %d accepted a blob it re-encodes differently", kind)
+		}
+		if err != nil || int(kind)%len(codecs) != operatorKind {
+			return
+		}
+		op, err := operatorCodec.unmarshal(blob)
+		if err != nil {
+			t.Fatalf("the operator blob re-encoded but does not decode: %v", err)
+		}
+		sys := op.NewSystem(m.Mesh)
+		pt := sys.DOFPartition()
+		x, y := make([]float64, sys.NumDOF), make([]float64, sys.NumDOF)
+		for i := range x {
+			x[i] = 1
+		}
+		sys.K.MulVecPar(pt, x, y)
+		if pc, err := solver.NewBlockJacobiILU0(sys.K, pt); err == nil {
+			pc.Apply(y, x)
 		}
 	})
 }
@@ -120,61 +148,17 @@ func TestDecodersRejectStructuralDamage(t *testing.T) {
 	try("foreign codec version", append([]byte{9, 0, 0, 0}, triMeshCodec.marshal(goodTri)[4:]...), reencode(triMeshCodec))
 	try("trailing bytes", append(triMeshCodec.marshal(goodTri), 0), reencode(triMeshCodec))
 
-	// The eliminated operator: re-encode a real one with one part of its
-	// Dirichlet bookkeeping broken at a time.
-	cube := volume.NewLabels(volume.NewGrid(5, 5, 5, 1))
-	for i := range cube.Data {
-		cube.Data[i] = volume.LabelBrain
-	}
-	cm, err := preopMesh(context.Background(), cube, meshKey{CellSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	op, err := preopAssemble(context.Background(), cm, assembleKey{Materials: fem.HomogeneousBrain(), Ranks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The eliminated operator: re-encode a real one with one of its parts
+	// broken at a time.
+	op := cubeOperator(t)
 	if _, err := reencode(operatorCodec)(operatorCodec.marshal(op)); err != nil {
 		t.Fatalf("well-formed operator rejected: %v", err)
 	}
-	// The encoder writes whatever parts it is handed: the good
-	// operator's matrix with broken bookkeeping.
-	type parts struct {
-		constrained []bool
-		ptr         []int
-		rows        []int32
-		coef        []float64
-	}
-	broken := codec[parts]{enc: func(w *codecWriter, p parts) {
-		encodeOperatorParts(w, op.K, op.NodePart, p.constrained, p.ptr, p.rows, p.coef)
-	}}
-	ptr, rows, coef := op.OperatorParts()
-	good := parts{op.Constrained, ptr, rows, coef}
-	if !bytes.Equal(broken.marshal(good), operatorCodec.marshal(op)) {
+	if !bytes.Equal(operatorPartsCodec.marshal(partsOf(op)), operatorCodec.marshal(op)) {
 		t.Fatal("the parts encoder does not reproduce the operator blob")
 	}
-	// The first coupled column, which must own rows[0] and rows[1].
-	col := slices.IndexFunc(ptr[1:], func(end int) bool { return end > 0 })
-	if col < 0 || ptr[col+1] < 2 {
-		t.Fatal("the first coupled column has fewer than two rows")
-	}
-	for _, tc := range []struct {
-		name string
-		make func(p *parts)
-	}{
-		{"constrained flags shorter than the DOFs", func(p *parts) { p.constrained = p.constrained[1:] }},
-		{"coupling without column pointers", func(p *parts) { p.ptr = nil }},
-		{"column pointers not ending at the coupling length", func(p *parts) { p.rows, p.coef = p.rows[1:], p.coef[1:] }},
-		{"column pointers decreasing", func(p *parts) { p.ptr[col+2] = p.ptr[col+1] - 1 }},
-		{"column pointers starting past zero", func(p *parts) { p.ptr[0] = 1 }},
-		{"coupling row outside the matrix", func(p *parts) { p.rows[len(p.rows)-1] = int32(op.NumDOF) }},
-		{"negative coupling row", func(p *parts) { p.rows[0] = -1 }},
-		{"coupling rows not ascending in a column", func(p *parts) { p.rows[0], p.rows[1] = p.rows[1], p.rows[0] }},
-		{"fewer coefficients than coupling rows", func(p *parts) { p.coef = p.coef[1:] }},
-	} {
-		p := parts{slices.Clone(good.constrained), slices.Clone(good.ptr), slices.Clone(good.rows), slices.Clone(good.coef)}
-		tc.make(&p)
-		try(tc.name, broken.marshal(p), reencode(operatorCodec))
+	for _, d := range damagedOperators(t, op) {
+		try(d.name, d.blob, reencode(operatorCodec))
 	}
 	// A flag byte that is neither 0 nor 1 would re-encode differently.
 	blob := operatorCodec.marshal(op)
@@ -184,6 +168,102 @@ func TestDecodersRejectStructuralDamage(t *testing.T) {
 	}
 	blob[i] = 2
 	try("constrained flag that is neither 0 nor 1", blob, reencode(operatorCodec))
+}
+
+// cubeOperator is the eliminated operator of a 5x5x5 brain cube meshed
+// with cell size 2, on two ranks.
+func cubeOperator(tb testing.TB) *fem.Operator {
+	tb.Helper()
+	cube := volume.NewLabels(volume.NewGrid(5, 5, 5, 1))
+	for i := range cube.Data {
+		cube.Data[i] = volume.LabelBrain
+	}
+	cm, err := preopMesh(context.Background(), cube, meshKey{CellSize: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	op, err := preopAssemble(context.Background(), cm, assembleKey{Materials: fem.HomogeneousBrain(), Ranks: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return op
+}
+
+// operatorParts is what an operator blob holds, as separate arrays that
+// a test can break one at a time.
+type operatorParts struct {
+	n           int
+	rowPtr      []int64
+	col         []int32
+	val         []float64
+	pt          par.Partition
+	constrained []bool
+	ptr         []int
+	rows        []int32
+	coef        []float64
+}
+
+// operatorPartsCodec writes whatever parts it is handed, in the
+// operator blob's layout.
+var operatorPartsCodec = codec[operatorParts]{enc: func(w *codecWriter, p operatorParts) {
+	k := &sparse.CSR{N: p.n, RowPtr: p.rowPtr, Col: p.col, Val: p.val}
+	encodeOperatorParts(w, k, p.pt, p.constrained, p.ptr, p.rows, p.coef)
+}}
+
+// partsOf copies op's parts, so breaking them leaves op alone.
+func partsOf(op *fem.Operator) operatorParts {
+	ptr, rows, coef := op.OperatorParts()
+	pt := op.NodePart
+	pt.Starts = slices.Clone(pt.Starts)
+	return operatorParts{op.K.N, slices.Clone(op.K.RowPtr), slices.Clone(op.K.Col), slices.Clone(op.K.Val), pt,
+		slices.Clone(op.Constrained), slices.Clone(ptr), slices.Clone(rows), slices.Clone(coef)}
+}
+
+// damagedOperator is a well-framed operator blob with one invariant
+// broken.
+type damagedOperator struct {
+	name string
+	blob []byte
+}
+
+// damagedOperators encodes op with one part broken at a time: the
+// matrix's indices, the node partition and the Dirichlet bookkeeping.
+// op must be eliminated on two ranks.
+func damagedOperators(tb testing.TB, op *fem.Operator) []damagedOperator {
+	tb.Helper()
+	good := partsOf(op)
+	// The first coupled column, which must own rows[0] and rows[1].
+	col := slices.IndexFunc(good.ptr[1:], func(end int) bool { return end > 0 })
+	if col < 0 || good.ptr[col+1] < 2 || good.pt.P != 2 {
+		tb.Fatal("want two ranks and a first coupled column with two rows or more")
+	}
+	var out []damagedOperator
+	for _, tc := range []struct {
+		name string
+		make func(p *operatorParts)
+	}{
+		{"matrix column outside the matrix", func(p *operatorParts) { p.col[len(p.col)-1] = int32(p.n) }},
+		{"negative matrix column", func(p *operatorParts) { p.col[0] = -1 }},
+		{"matrix row pointers decreasing", func(p *operatorParts) { p.rowPtr[2] = p.rowPtr[1] - 1 }},
+		{"matrix row pointers starting past zero", func(p *operatorParts) { p.rowPtr[0] = 1 }},
+		{"partition starts decreasing", func(p *operatorParts) { p.pt.Starts[1] = p.pt.N + 1 }},
+		{"partition starts not ending at N", func(p *operatorParts) { p.pt.Starts[2]-- }},
+		{"partition starting past zero", func(p *operatorParts) { p.pt.Starts[0] = 1 }},
+		{"constrained flags shorter than the DOFs", func(p *operatorParts) { p.constrained = p.constrained[1:] }},
+		{"coupling without column pointers", func(p *operatorParts) { p.ptr = nil }},
+		{"column pointers not ending at the coupling length", func(p *operatorParts) { p.rows, p.coef = p.rows[1:], p.coef[1:] }},
+		{"column pointers decreasing", func(p *operatorParts) { p.ptr[col+2] = p.ptr[col+1] - 1 }},
+		{"column pointers starting past zero", func(p *operatorParts) { p.ptr[0] = 1 }},
+		{"coupling row outside the matrix", func(p *operatorParts) { p.rows[len(p.rows)-1] = int32(p.n) }},
+		{"negative coupling row", func(p *operatorParts) { p.rows[0] = -1 }},
+		{"coupling rows not ascending in a column", func(p *operatorParts) { p.rows[0], p.rows[1] = p.rows[1], p.rows[0] }},
+		{"fewer coefficients than coupling rows", func(p *operatorParts) { p.coef = p.coef[1:] }},
+	} {
+		p := partsOf(op)
+		tc.make(&p)
+		out = append(out, damagedOperator{tc.name, operatorPartsCodec.marshal(p)})
+	}
+	return out
 }
 
 func flagBytes(flags []bool) []byte {

@@ -159,24 +159,23 @@ func (o *Operator) OperatorParts() (bcPtr []int, bcRows []int32, bcCoef []float6
 // core artifact codec's decode path): the stiffness matrix and node
 // partition as assembly produced them, and the constrained set with its
 // coupling block as Eliminate left them (nil bcPtr, no coupling and
-// nothing constrained for an unconstrained one). k is marked block
-// size 3, as assembly marked it, so a blob stores no block size. Shape
-// and index violations are reported as errors so a drifted blob fails
-// decode instead of panicking in a patch.
+// nothing constrained for an unconstrained one). Shape and index
+// violations are reported as errors so a drifted blob fails decode
+// instead of panicking in a patch.
 func OperatorFromParts(k *sparse.CSR, pt par.Partition,
 	constrained []bool, bcPtr []int, bcRows []int32, bcCoef []float64) (*Operator, error) {
 	if k == nil {
 		return nil, errors.New("fem: operator parts: nil matrix")
 	}
-	if 3*pt.N != k.N || len(pt.Starts) != pt.P+1 {
+	if 3*pt.N != k.N || pt.P < 1 || len(pt.Starts) != pt.P+1 {
 		return nil, fmt.Errorf("fem: operator parts: node partition (N=%d, P=%d, starts=%d) does not cover %d DOFs",
 			pt.N, pt.P, len(pt.Starts), k.N)
 	}
+	if pt.Starts[0] != 0 || pt.Starts[pt.P] != pt.N || !slices.IsSorted(pt.Starts) {
+		return nil, fmt.Errorf("fem: operator parts: node partition starts do not ascend from 0 to %d", pt.N)
+	}
 	if len(constrained) != k.N {
 		return nil, fmt.Errorf("fem: operator parts: %d constrained flags for %d DOFs", len(constrained), k.N)
-	}
-	if err := k.SetBlockSize(3); err != nil {
-		return nil, fmt.Errorf("fem: operator parts: %w", err)
 	}
 	o := &Operator{K: k, NumDOF: k.N, NodePart: pt, Constrained: constrained,
 		bcPtr: bcPtr, bcRows: bcRows, bcCoef: bcCoef}
@@ -521,9 +520,6 @@ func (o *Operator) Eliminate(nodes []int32) (*Operator, error) {
 		}
 	})
 	eliminated, err := sparse.CSRFromParts(o.NumDOF, rowPtr, col, kval)
-	if err == nil {
-		err = eliminated.SetBlockSize(k.BlockSize())
-	}
 	if err != nil {
 		return nil, fmt.Errorf("fem: eliminated matrix: %w", err)
 	}

@@ -3,7 +3,6 @@ package fem
 import (
 	"testing"
 
-	"repro/internal/sparse"
 	"repro/internal/volume"
 )
 
@@ -36,31 +35,5 @@ func TestConstructorsSatisfyCheckShape(t *testing.T) {
 			}
 			v.checkShape() // panics on a violated invariant
 		})
-	}
-}
-
-// TestOperatorsStateBlockSize3: the stiffness matrix of every Operator
-// constructor states block size 3 — assembly, elimination, and
-// OperatorFromParts on a matrix rebuilt from its arrays, which a blob
-// stores without one — so the solve factors whole node blocks.
-func TestOperatorsStateBlockSize3(t *testing.T) {
-	sys, _ := cubeSystem(t, 5, 2, 2)
-	elim, err := sys.Eliminate([]int32{0, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := sparse.CSRFromParts(elim.K.N, elim.K.RowPtr, elim.K.Col, elim.K.Val)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bcPtr, bcRows, bcCoef := elim.OperatorParts()
-	decoded, err := OperatorFromParts(k, elim.NodePart, elim.Constrained, bcPtr, bcRows, bcCoef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, op := range map[string]*Operator{"assembled": sys.Operator, "eliminated": elim, "from parts": decoded} {
-		if bs := op.K.BlockSize(); bs != 3 {
-			t.Errorf("%s operator: block size %d, want 3", name, bs)
-		}
 	}
 }

@@ -33,8 +33,6 @@ func TestModulePassesPerfgate(t *testing.T) {
 		"gmresCycle":                 false,
 		"gmresCycle32":               false,
 		"axpyDot":                    false,
-		"iluFactor.solve":            false,
-		"iluFactor.factor":           false,
 		"bluFactor.solve":            false,
 		"bluFactor.factor":           false,
 		"distanceTransform1D":        false,

@@ -20,10 +20,10 @@ func BenchmarkGMRESUnpreconditioned(b *testing.B) {
 }
 
 func BenchmarkGMRESBlockJacobi8(b *testing.B) {
-	a := laplacian3D(12, 12, 12)
+	a := vectorLaplacian3D(12, 12, 12)
 	rhs := randomRHS(a.N, 1)
 	opts := DefaultOptions()
-	pc, err := NewBlockJacobiILU0(a, par.Even(a.N, 8))
+	pc, err := NewBlockJacobiILU0(a, nodePartition(a.N, 8))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func BenchmarkCGJacobi(b *testing.B) {
 }
 
 func BenchmarkILU0Setup(b *testing.B) {
-	a := laplacian3D(14, 14, 14)
+	a := vectorLaplacian3D(14, 14, 14)
 	pt := par.Even(a.N, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,7 +60,7 @@ func BenchmarkILU0Setup(b *testing.B) {
 }
 
 func BenchmarkILU0Apply(b *testing.B) {
-	a := laplacian3D(14, 14, 14)
+	a := vectorLaplacian3D(14, 14, 14)
 	pc, err := NewBlockJacobiILU0(a, par.Even(a.N, 1))
 	if err != nil {
 		b.Fatal(err)

@@ -11,11 +11,13 @@ import (
 // diagonal block over 3x3 node blocks, the form PETSc's ILU(0) takes on
 // a matrix of block size 3: its pattern is every node block that any
 // of a node's three rows touches inside the block, so each node block
-// is factored whole even where the matrix stores only part of it. Like
-// iluFactor it splits L (identity diagonal blocks implied) from U's
-// strictly-upper blocks, each with one column index per block and nine
-// row-major values per block; the pivot blocks are stored inverted, so
-// a sweep handles a node's three rows in one pass and never divides.
+// is factored whole even where the matrix stores only part of it. L
+// (identity diagonal blocks implied) and U's strictly-upper blocks each
+// live in arrays of their own, with their own block-row pointers, one
+// column index per block and nine row-major values per block, so a
+// triangular sweep streams only the blocks it reads; the pivot blocks
+// are stored inverted, so a sweep handles a node's three rows in one
+// pass and never divides.
 type bluFactor struct {
 	nb         int // block rows (nodes)
 	lPtr, uPtr []int
@@ -157,8 +159,7 @@ func (f *bluFactor) factor(a *sparse.CSR, lo int, w []float64, mark, cols []int3
 
 // invertPivot sets inv to the inverse of the pivot block d, taken by
 // cofactors (see invert3). A pivot block that is singular, or whose
-// inverse is not finite, is perturbed the way a point ILU(0) perturbs a
-// zero pivot: δ = 1e-10 times the largest magnitude of its block row
+// inverse is not finite, is perturbed: δ = 1e-10 times the largest magnitude of its block row
 // (the finished L and U blocks and d; 1 when all are zero; 1e-12 when
 // that product underflows to zero) is added to its diagonal, and when
 // d + δI has no finite inverse either, inv is I/δ. So the factorization
@@ -181,6 +182,24 @@ func invertPivot(inv, d *[9]float64, lVals, uVals []float64) {
 		return
 	}
 	*inv = [9]float64{1 / delta, 0, 0, 0, 1 / delta, 0, 0, 0, 1 / delta}
+}
+
+// maxAbs is the largest magnitude in vs, 1 when all are zero.
+func maxAbs(vs ...[]float64) float64 {
+	m := 0.0
+	for _, s := range vs {
+		for _, v := range s {
+			if v > m {
+				m = v
+			} else if -v > m {
+				m = -v
+			}
+		}
+	}
+	if numeric.Zero(m) {
+		return 1
+	}
+	return m
 }
 
 // invert3 sets inv to the inverse of the 3x3 block d: the transposed

@@ -211,12 +211,130 @@ func (f *oracleBILU) flat() *bluFactor {
 	return s
 }
 
-// blockFactorsMatchOracle is factorsMatchOracle on a matrix of block
-// size 3: every block's factor has the node-block oracle's bits on a
-// copy of the block (pattern, L and U values, inverted pivots), and the
-// preconditioner's output has the oracle solve's bits. A node without
-// a diagonal block must be an error from both.
-func blockFactorsMatchOracle(a *sparse.CSR, pt par.Partition) error {
+// oracleILU is point ILU(0), the factor BILU(0) refines, kept as the
+// reference the block factor is weighed against: L and U in one CSR
+// with a pointer to each row's diagonal, a zero pivot perturbed to
+// 1e-10 times its row's largest magnitude.
+type oracleILU struct {
+	n      int
+	rowPtr []int64
+	col    []int32
+	val    []float64
+	diag   []int64
+}
+
+func newOracleILU0(a *sparse.CSR) (*oracleILU, error) {
+	n := a.N
+	f := &oracleILU{
+		n:      n,
+		rowPtr: append([]int64(nil), a.RowPtr...),
+		col:    append([]int32(nil), a.Col...),
+		val:    append([]float64(nil), a.Val...),
+		diag:   make([]int64, n),
+	}
+	for i := 0; i < n; i++ {
+		lo, hi := f.rowPtr[i], f.rowPtr[i+1]
+		cols := f.col[lo:hi]
+		k := sort.Search(len(cols), func(p int) bool { return cols[p] >= int32(i) })
+		if k == len(cols) || cols[k] != int32(i) {
+			return nil, fmt.Errorf("solver: row %d has no diagonal entry", i)
+		}
+		f.diag[i] = lo + int64(k)
+	}
+	for i := 0; i < n; i++ {
+		lo, hi := f.rowPtr[i], f.rowPtr[i+1]
+		for p := lo; p < hi; p++ {
+			k := int(f.col[p])
+			if k >= i {
+				break
+			}
+			pivot := f.val[f.diag[k]]
+			if numeric.Zero(pivot) {
+				pivot = 1e-12
+			}
+			lik := f.val[p] / pivot
+			f.val[p] = lik
+			kLo, kHi := f.diag[k]+1, f.rowPtr[k+1]
+			iPos := p + 1
+			for q := kLo; q < kHi; q++ {
+				cj := f.col[q]
+				for iPos < hi && f.col[iPos] < cj {
+					iPos++
+				}
+				if iPos < hi && f.col[iPos] == cj {
+					f.val[iPos] -= lik * f.val[q]
+				}
+			}
+		}
+		if numeric.Zero(f.val[f.diag[i]]) {
+			maxRow := 0.0
+			for p := lo; p < hi; p++ {
+				maxRow = math.Max(maxRow, math.Abs(f.val[p]))
+			}
+			if numeric.Zero(maxRow) {
+				maxRow = 1
+			}
+			f.val[f.diag[i]] = 1e-10 * maxRow
+		}
+	}
+	return f, nil
+}
+
+func (f *oracleILU) solve(r, z []float64) {
+	for i := 0; i < f.n; i++ {
+		sum := r[i]
+		for p := f.rowPtr[i]; p < f.diag[i]; p++ {
+			sum -= f.val[p] * z[f.col[p]]
+		}
+		z[i] = sum
+	}
+	for i := f.n - 1; i >= 0; i-- {
+		sum := z[i]
+		for p := f.diag[i] + 1; p < f.rowPtr[i+1]; p++ {
+			sum -= f.val[p] * z[f.col[p]]
+		}
+		z[i] = sum / f.val[f.diag[i]]
+	}
+}
+
+// pointILU0 is block Jacobi with a point ILU(0) (see oracleILU) of each
+// rank's diagonal block.
+type pointILU0 struct {
+	part    par.Partition
+	factors []*oracleILU
+}
+
+// newPointILU0 factors a's diagonal blocks on pt with point ILU(0).
+func newPointILU0(a *sparse.CSR, pt par.Partition) (Preconditioner, error) {
+	pc := &pointILU0{part: pt, factors: make([]*oracleILU, pt.P)}
+	for r := range pc.factors {
+		lo, hi := pt.Range(r)
+		f, err := newOracleILU0(diagonalBlock(a, lo, hi))
+		if err != nil {
+			return nil, fmt.Errorf("block %d: %w", r, err)
+		}
+		pc.factors[r] = f
+	}
+	return pc, nil
+}
+
+func (pc *pointILU0) Apply(r, z []float64) {
+	for rank, f := range pc.factors {
+		lo, hi := pc.part.Range(rank)
+		f.solve(r[lo:hi], z[lo:hi])
+	}
+}
+
+func (pc *pointILU0) Name() string { return "point-ilu0" }
+
+// factorsMatchOracle builds the block-Jacobi preconditioner of a on pt
+// and checks that every block's factor has the node-block oracle's bits
+// on a copy of the block (pattern, L and U values, inverted pivots),
+// that BlockNNZ counts its stored entries, and that the
+// preconditioner's output has the oracle solve's bits. A node without a
+// diagonal block must be an error from both, the lowest-rank one
+// reported.
+func factorsMatchOracle(a *sparse.CSR, pt par.Partition) error {
 	pc, err := NewBlockJacobiILU0(a, pt)
 	r := randomRHS(a.N, 7)
 	got, want := make([]float64, a.N), make([]float64, a.N)
@@ -241,11 +359,7 @@ func blockFactorsMatchOracle(a *sparse.CSR, pt par.Partition) error {
 		if err != nil {
 			continue // a later block's error
 		}
-		g, ok := pc.factors[rank].(*bluFactor)
-		if !ok {
-			return fmt.Errorf("block %d: a point factor on a matrix of block size 3", rank)
-		}
-		w := o.flat()
+		g, w := pc.factors[rank], o.flat()
 		if g.nb != w.nb || !slices.Equal(g.lPtr, w.lPtr) || !slices.Equal(g.uPtr, w.uPtr) ||
 			!slices.Equal(g.lCol, w.lCol) || !slices.Equal(g.uCol, w.uCol) {
 			return fmt.Errorf("block %d: factor pattern differs from the oracle's", rank)
@@ -267,8 +381,8 @@ func blockFactorsMatchOracle(a *sparse.CSR, pt par.Partition) error {
 	return nil
 }
 
-// nodePartition is par.Even over the nodes of an n-row matrix of block
-// size 3, expanded to rows.
+// nodePartition is par.Even over the nodes of an n-row 3-DOF-per-node
+// matrix, expanded to rows.
 func nodePartition(n, p int) par.Partition {
 	pt := par.Even(n/3, p)
 	starts := make([]int, len(pt.Starts))
@@ -278,21 +392,12 @@ func nodePartition(n, p int) par.Partition {
 	return par.Partition{N: n, P: p, Starts: starts}
 }
 
-// withBlockSize marks a as block size bs.
-func withBlockSize(t testing.TB, a *sparse.CSR, bs int) *sparse.CSR {
-	t.Helper()
-	if err := a.SetBlockSize(bs); err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-// randomBlockMatrix builds a matrix of block size 3 over nodes nodes,
+// randomBlockMatrix builds a 3-DOF-per-node matrix over nodes nodes,
 // each coupled to about perRow others through blocks that store only
 // some of their nine entries (as a compacted stiffness block does);
 // diagonal entries dominate their rows. The nodes listed in fixed get
 // identity rows and lose their columns, as Eliminate leaves them.
-func randomBlockMatrix(t testing.TB, nodes, perRow int, seed int64, fixed ...int) *sparse.CSR {
+func randomBlockMatrix(nodes, perRow int, seed int64, fixed ...int) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
 	isFixed := make([]bool, nodes)
 	for _, n := range fixed {
@@ -342,39 +447,39 @@ func randomBlockMatrix(t testing.TB, nodes, perRow int, seed int64, fixed ...int
 			}
 		}
 	}
-	return withBlockSize(t, b.Build(), 3)
+	return b.Build()
 }
 
-// blockDense builds a matrix of block size 3 from its dense rows.
-func blockDense(t testing.TB, n int, vals ...float64) *sparse.CSR {
+// blockDense builds a 3-DOF-per-node matrix from its dense rows.
+func blockDense(n int, vals ...float64) *sparse.CSR {
 	b := sparse.NewBuilder(n)
 	for i, v := range vals {
 		if numeric.NonZero(v) {
 			b.Add(i/n, i%n, v)
 		}
 	}
-	return withBlockSize(t, b.Build(), 3)
+	return b.Build()
 }
 
-// TestBILU0MatchesBlockOracle: on matrices of block size 3 every rank's
+// TestBILU0MatchesBlockOracle: on 3-DOF-per-node matrices every rank's
 // factor has the node-block oracle's bits — pattern, L and U blocks and
 // inverted pivots — and so does the preconditioner's output, for 1, 2,
 // 3 and 7 node-aligned blocks: random block matrices with partly
 // stored blocks, constrained (identity) nodes, singular pivot blocks
 // (perturbed once, perturbed to a still-singular block, and subnormal
-// ones whose perturbation underflows) and empty ranges. A node without
-// a diagonal block is an error from both.
+// ones whose perturbation underflows) and empty ranges, at the end and
+// in the middle. A node without a diagonal block is an error from both.
 func TestBILU0MatchesBlockOracle(t *testing.T) {
 	cases := []struct {
 		name string
 		a    *sparse.CSR
 	}{
-		{"random", randomBlockMatrix(t, 100, 8, 1)},
-		{"random-dense-rows", randomBlockMatrix(t, 20, 30, 2)},
-		{"constrained-nodes", randomBlockMatrix(t, 60, 8, 3, 0, 1, 7, 30, 31, 59)},
-		{"two-nodes", randomBlockMatrix(t, 2, 4, 4)},
+		{"random", randomBlockMatrix(100, 8, 1)},
+		{"random-dense-rows", randomBlockMatrix(20, 30, 2)},
+		{"constrained-nodes", randomBlockMatrix(60, 8, 3, 0, 1, 7, 30, 31, 59)},
+		{"two-nodes", randomBlockMatrix(2, 4, 4)},
 		// Node 0's pivot block is singular: d + δI is inverted.
-		{"singular-pivot", blockDense(t, 6,
+		{"singular-pivot", blockDense(6,
 			1, 1, 0, 0.1, 0, 0,
 			1, 1, 0, 0, 0.1, 0,
 			0, 0, 1, 0, 0, 0.1,
@@ -382,7 +487,7 @@ func TestBILU0MatchesBlockOracle(t *testing.T) {
 			0, 0.1, 0, 1, 4, 1,
 			0, 0, 0.1, 0, 1, 4)},
 		// Node 1's pivot block is zero after elimination.
-		{"zero-pivot-after-elimination", blockDense(t, 6,
+		{"zero-pivot-after-elimination", blockDense(6,
 			1, 0, 0, 1, 0, 0,
 			0, 1, 0, 0, 1, 0,
 			0, 0, 1, 0, 0, 1,
@@ -391,14 +496,18 @@ func TestBILU0MatchesBlockOracle(t *testing.T) {
 			0, 0, 1, 0, 0, 1)},
 		// d = diag(0, -1e-10, 1): d + δI is singular too, and the pivot
 		// is read as I/δ.
-		{"still-singular-after-perturbation", blockDense(t, 3, 0, 0, 0, 0, -1e-10, 0, 0, 0, 1)},
+		{"still-singular-after-perturbation", blockDense(3, 0, 0, 0, 0, -1e-10, 0, 0, 0, 1)},
 		// δ = 1e-10 times a subnormal row maximum underflows to zero.
-		{"subnormal-pivot", blockDense(t, 3, 1e-320, 1e-320, 0, 1e-320, 1e-320, 0, 0, 0, 1e-320)},
+		{"subnormal-pivot", blockDense(3, 1e-320, 1e-320, 0, 1e-320, 1e-320, 0, 0, 0, 1e-320)},
 	}
 	for _, c := range cases {
-		for _, p := range []int{1, 2, 3, 7} {
-			if err := factorsMatchOracle(c.a, nodePartition(c.a.N, p)); err != nil {
-				t.Errorf("%s, %d blocks: %v", c.name, p, err)
+		mid := 3 * (c.a.N / 6)
+		for _, pt := range []par.Partition{
+			nodePartition(c.a.N, 1), nodePartition(c.a.N, 2), nodePartition(c.a.N, 3), nodePartition(c.a.N, 7),
+			{N: c.a.N, P: 3, Starts: []int{0, mid, mid, c.a.N}}, // an empty middle range
+		} {
+			if err := factorsMatchOracle(c.a, pt); err != nil {
+				t.Errorf("%s, blocks %v: %v", c.name, pt.Starts, err)
 			}
 		}
 	}
@@ -408,7 +517,7 @@ func TestBILU0MatchesBlockOracle(t *testing.T) {
 		b.Add(i, i, 1)
 		b.Add(3+i, i, 1)
 	}
-	missing := withBlockSize(t, b.Build(), 3)
+	missing := b.Build()
 	for _, p := range []int{1, 2} {
 		if err := factorsMatchOracle(missing, nodePartition(6, p)); err != nil {
 			t.Errorf("missing diagonal block, %d blocks: %v", p, err)
@@ -419,26 +528,36 @@ func TestBILU0MatchesBlockOracle(t *testing.T) {
 	}
 }
 
-// TestBILU0RejectsSplitNode: on a matrix of block size 3 a partition
-// boundary inside a node is an error; on the same matrix of block size
-// 1 the partition is a point ILU(0)'s.
+// TestBILU0RejectsSplitNode: the constructor takes whole nodes only. A
+// partition boundary inside a node, a row count that is not a multiple
+// of 3, and a partition that does not cover exactly the matrix's rows
+// are errors.
 func TestBILU0RejectsSplitNode(t *testing.T) {
-	a := randomBlockMatrix(t, 10, 4, 5)
-	if _, err := NewBlockJacobiILU0(a, par.Even(a.N, 4)); err == nil || !strings.Contains(err.Error(), "splits a node") {
-		t.Errorf("err = %v, want a split-node error", err)
+	a := randomBlockMatrix(10, 4, 5)
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+		pt   par.Partition
+		want string
+	}{
+		{"boundary inside a node", a, par.Even(a.N, 4), "splits a node"},
+		{"rows not whole nodes", laplacian1D(10), par.Even(10, 1), "not whole nodes"},
+		{"partition over fewer rows", a, nodePartition(a.N-3, 2), "does not cover"},
+		{"partition starting past zero", a, par.Partition{N: a.N, P: 2, Starts: []int{3, 15, 30}}, "does not cover"},
+		{"partition starts decreasing", a, par.Partition{N: a.N, P: 3, Starts: []int{0, 15, 9, 30}}, "decrease"},
+	} {
+		if _, err := NewBlockJacobiILU0(c.a, c.pt); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
 	}
-	point, err := sparse.CSRFromParts(a.N, a.RowPtr, a.Col, a.Val)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewBlockJacobiILU0(point, par.Even(a.N, 4)); err != nil {
-		t.Errorf("block size 1: %v", err)
+	if _, err := NewBlockJacobiILU0(a, nodePartition(a.N, 4)); err != nil {
+		t.Errorf("node-aligned partition: %v", err)
 	}
 }
 
 // blockClosed is a with an explicit zero at every position of every
-// node block it touches, as a matrix of block size 1: the pattern on
-// which a point ILU(0) is BILU(0) in exact arithmetic.
+// node block it touches: the pattern on which a point ILU(0) is BILU(0)
+// in exact arithmetic.
 func blockClosed(a *sparse.CSR) *sparse.CSR {
 	b := sparse.NewBuilder(a.N)
 	for i := 0; i < a.N; i++ {
@@ -461,7 +580,7 @@ func blockClosed(a *sparse.CSR) *sparse.CSR {
 // On the compacted pattern the point factor is a different, coarser
 // approximation.
 func TestBILU0IsPointILU0OnBlockClosedPattern(t *testing.T) {
-	for _, a := range []*sparse.CSR{randomBlockMatrix(t, 200, 8, 6), randomBlockMatrix(t, 80, 12, 7, 3, 4, 40)} {
+	for _, a := range []*sparse.CSR{randomBlockMatrix(200, 8, 6), randomBlockMatrix(80, 12, 7, 3, 4, 40)} {
 		closed := blockClosed(a)
 		r := randomRHS(a.N, 8)
 		for _, p := range []int{1, 3} {
@@ -470,7 +589,7 @@ func TestBILU0IsPointILU0OnBlockClosedPattern(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pnt, err := NewBlockJacobiILU0(closed, pt)
+			pnt, err := newPointILU0(closed, pt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -489,7 +608,7 @@ func TestBILU0IsPointILU0OnBlockClosedPattern(t *testing.T) {
 	}
 }
 
-// FuzzBILU0AgainstDense builds small matrices of block size 3 whose
+// FuzzBILU0AgainstDense builds small 3-DOF-per-node matrices whose
 // node blocks are all touched but stored only in part, and strictly
 // diagonally dominant rows: on such a pattern BILU(0) is the exact
 // block LU, so one preconditioner application solves the system, and
@@ -525,7 +644,7 @@ func FuzzBILU0AgainstDense(f *testing.F) {
 			dense[i*n+i] = rowAbs + 1
 			b.Add(i, i, dense[i*n+i])
 		}
-		a := withBlockSize(t, b.Build(), 3)
+		a := b.Build()
 		rv := make([]float64, n)
 		for i := range rv {
 			if len(rhs) > 0 {

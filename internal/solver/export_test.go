@@ -6,4 +6,5 @@ var (
 	Laplacian3D        = laplacian3D
 	RandomRHS          = randomRHS
 	FactorsMatchOracle = factorsMatchOracle
+	PointILU0          = newPointILU0
 )

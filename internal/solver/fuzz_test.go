@@ -50,8 +50,7 @@ func denseSolve(n int, a []float64, b []float64) []float64 {
 	return x
 }
 
-// fuzzSeeds is FuzzGMRESAgainstDense's seed corpus; the ILU(0) oracle
-// test factorizes the same matrices.
+// fuzzSeeds is FuzzGMRESAgainstDense's seed corpus.
 var fuzzSeeds = []struct {
 	n            uint8
 	offdiag, rhs []byte

@@ -62,6 +62,23 @@ func laplacian3D(nx, ny, nz int) *sparse.CSR {
 	return b.Build()
 }
 
+// vectorLaplacian3D is laplacian3D ⊗ I₃: three unknowns per grid node,
+// each coupled to the same component at the node's neighbours — the
+// 3-DOF-per-node layout of the elasticity operator the block factor is
+// built for.
+func vectorLaplacian3D(nx, ny, nz int) *sparse.CSR {
+	s := laplacian3D(nx, ny, nz)
+	b := sparse.NewBuilder(3 * s.N)
+	for i := 0; i < s.N; i++ {
+		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
+			for d := 0; d < 3; d++ {
+				b.Add(3*i+d, 3*int(s.Col[p])+d, s.Val[p])
+			}
+		}
+	}
+	return b.Build()
+}
+
 func residual(a *sparse.CSR, x, b []float64) float64 {
 	r := make([]float64, a.N)
 	a.MulVec(x, r)
@@ -118,7 +135,7 @@ func TestGMRESSolves3DLaplacian(t *testing.T) {
 }
 
 func TestGMRESWithPreconditioners(t *testing.T) {
-	a := laplacian3D(7, 7, 7)
+	a := vectorLaplacian3D(7, 7, 7)
 	b := randomRHS(a.N, 3)
 	opts := DefaultOptions()
 	opts.Tol = 1e-9
@@ -129,9 +146,9 @@ func TestGMRESWithPreconditioners(t *testing.T) {
 	}
 	for _, pc := range []Preconditioner{
 		NewJacobi(a),
-		mustBlockJacobi(t, a, par.Even(a.N, 1)),
-		mustBlockJacobi(t, a, par.Even(a.N, 4)),
-		mustBlockJacobi(t, a, par.Even(a.N, 16)),
+		mustBlockJacobi(t, a, nodePartition(a.N, 1)),
+		mustBlockJacobi(t, a, nodePartition(a.N, 4)),
+		mustBlockJacobi(t, a, nodePartition(a.N, 16)),
 	} {
 		x, st, err := GMRESContext(context.Background(), a, b, nil, pc, opts)
 		if err != nil {
@@ -149,15 +166,15 @@ func TestGMRESWithPreconditioners(t *testing.T) {
 			}
 		}
 	}
-	// Single-block ILU(0) of the full matrix should converge in far
+	// Single-block BILU(0) of the full matrix should converge in far
 	// fewer iterations than unpreconditioned GMRES.
-	ilu := mustBlockJacobi(t, a, par.Even(a.N, 1))
+	ilu := mustBlockJacobi(t, a, nodePartition(a.N, 1))
 	_, stILU, err := GMRESContext(context.Background(), a, b, nil, ilu, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stILU.Iterations >= stNone.Iterations {
-		t.Errorf("ILU(0) iterations (%d) not fewer than unpreconditioned (%d)",
+		t.Errorf("BILU(0) iterations (%d) not fewer than unpreconditioned (%d)",
 			stILU.Iterations, stNone.Iterations)
 	}
 }
@@ -175,13 +192,13 @@ func TestBlockJacobiIterationsGrowWithBlocks(t *testing.T) {
 	// More blocks discard more coupling: iteration counts should not
 	// decrease as block count rises (the solve-scaling effect the paper
 	// observes).
-	a := laplacian3D(8, 8, 8)
+	a := vectorLaplacian3D(8, 8, 8)
 	b := randomRHS(a.N, 4)
 	opts := DefaultOptions()
 	opts.Tol = 1e-8
 	prev := 0
 	for _, blocks := range []int{1, 4, 16} {
-		pc := mustBlockJacobi(t, a, par.Even(a.N, blocks))
+		pc := mustBlockJacobi(t, a, nodePartition(a.N, blocks))
 		_, st, err := GMRESContext(context.Background(), a, b, nil, pc, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -327,35 +344,47 @@ func TestCGWithJacobi(t *testing.T) {
 }
 
 func TestILU0ExactForTriangularPattern(t *testing.T) {
-	// For a matrix whose LU factors fit the original pattern (e.g.
-	// tridiagonal), ILU(0) is an exact factorization: a single
-	// preconditioner application solves the system.
-	a := laplacian1D(30)
-	b := randomRHS(30, 10)
-	pc := mustBlockJacobi(t, a, par.Even(30, 1))
-	x := make([]float64, 30)
+	// For a matrix whose block LU factors fit its node-block pattern
+	// (e.g. block tridiagonal: a chain of nodes), BILU(0) is an exact
+	// factorization, even where the matrix stores only part of each
+	// 3x3 block: a single preconditioner application solves the system.
+	const nodes = 30
+	rng := rand.New(rand.NewSource(10))
+	bld := sparse.NewBuilder(3 * nodes)
+	for i := 0; i < 3*nodes; i++ {
+		bld.Add(i, i, 8)
+		for j := max(3*(i/3-1), 0); j < min(3*(i/3+2), 3*nodes); j++ {
+			if j != i && rng.Intn(3) > 0 { // a third of the entries left out
+				bld.Add(i, j, rng.NormFloat64())
+			}
+		}
+	}
+	a := bld.Build()
+	b := randomRHS(a.N, 10)
+	pc := mustBlockJacobi(t, a, nodePartition(a.N, 1))
+	x := make([]float64, a.N)
 	pc.Apply(b, x)
 	if r := residual(a, x, b); r > 1e-10 {
-		t.Errorf("ILU(0) on tridiagonal not exact: residual %v", r)
+		t.Errorf("BILU(0) on a block-tridiagonal matrix not exact: residual %v", r)
 	}
 }
 
 // TestBlockJacobiReportsLowestSingularBlock: two ranks fail at once (a
-// row without a diagonal entry each). Each must record its error
+// node without a diagonal block each). Each must record its error
 // without touching the other's — under -race a shared variable fails
 // here — and the lowest rank's error is the one returned.
 func TestBlockJacobiReportsLowestSingularBlock(t *testing.T) {
-	b := sparse.NewBuilder(8)
-	for i := 0; i < 8; i++ {
-		if i == 3 || i == 6 {
-			b.Add(i, i-1, 1) // blocks 1 and 3 of four lose a diagonal
+	b := sparse.NewBuilder(24)
+	for i := 0; i < 24; i++ {
+		if node := i / 3; node == 3 || node == 6 {
+			b.Add(i, i-3, 1) // blocks 1 and 3 of four lose a diagonal block
 		} else {
 			b.Add(i, i, 2)
 		}
 	}
 	a := b.Build()
 	for rep := 0; rep < 20; rep++ {
-		_, err := NewBlockJacobiILU0(a, par.Even(8, 4))
+		_, err := NewBlockJacobiILU0(a, nodePartition(24, 4))
 		if err == nil || !strings.Contains(err.Error(), "block 1:") {
 			t.Fatalf("error %v, want the one of block 1", err)
 		}
@@ -380,11 +409,11 @@ func TestPreconditionerNames(t *testing.T) {
 	if (IdentityPC{}).Name() != "none" {
 		t.Error("identity name")
 	}
-	a := laplacian1D(4)
+	a := vectorLaplacian3D(4, 1, 1)
 	if NewJacobi(a).Name() != "jacobi" {
 		t.Error("jacobi name")
 	}
-	pc := mustBlockJacobi(t, a, par.Even(4, 2))
+	pc := mustBlockJacobi(t, a, nodePartition(a.N, 2))
 	if pc.Blocks() != 2 {
 		t.Error("block count")
 	}

@@ -3,8 +3,6 @@ package solver
 import (
 	"context"
 	"testing"
-
-	"repro/internal/par"
 )
 
 func TestGMRESHistoryMonotoneWithinCycle(t *testing.T) {
@@ -77,14 +75,14 @@ func TestCGHistory(t *testing.T) {
 // the paper's scaling observation: more Jacobi blocks (CPUs) mean a
 // weaker preconditioner, visible as a slower convergence curve.
 func TestBlockCountConvergenceCurves(t *testing.T) {
-	a := laplacian3D(10, 10, 10)
+	a := vectorLaplacian3D(10, 10, 10)
 	b := randomRHS(a.N, 34)
 	opts := DefaultOptions()
 	opts.Tol = 1e-8
 	opts.RecordHistory = true
 	var lengths []int
 	for _, blocks := range []int{1, 8, 64} {
-		pc := mustBlockJacobi(t, a, par.Even(a.N, blocks))
+		pc := mustBlockJacobi(t, a, nodePartition(a.N, blocks))
 		_, st, err := GMRESContext(context.Background(), a, b, nil, pc, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -105,7 +105,7 @@ func (a *BlockAssembler) AddBlock(row int32, cols *[4]int32, blks *[4][3][3]floa
 }
 
 // Compact builds the 3n x 3n CSR matrix of the positions that received
-// a non-zero, marked as block size 3 (see CSR.BlockSize). The matrix's values take over the assembler's block
+// a non-zero. The matrix's values take over the assembler's block
 // storage, compacted in place toward its front, so assembly never holds
 // the block layout and a copy of it at once; the assembler is spent
 // afterwards. Each rank of pt, a partition of the block rows, counts its
@@ -115,7 +115,7 @@ func (a *BlockAssembler) Compact(pt par.Partition) (*CSR, error) {
 	if pt.N != a.n {
 		return nil, fmt.Errorf("sparse: compacting %d block rows over a partition of %d", a.n, pt.N)
 	}
-	m := &CSR{N: 3 * a.n, RowPtr: make([]int64, 3*a.n+1), blockSize: 3}
+	m := &CSR{N: 3 * a.n, RowPtr: make([]int64, 3*a.n+1)}
 	pt.ForEachRank(func(r int) {
 		lo, hi := pt.Range(r)
 		for node := lo; node < hi; node++ {

@@ -111,22 +111,6 @@ func TestBlockAssemblerMatchesBuilder(t *testing.T) {
 		if cap(got.Val) != len(got.Val) || cap(got.Col) != len(got.Col) {
 			t.Errorf("trial %d: output not exactly sized", trial)
 		}
-		if got.BlockSize() != 3 || want.BlockSize() != 1 {
-			t.Errorf("trial %d: block sizes %d (Compact) and %d (Builder), want 3 and 1", trial, got.BlockSize(), want.BlockSize())
-		}
-	}
-}
-
-// TestSetBlockSize: a block size must divide the row count.
-func TestSetBlockSize(t *testing.T) {
-	m := NewBuilder(6).Build()
-	for _, bs := range []int{0, 4, 7} {
-		if err := m.SetBlockSize(bs); err == nil {
-			t.Errorf("block size %d accepted for 6 rows", bs)
-		}
-	}
-	if err := m.SetBlockSize(3); err != nil || m.BlockSize() != 3 {
-		t.Errorf("block size 3: err %v, BlockSize %d", err, m.BlockSize())
 	}
 }
 

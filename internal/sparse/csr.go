@@ -106,25 +106,6 @@ type CSR struct {
 	RowPtr []int64
 	Col    []int32
 	Val    []float64
-	// blockSize is the node block size, PETSc's MatSetBlockSize: rows
-	// and columns bs·i .. bs·i+bs-1 belong to node i. Zero reads as 1.
-	blockSize int
-}
-
-// BlockSize returns the matrix's node block size: 3 for the
-// 3-DOF-per-node stiffness matrix BlockAssembler.Compact builds, 1 for
-// every other matrix. No kernel of this package reads it; it tells the
-// preconditioner which rows form a node.
-func (m *CSR) BlockSize() int { return max(m.blockSize, 1) }
-
-// SetBlockSize marks the matrix as having node blocks of bs rows and
-// columns. bs must divide N.
-func (m *CSR) SetBlockSize(bs int) error {
-	if bs < 1 || m.N%bs != 0 {
-		return fmt.Errorf("sparse: block size %d does not divide %d rows", bs, m.N)
-	}
-	m.blockSize = bs
-	return nil
 }
 
 // CSRFromParts reconstructs a CSR matrix from its raw arrays (a

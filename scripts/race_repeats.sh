@@ -11,13 +11,24 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# repeat PACKAGE 'TestA|TestB' first checks that the package lists each
+# named test (go test -run passes quietly when its pattern matches
+# nothing, so a renamed or deleted test would stop being repeated
+# unnoticed), then runs them.
 repeat() {
+	listed=$(go test -list . "$1")
+	for name in $(echo "$2" | tr '|' ' '); do
+		if ! echo "$listed" | grep -qx "$name"; then
+			echo "race_repeats: $1 has no test $name" >&2
+			exit 1
+		fi
+	done
 	echo "== go test -race -count 5 -run '$2' $1"
 	go test -race -short -timeout 5m -count 5 -run "$2" "$1"
 }
 repeat ./internal/core 'TestSharedArtifactsAreNeverWritten|TestConcurrentSessionsFactorizeOnce'
 repeat ./internal/fem 'TestMemoizedBuildMatchesPerElementOracle'
-repeat ./internal/solver 'TestBlockFactorsOfFEMOperatorsMatchOracle|TestSplitILUMatchesCombinedLayout'
+repeat ./internal/solver 'TestBlockFactorsOfFEMOperatorsMatchOracle|TestBILU0MatchesBlockOracle'
 repeat ./internal/par 'TestForEachRankPanicReachesTheCaller'
 repeat ./internal/service 'TestPanickingJobCostsOneJob|TestPanickingWorkerCostsOneJob'
 repeat ./internal/artifact 'TestWaiterHonoursItsDeadline'
