@@ -7,26 +7,33 @@ import (
 	"repro/internal/volume"
 )
 
-// kdNode is a node of a k-d tree over prototype feature vectors.
+// kdNode is one node of a KDTree. An inner node splits on axis at
+// split; its left child follows it in the node slice and its right
+// child is nodes[right]. A leaf (axis < 0) holds the points [lo, hi).
 type kdNode struct {
-	axis        int
-	split       float64
-	proto       int // index into the prototype slice (leaf payload)
-	left, right *kdNode
-	leaf        bool
-	// leafProtos holds the prototype indices of a leaf bucket.
-	leafProtos []int
+	split  float64
+	axis   int32
+	right  int32
+	lo, hi int32
 }
 
 // KDTree accelerates k-NN queries over the (weighted) prototype feature
 // space. With a few hundred prototypes brute force is already fast; the
 // tree matters when the prototype set grows toward the thousands the
 // paper's interactive selection could produce over a long case.
+//
+// The tree is flat: its nodes live in one slice, and each leaf's
+// points are stored contiguously, already weighted and padded with
+// zeros to stride coordinates (a multiple of four), so one unrolled
+// loop serves every channel count. A zero coordinate adds +0 to a
+// non-negative distance, so the padding changes no sum.
 type KDTree struct {
-	root    *kdNode
-	protos  []Prototype
+	nodes   []kdNode
+	coords  []float64 // point p is coords[p*stride : (p+1)*stride]
+	labels  []volume.Label
 	weights []float64
 	dim     int
+	stride  int
 }
 
 const kdLeafSize = 8
@@ -45,70 +52,99 @@ func NewKDTree(protos []Prototype, weights []float64) *KDTree {
 			w[i] = 1
 		}
 	}
-	t := &KDTree{protos: protos, weights: w, dim: dim}
+	t := &KDTree{weights: w, dim: dim, stride: (dim + 3) &^ 3}
+	scaled := make([]float64, len(protos)*t.stride)
+	for p, pr := range protos {
+		for a := 0; a < dim; a++ {
+			scaled[p*t.stride+a] = pr.Features[a] * w[a]
+		}
+	}
 	idxs := make([]int, len(protos))
 	for i := range idxs {
 		idxs[i] = i
 	}
-	t.root = t.build(idxs, 0)
+	t.coords = make([]float64, 0, len(protos)*t.stride)
+	t.labels = make([]volume.Label, 0, len(protos))
+	t.build(protos, scaled, idxs, 0)
 	return t
 }
 
-// scaled returns the weighted coordinate of prototype p on axis a.
-func (t *KDTree) scaled(p, a int) float64 {
-	return t.protos[p].Features[a] * t.weights[a]
-}
-
-func (t *KDTree) build(idxs []int, depth int) *kdNode {
+// build appends the subtree over idxs in preorder: the node, its left
+// subtree, then its right.
+func (t *KDTree) build(protos []Prototype, scaled []float64, idxs []int, depth int) {
+	n := len(t.nodes)
+	t.nodes = append(t.nodes, kdNode{axis: -1})
 	if len(idxs) <= kdLeafSize {
-		return &kdNode{leaf: true, leafProtos: idxs}
+		t.nodes[n].lo = int32(len(t.labels))
+		for _, pi := range idxs {
+			t.coords = append(t.coords, scaled[pi*t.stride:(pi+1)*t.stride]...)
+			t.labels = append(t.labels, protos[pi].Label)
+		}
+		t.nodes[n].hi = int32(len(t.labels))
+		return
 	}
 	axis := depth % t.dim
 	sort.Slice(idxs, func(a, b int) bool {
-		return t.scaled(idxs[a], axis) < t.scaled(idxs[b], axis)
+		return scaled[idxs[a]*t.stride+axis] < scaled[idxs[b]*t.stride+axis]
 	})
 	mid := len(idxs) / 2
-	n := &kdNode{
-		axis:  axis,
-		split: t.scaled(idxs[mid], axis),
-		proto: idxs[mid],
-	}
-	n.left = t.build(idxs[:mid], depth+1)
-	n.right = t.build(idxs[mid:], depth+1)
-	return n
+	t.nodes[n].axis = int32(axis)
+	t.nodes[n].split = scaled[idxs[mid]*t.stride+axis]
+	t.build(protos, scaled, idxs[:mid], depth+1)
+	t.nodes[n].right = int32(len(t.nodes))
+	t.build(protos, scaled, idxs[mid:], depth+1)
 }
 
 // Nearest fills bestD (squared weighted distances, ascending) and bestL
 // with the k nearest prototypes to the (unweighted) feature vector.
 // Slices must have length k and are fully overwritten.
 func (t *KDTree) Nearest(feat []float64, bestD []float64, bestL []volume.Label) {
+	t.nearest(feat, make([]float64, t.stride), bestD, bestL)
+}
+
+// nearest is Nearest with the weighted query written into q: scratch
+// of length stride that the caller owns, zero past dim.
+func (t *KDTree) nearest(feat, q []float64, bestD []float64, bestL []volume.Label) {
 	for i := range bestD {
 		bestD[i] = 1e300
 		bestL[i] = 0
 	}
-	if t.root == nil {
+	if len(t.nodes) == 0 {
 		return
 	}
-	q := make([]float64, t.dim)
 	for i := 0; i < t.dim; i++ {
 		q[i] = feat[i] * t.weights[i]
 	}
-	t.search(t.root, q, bestD, bestL)
+	t.search(0, q, bestD, bestL)
 }
 
-func (t *KDTree) search(n *kdNode, q []float64, bestD []float64, bestL []volume.Label) {
+// search visits node n's subtree, the near side of each split first.
+// A leaf sums its points' distances first, each left to right over its
+// coordinates, then offers the points to the k best in leaf order: a
+// distance does not depend on the k best, so the sums and the offers
+// are those of a point-at-a-time scan.
+func (t *KDTree) search(n int32, q []float64, bestD []float64, bestL []volume.Label) {
 	k := len(bestD)
-	if n.leaf {
-		for _, pi := range n.leafProtos {
-			d := 0.0
-			f := t.protos[pi].Features
-			for a := 0; a < t.dim; a++ {
-				diff := q[a] - f[a]*t.weights[a]
-				d += diff * diff
-				if d >= bestD[k-1] {
-					break
-				}
+	nd := &t.nodes[n]
+	if nd.axis < 0 {
+		s := t.stride
+		lo, hi := int(nd.lo), int(nd.hi)
+		var dist [kdLeafSize]float64
+		pts := t.coords[lo*s : hi*s]
+		for a := 0; a < s; a += 4 {
+			q0, q1, q2, q3 := q[a], q[a+1], q[a+2], q[a+3]
+			for p := range hi - lo {
+				c := pts[p*s+a : p*s+a+4 : p*s+a+4]
+				d0, d1, d2, d3 := q0-c[0], q1-c[1], q2-c[2], q3-c[3]
+				d := dist[p]
+				d += d0 * d0
+				d += d1 * d1
+				d += d2 * d2
+				d += d3 * d3
+				dist[p] = d
 			}
+		}
+		for p, d := range dist[:hi-lo] {
 			if d >= bestD[k-1] {
 				continue
 			}
@@ -119,14 +155,14 @@ func (t *KDTree) search(n *kdNode, q []float64, bestD []float64, bestL []volume.
 				pos--
 			}
 			bestD[pos] = d
-			bestL[pos] = t.protos[pi].Label
+			bestL[pos] = t.labels[lo+p]
 		}
 		return
 	}
-	diff := q[n.axis] - n.split
-	near, far := n.left, n.right
+	diff := q[nd.axis] - nd.split
+	near, far := n+1, nd.right
 	if diff >= 0 {
-		near, far = n.right, n.left
+		near, far = far, near
 	}
 	t.search(near, q, bestD, bestL)
 	// Prune the far subtree when the splitting plane is beyond the

@@ -2,8 +2,10 @@ package classify
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -85,6 +87,164 @@ func TestKDTreeMatchesBruteForce(t *testing.T) {
 			for i := 0; i < k; i++ {
 				if diff := gotD[i] - wantD[i]; diff > 1e-9 || diff < -1e-9 {
 					t.Fatalf("trial %d q %d: dist[%d] = %v, want %v", trial, q, i, gotD[i], wantD[i])
+				}
+			}
+		}
+	}
+}
+
+// ptrNode is a node of ptrTree, the pointer-linked k-d tree KDTree
+// replaced, kept as its oracle.
+type ptrNode struct {
+	axis        int
+	split       float64
+	left, right *ptrNode
+	leaf        bool
+	leafProtos  []int
+}
+
+type ptrTree struct {
+	root    *ptrNode
+	protos  []Prototype
+	weights []float64
+	dim     int
+}
+
+func newPtrTree(protos []Prototype, weights []float64) *ptrTree {
+	if len(protos) == 0 {
+		return &ptrTree{}
+	}
+	dim := len(protos[0].Features)
+	w := weights
+	if w == nil {
+		w = make([]float64, dim)
+		for i := range w {
+			w[i] = 1
+		}
+	}
+	t := &ptrTree{protos: protos, weights: w, dim: dim}
+	idxs := make([]int, len(protos))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	t.root = t.build(idxs, 0)
+	return t
+}
+
+func (t *ptrTree) scaled(p, a int) float64 {
+	return t.protos[p].Features[a] * t.weights[a]
+}
+
+func (t *ptrTree) build(idxs []int, depth int) *ptrNode {
+	if len(idxs) <= kdLeafSize {
+		return &ptrNode{leaf: true, leafProtos: idxs}
+	}
+	axis := depth % t.dim
+	sort.Slice(idxs, func(a, b int) bool {
+		return t.scaled(idxs[a], axis) < t.scaled(idxs[b], axis)
+	})
+	mid := len(idxs) / 2
+	n := &ptrNode{axis: axis, split: t.scaled(idxs[mid], axis)}
+	n.left = t.build(idxs[:mid], depth+1)
+	n.right = t.build(idxs[mid:], depth+1)
+	return n
+}
+
+func (t *ptrTree) Nearest(feat []float64, bestD []float64, bestL []volume.Label) {
+	for i := range bestD {
+		bestD[i] = 1e300
+		bestL[i] = 0
+	}
+	if t.root == nil {
+		return
+	}
+	q := make([]float64, t.dim)
+	for i := 0; i < t.dim; i++ {
+		q[i] = feat[i] * t.weights[i]
+	}
+	t.search(t.root, q, bestD, bestL)
+}
+
+func (t *ptrTree) search(n *ptrNode, q []float64, bestD []float64, bestL []volume.Label) {
+	k := len(bestD)
+	if n.leaf {
+		for _, pi := range n.leafProtos {
+			d := 0.0
+			f := t.protos[pi].Features
+			for a := 0; a < t.dim; a++ {
+				diff := q[a] - f[a]*t.weights[a]
+				d += diff * diff
+				if d >= bestD[k-1] {
+					break
+				}
+			}
+			if d >= bestD[k-1] {
+				continue
+			}
+			pos := k - 1
+			for pos > 0 && bestD[pos-1] > d {
+				bestD[pos] = bestD[pos-1]
+				bestL[pos] = bestL[pos-1]
+				pos--
+			}
+			bestD[pos] = d
+			bestL[pos] = t.protos[pi].Label
+		}
+		return
+	}
+	diff := q[n.axis] - n.split
+	near, far := n.left, n.right
+	if diff >= 0 {
+		near, far = n.right, n.left
+	}
+	t.search(near, q, bestD, bestL)
+	if diff*diff < bestD[k-1] {
+		t.search(far, q, bestD, bestL)
+	}
+}
+
+// TestKDTreeMatchesPointerTree: the flat tree finds, bit for bit, the
+// distances and labels of the pointer tree it replaced — ties
+// included, which integer-valued features make common — for 1 to 6
+// channels (padded to 4 or 8 coordinates), k from 1 to 7, with and
+// without weights.
+func TestKDTreeMatchesPointerTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for dim := 1; dim <= 6; dim++ {
+		for _, weighted := range []bool{false, true} {
+			n := 1 + rng.Intn(400)
+			protos := make([]Prototype, n)
+			for i := range protos {
+				f := make([]float64, dim)
+				for a := range f {
+					f[a] = float64(rng.Intn(6))
+				}
+				protos[i] = Prototype{Features: f, Label: volume.Label(1 + rng.Intn(4))}
+			}
+			var weights []float64
+			if weighted {
+				weights = make([]float64, dim)
+				for a := range weights {
+					weights[a] = []float64{0.5, 1, 2, 3}[rng.Intn(4)]
+				}
+			}
+			flat, oracle := NewKDTree(protos, weights), newPtrTree(protos, weights)
+			for k := 1; k <= 7; k++ {
+				gotD, wantD := make([]float64, k), make([]float64, k)
+				gotL, wantL := make([]volume.Label, k), make([]volume.Label, k)
+				for q := 0; q < 40; q++ {
+					feat := make([]float64, dim)
+					for a := range feat {
+						feat[a] = float64(rng.Intn(7)) - 0.5*float64(rng.Intn(2))
+					}
+					flat.Nearest(feat, gotD, gotL)
+					oracle.Nearest(feat, wantD, wantL)
+					for i := 0; i < k; i++ {
+						if math.Float64bits(gotD[i]) != math.Float64bits(wantD[i]) || gotL[i] != wantL[i] {
+							t.Fatalf("dim %d weighted %v n %d k %d query %v: neighbour %d (%v, %d), pointer tree (%v, %d)",
+								dim, weighted, n, k, feat, i, gotD[i], gotL[i], wantD[i], wantL[i])
+						}
+					}
 				}
 			}
 		}

@@ -323,13 +323,9 @@ func (c *Classifier) classify(ctx context.Context, channels []*volume.Scalar, kd
 	} else if len(weights) != nc {
 		return nil, fmt.Errorf("classify: %d weights for %d channels", len(weights), nc)
 	}
-	// search fills bestD/bestL (length k) with the k nearest prototypes
-	// to feat in ascending distance order; it is called concurrently.
-	search := func(feat, bestD []float64, bestL []volume.Label) {
-		c.nearest(feat, weights, k, bestD, bestL)
-	}
+	var tree *KDTree
 	if kdtree {
-		search = NewKDTree(c.Prototypes, weights).Nearest
+		tree = NewKDTree(c.Prototypes, weights)
 	}
 
 	g := channels[0].Grid
@@ -355,18 +351,28 @@ func (c *Classifier) classify(ctx context.Context, channels []*volume.Scalar, kd
 		defer func() { span.End(ctx.Err()) }()
 		span.SetAttr("worker", w)
 		span.SetAttr("voxels", hi-lo)
-		if kdtree {
+		if tree != nil {
 			span.SetAttr("kdtree", true)
 		}
 		feat := make([]float64, nc)
 		bestD := make([]float64, k)
 		bestL := make([]volume.Label, k)
+		var q []float64
+		if tree != nil {
+			q = make([]float64, tree.stride)
+		}
 		for idx := lo; idx < hi; idx++ {
 			if idx&ctxCheckMask == 0 && ctx.Err() != nil {
 				return
 			}
 			channelsToFeatures(channels, idx, feat)
-			search(feat, bestD, bestL)
+			// Fill bestD/bestL with the k nearest prototypes to feat in
+			// ascending distance order.
+			if tree != nil {
+				tree.nearest(feat, q, bestD, bestL)
+			} else {
+				c.nearest(feat, weights, k, bestD, bestL)
+			}
 			out.Data[idx] = vote(bestL, bestD)
 		}
 	})

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -310,6 +311,26 @@ func resultDigest(res *Result) string {
 // update with the prototypes the first update's refresh rejected and
 // moved that update by up to 1.11 mm.
 func TestResultDigestsPinned(t *testing.T) {
+	checkPinnedDigests(t)
+}
+
+// TestResultDigestsAnyCoreCount: the voxel and vertex passes split
+// their work over GOMAXPROCS slabs, yet no result depends on how many,
+// so the pinned digests hold at any core count, here with more slabs
+// than cores and with uneven slabs.
+func TestResultDigestsAnyCoreCount(t *testing.T) {
+	for _, procs := range []int{1, 2, 7} {
+		t.Run(strconv.Itoa(procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			checkPinnedDigests(t)
+		})
+	}
+}
+
+// checkPinnedDigests runs a registration and two updates of one
+// session and compares each result's digest with its pinned value.
+func checkPinnedDigests(t *testing.T) {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests are pinned for amd64 floating point (no fused multiply-add)")
 	}

@@ -37,8 +37,10 @@ type Config struct {
 	MeshCellSize int
 	// Materials is the biomechanical constitutive model.
 	Materials fem.Table
-	// Ranks is the parallelism degree for assembly and solve (the
-	// paper's CPU count).
+	// Ranks is the paper's CPU count: it sets the rank partition that
+	// assembly, the block-Jacobi blocks and the solve run on, and
+	// their numbers depend on it. The voxel and vertex passes of a scan
+	// use every core (GOMAXPROCS), and no result depends on how many.
 	Ranks int
 	// Register configures the rigid MI registration.
 	Register register.Options
@@ -308,13 +310,17 @@ func (s *Session) runScan(ctx context.Context, sc *scan) (*Result, error) {
 }
 
 // checkVolume rejects a volume the stage workers would index out of
-// range: an invalid grid, or a data slice that is not the grid's voxel
-// count. Volumes arrive from outside the program (a scanner, a service
-// client), so this is an error at the boundary, never a panic inside a
-// worker goroutine.
+// range: an invalid grid, an axis of one sample (trilinear sampling
+// reads two along every axis), or a data slice that is not the grid's
+// voxel count. Volumes arrive from outside the program (a scanner, a
+// service client), so this is an error at the boundary, never a panic
+// inside a worker goroutine.
 func checkVolume(what string, g volume.Grid, n int) error {
 	if err := g.Validate(); err != nil {
 		return fmt.Errorf("core: %s: %w", what, err)
+	}
+	if min(g.NX, g.NY, g.NZ) < 2 {
+		return fmt.Errorf("core: %s: %dx%dx%d grid has an axis of one sample, want at least 2", what, g.NX, g.NY, g.NZ)
 	}
 	if g.Len() != n {
 		return fmt.Errorf("core: %s: %d values on a %dx%dx%d grid", what, n, g.NX, g.NY, g.NZ)

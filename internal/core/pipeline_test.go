@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -310,6 +311,56 @@ func TestMalformedVolumesRejected(t *testing.T) {
 			t.Errorf("ScanCount = %d, want 2", sess.ScanCount())
 		}
 	})
+}
+
+// oneSlice returns the plane of s through its middle sample across the
+// given axis (0=x, 1=y, 2=z): a volume one sample thick along it.
+func oneSlice(s *volume.Scalar, axis int) *volume.Scalar {
+	g := s.Grid
+	n := [3]int{g.NX, g.NY, g.NZ}
+	mid := n[axis] / 2
+	n[axis] = 1
+	out := volume.NewScalar(volume.NewGrid(n[0], n[1], n[2], g.Spacing.X))
+	for k := 0; k < n[2]; k++ {
+		for j := 0; j < n[1]; j++ {
+			for i := 0; i < n[0]; i++ {
+				at := [3]int{i, j, k}
+				at[axis] = mid
+				out.Set(i, j, k, s.At(at[0], at[1], at[2]))
+			}
+		}
+	}
+	return out
+}
+
+// TestOneSampleAxisRejected: trilinear sampling needs two samples along
+// every axis, so a volume one sample thick along any axis is an error
+// at the boundary, from NewSession and from Register, not a panic in a
+// stage.
+func TestOneSampleAxisRejected(t *testing.T) {
+	c := testCase(24)
+	cfg := fastConfig()
+	cfg.SkipRigid = false // the rigid stage samples the scan
+	sess, err := NewSession(cfg, c.Preop, c.PreopLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for axis, name := range []string{"x", "y", "z"} {
+		t.Run(name, func(t *testing.T) {
+			preop := oneSlice(c.Preop, axis)
+			labels := volume.NewLabels(preop.Grid)
+			dims := func(g volume.Grid) string { return fmt.Sprintf("%dx%dx%d grid", g.NX, g.NY, g.NZ) }
+			if _, err := NewSession(cfg, preop, labels); err == nil ||
+				!strings.Contains(err.Error(), "preoperative scan: "+dims(preop.Grid)) {
+				t.Errorf("NewSession on a %v preop: err = %v, want the preoperative scan and its grid named", preop.Grid, err)
+			}
+			scan := oneSlice(c.Intraop, axis)
+			if _, err := sess.Register(context.Background(), scan); err == nil ||
+				!strings.Contains(err.Error(), "intraoperative scan: "+dims(scan.Grid)) {
+				t.Errorf("Register on a %v scan: err = %v, want the intraoperative scan and its grid named", scan.Grid, err)
+			}
+		})
+	}
 }
 
 func TestPipelineRanksInvariance(t *testing.T) {

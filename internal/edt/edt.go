@@ -18,6 +18,7 @@ package edt
 import (
 	"math"
 
+	"repro/internal/par"
 	"repro/internal/volume"
 )
 
@@ -97,8 +98,7 @@ func SquaredFromMask(g volume.Grid, mask []bool) []float64 {
 			panic("edt: voxel spacing must be positive and finite")
 		}
 	}
-	n := g.Len()
-	d := make([]float64, n)
+	d := make([]float64, g.Len())
 	for i := range d {
 		if mask[i] {
 			d[i] = 0
@@ -106,56 +106,36 @@ func SquaredFromMask(g volume.Grid, mask []bool) []float64 {
 			d[i] = inf
 		}
 	}
-
-	maxDim := g.NX
-	if g.NY > maxDim {
-		maxDim = g.NY
+	// The x and y passes run over z-planes and the z pass over y-rows,
+	// split into slabs, one per core: each line of n samples (stride
+	// apart, from slab s and line l) lies in one slab, and each slab has
+	// scratch of its own.
+	sweep := func(slabs, slabStride, lines, lineStride, n, stride int, spacing float64) {
+		pt := par.Slabs(slabs)
+		pt.ForEachRank(func(r int) {
+			f := make([]float64, n)
+			out := make([]float64, n)
+			v := make([]int, n)
+			z := make([]float64, n+1)
+			lo, hi := pt.Range(r)
+			for s := lo; s < hi; s++ {
+				for l := 0; l < lines; l++ {
+					base := s*slabStride + l*lineStride
+					for q := range f {
+						f[q] = d[base+q*stride]
+					}
+					distanceTransform1D(f, out, v, z, spacing)
+					for q, o := range out {
+						d[base+q*stride] = o
+					}
+				}
+			}
+		})
 	}
-	if g.NZ > maxDim {
-		maxDim = g.NZ
-	}
-	f := make([]float64, maxDim)
-	out := make([]float64, maxDim)
-	v := make([]int, maxDim)
-	z := make([]float64, maxDim+1)
-
-	// Pass along x.
-	for k := 0; k < g.NZ; k++ {
-		for j := 0; j < g.NY; j++ {
-			base := g.Index(0, j, k)
-			for i := 0; i < g.NX; i++ {
-				f[i] = d[base+i]
-			}
-			distanceTransform1D(f[:g.NX], out[:g.NX], v, z, g.Spacing.X)
-			for i := 0; i < g.NX; i++ {
-				d[base+i] = out[i]
-			}
-		}
-	}
-	// Pass along y.
-	for k := 0; k < g.NZ; k++ {
-		for i := 0; i < g.NX; i++ {
-			for j := 0; j < g.NY; j++ {
-				f[j] = d[g.Index(i, j, k)]
-			}
-			distanceTransform1D(f[:g.NY], out[:g.NY], v, z, g.Spacing.Y)
-			for j := 0; j < g.NY; j++ {
-				d[g.Index(i, j, k)] = out[j]
-			}
-		}
-	}
-	// Pass along z.
-	for j := 0; j < g.NY; j++ {
-		for i := 0; i < g.NX; i++ {
-			for k := 0; k < g.NZ; k++ {
-				f[k] = d[g.Index(i, j, k)]
-			}
-			distanceTransform1D(f[:g.NZ], out[:g.NZ], v, z, g.Spacing.Z)
-			for k := 0; k < g.NZ; k++ {
-				d[g.Index(i, j, k)] = out[k]
-			}
-		}
-	}
+	nx, nxy := g.NX, g.NX*g.NY
+	sweep(g.NZ, nxy, g.NY, nx, g.NX, 1, g.Spacing.X)
+	sweep(g.NZ, nxy, g.NX, 1, g.NY, nx, g.Spacing.Y)
+	sweep(g.NY, nx, g.NX, 1, g.NZ, nxy, g.Spacing.Z)
 	return d
 }
 

@@ -9,6 +9,7 @@ package par
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 )
@@ -77,6 +78,16 @@ func Weighted(weights []float64, p int) Partition {
 		starts[rank] = n
 	}
 	return Partition{N: n, P: p, Starts: starts}
+}
+
+// Slabs partitions n items (z-planes, rows, vertices) into one
+// contiguous slab per core, GOMAXPROCS of them but never more than n,
+// for a pass to run with ForEachRank. A pass whose slabs write disjoint
+// outputs, each with the expression the serial loop uses, and reduce
+// only exactly or serially in index order, gives the same bits for any
+// core count.
+func Slabs(n int) Partition {
+	return Even(n, max(1, min(n, runtime.GOMAXPROCS(0))))
 }
 
 // Range returns the [lo, hi) index range of rank r.

@@ -3,6 +3,7 @@ package par
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -116,6 +117,23 @@ func TestWeightedZeroWeightsFallsBackToEven(t *testing.T) {
 	pt := Weighted(make([]float64, 10), 2)
 	if pt.Size(0) != 5 || pt.Size(1) != 5 {
 		t.Errorf("zero-weight split = %d/%d, want 5/5", pt.Size(0), pt.Size(1))
+	}
+}
+
+// TestSlabsOnePerCoreAtMostN: one slab per core, never more slabs than
+// items, and one (empty) slab for no items.
+func TestSlabsOnePerCoreAtMostN(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct{ n, want int }{{0, 1}, {1, 1}, {3, 3}, {4, 4}, {11, 4}} {
+		pt := Slabs(tc.n)
+		if pt.P != tc.want || pt.N != tc.n {
+			t.Errorf("Slabs(%d) = %d slabs over %d, want %d over %d", tc.n, pt.P, pt.N, tc.want, tc.n)
+		}
+		for r := 0; r < pt.P && tc.n > 0; r++ {
+			if pt.Size(r) == 0 {
+				t.Errorf("Slabs(%d): slab %d is empty", tc.n, r)
+			}
+		}
 	}
 }
 

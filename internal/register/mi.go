@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/par"
 	"repro/internal/volume"
 )
 
@@ -225,20 +226,39 @@ func (m *MIMetric) EvaluateNMI(apply func(geom.Vec3) geom.Vec3) float64 {
 	return m.hist.NormalizedMutualInformation()
 }
 
+// accumulate fills the histogram with the sample pairs under apply,
+// which is called concurrently. The strided z-planes are split into
+// slabs, one per core, each counting into an array of its own; the
+// arrays are then added in slab order. Counts are whole numbers, so the
+// histogram is the serial one, bit for bit.
 func (m *MIMetric) accumulate(apply func(geom.Vec3) geom.Vec3) {
-	m.hist.Reset()
+	h := m.hist
+	h.Reset()
 	g := m.Fixed.Grid
-	for k := 0; k < g.NZ; k += m.Stride {
-		for j := 0; j < g.NY; j += m.Stride {
-			for i := 0; i < g.NX; i += m.Stride {
-				p := g.World(i, j, k)
-				a := float64(m.Fixed.Data[g.Index(i, j, k)])
-				b := m.Moving.SampleWorld(apply(p))
-				if a <= m.Threshold && b <= m.Threshold {
-					continue
+	pt := par.Slabs((g.NZ + m.Stride - 1) / m.Stride)
+	slabCounts := make([][]float64, pt.P)
+	pt.ForEachRank(func(s int) {
+		counts := make([]float64, len(h.Counts))
+		slabCounts[s] = counts
+		lo, hi := pt.Range(s)
+		for k := lo * m.Stride; k < hi*m.Stride; k += m.Stride {
+			for j := 0; j < g.NY; j += m.Stride {
+				for i := 0; i < g.NX; i += m.Stride {
+					p := g.World(i, j, k)
+					a := float64(m.Fixed.Data[g.Index(i, j, k)])
+					b := m.Moving.SampleWorld(apply(p))
+					if a <= m.Threshold && b <= m.Threshold {
+						continue
+					}
+					counts[h.bin(a, h.MinA, h.MaxA)*h.Bins+h.bin(b, h.MinB, h.MaxB)]++
 				}
-				m.hist.Add(a, b)
 			}
+		}
+	})
+	for _, counts := range slabCounts {
+		for i, c := range counts {
+			h.Counts[i] += c
+			h.total += c
 		}
 	}
 }

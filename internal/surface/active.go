@@ -15,11 +15,14 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mesh"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/volume"
 )
 
 // ForceField produces the external (data-derived) force acting on a
-// surface point with the given outward normal.
+// surface point with the given outward normal. At is called
+// concurrently, from one goroutine per core, so it must not write
+// shared state.
 type ForceField interface {
 	At(p, normal geom.Vec3) geom.Vec3
 }
@@ -170,6 +173,8 @@ func EvolveContext(ctx context.Context, s *mesh.TriMesh, force ForceField, opts 
 	for i := range damp {
 		damp[i] = 1
 	}
+	norms := make([]float64, len(cur.Verts))
+	pt := par.Slabs(len(cur.Verts))
 
 	res := &Result{}
 	for iter := 0; iter < opts.MaxIter; iter++ {
@@ -180,43 +185,50 @@ func EvolveContext(ctx context.Context, s *mesh.TriMesh, force ForceField, opts 
 		}
 		res.Iterations = iter + 1
 		normals := cur.VertexNormals()
+		// Each vertex's update reads the positions of the iteration
+		// before, so the vertices are split into ranges, one per core;
+		// the mean is then summed serially in vertex order.
+		pt.ForEachRank(func(r int) {
+			lo, hi := pt.Range(r)
+			for v := lo; v < hi; v++ {
+				p := cur.Verts[v]
+				// External data force.
+				f := force.At(p, normals[v])
+				// Internal elastic membrane force: pull toward the neighbor
+				// centroid, projected onto the vertex normal (mean-curvature
+				// flow). The unprojected Laplacian would also slide vertices
+				// tangentially along the surface — motion that is not tissue
+				// displacement and would contaminate the boundary conditions
+				// handed to the biomechanical model.
+				if opts.Smoothing > 0 && len(neighbors[v]) > 0 {
+					var c geom.Vec3
+					for _, nb := range neighbors[v] {
+						c = c.Add(cur.Verts[nb])
+					}
+					c = c.Scale(1 / float64(len(neighbors[v])))
+					lap := c.Sub(p)
+					n := normals[v]
+					lapN := n.Scale(lap.Dot(n))
+					f = f.Add(lapN.Scale(opts.Smoothing / opts.Step))
+				}
+				d := f.Scale(opts.Step * damp[v])
+				if n := d.Norm(); n > opts.MaxStep {
+					d = d.Scale(opts.MaxStep / n)
+				}
+				if d.Dot(prev[v]) < 0 {
+					damp[v] *= 0.7
+				} else if damp[v] < 1 {
+					damp[v] = minF(1, damp[v]*1.05)
+				}
+				prev[v] = d
+				updates[v] = d
+				norms[v] = d.Norm()
+			}
+		})
 		meanUpdate := 0.0
 		for v := range cur.Verts {
-			p := cur.Verts[v]
-			// External data force.
-			f := force.At(p, normals[v])
-			// Internal elastic membrane force: pull toward the neighbor
-			// centroid, projected onto the vertex normal (mean-curvature
-			// flow). The unprojected Laplacian would also slide vertices
-			// tangentially along the surface — motion that is not tissue
-			// displacement and would contaminate the boundary conditions
-			// handed to the biomechanical model.
-			if opts.Smoothing > 0 && len(neighbors[v]) > 0 {
-				var c geom.Vec3
-				for _, nb := range neighbors[v] {
-					c = c.Add(cur.Verts[nb])
-				}
-				c = c.Scale(1 / float64(len(neighbors[v])))
-				lap := c.Sub(p)
-				n := normals[v]
-				lapN := n.Scale(lap.Dot(n))
-				f = f.Add(lapN.Scale(opts.Smoothing / opts.Step))
-			}
-			d := f.Scale(opts.Step * damp[v])
-			if n := d.Norm(); n > opts.MaxStep {
-				d = d.Scale(opts.MaxStep / n)
-			}
-			if d.Dot(prev[v]) < 0 {
-				damp[v] *= 0.7
-			} else if damp[v] < 1 {
-				damp[v] = minF(1, damp[v]*1.05)
-			}
-			prev[v] = d
-			updates[v] = d
-			meanUpdate += d.Norm()
-		}
-		for v := range cur.Verts {
 			cur.Verts[v] = cur.Verts[v].Add(updates[v])
+			meanUpdate += norms[v]
 		}
 		meanUpdate /= float64(len(cur.Verts))
 		if opts.Tol > 0 && meanUpdate < opts.Tol {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
+	"repro/internal/par"
 	"repro/internal/volume"
 )
 
@@ -101,33 +102,42 @@ func (r Rigid) MaxDisplacement(g volume.Grid) float64 {
 
 // ResampleScalar resamples src through the inverse of the transform so
 // that the output volume (on grid out) shows src as if it had been moved
-// by r: out(p) = src(r^{-1}(p)).
+// by r: out(p) = src(r^{-1}(p)). The z-planes of out are split into
+// slabs, one per core.
 func ResampleScalar(src *volume.Scalar, r Rigid, out volume.Grid) *volume.Scalar {
 	inv := r.Inverse()
 	dst := volume.NewScalar(out)
-	for k := 0; k < out.NZ; k++ {
-		for j := 0; j < out.NY; j++ {
-			for i := 0; i < out.NX; i++ {
-				p := out.World(i, j, k)
-				dst.Data[out.Index(i, j, k)] = float32(src.SampleWorld(inv.Apply(p)))
+	pt := par.Slabs(out.NZ)
+	pt.ForEachRank(func(s int) {
+		lo, hi := pt.Range(s)
+		for k := lo; k < hi; k++ {
+			for j := 0; j < out.NY; j++ {
+				for i := 0; i < out.NX; i++ {
+					p := out.World(i, j, k)
+					dst.Data[out.Index(i, j, k)] = float32(src.SampleWorld(inv.Apply(p)))
+				}
 			}
 		}
-	}
+	})
 	return dst
 }
 
 // ResampleLabels nearest-neighbor resamples a label volume through the
-// inverse of the transform.
+// inverse of the transform, over slabs of z-planes like ResampleScalar.
 func ResampleLabels(src *volume.Labels, r Rigid, out volume.Grid) *volume.Labels {
 	inv := r.Inverse()
 	dst := volume.NewLabels(out)
-	for k := 0; k < out.NZ; k++ {
-		for j := 0; j < out.NY; j++ {
-			for i := 0; i < out.NX; i++ {
-				p := out.World(i, j, k)
-				dst.Data[out.Index(i, j, k)] = src.AtWorld(inv.Apply(p))
+	pt := par.Slabs(out.NZ)
+	pt.ForEachRank(func(s int) {
+		lo, hi := pt.Range(s)
+		for k := lo; k < hi; k++ {
+			for j := 0; j < out.NY; j++ {
+				for i := 0; i < out.NX; i++ {
+					p := out.World(i, j, k)
+					dst.Data[out.Index(i, j, k)] = src.AtWorld(inv.Apply(p))
+				}
 			}
 		}
-	}
+	})
 	return dst
 }

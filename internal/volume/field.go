@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/par"
 )
 
 // Field is a dense 3D displacement field: one world-space displacement
@@ -132,20 +133,25 @@ func (f *Field) RMSDifference(g *Field, mask []bool) (float64, error) {
 // voxel at world point p takes the value src(p + f(p)). This is the
 // standard backward-warp convention, so f should map points of the
 // *deformed* (target) configuration to their preimage displacements.
-// The output is defined on the field's grid.
+// The output is defined on the field's grid; its z-planes are split
+// into slabs, one per core.
 func (f *Field) WarpScalar(src *Scalar) *Scalar {
 	out := NewScalar(f.Grid)
 	g := f.Grid
-	for k := 0; k < g.NZ; k++ {
-		for j := 0; j < g.NY; j++ {
-			for i := 0; i < g.NX; i++ {
-				p := g.World(i, j, k)
-				idx := g.Index(i, j, k)
-				q := p.Add(geom.V(float64(f.DX[idx]), float64(f.DY[idx]), float64(f.DZ[idx])))
-				out.Data[idx] = float32(src.SampleWorld(q))
+	pt := par.Slabs(g.NZ)
+	pt.ForEachRank(func(s int) {
+		lo, hi := pt.Range(s)
+		for k := lo; k < hi; k++ {
+			for j := 0; j < g.NY; j++ {
+				for i := 0; i < g.NX; i++ {
+					p := g.World(i, j, k)
+					idx := g.Index(i, j, k)
+					q := p.Add(geom.V(float64(f.DX[idx]), float64(f.DY[idx]), float64(f.DZ[idx])))
+					out.Data[idx] = float32(src.SampleWorld(q))
+				}
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -175,30 +181,36 @@ func (f *Field) WarpLabels(src *Labels) *Labels {
 // sub-voxel accuracy. A voxel stops iterating once an iterate repeats
 // (the rest would repeat it too), which where the field is zero — most
 // of the volume — is at once; the result is that of running them all.
+// Each voxel iterates alone, so the z-planes are split into slabs, one
+// per core.
 func (f *Field) Invert(iterations int) *Field {
 	if iterations <= 0 {
 		iterations = 5
 	}
 	g := f.Grid
 	out := NewField(g)
-	for k := 0; k < g.NZ; k++ {
-		for j := 0; j < g.NY; j++ {
-			for i := 0; i < g.NX; i++ {
-				q := g.World(i, j, k)
-				var v geom.Vec3
-				for it := 0; it < iterations; it++ {
-					next := f.SampleWorld(q.Add(v)).Scale(-1)
-					// == takes -0 for +0, but no component of q is -0, so q+v
-					// is the same point either way and so is every later iterate.
-					fixed := next == v
-					v = next
-					if fixed {
-						break
+	pt := par.Slabs(g.NZ)
+	pt.ForEachRank(func(s int) {
+		lo, hi := pt.Range(s)
+		for k := lo; k < hi; k++ {
+			for j := 0; j < g.NY; j++ {
+				for i := 0; i < g.NX; i++ {
+					q := g.World(i, j, k)
+					var v geom.Vec3
+					for it := 0; it < iterations; it++ {
+						next := f.SampleWorld(q.Add(v)).Scale(-1)
+						// == takes -0 for +0, but no component of q is -0, so q+v
+						// is the same point either way and so is every later iterate.
+						fixed := next == v
+						v = next
+						if fixed {
+							break
+						}
 					}
+					out.Set(i, j, k, v)
 				}
-				out.Set(i, j, k, v)
 			}
 		}
-	}
+	})
 	return out
 }

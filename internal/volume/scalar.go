@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/par"
 )
 
 // Scalar is a single-channel 3D image (e.g. an MR intensity volume),
@@ -216,30 +217,39 @@ func (s *Scalar) SmoothGaussian(sigma float64) *Scalar {
 }
 
 // convolveAxis convolves src with kernel along the given axis (0=x, 1=y,
-// 2=z) writing to dst, with clamp-to-edge boundary handling.
+// 2=z) writing to dst, with clamp-to-edge boundary handling. The
+// z-planes of dst are split into slabs, one per core; src and dst are
+// distinct volumes, so a slab reads only what no slab writes.
 func convolveAxis(src, dst *Scalar, kernel []float64, radius, axis int) {
 	g := src.Grid
-	n := [3]int{g.NX, g.NY, g.NZ}
-	for k := 0; k < g.NZ; k++ {
-		for j := 0; j < g.NY; j++ {
-			for i := 0; i < g.NX; i++ {
-				acc := 0.0
-				for t := -radius; t <= radius; t++ {
-					ci, cj, ck := i, j, k
-					switch axis {
-					case 0:
-						ci = clampInt(i+t, 0, n[0]-1)
-					case 1:
-						cj = clampInt(j+t, 0, n[1]-1)
-					default:
-						ck = clampInt(k+t, 0, n[2]-1)
+	n := [3]int{g.NX, g.NY, g.NZ}[axis]
+	stride := [3]int{1, g.NX, g.NX * g.NY}[axis]
+	pt := par.Slabs(g.NZ)
+	pt.ForEachRank(func(s int) {
+		lo, hi := pt.Range(s)
+		for k := lo; k < hi; k++ {
+			for j := 0; j < g.NY; j++ {
+				for i := 0; i < g.NX; i++ {
+					idx := g.Index(i, j, k)
+					pos := [3]int{i, j, k}[axis]
+					line := idx - pos*stride
+					acc := 0.0
+					if pos >= radius && pos+radius < n {
+						// No tap is clamped: the same sum, without the clamps.
+						taps := src.Data[line+(pos-radius)*stride:]
+						for t, w := range kernel {
+							acc += w * float64(taps[t*stride])
+						}
+					} else {
+						for t := -radius; t <= radius; t++ {
+							acc += kernel[t+radius] * float64(src.Data[line+clampInt(pos+t, 0, n-1)*stride])
+						}
 					}
-					acc += kernel[t+radius] * float64(src.Data[g.Index(ci, cj, ck)])
+					dst.Data[idx] = float32(acc)
 				}
-				dst.Data[g.Index(i, j, k)] = float32(acc)
 			}
 		}
-	}
+	})
 }
 
 func clampInt(v, lo, hi int) int {

@@ -7,7 +7,13 @@
 #   - the exactness tests of the rank-parallel elimination and block
 #     factor;
 #   - the faults: a panicking job, a panicking rank worker, and an
-#     artifact waiter's deadline.
+#     artifact waiter's deadline;
+#   - the voxel and vertex passes split over one slab per core
+#     (smoothing, distance transform, field inversion and warp, both
+#     resamples, the MI histogram, the surface evolution), which write
+#     disjoint outputs, so a slab writing outside its own is a race; the
+#     core test runs the pinned registration and updates at several
+#     core counts.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,9 +32,14 @@ repeat() {
 	echo "== go test -race -count 5 -run '$2' $1"
 	go test -race -short -timeout 5m -count 5 -run "$2" "$1"
 }
-repeat ./internal/core 'TestSharedArtifactsAreNeverWritten|TestConcurrentSessionsFactorizeOnce'
+repeat ./internal/core 'TestSharedArtifactsAreNeverWritten|TestConcurrentSessionsFactorizeOnce|TestResultDigestsAnyCoreCount'
 repeat ./internal/fem 'TestMemoizedBuildMatchesPerElementOracle'
 repeat ./internal/solver 'TestBlockFactorsOfFEMOperatorsMatchOracle|TestBILU0MatchesBlockOracle'
 repeat ./internal/par 'TestForEachRankPanicReachesTheCaller'
 repeat ./internal/service 'TestPanickingJobCostsOneJob|TestPanickingWorkerCostsOneJob'
 repeat ./internal/artifact 'TestWaiterHonoursItsDeadline'
+repeat ./internal/volume 'TestPassesAnyCoreCount'
+repeat ./internal/edt 'TestPassesAnyCoreCount'
+repeat ./internal/transform 'TestResampleAnyCoreCount'
+repeat ./internal/register 'TestMIAnyCoreCount'
+repeat ./internal/surface 'TestEvolveAnyCoreCount'
