@@ -44,7 +44,7 @@ type cliOptions struct {
 	size                               int
 	shift                              float64
 	ranks, cellSize                    int
-	hetero, autoseg, useBCC, snap      bool
+	hetero, autoseg, useBCC            bool
 	fieldOut, warpedOut, labelsOut     string
 	saveCase                           string
 	seed                               int64
@@ -90,7 +90,6 @@ func main() {
 	flag.BoolVar(&o.hetero, "hetero", false, "use the heterogeneous falx/ventricle material model")
 	flag.BoolVar(&o.autoseg, "autoseg", false, "segment the preoperative scan automatically when no -labels given")
 	flag.BoolVar(&o.useBCC, "bcc", false, "use the body-centered-cubic mesher")
-	flag.BoolVar(&o.snap, "snap", false, "snap the mesh to the smooth segmentation boundary")
 	flag.StringVar(&o.fieldOut, "field-out", "", "write the volumetric deformation field (.mvol)")
 	flag.StringVar(&o.warpedOut, "warped-out", "", "write the warped preoperative scan (.mvol)")
 	flag.StringVar(&o.labelsOut, "labels-out", "", "write the intraoperative classification (.mvol)")
@@ -172,7 +171,6 @@ func run(o cliOptions) error {
 	cfg.Ranks = o.ranks
 	cfg.MeshCellSize = o.cellSize
 	cfg.UseBCCMesh = o.useBCC
-	cfg.SnapMesh = o.snap
 	cfg.SkipRigid = truth != nil // phantom pairs share the scanner frame
 	cfg.Solver.RecordHistory = o.recordHistory
 	if o.hetero {

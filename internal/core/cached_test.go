@@ -188,7 +188,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 		{"EDTSaturation", func(c *Config) { c.EDTSaturation = 12 }, []string{"preop-edt"}},
 		{"MeshCellSize", func(c *Config) { c.MeshCellSize = 3 }, fromMesh},
 		{"UseBCCMesh", func(c *Config) { c.UseBCCMesh = true }, fromMesh},
-		{"SnapMesh", func(c *Config) { c.SnapMesh = true }, fromMesh},
 		{"Surface.Smoothing", func(c *Config) { c.Surface.Smoothing = 0.25 }, []string{"preop-relax"}},
 		{"Materials value", func(c *Config) {
 			c.Materials = fem.HeterogeneousBrain()

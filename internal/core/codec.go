@@ -39,7 +39,7 @@ import (
 // v3: keys derive from typed stage arguments (preop-interp keys on the
 // scan grid, not the scan), and a blob is one framed payload.
 // v4: no encoding changed; geom.Tet.Shape went from elimination to a
-// closed form, which on a snapped mesh rounds the assembled system and
+// closed form, which on a mesh with off-lattice nodes rounds the assembled system and
 // the interpolation weights differently in the last bit, so an older
 // build's blobs must miss rather than mix with this one's.
 // v5: preop-assemble stores the Dirichlet-eliminated operator (matrix,

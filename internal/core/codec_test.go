@@ -388,7 +388,7 @@ func TestArtifactBlobsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := preopMesh(ctx, labels, meshKey{CellSize: cfg.MeshCellSize, BCC: cfg.UseBCCMesh, Snap: cfg.SnapMesh})
+	m, err := preopMesh(ctx, labels, meshKey{CellSize: cfg.MeshCellSize, BCC: cfg.UseBCCMesh})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,9 @@ type Config struct {
 	Materials fem.Table
 	// Ranks is the paper's CPU count: it sets the rank partition that
 	// assembly, the block-Jacobi blocks and the solve run on, and
-	// their numbers depend on it. The voxel and vertex passes of a scan
-	// use every core (GOMAXPROCS), and no result depends on how many.
+	// their numbers depend on it. The voxel and vertex passes of a scan,
+	// k-NN classification among them, use every core (GOMAXPROCS), and
+	// no result depends on how many.
 	Ranks int
 	// Register configures the rigid MI registration.
 	Register register.Options
@@ -58,10 +59,6 @@ type Config struct {
 	// proposed "more regular connectivity" lattice) instead of the Kuhn
 	// marching-tetrahedra split.
 	UseBCCMesh bool
-	// SnapMesh conforms the mesh's brain-surface nodes to the smooth
-	// segmentation boundary (removing the marching-tetrahedra voxel
-	// staircase from the FEM geometry) and re-smooths the interior.
-	SnapMesh bool
 	// SkipRigid bypasses the rigid registration (for scan pairs already
 	// in one frame, or when benchmarking later stages in isolation).
 	SkipRigid bool
@@ -414,7 +411,7 @@ func (s *Session) runStages(ctx context.Context, sc *scan, warm bool) error {
 	if !warm {
 		if err := stage(StageMesh, func(ctx context.Context) (err error) {
 			meshA, err = cached(ctx, store, "preop-mesh", preopMesh, labels,
-				meshKey{CellSize: cfg.MeshCellSize, BCC: cfg.UseBCCMesh, Snap: cfg.SnapMesh}, meshedCodec)
+				meshKey{CellSize: cfg.MeshCellSize, BCC: cfg.UseBCCMesh}, meshedCodec)
 			if err == nil {
 				sc.mesh = meshA.val.Mesh
 			}
@@ -538,7 +535,6 @@ func (s *Session) stageClassify(ctx context.Context, sc *scan) error {
 			return err
 		}
 	}
-	cl.Workers = cfg.Ranks
 	var err error
 	sc.intraLabels, err = cl.ClassifyKDContext(ctx, channels)
 	return err

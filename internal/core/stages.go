@@ -32,13 +32,12 @@ func preopEDT(_ context.Context, labels *volume.Labels, k edtKey) (edtChannels, 
 }
 
 type meshKey struct {
-	CellSize  int
-	BCC, Snap bool
+	CellSize int
+	BCC      bool
 }
 
 // preopMesh meshes the aligned preoperative anatomy and extracts its
-// brain surface; under Snap the surface nodes conform to the smooth
-// segmentation boundary first.
+// brain surface.
 func preopMesh(_ context.Context, labels *volume.Labels, k meshKey) (meshed, error) {
 	mesher := mesh.FromLabels
 	if k.BCC {
@@ -51,17 +50,6 @@ func preopMesh(_ context.Context, labels *volume.Labels, k meshKey) (meshed, err
 	surf, err := m.ExtractSurface(volume.IsBrainTissue)
 	if err != nil {
 		return meshed{}, err
-	}
-	if k.Snap {
-		// Conform the FEM geometry to the smooth preoperative brain
-		// boundary, then relax the interior lattice.
-		phiPre := edt.SignedOfSet(labels, volume.IsBrainTissue, 0)
-		m.SnapToLevelSet(surf.NodeID, phiPre, float64(k.CellSize))
-		m.Smooth(3, 0.5)
-		// Re-extract so the surface carries the snapped positions.
-		if surf, err = m.ExtractSurface(volume.IsBrainTissue); err != nil {
-			return meshed{}, err
-		}
 	}
 	return meshed{Mesh: m, Surf: surf}, nil
 }

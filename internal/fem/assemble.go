@@ -167,12 +167,11 @@ func OperatorFromParts(k *sparse.CSR, pt par.Partition,
 	if k == nil {
 		return nil, errors.New("fem: operator parts: nil matrix")
 	}
-	if 3*pt.N != k.N || pt.P < 1 || len(pt.Starts) != pt.P+1 {
-		return nil, fmt.Errorf("fem: operator parts: node partition (N=%d, P=%d, starts=%d) does not cover %d DOFs",
-			pt.N, pt.P, len(pt.Starts), k.N)
+	if 3*pt.N != k.N {
+		return nil, fmt.Errorf("fem: operator parts: node partition of %d nodes for %d DOFs", pt.N, k.N)
 	}
-	if pt.Starts[0] != 0 || pt.Starts[pt.P] != pt.N || !slices.IsSorted(pt.Starts) {
-		return nil, fmt.Errorf("fem: operator parts: node partition starts do not ascend from 0 to %d", pt.N)
+	if err := pt.Validate(pt.N); err != nil {
+		return nil, fmt.Errorf("fem: operator parts: %w", err)
 	}
 	if len(constrained) != k.N {
 		return nil, fmt.Errorf("fem: operator parts: %d constrained flags for %d DOFs", len(constrained), k.N)

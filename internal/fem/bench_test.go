@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/edt"
 	"repro/internal/geom"
 	"repro/internal/mesh"
 	"repro/internal/par"
@@ -69,15 +68,21 @@ func BenchmarkAssembleParallel4(b *testing.B) {
 // equations, against the paper's 77,511. The 12^3 meshes above fit in L2;
 // this one does not.
 func paperScaleMesh(b *testing.B) *mesh.Mesh {
-	m, _ := paperScaleMeshes(b, false)
-	return m
+	return paperScaleMeshes(b, false)[0].m
 }
 
-// paperScaleMeshes returns the paper-scale lattice and, when snapped is
-// set, the same mesh as the pipeline's SnapMesh option builds it too:
-// surface nodes snapped to the segmentation boundary and the lattice
-// relaxed, which leaves almost every element a shape of its own.
-func paperScaleMeshes(b *testing.B, snapped bool) (lattice, snap *mesh.Mesh) {
+// paperScaleCase is a paper-scale mesh with the grid its labels live on.
+type paperScaleCase struct {
+	name string
+	m    *mesh.Mesh
+	g    volume.Grid
+}
+
+// paperScaleMeshes returns the paper-scale lattice and, when offGrid is
+// set, the BCC lattice of the same labels on a grid whose spacing and
+// origin are off powers of two, which leaves almost every element a
+// shape of its own.
+func paperScaleMeshes(b *testing.B, offGrid bool) []paperScaleCase {
 	b.Helper()
 	if testing.Short() {
 		b.Skip("paper-scale mesh")
@@ -87,36 +92,35 @@ func paperScaleMeshes(b *testing.B, snapped bool) (lattice, snap *mesh.Mesh) {
 	tissue := func(l volume.Label) bool { return l >= volume.LabelBrain }
 	p := phantom.DefaultParams(44)
 	labels := phantom.GenerateLabels(phantom.GridFor(p), p)
+	shifted := *labels
+	shifted.Grid.Spacing, shifted.Grid.Origin = geom.V(0.9, 1.1, 1.3), geom.V(-31.37, 7.21, 120.3)
 	opts := mesh.Options{CellSize: 1, Include: tissue}
-	lattice, err := mesh.FromLabels(labels, opts)
-	if err != nil {
-		b.Fatal(err)
+	cases := []struct {
+		name   string
+		labels *volume.Labels
+		mesher func(*volume.Labels, mesh.Options) (*mesh.Mesh, error)
+	}{{"lattice", labels, mesh.FromLabels}, {"offgrid-bcc", &shifted, mesh.FromLabelsBCC}}
+	if !offGrid {
+		cases = cases[:1]
 	}
-	if !snapped {
-		return lattice, nil
+	var out []paperScaleCase
+	for _, c := range cases {
+		m, err := c.mesher(c.labels, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out = append(out, paperScaleCase{c.name, m, c.labels.Grid})
 	}
-	if snap, err = mesh.FromLabels(labels, opts); err != nil {
-		b.Fatal(err)
-	}
-	surf, err := snap.ExtractSurface(tissue)
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap.SnapToLevelSet(surf.NodeID, edt.SignedOfSet(labels, tissue, 0), 1)
-	snap.Smooth(3, 0.5)
-	return lattice, snap
+	return out
 }
 
 // BenchmarkAssemble77k assembles the paper-scale lattice with the
 // material table every ledger workload uses (homogeneous: six element
 // shapes for the memo) and with the heterogeneous one (about thirty),
-// and the snapped mesh, where almost every element misses the memo.
+// and the off-grid BCC lattice, where almost every element misses the
+// memo.
 func BenchmarkAssemble77k(b *testing.B) {
-	lattice, snapped := paperScaleMeshes(b, true)
-	for _, m := range []struct {
-		name string
-		m    *mesh.Mesh
-	}{{"lattice", lattice}, {"snapped", snapped}} {
+	for _, m := range paperScaleMeshes(b, true) {
 		pt := par.Even(m.m.NumNodes(), runtime.GOMAXPROCS(0))
 		for _, c := range []struct {
 			name string
@@ -135,20 +139,15 @@ func BenchmarkAssemble77k(b *testing.B) {
 }
 
 // BenchmarkBuildInterpTable77k rasterizes the paper-scale meshes onto
-// their own 44^3 grid, one cell per voxel: what the first resample of a
-// session pays.
+// their own 44^3 grids, one cell per voxel: what the first resample of
+// a session pays.
 func BenchmarkBuildInterpTable77k(b *testing.B) {
-	lattice, snapped := paperScaleMeshes(b, true)
-	g := volume.NewGrid(44, 44, 44, 1)
-	for _, c := range []struct {
-		name string
-		m    *mesh.Mesh
-	}{{"lattice", lattice}, {"snapped", snapped}} {
+	for _, c := range paperScaleMeshes(b, true) {
 		b.Run(c.name, func(b *testing.B) {
 			sys := &System{Mesh: c.m}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if sys.BuildInterpTable(g).Covered() == 0 {
+				if sys.BuildInterpTable(c.g).Covered() == 0 {
 					b.Fatal("empty table")
 				}
 			}

@@ -86,9 +86,9 @@ func rasterize(m *mesh.Mesh, g volume.Grid, fn func(i, j, k int, nodes [4]int32,
 		j0, j1 := tightRange(vlo.Y, vhi.Y)
 		k0, k1 := tightRange(vlo.Z, vhi.Z)
 		nodes := m.Tets[e]
-		for k := maxInt(k0, 0); k <= minInt(k1, g.NZ-1); k++ {
-			for j := maxInt(j0, 0); j <= minInt(j1, g.NY-1); j++ {
-				for i := maxInt(i0, 0); i <= minInt(i1, g.NX-1); i++ {
+		for k := max(k0, 0); k <= min(k1, g.NZ-1); k++ {
+			for j := max(j0, 0); j <= min(j1, g.NY-1); j++ {
+				for i := max(i0, 0); i <= min(i1, g.NX-1); i++ {
 					p := g.World(i, j, k)
 					// Barycentric test with a small tolerance so shared
 					// faces are covered by at least one element. The

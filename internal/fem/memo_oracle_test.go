@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/edt"
 	"repro/internal/geom"
 	"repro/internal/mesh"
 	"repro/internal/par"
@@ -73,11 +72,12 @@ type exactnessMesh struct {
 }
 
 // exactnessMeshes: phantom lattices of both meshers, where a few shapes
-// repeat over the whole mesh and the memos hit; a snapped and smoothed
-// mesh, whose elements near the surface all differ, so the memos run at
-// capacity; and a lattice on a grid whose spacing and origin are off
-// powers of two, so rounding gives one shape's differences several
-// last bits.
+// repeat over the whole mesh and the memos hit; and both lattices on a
+// grid whose spacing and origin are off powers of two, so rounding gives
+// one shape's differences several last bits. Off that grid the Kuhn
+// lattice still repeats its shapes often enough for the memos to stay
+// on at capacity, while the BCC lattice's elements mostly differ and the
+// memos turn themselves off.
 func exactnessMeshes(t *testing.T) []exactnessMesh {
 	t.Helper()
 	size := 20
@@ -94,12 +94,11 @@ func exactnessMeshes(t *testing.T) []exactnessMesh {
 		name   string
 		labels *volume.Labels
 		mesher func(*volume.Labels, mesh.Options) (*mesh.Mesh, error)
-		snap   bool
 	}{
-		{"FromLabels", labels, mesh.FromLabels, false},
-		{"FromLabelsBCC", labels, mesh.FromLabelsBCC, false},
-		{"Snapped", labels, mesh.FromLabels, true},
-		{"OffGrid", &offGrid, mesh.FromLabels, false},
+		{"FromLabels", labels, mesh.FromLabels},
+		{"FromLabelsBCC", labels, mesh.FromLabelsBCC},
+		{"OffGridBCC", &offGrid, mesh.FromLabelsBCC},
+		{"OffGrid", &offGrid, mesh.FromLabels},
 	} {
 		m, err := c.mesher(c.labels, mesh.Options{CellSize: 2})
 		if err != nil {
@@ -109,13 +108,7 @@ func exactnessMeshes(t *testing.T) []exactnessMesh {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.snap {
-			if m.SnapToLevelSet(surf.NodeID, edt.SignedOfSet(c.labels, tissue, 0), 2) == 0 {
-				t.Fatalf("%s: snapping moved no node", c.name)
-			}
-			m.Smooth(3, 0.5)
-		}
-		out = append(out, exactnessMesh{c.name, m, c.labels.Grid, surf.NodeID, c.snap || c.labels == &offGrid})
+		out = append(out, exactnessMesh{c.name, m, c.labels.Grid, surf.NodeID, c.labels == &offGrid})
 	}
 	return out
 }
@@ -139,8 +132,8 @@ func distinctShapes(m *mesh.Mesh) map[shapeKey]bool {
 // counters, the eliminated K, the patched right-hand side and the
 // coupling block — and the memoized shape functions give its
 // interpolation table. The lattices' shapes fit
-// in one memo (the benchmark mesh has six); the snapped and off-grid
-// meshes have more than a memo holds.
+// in one memo (the benchmark mesh has six); the off-grid lattices have
+// more than a memo holds.
 func TestMemoizedBuildMatchesPerElementOracle(t *testing.T) {
 	ranks := []int{1, 2, 3, 7}
 	for _, c := range exactnessMeshes(t) {
@@ -158,8 +151,9 @@ func TestMemoizedBuildMatchesPerElementOracle(t *testing.T) {
 				t.Errorf("%d shapes, irregular=%v: the suite must have meshes on both sides of a memo's capacity", shapes, c.irregular)
 			}
 			// The suite runs the memo on (hitting, and at capacity on the
-			// off-grid lattice) and off (the snapped mesh mostly misses).
-			if sm.off != (c.name == "Snapped") {
+			// off-grid Kuhn lattice) and off (the off-grid BCC lattice
+			// mostly misses).
+			if sm.off != (c.name == "OffGridBCC") {
 				t.Errorf("memo off: %v after a pass over %d shapes", sm.off, shapes)
 			}
 			// On the benchmark's mesher no shape evicts another: the memo
@@ -346,7 +340,7 @@ func stiffnessValues(k *[4][4][3][3]float64) []float64 {
 // TestShapeMemosAllocateNothing: a lookup, hit or miss, allocates
 // nothing — the memos sit inside the assembly's //lint:hotpath loop.
 func TestShapeMemosAllocateNothing(t *testing.T) {
-	m := exactnessMeshes(t)[2].m // snapped: mostly misses
+	m := exactnessMeshes(t)[2].m // off-grid BCC: mostly misses
 	sm, km := new(shapeMemo), new(stiffnessMemo)
 	mat := HeterogeneousBrain().Default
 	e := 0

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/edt"
 	"repro/internal/geom"
 	"repro/internal/mesh"
 	"repro/internal/volume"
@@ -28,9 +27,9 @@ func rasterizeWide(s *System, g volume.Grid, fn func(i, j, k int, nodes [4]int32
 			hi = geom.V(math.Max(hi.X, p.X), math.Max(hi.Y, p.Y), math.Max(hi.Z, p.Z))
 		}
 		vlo, vhi := g.Voxel(lo).Floor(), g.Voxel(hi).Floor()
-		for k := maxInt(vlo.K, 0); k <= minInt(vhi.K+1, g.NZ-1); k++ {
-			for j := maxInt(vlo.J, 0); j <= minInt(vhi.J+1, g.NY-1); j++ {
-				for i := maxInt(vlo.I, 0); i <= minInt(vhi.I+1, g.NX-1); i++ {
+		for k := max(vlo.K, 0); k <= min(vhi.K+1, g.NZ-1); k++ {
+			for j := max(vlo.J, 0); j <= min(vhi.J+1, g.NY-1); j++ {
+				for i := max(vlo.I, 0); i <= min(vhi.I+1, g.NX-1); i++ {
 					p := g.World(i, j, k)
 					var w [4]float64
 					inside := true
@@ -72,22 +71,14 @@ func TestRasterizeMatchesWideBoxOracle(t *testing.T) {
 			}
 		}
 	}
-	inBrain := func(lab volume.Label) bool { return lab == volume.LabelBrain }
 	for _, cs := range []int{1, 2, 3} {
-		for _, snap := range []bool{false, true} {
-			m, err := mesh.FromLabels(l, mesh.Options{CellSize: cs})
+		for _, mesher := range []struct {
+			name string
+			f    func(*volume.Labels, mesh.Options) (*mesh.Mesh, error)
+		}{{"kuhn", mesh.FromLabels}, {"bcc", mesh.FromLabelsBCC}} {
+			m, err := mesher.f(l, mesh.Options{CellSize: cs})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if snap {
-				surf, err := m.ExtractSurface(inBrain)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m.SnapToLevelSet(surf.NodeID, edt.SignedOfSet(l, inBrain, 0), float64(cs)) == 0 {
-					t.Fatalf("cs=%d: snapping moved no node", cs)
-				}
-				m.Smooth(3, 0.5)
 			}
 			sys := &System{Mesh: m}
 			var got, want []visit
@@ -98,7 +89,7 @@ func TestRasterizeMatchesWideBoxOracle(t *testing.T) {
 				want = append(want, visit{g.Index(i, j, k), nodes, w})
 			})
 			if len(want) == 0 || !reflect.DeepEqual(got, want) {
-				t.Fatalf("cs=%d snap=%v: %d accepted pairs, wide box %d, or a different order", cs, snap, len(got), len(want))
+				t.Fatalf("cs=%d %s: %d accepted pairs, wide box %d, or a different order", cs, mesher.name, len(got), len(want))
 			}
 
 			// The table and the field, rebuilt from the oracle's visits.
@@ -109,10 +100,10 @@ func TestRasterizeMatchesWideBoxOracle(t *testing.T) {
 			vox, nodes, w, field := oracleInterp(want, g, nodeU)
 			_, gotVox, gotNodes, gotW := sys.BuildInterpTable(g).TableParts()
 			if !reflect.DeepEqual(gotVox, vox) || !reflect.DeepEqual(gotNodes, nodes) || !reflect.DeepEqual(gotW, w) {
-				t.Errorf("cs=%d snap=%v: interpolation table differs from the wide-box oracle's", cs, snap)
+				t.Errorf("cs=%d %s: interpolation table differs from the wide-box oracle's", cs, mesher.name)
 			}
 			if !reflect.DeepEqual(sys.DisplacementField(nodeU, g), field) {
-				t.Errorf("cs=%d snap=%v: displacement field differs from the wide-box oracle's", cs, snap)
+				t.Errorf("cs=%d %s: displacement field differs from the wide-box oracle's", cs, mesher.name)
 			}
 		}
 	}

@@ -114,17 +114,3 @@ func (s *System) DisplacementField(nodeU []geom.Vec3, g volume.Grid) *volume.Fie
 	})
 	return f
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

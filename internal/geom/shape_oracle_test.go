@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/edt"
 	"repro/internal/geom"
 	"repro/internal/mesh"
 	"repro/internal/volume"
@@ -180,27 +179,19 @@ func TestShapeMatchesGaussJordan(t *testing.T) {
 		tet.P[3] = tet.P[3].Sub(n.Scale(h * (1 - thin)))
 		sliver = append(sliver, tet)
 	}
-	// A snapped mesh, as core's preop-mesh stage builds it under SnapMesh.
-	l := ballLabels(24, geom.V(1, 1, 1), geom.V(0, 0, 0))
-	m, err := mesh.FromLabels(l, mesh.Options{CellSize: 2})
+	// A BCC lattice on a grid whose spacing and origin are off powers of
+	// two: almost every element a shape of its own.
+	l := ballLabels(24, geom.V(0.9, 1.1, 1.3), geom.V(-31.37, 7.21, 120.3))
+	m, err := mesh.FromLabelsBCC(l, mesh.Options{CellSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inBrain := func(lab volume.Label) bool { return lab == volume.LabelBrain }
-	surf, err := m.ExtractSurface(inBrain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved := m.SnapToLevelSet(surf.NodeID, edt.SignedOfSet(l, inBrain, 0), 2); moved == 0 {
-		t.Fatal("snapping moved no node")
-	}
-	m.Smooth(3, 0.5)
-	var snapped []geom.Tet
+	var offGrid []geom.Tet
 	for e := range m.Tets {
-		snapped = append(snapped, m.TetGeom(e))
+		offGrid = append(offGrid, m.TetGeom(e))
 	}
 	checkShapeAgainstOracle(t, "random", random, 1e-12)
-	checkShapeAgainstOracle(t, "snapped", snapped, 1e-12)
+	checkShapeAgainstOracle(t, "off-grid bcc", offGrid, 1e-12)
 	checkShapeAgainstOracle(t, "sliver", sliver, 1e-12/thin)
 }
 

@@ -105,8 +105,9 @@ func FromLabelsBCC(l *volume.Labels, opts Options) (*Mesh, error) {
 			m.Nodes[ids[0]], m.Nodes[ids[1]], m.Nodes[ids[2]], m.Nodes[ids[3]],
 		}}.Centroid())
 		if !include(lab) {
-			// Fall back to the owning cell's label: centroid sampling
-			// near boundaries can land outside the include set.
+			// Centroid sampling near boundaries can land outside the
+			// include set: mark the tet background for now; the pass
+			// after meshing gives it its nearest included label.
 			lab = volume.LabelBackground
 		}
 		m.Tets = append(m.Tets, ids)
@@ -165,7 +166,7 @@ func FromLabelsBCC(l *volume.Labels, opts Options) (*Mesh, error) {
 						// Boundary face: pyramid from cA split along the
 						// min-vertex diagonal for consistency.
 						d0 := 0
-						if minI32(fc[1], fc[3]) < minI32(fc[0], fc[2]) {
+						if min(fc[1], fc[3]) < min(fc[0], fc[2]) {
 							d0 = 1
 						}
 						addTet(cA, fc[d0], fc[d0+1], fc[(d0+2)%4])
@@ -192,7 +193,7 @@ func FromLabelsBCC(l *volume.Labels, opts Options) (*Mesh, error) {
 						fc[s] = getCorner(ci+off[0], cj+off[1], ck+off[2])
 					}
 					d0 := 0
-					if minI32(fc[1], fc[3]) < minI32(fc[0], fc[2]) {
+					if min(fc[1], fc[3]) < min(fc[0], fc[2]) {
 						d0 = 1
 					}
 					addTet(cA, fc[d0], fc[d0+1], fc[(d0+2)%4])
@@ -213,13 +214,6 @@ func FromLabelsBCC(l *volume.Labels, opts Options) (*Mesh, error) {
 		}
 	}
 	return m, nil
-}
-
-func minI32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // nearestIncludedLabel samples outward from p until an included label

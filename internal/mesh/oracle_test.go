@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/edt"
 	"repro/internal/geom"
 	"repro/internal/phantom"
 	"repro/internal/volume"
@@ -136,16 +135,6 @@ func TestExtractSurfaceMatchesMapOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapped, err := FromLabels(labels, Options{CellSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	surf, err := snapped.ExtractSurface(brain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapped.SnapToLevelSet(surf.NodeID, edt.SignedOfSet(labels, brain, 0), 2)
-	snapped.Smooth(3, 0.5)
 	// Three elements around one face (no generator builds this): the face
 	// is nobody's boundary, the other nine are.
 	fan := &Mesh{
@@ -160,7 +149,7 @@ func TestExtractSurfaceMatchesMapOracle(t *testing.T) {
 		"single label": func(lab volume.Label) bool { return lab == volume.LabelBrain },
 		"all labels":   func(volume.Label) bool { return true },
 	}
-	for name, m := range map[string]*Mesh{"kuhn": kuhn, "bcc": bcc, "snapped": snapped, "fan": fan} {
+	for name, m := range map[string]*Mesh{"kuhn": kuhn, "bcc": bcc, "fan": fan} {
 		for setName, inSet := range sets {
 			got, err := m.ExtractSurface(inSet)
 			if err != nil {

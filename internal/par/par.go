@@ -90,6 +90,21 @@ func Slabs(n int) Partition {
 	return Even(n, max(1, min(n, runtime.GOMAXPROCS(0))))
 }
 
+// Validate reports whether pt partitions exactly the n items [0, n): N
+// is n, P >= 1 ranks have P+1 starts, and the starts ascend from 0 to n.
+// The error names the first rule pt breaks.
+func (pt Partition) Validate(n int) error {
+	if pt.N != n || pt.P < 1 || len(pt.Starts) != pt.P+1 || pt.Starts[0] != 0 || pt.Starts[pt.P] != n {
+		return fmt.Errorf("par: partition (N=%d, P=%d, %d starts) does not cover %d items", pt.N, pt.P, len(pt.Starts), n)
+	}
+	for r := 1; r <= pt.P; r++ {
+		if pt.Starts[r] < pt.Starts[r-1] {
+			return fmt.Errorf("par: partition starts decrease at rank %d", r)
+		}
+	}
+	return nil
+}
+
 // Range returns the [lo, hi) index range of rank r.
 func (pt Partition) Range(r int) (lo, hi int) {
 	return pt.Starts[r], pt.Starts[r+1]

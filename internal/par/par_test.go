@@ -32,6 +32,36 @@ func TestEvenCoversAllIndices(t *testing.T) {
 	}
 }
 
+// TestValidate: a partition validates against n only when it covers
+// exactly [0, n) with ascending starts; the error names the broken rule.
+func TestValidate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pt   Partition
+		n    int
+		want string // "" when pt covers n
+	}{
+		{"even", Even(30, 4), 30, ""},
+		{"one rank", Even(30, 1), 30, ""},
+		{"empty ranks", Partition{N: 30, P: 3, Starts: []int{0, 30, 30, 30}}, 30, ""},
+		{"no items", Even(0, 2), 0, ""},
+		{"zero", Partition{}, 30, "does not cover"},
+		{"other N", Even(33, 2), 30, "does not cover"},
+		{"starts short", Partition{N: 30, P: 2, Starts: []int{0, 30}}, 30, "does not cover"},
+		{"first start past zero", Partition{N: 30, P: 2, Starts: []int{3, 15, 30}}, 30, "does not cover"},
+		{"last start past n", Partition{N: 30, P: 2, Starts: []int{0, 15, 31}}, 30, "does not cover"},
+		{"starts decrease", Partition{N: 30, P: 2, Starts: []int{0, 31, 30}}, 30, "decrease at rank 2"},
+	} {
+		err := c.pt.Validate(c.n)
+		if c.want == "" && err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestEvenBalanced(t *testing.T) {
 	pt := Even(10, 3)
 	sizes := []int{pt.Size(0), pt.Size(1), pt.Size(2)}

@@ -73,7 +73,7 @@ func RenderSurface(s *mesh.TriMesh, vertexColors []RGB, cam Camera, w, h int) (*
 				maxR = y
 			}
 		}
-		scale = 0.45 * float64(minIntR(w, h)) / maxR
+		scale = 0.45 * float64(min(w, h)) / maxR
 	}
 	project := func(p geom.Vec3) (x, y, z float64) {
 		d := p.Sub(center)
@@ -156,13 +156,6 @@ func RenderSurface(s *mesh.TriMesh, vertexColors []RGB, cam Camera, w, h int) (*
 		}
 	}
 	return im, nil
-}
-
-func minIntR(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // DisplacementColors maps per-vertex displacement vectors to heat

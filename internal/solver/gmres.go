@@ -21,7 +21,8 @@ type Options struct {
 	// Restart is the GMRES restart length m.
 	Restart int
 	// Partition controls the parallel matrix-vector product; a zero
-	// value runs serially.
+	// value runs serially. Any other value must cover exactly the
+	// system's rows (par.Partition.Validate), or the solve is an error.
 	Partition par.Partition
 	// RecordHistory stores the relative residual after every iteration
 	// in Stats.History (for convergence-curve analysis).
@@ -33,6 +34,20 @@ type Options struct {
 	// while keeping all accumulation in float64. CG ignores this
 	// setting. See Precision.
 	StoragePrecision Precision
+}
+
+// parallel reports whether a solve of n rows runs its products on
+// o.Partition: a zero partition means serial, any other one must cover
+// exactly the n rows.
+func (o Options) parallel(n int) (bool, error) {
+	pt := o.Partition
+	if pt.N == 0 && pt.P == 0 && len(pt.Starts) == 0 {
+		return false, nil
+	}
+	if err := pt.Validate(n); err != nil {
+		return false, fmt.Errorf("solver: %w", err)
+	}
+	return pt.P > 1, nil
 }
 
 // DefaultOptions mirrors the PETSc defaults the paper relies on:
@@ -436,7 +451,10 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 	if tol <= 0 {
 		tol = 1e-5
 	}
-	parallel := opts.Partition.P > 1 && opts.Partition.N == n
+	parallel, err := opts.parallel(n)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 
 	x := make([]float64, n)
 	if x0 != nil {
@@ -636,7 +654,10 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 	if tol <= 0 {
 		tol = 1e-5
 	}
-	parallel := opts.Partition.P > 1 && opts.Partition.N == n
+	parallel, err := opts.parallel(n)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	matvec := func(in, out []float64) {
 		if parallel {
 			a.MulVecPar(opts.Partition, in, out)

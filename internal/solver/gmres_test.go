@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -416,5 +417,51 @@ func TestPreconditionerNames(t *testing.T) {
 	pc := mustBlockJacobi(t, a, nodePartition(a.N, 2))
 	if pc.Blocks() != 2 {
 		t.Error("block count")
+	}
+}
+
+// TestSolversRejectPartitionNotCoveringSystem: GMRES and CG run their
+// products on opts.Partition only when it covers exactly the system's
+// rows, and refuse any other non-zero partition. One over three rows too
+// many used to fall back to a serial solve with a nil error; one whose
+// starts ran past the rows panicked inside a rank worker.
+func TestSolversRejectPartitionNotCoveringSystem(t *testing.T) {
+	a := laplacian1D(30)
+	b := RandomRHS(a.N, 1)
+	solvers := map[string]func(context.Context, *sparse.CSR, []float64, []float64, Preconditioner, Options) ([]float64, Stats, error){
+		"gmres": GMRESContext, "cg": CGContext,
+	}
+	solve := func(name string, pt par.Partition) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		opts := DefaultOptions()
+		opts.Partition = pt
+		_, _, err = solvers[name](context.Background(), a, b, nil, NewJacobi(a), opts)
+		return err
+	}
+	for name := range solvers {
+		for _, c := range []struct {
+			name string
+			pt   par.Partition
+			want string // "" for a solve that must succeed
+		}{
+			{"zero", par.Partition{}, ""},
+			{"one rank", par.Even(a.N, 1), ""},
+			{"two ranks", par.Even(a.N, 2), ""},
+			{"three rows too many", par.Even(a.N+3, 2), "does not cover"},
+			{"starts past the rows", par.Partition{N: a.N, P: 2, Starts: []int{0, 31, 30}}, "decrease"},
+			{"last start past the rows", par.Partition{N: a.N, P: 2, Starts: []int{0, 15, 31}}, "does not cover"},
+		} {
+			err := solve(name, c.pt)
+			if c.want == "" && err != nil {
+				t.Errorf("%s, %s: %v", name, c.name, err)
+			}
+			if c.want != "" && (err == nil || !strings.Contains(err.Error(), "solver: par: partition") || !strings.Contains(err.Error(), c.want)) {
+				t.Errorf("%s, %s: err = %v, want a solver error saying %q", name, c.name, err, c.want)
+			}
+		}
 	}
 }

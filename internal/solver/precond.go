@@ -149,13 +149,10 @@ func NewBlockJacobiILU0(a *sparse.CSR, pt par.Partition) (*BlockJacobiPC, error)
 	if a.N%3 != 0 {
 		return nil, fmt.Errorf("solver: %d rows are not whole nodes of 3", a.N)
 	}
-	if pt.N != a.N || pt.P < 1 || len(pt.Starts) != pt.P+1 || pt.Starts[0] != 0 || pt.Starts[pt.P] != a.N {
-		return nil, fmt.Errorf("solver: partition (N=%d, P=%d, %d starts) does not cover %d rows", pt.N, pt.P, len(pt.Starts), a.N)
+	if err := pt.Validate(a.N); err != nil {
+		return nil, fmt.Errorf("solver: %w", err)
 	}
-	for r, s := range pt.Starts {
-		if r > 0 && s < pt.Starts[r-1] {
-			return nil, fmt.Errorf("solver: partition starts decrease at rank %d", r)
-		}
+	for _, s := range pt.Starts {
 		if s%3 != 0 {
 			return nil, fmt.Errorf("solver: partition boundary at row %d splits a node", s)
 		}

@@ -18,9 +18,9 @@ func sampleVoxelStraight(g Grid, d []float32, x, y, z float64) float64 {
 		x > float64(g.NX-1) || y > float64(g.NY-1) || z > float64(g.NZ-1) {
 		return 0
 	}
-	i0 := clampInt(int(x), 0, g.NX-2)
-	j0 := clampInt(int(y), 0, g.NY-2)
-	k0 := clampInt(int(z), 0, g.NZ-2)
+	i0 := min(max(int(x), 0), g.NX-2)
+	j0 := min(max(int(y), 0), g.NY-2)
+	k0 := min(max(int(z), 0), g.NZ-2)
 	fx, fy, fz := x-float64(i0), y-float64(j0), z-float64(k0)
 	idx := g.Index(i0, j0, k0)
 	nx, nxy := g.NX, g.NX*g.NY

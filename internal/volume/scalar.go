@@ -242,7 +242,7 @@ func convolveAxis(src, dst *Scalar, kernel []float64, radius, axis int) {
 						}
 					} else {
 						for t := -radius; t <= radius; t++ {
-							acc += kernel[t+radius] * float64(src.Data[line+clampInt(pos+t, 0, n-1)*stride])
+							acc += kernel[t+radius] * float64(src.Data[line+min(max(pos+t, 0), n-1)*stride])
 						}
 					}
 					dst.Data[idx] = float32(acc)
@@ -250,14 +250,4 @@ func convolveAxis(src, dst *Scalar, kernel []float64, radius, axis int) {
 			}
 		}
 	})
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
