@@ -308,7 +308,11 @@ func resultDigest(res *Result) string {
 // moved them by at most 7.1e-6 mm (solver tolerance 1e-6), and the
 // classifier refresh on a per-scan copy, which leaves the second
 // update with the prototypes the first update's refresh rejected and
-// moved that update by up to 1.11 mm.
+// moved that update by up to 1.11 mm. The stopping rule in mm (four
+// iterates within Tol, here fastConfig's 1e-6 mm RMS per unknown,
+// instead of a 1e-6 relative residual) re-pinned them once more: the
+// solves take 23/21/22 iterations instead of 19/17/17, and the nodal
+// displacements moved by at most 1.2e-5 mm.
 func TestResultDigestsPinned(t *testing.T) {
 	checkPinnedDigests(t)
 }
@@ -340,9 +344,9 @@ func checkPinnedDigests(t *testing.T) {
 		scans[i] = phantom.Generate(p)
 	}
 	const (
-		registerDigest = "64a26b8ef2988e00a3eb112d28569876c5d78b4531ee72e430790decdba4898d"
-		update1Digest  = "ef72abbe5cd996b8f500ab874c0323e01e94571ee238c587e3772fe643e8b282"
-		update2Digest  = "31364d247fc03a2116b11c3717a7d7b849e6ad1f4c9ff1c5e6a6d4cd59b0eb50"
+		registerDigest = "4870f88e2805db694267ea1383477523f8aa62e01b5f8de01ecd2ffee1e03d14"
+		update1Digest  = "0654af4c5faed1033af4b2d282b8c20443e8ffc00eccb176499613b7fc6d2cec"
+		update2Digest  = "0092596736380acf13d02aa9724be48e63ce71cd787aded1d1b483699270dcb3"
 	)
 	check := func(path string, res *Result, err error, want string) {
 		t.Helper()

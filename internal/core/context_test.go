@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -255,6 +256,9 @@ func TestConfigValidate(t *testing.T) {
 		{"PrototypesPerClass", func(c *Config) { c.PrototypesPerClass = 0 }, "PrototypesPerClass"},
 		{"EDTSaturation", func(c *Config) { c.EDTSaturation = -2 }, "EDTSaturation"},
 		{"Solver.Partition", func(c *Config) { c.Solver.Partition = par.Even(12, 2) }, "Solver.Partition"},
+		{"Solver.Tol=NaN", func(c *Config) { c.Solver.Tol = math.NaN() }, "Solver.Tol"},
+		{"Solver.Tol=Inf", func(c *Config) { c.Solver.Tol = math.Inf(1) }, "Solver.Tol"},
+		{"Solver.Tol<0", func(c *Config) { c.Solver.Tol = -1e-3 }, "Solver.Tol"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

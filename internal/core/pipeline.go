@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -47,8 +48,9 @@ type Config struct {
 	Register register.Options
 	// Surface configures the active surface evolution.
 	Surface surface.Options
-	// Solver configures the GMRES solve. Its Partition must stay zero:
-	// the solve runs on the operator's partition, which Ranks states.
+	// Solver configures the GMRES solve; its Tol is in mm (see
+	// solver.Options.Tol). Its Partition must stay zero: the solve runs
+	// on the operator's partition, which Ranks states.
 	Solver solver.Options
 	// KNN, PrototypesPerClass and EDTSaturation configure the tissue
 	// classification stage.
@@ -78,9 +80,11 @@ type Config struct {
 
 // Validate reports configuration errors instead of silently patching
 // them: out-of-range MeshCellSize, Ranks, KNN, PrototypesPerClass or
-// EDTSaturation, or a Solver.Partition (a second, unchecked way to state
-// Ranks: one that does not cover the system preconditions a fragment of
-// it and "converges" on the rigid answer). NewSession calls it.
+// EDTSaturation, a negative, NaN or Inf Solver.Tol (zero is the
+// solver's default), or a Solver.Partition (a second, unchecked way to
+// state Ranks: one that does not cover the system preconditions a
+// fragment of it and "converges" on the rigid answer). NewSession
+// calls it.
 func (c Config) Validate() error {
 	var errs []error
 	if c.MeshCellSize < 1 {
@@ -97,6 +101,9 @@ func (c Config) Validate() error {
 	}
 	if c.EDTSaturation <= 0 {
 		errs = append(errs, fmt.Errorf("EDTSaturation %g out of range (want > 0 mm)", c.EDTSaturation))
+	}
+	if tol := c.Solver.Tol; math.IsNaN(tol) || math.IsInf(tol, 0) || tol < 0 {
+		errs = append(errs, fmt.Errorf("Solver.Tol %g out of range (want a finite step >= 0 mm)", tol))
 	}
 	if pt := c.Solver.Partition; pt.N != 0 || pt.P != 0 || len(pt.Starts) != 0 {
 		errs = append(errs, errors.New("Solver.Partition must be zero (the partition is Ranks' to state)"))

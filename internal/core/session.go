@@ -105,9 +105,11 @@ func (s *Session) Register(ctx context.Context, intraop *volume.Scalar) (*Result
 // that changed, the factorized preconditioner is kept, and GMRES is
 // warm-started from the previous displacement field. Returns
 // ErrNoBaseline before the first successful Register. Accuracy matches
-// a cold Register of the same scan to solver tolerance; the result
-// carries the reuse diagnostics in Result.Update. Context semantics
-// match Register.
+// a cold Register of the same scan up to the solver's stopping rule:
+// both solves stop once four iterates lie within Solver.Tol mm RMS per
+// unknown of one another (0.005 mm nodal RMS at the default). The
+// result carries the reuse diagnostics in Result.Update. Context
+// semantics match Register.
 func (s *Session) Update(ctx context.Context, intraop *volume.Scalar) (*Result, error) {
 	if s.base == nil {
 		return nil, ErrNoBaseline

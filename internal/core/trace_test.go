@@ -150,9 +150,10 @@ func TestPipelineEmitsNestedTrace(t *testing.T) {
 }
 
 // TestSolveFactsAreStatedOnce: after a cold and a warm solve the
-// fem.solve span states the solve — the solver's nine statistics with
+// fem.solve span states the solve — the solver's ten statistics with
 // the values of the returned Stats, and fem's three — and no other span
-// of the run repeats a solve statistic or a patch count.
+// of the run repeats a solve statistic or a patch count. The stopping
+// rule's step_rms is there, within Solver.Tol on a converged solve.
 func TestSolveFactsAreStatedOnce(t *testing.T) {
 	scans := shiftScans(24)
 	var buf bytes.Buffer
@@ -205,6 +206,10 @@ func TestSolveFactsAreStatedOnce(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("solve %d: fem.solve attrs\n got %v\nwant %v", i, got, want)
 		}
+		if step, ok := got["step_rms"].(float64); !ok || got["converged"] != true || step > fastConfig().Solver.Tol {
+			t.Errorf("solve %d: step_rms = %v (converged %v), want a converged step within %g mm",
+				i, got["step_rms"], got["converged"], fastConfig().Solver.Tol)
+		}
 	}
 	if !warm.SolveStats.WarmStarted || cold.SolveStats.WarmStarted {
 		t.Errorf("WarmStarted cold=%v warm=%v", cold.SolveStats.WarmStarted, warm.SolveStats.WarmStarted)
@@ -215,7 +220,7 @@ func TestSolveFactsAreStatedOnce(t *testing.T) {
 func solveFacts(st solver.Stats) map[string]any {
 	return map[string]any{
 		"iterations": float64(st.Iterations), "matvecs": float64(st.MatVecs), "converged": st.Converged,
-		"entry_rel_residual": st.EntryResRel, "final_rel_residual": st.FinalResRel,
+		"step_rms": st.StepRMS, "entry_rel_residual": st.EntryResRel, "final_rel_residual": st.FinalResRel,
 		"restarts": float64(st.Restarts), "stagnated_cycles": float64(st.StagnatedCycles),
 		"diverged": st.Diverged, "warm_started": st.WarmStarted,
 	}

@@ -82,9 +82,9 @@ func TestGMRESMixedPrecisionParity(t *testing.T) {
 		t.Errorf("iteration-count delta %.1f%% exceeds 10%%: float64=%d mixed=%d",
 			100*delta, i64, i32)
 	}
-	if res32.Stats.FinalResRel > opts.Tol {
-		t.Errorf("mixed-precision final residual %g above tolerance %g",
-			res32.Stats.FinalResRel, opts.Tol)
+	if res32.Stats.StepRMS > opts.Tol {
+		t.Errorf("mixed-precision final step %g mm above tolerance %g",
+			res32.Stats.StepRMS, opts.Tol)
 	}
 
 	maxDiffMM := 0.0
@@ -116,8 +116,10 @@ func TestGMRESMixedPrecisionHistory(t *testing.T) {
 	if len(res.Stats.History) != res.Stats.Iterations {
 		t.Errorf("history length %d != iterations %d", len(res.Stats.History), res.Stats.Iterations)
 	}
-	last := res.Stats.History[len(res.Stats.History)-1]
-	if last > opts.Tol {
-		t.Errorf("last history entry %g above tolerance", last)
+	if last := res.Stats.History[len(res.Stats.History)-1]; last != res.Stats.FinalResRel {
+		t.Errorf("last history entry %g, reported residual %g", last, res.Stats.FinalResRel)
+	}
+	if res.Stats.StepRMS > opts.Tol {
+		t.Errorf("final step %g mm above tolerance %g", res.Stats.StepRMS, opts.Tol)
 	}
 }

@@ -38,6 +38,7 @@ func TestModulePassesPerfgate(t *testing.T) {
 		"distanceTransform1D":        false,
 		"Tet.Shape":                  false,
 		"Field.SampleWorld":          false,
+		"stepWindow.advance":         false,
 	}
 	for _, k := range rep.Kernels {
 		if _, ok := wantKernels[k.Name]; ok {

@@ -112,7 +112,12 @@ type Case struct {
 	Truth *volume.Field
 	// BrainMask is true on preoperative brain+ventricle+tumor voxels.
 	BrainMask []bool
-	Params    Params
+	// TissueMask is the part of BrainMask that is still intracranial
+	// tissue intraoperatively (volume.IsBrainTissue of IntraopLabels):
+	// where a registration can be right. The rest of BrainMask is the
+	// gap the shift opened, where the truth is not even invertible.
+	TissueMask []bool
+	Params     Params
 }
 
 // TruthRMS returns the RMS difference (mm) over BrainMask between a
@@ -355,6 +360,12 @@ func Generate(p Params) *Case {
 	rng2 := rand.New(rand.NewSource(p.Seed + 9973))
 	intraop := RenderMR(intraLabels, p, rng2)
 
+	brain := labels.MaskAny(volume.LabelBrain, volume.LabelVentricle,
+		volume.LabelTumor, volume.LabelFalx)
+	tissue := make([]bool, len(brain))
+	for i, in := range brain {
+		tissue[i] = in && volume.IsBrainTissue(intraLabels.Data[i])
+	}
 	return &Case{
 		Grid:          g,
 		Preop:         preop,
@@ -362,8 +373,8 @@ func Generate(p Params) *Case {
 		Intraop:       intraop,
 		IntraopLabels: intraLabels,
 		Truth:         truth,
-		BrainMask: labels.MaskAny(volume.LabelBrain, volume.LabelVentricle,
-			volume.LabelTumor, volume.LabelFalx),
-		Params: p,
+		BrainMask:     brain,
+		TissueMask:    tissue,
+		Params:        p,
 	}
 }

@@ -213,3 +213,33 @@ func TestGenerateReproducible(t *testing.T) {
 		}
 	}
 }
+
+// TestTissueMaskSplitsBrainMask: the tissue mask is the brain mask
+// where the intraoperative label is still intracranial tissue, so it
+// keeps the resection cavity and drops the gap the shift opened at the
+// brain's edge — both non-empty on the default case.
+func TestTissueMaskSplitsBrainMask(t *testing.T) {
+	c := Generate(smallParams())
+	tissue, gap, cavity := 0, 0, 0
+	for i, in := range c.BrainMask {
+		lab := c.IntraopLabels.Data[i]
+		switch {
+		case c.TissueMask[i] && (!in || !volume.IsBrainTissue(lab)):
+			t.Fatalf("voxel %d: in the tissue mask with brain mask %v, label %v", i, in, lab)
+		case c.TissueMask[i]:
+			tissue++
+			if lab == volume.LabelResection {
+				cavity++
+			}
+		case in:
+			gap++
+			if volume.IsBrainTissue(lab) {
+				t.Fatalf("voxel %d: brain tissue label %v left out of the tissue mask", i, lab)
+			}
+		}
+	}
+	if tissue == 0 || gap == 0 || cavity == 0 {
+		t.Errorf("tissue %d, gap %d, of which cavity %d voxels: want each > 0", tissue, gap, cavity)
+	}
+	t.Logf("brain mask %d voxels: tissue %d (cavity %d), gap %d", tissue+gap, tissue, cavity, gap)
+}

@@ -8,3 +8,9 @@ var (
 	FactorsMatchOracle = factorsMatchOracle
 	PointILU0          = newPointILU0
 )
+
+// The stopping rule's constants, which the dense oracle restates.
+const (
+	StepDelay     = stepDelay
+	ResidualFloor = residualFloor
+)

@@ -293,6 +293,39 @@ func TestGMRESNonConvergenceReported(t *testing.T) {
 	}
 }
 
+// TestSolversRejectNonFiniteTol: a NaN, infinite or negative Tol is an
+// error in both solvers. No step compares below NaN, so a NaN Tol used
+// to run all MaxIter iterations, long past a residual of 1e-16, and
+// return Converged=false with a nil error. A zero Tol is
+// DefaultOptions().Tol.
+func TestSolversRejectNonFiniteTol(t *testing.T) {
+	a := laplacian1D(50)
+	b := randomRHS(50, 1)
+	solvers := map[string]func(context.Context, *sparse.CSR, []float64, []float64, Preconditioner, Options) ([]float64, Stats, error){
+		"gmres": GMRESContext, "cg": CGContext,
+	}
+	for name, solve := range solvers {
+		for _, tol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-3} {
+			_, st, err := solve(context.Background(), a, b, nil, nil, Options{Tol: tol, MaxIter: 500})
+			if err == nil || !strings.Contains(err.Error(), "tolerance") {
+				t.Errorf("%s, Tol %g: err=%v after %d iterations, want a tolerance error", name, tol, err, st.Iterations)
+			}
+		}
+		zero, stZero, err := solve(context.Background(), a, b, nil, nil, Options{MaxIter: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		def, stDef, err := solve(context.Background(), a, b, nil, nil, Options{Tol: DefaultOptions().Tol, MaxIter: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stZero.Converged || stZero.Iterations != stDef.Iterations || !sameBits(zero, def) {
+			t.Errorf("%s: zero Tol ran %d iterations (converged %v), DefaultOptions().Tol %d",
+				name, stZero.Iterations, stZero.Converged, stDef.Iterations)
+		}
+	}
+}
+
 func TestCGMatchesGMRES(t *testing.T) {
 	a := laplacian3D(6, 6, 6)
 	b := randomRHS(a.N, 8)

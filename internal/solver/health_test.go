@@ -136,7 +136,7 @@ func TestGMRESStatsOnEnclosingSpan(t *testing.T) {
 		}
 		want := map[string]any{
 			"iterations": st.Iterations, "matvecs": st.MatVecs, "converged": st.Converged,
-			"entry_rel_residual": st.EntryResRel, "final_rel_residual": st.FinalResRel,
+			"step_rms": st.StepRMS, "entry_rel_residual": st.EntryResRel, "final_rel_residual": st.FinalResRel,
 			"restarts": st.Restarts, "stagnated_cycles": st.StagnatedCycles,
 			"diverged": st.Diverged, "warm_started": st.WarmStarted,
 		}

@@ -18,8 +18,8 @@ const (
 	// PrecisionFloat32 demotes matrix values and Krylov basis vectors to
 	// float32 storage while accumulating in float64: roughly 2/3 of the
 	// SpMV byte traffic and half the basis traffic per iteration, at the
-	// cost of a basis rounded to float32 — safe for the paper's 1e-5
-	// relative tolerance, which sits well above float32 epsilon.
+	// cost of a basis rounded to float32 — safe while the stopping
+	// rule's Tol sits well above float32 epsilon times the solution.
 	PrecisionFloat32
 )
 
@@ -79,6 +79,8 @@ type gmresWorkspace32 struct {
 	// hist collects this cycle's per-iteration relative residuals; the
 	// caller copies them into Stats.History between cycles.
 	hist []float64
+	// win is the stopping rule's coefficient window, gmresWorkspace's.
+	win stepWindow
 }
 
 // newGMRESWorkspace32 allocates the mixed-precision buffers for an
@@ -98,6 +100,7 @@ func newGMRESWorkspace32(n, restart int) *gmresWorkspace32 {
 		g:    make([]float64, restart+1),
 		y:    make([]float64, restart),
 		hist: make([]float64, 0, restart),
+		win:  newStepWindow(restart),
 	}
 	vBack := make([]float32, (restart+1)*n)
 	for i := range ws.v32 {
@@ -115,7 +118,8 @@ func newGMRESWorkspace32(n, restart int) *gmresWorkspace32 {
 // mixed-precision twin of gmresCycle. Every read of the basis widens
 // through widenInto/dot32 before arithmetic; every write narrows
 // through the narrowScaled convert site. The Arnoldi recurrence,
-// Givens rotations, and triangular solve are otherwise identical to
+// Givens rotations, triangular solve and stopping rule (stepWindow,
+// which reads only float64 coefficients) are otherwise identical to
 // the float64 kernel, so iteration counts track the baseline closely
 // as long as the target tolerance stays well above float32 epsilon
 // (enforced by the parity tests).
@@ -125,10 +129,10 @@ func newGMRESWorkspace32(n, restart int) *gmresWorkspace32 {
 //lint:hotpath
 //lint:noescape
 func gmresCycle32(matvec func(in, out []float64), b, x []float64, m Preconditioner,
-	ws *gmresWorkspace32, restart, maxIter int, tol, beta0 float64, recordHistory bool,
+	ws *gmresWorkspace32, restart, maxIter int, limit, beta0 float64, recordHistory bool,
 	stats *Stats) (converged bool, entryRel, exitRel float64) {
 	// See gmresCycle: a zero or non-finite reference norm would make the
-	// convergence tests silently false.
+	// residual tests silently false.
 	if !(beta0 > 0) || math.IsInf(beta0, 0) {
 		stats.Diverged = true
 		return false, math.Inf(1), math.Inf(1)
@@ -154,7 +158,7 @@ func gmresCycle32(matvec func(in, out []float64), b, x []float64, m Precondition
 		stats.InitialResid = beta
 		stats.EntryResRel = entryRel
 	}
-	if entryRel <= tol {
+	if entryRel <= residualFloor {
 		stats.Converged = true
 		stats.FinalResRel = entryRel
 		return true, entryRel, entryRel
@@ -188,7 +192,8 @@ func gmresCycle32(matvec func(in, out []float64), b, x []float64, m Precondition
 		}
 		h[k+1][k] = norm2(zw)
 		stats.DotProducts++
-		if h[k+1][k] > 1e-300 {
+		breakdown := !(h[k+1][k] > 1e-300)
+		if !breakdown {
 			narrowScaled(v[k+1], zw, 1/h[k+1][k])
 		} else {
 			// Happy breakdown: exact solution in current subspace.
@@ -215,25 +220,19 @@ func gmresCycle32(matvec func(in, out []float64), b, x []float64, m Precondition
 		g[k+1] = -sn[k] * g[k]
 		g[k] = cs[k] * g[k]
 
+		step := ws.win.advance(h, g, y, k+1)
+		res := math.Abs(g[k+1])
 		if recordHistory {
-			ws.hist = append(ws.hist, math.Abs(g[k+1])/beta0)
+			ws.hist = append(ws.hist, res/beta0)
 		}
-		if math.Abs(g[k+1])/beta0 <= tol {
+		if res <= residualFloor*beta0 || breakdown || step <= limit && res < beta {
 			k++
+			converged = true
 			break
 		}
 	}
-	// Solve the upper triangular system h y = g for the first k
-	// coefficients and update x, widening each basis element.
-	for i := k - 1; i >= 0; i-- {
-		y[i] = g[i]
-		for j := i + 1; j < k; j++ {
-			y[i] -= h[i][j] * y[j]
-		}
-		if numeric.NonZero(h[i][i]) {
-			y[i] /= h[i][i]
-		}
-	}
+	// Update x with the last iterate's coefficients, which advance left
+	// in y, widening each basis element.
 	for i := 0; i < k; i++ {
 		yi := y[i]
 		vi := v[i][:len(x)]
@@ -242,5 +241,10 @@ func gmresCycle32(matvec func(in, out []float64), b, x []float64, m Precondition
 		}
 		stats.AXPYs++
 	}
-	return false, entryRel, math.Abs(g[k]) / beta0
+	exitRel = math.Abs(g[k]) / beta0
+	if converged {
+		stats.Converged = true
+		stats.FinalResRel = exitRel
+	}
+	return converged, entryRel, exitRel
 }
