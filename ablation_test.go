@@ -9,6 +9,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -22,11 +23,48 @@ import (
 	"repro/internal/volume"
 )
 
+// registerCase runs one full registration of the case's intraoperative
+// scan through a fresh session.
+func registerCase(cfg core.Config, c *phantom.Case) (*core.Result, error) {
+	sess, err := core.NewSession(cfg, c.Preop, c.PreopLabels)
+	if err != nil {
+		return nil, err
+	}
+	return sess.Register(context.Background(), c.Intraop)
+}
+
+// builtSystems caches the scaling-study systems per target size.
+var builtMu sync.Mutex
+var builtSystems = map[int]*figures.Built{}
+
+func builtSystem(b *testing.B, eqs int) *figures.Built {
+	b.Helper()
+	builtMu.Lock()
+	defer builtMu.Unlock()
+	if sys, ok := builtSystems[eqs]; ok {
+		return sys
+	}
+	sys, err := figures.BuildHeadSystem(context.Background(), figures.SystemSpec{TargetEquations: eqs, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	builtSystems[eqs] = sys
+	return sys
+}
+
+// scalingEqs is the paper's system size, or a tenth of it under -short.
+func scalingEqs() int {
+	if testing.Short() {
+		return figures.Equations77k / 10
+	}
+	return figures.Equations77k
+}
+
 // BenchmarkAblationLoadBalance compares the paper's equal-node-count
 // decomposition with the work-aware decomposition it proposes as future
 // work, on the Deep Flow model at 16 CPUs.
 func BenchmarkAblationLoadBalance(b *testing.B) {
-	eqs := scalingEqs(b, 77511)
+	eqs := scalingEqs()
 	built := builtSystem(b, eqs)
 	mach := cluster.DeepFlow()
 	opts := solver.DefaultOptions()
@@ -56,7 +94,7 @@ func BenchmarkAblationLoadBalance(b *testing.B) {
 // the paper's block Jacobi/ILU(0) against plain Jacobi and no
 // preconditioning, on the scaling system.
 func BenchmarkAblationPreconditioner(b *testing.B) {
-	eqs := scalingEqs(b, 77511) / 4 // iteration-count study; smaller is fine
+	eqs := scalingEqs() / 4 // iteration-count study; smaller is fine
 	built := builtSystem(b, eqs)
 	sys := built.System
 	opts := solver.DefaultOptions()

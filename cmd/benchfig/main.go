@@ -1,19 +1,25 @@
 // Command benchfig regenerates every table and figure of the paper's
-// evaluation section as text tables (and PGM slice images for the
-// Figure 4 panels):
+// evaluation section as text tables (and PGM/PPM images for Figures 4
+// and 5), and checks the paper's claims on them:
 //
 //	benchfig -fig 3    Deep Flow node specification table
 //	benchfig -fig 4    match-quality metrics + slice images (Fig 4a-d)
 //	benchfig -fig 5    surface displacement statistics (Fig 5 color map)
 //	benchfig -fig 6    pipeline stage timeline (Fig 6)
-//	benchfig -fig 7    77,511-eq scaling on the Deep Flow cluster
-//	benchfig -fig 8a   77,511-eq scaling on the Ultra HPC 6000 SMP
-//	benchfig -fig 8b   77,511-eq scaling on the 2x Ultra 80 pair
-//	benchfig -fig 9    253,308-eq scaling on the Ultra HPC 6000
+//	benchfig -fig 7    scaling on the Deep Flow cluster
+//	benchfig -fig 8a   scaling on the Ultra HPC 6000 SMP
+//	benchfig -fig 8b   scaling on the 2x Ultra 80 pair
+//	benchfig -fig 9    the larger system's scaling on the Ultra HPC 6000
 //	benchfig -fig all  everything
 //
-// Absolute times for figures 7-9 come from the calibrated machine
-// models driven by measured per-rank work; see DESIGN.md.
+// Figure 4's claim, that the simulated deformation matches the scan
+// better than rigid registration alone, is checked at any -size. The
+// scaling figures' machines, system sizes, CPU sweeps and claims come
+// from figures.ScalingFigures; their claims hold at the paper's sizes,
+// so a run shrunk by -quick, -eqs or -eqs9 prints them as not checked.
+// benchfig exits 1 when a checked claim fails, after printing every
+// figure. Absolute times for figures 7-9 come from the calibrated
+// machine models driven by measured per-rank work; see DESIGN.md.
 package main
 
 import (
@@ -35,74 +41,113 @@ import (
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 3,4,5,6,7,8a,8b,9,all")
-	eqs7 := flag.Int("eqs", 77511, "target equations for figures 7/8")
-	eqs9 := flag.Int("eqs9", 253308, "target equations for figure 9")
+	eqs7 := flag.Int("eqs", figures.Equations77k, "target equations for figures 7/8")
+	eqs9 := flag.Int("eqs9", figures.Equations253k, "target equations for figure 9")
 	size := flag.Int("size", 48, "phantom grid size for figures 4-6")
 	outDir := flag.String("out", ".", "output directory for slice images")
 	quick := flag.Bool("quick", false, "shrink systems ~10x for a fast smoke run")
 	csvDir := flag.String("csv", "", "directory to write per-figure scaling CSVs (empty = none)")
 	flag.Parse()
-	csvOut = *csvDir
 
 	if *quick {
 		*eqs7 /= 10
 		*eqs9 /= 10
 	}
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		fmt.Fprintln(os.Stderr, "benchfig:", err)
+		os.Exit(1)
+	}
+	// target maps each of the paper's system sizes to the one this run
+	// builds.
+	target := map[int]int{figures.Equations77k: *eqs7, figures.Equations253k: *eqs9}
+	r := &runner{ctx: context.Background(), size: *size, outDir: *outDir, csvDir: *csvDir,
+		built: map[int]*figures.Built{}}
 
-	ctx := context.Background()
-	run := func(name string, fn func() error) {
-		if *fig != "all" && *fig != name {
-			return
+	type entry struct {
+		name string
+		run  func() error
+	}
+	entries := []entry{
+		{"3", func() error { fmt.Print(cluster.Fig3Table()); return nil }},
+		{"4", r.fig4},
+		{"5", r.fig5},
+		{"6", r.fig6},
+	}
+	for _, f := range figures.ScalingFigures() {
+		entries = append(entries, entry{f.Name, func() error { return r.scaling(f, target[f.Equations]) }})
+	}
+	ran := false
+	for _, e := range entries {
+		if *fig != "all" && *fig != e.name {
+			continue
 		}
-		fmt.Printf("=== Figure %s ===\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "figure %s: %v\n", name, err)
+		ran = true
+		fmt.Printf("=== Figure %s ===\n", e.name)
+		if err := e.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "figure %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
 	}
-
-	run("3", func() error {
-		fmt.Print(cluster.Fig3Table())
-		return nil
-	})
-	run("4", func() error { return fig4(ctx, *size, *outDir) })
-	run("5", func() error { return fig5(ctx, *size, *outDir) })
-	run("6", func() error { return fig6(ctx, *size) })
-	run("7", func() error {
-		return scaling(ctx, "Figure 7: Deep Flow cluster", *eqs7, cluster.DeepFlow(),
-			[]int{1, 2, 4, 6, 8, 10, 12, 14, 16})
-	})
-	run("8a", func() error {
-		return scaling(ctx, "Figure 8a: Sun Ultra HPC 6000 SMP", *eqs7, cluster.UltraHPC6000(),
-			[]int{1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20})
-	})
-	run("8b", func() error {
-		return scaling(ctx, "Figure 8b: 2x Sun Ultra 80 + Fast Ethernet", *eqs7, cluster.Ultra80Pair(),
-			[]int{1, 2, 3, 4, 5, 6, 7, 8})
-	})
-	run("9", func() error {
-		return scaling(ctx, "Figure 9: 253,308 equations on Ultra 6000", *eqs9, cluster.UltraHPC6000(),
-			[]int{1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20})
-	})
-}
-
-// runPipeline executes the full pipeline on a phantom case.
-func runPipeline(ctx context.Context, size int) (*phantom.Case, *core.Result, error) {
-	p := phantom.DefaultParams(size)
-	c := phantom.Generate(p)
-	cfg := core.DefaultConfig()
-	cfg.SkipRigid = true
-	sess, err := core.NewSession(cfg, c.Preop, c.PreopLabels)
-	if err != nil {
-		return nil, nil, err
+	if !ran {
+		fmt.Fprintf(os.Stderr, "benchfig: unknown figure %q\n", *fig)
+		os.Exit(2)
 	}
-	res, err := sess.Register(ctx, c.Intraop)
-	return c, res, err
+	if r.failed {
+		fmt.Fprintln(os.Stderr, "benchfig: a claim of the paper failed")
+		os.Exit(1)
+	}
 }
 
-func fig4(ctx context.Context, size int, outDir string) error {
-	c, res, err := runPipeline(ctx, size)
+// runner holds what the figures of one benchfig run share: the pipeline
+// run behind Figures 4-6, the systems behind Figures 7-9, and whether a
+// checked claim failed.
+type runner struct {
+	ctx            context.Context
+	size           int
+	outDir, csvDir string
+
+	pipe struct {
+		done bool
+		c    *phantom.Case
+		res  *core.Result
+		err  error
+	}
+	built  map[int]*figures.Built
+	failed bool
+}
+
+// report prints each checked claim with its verdict and records a
+// failure.
+func (r *runner) report(claims ...figures.Claim) {
+	for _, c := range claims {
+		verdict := "holds"
+		if !c.Holds {
+			verdict, r.failed = "FAILS", true
+		}
+		fmt.Printf("claim %s: %s\n", verdict, c.Text)
+	}
+}
+
+// pipeline runs the full pipeline once on a phantom case of the run's
+// size; Figures 4, 5 and 6 all read that run.
+func (r *runner) pipeline() (*phantom.Case, *core.Result, error) {
+	p := &r.pipe
+	if !p.done {
+		p.done = true
+		p.c = phantom.Generate(phantom.DefaultParams(r.size))
+		cfg := core.DefaultConfig()
+		cfg.SkipRigid = true
+		var sess *core.Session
+		if sess, p.err = core.NewSession(cfg, p.c.Preop, p.c.PreopLabels); p.err == nil {
+			p.res, p.err = sess.Register(r.ctx, p.c.Intraop)
+		}
+	}
+	return p.c, p.res, p.err
+}
+
+func (r *runner) fig4() error {
+	c, res, err := r.pipeline()
 	if err != nil {
 		return err
 	}
@@ -115,7 +160,7 @@ func fig4(ctx context.Context, size int, outDir string) error {
 		fmt.Printf("  deformation field RMS error vs ground truth: %.3f mm (rigid-only baseline %.3f mm)\n", rms, rms0)
 	}
 	// Slice panels (a)-(d).
-	k := size / 2
+	k := r.size / 2
 	diff, err := res.Warped.AbsDiff(c.Intraop)
 	if err != nil {
 		return err
@@ -127,23 +172,28 @@ func fig4(ctx context.Context, size int, outDir string) error {
 		"fig4d_difference.pgm": diff,
 	}
 	for name, vol := range panels {
-		path := filepath.Join(outDir, name)
+		path := filepath.Join(r.outDir, name)
 		if err := volume.SavePGMSlice(path, vol, k); err != nil {
 			return err
 		}
 		fmt.Printf("  wrote %s\n", path)
 	}
+	r.report(figures.Claim{
+		Text: fmt.Sprintf("the biomechanical match (%.3f) is below rigid registration alone (%.3f)",
+			res.MatchMeanAbsDiff, res.RigidMeanAbsDiff),
+		Holds: res.MatchMeanAbsDiff < res.RigidMeanAbsDiff,
+	})
 	return nil
 }
 
-func fig5(ctx context.Context, size int, outDir string) error {
-	c, res, err := runPipeline(ctx, size)
+func (r *runner) fig5() error {
+	c, res, err := r.pipeline()
 	if err != nil {
 		return err
 	}
 	// Color panel: intraop slice + deformation heat map + displacement
 	// arrows (the Figure 5 rendering, as a 2D slice).
-	k := size / 2
+	k := r.size / 2
 	lo, hi := c.Intraop.MinMax()
 	im, err := render.GraySlice(c.Intraop, render.AxisZ, k, lo, hi)
 	if err != nil {
@@ -155,7 +205,7 @@ func fig5(ctx context.Context, size int, outDir string) error {
 	if err := render.DrawArrows(im, res.Backward, render.AxisZ, k, 6, 2, 1.5, render.RGB{B: 255}); err != nil {
 		return err
 	}
-	panel := filepath.Join(outDir, "fig5_deformation.ppm")
+	panel := filepath.Join(r.outDir, "fig5_deformation.ppm")
 	if err := im.SavePPM(panel); err != nil {
 		return err
 	}
@@ -168,7 +218,7 @@ func fig5(ctx context.Context, size int, outDir string) error {
 	if err != nil {
 		return err
 	}
-	panel3d := filepath.Join(outDir, "fig5_surface3d.ppm")
+	panel3d := filepath.Join(r.outDir, "fig5_surface3d.ppm")
 	if err := im3d.SavePPM(panel3d); err != nil {
 		return err
 	}
@@ -193,8 +243,8 @@ func fig5(ctx context.Context, size int, outDir string) error {
 	return nil
 }
 
-func fig6(ctx context.Context, size int) error {
-	_, res, err := runPipeline(ctx, size)
+func (r *runner) fig6() error {
+	_, res, err := r.pipeline()
 	if err != nil {
 		return err
 	}
@@ -202,46 +252,44 @@ func fig6(ctx context.Context, size int) error {
 	return nil
 }
 
-// builtCache shares one system build across figures 7, 8a and 8b.
-var builtCache = map[int]*figures.Built{}
-
-// csvOut, when non-empty, receives per-figure scaling CSVs.
-var csvOut string
-
-func builtFor(ctx context.Context, eqs int) (*figures.Built, error) {
-	if b, ok := builtCache[eqs]; ok {
+// builtFor builds the system of about eqs equations once per run;
+// Figures 7, 8a and 8b share one.
+func (r *runner) builtFor(eqs int) (*figures.Built, error) {
+	if b, ok := r.built[eqs]; ok {
 		return b, nil
 	}
 	fmt.Printf("building ~%d-equation biomechanical system...\n", eqs)
-	b, err := figures.BuildHeadSystem(ctx, figures.SystemSpec{TargetEquations: eqs, Seed: 1})
+	b, err := figures.BuildHeadSystem(r.ctx, figures.SystemSpec{TargetEquations: eqs, Seed: 1})
 	if err != nil {
 		return nil, err
 	}
-	builtCache[eqs] = b
+	r.built[eqs] = b
 	return b, nil
 }
 
-func scaling(ctx context.Context, title string, eqs int, mach cluster.Machine, cpus []int) error {
-	b, err := builtFor(ctx, eqs)
+// scaling regenerates one scaling figure on a system of about eqs
+// equations, and checks its claims when eqs is the paper's size.
+func (r *runner) scaling(f figures.ScalingFigure, eqs int) error {
+	b, err := r.builtFor(eqs)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("system: %d equations (%d nodes, %d elements, %d constrained DOFs)\n",
 		b.NumEq, b.Mesh.NumNodes(), b.Mesh.NumTets(), b.NumBC)
-	rows, err := figures.ScalingStudy(ctx, b, mach, cpus, solver.DefaultOptions())
+	rows, err := figures.ScalingStudy(r.ctx, b, f.Machine, f.CPUs, solver.DefaultOptions())
 	if err != nil {
 		return err
 	}
-	fmt.Print(figures.FormatRows(title+" ("+mach.Name+")", rows))
+	fmt.Print(figures.FormatRows(f.Title+" ("+f.Machine.Name+")", rows))
 	// Speedup/efficiency summary and the effective Amdahl serial
 	// fraction implied by the end-to-end curve.
-	var cpusL []int
+	var cpus []int
 	var times []float64
-	for _, r := range rows {
-		cpusL = append(cpusL, r.CPUs)
-		times = append(times, r.AssembleSec+r.SolveSec)
+	for _, row := range rows {
+		cpus = append(cpus, row.CPUs)
+		times = append(times, row.AssembleSec+row.SolveSec)
 	}
-	pts, err := cluster.SpeedupCurve(cpusL, times)
+	pts, err := cluster.SpeedupCurve(cpus, times)
 	if err != nil {
 		return err
 	}
@@ -249,24 +297,36 @@ func scaling(ctx context.Context, title string, eqs int, mach cluster.Machine, c
 	if sf, err := cluster.FitAmdahl(pts); err == nil {
 		fmt.Printf("effective Amdahl serial fraction: %.3f\n", sf)
 	}
-	if csvOut != "" {
-		if err := os.MkdirAll(csvOut, 0o755); err != nil {
+	if r.csvDir != "" {
+		if err := writeCSV(filepath.Join(r.csvDir, sanitize(f.Title)+".csv"), rows); err != nil {
 			return err
 		}
-		name := filepath.Join(csvOut, sanitize(title)+".csv")
-		f, err := os.Create(name)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := figures.WriteCSV(f, rows); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Println("wrote", name)
 	}
+	if eqs != f.Equations {
+		fmt.Printf("claims not checked: a %d-equation target, the paper's system has %d\n", eqs, f.Equations)
+		return nil
+	}
+	r.report(f.Claims(rows)...)
+	return nil
+}
+
+// writeCSV writes a figure's scaling rows to name.
+func writeCSV(name string, rows []figures.ScalingRow) error {
+	if err := os.MkdirAll(filepath.Dir(name), 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := figures.WriteCSV(f, rows); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Println("wrote", name)
 	return nil
 }
 

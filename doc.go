@@ -20,7 +20,9 @@
 // ground-truth deformations substitute for the clinical scans
 // (internal/phantom).
 //
-// The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation; see DESIGN.md for the per-experiment index
-// and EXPERIMENTS.md for paper-vs-measured results.
+// cmd/benchfig regenerates every table and figure of the paper's
+// evaluation and checks the paper's claims on them; the benchmarks in
+// ablation_test.go vary the design choices beyond them. See DESIGN.md
+// for the per-experiment index and EXPERIMENTS.md for paper-vs-measured
+// results.
 package repro

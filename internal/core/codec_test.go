@@ -69,7 +69,7 @@ func FuzzDecodeArtifact(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	tab, err := preopInterp(ctx, pair[meshed, *fem.Operator]{m, sys}, c.Intraop.Grid)
+	tab, err := preopInterp(ctx, m, c.Intraop.Grid)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestArtifactBlobsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := preopInterp(ctx, pair[meshed, *fem.Operator]{m, op}, c.Intraop.Grid)
+	tab, err := preopInterp(ctx, m, c.Intraop.Grid)
 	if err != nil {
 		t.Fatal(err)
 	}

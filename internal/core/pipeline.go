@@ -386,7 +386,6 @@ func (s *Session) runStages(ctx context.Context, sc *scan, warm bool) error {
 	var (
 		labels *handle[*volume.Labels]
 		meshA  *handle[meshed]
-		sysA   *handle[*fem.Operator]
 	)
 	if !warm {
 		if cfg.SkipRigid && !sc.preop.Grid.SameShape(sc.intraop.Grid) {
@@ -458,14 +457,14 @@ func (s *Session) runStages(ctx context.Context, sc *scan, warm bool) error {
 	}); err != nil {
 		return err
 	}
-	if err := stage(StageSolve, func(ctx context.Context) (err error) {
+	if err := stage(StageSolve, func(ctx context.Context) error {
 		if !warm {
-			sysA, err = cached(ctx, store, "preop-assemble", preopAssemble, meshA,
+			op, err := cached(ctx, store, "preop-assemble", preopAssemble, meshA,
 				assembleKey{Materials: cfg.Materials, Ranks: cfg.Ranks}, operatorCodec)
 			if err != nil {
 				return err
 			}
-			sc.sys = sysA.val.NewSystem(sc.mesh)
+			sc.sys = op.val.NewSystem(sc.mesh)
 		}
 		return s.stageSolve(ctx, sc, warm)
 	}); err != nil {
@@ -473,7 +472,7 @@ func (s *Session) runStages(ctx context.Context, sc *scan, warm bool) error {
 	}
 	return stage(StageResample, func(ctx context.Context) error {
 		if !warm {
-			tab, err := cached(ctx, store, "preop-interp", preopInterp, join(meshA, sysA), sc.intraop.Grid, interpCodec)
+			tab, err := cached(ctx, store, "preop-interp", preopInterp, meshA, sc.intraop.Grid, interpCodec)
 			if err != nil {
 				return err
 			}

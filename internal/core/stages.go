@@ -93,11 +93,10 @@ func preopAssemble(ctx context.Context, m meshed, k assembleKey) (*fem.Operator,
 	return sys.Eliminate(m.Surf.NodeID)
 }
 
-// preopInterp builds the voxel→element interpolation table of the
-// assembled mesh on the scan grid (its key). The table depends on the
-// mesh geometry and the grid alone — the operator is in the input so
-// that the table stays downstream of preop-assemble in the key chain;
-// applying it reproduces System.DisplacementField bit-exactly.
-func preopInterp(_ context.Context, in pair[meshed, *fem.Operator], g volume.Grid) (*fem.InterpTable, error) {
-	return fem.BuildInterpTable(in.A.Mesh, g), nil
+// preopInterp builds the voxel→element interpolation table of the mesh
+// on the scan grid (its key): a function of the mesh geometry and the
+// grid alone, so materials and rank partition do not reach its key.
+// Applying it reproduces System.DisplacementField bit-exactly.
+func preopInterp(_ context.Context, m meshed, g volume.Grid) (*fem.InterpTable, error) {
+	return fem.BuildInterpTable(m.Mesh, g), nil
 }

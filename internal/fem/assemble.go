@@ -221,16 +221,20 @@ func (o *Operator) checkCoupling() error {
 // caller must fall back to a full re-assembly.
 var ErrBoundarySetChanged = errors.New("fem: Dirichlet boundary set changed; full re-assembly required")
 
-// DOFPartition returns the row partition of the 3N-dimensional system
-// corresponding to the node partition (contiguous, nodes*3).
-func (o *Operator) DOFPartition() par.Partition {
-	pt := o.NodePart
-	starts := make([]int, pt.P+1)
+// DOFPartitionOf returns the row partition of the 3N-dimensional system
+// that a node partition induces: rank r owns the three DOFs of each of
+// its nodes, so a node's DOFs never split across ranks.
+func DOFPartitionOf(nodes par.Partition) par.Partition {
+	starts := make([]int, nodes.P+1)
 	for i := range starts {
-		starts[i] = pt.Starts[i] * 3
+		starts[i] = nodes.Starts[i] * 3
 	}
-	return par.Partition{N: pt.N * 3, P: pt.P, Starts: starts}
+	return par.Partition{N: nodes.N * 3, P: nodes.P, Starts: starts}
 }
+
+// DOFPartition returns the row partition of the system induced by its
+// node partition (DOFPartitionOf).
+func (o *Operator) DOFPartition() par.Partition { return DOFPartitionOf(o.NodePart) }
 
 // AssembleContext builds the global stiffness matrix. Each rank
 // assembles the matrix rows of the nodes it owns; an element spanning

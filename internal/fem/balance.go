@@ -31,8 +31,9 @@ func BalancedNodePartition(m *mesh.Mesh, p int) par.Partition {
 
 // BalancedDOFPartition partitions the solved system's rows so each rank
 // receives approximately equal matrix work (nnz), accounting for the
-// trivial rows left by Dirichlet substitution. Rows are grouped in
-// threes so a node's DOFs never split across ranks.
+// trivial rows left by Dirichlet substitution. It weighs each node by
+// its three rows' nnz and lifts the node partition with DOFPartitionOf,
+// so a node's DOFs never split across ranks.
 func (s *System) BalancedDOFPartition(p int) par.Partition {
 	nNodes := s.Mesh.NumNodes()
 	weights := make([]float64, nNodes)
@@ -42,10 +43,5 @@ func (s *System) BalancedDOFPartition(p int) par.Partition {
 			weights[n] += float64(s.K.RowPtr[row+1] - s.K.RowPtr[row])
 		}
 	}
-	nodePt := par.Weighted(weights, p)
-	starts := make([]int, p+1)
-	for i := range starts {
-		starts[i] = nodePt.Starts[i] * 3
-	}
-	return par.Partition{N: 3 * nNodes, P: p, Starts: starts}
+	return DOFPartitionOf(par.Weighted(weights, p))
 }

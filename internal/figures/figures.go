@@ -1,12 +1,14 @@
 // Package figures regenerates the tables and figures of the paper's
 // evaluation section: it builds biomechanical systems of the paper's
-// sizes (77,511 and 253,308 equations) from synthetic neurosurgery
-// cases, runs the instrumented parallel assembly and GMRES/block-Jacobi
-// solve, and feeds the measured per-rank work and iteration counts into
-// the cluster machine models to produce the timing curves of Figures 7,
-// 8a, 8b and 9. The match-quality content of Figures 4 and 5 and the
-// pipeline timeline of Figure 6 are produced by the core pipeline
-// (package core); this package focuses on the scaling study.
+// sizes from synthetic neurosurgery cases, runs the instrumented
+// parallel assembly and GMRES/block-Jacobi solve, and feeds the
+// measured per-rank work and iteration counts into the cluster machine
+// models to produce the timing curves of Figures 7, 8a, 8b and 9.
+// ScalingFigures states each figure's machine, size and CPU sweep, and
+// CheckClaims the paper's claims on them; cmd/benchfig runs both. The
+// match-quality content of Figures 4 and 5 and the pipeline timeline of
+// Figure 6 are produced by the core pipeline (package core); this
+// package focuses on the scaling study.
 package figures
 
 import (
@@ -212,11 +214,7 @@ func ScalingPointStrategy(ctx context.Context, b *Built, mach cluster.Machine, c
 		dofPt = sys.BalancedDOFPartition(cpus)
 	} else {
 		nodePt = par.Even(m.NumNodes(), cpus)
-		dofStarts := make([]int, cpus+1)
-		for i := range dofStarts {
-			dofStarts[i] = nodePt.Starts[i] * 3
-		}
-		dofPt = par.Partition{N: sys.NumDOF, P: cpus, Starts: dofStarts}
+		dofPt = fem.DOFPartitionOf(nodePt)
 	}
 	flops, entries := fem.AssemblyWorkModel(m, nodePt)
 	assembleSec := mach.AssemblyTime(cluster.AssemblyWork{

@@ -10,8 +10,8 @@ import (
 )
 
 // smallSystem builds a reduced-size system (a few thousand equations)
-// so the scaling machinery can be exercised quickly; the full 77,511-
-// equation study runs in the benchmark harness.
+// so the scaling machinery can be exercised quickly; the full-size
+// study, and its claims, run in cmd/benchfig.
 func smallSystem(t *testing.T) *Built {
 	t.Helper()
 	b, err := BuildHeadSystem(context.Background(), SystemSpec{TargetEquations: 4500, Seed: 1})
@@ -48,8 +48,8 @@ func TestScalingStudyShape(t *testing.T) {
 	// (thousands of equations) the Fast-Ethernet latency of the Deep
 	// Flow model correctly dominates and masks the speedup that the
 	// paper's 77,511-equation system exhibits (see
-	// TestEthernetNeedsLargeSystems and the benchmark harness for the
-	// full-size study).
+	// TestEthernetNeedsLargeSystems, and cmd/benchfig for the full-size
+	// study).
 	b := smallSystem(t)
 	mach := cluster.UltraHPC6000()
 	opts := solver.DefaultOptions()
@@ -109,7 +109,7 @@ func TestEthernetNeedsLargeSystems(t *testing.T) {
 	// low-latency SMP scales better than the Fast-Ethernet cluster,
 	// whose per-iteration allreduce latency swamps the shrunken
 	// per-rank compute. (At the paper's 77,511 equations the cluster
-	// scales fine — that is the benchmark harness's job to show.)
+	// scales fine — cmd/benchfig's Figure 7 claims show that.)
 	b := smallSystem(t)
 	opts := solver.DefaultOptions()
 	opts.Tol = 1e-6
@@ -169,5 +169,71 @@ func TestFormatRows(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("formatted output missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestScalingClaims holds the paper's claims to rows built to break
+// each one, and to the rows cmd/benchfig measured at the paper's sizes
+// (first and last CPU count of each sweep). No system is built.
+func TestScalingClaims(t *testing.T) {
+	figs := map[string]ScalingFigure{}
+	for _, f := range ScalingFigures() {
+		figs[f.Name] = f
+		if f.CPUs[0] != 1 {
+			t.Errorf("%s: sweep starts at %d CPUs, want 1", f.Title, f.CPUs[0])
+		}
+		for i, p := range f.CPUs {
+			if p < 1 || p > f.Machine.MaxCPUs || i > 0 && p <= f.CPUs[i-1] {
+				t.Errorf("%s: sweep %v does not ascend within [1, %d]", f.Title, f.CPUs, f.Machine.MaxCPUs)
+				break
+			}
+		}
+	}
+	row := func(cpus int, assemble, solve, total float64) ScalingRow {
+		return ScalingRow{CPUs: cpus, AssembleSec: assemble, SolveSec: solve, TotalSec: total, Converged: true}
+	}
+	measured := map[string][]ScalingRow{
+		"7":  {row(1, 31.65, 3.72, 36.86), row(16, 2.15, 1.01, 4.65)},
+		"8a": {row(1, 51.61, 6.61, 60.72), row(20, 2.81, 0.69, 6.00)},
+		"8b": {row(1, 29.75, 3.72, 35.26), row(8, 3.94, 1.23, 6.98)},
+		"9":  {row(1, 183.72, 37.86, 224.08), row(20, 9.75, 3.28, 15.53)},
+	}
+	if len(measured) != len(figs) {
+		t.Fatalf("%d measured figures for %d scaling figures", len(measured), len(figs))
+	}
+	for name, rows := range measured {
+		for _, c := range figs[name].Claims(rows) {
+			if !c.Holds {
+				t.Errorf("figure %s, measured rows: claim fails: %s", name, c.Text)
+			}
+		}
+	}
+	// failsOne wants exactly one failed claim, whose text names want.
+	failsOne := func(name, want string, rows []ScalingRow) {
+		t.Helper()
+		var failed []string
+		for _, c := range figs[name].Claims(rows) {
+			if !c.Holds {
+				failed = append(failed, c.Text)
+			}
+		}
+		if len(failed) != 1 || !strings.Contains(failed[0], want) {
+			t.Errorf("figure %s: failed claims %q, want one naming %q", name, failed, want)
+		}
+	}
+	notConverged := append([]ScalingRow(nil), measured["8b"]...)
+	notConverged[1].Converged = false
+	failsOne("8b", "converged (1 of 2)", notConverged)
+	failsOne("8a", "total falls", []ScalingRow{row(1, 2.81, 0.69, 6.00), row(20, 2.81, 0.69, 6.00)})
+	failsOne("7", "is 10.00 s, want < 10 s", []ScalingRow{row(1, 31.65, 3.72, 36.86), row(16, 8, 2, 11.5)})
+	failsOne("9", "is 60.01 s, want ≤ 60 s", []ScalingRow{row(1, 183.72, 37.86, 224.08), row(20, 50, 10.01, 62)})
+	// Figure 9's minute is inclusive, Figure 7's ten seconds are not.
+	for _, c := range figs["9"].Claims([]ScalingRow{row(1, 183.72, 37.86, 224.08), row(20, 50, 10, 62)}) {
+		if !c.Holds {
+			t.Errorf("figure 9 at 60 s: claim fails: %s", c.Text)
+		}
+	}
+	if cs := figs["7"].Claims(nil); len(cs) != 1 || cs[0].Holds {
+		t.Errorf("no rows: claims %v, want one that fails", cs)
 	}
 }

@@ -104,8 +104,8 @@ type Stats struct {
 	// iterate (1.0 for a zero start; ≪ 1 for a good warm start) — the
 	// quantity that makes the warm-start benefit measurable.
 	EntryResRel float64
-	// WarmStarted reports that the solve was seeded with a previous
-	// solution through GMRESWarmContext.
+	// WarmStarted reports that the solve was seeded with an initial
+	// iterate (a non-nil x0), whichever entry point ran it.
 	WarmStarted bool
 	// Restarts counts GMRES restart cycles beyond the first (0 when the
 	// solve converged within one cycle).
@@ -551,7 +551,7 @@ func gmresCycle(matvec func(in, out []float64), b, x []float64, m Preconditioner
 // restart cycle: a cancelled or deadline-expired context aborts within
 // one cycle, returning the best iterate so far together with ctx.Err().
 func GMRESContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) ([]float64, Stats, error) {
-	return gmres(ctx, a, b, x0, m, opts, false)
+	return gmres(ctx, a, b, x0, m, opts)
 }
 
 // publish states the solve's statistics, once, as attributes of the
@@ -574,10 +574,9 @@ func (s *Stats) publish(span *obs.Span) {
 	span.SetAttr("warm_started", s.WarmStarted)
 }
 
-// gmres is the shared body of GMRESContext and GMRESWarmContext; warm
-// marks the statistics as warm-started. Every exit past the argument
-// checks publishes the statistics it returns.
-func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options, warm bool) (_ []float64, stats Stats, _ error) {
+// gmres is the shared body of GMRESContext and GMRESWarmContext. Every
+// exit past the argument checks publishes the statistics it returns.
+func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) (_ []float64, stats Stats, _ error) {
 	n := a.N
 	if len(b) != n {
 		return nil, Stats{}, fmt.Errorf("solver: rhs length %d != n %d", len(b), n)
@@ -653,7 +652,7 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 		rbuf, zbuf, win = ws.r, ws.z, &ws.win
 	}
 
-	stats.WarmStarted = warm
+	stats.WarmStarted = x0 != nil
 	defer func() { stats.publish(obs.SpanFromContext(ctx)) }()
 
 	// The residuals telemetry reports are relative to ||M^{-1} b|| (the
@@ -769,15 +768,15 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 // displacement field of the last intraoperative solve). The stopping
 // rule is the cold solve's, in the solution's units, so a seed closer
 // to the solution takes fewer iterations (one, for a seed already
-// within Tol) and shows as a small Stats.EntryResRel; the solve is
-// marked Stats.WarmStarted for metrics. A nil
+// within Tol) and shows as a small Stats.EntryResRel and as
+// Stats.WarmStarted, as any seeded solve does. A nil
 // or wrongly sized seed is an error — callers without a previous
 // solution should use GMRESContext.
 func GMRESWarmContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) ([]float64, Stats, error) {
 	if len(x0) != a.N {
 		return nil, Stats{}, fmt.Errorf("solver: warm-start seed length %d != n %d", len(x0), a.N)
 	}
-	return gmres(ctx, a, b, x0, m, opts, true)
+	return gmres(ctx, a, b, x0, m, opts)
 }
 
 // CGContext solves the symmetric positive definite system A x = b with
@@ -786,8 +785,12 @@ func GMRESWarmContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Pre
 // elimination, so CG applies; the paper follows PETSc's robust default
 // of GMRES). It stops on GMRES's rule (see Options.Tol), bounding
 // ‖x_k − x_{k−stepDelay}‖₂ by the window's Σ|α_j|·‖p_j‖, or at
-// residualFloor. The context is checked every iteration; on
-// expiry the best iterate so far is returned together with ctx.Err().
+// residualFloor. Its Stats are GMRESContext's: EntryResRel relative to
+// ‖M⁻¹b‖ (one preconditioner apply more than CG itself needs),
+// WarmStarted for a non-nil x0, and every exit past the argument checks
+// publishes them on the enclosing span. The context is checked every
+// iteration; on expiry the best iterate so far is returned together
+// with ctx.Err().
 func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) ([]float64, Stats, error) {
 	n := a.N
 	if len(b) != n {
@@ -816,7 +819,6 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 		}
 	}
 
-	var stats Stats
 	x := make([]float64, n)
 	if x0 != nil {
 		if len(x0) != n {
@@ -824,11 +826,19 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 		}
 		copy(x, x0)
 	}
+	stats := Stats{WarmStarted: x0 != nil}
+	defer func() { stats.publish(obs.SpanFromContext(ctx)) }()
 	r := make([]float64, n)
 	z := make([]float64, n)
 	p := make([]float64, n)
 	ap := make([]float64, n)
 
+	// ‖M⁻¹b‖ is the reference of EntryResRel only; ap is free until the
+	// first iteration.
+	m.Apply(b, ap)
+	stats.PCApplies++
+	bNorm := norm2(ap)
+	stats.DotProducts++
 	matvec(x, r)
 	stats.MatVecs++
 	for i := range r {
@@ -843,6 +853,11 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 	}
 	m.Apply(r, z)
 	stats.PCApplies++
+	stats.EntryResRel = math.Inf(1)
+	if numeric.NonZero(bNorm) {
+		stats.EntryResRel = norm2(z) / bNorm
+		stats.DotProducts++
+	}
 	copy(p, z)
 	rz := dot(r, z)
 	stats.DotProducts++

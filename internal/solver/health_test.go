@@ -79,7 +79,7 @@ func TestGMRESStagnationDetected(t *testing.T) {
 // TestGMRESStatsOnEnclosingSpan: a solve states its statistics once, as
 // attributes of the span it runs under, with the values it returns —
 // cold, warm, and on the early exits (a zero right-hand side, a context
-// cancelled before the first cycle) alike.
+// cancelled before the first cycle) alike; CG states the same ones.
 func TestGMRESStatsOnEnclosingSpan(t *testing.T) {
 	a := laplacian3D(6, 6, 6)
 	b := randomRHS(a.N, 17)
@@ -93,26 +93,41 @@ func TestGMRESStatsOnEnclosingSpan(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		ctx   context.Context
+		warm  bool
 		solve func(ctx context.Context) (Stats, error)
 	}{
-		{"cold", context.Background(), func(ctx context.Context) (Stats, error) {
+		{"cold", context.Background(), false, func(ctx context.Context) (Stats, error) {
 			_, st, err := GMRESContext(ctx, a, b, nil, nil, opts)
 			return st, err
 		}},
-		{"warm", context.Background(), func(ctx context.Context) (Stats, error) {
+		{"warm", context.Background(), true, func(ctx context.Context) (Stats, error) {
 			_, st, err := GMRESWarmContext(ctx, a, b, x, nil, opts)
 			return st, err
 		}},
-		{"zero rhs", context.Background(), func(ctx context.Context) (Stats, error) {
+		{"zero rhs", context.Background(), false, func(ctx context.Context) (Stats, error) {
 			_, st, err := GMRESContext(ctx, a, make([]float64, a.N), nil, nil, opts)
 			return st, err
 		}},
-		{"cancelled", cancelled, func(ctx context.Context) (Stats, error) {
+		{"cancelled", cancelled, false, func(ctx context.Context) (Stats, error) {
 			_, st, err := GMRESContext(ctx, a, b, nil, nil, opts)
 			if err == nil {
 				t.Error("cancelled solve returned no error")
 			}
 			return st, nil
+		}},
+		{"CG cold", context.Background(), false, func(ctx context.Context) (Stats, error) {
+			_, st, err := CGContext(ctx, a, b, nil, nil, opts)
+			if st.EntryResRel != 1 {
+				t.Errorf("CG cold: EntryResRel = %v, want 1 from a zero start", st.EntryResRel)
+			}
+			return st, err
+		}},
+		{"CG warm", context.Background(), true, func(ctx context.Context) (Stats, error) {
+			_, st, err := CGContext(ctx, a, b, x, nil, opts)
+			if !(st.EntryResRel > 0 && st.EntryResRel < 1e-6) {
+				t.Errorf("CG warm: EntryResRel = %v, want in (0, 1e-6) from a converged seed", st.EntryResRel)
+			}
+			return st, err
 		}},
 	} {
 		rec := obs.NewFlightRecorder(64)
@@ -122,7 +137,7 @@ func TestGMRESStatsOnEnclosingSpan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if st.WarmStarted != (c.name == "warm") {
+		if st.WarmStarted != c.warm {
 			t.Errorf("%s: Stats.WarmStarted = %v", c.name, st.WarmStarted)
 		}
 		var got map[string]any

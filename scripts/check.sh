@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repository check: formatting, build + vet, the project-native simlint
 # static-analysis suite, the perfgate compiler-fact gate (the
-# //lint:noescape kernel contract), the full test suite (and the
-# benchmark ledger's own vet and tests, which ./... skips), fuzz smoke
+# //lint:noescape kernel contract), the full test suite, the paper's
+# figures regenerated with their claims checked (cmd/benchfig), the
+# benchmark ledger's own vet and tests (which ./... skips), fuzz smoke
 # runs, and the whole module under the race detector (short mode, which
 # includes the service's goroutine-leak test), then the race repeats of
 # scripts/race_repeats.sh: the tests whose races show only in an
@@ -26,6 +27,10 @@ echo "== perfgate"
 go run ./cmd/perfgate
 echo "== go test ./..."
 go test -timeout 5m ./...
+echo "== benchfig -fig all (the paper's figures and claims at its sizes)"
+figs=$(mktemp -d)
+go run ./cmd/benchfig -fig all -out "$figs"
+rm -rf "$figs"
 echo "== go vet ./_bench && go test ./_bench"
 # ./... skips the _-prefixed benchmark directory, so name it.
 go vet ./_bench
