@@ -26,12 +26,12 @@ perfgate:
 check:
 	sh scripts/check.sh
 
-# Benchmarks: the Go micro-benchmarks and ablations (-short shrinks the
-# ablations' systems ~10x), then the benchmark ledger — the four
-# paper-scale workloads of BENCHMARK.json, each scan checked for
-# correctness (see _bench/README.md; `go run ./_bench -trace 1` adds the
-# layer-by-layer replay). The paper's figures and their claims are
-# regenerated by `go run ./cmd/benchfig -fig all`, not here.
+# Benchmarks: the packages' Go micro-benchmarks, then the benchmark
+# ledger — the four paper-scale workloads of BENCHMARK.json, each scan
+# checked for correctness (see _bench/README.md; `go run ./_bench -trace
+# 1` adds the layer-by-layer replay). The paper's figures, the
+# design-choice studies and their claims are regenerated by
+# `go run ./cmd/benchfig -fig all`, not here.
 bench:
 	$(GO) test -bench=. -benchmem -short ./...
 	$(GO) run ./_bench

@@ -10,16 +10,30 @@
 //	benchfig -fig 8a   scaling on the Ultra HPC 6000 SMP
 //	benchfig -fig 8b   scaling on the 2x Ultra 80 pair
 //	benchfig -fig 9    the larger system's scaling on the Ultra HPC 6000
-//	benchfig -fig all  everything
 //
+// and the design-choice studies of DESIGN §4:
+//
+//	benchfig -fig balance     even vs work-aware decomposition, Figure 7's system at 16 CPUs
+//	benchfig -fig precond     GMRES iterations per preconditioner, a quarter of that system
+//	benchfig -fig materials   homogeneous vs heterogeneous (falx, ventricles) material
+//	benchfig -fig baseline    the pipeline vs the image-based (demons) predecessor
+//	benchfig -fig resolution  mesh cell 2, 3 and 4 voxels
+//	benchfig -fig mesher      Kuhn vs BCC lattice
+//	benchfig -fig all         everything
+//
+// The accuracy studies run Figures 4-6's case and print each field's
+// RMS error against the truth over the whole brain mask and over the
+// tissue mask; the pipeline run behind Figures 4-6 is their first row.
 // Figure 4's claim, that the simulated deformation matches the scan
-// better than rigid registration alone, is checked at any -size. The
-// scaling figures' machines, system sizes, CPU sweeps and claims come
-// from figures.ScalingFigures; their claims hold at the paper's sizes,
-// so a run shrunk by -quick, -eqs or -eqs9 prints them as not checked.
-// benchfig exits 1 when a checked claim fails, after printing every
-// figure. Absolute times for figures 7-9 come from the calibrated
-// machine models driven by measured per-rank work; see DESIGN.md.
+// better than rigid registration alone, and the baseline's skull claims
+// are checked at any -size. The scaling figures' machines, system
+// sizes, CPU sweeps and claims come from figures.ScalingFigures; those
+// claims and the balance and preconditioner studies' hold at the
+// paper's sizes, so a run shrunk by -quick, -eqs or -eqs9 prints them
+// as not checked. benchfig exits 1 when a checked claim fails, after
+// printing every figure. Absolute times for figures 7-9 come from the
+// calibrated machine models driven by measured per-rank work; see
+// DESIGN.md.
 package main
 
 import (
@@ -40,7 +54,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3,4,5,6,7,8a,8b,9,all")
+	fig := flag.String("fig", "all", "figure or study to regenerate: 3,4,5,6,7,8a,8b,9,balance,precond,materials,baseline,resolution,mesher,all")
 	eqs7 := flag.Int("eqs", figures.Equations77k, "target equations for figures 7/8")
 	eqs9 := flag.Int("eqs9", figures.Equations253k, "target equations for figure 9")
 	size := flag.Int("size", 48, "phantom grid size for figures 4-6")
@@ -64,27 +78,35 @@ func main() {
 		built: map[int]*figures.Built{}}
 
 	type entry struct {
-		name string
-		run  func() error
+		kind, name string
+		run        func() error
 	}
 	entries := []entry{
-		{"3", func() error { fmt.Print(cluster.Fig3Table()); return nil }},
-		{"4", r.fig4},
-		{"5", r.fig5},
-		{"6", r.fig6},
+		{"Figure", "3", func() error { fmt.Print(cluster.Fig3Table()); return nil }},
+		{"Figure", "4", r.fig4},
+		{"Figure", "5", r.fig5},
+		{"Figure", "6", r.fig6},
 	}
 	for _, f := range figures.ScalingFigures() {
-		entries = append(entries, entry{f.Name, func() error { return r.scaling(f, target[f.Equations]) }})
+		entries = append(entries, entry{"Figure", f.Name, func() error { return r.scaling(f, target[f.Equations]) }})
 	}
+	entries = append(entries,
+		entry{"Study", "balance", func() error { return r.balance(*eqs7) }},
+		entry{"Study", "precond", func() error { return r.precond(*eqs7) }},
+		entry{"Study", "materials", r.materials},
+		entry{"Study", "baseline", r.baseline},
+		entry{"Study", "resolution", r.resolution},
+		entry{"Study", "mesher", r.mesher},
+	)
 	ran := false
 	for _, e := range entries {
 		if *fig != "all" && *fig != e.name {
 			continue
 		}
 		ran = true
-		fmt.Printf("=== Figure %s ===\n", e.name)
+		fmt.Printf("=== %s %s ===\n", e.kind, e.name)
 		if err := e.run(); err != nil {
-			fmt.Fprintf(os.Stderr, "figure %s: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "%s %s: %v\n", e.kind, e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
@@ -129,21 +151,43 @@ func (r *runner) report(claims ...figures.Claim) {
 	}
 }
 
+// check reports claims that hold at the paper's system size, or says
+// they were not checked on a run that shrank it.
+func (r *runner) check(eqs, paperEqs int, claims []figures.Claim) {
+	if eqs != paperEqs {
+		fmt.Printf("claims not checked: a %d-equation target, the paper's system has %d\n", eqs, paperEqs)
+		return
+	}
+	r.report(claims...)
+}
+
 // pipeline runs the full pipeline once on a phantom case of the run's
-// size; Figures 4, 5 and 6 all read that run.
+// size; Figures 4, 5 and 6 and the first row of every accuracy study
+// read that run.
 func (r *runner) pipeline() (*phantom.Case, *core.Result, error) {
 	p := &r.pipe
 	if !p.done {
 		p.done = true
 		p.c = phantom.Generate(phantom.DefaultParams(r.size))
-		cfg := core.DefaultConfig()
-		cfg.SkipRigid = true
-		var sess *core.Session
-		if sess, p.err = core.NewSession(cfg, p.c.Preop, p.c.PreopLabels); p.err == nil {
-			p.res, p.err = sess.Register(r.ctx, p.c.Intraop)
-		}
+		p.res, p.err = r.register(p.c, nil)
 	}
 	return p.c, p.res, p.err
+}
+
+// register runs case c through a fresh session under the pipeline's
+// configuration, the defaults with the rigid stage skipped, changed by
+// set when set is not nil.
+func (r *runner) register(c *phantom.Case, set func(*core.Config)) (*core.Result, error) {
+	cfg := core.DefaultConfig()
+	cfg.SkipRigid = true
+	if set != nil {
+		set(&cfg)
+	}
+	sess, err := core.NewSession(cfg, c.Preop, c.PreopLabels)
+	if err != nil {
+		return nil, err
+	}
+	return sess.Register(r.ctx, c.Intraop)
 }
 
 func (r *runner) fig4() error {
@@ -165,15 +209,17 @@ func (r *runner) fig4() error {
 	if err != nil {
 		return err
 	}
-	panels := map[string]*volume.Scalar{
-		"fig4a_preop.pgm":      c.Preop,
-		"fig4b_intraop.pgm":    c.Intraop,
-		"fig4c_simulated.pgm":  res.Warped,
-		"fig4d_difference.pgm": diff,
-	}
-	for name, vol := range panels {
-		path := filepath.Join(r.outDir, name)
-		if err := volume.SavePGMSlice(path, vol, k); err != nil {
+	for _, p := range []struct {
+		name string
+		vol  *volume.Scalar
+	}{
+		{"fig4a_preop.pgm", c.Preop},
+		{"fig4b_intraop.pgm", c.Intraop},
+		{"fig4c_simulated.pgm", res.Warped},
+		{"fig4d_difference.pgm", diff},
+	} {
+		path := filepath.Join(r.outDir, p.name)
+		if err := volume.SavePGMSlice(path, p.vol, k); err != nil {
 			return err
 		}
 		fmt.Printf("  wrote %s\n", path)
@@ -302,11 +348,7 @@ func (r *runner) scaling(f figures.ScalingFigure, eqs int) error {
 			return err
 		}
 	}
-	if eqs != f.Equations {
-		fmt.Printf("claims not checked: a %d-equation target, the paper's system has %d\n", eqs, f.Equations)
-		return nil
-	}
-	r.report(f.Claims(rows)...)
+	r.check(eqs, f.Equations, f.Claims(rows))
 	return nil
 }
 

@@ -21,8 +21,7 @@
 // (internal/phantom).
 //
 // cmd/benchfig regenerates every table and figure of the paper's
-// evaluation and checks the paper's claims on them; the benchmarks in
-// ablation_test.go vary the design choices beyond them. See DESIGN.md
-// for the per-experiment index and EXPERIMENTS.md for paper-vs-measured
-// results.
+// evaluation, and the studies of the design choices beyond them, and
+// checks the claims made on them. See DESIGN.md for the per-experiment
+// index and EXPERIMENTS.md for paper-vs-measured results.
 package repro

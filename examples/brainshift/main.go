@@ -54,6 +54,6 @@ func main() {
 	fmt.Println()
 	fmt.Println("The biomechanical simulation recovers most of the deformation the")
 	fmt.Println("rigid registration cannot express; residual error reflects the")
-	fmt.Println("homogeneous material model (see examples/materials for the")
-	fmt.Println("heterogeneous refinement the paper proposes).")
+	fmt.Println("homogeneous material model (`go run ./cmd/benchfig -fig materials`")
+	fmt.Println("compares the heterogeneous refinement the paper proposes).")
 }

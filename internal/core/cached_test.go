@@ -25,54 +25,32 @@ import (
 )
 
 // TestArtifactCacheHitIsBitIdentical is the cache's core correctness
-// claim: a registration served from the artifact store must produce
-// bit-identical displacements and warped volumes to one computed from
-// scratch, and the warm run must actually hit the pure stages.
+// claim: a registration served from the artifact store, and the update
+// that follows it, must produce bit-identical displacements and warped
+// volumes to ones computed from scratch, and the warm run must actually
+// hit the pure stages. Both lattices.
 func TestArtifactCacheHitIsBitIdentical(t *testing.T) {
-	c := testCase(24)
+	scans := shiftScans(24)
+	ctx := context.Background()
+	for _, lat := range lattices {
+		cfg := fastConfig()
+		cfg.UseBCCMesh = lat.bcc
+		_, cold := streamWith(t, ctx, cfg, scans[0], scans[1])
 
-	coldRes, err := registerCase(context.Background(), fastConfig(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	store, err := artifact.New(artifact.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgWarm := fastConfig()
-	cfgWarm.ArtifactStore = store
-	if _, err := registerCase(context.Background(), cfgWarm, c); err != nil {
-		t.Fatalf("populate run: %v", err)
-	}
-	if st := store.Stats(); st.Misses == 0 {
-		t.Fatalf("populate run recorded no misses: %+v", st)
-	}
-
-	warmRes, err := registerCase(context.Background(), cfgWarm, c)
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	st := store.Stats()
-	if st.Hits == 0 {
-		t.Fatalf("warm run recorded no cache hits: %+v", st)
-	}
-
-	if len(coldRes.NodeDisplacements) != len(warmRes.NodeDisplacements) {
-		t.Fatalf("node count differs: cold %d, warm %d",
-			len(coldRes.NodeDisplacements), len(warmRes.NodeDisplacements))
-	}
-	for i, u := range coldRes.NodeDisplacements {
-		if u != warmRes.NodeDisplacements[i] {
-			t.Fatalf("node %d displacement differs hit-vs-miss: %v vs %v",
-				i, u, warmRes.NodeDisplacements[i])
+		store, err := artifact.New(artifact.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i, v := range coldRes.Warped.Data {
-		if v != warmRes.Warped.Data[i] {
-			t.Fatalf("warped voxel %d differs hit-vs-miss: %v vs %v",
-				i, v, warmRes.Warped.Data[i])
+		cfg.ArtifactStore = store
+		streamWith(t, ctx, cfg, scans[0], scans[1])
+		if st := store.Stats(); st.Misses == 0 {
+			t.Fatalf("%s: populate run recorded no misses: %+v", lat.name, st)
 		}
+		_, warm := streamWith(t, ctx, cfg, scans[0], scans[1])
+		if st := store.Stats(); st.Hits == 0 {
+			t.Fatalf("%s: warm run recorded no cache hits: %+v", lat.name, st)
+		}
+		sameResults(t, lat.name+" hit against miss", warm, cold)
 	}
 }
 
@@ -319,52 +297,52 @@ func TestResultDigestsPinned(t *testing.T) {
 // TestResultDigestsAnyCoreCount: the voxel and vertex passes split
 // their work over GOMAXPROCS slabs, yet no result depends on how many,
 // so the pinned digests hold at any core count, here with more slabs
-// than cores and with uneven slabs.
+// than cores and with uneven slabs; the BCC lattice's digests, pinned
+// by none, are the same at each count.
 func TestResultDigestsAnyCoreCount(t *testing.T) {
+	var bcc []string
 	for _, procs := range []int{1, 2, 7} {
 		t.Run(strconv.Itoa(procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			cfg := fastConfig()
+			cfg.UseBCCMesh = true
+			if got := sessionDigests(t, cfg); bcc == nil {
+				bcc = got
+			} else if !reflect.DeepEqual(got, bcc) {
+				t.Errorf("BCC lattice at %d procs: digests %v, want %v as at 1", procs, got, bcc)
+			}
 			checkPinnedDigests(t)
 		})
 	}
 }
 
-// checkPinnedDigests runs a registration and two updates of one
-// session and compares each result's digest with its pinned value.
+// sessionDigests runs a registration and two updates of one session
+// under cfg, on the 3, 5 and 6 mm scans at size 24, and returns each
+// result's digest.
+func sessionDigests(t *testing.T, cfg Config) []string {
+	t.Helper()
+	scans := shiftScans(24)
+	_, res := streamWith(t, context.Background(), cfg, scans[:]...)
+	var out []string
+	for _, r := range res {
+		out = append(out, resultDigest(r))
+	}
+	return out
+}
+
+// checkPinnedDigests compares the digests of fastConfig's registration
+// and two updates with their pinned values.
 func checkPinnedDigests(t *testing.T) {
 	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests are pinned for amd64 floating point (no fused multiply-add)")
 	}
-	var scans [3]*phantom.Case
-	for i, shift := range [3]float64{3, 5, 6} {
-		p := phantom.DefaultParams(24)
-		p.ShiftMagnitude = shift
-		scans[i] = phantom.Generate(p)
+	want := []string{
+		"4870f88e2805db694267ea1383477523f8aa62e01b5f8de01ecd2ffee1e03d14", // Register
+		"0654af4c5faed1033af4b2d282b8c20443e8ffc00eccb176499613b7fc6d2cec", // first Update
+		"0092596736380acf13d02aa9724be48e63ce71cd787aded1d1b483699270dcb3", // second Update
 	}
-	const (
-		registerDigest = "4870f88e2805db694267ea1383477523f8aa62e01b5f8de01ecd2ffee1e03d14"
-		update1Digest  = "0654af4c5faed1033af4b2d282b8c20443e8ffc00eccb176499613b7fc6d2cec"
-		update2Digest  = "0092596736380acf13d02aa9724be48e63ce71cd787aded1d1b483699270dcb3"
-	)
-	check := func(path string, res *Result, err error, want string) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if got := resultDigest(res); got != want {
-			t.Errorf("%s digest %s, want %s", path, got, want)
-		}
+	if got := sessionDigests(t, fastConfig()); !reflect.DeepEqual(got, want) {
+		t.Errorf("digests of the registration and two updates\n got %v\nwant %v", got, want)
 	}
-	ctx := context.Background()
-	sess, err := NewSession(fastConfig(), scans[0].Preop, scans[0].PreopLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sess.Register(ctx, scans[0].Intraop)
-	check("Register", res, err, registerDigest)
-	res, err = sess.Update(ctx, scans[1].Intraop)
-	check("first Update", res, err, update1Digest)
-	res, err = sess.Update(ctx, scans[2].Intraop)
-	check("second Update", res, err, update2Digest)
 }

@@ -76,46 +76,92 @@ func registerWith(t *testing.T, ctx context.Context, store *artifact.Store, c *p
 	t.Helper()
 	cfg := fastConfig()
 	cfg.ArtifactStore = store
-	sess, err := NewSession(cfg, c.Preop, c.PreopLabels)
+	sess, res := streamWith(t, ctx, cfg, c)
+	return sess, res[0]
+}
+
+// lattices are the two meshers, rows of the tests of the exact paths.
+var lattices = []struct {
+	name string
+	bcc  bool
+}{{"Kuhn", false}, {"BCC", true}}
+
+// stream runs scans through sess: a registration of the first, then an
+// update per later scan.
+func stream(ctx context.Context, sess *Session, scans []*phantom.Case) ([]*Result, error) {
+	out := make([]*Result, len(scans))
+	for i, c := range scans {
+		step := sess.Update
+		if i == 0 {
+			step = sess.Register
+		}
+		var err error
+		if out[i], err = step(ctx, c.Intraop); err != nil {
+			return out, fmt.Errorf("scan %d: %w", i, err)
+		}
+	}
+	return out, nil
+}
+
+// streamWith opens a session under cfg on the first scan's
+// preoperative pair and streams the scans through it.
+func streamWith(t *testing.T, ctx context.Context, cfg Config, scans ...*phantom.Case) (*Session, []*Result) {
+	t.Helper()
+	sess, err := NewSession(cfg, scans[0].Preop, scans[0].PreopLabels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Register(ctx, c.Intraop)
+	res, err := stream(ctx, sess, scans)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sess, res
 }
 
+// sameResults compares two streams scan by scan.
+func sameResults(t *testing.T, what string, got, want []*Result) {
+	t.Helper()
+	for i := range want {
+		sameResult(t, fmt.Sprintf("%s, scan %d", what, i), got[i], want[i])
+	}
+}
+
 // TestDiskTierDecodesOncePerProcess pins the one path that still runs
 // the decoders: a fresh Store on a populated directory serves a
 // registration from five disk entries, bit-identical to the run that
-// wrote them, and every later session in the process shares the values
-// that first registration decoded.
+// wrote them, as is the update that follows, and every later session
+// in the process shares the values that first registration decoded.
+// Both lattices.
 func TestDiskTierDecodesOncePerProcess(t *testing.T) {
-	c := testCase(24)
+	scans := shiftScans(24)
 	ctx := context.Background()
-	dir := t.TempDir()
-	_, populate := registerWith(t, ctx, openStore(t, dir), c)
+	for _, lat := range lattices {
+		cfg := fastConfig()
+		cfg.UseBCCMesh = lat.bcc
+		dir := t.TempDir()
+		cfg.ArtifactStore = openStore(t, dir)
+		_, populate := streamWith(t, ctx, cfg, scans[0], scans[1])
 
-	store := openStore(t, dir)
-	first, res := registerWith(t, ctx, store, c)
-	sameResult(t, "registration from the disk tier", res, populate)
-	if st := store.Stats(); st.Hits != 5 || st.Misses != 0 || st.Entries != 5 {
-		t.Fatalf("first registration on a fresh Store: %+v, want 5 hits, no miss, 5 resident entries", st)
-	}
-	for i := 2; i <= 3; i++ {
-		sess, res := registerWith(t, ctx, store, c)
-		sameResult(t, fmt.Sprintf("registration %d", i), res, populate)
-		if !sharesArtifacts(sess.base, first.base) {
-			t.Errorf("session %d holds its own copy of an artifact: it was decoded again", i)
+		store := openStore(t, dir)
+		cfg.ArtifactStore = store
+		first, res := streamWith(t, ctx, cfg, scans[0], scans[1])
+		sameResults(t, lat.name+" from the disk tier", res, populate)
+		if st := store.Stats(); st.Hits != 5 || st.Misses != 0 || st.Entries != 5 {
+			t.Fatalf("%s: first session on a fresh Store: %+v, want 5 hits, no miss, 5 resident entries", lat.name, st)
 		}
-		if sess.base.sys == first.base.sys || &sess.base.sys.F[0] == &first.base.sys.F[0] {
-			t.Errorf("session %d shares its solve state with the first", i)
+		for i := 2; i <= 3; i++ {
+			sess, res := streamWith(t, ctx, cfg, scans[0], scans[1])
+			sameResults(t, fmt.Sprintf("%s session %d", lat.name, i), res, populate)
+			if !sharesArtifacts(sess.base, first.base) {
+				t.Errorf("%s: session %d holds its own copy of an artifact: it was decoded again", lat.name, i)
+			}
+			if sess.base.sys == first.base.sys || &sess.base.sys.F[0] == &first.base.sys.F[0] {
+				t.Errorf("%s: session %d shares its solve state with the first", lat.name, i)
+			}
 		}
-	}
-	if st := store.Stats(); st.Hits != 15 || st.Misses != 0 || st.DiskFaults != 0 {
-		t.Errorf("three registrations: %+v, want 15 hits and nothing else", st)
+		if st := store.Stats(); st.Hits != 15 || st.Misses != 0 || st.DiskFaults != 0 {
+			t.Errorf("%s: three sessions: %+v, want 15 hits and nothing else", lat.name, st)
+		}
 	}
 }
 
@@ -192,26 +238,7 @@ func TestConcurrentSessionsFactorizeOnce(t *testing.T) {
 func TestSharedArtifactsAreNeverWritten(t *testing.T) {
 	scans := shiftScans(16)
 	ctx := context.Background()
-	stream := func(sess *Session) (out [3]*Result, err error) {
-		for i, c := range scans {
-			step := sess.Update
-			if i == 0 {
-				step = sess.Register
-			}
-			if out[i], err = step(ctx, c.Intraop); err != nil {
-				return out, fmt.Errorf("scan %d: %w", i, err)
-			}
-		}
-		return out, nil
-	}
-	twin, err := NewSession(fastConfig(), scans[0].Preop, scans[0].PreopLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := stream(twin)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, want := streamWith(t, ctx, fastConfig(), scans[:]...)
 
 	store := openStore(t, "")
 	populate, _ := registerWith(t, ctx, store, scans[0])
@@ -221,11 +248,12 @@ func TestSharedArtifactsAreNeverWritten(t *testing.T) {
 	var (
 		wg   sync.WaitGroup
 		sess [sessions]*Session
-		got  [sessions][3]*Result
+		got  [sessions][]*Result
 	)
 	for i := range sess {
 		cfg := fastConfig()
 		cfg.ArtifactStore = store
+		var err error
 		if sess[i], err = NewSession(cfg, scans[0].Preop, scans[0].PreopLabels); err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +261,7 @@ func TestSharedArtifactsAreNeverWritten(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var err error
-			if got[i], err = stream(sess[i]); err != nil {
+			if got[i], err = stream(ctx, sess[i], scans[:]); err != nil {
 				t.Errorf("session %d: %v", i, err)
 			}
 		}()
@@ -246,9 +274,7 @@ func TestSharedArtifactsAreNeverWritten(t *testing.T) {
 		if !sharesArtifacts(sess[i].base, populate.base) {
 			t.Errorf("session %d does not share the resident artifacts", i)
 		}
-		for j := range want {
-			sameResult(t, fmt.Sprintf("session %d scan %d", i, j), got[i][j], want[j])
-		}
+		sameResults(t, fmt.Sprintf("session %d", i), got[i], want)
 	}
 	for i, blob := range residentBlobs(populate.base) {
 		if !bytes.Equal(blob, before[i]) {

@@ -5,17 +5,17 @@
 // measured per-rank work and iteration counts into the cluster machine
 // models to produce the timing curves of Figures 7, 8a, 8b and 9.
 // ScalingFigures states each figure's machine, size and CPU sweep, and
-// CheckClaims the paper's claims on them; cmd/benchfig runs both. The
-// match-quality content of Figures 4 and 5 and the pipeline timeline of
-// Figure 6 are produced by the core pipeline (package core); this
-// package focuses on the scaling study.
+// ScalingFigure.Claims the paper's claims on them; BalanceClaims,
+// PreconditionerClaims and BaselineClaims state the design-choice
+// studies' (DESIGN §4). cmd/benchfig runs them all. The match-quality
+// content of Figures 4 and 5, the pipeline timeline of Figure 6 and the
+// accuracy studies are produced by the core pipeline (package core).
 package figures
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fem"
@@ -32,23 +32,16 @@ type SystemSpec struct {
 	// TargetEquations is the desired number of equations (3x nodes);
 	// the grid resolution is calibrated to approach it.
 	TargetEquations int
-	// CellSize is the mesh cell size in voxels.
-	CellSize int
-	// Materials is the constitutive model (defaults to the paper's
-	// homogeneous brain).
-	Materials *fem.Table
 	// Seed controls the phantom generation.
 	Seed int64
 }
 
 // Built is a ready-to-solve biomechanical system.
 type Built struct {
-	Case    *phantom.Case
-	Mesh    *mesh.Mesh
-	System  *fem.System
-	NumEq   int
-	NumBC   int
-	GridDim int
+	Mesh   *mesh.Mesh
+	System *fem.System
+	NumEq  int
+	NumBC  int
 }
 
 // calibrateGridDim finds a phantom grid dimension whose mesh node count
@@ -100,14 +93,8 @@ func BuildHeadSystem(ctx context.Context, spec SystemSpec) (*Built, error) {
 	if spec.TargetEquations <= 0 {
 		return nil, fmt.Errorf("figures: TargetEquations must be positive")
 	}
-	cs := spec.CellSize
-	if cs <= 0 {
-		cs = 2
-	}
-	mats := fem.HomogeneousBrain()
-	if spec.Materials != nil {
-		mats = *spec.Materials
-	}
+	// The pipeline's mesh cell, two voxels.
+	const cs = 2
 	targetNodes := spec.TargetEquations / 3
 	n, err := calibrateGridDim(targetNodes, cs, spec.Seed)
 	if err != nil {
@@ -123,7 +110,7 @@ func BuildHeadSystem(ctx context.Context, spec SystemSpec) (*Built, error) {
 	if err := m.CheckConsistency(); err != nil {
 		return nil, fmt.Errorf("figures: generated mesh inconsistent: %w", err)
 	}
-	sys, err := fem.AssembleContext(ctx, m, mats, par.Even(m.NumNodes(), 1))
+	sys, err := fem.AssembleContext(ctx, m, fem.HomogeneousBrain(), par.Even(m.NumNodes(), 1))
 	if err != nil {
 		return nil, err
 	}
@@ -143,14 +130,7 @@ func BuildHeadSystem(ctx context.Context, spec SystemSpec) (*Built, error) {
 	if err := sys.ApplyDirichlet(bc); err != nil {
 		return nil, err
 	}
-	return &Built{
-		Case:    c,
-		Mesh:    m,
-		System:  sys,
-		NumEq:   sys.NumDOF,
-		NumBC:   len(bc) * 3,
-		GridDim: n,
-	}, nil
+	return &Built{Mesh: m, System: sys, NumEq: sys.NumDOF, NumBC: len(bc) * 3}, nil
 }
 
 // ScalingRow is one point of a scaling figure.
@@ -163,10 +143,6 @@ type ScalingRow struct {
 	TotalSec   float64
 	Iterations int
 	Converged  bool
-	// MeasuredSolveSec is the actual Go wall-clock of the solve on this
-	// machine, for reference (dominated by GOMAXPROCS here, not by the
-	// modeled 1990s hardware).
-	MeasuredSolveSec float64
 }
 
 // ScalingStudy sweeps CPU counts on the given machine model: for each
@@ -228,13 +204,10 @@ func ScalingPointStrategy(ctx context.Context, b *Built, mach cluster.Machine, c
 	}
 	solveOpts := opts
 	solveOpts.Partition = dofPt
-	wallStart := time.Now()
-	u, stats, err := solver.GMRESContext(ctx, sys.K, sys.F, nil, pc, solveOpts)
+	_, stats, err := solver.GMRESContext(ctx, sys.K, sys.F, nil, pc, solveOpts)
 	if err != nil {
 		return ScalingRow{}, err
 	}
-	measuredSolve := time.Since(wallStart).Seconds()
-	_ = u
 
 	pstats := sys.K.PartitionStats(dofPt)
 	work := cluster.SolveWork{
@@ -258,13 +231,12 @@ func ScalingPointStrategy(ctx context.Context, b *Built, mach cluster.Machine, c
 	}
 	solveSec := mach.SolveTime(work)
 	return ScalingRow{
-		CPUs:             cpus,
-		AssembleSec:      assembleSec,
-		SolveSec:         solveSec,
-		TotalSec:         mach.InitTime + assembleSec + solveSec,
-		Iterations:       stats.Iterations,
-		Converged:        stats.Converged,
-		MeasuredSolveSec: measuredSolve,
+		CPUs:        cpus,
+		AssembleSec: assembleSec,
+		SolveSec:    solveSec,
+		TotalSec:    mach.InitTime + assembleSec + solveSec,
+		Iterations:  stats.Iterations,
+		Converged:   stats.Converged,
 	}, nil
 }
 

@@ -237,3 +237,46 @@ func TestScalingClaims(t *testing.T) {
 		t.Errorf("no rows: claims %v, want one that fails", cs)
 	}
 }
+
+// TestAblationClaims holds the studies' claims to the numbers
+// cmd/benchfig measured at the paper's sizes, and to numbers built to
+// break each one. No system is built.
+func TestAblationClaims(t *testing.T) {
+	// failed lists the texts of the claims that fail.
+	failed := func(cs []Claim) (out []string) {
+		for _, c := range cs {
+			if !c.Holds {
+				out = append(out, c.Text)
+			}
+		}
+		return out
+	}
+	check := func(name string, cs []Claim, want string) {
+		t.Helper()
+		got := failed(cs)
+		if want == "" && len(got) != 0 || want != "" && (len(got) != 1 || !strings.Contains(got[0], want)) {
+			t.Errorf("%s: failed claims %q, want %q", name, got, want)
+		}
+	}
+	even := ScalingRow{CPUs: 16, AssembleSec: 2.146}
+	check("balance measured", BalanceClaims(even, ScalingRow{CPUs: 16, AssembleSec: 2.026}), "")
+	check("balance at 1.05×", BalanceClaims(ScalingRow{CPUs: 16, AssembleSec: 2}, ScalingRow{CPUs: 16, AssembleSec: 2.1}), "")
+	check("balance slower", BalanceClaims(even, ScalingRow{CPUs: 16, AssembleSec: 2.26}), "2.260 s, ≤ 1.05 × even 2.146 s")
+
+	pcs := func(none, bj, global int, converged bool) []PCRow {
+		return []PCRow{{PCNone, none, true}, {PCJacobi, 147, true}, {PCSSOR, 46, converged},
+			{PCBlockJacobi, bj, true}, {PCGlobalILU, global, true}}
+	}
+	check("precond measured", PreconditionerClaims(pcs(3754, 84, 32, true)), "")
+	check("precond equal", PreconditionerClaims(pcs(84, 84, 84, true)), "fewer iterations than none (84 < 84)")
+	check("precond global worse", PreconditionerClaims(pcs(3754, 84, 85, true)), "(85 ≤ 84)")
+	check("precond unconverged", PreconditionerClaims(pcs(3754, 84, 32, false)), "converged (4 of 5)")
+	if got := failed(PreconditionerClaims(nil)); len(got) == 0 || !strings.Contains(got[0], "(0 of 0)") {
+		t.Errorf("no rows: failed claims %q, want the convergence claim first", got)
+	}
+
+	check("baseline measured", BaselineClaims(0.0031, 0.4425), "")
+	check("baseline at the limits", BaselineClaims(0.2, 0.41), "")
+	check("baseline skull moved", BaselineClaims(0.21, 0.5), "0.2100 mm, ≤ 0.2 mm")
+	check("baseline demons close", BaselineClaims(0.1, 0.2), "more than twice")
+}

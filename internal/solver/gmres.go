@@ -25,7 +25,8 @@ type Options struct {
 	Tol float64
 	// MaxIter bounds the total number of iterations.
 	MaxIter int
-	// Restart is the GMRES restart length m.
+	// Restart is the GMRES restart length m; zero or negative means
+	// DefaultOptions().Restart.
 	Restart int
 	// Partition controls the parallel matrix-vector product; a zero
 	// value runs serially. Any other value must cover exactly the
@@ -95,9 +96,10 @@ type Stats struct {
 	// StepRMS is the stopping rule's last estimate: the bound on
 	// ‖x_k − x_{k−stepDelay}‖₂/√n, in the solution's units.
 	StepRMS float64
-	// FinalResRel is the relative residual of the returned iterate (the
-	// Givens estimate for GMRES, the recurrence's for CG): telemetry,
-	// not the stopping rule.
+	// FinalResRel is the preconditioned residual of the returned
+	// iterate relative to ‖M⁻¹b‖ (the Givens estimate for GMRES, M⁻¹
+	// applied to the recurrence's residual for CG): telemetry, not the
+	// stopping rule.
 	FinalResRel  float64
 	InitialResid float64
 	// EntryResRel is the relative preconditioned residual of the initial
@@ -586,7 +588,7 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 	}
 	restart := opts.Restart
 	if restart <= 0 {
-		restart = 30
+		restart = DefaultOptions().Restart
 	}
 	maxIter := opts.MaxIter
 	if maxIter <= 0 {
@@ -785,8 +787,9 @@ func GMRESWarmContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Pre
 // elimination, so CG applies; the paper follows PETSc's robust default
 // of GMRES). It stops on GMRES's rule (see Options.Tol), bounding
 // ‖x_k − x_{k−stepDelay}‖₂ by the window's Σ|α_j|·‖p_j‖, or at
-// residualFloor. Its Stats are GMRESContext's: EntryResRel relative to
-// ‖M⁻¹b‖ (one preconditioner apply more than CG itself needs),
+// residualFloor. Its Stats are GMRESContext's: EntryResRel, History and
+// FinalResRel are preconditioned residuals relative to ‖M⁻¹b‖ (one
+// preconditioner apply more than CG itself needs, and one at the exit),
 // WarmStarted for a non-nil x0, and every exit past the argument checks
 // publishes them on the enclosing span. The context is checked every
 // iteration; on expiry the best iterate so far is returned together
@@ -833,12 +836,20 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 	p := make([]float64, n)
 	ap := make([]float64, n)
 
-	// ‖M⁻¹b‖ is the reference of EntryResRel only; ap is free until the
-	// first iteration.
+	// ‖M⁻¹b‖ is the reference of EntryResRel, History and FinalResRel,
+	// as in GMRES; ap is free until the first iteration.
 	m.Apply(b, ap)
 	stats.PCApplies++
 	bNorm := norm2(ap)
 	stats.DotProducts++
+	// relRes is z's norm against ‖M⁻¹b‖, where z = M⁻¹r.
+	relRes := func() float64 {
+		stats.DotProducts++
+		if numeric.Zero(bNorm) {
+			return math.Inf(1)
+		}
+		return norm2(z) / bNorm
+	}
 	matvec(x, r)
 	stats.MatVecs++
 	for i := range r {
@@ -853,11 +864,7 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 	}
 	m.Apply(r, z)
 	stats.PCApplies++
-	stats.EntryResRel = math.Inf(1)
-	if numeric.NonZero(bNorm) {
-		stats.EntryResRel = norm2(z) / bNorm
-		stats.DotProducts++
-	}
+	stats.EntryResRel = relRes()
 	copy(p, z)
 	rz := dot(r, z)
 	stats.DotProducts++
@@ -892,16 +899,16 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 			step += s
 		}
 		stats.StepRMS = step / rootN
+		m.Apply(r, z)
+		stats.PCApplies++
 		if opts.RecordHistory {
-			stats.History = append(stats.History, res/res0)
+			stats.History = append(stats.History, relRes())
 		}
 		if res <= residualFloor*res0 || step <= limit {
 			stats.Converged = true
-			stats.FinalResRel = res / res0
+			stats.FinalResRel = relRes()
 			return x, stats, nil
 		}
-		m.Apply(r, z)
-		stats.PCApplies++
 		rzNew := dot(r, z)
 		stats.DotProducts++
 		beta := rzNew / rz
@@ -916,6 +923,8 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	stats.FinalResRel = norm2(r) / res0
+	m.Apply(r, z)
+	stats.PCApplies++
+	stats.FinalResRel = relRes()
 	return x, stats, nil
 }

@@ -120,12 +120,20 @@ func TestGMRESStatsOnEnclosingSpan(t *testing.T) {
 			if st.EntryResRel != 1 {
 				t.Errorf("CG cold: EntryResRel = %v, want 1 from a zero start", st.EntryResRel)
 			}
+			if !(st.FinalResRel <= st.EntryResRel) {
+				t.Errorf("CG cold: FinalResRel = %v, want ≤ EntryResRel %v", st.FinalResRel, st.EntryResRel)
+			}
 			return st, err
 		}},
 		{"CG warm", context.Background(), true, func(ctx context.Context) (Stats, error) {
 			_, st, err := CGContext(ctx, a, b, x, nil, opts)
 			if !(st.EntryResRel > 0 && st.EntryResRel < 1e-6) {
 				t.Errorf("CG warm: EntryResRel = %v, want in (0, 1e-6) from a converged seed", st.EntryResRel)
+			}
+			// Against ‖M⁻¹b‖, as GMRES reports it, not against the seed's
+			// own tiny residual.
+			if !(st.FinalResRel < 1e-6) {
+				t.Errorf("CG warm: FinalResRel = %v, want < 1e-6 from a converged seed", st.FinalResRel)
 			}
 			return st, err
 		}},

@@ -135,9 +135,10 @@ type Result struct {
 }
 
 // EvolveContext iteratively deforms surface s under the given force
-// field. The input surface is not modified. The context is checked once
-// per iteration; a cancelled or deadline-expired context aborts the
-// evolution and returns ctx.Err().
+// field. The input surface is not modified. A zero or negative Step,
+// MaxIter or MaxStep takes DefaultOptions' value. The context is
+// checked once per iteration; a cancelled or deadline-expired context
+// aborts the evolution and returns ctx.Err().
 func EvolveContext(ctx context.Context, s *mesh.TriMesh, force ForceField, opts Options) (*Result, error) {
 	if s == nil || s.NumVerts() == 0 {
 		return nil, fmt.Errorf("surface: empty surface")
@@ -145,14 +146,15 @@ func EvolveContext(ctx context.Context, s *mesh.TriMesh, force ForceField, opts 
 	if force == nil {
 		return nil, fmt.Errorf("surface: nil force field")
 	}
+	def := DefaultOptions()
 	if opts.Step <= 0 {
-		opts.Step = 0.4
+		opts.Step = def.Step
 	}
 	if opts.MaxIter <= 0 {
-		opts.MaxIter = 200
+		opts.MaxIter = def.MaxIter
 	}
 	if opts.MaxStep <= 0 {
-		opts.MaxStep = 1.5
+		opts.MaxStep = def.MaxStep
 	}
 	// Each evolution (the pipeline runs two per scan: discretization
 	// relaxation, then the intraoperative deformation) is one span with

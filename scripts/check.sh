@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repository check: formatting, build + vet, the project-native simlint
 # static-analysis suite, the perfgate compiler-fact gate (the
-# //lint:noescape kernel contract), the full test suite, the paper's
-# figures regenerated with their claims checked (cmd/benchfig), the
+# //lint:noescape kernel contract), the full test suite, one iteration
+# of every package benchmark, the paper's figures and the design-choice
+# studies regenerated with their claims checked (cmd/benchfig), the
 # benchmark ledger's own vet and tests (which ./... skips), fuzz smoke
 # runs, and the whole module under the race detector (short mode, which
 # includes the service's goroutine-leak test), then the race repeats of
@@ -27,7 +28,9 @@ echo "== perfgate"
 go run ./cmd/perfgate
 echo "== go test ./..."
 go test -timeout 5m ./...
-echo "== benchfig -fig all (the paper's figures and claims at its sizes)"
+echo "== go test -bench . -benchtime 1x -short ./... (every package benchmark, once)"
+go test -run '^$' -bench . -benchtime 1x -short -timeout 5m ./...
+echo "== benchfig -fig all (the paper's figures, the studies and their claims at its sizes)"
 figs=$(mktemp -d)
 go run ./cmd/benchfig -fig all -out "$figs"
 rm -rf "$figs"
