@@ -92,7 +92,7 @@ func main() {
 	flag.BoolVar(&o.useBCC, "bcc", false, "use the body-centered-cubic mesher")
 	flag.StringVar(&o.fieldOut, "field-out", "", "write the volumetric deformation field (.mvol)")
 	flag.StringVar(&o.warpedOut, "warped-out", "", "write the warped preoperative scan (.mvol)")
-	flag.StringVar(&o.labelsOut, "labels-out", "", "write the intraoperative classification (.mvol)")
+	flag.StringVar(&o.labelsOut, "labels-out", "", "write the intraoperative classification (.mvol); this registration labels every voxel, while a streamed update re-labels only within three voxels of the last good scan's brain boundary and keeps that scan's labels elsewhere")
 	flag.StringVar(&o.saveCase, "save-case", "", "directory to write the generated synthetic case volumes")
 	flag.Int64Var(&o.seed, "seed", 1, "phantom random seed")
 	flag.StringVar(&o.tracePath, "trace", "", "write a JSONL span trace of the run")

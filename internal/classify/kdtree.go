@@ -2,6 +2,7 @@ package classify
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"repro/internal/volume"
@@ -177,5 +178,21 @@ func (t *KDTree) search(n int32, q []float64, bestD []float64, bestL []volume.La
 // ClassifyContext's up to ties at exactly equal distances; validation, worker
 // fan-out and context semantics are ClassifyContext's.
 func (c *Classifier) ClassifyKDContext(ctx context.Context, channels []*volume.Scalar) (*volume.Labels, error) {
-	return c.classify(ctx, channels, true)
+	return c.classify(ctx, channels, true, nil, nil)
+}
+
+// ClassifyBandKDContext re-labels only the voxels band lists (linear
+// indices, each at most once) the way ClassifyKDContext labels them,
+// bit for bit, and gives every other voxel its label in prev: the
+// narrow-band update of a classification whose boundary can have moved
+// only near where it was. prev is read, never written, and must lie on
+// the channels' grid. The context poll counts band positions, so a
+// cancelled context aborts as promptly as on the full grid and returns
+// ctx.Err().
+func (c *Classifier) ClassifyBandKDContext(ctx context.Context, channels []*volume.Scalar,
+	prev *volume.Labels, band []int32) (*volume.Labels, error) {
+	if prev == nil {
+		return nil, fmt.Errorf("classify: nil previous labels")
+	}
+	return c.classify(ctx, channels, true, prev, band)
 }

@@ -286,14 +286,19 @@ func abs64(v float64) float64 {
 // periodically; a cancelled or deadline-expired context aborts the
 // classification and returns ctx.Err().
 func (c *Classifier) ClassifyContext(ctx context.Context, channels []*volume.Scalar) (*volume.Labels, error) {
-	return c.classify(ctx, channels, false)
+	return c.classify(ctx, channels, false, nil, nil)
 }
 
 // classify is the one validate → partition → worker loop behind
-// ClassifyContext and ClassifyKDContext; the two differ only in the
-// neighbour search each worker queries — a linear scan of the
-// prototypes, or a k-d tree built over them once.
-func (c *Classifier) classify(ctx context.Context, channels []*volume.Scalar, kdtree bool) (*volume.Labels, error) {
+// ClassifyContext, ClassifyKDContext and ClassifyBandKDContext. The
+// first two differ only in the neighbour search each worker queries — a
+// linear scan of the prototypes, or a k-d tree built over them once.
+// The loop runs over an index set: every voxel when prev is nil, else
+// the voxels of band, the rest keeping their label in prev. A voxel's
+// label depends on that voxel alone, so a voxel of the band gets the
+// label a full-grid call gives it, bit for bit.
+func (c *Classifier) classify(ctx context.Context, channels []*volume.Scalar, kdtree bool,
+	prev *volume.Labels, band []int32) (*volume.Labels, error) {
 	if err := validateChannels(channels); err != nil {
 		return nil, err
 	}
@@ -323,21 +328,34 @@ func (c *Classifier) classify(ctx context.Context, channels []*volume.Scalar, kd
 	} else if len(weights) != nc {
 		return nil, fmt.Errorf("classify: %d weights for %d channels", len(weights), nc)
 	}
+
+	g := channels[0].Grid
+	out := volume.NewLabels(g)
+	positions := g.Len()
+	if prev != nil {
+		if !prev.Grid.SameShape(g) || len(prev.Data) != g.Len() {
+			return nil, fmt.Errorf("classify: previous labels %v (%d values) do not fit channel grid %v",
+				prev.Grid, len(prev.Data), g)
+		}
+		for p, idx := range band {
+			if idx < 0 || int(idx) >= g.Len() {
+				return nil, fmt.Errorf("classify: band position %d holds voxel %d, outside the %d-voxel grid", p, idx, g.Len())
+			}
+		}
+		copy(out.Data, prev.Data)
+		positions = len(band)
+	}
 	var tree *KDTree
 	if kdtree {
 		tree = NewKDTree(c.Prototypes, weights)
 	}
-
-	g := channels[0].Grid
-	out := volume.NewLabels(g)
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Partition voxels into contiguous ranges, one rank per range; a
-	// voxel's label depends on that voxel alone, so the split cannot
-	// change one.
-	pt := par.Even(g.Len(), workers)
+	// Partition the positions of the index set into contiguous ranges,
+	// one rank per range; the split cannot change a label.
+	pt := par.Even(positions, workers)
 	pt.ForEachRank(func(w int) {
 		lo, hi := pt.Range(w)
 		if lo == hi {
@@ -361,9 +379,15 @@ func (c *Classifier) classify(ctx context.Context, channels []*volume.Scalar, kd
 		if tree != nil {
 			q = make([]float64, tree.stride)
 		}
-		for idx := lo; idx < hi; idx++ {
-			if idx&ctxCheckMask == 0 && ctx.Err() != nil {
+		for p := lo; p < hi; p++ {
+			// The poll counts positions, so a band polls as often per
+			// voxel classified as the full grid does.
+			if p&ctxCheckMask == 0 && ctx.Err() != nil {
 				return
+			}
+			idx := p
+			if prev != nil {
+				idx = int(band[p])
 			}
 			channelsToFeatures(channels, idx, feat)
 			// Fill bestD/bestL with the k nearest prototypes to feat in

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/phantom"
+	"repro/internal/volume"
 )
 
 // TestPipelineAnisotropicClinicalGeometry runs the full pipeline on a
@@ -22,19 +23,18 @@ func TestPipelineAnisotropicClinicalGeometry(t *testing.T) {
 	p := phantom.DefaultParams(0)
 	p.Dims = [3]int{128, 128, 48}
 	p.SpacingVec = geom.V(1.5, 1.5, 3)
-	p.ShiftMagnitude = 8
 	p.NoiseStd = 2
-	c := phantom.Generate(p)
+	st := phantom.GenerateStream(p, []float64{8, 9})
+	c := st.Case
 	if c.Grid.NX != 128 || c.Grid.NZ != 48 {
 		t.Fatalf("grid = %v", c.Grid)
 	}
 
 	cfg := fastConfig()
 	cfg.MeshCellSize = 2
-	res, err := registerCase(context.Background(), cfg, c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	band, regs := streamWith(t, ctx, cfg, c)
+	res := regs[0]
 	if !res.SolveStats.Converged {
 		t.Fatal("solve did not converge on anisotropic grid")
 	}
@@ -48,6 +48,16 @@ func TestPipelineAnisotropicClinicalGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("anisotropic field RMS: %.3f mm (zero-field baseline %.3f mm)", rms, base)
+	tissue, err := res.Backward.RMSDifference(c.Truth, c.TissueMask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tissueBase, err := volume.NewField(c.Grid).RMSDifference(c.Truth, c.TissueMask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("anisotropic tissue RMS: %.3f mm (zero-field baseline %.3f mm, ratio %.3f)",
+		tissue, tissueBase, tissue/tissueBase)
 	if rms >= base {
 		t.Errorf("no error reduction on anisotropic grid: %v vs baseline %v", rms, base)
 	}
@@ -56,4 +66,30 @@ func TestPipelineAnisotropicClinicalGeometry(t *testing.T) {
 		t.Errorf("match (%v) did not beat rigid (%v) on anisotropic grid",
 			res.MatchMeanAbsDiff, res.RigidMeanAbsDiff)
 	}
+
+	// One update at 9 mm. The band's half-width is three voxels of the
+	// largest spacing, 9 mm on this grid, not 3: the update must deliver
+	// what a full classification delivers, bit for bit.
+	intraop := st.Steps[0].Intraop
+	within9 := 0
+	for _, v := range band.base.phiBrain.Data {
+		if v >= -9 && v <= 9 {
+			within9++
+		}
+	}
+	rb, got, err := updateBand(ctx, band, intraop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, _ := streamWith(t, ctx, cfg, c)
+	rf, err := updateFull(ctx, full, intraop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "anisotropic 9 mm update", rb, rf)
+	if got.voxels != within9 {
+		t.Errorf("band of %d voxels, want the %d within 9 mm of the last boundary", got.voxels, within9)
+	}
+	t.Logf("anisotropic 9 mm update: band of %d of %d voxels, fallback %v",
+		got.voxels, c.Grid.Len(), got.fallback)
 }

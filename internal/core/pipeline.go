@@ -144,7 +144,10 @@ type Result struct {
 	Rigid transform.Rigid
 	// RigidDiag reports the MI registration diagnostics.
 	RigidDiag register.Result
-	// IntraopLabels is the intraoperative tissue classification.
+	// IntraopLabels is the intraoperative tissue classification; it
+	// belongs to the caller. An update classifies only the voxels within
+	// three voxels of the last good scan's brain boundary, and outside
+	// that band its labels are that scan's (Session.Update).
 	IntraopLabels *volume.Labels
 	// Surface is the active-surface correspondence result.
 	Surface *surface.Result
@@ -247,6 +250,16 @@ type baseline struct {
 	// iteration count, the reference for IterationsSaved.
 	prevU          []float64
 	coldIterations int
+	// labels is the baseline's own copy of the scan's classification
+	// (the Result's belongs to the caller) and phiBrain the unsmoothed
+	// signed distance to its brain boundary, which the surface stage
+	// computes and the match metrics' boundary band reads again. An
+	// update re-classifies only the band of voxels near that boundary
+	// and keeps labels elsewhere (see classifyBand), then replaces both.
+	// spare and band are scratch each update reuses.
+	labels, spare *volume.Labels
+	phiBrain      *volume.Scalar
+	band          []int32
 }
 
 // scan is the state of one run of the stage sequence.
@@ -264,12 +277,8 @@ type scan struct {
 
 	alignedLabels *volume.Labels
 	intraLabels   *volume.Labels
-	// phiBrain is the unsmoothed signed distance to the classified
-	// intraoperative brain boundary: the surface stage computes it, the
-	// match metrics' boundary band reads it again.
-	phiBrain *volume.Scalar
-	surfRes  *surface.Result
-	solveRes *fem.SolveResult
+	surfRes       *surface.Result
+	solveRes      *fem.SolveResult
 }
 
 // runScan validates one scan's inputs and executes the stage sequence
@@ -542,8 +551,72 @@ func (s *Session) stageClassify(ctx context.Context, sc *scan) error {
 		}
 	}
 	var err error
-	sc.intraLabels, err = cl.ClassifyKDContext(ctx, channels)
-	return err
+	if sc.labels != nil && sc.phiBrain != nil {
+		sc.intraLabels, err = sc.classifyBand(ctx, cl, channels)
+	} else {
+		sc.intraLabels, err = cl.ClassifyKDContext(ctx, channels)
+	}
+	if err != nil {
+		return err
+	}
+	// The baseline keeps its own copy, in the buffer the last good scan
+	// left spare; the buffer it replaces becomes the spare.
+	keep := sc.spare
+	if keep == nil {
+		keep = volume.NewLabels(sc.intraLabels.Grid)
+	}
+	copy(keep.Data, sc.intraLabels.Data)
+	sc.labels, sc.spare = keep, sc.labels
+	return nil
+}
+
+// bandVoxels is the half-width of an update's classification band in
+// voxels of the grid's largest spacing. Over 28 streamed updates at 1 mm
+// every change of brain membership lay within 2.24 mm of the previous
+// scan's boundary (EXPERIMENTS "Narrow-band classification").
+const bandVoxels = 3
+
+// classifyBand labels an update's scan by k-NN only on the band of
+// voxels within w = bandVoxels·h of the last good scan's brain boundary
+// (|phiBrain| ≤ w, h the largest spacing) and gives every other voxel
+// that scan's label: the brain can have moved only near where its
+// boundary was (the narrow band of level-set methods). Downstream
+// stages read brain membership alone, through phiBrain, so the update
+// is exact as long as no voxel outside the band changes membership.
+// The guard: if a voxel of the band's outermost half-voxel shell,
+// w − h/2 < |phiBrain| ≤ w, changes membership, the boundary may have
+// moved past the band, and the whole grid is classified instead. The
+// classify stage span records band_voxels and band_fallback.
+func (sc *scan) classifyBand(ctx context.Context, cl *classify.Classifier, channels []*volume.Scalar) (*volume.Labels, error) {
+	sp := sc.phiBrain.Grid.Spacing
+	h := max(sp.X, sp.Y, sp.Z)
+	w, shell := float32(bandVoxels*h), float32(bandVoxels*h-h/2)
+	band := sc.band[:0]
+	for i, v := range sc.phiBrain.Data {
+		if v >= -w && v <= w {
+			band = append(band, int32(i))
+		}
+	}
+	sc.band = band
+	labels, err := cl.ClassifyBandKDContext(ctx, channels, sc.labels, band)
+	if err != nil {
+		return nil, err
+	}
+	fallback := false
+	for _, i := range band {
+		if v := sc.phiBrain.Data[i]; (v > shell || v < -shell) &&
+			volume.IsBrainTissue(labels.Data[i]) != volume.IsBrainTissue(sc.labels.Data[i]) {
+			fallback = true
+			break
+		}
+	}
+	span := obs.SpanFromContext(ctx)
+	span.SetAttr("band_voxels", len(band))
+	span.SetAttr("band_fallback", fallback)
+	if fallback {
+		return cl.ClassifyKDContext(ctx, channels)
+	}
+	return labels, nil
 }
 
 // intraopPhi sets the scan's signed distance to its classified brain

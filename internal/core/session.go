@@ -103,7 +103,11 @@ func (s *Session) Register(ctx context.Context, intraop *volume.Scalar) (*Result
 // channels, mesh generation, surface relaxation) are reused, the
 // Dirichlet right-hand side is patched for the boundary displacements
 // that changed, the factorized preconditioner is kept, and GMRES is
-// warm-started from the previous displacement field. Returns
+// warm-started from the previous displacement field. k-NN runs only on
+// the voxels within three voxels of the last good scan's brain
+// boundary, the rest keeping that scan's labels; if a voxel at the
+// band's outer edge changes brain membership, the whole grid is
+// classified instead. Returns
 // ErrNoBaseline before the first successful Register. Accuracy matches
 // a cold Register of the same scan up to the solver's stopping rule:
 // both solves stop once four iterates lie within Solver.Tol mm RMS per

@@ -22,6 +22,14 @@ type Options struct {
 	// of residualFloor, where the iterate is exact to working precision.
 	// Zero means DefaultOptions().Tol; a negative, NaN or Inf Tol is an
 	// error.
+	//
+	// The step tracks the error only under a preconditioner that makes
+	// the iterates settle. On the 18,480-equation preconditioner study
+	// at the default Tol, the production factor stops within 0.01 mm
+	// nodal RMS of a converged reference, 16 ILU(0) blocks stop 0.0093
+	// mm off, and an unpreconditioned solve stops 0.54 mm off, the step
+	// there reading 0.0074× the error (EXPERIMENTS "The preconditioner
+	// study's tolerance").
 	Tol float64
 	// MaxIter bounds the total number of iterations.
 	MaxIter int
@@ -91,7 +99,10 @@ type Stats struct {
 	DotProducts int
 	AXPYs       int
 	// Converged reports that the stopping rule held (see Options.Tol),
-	// or that the residual reached residualFloor.
+	// or that the residual reached residualFloor. It bounds the error
+	// only as far as the step does: under a weak preconditioner, or
+	// none, a solve reports Converged far from the answer (0.54 mm
+	// unpreconditioned on the preconditioner study; see Options.Tol).
 	Converged bool
 	// StepRMS is the stopping rule's last estimate: the bound on
 	// ‖x_k − x_{k−stepDelay}‖₂/√n, in the solution's units.
