@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -23,36 +22,6 @@ import (
 	"repro/internal/phantom"
 	"repro/internal/volume"
 )
-
-// TestArtifactCacheHitIsBitIdentical is the cache's core correctness
-// claim: a registration served from the artifact store, and the update
-// that follows it, must produce bit-identical displacements and warped
-// volumes to ones computed from scratch, and the warm run must actually
-// hit the pure stages. Both lattices.
-func TestArtifactCacheHitIsBitIdentical(t *testing.T) {
-	scans := shiftScans(24)
-	ctx := context.Background()
-	for _, lat := range lattices {
-		cfg := fastConfig()
-		cfg.UseBCCMesh = lat.bcc
-		_, cold := streamWith(t, ctx, cfg, scans[0], scans[1])
-
-		store, err := artifact.New(artifact.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.ArtifactStore = store
-		streamWith(t, ctx, cfg, scans[0], scans[1])
-		if st := store.Stats(); st.Misses == 0 {
-			t.Fatalf("%s: populate run recorded no misses: %+v", lat.name, st)
-		}
-		_, warm := streamWith(t, ctx, cfg, scans[0], scans[1])
-		if st := store.Stats(); st.Hits == 0 {
-			t.Fatalf("%s: warm run recorded no cache hits: %+v", lat.name, st)
-		}
-		sameResults(t, lat.name+" hit against miss", warm, cold)
-	}
-}
 
 // cacheHits runs one registration with tracing on and returns the
 // <stage>_cache_hit attributes its stage spans recorded.
@@ -291,58 +260,28 @@ func resultDigest(res *Result) string {
 // solves take 23/21/22 iterations instead of 19/17/17, and the nodal
 // displacements moved by at most 1.2e-5 mm.
 func TestResultDigestsPinned(t *testing.T) {
-	checkPinnedDigests(t)
-}
-
-// TestResultDigestsAnyCoreCount: the voxel and vertex passes split
-// their work over GOMAXPROCS slabs, yet no result depends on how many,
-// so the pinned digests hold at any core count, here with more slabs
-// than cores and with uneven slabs; the BCC lattice's digests, pinned
-// by none, are the same at each count.
-func TestResultDigestsAnyCoreCount(t *testing.T) {
-	var bcc []string
-	for _, procs := range []int{1, 2, 7} {
-		t.Run(strconv.Itoa(procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			cfg := fastConfig()
-			cfg.UseBCCMesh = true
-			if got := sessionDigests(t, cfg); bcc == nil {
-				bcc = got
-			} else if !reflect.DeepEqual(got, bcc) {
-				t.Errorf("BCC lattice at %d procs: digests %v, want %v as at 1", procs, got, bcc)
-			}
-			checkPinnedDigests(t)
-		})
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests are pinned for amd64 floating point (no fused multiply-add)")
+	}
+	if got := resultDigests(runStream(t, fastConfig(), viaBand, shiftScans(24, 1)...).res); !reflect.DeepEqual(got, pinnedDigests) {
+		t.Errorf("digests of the registration and two updates\n got %v\nwant %v", got, pinnedDigests)
 	}
 }
 
-// sessionDigests runs a registration and two updates of one session
-// under cfg, on the 3, 5 and 6 mm scans at size 24, and returns each
-// result's digest.
-func sessionDigests(t *testing.T, cfg Config) []string {
-	t.Helper()
-	scans := shiftScans(24)
-	_, res := streamWith(t, context.Background(), cfg, scans[:]...)
+// pinnedDigests are the digests of fastConfig's registration and two
+// updates on shiftScans(24, 1) (TestResultDigestsPinned);
+// TestResultDigestsAnyCoreCount checks them at each core count.
+var pinnedDigests = []string{
+	"4870f88e2805db694267ea1383477523f8aa62e01b5f8de01ecd2ffee1e03d14", // Register
+	"0654af4c5faed1033af4b2d282b8c20443e8ffc00eccb176499613b7fc6d2cec", // first Update
+	"0092596736380acf13d02aa9724be48e63ce71cd787aded1d1b483699270dcb3", // second Update
+}
+
+// resultDigests returns each result's digest.
+func resultDigests(res []*Result) []string {
 	var out []string
 	for _, r := range res {
 		out = append(out, resultDigest(r))
 	}
 	return out
-}
-
-// checkPinnedDigests compares the digests of fastConfig's registration
-// and two updates with their pinned values.
-func checkPinnedDigests(t *testing.T) {
-	t.Helper()
-	if runtime.GOARCH != "amd64" {
-		t.Skip("digests are pinned for amd64 floating point (no fused multiply-add)")
-	}
-	want := []string{
-		"4870f88e2805db694267ea1383477523f8aa62e01b5f8de01ecd2ffee1e03d14", // Register
-		"0654af4c5faed1033af4b2d282b8c20443e8ffc00eccb176499613b7fc6d2cec", // first Update
-		"0092596736380acf13d02aa9724be48e63ce71cd787aded1d1b483699270dcb3", // second Update
-	}
-	if got := sessionDigests(t, fastConfig()); !reflect.DeepEqual(got, want) {
-		t.Errorf("digests of the registration and two updates\n got %v\nwant %v", got, want)
-	}
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -20,23 +20,10 @@ func TestPipelineAnisotropicClinicalGeometry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("anisotropic clinical-geometry test skipped in -short mode")
 	}
-	p := phantom.DefaultParams(0)
-	p.Dims = [3]int{128, 128, 48}
-	p.SpacingVec = geom.V(1.5, 1.5, 3)
-	p.NoiseStd = 2
-	st := phantom.GenerateStream(p, []float64{8, 9})
-	c := st.Case
+	run := &caseRun{pathCase: clinicalCase, scans: clinicalCase.scans()}
+	c, res := run.scans[0], run.reference(t).res[0]
 	if c.Grid.NX != 128 || c.Grid.NZ != 48 {
 		t.Fatalf("grid = %v", c.Grid)
-	}
-
-	cfg := fastConfig()
-	cfg.MeshCellSize = 2
-	ctx := context.Background()
-	band, regs := streamWith(t, ctx, cfg, c)
-	res := regs[0]
-	if !res.SolveStats.Converged {
-		t.Fatal("solve did not converge on anisotropic grid")
 	}
 	if err := res.Mesh.CheckConsistency(); err != nil {
 		t.Fatalf("anisotropic mesh inconsistent: %v", err)
@@ -66,30 +53,18 @@ func TestPipelineAnisotropicClinicalGeometry(t *testing.T) {
 		t.Errorf("match (%v) did not beat rigid (%v) on anisotropic grid",
 			res.MatchMeanAbsDiff, res.RigidMeanAbsDiff)
 	}
-
-	// One update at 9 mm. The band's half-width is three voxels of the
-	// largest spacing, 9 mm on this grid, not 3: the update must deliver
-	// what a full classification delivers, bit for bit.
-	intraop := st.Steps[0].Intraop
-	within9 := 0
-	for _, v := range band.base.phiBrain.Data {
-		if v >= -9 && v <= 9 {
-			within9++
-		}
-	}
-	rb, got, err := updateBand(ctx, band, intraop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, _ := streamWith(t, ctx, cfg, c)
-	rf, err := updateFull(ctx, full, intraop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "anisotropic 9 mm update", rb, rf)
-	if got.voxels != within9 {
-		t.Errorf("band of %d voxels, want the %d within 9 mm of the last boundary", got.voxels, within9)
-	}
-	t.Logf("anisotropic 9 mm update: band of %d of %d voxels, fallback %v",
-		got.voxels, c.Grid.Len(), got.fallback)
 }
+
+// clinicalCase is the suite's row at the clinical geometry: an 8 mm
+// scan and a 9 mm update, whose band is three voxels of the largest
+// spacing, 9 mm, not 3. Its scans and its reference stream are made
+// once per process, for the row and for
+// TestPipelineAnisotropicClinicalGeometry.
+var clinicalCase = pathCase{name: "clinical", long: true, bandOnly: true, shared: true, cfg: fastConfig,
+	scans: sync.OnceValue(func() []*phantom.Case {
+		p := phantom.DefaultParams(0)
+		p.Dims = [3]int{128, 128, 48}
+		p.SpacingVec = geom.V(1.5, 1.5, 3)
+		p.NoiseStd = 2
+		return streamScans(p, []float64{8, 9})
+	})}

@@ -17,14 +17,15 @@ import (
 // out is one value per artifact per process, every session forks its
 // own solve state off it, and nothing a session does writes it.
 
-// shiftScans generates the scans of one streamed case at size n: the
-// baseline at 3 mm and two later ones.
-func shiftScans(n int) [3]*phantom.Case {
-	var scans [3]*phantom.Case
-	for i, shift := range [3]float64{3, 5, 6} {
+// shiftScans generates the scans of one streamed case at size n and
+// voxel size h mm: the baseline at a peak shift of three voxels and two
+// later ones at five and six.
+func shiftScans(n int, h float64) []*phantom.Case {
+	var scans []*phantom.Case
+	for _, shift := range []float64{3, 5, 6} {
 		p := phantom.DefaultParams(n)
-		p.ShiftMagnitude = shift
-		scans[i] = phantom.Generate(p)
+		p.Spacing, p.ShiftMagnitude = h, shift*h
+		scans = append(scans, phantom.Generate(p))
 	}
 	return scans
 }
@@ -72,19 +73,13 @@ func openStore(t *testing.T, dir string) *artifact.Store {
 	return store
 }
 
-func registerWith(t *testing.T, ctx context.Context, store *artifact.Store, c *phantom.Case) (*Session, *Result) {
+// registerWith registers c in a fresh session on store.
+func registerWith(t *testing.T, store *artifact.Store, c *phantom.Case) *Session {
 	t.Helper()
 	cfg := fastConfig()
 	cfg.ArtifactStore = store
-	sess, res := streamWith(t, ctx, cfg, c)
-	return sess, res[0]
+	return runStream(t, cfg, viaBand, c).sess
 }
-
-// lattices are the two meshers, rows of the tests of the exact paths.
-var lattices = []struct {
-	name string
-	bcc  bool
-}{{"Kuhn", false}, {"BCC", true}}
 
 // stream runs scans through sess: a registration of the first, then an
 // update per later scan.
@@ -103,21 +98,6 @@ func stream(ctx context.Context, sess *Session, scans []*phantom.Case) ([]*Resul
 	return out, nil
 }
 
-// streamWith opens a session under cfg on the first scan's
-// preoperative pair and streams the scans through it.
-func streamWith(t *testing.T, ctx context.Context, cfg Config, scans ...*phantom.Case) (*Session, []*Result) {
-	t.Helper()
-	sess, err := NewSession(cfg, scans[0].Preop, scans[0].PreopLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := stream(ctx, sess, scans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sess, res
-}
-
 // sameResults compares two streams scan by scan.
 func sameResults(t *testing.T, what string, got, want []*Result) {
 	t.Helper()
@@ -128,39 +108,36 @@ func sameResults(t *testing.T, what string, got, want []*Result) {
 
 // TestDiskTierDecodesOncePerProcess pins the one path that still runs
 // the decoders: a fresh Store on a populated directory serves a
-// registration from five disk entries, bit-identical to the run that
-// wrote them, as is the update that follows, and every later session
-// in the process shares the values that first registration decoded.
-// Both lattices.
+// registration from five disk entries, and every later session in the
+// process shares the values that first registration decoded, each with
+// its own solve state. Both lattices. (That a disk hit delivers the
+// populate run's bits is TestFastPathsMatchReference's disk-hit path.)
 func TestDiskTierDecodesOncePerProcess(t *testing.T) {
-	scans := shiftScans(24)
-	ctx := context.Background()
-	for _, lat := range lattices {
+	c := shiftScans(24, 1)[0]
+	for _, bcc := range []bool{false, true} {
 		cfg := fastConfig()
-		cfg.UseBCCMesh = lat.bcc
+		cfg.UseBCCMesh = bcc
 		dir := t.TempDir()
 		cfg.ArtifactStore = openStore(t, dir)
-		_, populate := streamWith(t, ctx, cfg, scans[0], scans[1])
+		runStream(t, cfg, viaBand, c)
 
 		store := openStore(t, dir)
 		cfg.ArtifactStore = store
-		first, res := streamWith(t, ctx, cfg, scans[0], scans[1])
-		sameResults(t, lat.name+" from the disk tier", res, populate)
+		first := runStream(t, cfg, viaBand, c).sess
 		if st := store.Stats(); st.Hits != 5 || st.Misses != 0 || st.Entries != 5 {
-			t.Fatalf("%s: first session on a fresh Store: %+v, want 5 hits, no miss, 5 resident entries", lat.name, st)
+			t.Fatalf("BCC %v: first session on a fresh Store: %+v, want 5 hits, no miss, 5 resident entries", bcc, st)
 		}
 		for i := 2; i <= 3; i++ {
-			sess, res := streamWith(t, ctx, cfg, scans[0], scans[1])
-			sameResults(t, fmt.Sprintf("%s session %d", lat.name, i), res, populate)
+			sess := runStream(t, cfg, viaBand, c).sess
 			if !sharesArtifacts(sess.base, first.base) {
-				t.Errorf("%s: session %d holds its own copy of an artifact: it was decoded again", lat.name, i)
+				t.Errorf("BCC %v: session %d holds its own copy of an artifact: it was decoded again", bcc, i)
 			}
 			if sess.base.sys == first.base.sys || &sess.base.sys.F[0] == &first.base.sys.F[0] {
-				t.Errorf("%s: session %d shares its solve state with the first", lat.name, i)
+				t.Errorf("BCC %v: session %d shares its solve state with the first", bcc, i)
 			}
 		}
 		if st := store.Stats(); st.Hits != 15 || st.Misses != 0 || st.DiskFaults != 0 {
-			t.Errorf("%s: three sessions: %+v, want 15 hits and nothing else", lat.name, st)
+			t.Errorf("BCC %v: three sessions: %+v, want 15 hits and nothing else", bcc, st)
 		}
 	}
 }
@@ -177,7 +154,7 @@ func TestConcurrentSessionsFactorizeOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	registerWith(t, context.Background(), openStore(t, dir), c)
+	registerWith(t, openStore(t, dir), c)
 
 	const sessions = 4
 	store := openStore(t, dir)
@@ -236,12 +213,12 @@ func TestConcurrentSessionsFactorizeOnce(t *testing.T) {
 // race there, and here a changed encoding or a displacement that is not
 // the twin's.
 func TestSharedArtifactsAreNeverWritten(t *testing.T) {
-	scans := shiftScans(16)
+	scans := shiftScans(16, 1)
 	ctx := context.Background()
-	_, want := streamWith(t, ctx, fastConfig(), scans[:]...)
+	want := runStream(t, fastConfig(), viaBand, scans...).res
 
 	store := openStore(t, "")
-	populate, _ := registerWith(t, ctx, store, scans[0])
+	populate := registerWith(t, store, scans[0])
 	before := residentBlobs(populate.base)
 
 	const sessions = 4
@@ -261,7 +238,7 @@ func TestSharedArtifactsAreNeverWritten(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var err error
-			if got[i], err = stream(ctx, sess[i], scans[:]); err != nil {
+			if got[i], err = stream(ctx, sess[i], scans); err != nil {
 				t.Errorf("session %d: %v", i, err)
 			}
 		}()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -28,39 +27,15 @@ func TestDefaultTolLandsNearConvergedSolve(t *testing.T) {
 			p.ShiftMagnitude = base + 0.25*float64(i)
 			scans[i] = phantom.Generate(p)
 		}
-		stream := func(tol float64) [3]*Result {
-			t.Helper()
+		stream := func(tol float64) []*Result {
 			cfg := DefaultConfig()
 			cfg.Solver.Tol = tol
-			sess, err := NewSession(cfg, scans[0].Preop, scans[0].PreopLabels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out [3]*Result
-			for i, c := range scans {
-				step := sess.Update
-				if i == 0 {
-					step = sess.Register
-				}
-				if out[i], err = step(context.Background(), c.Intraop); err != nil {
-					t.Fatalf("%g mm, scan %d: %v", base, i, err)
-				}
-				if !out[i].SolveStats.Converged {
-					t.Fatalf("%g mm, scan %d: solve did not converge: %v", base, i, out[i].SolveStats)
-				}
-			}
-			return out
+			return runStream(t, cfg, viaBand, scans[:]...).res
 		}
 		prod, conv := stream(0), stream(1e-9)
 		for i, c := range scans {
 			p, q := prod[i], conv[i]
-			sum, worst := 0.0, 0.0
-			for n := range p.NodeDisplacements {
-				d := p.NodeDisplacements[n].Sub(q.NodeDisplacements[n]).Norm()
-				sum += d * d
-				worst = max(worst, d)
-			}
-			rms := math.Sqrt(sum / float64(len(p.NodeDisplacements)))
+			rms, worst := nodalRMS(p, q)
 			errP, err := p.Backward.RMSDifference(c.Truth, c.TissueMask)
 			if err != nil {
 				t.Fatal(err)

@@ -155,7 +155,7 @@ func TestPipelineEmitsNestedTrace(t *testing.T) {
 // of the run repeats a solve statistic or a patch count. The stopping
 // rule's step_rms is there, within Solver.Tol on a converged solve.
 func TestSolveFactsAreStatedOnce(t *testing.T) {
-	scans := shiftScans(24)
+	scans := shiftScans(24, 1)
 	var buf bytes.Buffer
 	ctx := obs.WithTracer(context.Background(), obs.NewTracer(&buf))
 	sess, err := NewSession(fastConfig(), scans[0].Preop, scans[0].PreopLabels)

@@ -3,11 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/classify"
-	"repro/internal/phantom"
+	"repro/internal/volume"
 )
 
 // modelOf deep-copies the session's statistical model.
@@ -15,118 +16,8 @@ func modelOf(s *Session) []classify.Prototype {
 	return s.base.cl.Clone().Prototypes
 }
 
-// streamPair generates a baseline scan and a later scan of the same
-// case with a grown brain shift — the streaming acquisition pattern.
-func streamPair(t *testing.T) (*phantom.Case, *phantom.Case) {
-	t.Helper()
-	p1 := phantom.DefaultParams(32)
-	p1.ShiftMagnitude = 3
-	p2 := p1
-	p2.ShiftMagnitude = 5
-	return phantom.Generate(p1), phantom.Generate(p2)
-}
-
-// TestUpdateEquivalentToColdRegister is the warm-start equivalence
-// test of the incremental path: registering the second scan through
-// Update must land on the same displacement field — and the same
-// match quality — as a cold Register of the same scan, because the
-// patched system is mathematically identical to the re-assembled one.
-func TestUpdateEquivalentToColdRegister(t *testing.T) {
-	c1, c2 := streamPair(t)
-	ctx := context.Background()
-
-	cold, err := NewSession(fastConfig(), c1.Preop, c1.PreopLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := NewSession(fastConfig(), c1.Preop, c1.PreopLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.HasBaseline() {
-		t.Fatal("baseline claimed before any registration")
-	}
-	if _, err := cold.Register(ctx, c1.Intraop); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := warm.Register(ctx, c1.Intraop); err != nil {
-		t.Fatal(err)
-	}
-	if !warm.HasBaseline() {
-		t.Fatal("successful Register did not establish a baseline")
-	}
-
-	rc, err := cold.Register(ctx, c2.Intraop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ru, err := warm.Update(ctx, c2.Intraop)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !ru.Incremental || ru.Update == nil {
-		t.Fatal("update result not marked incremental")
-	}
-	if rc.Incremental {
-		t.Fatal("cold result marked incremental")
-	}
-	if !ru.Update.WarmStarted || !ru.Update.PCCacheHit {
-		t.Fatalf("update did not reuse the baseline: %+v", ru.Update)
-	}
-	if ru.Update.DOFsPatched == 0 {
-		t.Fatal("grown shift patched no Dirichlet DOFs")
-	}
-	if ru.SolveStats.EntryResRel >= 1 {
-		t.Errorf("warm seed entry residual %g not below a cold start", ru.SolveStats.EntryResRel)
-	}
-	if !ru.SolveStats.Converged {
-		t.Fatalf("update solve did not converge: %+v", ru.SolveStats)
-	}
-
-	// The update path runs only the intraoperative stage subset.
-	want := []string{StageClassify, StageSurface, StageSolve, StageResample}
-	if len(ru.Timings) != len(want) {
-		t.Fatalf("update ran %d stages %v, want %v", len(ru.Timings), ru.Timings, want)
-	}
-	for i, s := range want {
-		if ru.Timings[i].Name != s {
-			t.Fatalf("update stage %d = %q, want %q", i, ru.Timings[i].Name, s)
-		}
-	}
-
-	// Displacement-field equivalence (the acceptance criterion): same
-	// mesh, so nodal displacements are directly comparable.
-	if len(ru.NodeDisplacements) != len(rc.NodeDisplacements) {
-		t.Fatalf("node count differs: %d vs %d", len(ru.NodeDisplacements), len(rc.NodeDisplacements))
-	}
-	maxDiff := 0.0
-	for n := range ru.NodeDisplacements {
-		if d := ru.NodeDisplacements[n].Sub(rc.NodeDisplacements[n]).MaxAbs(); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	if maxDiff > 1e-3 {
-		t.Errorf("update diverged from cold solve by %g mm at a node (want <= 1e-3)", maxDiff)
-	}
-
-	// And the delivered image quality must match the cold path's.
-	if ru.MatchMeanAbsDiff >= ru.RigidMeanAbsDiff {
-		t.Errorf("update match %v did not beat rigid %v", ru.MatchMeanAbsDiff, ru.RigidMeanAbsDiff)
-	}
-	reldiff := (ru.MatchMeanAbsDiff - rc.MatchMeanAbsDiff) / rc.MatchMeanAbsDiff
-	if reldiff > 0.01 || reldiff < -0.01 {
-		t.Errorf("update match quality %v differs from cold %v by %.2f%%",
-			ru.MatchMeanAbsDiff, rc.MatchMeanAbsDiff, 100*reldiff)
-	}
-
-	if warm.ScanCount() != 2 {
-		t.Errorf("scan count = %d after Register+Update, want 2", warm.ScanCount())
-	}
-}
-
 func TestUpdateWithoutBaseline(t *testing.T) {
-	c1, _ := streamPair(t)
+	c1 := shiftScans(24, 1)[0]
 	sess, err := NewSession(fastConfig(), c1.Preop, c1.PreopLabels)
 	if err != nil {
 		t.Fatal(err)
@@ -141,14 +32,8 @@ func TestUpdateWithoutBaseline(t *testing.T) {
 // naming the surface stage, not advance the session, and leave the
 // baseline intact for a retry.
 func TestUpdateCancellationMidUpdate(t *testing.T) {
-	c1, c2 := streamPair(t)
-	sess, err := NewSession(fastConfig(), c1.Preop, c1.PreopLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Register(context.Background(), c1.Intraop); err != nil {
-		t.Fatal(err)
-	}
+	scans := shiftScans(24, 1)
+	sess, c2 := runStream(t, fastConfig(), viaBand, scans[0]).sess, scans[1]
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -182,14 +67,8 @@ func TestUpdateCancellationMidUpdate(t *testing.T) {
 // starts yields the rigid-only Degraded result rather than an error,
 // exactly like the cold path.
 func TestUpdateDeadlineDegradesClinically(t *testing.T) {
-	c1, c2 := streamPair(t)
-	sess, err := NewSession(fastConfig(), c1.Preop, c1.PreopLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Register(context.Background(), c1.Intraop); err != nil {
-		t.Fatal(err)
-	}
+	scans := shiftScans(24, 1)
+	sess, c2 := runStream(t, fastConfig(), viaBand, scans[0]).sess, scans[1]
 
 	model := modelOf(sess)
 	ctx := newExpirableCtx()
@@ -229,14 +108,8 @@ func TestUpdateDeadlineDegradesClinically(t *testing.T) {
 // TestUpdateDeadlineAfterSolveDeliversNoStresses is the update-path twin
 // of TestRunContextDeadlineAfterSolveDeliversNoStresses.
 func TestUpdateDeadlineAfterSolveDeliversNoStresses(t *testing.T) {
-	c1, c2 := streamPair(t)
-	sess, err := NewSession(fastConfig(), c1.Preop, c1.PreopLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Register(context.Background(), c1.Intraop); err != nil {
-		t.Fatal(err)
-	}
+	scans := shiftScans(24, 1)
+	sess, c2 := runStream(t, fastConfig(), viaBand, scans[0]).sess, scans[1]
 	ctx := newExpirableCtx()
 	res, err := sess.Update(afterStage(ctx, StageSolve, ctx.expire), c2.Intraop)
 	checkDegradedWithSolutionInHand(t, res, err)
@@ -251,7 +124,8 @@ func TestUpdateDeadlineAfterSolveDeliversNoStresses(t *testing.T) {
 // call cancelled mid-solve: none may advance the session's statistical
 // model, and the next update still builds on the last good baseline.
 func TestFailedScanLeavesModelUntouched(t *testing.T) {
-	c1, c2 := streamPair(t)
+	scans := shiftScans(24, 1)
+	c1, c2 := scans[0], scans[1]
 	for _, tc := range []struct {
 		name   string
 		scan   func(*Session, context.Context) (*Result, error)
@@ -262,13 +136,7 @@ func TestFailedScanLeavesModelUntouched(t *testing.T) {
 		{"Update cancelled", func(s *Session, ctx context.Context) (*Result, error) { return s.Update(ctx, c2.Intraop) }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sess, err := NewSession(fastConfig(), c1.Preop, c1.PreopLabels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sess.Register(context.Background(), c1.Intraop); err != nil {
-				t.Fatal(err)
-			}
+			sess := runStream(t, fastConfig(), viaBand, c1).sess
 			model := modelOf(sess)
 
 			var ctx context.Context
@@ -300,5 +168,37 @@ func TestFailedScanLeavesModelUntouched(t *testing.T) {
 				t.Fatalf("update after the failed scan did not reuse the baseline: %+v", ru.Update)
 			}
 		})
+	}
+}
+
+// TestUpdateIgnoresCallerLabelWrites: a Result's IntraopLabels belong
+// to the caller, and writing into them changes nothing a later update
+// delivers: the baseline keeps its own copy.
+func TestUpdateIgnoresCallerLabelWrites(t *testing.T) {
+	ctx := context.Background()
+	scans := shiftScans(24, 1)
+	want := runStream(t, fastConfig(), viaBand, scans...).res
+	sess, err := NewSession(fastConfig(), scans[0].Preop, scans[0].PreopLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range scans {
+		step := sess.Update
+		if i == 0 {
+			step = sess.Register
+		}
+		res, err := step(ctx, c.Intraop)
+		if err != nil {
+			t.Fatalf("scan %d: %v", i, err)
+		}
+		sameResult(t, fmt.Sprintf("scan %d after the caller's writes", i), res, want[i])
+		for j, l := range want[i].IntraopLabels.Data {
+			if res.IntraopLabels.Data[j] != l {
+				t.Fatalf("scan %d, voxel %d: label %d, want %d", i, j, res.IntraopLabels.Data[j], l)
+			}
+		}
+		for j := range res.IntraopLabels.Data {
+			res.IntraopLabels.Data[j] = volume.LabelSkull
+		}
 	}
 }

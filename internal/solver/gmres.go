@@ -556,6 +556,90 @@ func gmresCycle(matvec func(in, out []float64), b, x []float64, m Preconditioner
 	return converged, entryRel, exitRel
 }
 
+// krylov is what GMRES and CG share around their iterations: the
+// checked arguments of one solve and its iterate x, which starts as a
+// copy of x0, or zero.
+type krylov struct {
+	a        *sparse.CSR
+	b, x     []float64
+	m        Preconditioner
+	maxIter  int
+	limit    float64 // the step bound, Tol·√n (see Options.stepBound)
+	rootN    float64
+	parallel bool
+}
+
+// solve is the prologue and epilogue of every solve. It checks the
+// arguments, in this order: the right-hand side's length, Tol, the
+// partition, then x0's length; a failed check returns the error before
+// any work. A nil preconditioner is the identity, and a non-positive
+// MaxIter is 2n. It then runs body with Stats.WarmStarted set for a
+// non-nil x0, and publishes the statistics body leaves on the span
+// enclosing ctx, whichever way body returns.
+func solve(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options,
+	body func(ctx context.Context, k *krylov, opts Options, stats *Stats) ([]float64, error)) (x []float64, stats Stats, err error) {
+	n := a.N
+	if len(b) != n {
+		return nil, Stats{}, fmt.Errorf("solver: rhs length %d != n %d", len(b), n)
+	}
+	k := &krylov{a: a, b: b, m: m, maxIter: opts.MaxIter}
+	if k.m == nil {
+		k.m = IdentityPC{}
+	}
+	if k.maxIter <= 0 {
+		k.maxIter = 2 * n
+	}
+	if k.limit, k.rootN, err = opts.stepBound(n); err != nil {
+		return nil, Stats{}, err
+	}
+	if k.parallel, err = opts.parallel(n); err != nil {
+		return nil, Stats{}, err
+	}
+	k.x = make([]float64, n)
+	if x0 != nil {
+		if len(x0) != n {
+			return nil, Stats{}, fmt.Errorf("solver: x0 length %d != n %d", len(x0), n)
+		}
+		copy(k.x, x0)
+	}
+	stats.WarmStarted = x0 != nil
+	defer func() { stats.publish(obs.SpanFromContext(ctx)) }()
+	x, err = body(ctx, k, opts, &stats)
+	return x, stats, err
+}
+
+// matvec returns the product out = A·in, over the partition when the
+// solve runs in parallel.
+func (k *krylov) matvec(pt par.Partition) func(in, out []float64) {
+	if k.parallel {
+		return func(in, out []float64) { k.a.MulVecPar(pt, in, out) }
+	}
+	return k.a.MulVec
+}
+
+// refNorm returns ‖M⁻¹b‖, with z as scratch: the reference of
+// EntryResRel, History and FinalResRel (the PETSc convention), so a warm
+// start's EntryResRel shows how good its seed was. The stopping rule
+// reads no residual.
+func (k *krylov) refNorm(z []float64, stats *Stats) float64 {
+	k.m.Apply(k.b, z)
+	stats.PCApplies++
+	stats.DotProducts++
+	return norm2(z)
+}
+
+// residual sets r = b − A·x and z = M⁻¹r for the iterate x: the true
+// residual a solve that ran out of iterations reports.
+func (k *krylov) residual(matvec func(in, out []float64), r, z []float64, stats *Stats) {
+	matvec(k.x, r)
+	stats.MatVecs++
+	for i := range r {
+		r[i] = k.b[i] - r[i]
+	}
+	k.m.Apply(r, z)
+	stats.PCApplies++
+}
+
 // GMRESContext solves A x = b with left-preconditioned restarted
 // GMRES(m), starting from x0 (nil means zero). It returns the solution
 // and iteration statistics. The iteration stops when the last four
@@ -564,7 +648,7 @@ func gmresCycle(matvec func(in, out []float64), b, x []float64, m Preconditioner
 // restart cycle: a cancelled or deadline-expired context aborts within
 // one cycle, returning the best iterate so far together with ctx.Err().
 func GMRESContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) ([]float64, Stats, error) {
-	return gmres(ctx, a, b, x0, m, opts)
+	return solve(ctx, a, b, x0, m, opts, gmres)
 }
 
 // publish states the solve's statistics, once, as attributes of the
@@ -587,39 +671,13 @@ func (s *Stats) publish(span *obs.Span) {
 	span.SetAttr("warm_started", s.WarmStarted)
 }
 
-// gmres is the shared body of GMRESContext and GMRESWarmContext. Every
-// exit past the argument checks publishes the statistics it returns.
-func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) (_ []float64, stats Stats, _ error) {
-	n := a.N
-	if len(b) != n {
-		return nil, Stats{}, fmt.Errorf("solver: rhs length %d != n %d", len(b), n)
-	}
-	if m == nil {
-		m = IdentityPC{}
-	}
+// gmres is the body of GMRESContext and GMRESWarmContext, past solve's
+// argument checks.
+func gmres(ctx context.Context, k *krylov, opts Options, stats *Stats) ([]float64, error) {
+	n, b, x, m := k.a.N, k.b, k.x, k.m
 	restart := opts.Restart
 	if restart <= 0 {
 		restart = DefaultOptions().Restart
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 2 * n
-	}
-	limit, rootN, err := opts.stepBound(n)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	parallel, err := opts.parallel(n)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
-	x := make([]float64, n)
-	if x0 != nil {
-		if len(x0) != n {
-			return nil, Stats{}, fmt.Errorf("solver: x0 length %d != n %d", len(x0), n)
-		}
-		copy(x, x0)
 	}
 
 	// The mixed-precision mode demotes the matrix values once per solve
@@ -630,29 +688,24 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 	var (
 		ws   *gmresWorkspace
 		ws32 *gmresWorkspace32
-		a32  *sparse.CSR32
 	)
+	matvec := k.matvec(opts.Partition)
 	if mixed {
 		ws32 = newGMRESWorkspace32(n, restart)
-		a32 = sparse.NewCSR32(a)
+		a32 := sparse.NewCSR32(k.a)
+		matvec = func(in, out []float64) {
+			if k.parallel {
+				a32.MulVecPar(opts.Partition, in, out)
+			} else {
+				a32.MulVec(in, out)
+			}
+		}
 	} else {
 		ranks := 1
-		if parallel {
+		if k.parallel {
 			ranks = opts.Partition.P
 		}
 		ws = newGMRESWorkspace(n, restart, ranks)
-	}
-	matvec := func(in, out []float64) {
-		switch {
-		case mixed && parallel:
-			a32.MulVecPar(opts.Partition, in, out)
-		case mixed:
-			a32.MulVec(in, out)
-		case parallel:
-			a.MulVecPar(opts.Partition, in, out)
-		default:
-			a.MulVec(in, out)
-		}
 	}
 	// rbuf/zbuf alias the active workspace's residual scratch for the
 	// shared pre- and post-loop residual evaluations, win its stopping
@@ -665,39 +718,27 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 		rbuf, zbuf, win = ws.r, ws.z, &ws.win
 	}
 
-	stats.WarmStarted = x0 != nil
-	defer func() { stats.publish(obs.SpanFromContext(ctx)) }()
-
-	// The residuals telemetry reports are relative to ||M^{-1} b|| (the
-	// PETSc convention), so a warm start's EntryResRel shows how good
-	// its seed was. The stopping rule reads no residual: it is in the
-	// solution's units and the same for a cold and a warm start.
-	m.Apply(b, zbuf)
-	stats.PCApplies++
-	bNorm := norm2(zbuf)
-	stats.DotProducts++
-	if numeric.Zero(bNorm) {
+	beta0 := k.refNorm(zbuf, stats)
+	if numeric.Zero(beta0) {
 		// b = 0: solution is x = 0 regardless of x0.
 		stats.Converged = true
-		return make([]float64, n), stats, nil
+		return make([]float64, n), nil
 	}
-	if !numeric.Finite(bNorm) {
+	if !numeric.Finite(beta0) {
 		// A NaN/Inf right-hand side would poison every relative residual:
 		// the convergence comparisons go silently false and the solve
 		// burns MaxIter doing nothing. Fail loudly instead.
 		stats.FinalResRel = math.NaN()
-		return nil, stats, fmt.Errorf("solver: preconditioned rhs norm is not finite (%g)", bNorm)
+		return nil, fmt.Errorf("solver: preconditioned rhs norm is not finite (%g)", beta0)
 	}
 
-	beta0 := bNorm
-
 	cycle := 0
-	for stats.Iterations < maxIter {
+	for stats.Iterations < k.maxIter {
 		// One context check per restart cycle: cheap relative to the m
 		// inner iterations, yet bounds the abort latency to one cycle.
 		if err := ctx.Err(); err != nil {
 			stats.FinalResRel = math.NaN()
-			return x, stats, err
+			return x, err
 		}
 		// Each restart cycle runs in a closure holding one trace span
 		// (nil tracer: no-ops), so the span End can be deferred per cycle
@@ -714,12 +755,12 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 			var entryRel, exitRel float64
 			if mixed {
 				done, entryRel, exitRel = gmresCycle32(matvec, b, x, m,
-					ws32, restart, maxIter, limit, beta0, opts.RecordHistory, &stats)
+					ws32, restart, k.maxIter, k.limit, beta0, opts.RecordHistory, stats)
 			} else {
 				done, entryRel, exitRel = gmresCycle(matvec, b, x, m,
-					ws, restart, maxIter, limit, beta0, opts.RecordHistory, &stats)
+					ws, restart, k.maxIter, k.limit, beta0, opts.RecordHistory, stats)
 			}
-			stats.StepRMS = win.last / rootN
+			stats.StepRMS = win.last / k.rootN
 			// A restart is a cycle that iterated after a previous cycle
 			// already had.
 			if itersBefore > 0 && stats.Iterations > itersBefore {
@@ -759,20 +800,13 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 			return false
 		}()
 		if converged {
-			return x, stats, nil
+			return x, nil
 		}
 		cycle++
 	}
-	// Out of iterations: report the true residual of the last iterate.
-	matvec(x, rbuf)
-	stats.MatVecs++
-	for i := range rbuf {
-		rbuf[i] = b[i] - rbuf[i]
-	}
-	m.Apply(rbuf, zbuf)
-	stats.PCApplies++
+	k.residual(matvec, rbuf, zbuf, stats)
 	stats.FinalResRel = norm2(zbuf) / beta0
-	return x, stats, nil
+	return x, nil
 }
 
 // GMRESWarmContext is the warm-start entry point of the incremental
@@ -789,7 +823,7 @@ func GMRESWarmContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Pre
 	if len(x0) != a.N {
 		return nil, Stats{}, fmt.Errorf("solver: warm-start seed length %d != n %d", len(x0), a.N)
 	}
-	return gmres(ctx, a, b, x0, m, opts)
+	return GMRESContext(ctx, a, b, x0, m, opts)
 }
 
 // CGContext solves the symmetric positive definite system A x = b with
@@ -806,53 +840,20 @@ func GMRESWarmContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Pre
 // iteration; on expiry the best iterate so far is returned together
 // with ctx.Err().
 func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) ([]float64, Stats, error) {
-	n := a.N
-	if len(b) != n {
-		return nil, Stats{}, fmt.Errorf("solver: rhs length %d != n %d", len(b), n)
-	}
-	if m == nil {
-		m = IdentityPC{}
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 2 * n
-	}
-	limit, rootN, err := opts.stepBound(n)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	parallel, err := opts.parallel(n)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	matvec := func(in, out []float64) {
-		if parallel {
-			a.MulVecPar(opts.Partition, in, out)
-		} else {
-			a.MulVec(in, out)
-		}
-	}
+	return solve(ctx, a, b, x0, m, opts, cg)
+}
 
-	x := make([]float64, n)
-	if x0 != nil {
-		if len(x0) != n {
-			return nil, Stats{}, fmt.Errorf("solver: x0 length %d != n %d", len(x0), n)
-		}
-		copy(x, x0)
-	}
-	stats := Stats{WarmStarted: x0 != nil}
-	defer func() { stats.publish(obs.SpanFromContext(ctx)) }()
+// cg is the body of CGContext, past solve's argument checks.
+func cg(ctx context.Context, k *krylov, opts Options, stats *Stats) ([]float64, error) {
+	n, b, x, m := k.a.N, k.b, k.x, k.m
+	matvec := k.matvec(opts.Partition)
 	r := make([]float64, n)
 	z := make([]float64, n)
 	p := make([]float64, n)
 	ap := make([]float64, n)
 
-	// ‖M⁻¹b‖ is the reference of EntryResRel, History and FinalResRel,
-	// as in GMRES; ap is free until the first iteration.
-	m.Apply(b, ap)
-	stats.PCApplies++
-	bNorm := norm2(ap)
-	stats.DotProducts++
+	// ap is free until the first iteration.
+	bNorm := k.refNorm(ap, stats)
 	// relRes is z's norm against ‖M⁻¹b‖, where z = M⁻¹r.
 	relRes := func() float64 {
 		stats.DotProducts++
@@ -871,7 +872,7 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 	stats.DotProducts++
 	if numeric.Zero(res0) {
 		stats.Converged = true
-		return x, stats, nil
+		return x, nil
 	}
 	m.Apply(r, z)
 	stats.PCApplies++
@@ -883,10 +884,10 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 	// slots not yet written keep the window at x_0.
 	var steps [stepDelay]float64
 
-	for stats.Iterations < maxIter {
+	for stats.Iterations < k.maxIter {
 		if err := ctx.Err(); err != nil {
 			stats.FinalResRel = math.NaN()
-			return x, stats, err
+			return x, err
 		}
 		stats.Iterations++
 		matvec(p, ap)
@@ -894,7 +895,7 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 		pap := dot(p, ap)
 		stats.DotProducts++
 		if pap <= 0 {
-			return x, stats, fmt.Errorf("solver: CG detected non-SPD matrix (pAp=%g)", pap)
+			return x, fmt.Errorf("solver: CG detected non-SPD matrix (pAp=%g)", pap)
 		}
 		alpha := rz / pap
 		steps[stats.Iterations%stepDelay] = math.Abs(alpha) * norm2(p)
@@ -909,16 +910,16 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 		for _, s := range steps {
 			step += s
 		}
-		stats.StepRMS = step / rootN
+		stats.StepRMS = step / k.rootN
 		m.Apply(r, z)
 		stats.PCApplies++
 		if opts.RecordHistory {
 			stats.History = append(stats.History, relRes())
 		}
-		if res <= residualFloor*res0 || step <= limit {
+		if res <= residualFloor*res0 || step <= k.limit {
 			stats.Converged = true
 			stats.FinalResRel = relRes()
-			return x, stats, nil
+			return x, nil
 		}
 		rzNew := dot(r, z)
 		stats.DotProducts++
@@ -929,13 +930,7 @@ func CGContext(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditi
 		}
 		stats.AXPYs++
 	}
-	matvec(x, r)
-	stats.MatVecs++
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	m.Apply(r, z)
-	stats.PCApplies++
+	k.residual(matvec, r, z, stats)
 	stats.FinalResRel = relRes()
-	return x, stats, nil
+	return x, nil
 }

@@ -215,27 +215,6 @@ func TestBlockJacobiIterationsGrowWithBlocks(t *testing.T) {
 	}
 }
 
-func TestGMRESParallelMatchesSerial(t *testing.T) {
-	a := laplacian3D(6, 6, 6)
-	b := randomRHS(a.N, 5)
-	opts := DefaultOptions()
-	opts.Tol = 1e-10
-	xs, _, err := GMRESContext(context.Background(), a, b, nil, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Partition = par.Even(a.N, 4)
-	xp, _, err := GMRESContext(context.Background(), a, b, nil, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if math.Abs(xs[i]-xp[i]) > 1e-9 {
-			t.Fatalf("parallel solution differs at %d: %v vs %v", i, xs[i], xp[i])
-		}
-	}
-}
-
 func TestGMRESZeroRHS(t *testing.T) {
 	a := laplacian1D(10)
 	x, st, err := GMRESContext(context.Background(), a, make([]float64, 10), nil, nil, DefaultOptions())

@@ -127,26 +127,40 @@ func TestSweepsMatchSerialLoops(t *testing.T) {
 
 // TestGMRESBitIdenticalAcrossWorkers: with a preconditioner that does
 // not depend on the partition, the iterates have the same bits for any
-// worker count — the worker count never enters a sum.
+// worker count — the worker count never enters a sum. The Jacobi input
+// spans five chunks and several restart cycles.
 func TestGMRESBitIdenticalAcrossWorkers(t *testing.T) {
-	a := laplacian3D(22, 21, 20) // five chunks
+	a := laplacian3D(22, 21, 20)
+	if st := sameBitsAcrossWorkers(t, a, NewJacobi(a), 1e-8); st.Restarts == 0 {
+		t.Fatal("test setup: the solve should span several restart cycles")
+	}
+}
+
+// TestGMRESParallelMatchesSerial: unpreconditioned, on a single chunk,
+// the iterates have the same bits for any worker count too.
+func TestGMRESParallelMatchesSerial(t *testing.T) {
+	sameBitsAcrossWorkers(t, laplacian3D(6, 6, 6), nil, 1e-10)
+}
+
+// sameBitsAcrossWorkers solves a x = b under pc to tol over 1, 2, 3, 4
+// and 7 parts, checks that every solve converges to the same solution
+// and residual history, bit for bit, and returns the one-part Stats.
+func sameBitsAcrossWorkers(t *testing.T, a *sparse.CSR, pc Preconditioner, tol float64) Stats {
+	t.Helper()
 	b := randomRHS(a.N, 5)
 	opts := DefaultOptions()
-	opts.Tol = 1e-8
+	opts.Tol = tol
 	opts.RecordHistory = true
 	var ref []float64
 	var refStats Stats
-	for _, p := range []int{1, 2, 3, 7} {
+	for _, p := range []int{1, 2, 3, 4, 7} {
 		opts.Partition = par.Even(a.N, p)
-		x, st, err := GMRESContext(context.Background(), a, b, nil, NewJacobi(a), opts)
+		x, st, err := GMRESContext(context.Background(), a, b, nil, pc, opts)
 		if err != nil || !st.Converged {
 			t.Fatalf("P=%d: err=%v stats=%v", p, err, st)
 		}
 		if ref == nil {
 			ref, refStats = x, st
-			if st.Restarts == 0 {
-				t.Fatal("test setup: the solve should span several restart cycles")
-			}
 			continue
 		}
 		if !sameBits(x, ref) || !sameBits(st.History, refStats.History) || st.Iterations != refStats.Iterations {
@@ -154,6 +168,7 @@ func TestGMRESBitIdenticalAcrossWorkers(t *testing.T) {
 				p, st.Iterations, refStats.Iterations)
 		}
 	}
+	return refStats
 }
 
 // TestCGRejectsWrongLengthX0: a seed of the wrong length is an error,

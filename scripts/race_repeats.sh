@@ -12,8 +12,8 @@
 #     (smoothing, distance transform, field inversion and warp, both
 #     resamples, the MI histogram, the surface evolution), which write
 #     disjoint outputs, so a slab writing outside its own is a race; the
-#     core test runs the pinned registration and updates at several
-#     core counts.
+#     core test runs the pinned registration and updates, and the fast
+#     path suite's other cases, at several core counts.
 set -eu
 cd "$(dirname "$0")/.."
 
