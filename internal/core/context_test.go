@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -192,6 +193,143 @@ func TestRunContextDeadlineBeforeSurfaceFails(t *testing.T) {
 	var se *StageError
 	if !errors.As(err, &se) || se.Stage != StageClassify {
 		t.Errorf("err = %v, want StageError at %q", err, StageClassify)
+	}
+}
+
+// panicInBuild is a sink that panics as the named preoperative build
+// ends its preop.build span, on that build's goroutine.
+type panicInBuild string
+
+func (panicInBuild) SpanStarted(obs.SpanInfo) {}
+
+func (p panicInBuild) SpanEnded(f obs.FinishedSpan) {
+	if f.Name == obs.SpanPreopBuild.String() && f.Attrs["artifact"] == string(p) {
+		panic("build failed: " + string(p))
+	}
+}
+
+// buildLedger is a sink that counts the preop.build spans open, and
+// notes one that starts after the scan has returned.
+type buildLedger struct {
+	mu             sync.Mutex
+	open           int
+	returned, late bool
+}
+
+func (l *buildLedger) SpanStarted(i obs.SpanInfo) {
+	if i.Name == obs.SpanPreopBuild.String() {
+		l.mu.Lock()
+		l.open++
+		l.late = l.late || l.returned
+		l.mu.Unlock()
+	}
+}
+
+func (l *buildLedger) SpanEnded(f obs.FinishedSpan) {
+	if f.Name == obs.SpanPreopBuild.String() {
+		l.mu.Lock()
+		l.open--
+		l.mu.Unlock()
+	}
+}
+
+// scanReturned records the return and the builds still open then.
+func (l *buildLedger) scanReturned() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.returned = true
+	return l.open
+}
+
+// TestBuildLeaksNothingAndFailsWhereRead: the preoperative model a full
+// registration builds beside its scan leaves no goroutine behind on any
+// return path — success, a stage error, a degraded result, a panic —
+// and its failures surface on the scan's goroutine: a cancellation as
+// the StageError of the stage running, a deadline at the solve as a
+// degraded result, and a build's panic where the stage reads its value
+// or, when none does, once the builds are joined.
+func TestBuildLeaksNothingAndFailsWhereRead(t *testing.T) {
+	c := testCase(24)
+	canceledAt := func(ctx context.Context, stage string) context.Context {
+		ctx, cancel := context.WithCancel(ctx)
+		t.Cleanup(cancel)
+		return atStage(ctx, stage, cancel)
+	}
+	wantPanic := func(build string) func(*testing.T, *Result, error, any) {
+		return func(t *testing.T, _ *Result, err error, p any) {
+			bp, ok := p.(*buildPanic)
+			if !ok || bp.value != "build failed: "+build || !strings.Contains(bp.Error(), "goroutine ") {
+				t.Errorf("recovered %v (err %v), want the %s build's panic with its stack", p, err, build)
+			}
+		}
+	}
+	// Each case's context carries the ledger l, ahead of any sink that
+	// panics.
+	cases := []struct {
+		name  string
+		ctx   func(l *buildLedger) context.Context
+		check func(t *testing.T, res *Result, err error, panicked any)
+	}{
+		{"completed", func(l *buildLedger) context.Context {
+			return obs.WithSink(context.Background(), l)
+		}, func(t *testing.T, res *Result, err error, p any) {
+			if err != nil || p != nil || res.Degraded {
+				t.Errorf("err = %v, panic = %v", err, p)
+			}
+		}},
+		{"canceled-at-classify", func(l *buildLedger) context.Context {
+			return canceledAt(obs.WithSink(context.Background(), l), StageClassify)
+		}, func(t *testing.T, _ *Result, err error, p any) {
+			var se *StageError
+			if p != nil || !errors.As(err, &se) || se.Stage != StageClassify || !errors.Is(err, context.Canceled) {
+				t.Errorf("err = %v, panic = %v; want a cancellation at %s", err, p, StageClassify)
+			}
+		}},
+		{"deadline-at-solve", func(l *buildLedger) context.Context {
+			ctx := newExpirableCtx()
+			return obs.WithSink(atStage(ctx, StageSolve, ctx.expire), l)
+		}, func(t *testing.T, res *Result, err error, p any) {
+			if err != nil || p != nil || !res.Degraded {
+				t.Errorf("err = %v, panic = %v; want a degraded result", err, p)
+			}
+		}},
+		{"panic-read-by-classify", func(l *buildLedger) context.Context {
+			return obs.WithSink(obs.WithSink(context.Background(), l), panicInBuild("preop-edt"))
+		}, wantPanic("preop-edt")},
+		{"panic-read-by-none", func(l *buildLedger) context.Context {
+			return obs.WithSink(canceledAt(obs.WithSink(context.Background(), l), StageSurface), panicInBuild("preop-interp"))
+		}, wantPanic("preop-interp")},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ledger := &buildLedger{}
+			ctx := tc.ctx(ledger)
+			before := runtime.NumGoroutine()
+			var (
+				res      *Result
+				err      error
+				panicked any
+			)
+			func() {
+				defer func() { panicked = recover() }()
+				res, err = registerCase(ctx, fastConfig(), c)
+			}()
+			if open := ledger.scanReturned(); open != 0 {
+				t.Errorf("%d builds still running when the scan returned", open)
+			}
+			tc.check(t, res, err, panicked)
+			// A joined build may be a few instructions from exiting.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines before the scan, %d after:\n%s",
+						before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				}
+			}
+			if ledger.late {
+				t.Error("a build started after the scan returned")
+			}
+		})
 	}
 }
 

@@ -132,7 +132,10 @@ func DefaultConfig() Config {
 }
 
 // StageTiming records the wall-clock time of one pipeline stage — one
-// bar of the paper's Figure 6 timeline.
+// bar of the paper's Figure 6 timeline. A full registration builds its
+// preoperative model beside the stages, and a stage's time includes its
+// wait for the part it reads: a cold mesh or resample stage mostly
+// waits.
 type StageTiming struct {
 	Name    string
 	Elapsed time.Duration
@@ -171,7 +174,9 @@ type Result struct {
 	// AlignedPreop is the rigidly aligned preoperative scan (the
 	// rigid-only baseline the paper compares against).
 	AlignedPreop *volume.Scalar
-	// Timings is the per-stage timeline (Figure 6).
+	// Timings is the per-stage timeline (Figure 6). The stages run one
+	// after another, each time including its wait for the preoperative
+	// build it reads, so they add up to the scan's wall time.
 	Timings []StageTiming
 
 	// Incremental marks a result produced by the streaming update path
@@ -385,16 +390,44 @@ func newStageRunner(ctx context.Context, res *Result) func(name string, fn func(
 // update (warm) runs the same sequence with the preoperative artifacts
 // pinned from the baseline, which leaves the four stages that depend on
 // the new image — rigid alignment is reused because the head is fixed
-// in the scanner frame for the duration of the case. Each preop-pure
-// stage goes through cached, keyed on exactly the handle and key struct
-// it is called with.
+// in the scanner frame for the duration of the case.
+//
+// A full registration builds its preoperative model beside the scan:
+// once the rigid stage has aligned the labels, each preop-pure stage
+// starts on a goroutine of its own (goCached, keyed on exactly the
+// handle and key struct it is called with) as soon as its input exists,
+// and the stage that first reads its value waits for it there — the
+// EDT channels in classification, the mesh in the mesh stage, the
+// relaxed surface in the surface stage, the operator in the solve and
+// the interpolation table in resampling. So the mesh builds while k-NN
+// classifies, and assembly, elimination and the table while the
+// surface evolves. A stage's time includes its wait, so Timings still
+// add up to the scan. A build's error surfaces as the StageError of the
+// stage that reads it; on every return path the builds are cancelled
+// and joined, and a build's panic is raised again here — at the wait,
+// or after the join when nothing waited.
 func (s *Session) runStages(ctx context.Context, sc *scan, warm bool) error {
+	b := newBuilds(ctx)
+	defer b.stop()
+	err := s.stages(ctx, b, sc, warm)
+	if p := b.stop(); p != nil {
+		panic(p)
+	}
+	return err
+}
+
+// stages runs the stage sequence for runStages, starting the builds of
+// a full registration on b.
+func (s *Session) stages(ctx context.Context, b *builds, sc *scan, warm bool) error {
 	cfg, store := s.cfg, s.cfg.ArtifactStore
 	stage := newStageRunner(ctx, sc.res)
-	// Handles of the preoperative artifacts later pure stages key on.
 	var (
-		labels *handle[*volume.Labels]
-		meshA  *handle[meshed]
+		edtP    *promise[*handle[edtChannels]]
+		meshP   *promise[*handle[meshed]]
+		relaxP  *promise[*handle[*mesh.TriMesh]]
+		opP     *promise[*handle[*fem.Operator]]
+		interpP *promise[*handle[*fem.InterpTable]]
+		phiP    *promise[pair[*volume.Scalar, *volume.Scalar]]
 	)
 	if !warm {
 		if cfg.SkipRigid && !sc.preop.Grid.SameShape(sc.intraop.Grid) {
@@ -408,12 +441,25 @@ func (s *Session) runStages(ctx context.Context, sc *scan, warm bool) error {
 		}); err != nil {
 			return err
 		}
-		labels = source(labelsCodec, sc.alignedLabels)
+		labels := source(labelsCodec, sc.alignedLabels)
+		edtP = goCached(b, store, "preop-edt", preopEDT, ready(labels),
+			edtKey{Saturation: cfg.EDTSaturation}, edtCodec)
+		meshP = goCached(b, store, "preop-mesh", preopMesh, ready(labels),
+			meshKey{CellSize: cfg.MeshCellSize, BCC: cfg.UseBCCMesh}, meshedCodec)
+		relaxP = goCached(b, store, "preop-relax", preopRelax, func() (*handle[pair[*volume.Labels, meshed]], error) {
+			meshA, err := meshP.wait()
+			if err != nil {
+				return nil, err
+			}
+			return join(labels, meshA), nil
+		}, cfg.Surface, triMeshCodec)
+		opP = goCached(b, store, "preop-assemble", preopAssemble, meshP.wait,
+			assembleKey{Materials: cfg.Materials, Ranks: cfg.Ranks}, operatorCodec)
+		interpP = goCached(b, store, "preop-interp", preopInterp, meshP.wait, sc.intraop.Grid, interpCodec)
 	}
 	if err := stage(StageClassify, func(ctx context.Context) error {
 		if !warm {
-			ch, err := cached(ctx, store, "preop-edt", preopEDT, labels,
-				edtKey{Saturation: cfg.EDTSaturation}, edtCodec)
+			ch, err := edtP.wait()
 			if err != nil {
 				return err
 			}
@@ -424,52 +470,40 @@ func (s *Session) runStages(ctx context.Context, sc *scan, warm bool) error {
 		return err
 	}
 	if !warm {
-		if err := stage(StageMesh, func(ctx context.Context) (err error) {
-			meshA, err = cached(ctx, store, "preop-mesh", preopMesh, labels,
-				meshKey{CellSize: cfg.MeshCellSize, BCC: cfg.UseBCCMesh}, meshedCodec)
-			if err == nil {
-				sc.mesh = meshA.val.Mesh
+		// The scan's φ does not depend on the preoperative model: compute
+		// it beside the mesh and relaxation builds.
+		intra := sc.intraLabels
+		phiP = goBuild(b, func(context.Context) (pair[*volume.Scalar, *volume.Scalar], error) {
+			return intraopPhi(intra), nil
+		})
+		if err := stage(StageMesh, func(context.Context) error {
+			meshA, err := meshP.wait()
+			if err != nil {
+				return err
 			}
-			return err
+			sc.mesh = meshA.val.Mesh
+			return nil
 		}); err != nil {
 			return err
 		}
 	}
 	if err := stage(StageSurface, func(ctx context.Context) error {
 		if warm {
-			return s.stageSurfaceDisplace(ctx, sc, sc.intraopPhi())
+			return s.stageSurfaceDisplace(ctx, sc, intraopPhi(sc.intraLabels))
 		}
-		// The scan's φ does not depend on the relaxed surface: compute it
-		// beside preop-relax. A panic computing it comes back over the
-		// channel and is raised again here, on the scan's goroutine.
-		phi := make(chan any, 1)
-		go func() {
-			defer func() {
-				if p := recover(); p != nil {
-					phi <- p
-				}
-			}()
-			phi <- sc.intraopPhi()
-		}()
-		relaxed, err := cached(ctx, store, "preop-relax", preopRelax, join(labels, meshA),
-			cfg.Surface, triMeshCodec)
-		v := <-phi
-		phiIntra, ok := v.(*volume.Scalar)
-		if !ok {
-			panic(v)
-		}
+		relaxed, err := relaxP.wait()
 		if err != nil {
 			return err
 		}
 		sc.relaxedSurf = relaxed.val
-		return s.stageSurfaceDisplace(ctx, sc, phiIntra)
+		phi, _ := phiP.wait() // computing φ returns no error
+		return s.stageSurfaceDisplace(ctx, sc, phi)
 	}); err != nil {
 		return err
 	}
 	if err := stage(StageSolve, func(ctx context.Context) error {
 		if !warm {
-			op, err := cached(ctx, store, "preop-assemble", preopAssemble, meshA,
-				assembleKey{Materials: cfg.Materials, Ranks: cfg.Ranks}, operatorCodec)
+			op, err := opP.wait()
 			if err != nil {
 				return err
 			}
@@ -479,9 +513,9 @@ func (s *Session) runStages(ctx context.Context, sc *scan, warm bool) error {
 	}); err != nil {
 		return err
 	}
-	return stage(StageResample, func(ctx context.Context) error {
+	return stage(StageResample, func(context.Context) error {
 		if !warm {
-			tab, err := cached(ctx, store, "preop-interp", preopInterp, meshA, sc.intraop.Grid, interpCodec)
+			tab, err := interpP.wait()
 			if err != nil {
 				return err
 			}
@@ -619,19 +653,20 @@ func (sc *scan) classifyBand(ctx context.Context, cl *classify.Classifier, chann
 	return labels, nil
 }
 
-// intraopPhi sets the scan's signed distance to its classified brain
-// boundary and returns the smoothed copy the surface evolves on.
-func (sc *scan) intraopPhi() *volume.Scalar {
-	sc.phiBrain = edt.SignedOfSet(sc.intraLabels, volume.IsBrainTissue, 0)
-	return sc.phiBrain.SmoothGaussian(1.0)
+// intraopPhi is the signed distance to the brain boundary of a scan's
+// classification (A) and the smoothed copy the surface evolves on (B).
+func intraopPhi(labels *volume.Labels) pair[*volume.Scalar, *volume.Scalar] {
+	phi := edt.SignedOfSet(labels, volume.IsBrainTissue, 0)
+	return pair[*volume.Scalar, *volume.Scalar]{phi, phi.SmoothGaussian(1.0)}
 }
 
-// stageSurfaceDisplace deforms the relaxed preoperative brain surface
-// onto the classified intraoperative brain, along phiIntra (see
-// intraopPhi): these displacements are the physical surface
-// correspondences driving the FEM solve.
-func (s *Session) stageSurfaceDisplace(ctx context.Context, sc *scan, phiIntra *volume.Scalar) error {
-	sr, err := surface.EvolveContext(ctx, sc.relaxedSurf, surface.SignedDistanceForce{Phi: phiIntra}, s.cfg.Surface)
+// stageSurfaceDisplace keeps the scan's φ (see intraopPhi) and deforms
+// the relaxed preoperative brain surface onto the classified
+// intraoperative brain along its smoothed copy: these displacements are
+// the physical surface correspondences driving the FEM solve.
+func (s *Session) stageSurfaceDisplace(ctx context.Context, sc *scan, phi pair[*volume.Scalar, *volume.Scalar]) error {
+	sc.phiBrain = phi.A
+	sr, err := surface.EvolveContext(ctx, sc.relaxedSurf, surface.SignedDistanceForce{Phi: phi.B}, s.cfg.Surface)
 	if err != nil {
 		return err
 	}

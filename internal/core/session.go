@@ -86,6 +86,8 @@ func NewSession(cfg Config, preop *volume.Scalar, preopLabels *volume.Labels) (*
 // returned, marked Degraded, instead of an error — the surgeon still
 // gets the rigid alignment on time. A degraded or failed scan advances
 // neither the statistical model nor the incremental-update baseline.
+// Register builds the preoperative model on goroutines beside the scan
+// and joins them before it returns, whatever the outcome.
 // Sessions are not safe for concurrent use; the service layer
 // serializes scans per session.
 func (s *Session) Register(ctx context.Context, intraop *volume.Scalar) (*Result, error) {

@@ -7,18 +7,26 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
 
 // TestPipelineEmitsNestedTrace runs a full registration with tracing on
-// and verifies the emitted JSONL: every stage span hangs off the
-// pipeline root, and the GMRES restart-cycle spans parent-chain through
-// fem.solve up to the solve stage with the residual history attached.
+// and verifies the emitted JSONL: every stage span and every build of
+// the preoperative model hangs off the pipeline root, the work of each
+// nests under the span that ran it, and the GMRES restart-cycle spans
+// parent-chain through fem.solve up to the solve stage with the
+// residual history attached.
 func TestPipelineEmitsNestedTrace(t *testing.T) {
 	c := testCase(24)
 	cfg := fastConfig()
 	cfg.Solver.RecordHistory = true
+	store, err := artifact.New(artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ArtifactStore = store
 
 	var buf bytes.Buffer
 	tracer := obs.NewTracer(&buf)
@@ -104,15 +112,41 @@ func TestPipelineEmitsNestedTrace(t *testing.T) {
 		t.Error("no gmres.cycle span carries a residual_history attribute")
 	}
 
-	// FEM assembly nests under the solve stage too, with the par
-	// counters attached.
+	// The preoperative model builds beside the scan: one preop.build
+	// span per pure stage, a direct child of the run, naming the stage
+	// and stating its cache outcome (a miss, on a fresh store).
+	builds := map[string]obs.SpanRecord{}
+	for _, b := range byName[obs.SpanPreopBuild.String()] {
+		name, _ := b.Attrs["artifact"].(string)
+		if _, dup := builds[name]; dup {
+			t.Errorf("two preop.build spans for %q", name)
+		}
+		builds[name] = b
+		if b.Parent != root.ID {
+			t.Errorf("preop.build %q parented to %d, want pipeline.run %d", name, b.Parent, root.ID)
+		}
+		if hit, ok := b.Attrs[name+"_cache_hit"]; !ok || hit != false {
+			t.Errorf("preop.build %q attrs = %v, want %s_cache_hit=false", name, b.Attrs, name)
+		}
+	}
+	for _, name := range []string{"preop-edt", "preop-mesh", "preop-relax", "preop-assemble", "preop-interp"} {
+		if _, ok := builds[name]; !ok {
+			t.Fatalf("no preop.build span for %s (have %v)", name, builds)
+		}
+	}
+	if len(builds) != 5 {
+		t.Errorf("%d preop.build spans, want the five pure stages'", len(builds))
+	}
+
+	// FEM assembly nests under its build, with the par counters
+	// attached.
 	assemblies := byName["fem.assemble"]
-	if len(assemblies) == 0 {
-		t.Fatal("no fem.assemble span emitted")
+	if len(assemblies) != 1 {
+		t.Fatalf("%d fem.assemble spans, want 1", len(assemblies))
 	}
 	for _, a := range assemblies {
-		if a.Parent != solveStage.ID {
-			t.Errorf("fem.assemble parented to %d, want solve stage %d", a.Parent, solveStage.ID)
+		if want := builds["preop-assemble"].ID; a.Parent != want {
+			t.Errorf("fem.assemble parented to %d, want preop-assemble build %d", a.Parent, want)
 		}
 		if f, ok := a.Attrs["flops"].(float64); !ok || f <= 0 {
 			t.Errorf("fem.assemble flops attr = %v, want > 0", a.Attrs["flops"])
@@ -122,8 +156,9 @@ func TestPipelineEmitsNestedTrace(t *testing.T) {
 		}
 	}
 
-	// Classification worker batches nest under the classify stage, and
-	// the surface evolutions under the surface stage.
+	// Classification worker batches nest under the classify stage. Of
+	// the two surface evolutions, the relaxation nests under its build
+	// and the scan's under the surface stage.
 	classify := byName[StageClassify][0]
 	if batches := byName["knn.batch"]; len(batches) == 0 {
 		t.Error("no knn.batch spans emitted")
@@ -134,18 +169,17 @@ func TestPipelineEmitsNestedTrace(t *testing.T) {
 			}
 		}
 	}
-	surfaceStage := byName[StageSurface][0]
-	evolves := byName["surface.evolve"]
-	if len(evolves) == 0 {
-		t.Error("no surface.evolve spans emitted")
-	}
-	for _, e := range evolves {
-		if e.Parent != surfaceStage.ID {
-			t.Errorf("surface.evolve parented to %d, want surface stage %d", e.Parent, surfaceStage.ID)
-		}
+	surfaceStage, relax := byName[StageSurface][0], builds["preop-relax"]
+	evolves := map[uint64]int{}
+	for _, e := range byName["surface.evolve"] {
+		evolves[e.Parent]++
 		if _, ok := e.Attrs["iterations"].(float64); !ok {
 			t.Errorf("surface.evolve attrs = %v, want iterations", e.Attrs)
 		}
+	}
+	if want := map[uint64]int{relax.ID: 1, surfaceStage.ID: 1}; !reflect.DeepEqual(evolves, want) {
+		t.Errorf("surface.evolve spans per parent = %v, want one under preop-relax %d and one under the surface stage %d",
+			evolves, relax.ID, surfaceStage.ID)
 	}
 }
 

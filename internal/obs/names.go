@@ -25,6 +25,12 @@ var (
 	// a streaming intraoperative update against a registered baseline,
 	// running only the intraoperative stage subset.
 	SpanPipelineUpdate = SpanName{"pipeline.update"}
+	// SpanPreopBuild is one preop-pure stage a full registration runs
+	// beside its scan, from the moment its input exists: a child of
+	// pipeline.run naming the stage (artifact) and, with a store,
+	// stating its <stage>_cache_hit. The work it covers nests under it
+	// (fem.assemble, the relaxation's surface.evolve).
+	SpanPreopBuild = SpanName{"preop.build"}
 	// SpanFEMPatchBC covers the Dirichlet delta patch: right-hand-side
 	// updates for the boundary displacements that changed since the
 	// previous solve, with the stiffness matrix kept. It alone states

@@ -170,38 +170,43 @@ func TestPanickingJobCostsOneJob(t *testing.T) {
 }
 
 // TestPanickingWorkerCostsOneJob: a panic on a goroutine the pipeline
-// started — here a sink panicking as a k-NN worker opens its batch span
-// — reaches the job's recover through par.ForEachRank instead of
-// killing the process: that job fails with ErrJobPanicked, carrying the
-// value and the worker's stack, and the worker serves the session's
-// next scan.
+// started — a sink panicking as a k-NN worker opens its batch span, or
+// as a build of the preoperative model beside the scan opens its own —
+// reaches the job's recover through par.ForEachRank or the build's
+// promise instead of killing the process: that job fails with
+// ErrJobPanicked, carrying the value and the goroutine's stack, and the
+// worker serves the session's next scan.
 func TestPanickingWorkerCostsOneJob(t *testing.T) {
-	before := runtime.NumGoroutine()
-	svc := New(Options{Workers: 1})
-	c1, c2 := streamCase(24, 33)
-	if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c1.Preop, PreopLabels: c1.PreopLabels}); err != nil {
-		t.Fatal(err)
+	for _, at := range []obs.SpanName{obs.SpanKNNBatch, obs.SpanPreopBuild} {
+		t.Run(at.String(), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			svc := New(Options{Workers: 1})
+			c1, c2 := streamCase(24, 33)
+			if err := svc.Open(SessionSpec{ID: "or", Config: fastConfig(), Preop: c1.Preop, PreopLabels: c1.PreopLabels}); err != nil {
+				t.Fatal(err)
+			}
+			bg := context.Background()
+			_, err := wait(obs.WithSink(bg, panicAt(at.String())), svc.Submit, "or", c1.Intraop)
+			if !errors.Is(err, ErrJobPanicked) || !strings.Contains(err.Error(), "sink failed at "+at.String()) ||
+				!strings.Contains(err.Error(), "goroutine ") {
+				t.Fatalf("panicking worker: err = %v, want ErrJobPanicked with the panic value and stack", err)
+			}
+			if n := count(svc, obs.MetricScans, obs.Label{Key: "outcome", Value: "failed"}); n != 1 {
+				t.Errorf("failed scans = %d, want 1", n)
+			}
+			if _, err := wait(bg, svc.Submit, "or", c1.Intraop); err != nil {
+				t.Errorf("registration after the panic: %v", err)
+			}
+			if res, err := wait(bg, svc.SubmitUpdate, "or", c2.Intraop); err != nil || !res.Incremental {
+				t.Errorf("update after the panic: err = %v", err)
+			}
+			if n := svc.WorkersAlive(); n != 1 {
+				t.Errorf("%d workers alive after the panic, want 1", n)
+			}
+			if err := svc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			noGoroutinesLeft(t, before)
+		})
 	}
-	bg := context.Background()
-	_, err := wait(obs.WithSink(bg, panicAt(obs.SpanKNNBatch.String())), svc.Submit, "or", c1.Intraop)
-	if !errors.Is(err, ErrJobPanicked) || !strings.Contains(err.Error(), "sink failed at "+obs.SpanKNNBatch.String()) ||
-		!strings.Contains(err.Error(), "goroutine ") {
-		t.Fatalf("panicking worker: err = %v, want ErrJobPanicked with the panic value and stack", err)
-	}
-	if n := count(svc, obs.MetricScans, obs.Label{Key: "outcome", Value: "failed"}); n != 1 {
-		t.Errorf("failed scans = %d, want 1", n)
-	}
-	if _, err := wait(bg, svc.Submit, "or", c1.Intraop); err != nil {
-		t.Errorf("registration after the panic: %v", err)
-	}
-	if res, err := wait(bg, svc.SubmitUpdate, "or", c2.Intraop); err != nil || !res.Incremental {
-		t.Errorf("update after the panic: err = %v", err)
-	}
-	if n := svc.WorkersAlive(); n != 1 {
-		t.Errorf("%d workers alive after the panic, want 1", n)
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	noGoroutinesLeft(t, before)
 }

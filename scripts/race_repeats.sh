@@ -8,6 +8,12 @@
 #     factor;
 #   - the faults: a panicking job, a panicking rank worker, and an
 #     artifact waiter's deadline;
+#   - a full registration builds its preoperative model on goroutines
+#     beside the scan, and each build writes only its own promise and
+#     handle, which the scan reads after waiting: a build writing
+#     anything else, or the scan reading before it waits, is a race.
+#     The build test drives every return path (success, cancellation,
+#     degraded result, panic);
 #   - the voxel and vertex passes split over one slab per core
 #     (smoothing, distance transform, field inversion and warp, both
 #     resamples, the MI histogram, the surface evolution), which write
@@ -32,7 +38,7 @@ repeat() {
 	echo "== go test -race -count 5 -run '$2' $1"
 	go test -race -short -timeout 5m -count 5 -run "$2" "$1"
 }
-repeat ./internal/core 'TestSharedArtifactsAreNeverWritten|TestConcurrentSessionsFactorizeOnce|TestResultDigestsAnyCoreCount'
+repeat ./internal/core 'TestSharedArtifactsAreNeverWritten|TestConcurrentSessionsFactorizeOnce|TestResultDigestsAnyCoreCount|TestBuildLeaksNothingAndFailsWhereRead'
 repeat ./internal/fem 'TestMemoizedBuildMatchesPerElementOracle'
 repeat ./internal/solver 'TestBlockFactorsOfFEMOperatorsMatchOracle|TestBILU0MatchesBlockOracle'
 repeat ./internal/par 'TestForEachRankPanicReachesTheCaller'
